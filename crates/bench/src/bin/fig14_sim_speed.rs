@@ -17,9 +17,8 @@
 
 use easydram::{System, SystemConfig, TimingMode};
 use easydram_bench::{
-    geomean, median_ns_per_cmd, print_table, quick, ramulator, run_oracle_kernel,
-    run_parallel_corun, run_table_kernel, sim_speed_geometry, sim_speed_stream,
-    write_sim_speed_json, KIB, PARALLEL_SPEEDUP_THRESHOLD, SIM_SPEED_THRESHOLD,
+    geomean, median_ns_per_cmd, print_table, quick, ramulator, run_oracle_kernel, run_table_kernel,
+    sim_speed_geometry, sim_speed_stream, write_sim_speed_json, SIM_SPEED_THRESHOLD,
 };
 use easydram_dram::TimingParams;
 use easydram_workloads::{fig13_names, polybench, PolySize};
@@ -83,93 +82,13 @@ fn main() {
         "Shape check: the advantage should peak on the least memory-intensive workload (durbin)."
     );
 
-    let threads_axis = parallel_corun_gate();
-    serve_loop_regression_gate(&threads_axis);
-}
-
-/// The parallel-engine regression gate: measures the 4-channel 4-core
-/// streaming co-run at 1, 2, and 4 worker threads, asserts the aggregate
-/// report is byte-identical at every thread count, and — in full mode, on a
-/// host with at least two CPUs — **fails (exit 1)** unless 4 threads beat
-/// 1 thread by [`PARALLEL_SPEEDUP_THRESHOLD`]×. Quick mode keeps the
-/// byte-identity assertion at smoke size without enforcing the speedup
-/// (CI runners make wall-clock promises meaningless there). Returns the
-/// per-thread-count wall-clock medians for the sim-speed record.
-fn parallel_corun_gate() -> Vec<(u32, f64)> {
-    let (target_cycles, samples) = if quick() { (30_000, 3) } else { (300_000, 5) };
-    let bytes = 64 * KIB;
-    let mut medians: Vec<(u32, f64)> = Vec::new();
-    let mut sequential_report: Option<String> = None;
-    for threads in [1u32, 2, 4] {
-        let mut walls = Vec::new();
-        let mut report = String::new();
-        for _ in 0..samples {
-            let (r, wall) = run_parallel_corun(threads, target_cycles, bytes);
-            report = r;
-            walls.push(wall);
-        }
-        walls.sort_by(f64::total_cmp);
-        medians.push((threads, walls[walls.len() / 2]));
-        match &sequential_report {
-            None => sequential_report = Some(report),
-            Some(seq) => assert!(
-                *seq == report,
-                "parallel co-run aggregate report diverged at {threads} threads \
-                 — the deterministic reduction is broken"
-            ),
-        }
-    }
-    let base = medians[0].1;
-    let rows: Vec<Vec<String>> = medians
-        .iter()
-        .map(|(t, wall)| {
-            vec![
-                t.to_string(),
-                format!("{:.1}", wall * 1e3),
-                format!("{:.2}x", base / wall),
-            ]
-        })
-        .collect();
-    print_table(
-        "Parallel engine: 4-channel 4-core co-run wall clock by worker threads",
-        &["threads", "wall ms (median)", "speedup"],
-        &rows,
-    );
-    let (widest, best) = *medians.last().expect("sweep ran");
-    let speedup = base / best;
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!(
-        "\nCo-run at {widest} threads is {speedup:.2}x the sequential engine \
-         (byte-identical reports at every thread count; host has {host_cpus} CPU(s))."
-    );
-    if quick() {
-        println!(
-            "Quick mode: speedup not enforced (threshold {PARALLEL_SPEEDUP_THRESHOLD:.1}x \
-             applies to full runs)."
-        );
-        assert!(
-            speedup.is_finite() && speedup > 0.0,
-            "smoke sweep must produce a finite speedup"
-        );
-    } else if host_cpus < 2 {
-        println!(
-            "Host has a single CPU: the {PARALLEL_SPEEDUP_THRESHOLD:.1}x wall-clock gate \
-             needs real parallel hardware and is skipped (byte-identity still enforced)."
-        );
-    } else if speedup < PARALLEL_SPEEDUP_THRESHOLD {
-        eprintln!(
-            "FAIL: parallel co-run speedup {speedup:.2}x at {widest} threads is below \
-             the {PARALLEL_SPEEDUP_THRESHOLD:.1}x regression threshold"
-        );
-        std::process::exit(1);
-    }
-    medians
+    serve_loop_regression_gate();
 }
 
 /// Races the timing-table serve-loop kernel against the rule-based oracle
 /// on the same stream, records the result, and exits non-zero when the
 /// speedup regresses below the threshold.
-fn serve_loop_regression_gate(threads_axis: &[(u32, f64)]) {
+fn serve_loop_regression_gate() {
     let (commands, samples) = if quick() { (40_000, 5) } else { (200_000, 7) };
     let geometry = sim_speed_geometry();
     let timing = TimingParams::ddr4_1333();
@@ -213,7 +132,6 @@ fn serve_loop_regression_gate(threads_axis: &[(u32, f64)]) {
         samples,
         table_ns,
         oracle_ns,
-        threads_axis,
     ) {
         eprintln!("warning: could not write target/sim-speed.json: {e}");
     }

@@ -116,15 +116,15 @@ fn main() {
                 false
             }
         };
-    // Schema-7 contract: the report written by *this* run must self-identify
-    // as schema 7 and, when the relevant harness succeeded, carry its
+    // Schema-8 contract: the report written by *this* run must self-identify
+    // as schema 8 and, when the relevant harness succeeded, carry its
     // section with the fields downstream tooling keys on. (The files were
     // removed up front, so a failed write cannot validate stale data.)
     if wrote {
         let report = std::fs::read_to_string(report_path).expect("just wrote the report");
         assert!(
-            report.contains("\"schema\": 7"),
-            "bench report must declare schema 7"
+            report.contains("\"schema\": 8"),
+            "bench report must declare schema 8"
         );
         if section_ok("fig_rowhammer") {
             for field in [
@@ -149,14 +149,10 @@ fn main() {
                 "\"speedup\"",
                 "\"threshold\"",
                 "\"commands\"",
-                "\"threads\": [",
-                "\"corun_wall_seconds\"",
-                "\"parallel_speedup\"",
-                "\"parallel_threshold\"",
             ] {
                 assert!(
                     report.contains(field),
-                    "schema-6 sim_speed section is missing {field}"
+                    "sim_speed section is missing {field}"
                 );
             }
         }
@@ -176,7 +172,7 @@ fn main() {
                 );
             }
         }
-        println!("bench-report schema 7 validated.");
+        println!("bench-report schema 8 validated.");
     }
     let failures: Vec<&str> = runs
         .iter()

@@ -10,12 +10,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use easydram::{MultiCoreSystem, System, SystemConfig, TimingMode};
+use easydram::{System, SystemConfig, TimingMode};
 use easydram_cpu::Workload;
 use easydram_dram::bank::RankTiming;
 use easydram_dram::{DramCommand, Geometry, OracleRankTiming, TimingParams};
 use easydram_ramulator::{RamulatorConfig, RamulatorSystem};
-use easydram_workloads::StreamWriter;
 
 /// KiB.
 pub const KIB: u64 = 1024;
@@ -204,7 +203,7 @@ pub fn write_bench_report_with_sections(
     if let Some(parent) = std::path::Path::new(path).parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut s = String::from("{\n  \"schema\": 7,\n");
+    let mut s = String::from("{\n  \"schema\": 8,\n");
     s.push_str(&format!("  \"quick\": {},\n", quick()));
     for (key, json) in sections {
         s.push_str(&format!("  \"{key}\": {},\n", json.trim()));
@@ -706,13 +705,10 @@ pub fn median_ns_per_cmd(samples: usize, commands: usize, mut kernel: impl FnMut
 }
 
 /// Writes the `fig14_sim_speed` harness's machine-readable serve-loop
-/// record (the `sim_speed` fields of bench-report schema 6): stream size,
-/// per-kernel median ns/command, the table-over-oracle speedup, the
-/// enforced threshold, and the parallel engine's thread axis — one median
-/// co-run wall time per swept `EASYDRAM_THREADS` value plus the
-/// `parallel_speedup` of the widest sweep point over the sequential one.
-/// `repro_all` embeds this file into `target/bench-report.json` under
-/// `sim_speed`.
+/// record (the `sim_speed` fields of the bench report): stream size,
+/// per-kernel median ns/command, the table-over-oracle speedup, and the
+/// enforced threshold. `repro_all` embeds this file into
+/// `target/bench-report.json` under `sim_speed`.
 ///
 /// # Errors
 ///
@@ -723,79 +719,20 @@ pub fn write_sim_speed_json(
     samples: usize,
     table_ns_per_cmd: f64,
     oracle_ns_per_cmd: f64,
-    threads: &[(u32, f64)],
 ) -> Result<(), std::io::Error> {
     if let Some(parent) = std::path::Path::new(path).parent() {
         std::fs::create_dir_all(parent)?;
     }
     let speedup = oracle_ns_per_cmd / table_ns_per_cmd;
-    let mut s = format!(
+    let s = format!(
         "{{\n  \"commands\": {commands},\n  \"samples\": {samples},\n  \
          \"table_ns_per_cmd\": {table_ns_per_cmd:.3},\n  \
          \"oracle_ns_per_cmd\": {oracle_ns_per_cmd:.3},\n  \
          \"speedup\": {speedup:.3},\n  \"threshold\": {SIM_SPEED_THRESHOLD:.1},\n  \
-         \"pass\": {},\n",
+         \"pass\": {}\n}}\n",
         speedup >= SIM_SPEED_THRESHOLD
     );
-    s.push_str("  \"threads\": [\n");
-    for (i, (t, wall)) in threads.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"threads\": {t}, \"corun_wall_seconds\": {wall:.4}}}{}\n",
-            if i + 1 < threads.len() { "," } else { "" }
-        ));
-    }
-    let parallel_speedup = match (threads.first(), threads.last()) {
-        (Some((_, base)), Some((_, best))) if *best > 0.0 => base / best,
-        _ => 0.0,
-    };
-    s.push_str(&format!(
-        "  ],\n  \"parallel_speedup\": {parallel_speedup:.3},\n  \
-         \"parallel_threshold\": {PARALLEL_SPEEDUP_THRESHOLD:.1}\n}}\n"
-    ));
     std::fs::write(path, s)
-}
-
-/// Wall-clock threshold the parallel co-run gate enforces in full mode on
-/// hosts with at least two CPUs: the 4-channel 4-core co-run at 4 worker
-/// threads must finish at least this many times faster than at 1 thread.
-pub const PARALLEL_SPEEDUP_THRESHOLD: f64 = 2.0;
-
-/// The configuration the parallel co-run gate measures: the small test
-/// geometry widened to 4 channels, with a posted-write buffer deep enough
-/// (256 slots) that each serve pass carries a large multi-lane batch — the
-/// unit of work the worker pool amortizes its handoff over — and the thread
-/// count pinned explicitly so the sweep is independent of
-/// `EASYDRAM_THREADS`.
-#[must_use]
-pub fn parallel_corun_config(threads: u32) -> SystemConfig {
-    let mut cfg = SystemConfig::small_for_tests(TimingMode::Reference);
-    cfg.dram.geometry.channels = 4;
-    cfg.write_buffer_depth = 256;
-    cfg.threads = Some(threads);
-    cfg
-}
-
-/// Runs one 4-core streaming co-run on [`parallel_corun_config`] at the
-/// given worker-thread count and returns the deterministic report surface
-/// (the aggregate [`ExecutionReport`](easydram::ExecutionReport), `Debug`
-/// formatted) together with the measured host wall seconds. The gate
-/// asserts the first component byte-identical across thread counts and
-/// builds its speedup medians from the second.
-#[must_use]
-pub fn run_parallel_corun(threads: u32, target_cycles: u64, bytes: u64) -> (String, f64) {
-    let cfg = parallel_corun_config(threads);
-    validate_system_timing("parallel co-run config", &cfg);
-    let mut mc = MultiCoreSystem::new(cfg, 4);
-    mc.set_quantum(200);
-    let mut writers: Vec<StreamWriter> = (0..4)
-        .map(|_| StreamWriter::new(bytes, target_cycles))
-        .collect();
-    let mut refs: Vec<&mut dyn Workload> =
-        writers.iter_mut().map(|w| w as &mut dyn Workload).collect();
-    let start = std::time::Instant::now();
-    let report = mc.co_run(&mut refs);
-    let wall = start.elapsed().as_secs_f64();
-    (format!("{:#?}", report.aggregate), wall)
 }
 
 /// Geometric mean of a slice (for the paper's geomean rows).
@@ -845,7 +782,7 @@ mod tests {
         ];
         write_bench_report(path, &runs).unwrap();
         let s = std::fs::read_to_string(path).unwrap();
-        assert!(s.contains("\"schema\": 7"));
+        assert!(s.contains("\"schema\": 8"));
         assert!(s.contains("\"name\": \"fig8\", \"ok\": true, \"wall_seconds\": 1.250"));
         assert!(s.contains("fig\\\"quoted\\\""), "quotes must be escaped");
         assert_eq!(
@@ -965,8 +902,7 @@ mod tests {
         let dir = std::env::temp_dir().join("easydram-sim-speed-json-test");
         let path = dir.join("sim-speed.json");
         let path = path.to_str().unwrap();
-        let threads = [(1, 0.4812), (2, 0.2531), (4, 0.1925)];
-        write_sim_speed_json(path, 200_000, 7, 10.0, 45.5, &threads).unwrap();
+        write_sim_speed_json(path, 200_000, 7, 10.0, 45.5).unwrap();
         let s = std::fs::read_to_string(path).unwrap();
         assert!(s.contains("\"commands\": 200000"));
         assert!(s.contains("\"table_ns_per_cmd\": 10.000"));
@@ -974,23 +910,12 @@ mod tests {
         assert!(s.contains("\"speedup\": 4.550"));
         assert!(s.contains("\"threshold\": 2.0"));
         assert!(s.contains("\"pass\": true"));
-        assert!(s.contains("{\"threads\": 1, \"corun_wall_seconds\": 0.4812},"));
-        assert!(s.contains("{\"threads\": 4, \"corun_wall_seconds\": 0.1925}"));
-        assert!(
-            s.contains("\"parallel_speedup\": 2.500"),
-            "speedup is the widest point over the sequential one: {s}"
-        );
-        assert!(s.contains("\"parallel_threshold\": 2.0"));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
-        write_sim_speed_json(path, 100, 3, 10.0, 15.0, &[]).unwrap();
+        write_sim_speed_json(path, 100, 3, 10.0, 15.0).unwrap();
         let s = std::fs::read_to_string(path).unwrap();
         assert!(
             s.contains("\"pass\": false"),
             "sub-threshold speedups must be flagged"
-        );
-        assert!(
-            s.contains("\"parallel_speedup\": 0.000"),
-            "an empty sweep reports a zero speedup, not a division artifact"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1029,24 +954,6 @@ mod tests {
         assert!(s.contains("\"trace_dropped\": 0"));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parallel_corun_report_is_thread_count_invariant() {
-        // The gate's own primitive: the same co-run at 1 and 2 worker
-        // threads must produce a byte-identical aggregate report. Sizes are
-        // smoke-small — the real speedup measurement lives in the
-        // fig14_sim_speed harness.
-        let (seq, _) = run_parallel_corun(1, 20_000, 16 * KIB);
-        let (par, _) = run_parallel_corun(2, 20_000, 16 * KIB);
-        assert!(
-            seq == par,
-            "aggregate report diverged between 1 and 2 threads"
-        );
-        assert!(
-            seq.contains("requests"),
-            "digest carries the report surface"
-        );
     }
 
     #[test]

@@ -266,152 +266,6 @@ pub fn remap_table(entries: &[RemapEntry]) -> BTreeMap<u64, (u32, u32)> {
     entries.iter().map(|e| (e.vrow, (e.bank, e.row))).collect()
 }
 
-/// A slot in a [`Slab`]: either a live value or a link in the free list.
-#[derive(Debug, Clone)]
-enum Slot<T> {
-    Occupied(T),
-    Vacant { next_free: Option<usize> },
-}
-
-/// A fixed-overhead object pool: stable `usize` keys, O(1) insert and
-/// remove, and slot reuse through an intrusive free list (vacated slots are
-/// handed out again LIFO). Once the slab has grown to the high-water mark
-/// of simultaneously live entries, every insert lands in a recycled slot
-/// and the backing storage never reallocates — which is what lets request
-/// traffic flow through [`crate::request::RequestArena`] without touching
-/// the heap in steady state.
-#[derive(Debug, Clone)]
-pub struct Slab<T> {
-    slots: Vec<Slot<T>>,
-    free_head: Option<usize>,
-    len: usize,
-}
-
-// Manual impl: an empty slab needs no `T: Default` (the derive would
-// demand one).
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Slab<T> {
-    /// Creates an empty slab.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            free_head: None,
-            len: 0,
-        }
-    }
-
-    /// Creates an empty slab with room for `cap` entries before any growth.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            slots: Vec::with_capacity(cap),
-            free_head: None,
-            len: 0,
-        }
-    }
-
-    /// Stores `value`, returning its key. Reuses the most recently vacated
-    /// slot when one exists; grows the slab otherwise.
-    // lint: no_alloc — steady-state inserts must land in recycled slots
-    // (`slots.push` only runs while growing to the high-water mark).
-    pub fn insert(&mut self, value: T) -> usize {
-        self.len += 1;
-        match self.free_head {
-            Some(key) => {
-                let Slot::Vacant { next_free } = self.slots[key] else {
-                    unreachable!("free list only links vacant slots");
-                };
-                self.free_head = next_free;
-                self.slots[key] = Slot::Occupied(value);
-                key
-            }
-            None => {
-                self.slots.push(Slot::Occupied(value));
-                self.slots.len() - 1
-            }
-        }
-    }
-
-    /// The value under `key`, if the slot is live.
-    #[must_use]
-    pub fn get(&self, key: usize) -> Option<&T> {
-        match self.slots.get(key) {
-            Some(Slot::Occupied(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the value under `key`, if the slot is live.
-    pub fn get_mut(&mut self, key: usize) -> Option<&mut T> {
-        match self.slots.get_mut(key) {
-            Some(Slot::Occupied(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Removes and returns the value under `key`, vacating the slot for
-    /// reuse. Returns `None` when the slot is not live (never freed, or
-    /// already removed — a double remove is not an error).
-    pub fn remove(&mut self, key: usize) -> Option<T> {
-        match self.slots.get_mut(key) {
-            Some(slot @ Slot::Occupied(_)) => {
-                let prev = std::mem::replace(
-                    slot,
-                    Slot::Vacant {
-                        next_free: self.free_head,
-                    },
-                );
-                self.free_head = Some(key);
-                self.len -= 1;
-                match prev {
-                    Slot::Occupied(v) => Some(v),
-                    Slot::Vacant { .. } => unreachable!("matched occupied above"),
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// Number of live entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the slab holds no live entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of slots the slab can hold without reallocating.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.capacity()
-    }
-
-    /// Iterates the live entries as `(key, &value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.slots.iter().enumerate().filter_map(|(k, s)| match s {
-            Slot::Occupied(v) => Some((k, v)),
-            Slot::Vacant { .. } => None,
-        })
-    }
-
-    /// Drops every entry and resets the free list, keeping the storage.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free_head = None;
-        self.len = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,59 +394,5 @@ mod tests {
         assert_eq!(RowCloneAllocator::dst_offset(0, 0), 1);
         assert_eq!(RowCloneAllocator::dst_offset(3, 2), 2);
         assert_eq!(RowCloneAllocator::dst_offset(3, 3), 4);
-    }
-
-    #[test]
-    fn slab_round_trips_and_reuses_slots_lifo() {
-        let mut s = Slab::new();
-        let a = s.insert("a");
-        let b = s.insert("b");
-        let c = s.insert("c");
-        assert_eq!((a, b, c), (0, 1, 2));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.get(b), Some(&"b"));
-        assert_eq!(s.remove(b), Some("b"));
-        assert_eq!(s.remove(b), None, "double remove is a no-op");
-        assert_eq!(s.remove(a), Some("a"));
-        assert_eq!(s.len(), 1);
-        // LIFO reuse: the most recently vacated slot goes first.
-        assert_eq!(s.insert("d"), a);
-        assert_eq!(s.insert("e"), b);
-        assert_eq!(s.insert("f"), 3, "exhausted free list grows the slab");
-        assert_eq!(
-            s.iter().collect::<Vec<_>>(),
-            [(0, &"d"), (1, &"e"), (2, &"c"), (3, &"f")]
-        );
-    }
-
-    #[test]
-    fn slab_steady_state_churn_never_grows() {
-        let mut s = Slab::with_capacity(4);
-        let keys: Vec<usize> = (0..4).map(|i| s.insert(i)).collect();
-        let cap = s.capacity();
-        let mut live = keys;
-        for round in 0..100 {
-            let k = live.remove(round % live.len());
-            s.remove(k).unwrap();
-            live.push(s.insert(round));
-            assert_eq!(s.len(), 4);
-        }
-        assert_eq!(s.capacity(), cap, "churn at the high-water mark is free");
-        for (i, v) in s.iter() {
-            assert_eq!(s.get(i), Some(v));
-        }
-    }
-
-    #[test]
-    fn slab_get_mut_and_clear() {
-        let mut s = Slab::new();
-        let k = s.insert(7u64);
-        *s.get_mut(k).unwrap() += 1;
-        assert_eq!(s.get(k), Some(&8));
-        assert_eq!(s.get(99), None);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.get(k), None);
-        assert_eq!(s.insert(1), 0, "cleared slabs key from zero again");
     }
 }

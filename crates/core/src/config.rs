@@ -99,11 +99,10 @@ pub struct SystemConfig {
     /// Extra tRCD margin (ps) the tRCD-reduction controller adds on top of
     /// each row's profiled minimum.
     pub trcd_margin_ps: u64,
-    /// Engine thread count override. `None` (the default everywhere) defers
-    /// to the `EASYDRAM_THREADS` environment variable and then the machine's
-    /// available parallelism; `Some(1)` pins the exact sequential path.
-    /// Whatever the resolved width, reports are byte-identical — threads
-    /// only change wall-clock time (see `crate::par`).
+    /// Accepted and without effect: a simulation runs on its caller's
+    /// threads only (docs/API.md "Threads"). Reports were already
+    /// byte-identical at every value. The field stays because `benchmark/`
+    /// sets it; it goes when that pin does (see ROADMAP).
     pub threads: Option<u32>,
     /// Event-tracing override. `None` (the default everywhere) defers to the
     /// `EASYDRAM_TRACE` environment variable; `Some(cfg)` forces tracing on

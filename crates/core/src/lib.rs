@@ -52,19 +52,19 @@ pub mod system;
 pub mod timeline;
 pub mod timescale;
 
-pub use alloc::{RowCloneAllocator, Slab};
+pub use alloc::RowCloneAllocator;
 pub use bloom::BloomFilter;
 pub use config::{FpgaConfig, SystemConfig, TimingMode};
 pub use costs::SmcCostModel;
 pub use multicore::{CoRunReport, CoreRun, MultiCoreSystem};
 pub use obs::{
-    configured_trace, validate_chrome_json, EventKind, EventRing, LogHistogram, MetricsRegistry,
-    TileMetrics, TraceConfig, TraceEvent, TraceLog, TRACE_ENV,
+    configured_trace, validate_chrome_json, EventKind, EventRing, LogHistogram, TileMetrics,
+    TraceConfig, TraceEvent, TraceLog, TRACE_ENV,
 };
-pub use par::{configured_threads, effective_threads, WorkerPool};
+pub use par::WorkerPool;
 pub use profiling::{ProfileOutcome, TrcdProfiler};
 pub use report::{BankRowOutcomes, ExecutionReport, RequestorStats};
-pub use request::{MemRequest, MemResponse, RequestArena, RequestKind, ResponseSlice};
+pub use request::{MemRequest, MemResponse, RequestKind, ResponseSlice};
 pub use smc::easyapi::{ApiSession, EasyApi, TileCtx};
 pub use smc::{
     FcfsController, FrFcfsController, GrapheneController, MitigationStats, ParaController,

@@ -28,7 +28,7 @@ use easydram_cpu::{
 use crate::config::SystemConfig;
 use crate::obs::{TraceEvent, TraceLog};
 use crate::report::ExecutionReport;
-use crate::system::Tile;
+use crate::system::{Tile, TileStats};
 use crate::timescale::cycles_to_ps;
 
 /// Default co-scheduling quantum, in emulated processor cycles.
@@ -191,31 +191,17 @@ impl MultiCoreSystem {
         );
         let n = self.cores.len();
 
-        // --- Window-start snapshots (mirrors `System::run`). ---
+        // --- Window-start snapshots. ---
         let cycles0: Vec<u64> = self.cores.iter().map(|c| c.now_cycles()).collect();
         let stats0: Vec<CoreStats> = self.cores.iter().map(|c| *c.stats()).collect();
-        let (smc0, channels0, requestors0, mitigation0, metrics0, prior_peak, wall0) = {
+        let (start, wall0) = {
             let mut tile = self.tile.lock().expect("shared tile");
             let max_now = cycles0.iter().copied().max().unwrap_or(0);
-            (
-                *tile.smc_stats(),
-                tile.channel_stats(),
-                tile.requestor_stats(),
-                tile.mitigation_stats(),
-                tile.metrics(),
-                tile.begin_peak_window(),
-                tile.wall_ps_at(max_now),
-            )
+            (tile.snapshot(), tile.wall_ps_at(max_now))
         };
 
-        // --- The co-run itself: one thread per core, baton-scheduled. With
-        // an engine width above 1 the scheduler runs in run-ahead mode:
-        // cores compute concurrently where the baton order leaves windows
-        // free (initial and memory-free segments), while every memory
-        // operation still executes in exact baton order — byte-identical
-        // reports at every thread count. ---
-        let run_ahead = self.with_tile(|t| t.threads()) > 1;
-        let sched = CoScheduler::with_run_ahead(n, self.quantum, run_ahead);
+        // --- The co-run itself: one thread per core, baton-scheduled. ---
+        let sched = CoScheduler::new(n, self.quantum);
         let trace_cfg = self.with_tile(|t| t.trace_config());
         if let Some(t) = trace_cfg {
             sched.enable_switch_log(t.ring_capacity);
@@ -224,9 +210,8 @@ impl MultiCoreSystem {
             core.backend_mut().attach_scheduler(Arc::clone(&sched));
         }
         // lint: allow(det/thread-spawn) — baton-scheduled: CoScheduler admits
-        // exactly one runnable core at a time (run-ahead mode only overlaps
-        // memory-free compute), so interleaving is a pure function of
-        // simulated cycle counts, not OS scheduling.
+        // exactly one runnable core at a time, so interleaving is a pure
+        // function of simulated cycle counts, not OS scheduling.
         std::thread::scope(|scope| {
             for (i, (core, workload)) in self.cores.iter_mut().zip(workloads.iter_mut()).enumerate()
             {
@@ -279,23 +264,13 @@ impl MultiCoreSystem {
         }
 
         let mut tile = self.tile.lock().expect("shared tile");
-        tile.end_peak_window(prior_peak);
-        let mut smc = *tile.smc_stats();
-        smc.subtract_baseline(&smc0);
-        let mut channels = tile.channel_stats();
-        for (c, c0) in channels.iter_mut().zip(&channels0) {
-            c.subtract_baseline(c0);
-        }
-        let mut requestors = tile.requestor_stats();
-        for (q, q0) in requestors.iter_mut().zip(&requestors0) {
-            q.subtract_baseline(q0);
-        }
-        let mut mitigation = tile.mitigation_stats();
-        if let (Some(m), Some(m0)) = (mitigation.as_mut(), mitigation0.as_ref()) {
-            m.subtract_baseline(m0);
-        }
-        let mut metrics = tile.metrics();
-        metrics.subtract_baseline(&metrics0);
+        let TileStats {
+            smc,
+            channels,
+            mut requestors,
+            mitigation,
+            metrics,
+        } = tile.since(&start);
         // Per-requestor stall cycles are core-side state.
         for q in &mut requestors {
             if let Some(c) = cores_out.get(q.requestor as usize) {
@@ -455,5 +430,68 @@ mod tests {
         let rm = multi.co_run(&mut [&mut w2]);
         assert_eq!(rp.emulated_cycles, rm.aggregate.emulated_cycles);
         assert_eq!(rp.smc, rm.aggregate.smc);
+    }
+
+    #[test]
+    fn workload_panic_propagates_while_other_cores_finish() {
+        // Core 1 panics holding the baton, mid-run. The baton must still
+        // reach cores 0 and 2 (a lost baton would hang this test), and the
+        // panic must reach the caller once they are done.
+        struct Boom;
+        impl Workload for Boom {
+            fn name(&self) -> &str {
+                "boom"
+            }
+            fn run(&mut self, cpu: &mut dyn CpuApi) {
+                let a = cpu.alloc(64, 64);
+                let _ = cpu.load_u64(a);
+                panic!("boom");
+            }
+        }
+        struct Finisher {
+            inner: Touch,
+            done: bool,
+        }
+        impl Workload for Finisher {
+            fn name(&self) -> &str {
+                self.inner.name
+            }
+            fn run(&mut self, cpu: &mut dyn CpuApi) {
+                self.inner.run(cpu);
+                self.done = true;
+            }
+        }
+        let finisher = |name| Finisher {
+            inner: Touch { lines: 32, name },
+            done: false,
+        };
+        let mut sys = MultiCoreSystem::new(SystemConfig::small_for_tests(TimingMode::Reference), 3);
+        let (mut a, mut c) = (finisher("a"), finisher("c"));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sys.co_run(&mut [&mut a, &mut Boom, &mut c])
+        }));
+        assert!(result.is_err(), "the workload panic reaches the caller");
+        assert!(a.done && c.done, "the other cores ran to completion");
+    }
+
+    #[test]
+    fn second_co_run_reports_its_own_peak_batch() {
+        let mut sys = MultiCoreSystem::new(SystemConfig::small_for_tests(TimingMode::Reference), 1);
+        let mut burst = Touch {
+            lines: 6,
+            name: "burst",
+        };
+        let first = sys.co_run(&mut [&mut burst]).aggregate.smc.peak_batch;
+        assert!(first >= 4, "the flush burst batches");
+        let mut lone = Touch {
+            lines: 1,
+            name: "lone",
+        };
+        let second = sys.co_run(&mut [&mut lone]).aggregate.smc.peak_batch;
+        assert!(
+            second < first,
+            "window peak, not lifetime: {second} vs {first}"
+        );
+        assert_eq!(sys.with_tile(|t| t.smc_stats().peak_batch), first);
     }
 }

@@ -1,5 +1,5 @@
-//! Deterministic observability: structured event tracing, a metrics
-//! registry with log2 latency histograms, and trace exporters.
+//! Deterministic observability: structured event tracing, always-on log2
+//! latency histograms, and trace exporters.
 //!
 //! Everything here obeys the workspace determinism contract:
 //!
@@ -15,11 +15,9 @@
 //!   tracing cannot change a single report byte (observer effect = 0,
 //!   pinned by the snapshot suite).
 //! * **Order-invariant reduction**: [`LogHistogram::merge`] and
-//!   [`MetricsRegistry::merge`] are commutative and associative
-//!   (element-wise sums), so the parallel engine's fixed-order stat
-//!   reduction extends to histograms and reports stay byte-identical at
-//!   every `EASYDRAM_THREADS` (proven by permutation tests in
-//!   `tests/stats_merge.rs`).
+//!   [`TileMetrics::merge`] are commutative and associative (element-wise
+//!   sums), so shards fold to the same frame in any order (proven by
+//!   permutation tests in `tests/stats_merge.rs`).
 //!
 //! Ring buffers are fixed-capacity and overwrite-oldest: a long run keeps
 //! the trailing window of events and counts what it dropped. Draining
@@ -62,8 +60,7 @@ impl Default for TraceConfig {
 
 /// Resolves the effective tracing configuration: an explicit
 /// `SystemConfig::trace` wins; otherwise the [`TRACE_ENV`] environment
-/// variable is consulted (mirroring how the engine thread count resolves
-/// through `EASYDRAM_THREADS`). Returns `None` when tracing is off.
+/// variable is consulted. Returns `None` when tracing is off.
 #[must_use]
 pub fn configured_trace(explicit: Option<TraceConfig>) -> Option<TraceConfig> {
     if explicit.is_some() {
@@ -491,81 +488,6 @@ impl std::fmt::Debug for LogHistogram {
     }
 }
 
-/// A general-purpose registry of named counters and histograms with an
-/// order-invariant merge. The serve loop's hot path uses the concrete
-/// [`TileMetrics`] frame instead (no map lookups per request); the registry
-/// is the export/aggregation surface: [`TileMetrics::registry`] flattens a
-/// frame into one, and fleet tooling can merge registries from many runs.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, LogHistogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to the named counter (created at 0).
-    pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Records `value` into the named histogram (created empty).
-    pub fn record(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// Inserts a whole histogram under `name`, merging with any existing.
-    pub fn merge_histogram(&mut self, name: &str, hist: &LogHistogram) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(hist);
-    }
-
-    /// The named counter's value (0 when absent).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The named histogram, when present.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.histograms.get(name)
-    }
-
-    /// Named counters in sorted name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Named histograms in sorted name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Folds another registry in. Counters add, histograms merge
-    /// element-wise, absent names are unions — commutative and associative,
-    /// so any shard order reduces to the same registry (proven by the
-    /// permutation tests in `tests/stats_merge.rs`).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
-}
-
 /// The tile's always-on metric frame, collected in the deterministic
 /// pricing loop of every serve pass. Latencies are **emulated processor
 /// cycles** (release − arrival); depths/sizes are request counts. `Copy`
@@ -614,20 +536,6 @@ impl TileMetrics {
             self.request_latency.percentile(95),
             self.request_latency.percentile(99),
         )
-    }
-
-    /// Flattens the frame into a named [`MetricsRegistry`] (the export
-    /// surface fleet tooling merges across runs).
-    #[must_use]
-    pub fn registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.add("requests", self.request_latency.count);
-        reg.merge_histogram("request_latency_cycles", &self.request_latency);
-        reg.merge_histogram("read_latency_cycles", &self.read_latency);
-        reg.merge_histogram("write_latency_cycles", &self.write_latency);
-        reg.merge_histogram("queue_depth", &self.queue_depth);
-        reg.merge_histogram("batch_size", &self.batch_size);
-        reg
     }
 }
 
@@ -1005,28 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_merges_unions_and_sums() {
-        let mut a = MetricsRegistry::new();
-        a.add("passes", 2);
-        a.record("lat", 10);
-        let mut b = MetricsRegistry::new();
-        b.add("passes", 3);
-        b.add("drains", 1);
-        b.record("lat", 20);
-        b.record("depth", 4);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "registry merge must be commutative");
-        assert_eq!(ab.counter("passes"), 5);
-        assert_eq!(ab.counter("drains"), 1);
-        assert_eq!(ab.histogram("lat").unwrap().count, 2);
-        assert_eq!(ab.histogram("depth").unwrap().count, 1);
-        assert_eq!(ab.counters().count(), 2);
-    }
-
-    #[test]
     fn ring_overwrites_oldest_and_drains_in_order() {
         let mut ring = EventRing::new(3);
         for i in 0..5u64 {
@@ -1132,9 +1018,6 @@ mod tests {
         assert_eq!(m.read_latency.count, 0);
         let (p50, p95, p99) = m.latency_percentiles();
         assert_eq!((p50, p95, p99), (1023, 1023, 1023), "900 lands in 512–1023");
-        let reg = m.registry();
-        assert_eq!(reg.counter("requests"), 1);
-        assert_eq!(reg.histogram("write_latency_cycles").unwrap().count, 1);
     }
 
     #[test]

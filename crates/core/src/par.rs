@@ -1,61 +1,20 @@
-//! Deterministic-by-construction worker pool for the parallel execution
-//! engine.
+//! A batch worker pool. No simulation path uses it: serve passes and
+//! co-runs execute on their caller's threads (see docs/API.md "Threads").
+//! The module stays only because `benchmark/` times [`WorkerPool::run`] and
+//! compiles against it; it goes with those probes (see ROADMAP).
 //!
-//! This is the **only** module in the simulation crates allowed to touch OS
-//! threading primitives (the `det/thread-spawn` lint exempts exactly this
-//! file): everything else funnels its parallelism through [`WorkerPool`],
-//! whose API is shaped so that *what* runs concurrently can never influence
-//! *what* the simulation computes:
-//!
-//! * [`WorkerPool::run`] takes an ordered list of independent jobs and
-//!   returns their results **in job order**, whatever interleaving the
-//!   threads actually executed. Callers reduce the returned vector
-//!   sequentially (fixed merge order), so every counter they accumulate is
-//!   independent of thread count and OS scheduling.
-//! * With one effective thread (or a single job) the pool runs the jobs
-//!   inline on the caller, byte-for-byte the sequential engine.
-//!
-//! Work distribution is a work-stealing deque per participant (the caller
-//! helps too): owners push and pop their own tail, idle threads steal from
-//! the head of the busiest-looking victim. Steals only change *who* runs a
-//! job, never its result slot.
-//!
-//! The thread count is resolved by [`effective_threads`]: an explicit
-//! configuration override wins, then the `EASYDRAM_THREADS` environment
-//! variable, then the machine's available parallelism. `1` selects the
-//! exact sequential path.
+//! [`WorkerPool::run`] takes an ordered list of independent jobs and returns
+//! their results **in job order**, whatever interleaving the threads
+//! executed; with one thread (or a single job) it runs the jobs inline on
+//! the caller. Work distribution is a work-stealing deque per participant
+//! (the caller helps too): owners push and pop their own tail, idle threads
+//! steal from the head of the other deques. Steals only change *who* runs a
+//! job, never its result slot. The `det/thread-spawn` lint exempts exactly
+//! this file.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Environment variable selecting the engine-wide thread count.
-pub const THREADS_ENV: &str = "EASYDRAM_THREADS";
-
-/// The thread count requested by the environment: `EASYDRAM_THREADS` when
-/// set to a positive integer, otherwise the machine's available parallelism
-/// (1 when that cannot be determined).
-#[must_use]
-pub fn configured_threads() -> u32 {
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<u32>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get() as u32)
-}
-
-/// Resolves the effective thread count for one engine instance: an explicit
-/// configuration override wins, then [`configured_threads`].
-#[must_use]
-pub fn effective_threads(override_threads: Option<u32>) -> u32 {
-    match override_threads {
-        Some(n) if n >= 1 => n,
-        _ => configured_threads(),
-    }
-}
 
 /// An erased job enqueued on a deque. Jobs are self-contained: they write
 /// their result into their own slot and count down the batch latch.
@@ -200,13 +159,12 @@ impl WorkerPool {
     }
 
     /// Executes every job of the batch, concurrently where threads allow,
-    /// and returns the results **in job order** — the deterministic
-    /// reduction contract every caller's stats merge relies on.
+    /// and returns the results **in job order**.
     ///
     /// # Panics
     ///
-    /// If a job panics, the batch still runs to completion (so no lane or
-    /// core state is lost mid-steal) and the first panic payload is then
+    /// If a job panics, the batch still runs to completion (so no job's
+    /// state is lost mid-steal) and the first panic payload is then
     /// re-raised on the caller.
     pub fn run<T: Send + 'static>(&self, jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T> {
         let n = jobs.len();
@@ -368,15 +326,5 @@ mod tests {
         assert_eq!(msg, "job 3 exploded");
         // Every non-panicking job still ran to completion.
         assert_eq!(*hits.lock().unwrap(), 7);
-    }
-
-    #[test]
-    fn effective_threads_override_wins() {
-        assert_eq!(effective_threads(Some(3)), 3);
-        assert_eq!(effective_threads(Some(1)), 1);
-        // `Some(0)` is not a meaningful engine width; it falls back to the
-        // environment/default resolution, which is always >= 1.
-        assert!(effective_threads(Some(0)) >= 1);
-        assert!(effective_threads(None) >= 1);
     }
 }

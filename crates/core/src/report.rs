@@ -101,12 +101,11 @@ pub struct ChannelStats {
 }
 
 impl ChannelStats {
-    /// Folds an independently-accumulated shard (one thread's, or one
-    /// pass's, share of this channel's activity) into `self`. Every field
-    /// is a sum — including the per-rank/per-bank vectors, merged
-    /// element-wise after growing to the longer length — so the merge is
-    /// commutative and associative: any shard order reduces to the same
-    /// totals. The parallel serve engine relies on exactly that.
+    /// Folds an independently-accumulated shard (one pass's share of this
+    /// channel's activity) into `self`. Every field is a sum — including
+    /// the per-rank/per-bank vectors, merged element-wise after growing to
+    /// the longer length — so the merge is commutative and associative: any
+    /// shard order reduces to the same totals.
     pub fn merge(&mut self, shard: &ChannelStats) {
         self.requests += shard.requests;
         self.rocket_cycles += shard.rocket_cycles;
@@ -371,9 +370,8 @@ impl SmcStats {
     /// across shards would fabricate a batch size no pass ever carried
     /// (the max-vs-sum windowing trap `subtract_baseline` documents). Both
     /// sums and max are commutative and associative, so any shard order
-    /// reduces to the same record: the property the parallel engine's
-    /// deterministic reduction rests on, proven by the permutation test in
-    /// `tests/stats_merge.rs`.
+    /// reduces to the same record (proven by the permutation test in
+    /// `tests/stats_merge.rs`).
     pub fn merge(&mut self, shard: &SmcStats) {
         self.requests += shard.requests;
         self.rocket_cycles += shard.rocket_cycles;
@@ -388,8 +386,8 @@ impl SmcStats {
 
     /// Rebases every cumulative counter against a window-start snapshot, so
     /// the result describes just that window. `peak_batch` is excluded: it
-    /// is a maximum, not a sum — `System::run` windows it separately via the
-    /// tile's peak-window mechanism.
+    /// is a maximum, not a sum — the tile's run window (`Tile::snapshot` /
+    /// `Tile::since`) observes it separately.
     pub fn subtract_baseline(&mut self, start: &SmcStats) {
         self.requests -= start.requests;
         self.rocket_cycles -= start.rocket_cycles;

@@ -151,90 +151,6 @@ impl MemRequest {
     }
 }
 
-/// An allocation-free staging pool for in-flight requests, backed by
-/// [`crate::alloc::Slab`]: a request checks in when posted, accumulates its
-/// [`ResponseSlice`] attribution across however many serve passes touch it,
-/// and checks out when it retires. Keys are stable for the request's whole
-/// flight even as neighbouring slots churn, and once the pool has grown to
-/// the high-water mark of simultaneously in-flight requests, posting and
-/// retiring never allocate — which is what lets a serve-loop driver (e.g.
-/// the simulation-speed bench harness) replay millions of requests with a
-/// cold heap.
-#[derive(Debug, Clone, Default)]
-pub struct RequestArena {
-    slab: crate::alloc::Slab<(MemRequest, ResponseSlice)>,
-}
-
-impl RequestArena {
-    /// Creates an empty arena.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an arena sized for `cap` simultaneously in-flight requests.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            slab: crate::alloc::Slab::with_capacity(cap),
-        }
-    }
-
-    /// Checks a request in, returning its stable ticket.
-    pub fn post(&mut self, req: MemRequest) -> usize {
-        self.slab.insert((req, ResponseSlice::default()))
-    }
-
-    /// The request under `ticket`, if still in flight.
-    #[must_use]
-    pub fn request(&self, ticket: usize) -> Option<&MemRequest> {
-        self.slab.get(ticket).map(|(r, _)| r)
-    }
-
-    /// Folds one pass's attribution into the request's running slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ticket` is not in flight — attributing work to a retired
-    /// request would silently lose it.
-    pub fn attribute(&mut self, ticket: usize, slice: ResponseSlice) {
-        let (_, total) = self
-            .slab
-            .get_mut(ticket)
-            .expect("attribution targets an in-flight request");
-        *total += slice;
-    }
-
-    /// Checks a request out, returning it with its accumulated slice; the
-    /// slot is immediately reusable. `None` if already retired.
-    pub fn retire(&mut self, ticket: usize) -> Option<(MemRequest, ResponseSlice)> {
-        self.slab.remove(ticket)
-    }
-
-    /// Number of requests currently in flight.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// Whether no request is in flight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
-    }
-
-    /// Number of slots available without reallocation.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slab.capacity()
-    }
-
-    /// Iterates the in-flight requests as `(ticket, request)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &MemRequest)> {
-        self.slab.iter().map(|(k, (r, _))| (k, r))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,73 +177,5 @@ mod tests {
         assert_eq!(rc.addr(), 0x2000);
         assert!(!rc.is_read());
         assert_eq!(rc.requestor, 3);
-    }
-
-    fn read(id: u64, addr: u64) -> MemRequest {
-        MemRequest {
-            id,
-            requestor: 0,
-            kind: RequestKind::Read { addr },
-            arrival_cycle: id,
-        }
-    }
-
-    #[test]
-    fn arena_round_trips_requests_with_accumulated_slices() {
-        let mut arena = RequestArena::new();
-        let t0 = arena.post(read(10, 0));
-        let t1 = arena.post(read(11, 64));
-        assert_eq!(arena.in_flight(), 2);
-        assert_eq!(arena.request(t1).unwrap().id, 11);
-        arena.attribute(
-            t0,
-            ResponseSlice {
-                rocket_cycles: 5,
-                column_ops: 1,
-                ..ResponseSlice::default()
-            },
-        );
-        arena.attribute(
-            t0,
-            ResponseSlice {
-                rocket_cycles: 3,
-                row_hits: 1,
-                ..ResponseSlice::default()
-            },
-        );
-        let (req, slice) = arena.retire(t0).unwrap();
-        assert_eq!(req.id, 10);
-        assert_eq!(slice.rocket_cycles, 8, "slices accumulate across passes");
-        assert_eq!(slice.column_ops, 1);
-        assert_eq!(slice.row_hits, 1);
-        assert_eq!(arena.retire(t0), None, "double retire is a no-op");
-        assert_eq!(arena.in_flight(), 1);
-        // The vacated ticket is reused; the survivor's ticket stays valid.
-        assert_eq!(arena.post(read(12, 128)), t0);
-        assert_eq!(arena.request(t1).unwrap().id, 11);
-        assert_eq!(arena.iter().count(), 2);
-    }
-
-    #[test]
-    fn arena_steady_state_flight_never_allocates() {
-        let mut arena = RequestArena::with_capacity(8);
-        let mut tickets: Vec<usize> = (0..8).map(|i| arena.post(read(i, i * 64))).collect();
-        let cap = arena.capacity();
-        for round in 0..1_000u64 {
-            let t = tickets.remove((round % 8) as usize);
-            arena.retire(t).unwrap();
-            tickets.push(arena.post(read(100 + round, round * 64)));
-        }
-        assert_eq!(arena.capacity(), cap, "steady-state churn reuses slots");
-        assert_eq!(arena.in_flight(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "in-flight")]
-    fn arena_rejects_attribution_to_retired_requests() {
-        let mut arena = RequestArena::new();
-        let t = arena.post(read(1, 0));
-        arena.retire(t).unwrap();
-        arena.attribute(t, ResponseSlice::default());
     }
 }

@@ -17,21 +17,18 @@
 // lint: allow(det/hash-order) — HashMap is imported only for the pass
 // scratch's lookup-only metadata map (see `ServeScratch::meta`).
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
-use easydram_bender::{Executor, TransferCost};
+use easydram_bender::Executor;
 use easydram_cpu::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
 use easydram_cpu::{CoreModel, CpuApi, Workload};
 use easydram_dram::{AddressMapper, DramDevice, LINE_BYTES};
 
 use crate::alloc::{remap_table, RowCloneAllocator};
 use crate::config::{SystemConfig, TimingMode};
-use crate::costs::SmcCostModel;
 use crate::obs::{
     self, configured_trace, EventKind, EventRing, TileMetrics, TraceConfig, TraceEvent, TraceLog,
 };
 use crate::obs_trace;
-use crate::par::{self, WorkerPool};
 use crate::report::{BankRowOutcomes, ChannelStats, ExecutionReport, RequestorStats, SmcStats};
 use crate::request::RequestKind;
 use crate::smc::easyapi::{ApiSession, TileCtx};
@@ -140,16 +137,21 @@ struct Lane {
     mit_seen: u64,
 }
 
-/// Immutable per-tile context a parallel serve pass shares with its worker
-/// threads: everything a lane job needs to assemble a [`TileCtx`] lives
-/// behind one `Arc`, so lane jobs are `'static` without per-pass cloning.
-/// Nothing here is ever written after [`Tile::new`].
-struct TileStatics {
-    executor: Executor,
-    mapper: AddressMapper,
-    costs: SmcCostModel,
-    transfer: TransferCost,
-    tile_clk_hz: u64,
+/// The tile-side sections of an [`ExecutionReport`]: lifetime totals from
+/// [`Tile::totals`], or one run window's from [`Tile::since`].
+pub(crate) struct TileStats {
+    pub(crate) smc: SmcStats,
+    pub(crate) channels: Vec<ChannelStats>,
+    pub(crate) requestors: Vec<RequestorStats>,
+    pub(crate) mitigation: Option<crate::smc::MitigationStats>,
+    pub(crate) metrics: TileMetrics,
+}
+
+/// A run window's start, as taken by [`Tile::snapshot`].
+pub(crate) struct TileSnapshot {
+    totals: TileStats,
+    /// The lifetime `peak_batch` set aside while the window observes its own.
+    prior_peak: u64,
 }
 
 /// The EasyTile plus DRAM: the memory system behind the core, sharded into
@@ -157,15 +159,12 @@ struct TileStatics {
 pub struct Tile {
     cfg: SystemConfig,
     lanes: Vec<Lane>,
-    /// Shared immutable context (executor, mapper, cost models); see
-    /// [`TileStatics`].
-    statics: Arc<TileStatics>,
+    executor: Executor,
+    mapper: AddressMapper,
     /// OS-style row remapping installed by the RowClone allocator. Ordered
-    /// maps: remap state is written on the cold allocation path only (via
-    /// `Arc::make_mut` — the refcount is 1 outside serve passes, so the
-    /// write never copies), and ordering keeps any traversal deterministic
-    /// by construction. Parallel serve jobs hold read-only clones.
-    remap: Arc<BTreeMap<u64, (u32, u32)>>,
+    /// maps: remap state is written on the cold allocation path only, and
+    /// ordering keeps any traversal deterministic by construction.
+    remap: BTreeMap<u64, (u32, u32)>,
     allocator: RowCloneAllocator,
     /// Qualified copy pairs: `(src_vrow, dst_vrow) → passed the trial test`.
     clonable: BTreeMap<(u64, u64), bool>,
@@ -187,19 +186,10 @@ pub struct Tile {
     counters: TimeScalingCounters,
     stats: SmcStats,
     row_bytes: u64,
-    /// Resolved engine width: `cfg.threads`, else `EASYDRAM_THREADS`, else
-    /// the machine's available parallelism (see [`crate::par`]). `1` pins
-    /// the exact sequential serve path.
-    threads: u32,
-    /// Worker pool for parallel serve passes, built lazily on the first
-    /// pass that has more than one live lane (so single-channel systems
-    /// never spawn a thread).
-    pool: Option<WorkerPool>,
     /// Recycled serve-pass buffers (see [`ServeScratch`]).
     scratch: ServeScratch,
     /// Always-on latency/depth/batch histograms, accumulated in the
-    /// deterministic pricing reduction (identical whether or not tracing is
-    /// enabled and at every thread count).
+    /// pricing reduction (identical whether or not tracing is enabled).
     metrics: TileMetrics,
     /// Resolved tracing configuration (`cfg.trace`, else `EASYDRAM_TRACE`);
     /// `None` means no rings exist anywhere.
@@ -251,19 +241,12 @@ impl Tile {
                 }
             })
             .collect();
-        let threads = par::effective_threads(cfg.threads);
-        let statics = Arc::new(TileStatics {
-            executor: Executor::new(),
-            mapper,
-            costs: cfg.smc_costs,
-            transfer: cfg.fpga.transfer,
-            tile_clk_hz: cfg.fpga.tile_clk_hz,
-        });
         Self {
             cfg,
             lanes,
-            statics,
-            remap: Arc::new(BTreeMap::new()),
+            executor: Executor::new(),
+            mapper,
+            remap: BTreeMap::new(),
             allocator,
             clonable: BTreeMap::new(),
             init_sources: BTreeMap::new(),
@@ -276,18 +259,10 @@ impl Tile {
             counters: TimeScalingCounters::new(),
             stats: SmcStats::default(),
             row_bytes,
-            threads,
-            pool: None,
             scratch: ServeScratch::default(),
             metrics: TileMetrics::default(),
             trace,
         }
-    }
-
-    /// The resolved engine thread count this tile serves passes with.
-    #[must_use]
-    pub fn threads(&self) -> u32 {
-        self.threads
     }
 
     /// Whether event tracing is enabled on this tile.
@@ -523,26 +498,51 @@ impl Tile {
         addr / self.row_bytes
     }
 
-    /// Starts a fresh `peak_batch` observation window, returning the prior
-    /// peak. `System::run` uses this so a run's report carries the window's
-    /// own peak rather than the lifetime one.
-    pub(crate) fn begin_peak_window(&mut self) -> u64 {
-        std::mem::take(&mut self.stats.peak_batch)
+    /// The cumulative tile-side sections of a report.
+    pub(crate) fn totals(&self) -> TileStats {
+        TileStats {
+            smc: self.stats,
+            channels: self.channel_stats(),
+            requestors: self.requestor_stats(),
+            mitigation: self.mitigation_stats(),
+            metrics: self.metrics,
+        }
     }
 
-    /// Ends a `peak_batch` window, folding the prior peak back into the
-    /// lifetime statistic.
-    pub(crate) fn end_peak_window(&mut self, prior_peak: u64) {
-        self.stats.peak_batch = self.stats.peak_batch.max(prior_peak);
+    /// Opens a run window: snapshots the cumulative counters and starts a
+    /// fresh `peak_batch` observation, so the window reports its own peak
+    /// rather than the lifetime one.
+    pub(crate) fn snapshot(&mut self) -> TileSnapshot {
+        TileSnapshot {
+            totals: self.totals(),
+            prior_peak: std::mem::take(&mut self.stats.peak_batch),
+        }
+    }
+
+    /// Closes the window opened by `start`: the counters accumulated since,
+    /// with the prior peak folded back into the lifetime `peak_batch`.
+    pub(crate) fn since(&mut self, start: &TileSnapshot) -> TileStats {
+        let mut now = self.totals();
+        self.stats.peak_batch = self.stats.peak_batch.max(start.prior_peak);
+        let then = &start.totals;
+        now.smc.subtract_baseline(&then.smc);
+        for (c, c0) in now.channels.iter_mut().zip(&then.channels) {
+            c.subtract_baseline(c0);
+        }
+        for (q, q0) in now.requestors.iter_mut().zip(&then.requestors) {
+            q.subtract_baseline(q0);
+        }
+        if let (Some(m), Some(m0)) = (now.mitigation.as_mut(), then.mitigation.as_ref()) {
+            m.subtract_baseline(m0);
+        }
+        now.metrics.subtract_baseline(&then.metrics);
+        now
     }
 
     /// The channel a physical address routes to, honouring RowClone row
     /// remaps (remapped rows live on channel 0).
     fn route(&self, addr: u64) -> usize {
-        self.statics
-            .mapper
-            .to_dram_remapped(&self.remap, addr)
-            .channel as usize
+        self.mapper.to_dram_remapped(&self.remap, addr).channel as usize
     }
 
     /// Posts one request into its channel's pending stream under a globally
@@ -648,23 +648,17 @@ impl Tile {
             self.counters.enter_critical();
         }
 
-        // --- Attribution metadata for every pending request, hoisted ahead
-        // of any controller execution: a pure function of the mapper, remap
-        // table, and posted streams, so it is identical however the lanes
-        // run. ---
-        let mut live_lanes = 0usize;
-        for lane in &self.lanes {
+        // --- Run every live lane's controller over its own batch, in lane
+        // order, after noting the attribution metadata (arrival tag, bank,
+        // class) of each of its pending requests for the pricing below. ---
+        for (idx, lane) in self.lanes.iter_mut().enumerate() {
             if lane.session.is_empty() {
                 continue;
             }
-            live_lanes += 1;
-            self.metrics.queue_depth.record(lane.session.len() as u64);
+            let batch = lane.session.len() as u64;
+            self.metrics.queue_depth.record(batch);
             for r in lane.session.pending() {
-                let bank = self
-                    .statics
-                    .mapper
-                    .to_dram_remapped(&self.remap, r.addr())
-                    .bank;
+                let bank = self.mapper.to_dram_remapped(&self.remap, r.addr()).bank;
                 let kind = match r.kind {
                     // Profiling requests move line data to the host just
                     // like reads; RowClone never touches the bus.
@@ -681,21 +675,37 @@ impl Tile {
                     },
                 );
             }
+            let mut api = lane.session.begin(
+                TileCtx {
+                    device: &mut lane.device,
+                    executor: &self.executor,
+                    mapper: &self.mapper,
+                    remap: &self.remap,
+                    costs: &self.cfg.smc_costs,
+                    transfer: &self.cfg.fpga.transfer,
+                    tile_clk_hz: self.cfg.fpga.tile_clk_hz,
+                },
+                start_wall,
+            );
+            let serve_res = lane.controller.serve(&mut api);
+            let end_wall = api.wall_now_ps();
+            let ledger = lane.session.finish(api);
+            assert_eq!(
+                ledger.responses.len() as u64,
+                batch,
+                "controller must respond to every request exactly once"
+            );
+            scratch.passes.push(LanePass {
+                lane: idx,
+                batch,
+                ledger,
+                serve_res,
+                end_wall,
+            });
         }
 
-        // --- Execute every lane's controller over its own batch. Lanes are
-        // architecturally independent, so with threads and multiple live
-        // lanes the invocations fan out to the worker pool; either path
-        // fills `scratch.passes` in lane order, so the pricing reduction
-        // below is byte-identical at every thread count. ---
-        if self.threads > 1 && live_lanes > 1 {
-            self.serve_lanes_parallel(&mut scratch, start_wall);
-        } else {
-            self.serve_lanes_sequential(&mut scratch, start_wall);
-        }
-
-        // --- Wall-clock accounting: lanes ran concurrently, so the frozen
-        // interval is the slowest lane's. ---
+        // --- Wall-clock accounting: the channels are concurrent hardware, so
+        // the frozen interval is the slowest lane's. ---
         let max_end_wall = scratch
             .passes
             .iter()
@@ -716,9 +726,8 @@ impl Tile {
         let mut max_lane_cycles = 0u64;
         for p in &scratch.passes {
             // Fold each lane's pass into the tile-wide and per-channel stats
-            // through the order-invariant shard merges (sums plus a max for
-            // `peak_batch`; see `report.rs`) — the deterministic reduction
-            // the parallel engine's byte-identity contract rests on.
+            // through the shard merges (sums plus a max for `peak_batch`;
+            // see `report.rs`).
             self.stats.merge(&SmcStats {
                 requests: p.batch,
                 rocket_cycles: p.ledger.rocket_cycles,
@@ -833,9 +842,8 @@ impl Tile {
                 };
                 let release_cycle = release_cycle.max(arrival_cycle + 1);
                 latest_release = latest_release.max(release_cycle);
-                // Always-on latency metrics, recorded in this sequential
-                // pricing reduction so they are identical at every thread
-                // count and whether or not tracing is enabled.
+                // Always-on latency metrics: identical whether or not
+                // tracing is enabled.
                 let latency_cycles = release_cycle - arrival_cycle;
                 self.metrics.request_latency.record(latency_cycles);
                 match kind {
@@ -904,107 +912,6 @@ impl Tile {
         &self.scratch.served
     }
 
-    /// Serve-pass phase A, sequential reference path: run each live lane's
-    /// controller in lane order on the calling thread.
-    // lint: no_alloc — the steady-state lane serve runs on recycled
-    // session buffers; any per-pass allocation here is a regression.
-    fn serve_lanes_sequential(&mut self, scratch: &mut ServeScratch, start_wall: u64) {
-        for (idx, lane) in self.lanes.iter_mut().enumerate() {
-            if lane.session.is_empty() {
-                continue;
-            }
-            let batch = lane.session.len() as u64;
-            let mut api = lane.session.begin(
-                TileCtx {
-                    device: &mut lane.device,
-                    executor: &self.statics.executor,
-                    mapper: &self.statics.mapper,
-                    remap: &self.remap,
-                    costs: &self.statics.costs,
-                    transfer: &self.statics.transfer,
-                    tile_clk_hz: self.statics.tile_clk_hz,
-                },
-                start_wall,
-            );
-            let serve_res = lane.controller.serve(&mut api);
-            let end_wall = api.wall_now_ps();
-            let ledger = lane.session.finish(api);
-            assert_eq!(
-                ledger.responses.len() as u64,
-                batch,
-                "controller must respond to every request exactly once"
-            );
-            scratch.passes.push(LanePass {
-                lane: idx,
-                batch,
-                ledger,
-                serve_res,
-                end_wall,
-            });
-        }
-    }
-
-    /// Serve-pass phase A, parallel path: fan the lanes' controller
-    /// invocations out to the worker pool. Each job owns its lane for the
-    /// duration of the pass (the lane vector is taken out of `self` and
-    /// rebuilt from the results); the pool returns results in job order ==
-    /// lane order, so the reassembled `scratch.passes` is byte-identical to
-    /// [`Tile::serve_lanes_sequential`]'s, whatever the steal interleaving.
-    fn serve_lanes_parallel(&mut self, scratch: &mut ServeScratch, start_wall: u64) {
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.threads));
-        }
-        type LaneJob = Box<dyn FnOnce() -> (Lane, Option<LanePass>) + Send>;
-        let remap = Arc::clone(&self.remap);
-        let lanes = std::mem::take(&mut self.lanes);
-        let mut jobs: Vec<LaneJob> = Vec::with_capacity(lanes.len());
-        for (idx, mut lane) in lanes.into_iter().enumerate() {
-            let statics = Arc::clone(&self.statics);
-            let remap = Arc::clone(&remap);
-            jobs.push(Box::new(move || {
-                if lane.session.is_empty() {
-                    return (lane, None);
-                }
-                let batch = lane.session.len() as u64;
-                let mut api = lane.session.begin(
-                    TileCtx {
-                        device: &mut lane.device,
-                        executor: &statics.executor,
-                        mapper: &statics.mapper,
-                        remap: &remap,
-                        costs: &statics.costs,
-                        transfer: &statics.transfer,
-                        tile_clk_hz: statics.tile_clk_hz,
-                    },
-                    start_wall,
-                );
-                let serve_res = lane.controller.serve(&mut api);
-                let end_wall = api.wall_now_ps();
-                let ledger = lane.session.finish(api);
-                assert_eq!(
-                    ledger.responses.len() as u64,
-                    batch,
-                    "controller must respond to every request exactly once"
-                );
-                let pass = LanePass {
-                    lane: idx,
-                    batch,
-                    ledger,
-                    serve_res,
-                    end_wall,
-                };
-                (lane, Some(pass))
-            }));
-        }
-        let results = self.pool.as_ref().expect("pool built above").run(jobs);
-        for (lane, pass) in results {
-            self.lanes.push(lane);
-            if let Some(p) = pass {
-                scratch.passes.push(p);
-            }
-        }
-    }
-
     fn bump_alloc(&mut self, bytes: u64, align: u64) -> u64 {
         let align = align.max(1);
         let base = self.alloc_cursor.div_ceil(align) * align;
@@ -1037,7 +944,6 @@ impl Tile {
         issue_cycle: u64,
     ) -> bool {
         let addr = self
-            .statics
             .mapper
             .to_phys(easydram_dram::DramAddress::new(bank, row, col));
         let (_, corrupted, _) =
@@ -1156,7 +1062,7 @@ impl MemoryBackend for Tile {
                 "remap pool collided with heap"
             );
         }
-        Arc::make_mut(&mut self.remap).extend(remap_table(&plan.remaps));
+        self.remap.extend(remap_table(&plan.remaps));
         for (i, &ok) in plan.clonable.iter().enumerate() {
             self.clonable
                 .insert((src_base / rb + i as u64, dst_base / rb + i as u64), ok);
@@ -1176,7 +1082,7 @@ impl MemoryBackend for Tile {
             self.allocator
                 .plan_init(&var, n_rows, dst_base / rb, src_base / rb)?
         };
-        Arc::make_mut(&mut self.remap).extend(remap_table(&plan.remaps));
+        self.remap.extend(remap_table(&plan.remaps));
         for (j, src) in plan.sources.iter().enumerate() {
             if let Some(s) = src {
                 self.init_sources.insert(dst_base / rb + j as u64, *s);
@@ -1269,15 +1175,10 @@ impl System {
         let cycles0 = self.core.now_cycles();
         let instr0 = self.core.stats().instructions;
         let reads0 = self.core.stats().mem_reads;
-        let smc0 = *self.tile().smc_stats();
-        let channels0 = self.tile().channel_stats();
-        let requestors0 = self.tile().requestor_stats();
-        let mitigation0 = self.tile().mitigation_stats();
-        let metrics0 = self.tile().metrics();
-        let prior_peak = self.tile_mut().begin_peak_window();
+        let start = self.tile_mut().snapshot();
         workload.run(&mut self.core);
-        let mut r = self.report(workload.name());
-        self.tile_mut().end_peak_window(prior_peak);
+        let window = self.tile_mut().since(&start);
+        let mut r = self.report_over(workload.name(), window);
         r.emulated_cycles = self.core.now_cycles() - cycles0;
         r.instructions = self.core.stats().instructions - instr0;
         r.emulated_seconds = r.emulated_cycles as f64 / self.core.config().freq_hz as f64;
@@ -1286,17 +1187,6 @@ impl System {
         } else {
             (self.core.stats().mem_reads - reads0) as f64 * 1000.0 / r.emulated_cycles as f64
         };
-        r.smc.subtract_baseline(&smc0);
-        for (c, c0) in r.channels.iter_mut().zip(&channels0) {
-            c.subtract_baseline(c0);
-        }
-        for (q, q0) in r.requestors.iter_mut().zip(&requestors0) {
-            q.subtract_baseline(q0);
-        }
-        if let (Some(m), Some(m0)) = (r.mitigation.as_mut(), mitigation0.as_ref()) {
-            m.subtract_baseline(m0);
-        }
-        r.metrics.subtract_baseline(&metrics0);
         if r.fpga_wall_seconds > 0.0 {
             r.sim_speed_hz = r.emulated_cycles as f64 / r.fpga_wall_seconds;
         }
@@ -1306,6 +1196,11 @@ impl System {
     /// A cumulative report over the system's whole lifetime.
     #[must_use]
     pub fn report(&self, name: &str) -> ExecutionReport {
+        self.report_over(name, self.tile().totals())
+    }
+
+    /// A lifetime report whose tile-side sections are `tile_stats`.
+    fn report_over(&self, name: &str, tile_stats: TileStats) -> ExecutionReport {
         let cycles = self.core.now_cycles();
         let tile = self.core.backend();
         let wall_ps = tile.wall_ps_at(cycles);
@@ -1328,12 +1223,12 @@ impl System {
             l1: self.core.l1_stats(),
             l2: self.core.l2_stats(),
             dram: tile.device_stats(),
-            smc: *tile.smc_stats(),
-            channels: tile.channel_stats(),
+            smc: tile_stats.smc,
+            channels: tile_stats.channels,
             controllers: tile.controller_names(),
-            requestors: tile.requestor_stats(),
-            mitigation: tile.mitigation_stats(),
-            metrics: tile.metrics(),
+            requestors: tile_stats.requestors,
+            mitigation: tile_stats.mitigation,
+            metrics: tile_stats.metrics,
         }
     }
 

@@ -68,27 +68,10 @@ impl SwitchLog {
 }
 
 /// Deterministic smallest-`now`-first baton scheduler for co-run cores.
-///
-/// # Run-ahead mode
-///
-/// In **run-ahead** mode ([`CoScheduler::with_run_ahead`]) cores compute
-/// concurrently between memory operations instead of blocking for the baton
-/// before executing any code: [`CoScheduler::start`] returns immediately,
-/// and [`CoScheduler::checkpoint`] first *waits* for the baton, then
-/// publishes. The published `(cycle, id)` sequence — and with it every
-/// baton decision and the order of memory operations against the shared
-/// backend — is identical to baton mode by induction: publishes only ever
-/// happen while holding the baton, compute segments depend only on
-/// core-local state, and a pure-compute core finishing early only removes
-/// grants that execute no memory operation. Run-ahead therefore overlaps
-/// exactly the windows the baton order leaves free (the cores' initial and
-/// memory-free segments) and falls back to strict baton order everywhere
-/// else, keeping co-runs byte-identical at every thread count.
 pub struct CoScheduler {
     state: Mutex<CoState>,
     turns: Condvar,
     quantum: u64,
-    run_ahead: bool,
 }
 
 impl CoScheduler {
@@ -101,18 +84,6 @@ impl CoScheduler {
     /// Panics if `cores` is zero.
     #[must_use]
     pub fn new(cores: usize, quantum: u64) -> Arc<Self> {
-        Self::with_run_ahead(cores, quantum, false)
-    }
-
-    /// Like [`CoScheduler::new`], with run-ahead concurrency enabled when
-    /// `run_ahead` is true (see the type-level docs; scheduling decisions
-    /// and memory-operation order are identical either way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
-    #[must_use]
-    pub fn with_run_ahead(cores: usize, quantum: u64, run_ahead: bool) -> Arc<Self> {
         assert!(cores > 0, "a co-run needs at least one core");
         Arc::new(Self {
             state: Mutex::new(CoState {
@@ -123,7 +94,6 @@ impl CoScheduler {
             }),
             turns: Condvar::new(),
             quantum,
-            run_ahead,
         })
     }
 
@@ -144,14 +114,9 @@ impl CoScheduler {
         }
     }
 
-    /// Blocks until core `id` holds the baton — except in run-ahead mode,
-    /// where cores start computing immediately and first synchronize at
-    /// their first memory-operation checkpoint. Each core's thread calls
+    /// Blocks until core `id` holds the baton. Each core's thread calls
     /// this once, before executing any workload code.
     pub fn start(&self, id: usize) {
-        if self.run_ahead {
-            return;
-        }
         let mut st = self.state.lock().expect("co-scheduler state");
         while st.turn != id {
             st = self.turns.wait(st).expect("co-scheduler state");
@@ -161,19 +126,10 @@ impl CoScheduler {
     /// Records core `id` at emulated cycle `now` and yields the baton if a
     /// laggard core has fallen more than the quantum behind. Returns once
     /// `id` holds the baton again. Called by [`SharedBackend`] before every
-    /// memory operation. In baton mode only the holder ever calls this; in
-    /// run-ahead mode a core may arrive ahead of its turn and first waits
-    /// for the baton, so publishes still only happen while holding it —
-    /// which is what keeps the two modes' decision sequences identical.
+    /// memory operation. Only the baton holder ever calls this.
     pub fn checkpoint(&self, id: usize, now: u64) {
         let mut st = self.state.lock().expect("co-scheduler state");
-        if self.run_ahead {
-            while st.turn != id {
-                st = self.turns.wait(st).expect("co-scheduler state");
-            }
-        } else {
-            debug_assert_eq!(st.turn, id, "only the baton holder executes");
-        }
+        debug_assert_eq!(st.turn, id, "only the baton holder executes");
         st.now[id] = st.now[id].max(now);
         let next = self.pick(&st);
         if next != id {

@@ -13,13 +13,9 @@
 //! timeline that shifts a single counter in any figure's pipeline shows up
 //! as a byte diff here, pretty-printed at the first divergent field.
 //!
-//! Every figure render additionally runs at `EASYDRAM_THREADS=1`, `2`, and
-//! `4` and the three renders are asserted byte-identical **before** the
-//! 1-thread render is pinned against the golden: the parallel serve engine
-//! and the run-ahead co-scheduler must be invisible in every report, at any
-//! thread count. A fourth render with `EASYDRAM_TRACE=1` proves the
-//! observability layer has zero observer effect: event tracing on or off,
-//! the report bytes never move.
+//! Every figure render additionally runs a second time with
+//! `EASYDRAM_TRACE=1`, which proves the observability layer has zero
+//! observer effect: event tracing on or off, the report bytes never move.
 //!
 //! Regenerate the goldens with:
 //!
@@ -34,7 +30,6 @@ use std::sync::Mutex;
 
 use easydram_suite::cpu::backend::MemoryBackend;
 use easydram_suite::cpu::{CacheConfig, CpuApi};
-use easydram_suite::easydram::par::THREADS_ENV;
 use easydram_suite::easydram::{
     GrapheneController, MultiCoreSystem, RequestKind, System, SystemConfig, TimingMode, TRACE_ENV,
 };
@@ -70,26 +65,13 @@ fn check_snapshot(name: &str, actual: &str) {
     }
 }
 
-/// `EASYDRAM_THREADS` is process-global and the tests in this binary run
-/// concurrently, so every render sweep serializes behind this lock and
+/// `EASYDRAM_TRACE` is process-global and the tests in this binary run
+/// concurrently, so every render pair serializes behind this lock and
 /// restores the variable before releasing it.
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
+static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Restores `EASYDRAM_THREADS` to its pre-sweep value on drop, so a
-/// panicking render cannot leak a pinned thread count into later tests.
-struct ThreadsEnvGuard(Option<std::ffi::OsString>);
-
-impl Drop for ThreadsEnvGuard {
-    fn drop(&mut self) {
-        match self.0.take() {
-            Some(v) => std::env::set_var(THREADS_ENV, v),
-            None => std::env::remove_var(THREADS_ENV),
-        }
-    }
-}
-
-/// Restores `EASYDRAM_TRACE` on drop, like [`ThreadsEnvGuard`] — the
-/// observer-effect render below flips it on mid-sweep.
+/// Restores `EASYDRAM_TRACE` to its pre-render value on drop, so a
+/// panicking render cannot leak tracing into later tests.
 struct TraceEnvGuard(Option<std::ffi::OsString>);
 
 impl Drop for TraceEnvGuard {
@@ -101,41 +83,23 @@ impl Drop for TraceEnvGuard {
     }
 }
 
-/// Renders the figure at `EASYDRAM_THREADS=1`, `2`, and `4`, asserts the
-/// three snapshots are byte-identical, then pins the 1-thread (exact
-/// sequential path) render against the golden. A divergence between thread
-/// counts is reported at the first divergent field, exactly like a golden
-/// mismatch — it means the parallel engine's deterministic reduction broke.
-fn check_snapshot_at_all_thread_counts(name: &str, render: impl Fn() -> String) {
-    let _serial = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = ThreadsEnvGuard(std::env::var_os(THREADS_ENV));
-    let _restore_trace = TraceEnvGuard(std::env::var_os(TRACE_ENV));
+/// Renders the figure untraced and with `EASYDRAM_TRACE=1`, asserts the two
+/// snapshots are byte-identical (the observer-effect probe), then pins the
+/// untraced render against the golden.
+fn check_snapshot_trace_invisible(name: &str, render: impl Fn() -> String) {
+    let _serial = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = TraceEnvGuard(std::env::var_os(TRACE_ENV));
     std::env::remove_var(TRACE_ENV);
-    std::env::set_var(THREADS_ENV, "1");
-    let sequential = render();
-    for threads in ["2", "4"] {
-        std::env::set_var(THREADS_ENV, threads);
-        let parallel = render();
-        assert!(
-            parallel == sequential,
-            "figure '{name}' is not thread-count independent \
-             (EASYDRAM_THREADS=1 vs {threads}):\n{}",
-            first_divergence(name, &sequential, &parallel)
-        );
-    }
-    // Observer-effect probe: the same figure with event tracing enabled
-    // must reproduce the untraced report byte for byte.
-    std::env::set_var(THREADS_ENV, "1");
+    let untraced = render();
     std::env::set_var(TRACE_ENV, "1");
     let traced = render();
     assert!(
-        traced == sequential,
+        traced == untraced,
         "figure '{name}' is not trace-invisible \
          (EASYDRAM_TRACE=1 changed the report):\n{}",
-        first_divergence(name, &sequential, &traced)
+        first_divergence(name, &untraced, &traced)
     );
-    std::env::remove_var(TRACE_ENV);
-    check_snapshot(name, &sequential);
+    check_snapshot(name, &untraced);
 }
 
 /// Renders the first divergent line of two snapshots with surrounding
@@ -184,7 +148,7 @@ fn snapshot_table1_platforms() {
     // Table 1: the platform classes. One report per platform archetype on
     // the same kernel: EasyDRAM (time-scaled) and a PiDRAM-class No-TS
     // system, both on the small test geometry.
-    check_snapshot_at_all_thread_counts("table1_platforms", || {
+    check_snapshot_trace_invisible("table1_platforms", || {
         let mut out = String::new();
         let mut sys = System::new(small(TimingMode::TimeScaling));
         let mut w = polybench::by_name("durbin", PolySize::Mini).expect("kernel");
@@ -202,7 +166,7 @@ fn snapshot_table1_platforms() {
 #[test]
 fn snapshot_validate_timescaling() {
     // §6 validation: the TS and Reference systems on the same kernel.
-    check_snapshot_at_all_thread_counts("validate_timescaling", || {
+    check_snapshot_trace_invisible("validate_timescaling", || {
         let mut out = String::new();
         for mode in [TimingMode::Reference, TimingMode::TimeScaling] {
             let mut cfg = SystemConfig::validation_1ghz(mode);
@@ -219,7 +183,7 @@ fn snapshot_validate_timescaling() {
 #[test]
 fn snapshot_fig8_latency_profile() {
     // Fig. 8: dependent-load latency through the full hierarchy.
-    check_snapshot_at_all_thread_counts("fig8_latency_profile", || {
+    check_snapshot_trace_invisible("fig8_latency_profile", || {
         let mut out = String::new();
         for (label, mode) in [
             ("reference", TimingMode::Reference),
@@ -242,7 +206,7 @@ fn snapshot_fig8_latency_profile() {
 #[test]
 fn snapshot_fig10_rowclone_noflush() {
     // Fig. 10: RowClone copy vs. CPU copy, no cache maintenance.
-    check_snapshot_at_all_thread_counts("fig10_rowclone_noflush", || {
+    check_snapshot_trace_invisible("fig10_rowclone_noflush", || {
         let bytes = 16 * 1024;
         let mut out = String::new();
         let mut sys = System::new(small(TimingMode::TimeScaling));
@@ -260,7 +224,7 @@ fn snapshot_fig10_rowclone_noflush() {
 #[test]
 fn snapshot_fig11_rowclone_clflush() {
     // Fig. 11: the CLFLUSH coherence variant, plus the small-size init case.
-    check_snapshot_at_all_thread_counts("fig11_rowclone_clflush", || {
+    check_snapshot_trace_invisible("fig11_rowclone_clflush", || {
         let mut out = String::new();
         let mut sys = System::new(small(TimingMode::TimeScaling));
         section(
@@ -283,7 +247,7 @@ fn snapshot_fig11_rowclone_clflush() {
 #[test]
 fn snapshot_fig12_trcd_heatmap() {
     // Fig. 12: the seeded tRCD variation surface plus the profiling path.
-    check_snapshot_at_all_thread_counts("fig12_trcd_heatmap", || {
+    check_snapshot_trace_invisible("fig12_trcd_heatmap", || {
         let mut sys = System::new(small(TimingMode::Reference));
         let mut out = String::new();
         {
@@ -316,7 +280,7 @@ fn snapshot_fig12_trcd_heatmap() {
 #[test]
 fn snapshot_fig13_trcd_speedup() {
     // Fig. 13: tRCD reduction on a kernel, Bloom-filter-protected.
-    check_snapshot_at_all_thread_counts("fig13_trcd_speedup", || {
+    check_snapshot_trace_invisible("fig13_trcd_speedup", || {
         let mut out = String::new();
         for reduce in [false, true] {
             let mut sys = System::new(small(TimingMode::TimeScaling));
@@ -342,7 +306,7 @@ fn snapshot_fig13_trcd_speedup() {
 fn snapshot_fig14_sim_speed() {
     // Fig. 14: EasyDRAM vs. the software-simulator baseline on one kernel.
     // `host_wall_seconds` is measured host time — zeroed before pinning.
-    check_snapshot_at_all_thread_counts("fig14_sim_speed", || {
+    check_snapshot_trace_invisible("fig14_sim_speed", || {
         let mut out = String::new();
         let mut sys = System::new(small(TimingMode::TimeScaling));
         let mut w = polybench::by_name("durbin", PolySize::Mini).expect("kernel");
@@ -359,9 +323,7 @@ fn snapshot_fig14_sim_speed() {
 #[test]
 fn snapshot_fig_channel_sweep() {
     // Channel sweep: an interleaved read batch on a 2-channel small system.
-    // The multi-lane geometry is exactly what the parallel serve engine
-    // fans out, so this figure is the sharpest thread-sweep probe.
-    check_snapshot_at_all_thread_counts("fig_channel_sweep", || {
+    check_snapshot_trace_invisible("fig_channel_sweep", || {
         let mut cfg = small(TimingMode::Reference);
         cfg.dram.geometry.channels = 2;
         let mut sys = System::new(cfg);
@@ -385,9 +347,8 @@ fn snapshot_fig_channel_sweep() {
 #[test]
 fn snapshot_fig_multicore_contention() {
     // Multi-core contention: a shuffled chase co-run against a streaming
-    // writer on one shared channel. Exercises the run-ahead co-scheduler
-    // (threads > 1) against baton order (threads = 1).
-    check_snapshot_at_all_thread_counts("fig_multicore_contention", || {
+    // writer on one shared channel.
+    check_snapshot_trace_invisible("fig_multicore_contention", || {
         let mut cfg = small(TimingMode::Reference);
         cfg.dram.geometry.bank_groups = 2;
         cfg.dram.geometry.banks_per_group = 4;
@@ -420,8 +381,8 @@ fn snapshot_model_counterexamples() {
     // explorer and minimizer are fully deterministic (DFS in alphabet
     // order, greedy left-to-right delta debugging), so any change to the
     // timing tables, the trackers, or the checker's search order shows up
-    // as a diff here. No tile is involved, so this snapshot stays outside
-    // the thread sweep.
+    // as a diff here. No tile is involved, so this snapshot skips the
+    // traced render.
     use easydram_model::{
         corrupt_tfaw_window, format_trace, swap_bank_group_act_spacing, verdict, zero_rfm_fold,
         ModelConfig,
@@ -458,7 +419,7 @@ fn snapshot_model_counterexamples() {
 #[test]
 fn snapshot_fig_rowhammer() {
     // RowHammer attack/defense: unmitigated vs. Graphene at one intensity.
-    check_snapshot_at_all_thread_counts("fig_rowhammer", || {
+    check_snapshot_trace_invisible("fig_rowhammer", || {
         let mut out = String::new();
         for defense in ["none", "graphene"] {
             let mut cfg = small(TimingMode::Reference);

@@ -1,20 +1,19 @@
-//! Permutation proofs for the parallel engine's deterministic reduction.
+//! Permutation proofs for the stats merges.
 //!
-//! The threaded serve path accumulates per-lane [`SmcStats`] /
-//! [`ChannelStats`] / [`RequestorStats`] shards and folds them into the
-//! tile totals. For the parallel engine to be byte-identical to the
-//! sequential one at every thread count, those merges must be
+//! Every serve pass folds per-lane [`SmcStats`] / [`ChannelStats`] /
+//! [`RequestorStats`] shards into the tile totals. Those merges must be
 //! order-invariant: commutative and associative over any sharding of the
-//! same activity. These tests generate random shards, reduce them in the
-//! original order, in a random permutation, and as a pairwise tree, and
-//! assert all three reductions agree — including the `peak_batch` field,
-//! which is a maximum rather than a sum and would silently fabricate batch
-//! sizes if merged additively.
+//! same activity, so a total never depends on how the work was split.
+//! These tests generate random shards, reduce them in the original order,
+//! in a random permutation, and as a pairwise tree, and assert all three
+//! reductions agree — including the `peak_batch` field, which is a maximum
+//! rather than a sum and would silently fabricate batch sizes if merged
+//! additively.
 
 use proptest::prelude::*;
 
 use easydram::report::{BankRowOutcomes, ChannelStats, RequestorStats, SmcStats};
-use easydram::{LogHistogram, MetricsRegistry, ServeResult, TileMetrics};
+use easydram::{LogHistogram, ServeResult, TileMetrics};
 
 /// One generated shard: 32 bytes of entropy, spread across every counter.
 type Raw = [u8; 32];
@@ -199,8 +198,8 @@ proptest! {
     }
 
     /// Log2 latency histograms merge commutatively and associatively, so
-    /// the observability layer's percentile data survives any sharding the
-    /// parallel engine produces — same proof obligation as the counters.
+    /// the observability layer's percentile data survives any sharding —
+    /// same proof obligation as the counters.
     #[test]
     fn histogram_merge_is_order_invariant(raws in raw_shards(), seed in any::<u64>()) {
         let shards: Vec<LogHistogram> = raws.iter().map(hist_from).collect();
@@ -214,8 +213,8 @@ proptest! {
         prop_assert_eq!(in_order.count, n);
     }
 
-    /// Whole [`TileMetrics`] bundles (and the name-keyed registry view)
-    /// reduce order-invariantly, field by field.
+    /// Whole [`TileMetrics`] bundles reduce order-invariantly, field by
+    /// field.
     #[test]
     fn tile_metrics_merge_is_order_invariant(raws in raw_shards(), seed in any::<u64>()) {
         let shards: Vec<TileMetrics> = raws.iter().map(metrics_from).collect();
@@ -224,16 +223,6 @@ proptest! {
         let tree = tree_reduce(&shards, TileMetrics::merge);
         prop_assert_eq!(in_order, permuted);
         prop_assert_eq!(in_order, tree);
-        // The registry projection agrees regardless of merge order too.
-        let mut reg_in_order = MetricsRegistry::default();
-        for s in &shards {
-            reg_in_order.merge(&s.registry());
-        }
-        let mut reg_permuted = MetricsRegistry::default();
-        for s in &shuffled(&shards, seed) {
-            reg_permuted.merge(&s.registry());
-        }
-        prop_assert_eq!(reg_in_order, reg_permuted);
     }
 
     /// Rebasing a merged histogram by a window-start snapshot recovers
