@@ -64,7 +64,7 @@ pub use obs::{
 pub use par::WorkerPool;
 pub use profiling::{ProfileOutcome, TrcdProfiler};
 pub use report::{BankRowOutcomes, ExecutionReport, RequestorStats};
-pub use request::{MemRequest, MemResponse, RequestKind, ResponseSlice};
+pub use request::{MemRequest, MemResponse, RequestClass, RequestKind, RequestTag, ResponseSlice};
 pub use smc::easyapi::{ApiSession, EasyApi, TileCtx};
 pub use smc::{
     FcfsController, FrFcfsController, GrapheneController, MitigationStats, ParaController,

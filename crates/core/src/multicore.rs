@@ -21,6 +21,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use easydram_cpu::timescale::cycles_to_ps;
 use easydram_cpu::{
     CoScheduler, CoreModel, CoreStats, CpuApi, QuantumSwitch, SharedBackend, Workload,
 };
@@ -29,7 +30,6 @@ use crate::config::SystemConfig;
 use crate::obs::{TraceEvent, TraceLog};
 use crate::report::ExecutionReport;
 use crate::system::{Tile, TileStats};
-use crate::timescale::cycles_to_ps;
 
 /// Default co-scheduling quantum, in emulated processor cycles.
 ///

@@ -8,7 +8,7 @@
 //!   emulated timeline (the `obs/emulated-time-only` lint enforces this at
 //!   the call sites).
 //! * **Zero cost when off**: tracing is gated behind an `Option<EventRing>`
-//!   per lane and the [`obs_trace!`] macro compiles to a branch on that
+//!   per lane and the [`crate::obs_trace!`] macro compiles to a branch on that
 //!   option — the event expression is never even evaluated when tracing is
 //!   disabled. Metrics histograms are always on, so reports carry latency
 //!   percentiles whether or not events are being recorded, and enabling
@@ -157,12 +157,14 @@ impl EventKind {
 
 /// Request classes tagged onto request-lifecycle events (the `a` field).
 pub mod req_class {
+    use crate::request::RequestClass;
+
     /// A line read (including profiling reads).
-    pub const READ: u32 = 0;
+    pub const READ: u32 = RequestClass::Read as u32;
     /// A line write / writeback.
-    pub const WRITE: u32 = 1;
+    pub const WRITE: u32 = RequestClass::Write as u32;
     /// A RowClone operation.
-    pub const ROWCLONE: u32 = 2;
+    pub const ROWCLONE: u32 = RequestClass::RowClone as u32;
 
     /// Stable label for the exporters.
     #[must_use]

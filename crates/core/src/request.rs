@@ -1,6 +1,6 @@
 //! Memory requests and responses as seen by the software memory controller.
 
-use easydram_dram::LINE_BYTES;
+use easydram_dram::{DramAddress, LINE_BYTES};
 
 /// What a request asks the memory system to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,20 +33,50 @@ pub enum RequestKind {
     },
 }
 
-/// A request in the tile's hardware buffers / software request table.
+/// The operation class a request is accounted under (per-requestor
+/// read/write counters, latency histograms, and the `a` field of its
+/// `Enqueue`/`Retire` trace events — see [`crate::obs::req_class`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemRequest {
+pub enum RequestClass {
+    /// Moves line data to the host: reads and profiling reads.
+    Read = 0,
+    /// A line write / writeback.
+    Write = 1,
+    /// An in-DRAM row copy; never touches the data bus.
+    RowClone = 2,
+}
+
+/// What the tile stamps on a request when it posts it, and the only carrier
+/// of per-request state from post to retire: EasyAPI copies the tag from the
+/// request onto the [`MemResponse`] that answers it, and the tile prices and
+/// attributes the response from the tag alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestTag {
     /// Monotonic request identifier.
     pub id: u64,
     /// The core (hart) that issued the request. Single-core systems tag
-    /// everything 0; shared-tile systems thread each core's id through the
-    /// serve passes so responses and statistics stay attributable.
+    /// everything 0; shared-tile systems tag each core's id so responses and
+    /// statistics stay attributable.
     pub requestor: u32,
-    /// The operation.
-    pub kind: RequestKind,
     /// Processor-cycle tag at arrival (paper Fig. 5 ①: "the request is
     /// tagged with the current processor cycle counter value").
     pub arrival_cycle: u64,
+    /// The operation class of [`MemRequest::kind`].
+    pub class: RequestClass,
+    /// The decoded DRAM coordinate of [`MemRequest::addr`], RowClone remaps
+    /// included. Decoded once, at post: a row is remapped before its address
+    /// is first handed out, so the decode cannot change under a pending
+    /// request.
+    pub dram: DramAddress,
+}
+
+/// A request in the tile's hardware buffers / software request table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemRequest {
+    /// The tile's post-time tag.
+    pub tag: RequestTag,
+    /// The operation.
+    pub kind: RequestKind,
 }
 
 /// The share of a serve pass attributable to one response: everything the
@@ -90,29 +120,12 @@ impl std::ops::Sub for ResponseSlice {
     }
 }
 
-impl std::ops::AddAssign for ResponseSlice {
-    /// Field-wise accumulation — folds one pass's slice into a running
-    /// per-request total (e.g. a request re-served across retries in an
-    /// arena).
-    fn add_assign(&mut self, rhs: Self) {
-        self.rocket_cycles += rhs.rocket_cycles;
-        self.dram_occupancy_ps += rhs.dram_occupancy_ps;
-        self.column_ops += rhs.column_ops;
-        self.batches += rhs.batches;
-        self.row_hits += rhs.row_hits;
-        self.row_misses += rhs.row_misses;
-        self.row_conflicts += rhs.row_conflicts;
-    }
-}
-
 /// A response produced by the software memory controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemResponse {
-    /// The request this answers.
-    pub id: u64,
-    /// The core that issued the answered request (copied from the request
-    /// by EasyAPI, so per-requestor attribution survives reordering).
-    pub requestor: u32,
+    /// The tag of the request this answers, copied by EasyAPI at
+    /// `enqueue_response` time so attribution survives reordering.
+    pub tag: RequestTag,
     /// Line data for reads / profiling reads.
     pub data: Option<[u8; LINE_BYTES]>,
     /// Whether the data is known-corrupt (reduced-tRCD failure).
@@ -134,20 +147,46 @@ impl RequestKind {
             RequestKind::RowClone { src_addr, .. } => src_addr,
         }
     }
+
+    /// The class this operation is accounted under. Profiling requests move
+    /// line data to the host just like reads.
+    #[must_use]
+    pub fn class(&self) -> RequestClass {
+        match self {
+            RequestKind::Read { .. } | RequestKind::ProfileTrcd { .. } => RequestClass::Read,
+            RequestKind::Write { .. } => RequestClass::Write,
+            RequestKind::RowClone { .. } => RequestClass::RowClone,
+        }
+    }
 }
 
 impl MemRequest {
+    /// Tags `kind` for posting: `dram` is the decode of `kind.addr()`.
+    #[must_use]
+    pub fn new(
+        id: u64,
+        requestor: u32,
+        kind: RequestKind,
+        arrival_cycle: u64,
+        dram: DramAddress,
+    ) -> Self {
+        Self {
+            tag: RequestTag {
+                id,
+                requestor,
+                arrival_cycle,
+                class: kind.class(),
+                dram,
+            },
+            kind,
+        }
+    }
+
     /// The physical line/row address this request targets (source row for
     /// RowClone).
     #[must_use]
     pub fn addr(&self) -> u64 {
         self.kind.addr()
-    }
-
-    /// Whether this is a plain cache-line read.
-    #[must_use]
-    pub fn is_read(&self) -> bool {
-        matches!(self.kind, RequestKind::Read { .. })
     }
 }
 
@@ -157,25 +196,27 @@ mod tests {
 
     #[test]
     fn addr_extraction() {
-        let r = MemRequest {
-            id: 1,
-            requestor: 0,
-            kind: RequestKind::Read { addr: 0x1000 },
-            arrival_cycle: 5,
-        };
+        let r = MemRequest::new(
+            1,
+            0,
+            RequestKind::Read { addr: 0x1000 },
+            5,
+            DramAddress::new(0, 0, 64),
+        );
         assert_eq!(r.addr(), 0x1000);
-        assert!(r.is_read());
-        let rc = MemRequest {
-            id: 2,
-            requestor: 3,
-            kind: RequestKind::RowClone {
+        assert_eq!(r.tag.class, RequestClass::Read);
+        let rc = MemRequest::new(
+            2,
+            3,
+            RequestKind::RowClone {
                 src_addr: 0x2000,
                 dst_addr: 0x4000,
             },
-            arrival_cycle: 9,
-        };
+            9,
+            DramAddress::new(0, 1, 0),
+        );
         assert_eq!(rc.addr(), 0x2000);
-        assert!(!rc.is_read());
-        assert_eq!(rc.requestor, 3);
+        assert_eq!(rc.tag.class, RequestClass::RowClone);
+        assert_eq!((rc.tag.requestor, rc.tag.arrival_cycle), (3, 9));
     }
 }

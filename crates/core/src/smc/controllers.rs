@@ -203,7 +203,7 @@ fn serve_one(
                     m.on_activate(api, d.bank, d.row);
                 }
             }
-            api.enqueue_response(req.id, Some(data), corrupted);
+            api.enqueue_response(req, Some(data), corrupted);
         }
         RequestKind::Write { addr, data } => {
             let d = api.get_addr_mapping(addr);
@@ -230,7 +230,7 @@ fn serve_one(
                     m.on_activate(api, d.bank, d.row);
                 }
             }
-            api.enqueue_response(req.id, None, false);
+            api.enqueue_response(req, None, false);
         }
         RequestKind::RowClone { src_addr, dst_addr } => {
             let s = api.get_addr_mapping(src_addr);
@@ -250,11 +250,11 @@ fn serve_one(
                 m.on_activate(api, s.bank, s.row);
                 m.on_activate(api, d.bank, d.row);
             }
-            api.enqueue_response(req.id, None, false);
+            api.enqueue_response(req, None, false);
         }
         RequestKind::ProfileTrcd { addr, trcd_ps } => {
             let d = api.get_addr_mapping(addr);
-            let pattern = profile_pattern(req.id);
+            let pattern = profile_pattern(req.tag.id);
             // 1) initialize the target cache line with a known pattern,
             if api.open_row(d.bank).is_some() {
                 api.ddr_precharge(d.bank).expect(BUF);
@@ -278,7 +278,7 @@ fn serve_one(
             }
             // 3) report whether the reduced value read correctly.
             let ok = data == pattern;
-            api.enqueue_response(req.id, Some(data), !ok);
+            api.enqueue_response(req, Some(data), !ok);
         }
     }
 }
@@ -351,87 +351,33 @@ impl SoftwareMemoryController for FcfsController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easydram_bender::{Executor, TransferCost};
-    use easydram_dram::{AddressMapper, DramConfig, DramDevice, MappingScheme};
-    use std::collections::BTreeMap;
+    use easydram_dram::{DramConfig, DramDevice};
 
-    use crate::costs::SmcCostModel;
-    use crate::smc::easyapi::{ApiSession, TileCtx};
-
-    struct Fix {
-        dev: DramDevice,
-        ex: Executor,
-        map: AddressMapper,
-        remap: BTreeMap<u64, (u32, u32)>,
-        costs: SmcCostModel,
-        transfer: TransferCost,
-        session: ApiSession,
-    }
-
-    impl Fix {
-        fn new() -> Self {
-            let dev = DramDevice::new(DramConfig::small_for_tests());
-            let geo = dev.config().geometry.clone();
-            Self {
-                dev,
-                ex: Executor::new(),
-                map: AddressMapper::new(geo, MappingScheme::RowBankCol),
-                remap: BTreeMap::new(),
-                costs: SmcCostModel::default(),
-                transfer: TransferCost::default(),
-                session: ApiSession::new(16),
-            }
-        }
-
-        fn api(&mut self, reqs: Vec<MemRequest>) -> EasyApi<'_> {
-            for r in reqs {
-                self.session.post(r.kind, r.arrival_cycle);
-            }
-            self.session.begin(
-                TileCtx {
-                    device: &mut self.dev,
-                    executor: &self.ex,
-                    mapper: &self.map,
-                    remap: &self.remap,
-                    costs: &self.costs,
-                    transfer: &self.transfer,
-                    tile_clk_hz: 100_000_000,
-                },
-                0,
-            )
-        }
-    }
-
-    fn read_req(id: u64, addr: u64) -> MemRequest {
-        MemRequest {
-            id,
-            requestor: 0,
-            kind: RequestKind::Read { addr },
-            arrival_cycle: 0,
-        }
-    }
+    use crate::smc::fixture::Fix;
 
     #[test]
     fn frfcfs_serves_reads_and_counts_hits() {
         let mut f = Fix::new();
         let mut ctrl = FrFcfsController::new();
         // Same row twice, then a different row in the same bank.
-        let mut api = f.api(vec![read_req(0, 0), read_req(1, 64), read_req(2, 8192 * 2)]);
-        let res = ctrl.serve(&mut api);
+        for addr in [0, 64, 8192 * 2] {
+            f.post_read(addr);
+        }
+        let res = ctrl.serve(&mut f.api());
         assert_eq!(res.served, 3);
         assert_eq!(res.row_hits, 1, "second access hits the open row");
         assert!(res.row_misses >= 1);
-        let ledger = api.into_ledger();
-        assert_eq!(ledger.responses.len(), 3);
-        assert!(ledger.responses.iter().all(|r| r.data.is_some()));
+        assert_eq!(f.session.responses().len(), 3);
+        assert!(f.session.responses().iter().all(|r| r.data.is_some()));
     }
 
     #[test]
     fn fcfs_closed_page_never_hits() {
         let mut f = Fix::new();
         let mut ctrl = FcfsController::new();
-        let mut api = f.api(vec![read_req(0, 0), read_req(1, 64)]);
-        let res = ctrl.serve(&mut api);
+        f.post_read(0);
+        f.post_read(64);
+        let res = ctrl.serve(&mut f.api());
         assert_eq!(res.served, 2);
         assert_eq!(res.row_hits, 0, "closed page precharges after every access");
     }
@@ -442,19 +388,15 @@ mod tests {
         let mut ctrl = FrFcfsController::new();
         let mut line = [0u8; LINE_BYTES];
         line[7] = 0x99;
-        let w = MemRequest {
-            id: 0,
-            requestor: 0,
-            kind: RequestKind::Write {
-                addr: 192,
-                data: line,
-            },
-            arrival_cycle: 0,
+        let write = RequestKind::Write {
+            addr: 192,
+            data: line,
         };
-        let mut api = f.api(vec![w, read_req(1, 192)]);
-        ctrl.serve(&mut api);
-        let ledger = api.into_ledger();
-        let read_resp = ledger.responses.iter().find(|r| r.id == 1).unwrap();
+        f.post(0, write, 0);
+        let read = f.post_read(192);
+        ctrl.serve(&mut f.api());
+        let responses = f.session.responses();
+        let read_resp = responses.iter().find(|r| r.tag.id == read).unwrap();
         assert_eq!(read_resp.data, Some(line));
     }
 
@@ -463,31 +405,15 @@ mod tests {
         let mut f = Fix::new();
         let mut ctrl = FrFcfsController::new();
         let nominal = f.dev.timing().t_rcd_ps;
-        // Nominal tRCD always reads correctly.
-        let ok_req = MemRequest {
-            id: 0,
-            requestor: 0,
-            kind: RequestKind::ProfileTrcd {
-                addr: 0,
-                trcd_ps: nominal,
-            },
-            arrival_cycle: 0,
-        };
-        // A drastically reduced tRCD must fail.
-        let bad_req = MemRequest {
-            id: 1,
-            requestor: 0,
-            kind: RequestKind::ProfileTrcd {
-                addr: 0,
-                trcd_ps: 2_000,
-            },
-            arrival_cycle: 0,
-        };
-        let mut api = f.api(vec![ok_req, bad_req]);
-        ctrl.serve(&mut api);
-        let ledger = api.into_ledger();
-        assert!(!ledger.responses[0].corrupted, "nominal timing is reliable");
-        assert!(ledger.responses[1].corrupted, "2 ns tRCD cannot work");
+        // Nominal tRCD always reads correctly; a drastically reduced one
+        // must fail.
+        for trcd_ps in [nominal, 2_000] {
+            f.post(0, RequestKind::ProfileTrcd { addr: 0, trcd_ps }, 0);
+        }
+        ctrl.serve(&mut f.api());
+        let responses = f.session.responses();
+        assert!(!responses[0].corrupted, "nominal timing is reliable");
+        assert!(responses[1].corrupted, "2 ns tRCD cannot work");
     }
 
     #[test]
@@ -546,12 +472,11 @@ mod tests {
         let addr = f
             .map
             .to_phys(easydram_dram::DramAddress::new(0, strong_row, 0));
-        let mut api = f.api(vec![read_req(0, addr)]);
-        let res = ctrl.serve(&mut api);
+        f.post_read(addr);
+        let res = ctrl.serve(&mut f.api());
         assert_eq!(res.reduced_trcd_accesses, 1);
-        let ledger = api.into_ledger();
         assert!(
-            !ledger.responses[0].corrupted,
+            !f.session.responses()[0].corrupted,
             "strong row must read correctly at 9 ns"
         );
     }
@@ -567,16 +492,8 @@ mod tests {
         f.dev.write_row(0, 1, &pattern);
         let src_addr = f.map.to_phys(easydram_dram::DramAddress::new(0, 1, 0));
         let dst_addr = f.map.to_phys(easydram_dram::DramAddress::new(0, 2, 0));
-        let req = MemRequest {
-            id: 0,
-            requestor: 0,
-            kind: RequestKind::RowClone { src_addr, dst_addr },
-            arrival_cycle: 0,
-        };
-        let mut ctrl = FrFcfsController::new();
-        let mut api = f.api(vec![req]);
-        ctrl.serve(&mut api);
-        drop(api);
+        f.post(0, RequestKind::RowClone { src_addr, dst_addr }, 0);
+        FrFcfsController::new().serve(&mut f.api());
         assert_eq!(f.dev.row_data(0, 2), pattern.as_slice());
         assert_eq!(f.dev.stats().rowclone_successes, 1);
     }

@@ -2,29 +2,32 @@
 //! software memory controllers program against (paper §5.2, Table 2).
 //!
 //! The system↔controller boundary is a **request stream**: the tile posts
-//! requests into a persistent [`ApiSession`] (the hardware FIFO of paper
-//! Listing 1), and each serve pass opens an [`EasyApi`] handle over a
-//! [`TileCtx`] borrow-bundle. The handle exposes a multi-entry request table,
-//! so FR-FCFS and critical-mode scheduling see every in-flight request at
-//! once.
+//! tagged requests ([`crate::request::RequestTag`]) into a persistent
+//! [`ApiSession`] — the hardware FIFO, scratchpad request table, command
+//! buffer and response queue of paper Fig. 7 — and each serve pass borrows
+//! the session, together with a [`TileCtx`] borrow-bundle, as one
+//! [`EasyApi`] handle ([`ApiSession::begin`], the only way to open a pass).
+//! The handle exposes a multi-entry request table, so FR-FCFS and
+//! critical-mode scheduling see every in-flight request at once. When the
+//! handle is dropped the pass's responses and ledger stay in the session
+//! until the next `begin` clears them.
 //!
-//! Every call charges Rocket cycles from the [`SmcCostModel`] to the
-//! controller's ledger. The ledger feeds (a) the FPGA wall clock — how long
-//! the slow programmable core really took — and (b), through time scaling,
-//! the modeled system's scheduling latency. Cycles are *attributed*: each
-//! [`MemResponse`] carries the slice of the pass spent on it
-//! ([`crate::request::ResponseSlice`]), which is what lets the tile give
-//! every request in a batch its own release cycle.
+//! Every call charges Rocket cycles from the [`SmcCostModel`] to the pass's
+//! ledger. The ledger feeds (a) the FPGA wall clock — how long the slow
+//! programmable core really took — and (b), through time scaling, the
+//! modeled system's scheduling latency. Cycles are *attributed*: each
+//! [`MemResponse`] carries the tag of the request it answers and the slice
+//! of the pass spent on it ([`crate::request::ResponseSlice`]), which is
+//! what lets the tile give every request in a batch its own release cycle
+//! from the response alone.
 
-// lint: allow(det/hash-order) — HashMap is imported only for the pass
-// scratch's lookup-only requestor maps (see `PassScratch::requestors`).
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use easydram_bender::{BenderProgram, BenderResult, Executor, TransferCost};
 use easydram_dram::{AddressMapper, DramAddress, DramCommand, DramDevice, LINE_BYTES};
 
 use crate::costs::SmcCostModel;
-use crate::request::{MemRequest, MemResponse, RequestKind, ResponseSlice};
+use crate::request::{MemRequest, MemResponse, ResponseSlice};
 
 /// Gap used between the ACT→PRE→ACT commands of a RowClone sequence (well
 /// below tRAS/tRP, comfortably inside the device's recognition window).
@@ -53,53 +56,24 @@ pub struct TileCtx<'a> {
 }
 
 /// The persistent controller session owned by the tile: the hardware
-/// request FIFO requests are posted into, the request-id allocator, and the
-/// serve-pass counter. One session lives as long as the tile; each serve
-/// pass borrows the tile state as a [`TileCtx`] and opens an [`EasyApi`]
-/// over the accumulated stream via [`ApiSession::begin`].
+/// request FIFO requests are posted into, plus the buffers a serve pass runs
+/// on — request table, command program, response queue and ledger. One
+/// session lives as long as the tile; [`ApiSession::begin`] lends it to an
+/// [`EasyApi`] handle for one pass.
 ///
-/// The session also owns the pass-scratch buffers (request table,
-/// requestor map, command program, response vector). A
-/// [`ApiSession::begin`] → [`ApiSession::finish`] →
-/// [`ApiSession::recycle_responses`] cycle hands the same buffers to every
-/// pass, so steady-state serving allocates nothing once the buffers have
-/// grown to the high-water batch size.
+/// The buffers never move: `begin` clears them in place, so steady-state
+/// serving allocates nothing once they have grown to the high-water batch
+/// size, and a finished pass's responses and ledger stay readable
+/// ([`ApiSession::responses`], [`ApiSession::ledger`]) until the next one.
 #[derive(Debug, Clone)]
 pub struct ApiSession {
     pending: VecDeque<MemRequest>,
     capacity: usize,
-    next_req_id: u64,
     passes: u64,
-    scratch: PassScratch,
-}
-
-/// The recyclable per-pass buffers of an [`ApiSession`] while no pass is
-/// running. [`ApiSession::begin`] moves them into the [`EasyApi`] handle;
-/// [`ApiSession::finish`] moves them back.
-#[derive(Debug, Clone)]
-struct PassScratch {
     table: Vec<MemRequest>,
-    // lint: allow(det/hash-order) — lookup-only (insert/get, never
-    // iterated), and recycled across passes: HashMap keeps its capacity
-    // through `clear()`, so the steady-state serve loop stays
-    // allocation-free where a BTreeMap would allocate nodes per insert.
-    requestors: HashMap<u64, u32>,
     program: BenderProgram,
     responses: Vec<MemResponse>,
-}
-
-impl Default for PassScratch {
-    fn default() -> Self {
-        Self {
-            table: Vec::new(),
-            requestors: HashMap::new(), // lint: allow(det/hash-order) — see the field's justification
-
-            // The derived `BenderProgram::default()` has zero capacity;
-            // scratch programs must admit real command batches.
-            program: BenderProgram::new(),
-            responses: Vec::new(),
-        }
-    }
+    ledger: ApiLedger,
 }
 
 impl ApiSession {
@@ -115,33 +89,19 @@ impl ApiSession {
         Self {
             pending: VecDeque::with_capacity(capacity + 1),
             capacity,
-            next_req_id: 0,
             passes: 0,
-            scratch: PassScratch::default(),
+            table: Vec::new(),
+            // The derived `BenderProgram::default()` has zero capacity; the
+            // command buffer must admit real command batches.
+            program: BenderProgram::new(),
+            responses: Vec::new(),
+            ledger: ApiLedger::default(),
         }
     }
 
-    /// Posts a request into the FIFO, tagging it with the arrival cycle
-    /// (paper Fig. 5 ①) and requestor 0, and returns its assigned id.
-    pub fn post(&mut self, kind: RequestKind, arrival_cycle: u64) -> u64 {
-        let id = self.next_req_id;
-        self.post_with_id(id, 0, kind, arrival_cycle);
-        id
-    }
-
-    /// Posts a request under a caller-assigned id and requestor. The tile
-    /// uses this to keep request ids globally unique across the per-channel
-    /// sessions of a sharded memory system and to tag each request with the
-    /// core that issued it; ids assigned by [`ApiSession::post`] afterwards
-    /// continue above the highest id seen.
-    pub fn post_with_id(&mut self, id: u64, requestor: u32, kind: RequestKind, arrival_cycle: u64) {
-        self.next_req_id = self.next_req_id.max(id + 1);
-        self.pending.push_back(MemRequest {
-            id,
-            requestor,
-            kind,
-            arrival_cycle,
-        });
+    /// Posts a tagged request into the FIFO.
+    pub fn post(&mut self, req: MemRequest) {
+        self.pending.push_back(req);
     }
 
     /// Whether the FIFO has reached its capacity (posting more would exceed
@@ -175,189 +135,90 @@ impl ApiSession {
         self.passes
     }
 
+    /// The most recent pass's responses, in service order.
+    #[must_use]
+    pub fn responses(&self) -> &[MemResponse] {
+        &self.responses
+    }
+
+    /// The most recent pass's ledger.
+    #[must_use]
+    pub fn ledger(&self) -> &ApiLedger {
+        &self.ledger
+    }
+
     /// Opens an API handle for one serve pass over everything pending,
-    /// leaving the FIFO empty. `wall_base_ps` is the absolute FPGA/DRAM time
-    /// at which the controller starts executing.
-    ///
-    /// The handle runs on the session's recycled scratch buffers; return
-    /// them with [`ApiSession::finish`] so the next pass stays
-    /// allocation-free.
-    pub fn begin<'a>(&mut self, ctx: TileCtx<'a>, wall_base_ps: u64) -> EasyApi<'a> {
+    /// clearing the previous pass's table, command buffer, responses and
+    /// ledger in place. `wall_base_ps` is the absolute FPGA/DRAM time at
+    /// which the controller starts executing.
+    pub fn begin<'a>(&'a mut self, ctx: TileCtx<'a>, wall_base_ps: u64) -> EasyApi<'a> {
         self.passes += 1;
-        let mut s = std::mem::take(&mut self.scratch);
-        s.table.clear();
-        s.program.clear();
-        s.responses.clear();
-        s.requestors.clear();
-        s.requestors
-            .extend(self.pending.iter().map(|r| (r.id, r.requestor)));
+        self.table.clear();
+        self.program.clear();
+        self.responses.clear();
+        self.ledger = ApiLedger::default();
         EasyApi {
             tile_period_ps: 1_000_000_000_000 / ctx.tile_clk_hz,
             ctx,
+            session: self,
             wall_base_ps,
-            incoming: std::mem::take(&mut self.pending),
-            table: s.table,
-            program: s.program,
-            ledger: ApiLedger {
-                responses: s.responses,
-                ..ApiLedger::default()
-            },
-            requestors: s.requestors,
             attributed: ResponseSlice::default(),
-            extra_wall_ps: 0,
             last_flush: None,
             critical: false,
         }
     }
-
-    /// Tears a pass's handle down into its ledger (the counterpart of
-    /// [`EasyApi::into_ledger`] for session-opened passes), reclaiming the
-    /// handle's buffers so the next [`ApiSession::begin`] reuses them. The
-    /// returned ledger still owns the pass's response vector; hand it back
-    /// through [`ApiSession::recycle_responses`] once processed to close
-    /// the loop.
-    pub fn finish(&mut self, api: EasyApi<'_>) -> ApiLedger {
-        let EasyApi {
-            mut incoming,
-            table,
-            program,
-            ledger,
-            requestors,
-            ..
-        } = api;
-        // Un-received requests are dropped, exactly as `into_ledger` drops
-        // them; only the deque's storage survives — and only if nothing was
-        // posted mid-pass, so FIFO order stays authoritative.
-        incoming.clear();
-        if self.pending.is_empty() {
-            self.pending = incoming;
-        }
-        self.scratch = PassScratch {
-            table,
-            requestors,
-            program,
-            responses: Vec::new(),
-        };
-        ledger
-    }
-
-    /// Returns a processed pass's response buffer for reuse by the next
-    /// [`ApiSession::begin`].
-    pub fn recycle_responses(&mut self, mut responses: Vec<MemResponse>) {
-        responses.clear();
-        self.scratch.responses = responses;
-    }
 }
 
-/// Everything the system needs back from one controller invocation.
-#[derive(Debug, Clone, Default)]
+/// Everything the system needs back from one controller invocation, besides
+/// the responses themselves ([`ApiSession::responses`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApiLedger {
-    /// Rocket cycles spent executing controller code (feeds scheduling
-    /// latency via time scaling).
-    pub rocket_cycles: u64,
     /// FPGA tile cycles spent on command/readback transfers (wall time
     /// only).
     pub hw_cycles: u64,
     /// Total DRAM time of executed command batches, in ps.
     pub dram_elapsed_ps: u64,
-    /// DRAM bus occupancy (elapsed minus CAS pipeline latency), in ps.
-    pub dram_occupancy_ps: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Column (RD/WR) commands executed — each occupies the data bus for
-    /// one burst.
-    pub column_ops: u64,
-    /// Row-buffer hits observed by the read/write sequence helpers.
-    pub row_hits: u64,
-    /// Row misses observed by the read/write sequence helpers.
-    pub row_misses: u64,
-    /// Row conflicts observed by the read/write sequence helpers.
-    pub row_conflicts: u64,
-    /// Responses produced, in service order, each carrying its slice of the
-    /// pass.
-    pub responses: Vec<MemResponse>,
-}
-
-impl ApiLedger {
-    /// The running totals of every quantity that gets attributed to
-    /// responses as a [`ResponseSlice`].
-    fn attributable_totals(&self) -> ResponseSlice {
-        ResponseSlice {
-            rocket_cycles: self.rocket_cycles,
-            dram_occupancy_ps: self.dram_occupancy_ps,
-            column_ops: self.column_ops,
-            batches: self.batches,
-            row_hits: self.row_hits,
-            row_misses: self.row_misses,
-            row_conflicts: self.row_conflicts,
-        }
-    }
+    /// Running totals of every quantity that gets attributed to responses:
+    /// Rocket cycles of controller code (feeds scheduling latency via time
+    /// scaling), DRAM bus occupancy, column commands, batches, and the
+    /// row-buffer outcomes observed by the read/write sequence helpers.
+    pub totals: ResponseSlice,
 }
 
 /// The EasyAPI handle passed to [`crate::SoftwareMemoryController::serve`]:
-/// one serve pass over a batch of pending requests.
+/// one serve pass over a batch of pending requests, running on the borrowed
+/// session's buffers.
 #[derive(Debug)]
 pub struct EasyApi<'a> {
     ctx: TileCtx<'a>,
+    session: &'a mut ApiSession,
     wall_base_ps: u64,
     tile_period_ps: u64,
-    incoming: VecDeque<MemRequest>,
-    table: Vec<MemRequest>,
-    program: BenderProgram,
-    ledger: ApiLedger,
-    /// Requestor id of every request this pass has seen, so responses stay
-    /// attributable after the table reorders/drops requests.
-    // lint: allow(det/hash-order) — same allocation-free recycled map as
-    // `PassScratch::requestors`; moved here for the pass, moved back after.
-    requestors: HashMap<u64, u32>,
-    /// Watermark of ledger quantities already attributed to a response.
+    /// Watermark of ledger totals already attributed to a response.
     attributed: ResponseSlice,
-    extra_wall_ps: u64,
     last_flush: Option<BenderResult>,
     critical: bool,
 }
 
-impl<'a> EasyApi<'a> {
-    /// Creates an API handle for one serve pass. Prefer opening passes
-    /// through [`ApiSession::begin`]; this direct constructor exists for
-    /// controller unit tests that hand-build the incoming stream.
-    #[must_use]
-    pub fn open(ctx: TileCtx<'a>, wall_base_ps: u64, incoming: VecDeque<MemRequest>) -> Self {
-        let tile_period_ps = 1_000_000_000_000 / ctx.tile_clk_hz;
-        let requestors = incoming.iter().map(|r| (r.id, r.requestor)).collect();
-        Self {
-            ctx,
-            wall_base_ps,
-            tile_period_ps,
-            incoming,
-            table: Vec::new(),
-            program: BenderProgram::new(),
-            ledger: ApiLedger::default(),
-            requestors,
-            attributed: ResponseSlice::default(),
-            extra_wall_ps: 0,
-            last_flush: None,
-            critical: false,
-        }
-    }
-
+impl EasyApi<'_> {
     fn charge(&mut self, cycles: u64) {
-        self.ledger.rocket_cycles += cycles;
+        self.session.ledger.totals.rocket_cycles += cycles;
     }
 
     /// The absolute FPGA/DRAM wall time at the controller's current point of
     /// execution.
     #[must_use]
     pub fn wall_now_ps(&self) -> u64 {
+        let ledger = &self.session.ledger;
         self.wall_base_ps
-            + (self.ledger.rocket_cycles + self.ledger.hw_cycles) * self.tile_period_ps
-            + self.extra_wall_ps
+            + (ledger.totals.rocket_cycles + ledger.hw_cycles) * self.tile_period_ps
+            + ledger.dram_elapsed_ps
     }
 
     /// Rocket cycles charged so far.
     #[must_use]
     pub fn cycles_spent(&self) -> u64 {
-        self.ledger.rocket_cycles
+        self.session.ledger.totals.rocket_cycles
     }
 
     /// Sets critical mode (`set_scheduling_state`, Table 2).
@@ -377,15 +238,15 @@ impl<'a> EasyApi<'a> {
     #[must_use = "polling has a purpose only if the result is inspected"]
     pub fn req_empty(&mut self) -> bool {
         self.charge(self.ctx.costs.poll);
-        self.incoming.is_empty() && self.table.is_empty()
+        self.session.pending.is_empty() && self.session.table.is_empty()
     }
 
     /// Moves one request from the hardware FIFO into the software request
     /// table (`receive_request` / `add_request`, Table 2) and returns a copy.
     pub fn receive_request(&mut self) -> Option<MemRequest> {
         self.charge(self.ctx.costs.receive_request);
-        let req = self.incoming.pop_front()?;
-        self.table.push(req);
+        let req = self.session.pending.pop_front()?;
+        self.session.table.push(req);
         Some(req)
     }
 
@@ -402,7 +263,7 @@ impl<'a> EasyApi<'a> {
         let mut moved = 0;
         loop {
             self.charge(self.ctx.costs.poll);
-            if self.incoming.is_empty() {
+            if self.session.pending.is_empty() {
                 break;
             }
             let _ = self.receive_request();
@@ -414,26 +275,27 @@ impl<'a> EasyApi<'a> {
     /// The software request table (scratchpad memory).
     #[must_use]
     pub fn request_table(&self) -> &[MemRequest] {
-        &self.table
+        &self.session.table
     }
 
     /// FCFS scheduling decision: the oldest request (`FCFS::schedule`).
     pub fn schedule_fcfs(&mut self) -> Option<usize> {
         self.charge(self.ctx.costs.schedule_fcfs);
-        (!self.table.is_empty()).then_some(0)
+        (!self.session.table.is_empty()).then_some(0)
     }
 
     /// FR-FCFS scheduling decision: the oldest row-hit if any, else the
     /// oldest request (`FRFCFS::schedule`).
     pub fn schedule_frfcfs(&mut self) -> Option<usize> {
         self.charge(self.ctx.costs.schedule_frfcfs);
-        if self.table.is_empty() {
+        if self.session.table.is_empty() {
             return None;
         }
-        let hit = self.table.iter().position(|r| {
-            let addr = self.ctx.mapper.to_dram_remapped(self.ctx.remap, r.addr());
-            self.ctx.device.open_row(addr.bank) == Some(addr.row)
-        });
+        let hit = self
+            .session
+            .table
+            .iter()
+            .position(|r| self.ctx.device.open_row(r.tag.dram.bank) == Some(r.tag.dram.row));
         Some(hit.unwrap_or(0))
     }
 
@@ -443,7 +305,7 @@ impl<'a> EasyApi<'a> {
     ///
     /// Panics if `idx` is out of bounds.
     pub fn take_request(&mut self, idx: usize) -> MemRequest {
-        self.table.remove(idx)
+        self.session.table.remove(idx)
     }
 
     /// Translates a physical address to a DRAM coordinate
@@ -492,7 +354,9 @@ impl<'a> EasyApi<'a> {
         row: u32,
     ) -> Result<(), easydram_bender::BenderError> {
         self.charge(self.ctx.costs.build_command);
-        self.program.cmd_auto(DramCommand::Activate { bank, row })
+        self.session
+            .program
+            .cmd_auto(DramCommand::Activate { bank, row })
     }
 
     /// Appends a `PRE` at the earliest legal time (`ddr_precharge`).
@@ -502,7 +366,9 @@ impl<'a> EasyApi<'a> {
     /// Returns an error when the command buffer is full.
     pub fn ddr_precharge(&mut self, bank: u32) -> Result<(), easydram_bender::BenderError> {
         self.charge(self.ctx.costs.build_command);
-        self.program.cmd_auto(DramCommand::Precharge { bank })
+        self.session
+            .program
+            .cmd_auto(DramCommand::Precharge { bank })
     }
 
     /// Appends a `RD` at the earliest legal time (`ddr_read`).
@@ -512,7 +378,9 @@ impl<'a> EasyApi<'a> {
     /// Returns an error when the command buffer is full.
     pub fn ddr_read(&mut self, bank: u32, col: u32) -> Result<(), easydram_bender::BenderError> {
         self.charge(self.ctx.costs.build_command);
-        self.program.cmd_auto(DramCommand::Read { bank, col })
+        self.session
+            .program
+            .cmd_auto(DramCommand::Read { bank, col })
     }
 
     /// Appends a `RD` exactly `delay_ps` after the previous command — the
@@ -528,7 +396,8 @@ impl<'a> EasyApi<'a> {
         delay_ps: u64,
     ) -> Result<(), easydram_bender::BenderError> {
         self.charge(self.ctx.costs.build_command);
-        self.program
+        self.session
+            .program
             .cmd_after(DramCommand::Read { bank, col }, delay_ps)
     }
 
@@ -544,7 +413,8 @@ impl<'a> EasyApi<'a> {
         data: [u8; LINE_BYTES],
     ) -> Result<(), easydram_bender::BenderError> {
         self.charge(self.ctx.costs.build_command);
-        self.program
+        self.session
+            .program
             .cmd_auto(DramCommand::Write { bank, col, data })
     }
 
@@ -555,7 +425,7 @@ impl<'a> EasyApi<'a> {
     /// Returns an error when the command buffer is full.
     pub fn ddr_refresh(&mut self) -> Result<(), easydram_bender::BenderError> {
         self.charge(self.ctx.costs.build_command);
-        self.program.cmd_auto(DramCommand::Refresh)
+        self.session.program.cmd_auto(DramCommand::Refresh)
     }
 
     /// Appends a targeted per-row refresh (`RFM`) at the earliest legal
@@ -571,7 +441,9 @@ impl<'a> EasyApi<'a> {
         row: u32,
     ) -> Result<(), easydram_bender::BenderError> {
         self.charge(self.ctx.costs.build_command);
-        self.program.cmd_auto(DramCommand::RefreshRow { bank, row })
+        self.session
+            .program
+            .cmd_auto(DramCommand::RefreshRow { bank, row })
     }
 
     /// Charges the per-activation mitigation-tracking cost point (a PARA
@@ -593,27 +465,29 @@ impl<'a> EasyApi<'a> {
         dst: DramAddress,
     ) -> Result<(), easydram_bender::BenderError> {
         self.charge(self.ctx.costs.build_rowclone);
-        self.program.cmd_auto(DramCommand::Activate {
+        self.session.program.cmd_auto(DramCommand::Activate {
             bank: src.bank,
             row: src.row,
         })?;
-        self.program
+        self.session
+            .program
             .cmd_after(DramCommand::Precharge { bank: src.bank }, ROWCLONE_GAP_PS)?;
-        self.program.cmd_after(
+        self.session.program.cmd_after(
             DramCommand::Activate {
                 bank: dst.bank,
                 row: dst.row,
             },
             ROWCLONE_GAP_PS,
         )?;
-        self.program
+        self.session
+            .program
             .cmd_auto(DramCommand::Precharge { bank: dst.bank })
     }
 
     /// Number of commands staged in the command buffer.
     #[must_use]
     pub fn staged_commands(&self) -> usize {
-        self.program.len()
+        self.session.program.len()
     }
 
     /// Ships the command batch to DRAM Bender and executes it
@@ -624,35 +498,36 @@ impl<'a> EasyApi<'a> {
     ///
     /// Propagates readback overflow or device addressing errors.
     pub fn flush_commands(&mut self) -> Result<&BenderResult, easydram_bender::BenderError> {
-        let n_instrs = self.program.len();
-        self.ledger.hw_cycles += self.ctx.transfer.program_cycles(n_instrs);
+        let n_instrs = self.session.program.len();
+        self.session.ledger.hw_cycles += self.ctx.transfer.program_cycles(n_instrs);
         let start = self.wall_now_ps();
         let result = self
             .ctx
             .executor
-            .run(self.ctx.device, &self.program, start)?;
-        self.ledger.hw_cycles += self.ctx.transfer.readback_cycles(result.reads.len());
-        self.ledger.batches += 1;
-        self.ledger.dram_elapsed_ps += result.elapsed_ps;
+            .run(self.ctx.device, &self.session.program, start)?;
+        let ledger = &mut self.session.ledger;
+        ledger.hw_cycles += self.ctx.transfer.readback_cycles(result.reads.len());
+        ledger.totals.batches += 1;
+        ledger.dram_elapsed_ps += result.elapsed_ps;
         // Occupancy: the bus/bank time the batch holds the channel; the CAS
         // pipeline latency of the final read overlaps with later batches in
         // a real controller.
         let t_cl = self.ctx.device.timing().t_cl_ps;
         let columns = self
+            .session
             .program
             .instrs()
             .iter()
             .filter(|i| i.command().is_some_and(DramCommand::is_column))
             .count() as u64;
-        self.ledger.column_ops += columns;
+        ledger.totals.column_ops += columns;
         let occupancy = if columns > 0 {
             result.elapsed_ps.saturating_sub(t_cl)
         } else {
             result.elapsed_ps
         };
-        self.ledger.dram_occupancy_ps += occupancy;
-        self.extra_wall_ps += result.elapsed_ps;
-        self.program.clear();
+        ledger.totals.dram_occupancy_ps += occupancy;
+        self.session.program.clear();
         self.last_flush = Some(result);
         Ok(self.last_flush.as_ref().expect("just set"))
     }
@@ -663,45 +538,37 @@ impl<'a> EasyApi<'a> {
         self.last_flush.as_ref()
     }
 
-    /// Finalizes a response (`enqueue_response`, Table 2) and attributes to
-    /// it everything the pass spent since the previous response was
-    /// finalized — its [`ResponseSlice`].
-    pub fn enqueue_response(&mut self, id: u64, data: Option<[u8; LINE_BYTES]>, corrupted: bool) {
+    /// Finalizes the response to `req` (`enqueue_response`, Table 2): copies
+    /// the request's tag onto it and attributes to it everything the pass
+    /// spent since the previous response was finalized — its
+    /// [`ResponseSlice`].
+    pub fn enqueue_response(
+        &mut self,
+        req: &MemRequest,
+        data: Option<[u8; LINE_BYTES]>,
+        corrupted: bool,
+    ) {
         self.charge(self.ctx.costs.enqueue_response);
-        let totals = self.ledger.attributable_totals();
+        let totals = self.session.ledger.totals;
         let slice = totals - self.attributed;
         self.attributed = totals;
-        let requestor = self.requestors.get(&id).copied().unwrap_or(0);
-        self.ledger.responses.push(MemResponse {
-            id,
-            requestor,
+        self.session.responses.push(MemResponse {
+            tag: req.tag,
             data,
             corrupted,
             slice,
         });
     }
 
-    /// Pushes a request into the hardware FIFO (used by controller unit
-    /// tests to hand-build a stream mid-pass).
-    pub fn push_incoming(&mut self, req: MemRequest) {
-        self.requestors.insert(req.id, req.requestor);
-        self.incoming.push_back(req);
-    }
-
-    /// Tears the handle down into its ledger.
-    #[must_use]
-    pub fn into_ledger(self) -> ApiLedger {
-        self.ledger
-    }
-
     /// Records a row-buffer outcome in the ledger, so the slice attributed
     /// to the current response carries its own hit/miss/conflict counts
     /// (per-requestor row-hit accounting reads these off the slices).
     fn note_outcome(&mut self, outcome: RowBufferOutcome) {
+        let totals = &mut self.session.ledger.totals;
         match outcome {
-            RowBufferOutcome::Hit => self.ledger.row_hits += 1,
-            RowBufferOutcome::Miss => self.ledger.row_misses += 1,
-            RowBufferOutcome::Conflict => self.ledger.row_conflicts += 1,
+            RowBufferOutcome::Hit => totals.row_hits += 1,
+            RowBufferOutcome::Miss => totals.row_misses += 1,
+            RowBufferOutcome::Conflict => totals.row_conflicts += 1,
         }
     }
 
@@ -762,7 +629,7 @@ impl<'a> EasyApi<'a> {
             self.ddr_activate(addr.bank, addr.row)?;
             if let Some(trcd) = trcd_override_ps {
                 self.charge(self.ctx.costs.build_command);
-                self.program.cmd_after(
+                self.session.program.cmd_after(
                     DramCommand::Write {
                         bank: addr.bank,
                         col: addr.col,
@@ -795,62 +662,17 @@ pub enum RowBufferOutcome {
 mod tests {
     use super::*;
     use crate::request::RequestKind;
-    use easydram_dram::{DramConfig, MappingScheme};
-
-    fn fixtures() -> (
-        DramDevice,
-        Executor,
-        AddressMapper,
-        BTreeMap<u64, (u32, u32)>,
-    ) {
-        let dev = DramDevice::new(DramConfig::small_for_tests());
-        let geo = dev.config().geometry.clone();
-        (
-            dev,
-            Executor::new(),
-            AddressMapper::new(geo, MappingScheme::RowBankCol),
-            BTreeMap::new(),
-        )
-    }
-
-    fn api<'a>(
-        dev: &'a mut DramDevice,
-        ex: &'a Executor,
-        map: &'a AddressMapper,
-        remap: &'a BTreeMap<u64, (u32, u32)>,
-        costs: &'a SmcCostModel,
-        transfer: &'a TransferCost,
-    ) -> EasyApi<'a> {
-        ApiSession::new(16).begin(
-            TileCtx {
-                device: dev,
-                executor: ex,
-                mapper: map,
-                remap,
-                costs,
-                transfer,
-                tile_clk_hz: 100_000_000,
-            },
-            0,
-        )
-    }
+    use crate::smc::fixture::Fix;
 
     #[test]
     fn listing1_style_flow() {
         // Reproduce the paper's Listing 1: wait, receive, map, read, respond.
-        let (mut dev, ex, map, remap) = fixtures();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
+        let mut f = Fix::new();
         let mut line = [0u8; LINE_BYTES];
         line[0] = 0xEE;
-        dev.write_line(0, 0, 0, &line);
-        let mut a = api(&mut dev, &ex, &map, &remap, &costs, &transfer);
-        a.push_incoming(MemRequest {
-            id: 7,
-            requestor: 0,
-            kind: RequestKind::Read { addr: 0 },
-            arrival_cycle: 0,
-        });
+        f.dev.write_line(0, 0, 0, &line);
+        let id = f.post_read(0);
+        let mut a = f.api();
         assert!(!a.req_empty());
         let req = a.receive_request().unwrap();
         let addr = a.get_addr_mapping(req.addr());
@@ -860,135 +682,84 @@ mod tests {
             r.reads.clone()
         };
         assert_eq!(reads[0], line);
-        a.enqueue_response(req.id, Some(reads[0]), false);
+        a.enqueue_response(&req, Some(reads[0]), false);
         let idx = a.schedule_fcfs().unwrap();
         let _ = a.take_request(idx);
-        let ledger = a.into_ledger();
-        assert_eq!(ledger.responses.len(), 1);
-        assert_eq!(ledger.responses[0].id, 7);
-        assert!(ledger.rocket_cycles > 20, "API calls must cost cycles");
+        let responses = f.session.responses();
+        assert_eq!(responses.len(), 1);
+        assert_eq!(responses[0].tag, req.tag, "the response carries the tag");
+        assert_eq!(responses[0].tag.id, id);
+        let ledger = f.session.ledger();
+        assert!(
+            ledger.totals.rocket_cycles > 20,
+            "API calls must cost cycles"
+        );
         assert!(ledger.dram_elapsed_ps > 0);
-        assert_eq!(ledger.batches, 1);
+        assert_eq!(ledger.totals.batches, 1);
     }
 
     #[test]
-    fn session_posts_assign_monotonic_ids_and_drain_into_a_pass() {
-        let (mut dev, ex, map, remap) = fixtures();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
-        let mut session = ApiSession::new(4);
-        assert_eq!(session.post(RequestKind::Read { addr: 0 }, 5), 0);
-        assert_eq!(session.post(RequestKind::Read { addr: 64 }, 6), 1);
-        assert_eq!(session.len(), 2);
-        assert!(!session.is_full());
-        assert_eq!(session.pending()[0].arrival_cycle, 5);
-        let mut a = session.begin(
-            TileCtx {
-                device: &mut dev,
-                executor: &ex,
-                mapper: &map,
-                remap: &remap,
-                costs: &costs,
-                transfer: &transfer,
-                tile_clk_hz: 100_000_000,
-            },
-            0,
-        );
+    fn session_posts_drain_into_a_pass() {
+        let mut f = Fix::new();
+        f.session = ApiSession::new(4);
+        f.post(0, RequestKind::Read { addr: 0 }, 5);
+        f.post(1, RequestKind::Read { addr: 64 }, 6);
+        assert_eq!(f.session.len(), 2);
+        assert!(!f.session.is_full());
+        assert_eq!(f.session.pending()[0].tag.arrival_cycle, 5);
+        let mut a = f.api();
         assert_eq!(a.receive_all(), 2, "the pass sees the whole stream");
-        assert_eq!(a.request_table().len(), 2);
-        assert!(session.is_empty(), "begin drains the FIFO");
-        assert_eq!(session.passes(), 1);
-        // Ids keep growing across passes.
-        assert_eq!(session.post(RequestKind::Read { addr: 128 }, 9), 2);
+        let table = a.request_table();
+        assert_eq!((table[0].tag.id, table[1].tag.id), (0, 1), "FIFO order");
+        assert_eq!(table[1].tag.requestor, 1);
+        assert!(f.session.is_empty(), "the pass drained the FIFO");
+        assert_eq!(f.session.passes(), 1);
     }
 
     #[test]
     fn session_passes_recycle_their_buffers() {
-        let (mut dev, ex, map, remap) = fixtures();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
-        let mut session = ApiSession::new(8);
-        let mut first_ledger = None;
+        let mut f = Fix::new();
+        let mut warm = None;
         for pass in 0..3u64 {
             for i in 0..4u64 {
-                session.post(RequestKind::Read { addr: i * 64 }, pass);
+                f.post(0, RequestKind::Read { addr: i * 64 }, pass);
             }
-            let mut a = session.begin(
-                TileCtx {
-                    device: &mut dev,
-                    executor: &ex,
-                    mapper: &map,
-                    remap: &remap,
-                    costs: &costs,
-                    transfer: &transfer,
-                    tile_clk_hz: 100_000_000,
-                },
-                0,
-            );
+            let mut a = f.api();
             a.receive_all();
             while let Some(idx) = a.schedule_fcfs() {
                 let req = a.take_request(idx);
                 let d = a.get_addr_mapping(req.addr());
                 a.read_sequence(d, None).unwrap();
                 let data = a.flush_commands().unwrap().reads[0];
-                a.enqueue_response(req.id, Some(data), false);
+                a.enqueue_response(&req, Some(data), false);
             }
-            let ledger = session.finish(a);
-            assert_eq!(ledger.responses.len(), 4);
-            // Recycled passes must behave exactly like fresh ones: once the
-            // row buffers are warm (pass 0 pays the activates), every pass
-            // over the same stream charges the same cycles.
-            if pass > 0 {
-                match first_ledger {
-                    None => first_ledger = Some(ledger.rocket_cycles),
-                    Some(c) => assert_eq!(ledger.rocket_cycles, c, "pass {pass}"),
-                }
-            }
-            session.recycle_responses(ledger.responses);
-            assert!(session.is_empty(), "finish leaves the FIFO drained");
-            assert!(
-                session.pending.capacity() > 0,
-                "finish hands the FIFO storage back"
+            assert_eq!(f.session.responses().len(), 4);
+            assert!(f.session.is_empty(), "the pass drained the FIFO");
+            // A pass on cleared buffers must behave exactly like one on fresh
+            // buffers: once the row buffers are warm (pass 0 pays the
+            // activates), every pass over the same stream charges the same
+            // cycles, and nothing regrows.
+            let now = (
+                f.session.ledger().totals.rocket_cycles,
+                f.session.responses.capacity(),
+                f.session.table.capacity(),
             );
-            assert_eq!(session.scratch.responses.capacity(), 4);
-            assert!(session.scratch.table.capacity() >= 4);
+            if pass > 0 {
+                assert_eq!(*warm.get_or_insert(now), now, "pass {pass}");
+            }
         }
-        // Posts that race a pass survive `finish` untouched.
-        let mut a = session.begin(
-            TileCtx {
-                device: &mut dev,
-                executor: &ex,
-                mapper: &map,
-                remap: &remap,
-                costs: &costs,
-                transfer: &transfer,
-                tile_clk_hz: 100_000_000,
-            },
-            0,
-        );
-        a.receive_all();
-        session.post(RequestKind::Read { addr: 640 }, 9);
-        let _ = session.finish(a);
-        assert_eq!(session.len(), 1);
-        assert_eq!(session.pending()[0].addr(), 640);
     }
 
     #[test]
     fn receive_all_cost_model_is_pinned() {
         // Documented model: (n + 1) * poll + n * receive_request.
-        let (mut dev, ex, map, remap) = fixtures();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
         for n in [0u64, 1, 4] {
-            let mut a = api(&mut dev, &ex, &map, &remap, &costs, &transfer);
+            let mut f = Fix::new();
             for i in 0..n {
-                a.push_incoming(MemRequest {
-                    id: i,
-                    requestor: 0,
-                    kind: RequestKind::Read { addr: i * 64 },
-                    arrival_cycle: 0,
-                });
+                f.post_read(i * 64);
             }
+            let costs = f.costs;
+            let mut a = f.api();
             let before = a.cycles_spent();
             assert_eq!(a.receive_all() as u64, n);
             let charged = a.cycles_spent() - before;
@@ -1002,104 +773,86 @@ mod tests {
 
     #[test]
     fn responses_carry_disjoint_slices_that_sum_to_the_ledger() {
-        let (mut dev, ex, map, remap) = fixtures();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
-        let mut a = api(&mut dev, &ex, &map, &remap, &costs, &transfer);
-        for (id, addr) in [(0u64, 0u64), (1, 8192 * 2)] {
-            a.push_incoming(MemRequest {
-                id,
-                requestor: id as u32,
-                kind: RequestKind::Read { addr },
-                arrival_cycle: 0,
-            });
+        let mut f = Fix::new();
+        for (requestor, addr) in [(0, 0u64), (1, 8192 * 2)] {
+            f.post(requestor, RequestKind::Read { addr }, 0);
         }
+        let trailing = f.costs.set_scheduling_state;
+        let mut a = f.api();
         a.receive_all();
         for idx in [0, 0] {
             let req = a.take_request(idx);
             let d = a.get_addr_mapping(req.addr());
             a.read_sequence(d, None).unwrap();
             let data = a.flush_commands().unwrap().reads[0];
-            a.enqueue_response(req.id, Some(data), false);
+            a.enqueue_response(&req, Some(data), false);
         }
-        let trailing = costs.set_scheduling_state;
         a.set_scheduling_state(false);
-        let ledger = a.into_ledger();
-        assert_eq!(ledger.responses.len(), 2);
-        let sum_rocket: u64 = ledger.responses.iter().map(|r| r.slice.rocket_cycles).sum();
-        let sum_occ: u64 = ledger
-            .responses
-            .iter()
-            .map(|r| r.slice.dram_occupancy_ps)
-            .sum();
-        let sum_cols: u64 = ledger.responses.iter().map(|r| r.slice.column_ops).sum();
+        let (responses, totals) = (f.session.responses(), f.session.ledger().totals);
+        assert_eq!(responses.len(), 2);
+        assert_eq!(
+            (responses[0].tag.requestor, responses[1].tag.requestor),
+            (0, 1)
+        );
+        let sum_rocket: u64 = responses.iter().map(|r| r.slice.rocket_cycles).sum();
+        let sum_occ: u64 = responses.iter().map(|r| r.slice.dram_occupancy_ps).sum();
+        let sum_cols: u64 = responses.iter().map(|r| r.slice.column_ops).sum();
         assert_eq!(
             sum_rocket + trailing,
-            ledger.rocket_cycles,
+            totals.rocket_cycles,
             "slices partition the pass (trailing work stays unattributed)"
         );
-        assert_eq!(sum_occ, ledger.dram_occupancy_ps);
-        assert_eq!(sum_cols, ledger.column_ops);
-        assert!(ledger.responses.iter().all(|r| r.slice.batches == 1));
-        assert!(ledger.responses.iter().all(|r| r.slice.rocket_cycles > 0));
+        assert_eq!(sum_occ, totals.dram_occupancy_ps);
+        assert_eq!(sum_cols, totals.column_ops);
+        assert!(responses.iter().all(|r| r.slice.batches == 1));
+        assert!(responses.iter().all(|r| r.slice.rocket_cycles > 0));
     }
 
     #[test]
     fn frfcfs_prefers_row_hits() {
-        let (mut dev, ex, map, remap) = fixtures();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
+        let mut f = Fix::new();
         // Open row 5 of bank 0 so the second request is a hit.
-        let row5_addr = map.to_phys(DramAddress::new(0, 5, 0));
-        let row9_addr = map.to_phys(DramAddress::new(0, 9, 0));
-        let mut a = api(&mut dev, &ex, &map, &remap, &costs, &transfer);
+        let mut a = f.api();
         a.ddr_activate(0, 5).unwrap();
         a.flush_commands().unwrap();
-        a.push_incoming(MemRequest {
-            id: 0,
-            requestor: 0,
-            kind: RequestKind::Read { addr: row9_addr },
-            arrival_cycle: 0,
-        });
-        a.push_incoming(MemRequest {
-            id: 1,
-            requestor: 0,
-            kind: RequestKind::Read { addr: row5_addr },
-            arrival_cycle: 1,
-        });
+        let oldest = f.post_read(f.map.to_phys(DramAddress::new(0, 9, 0)));
+        let hit = f.post(
+            0,
+            RequestKind::Read {
+                addr: f.map.to_phys(DramAddress::new(0, 5, 0)),
+            },
+            1,
+        );
+        let mut a = f.api();
         a.receive_all();
         let pick = a.schedule_frfcfs().unwrap();
         assert_eq!(
-            a.request_table()[pick].id,
-            1,
+            a.request_table()[pick].tag.id,
+            hit,
             "FR-FCFS must pick the row hit"
         );
         // FCFS picks the oldest.
         let pick = a.schedule_fcfs().unwrap();
-        assert_eq!(a.request_table()[pick].id, 0);
+        assert_eq!(a.request_table()[pick].tag.id, oldest);
     }
 
     #[test]
     fn remap_overrides_mapper() {
-        let (mut dev, ex, map, _) = fixtures();
-        let mut remap = BTreeMap::new();
-        remap.insert(0u64, (1u32, 77u32)); // virtual row 0 -> bank 1 row 77
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
-        let mut a = api(&mut dev, &ex, &map, &remap, &costs, &transfer);
+        let mut f = Fix::new();
+        f.remap.insert(0u64, (1u32, 77u32)); // virtual row 0 -> bank 1 row 77
+        let far = 10 * 8192;
+        let plain = f.map.to_dram(far);
+        let mut a = f.api();
         let d = a.get_addr_mapping(128); // third line of virtual row 0
         assert_eq!((d.bank, d.row, d.col), (1, 77, 2));
         // Unmapped rows use the plain mapper.
-        let far = 10 * 8192;
-        assert_eq!(a.get_addr_mapping(far), map.to_dram(far));
+        assert_eq!(a.get_addr_mapping(far), plain);
     }
 
     #[test]
     fn read_sequence_outcomes() {
-        let (mut dev, ex, map, remap) = fixtures();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
-        let mut a = api(&mut dev, &ex, &map, &remap, &costs, &transfer);
+        let mut f = Fix::new();
+        let mut a = f.api();
         let addr = DramAddress::new(0, 3, 1);
         assert_eq!(a.read_sequence(addr, None).unwrap(), RowBufferOutcome::Miss);
         a.flush_commands().unwrap();
@@ -1115,12 +868,10 @@ mod tests {
 
     #[test]
     fn rowclone_sequence_executes_in_device() {
-        let (mut dev, ex, map, remap) = fixtures();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
+        let mut f = Fix::new();
         let pattern = vec![0x5Au8; 8192];
-        dev.write_row(0, 1, &pattern);
-        let mut a = api(&mut dev, &ex, &map, &remap, &costs, &transfer);
+        f.dev.write_row(0, 1, &pattern);
+        let mut a = f.api();
         let src = DramAddress::new(0, 1, 0);
         let dst = DramAddress::new(0, 2, 0);
         a.rowclone(src, dst).unwrap();
@@ -1130,10 +881,8 @@ mod tests {
 
     #[test]
     fn wall_clock_advances_with_work() {
-        let (mut dev, ex, map, remap) = fixtures();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
-        let mut a = api(&mut dev, &ex, &map, &remap, &costs, &transfer);
+        let mut f = Fix::new();
+        let mut a = f.api();
         let w0 = a.wall_now_ps();
         a.set_scheduling_state(true);
         assert!(a.wall_now_ps() > w0, "rocket cycles advance the wall");
@@ -1147,19 +896,16 @@ mod tests {
 
     #[test]
     fn profiling_request_kind_round_trips() {
-        let (mut dev, ex, map, remap) = fixtures();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
-        let mut a = api(&mut dev, &ex, &map, &remap, &costs, &transfer);
-        a.push_incoming(MemRequest {
-            id: 3,
-            requestor: 0,
-            kind: RequestKind::ProfileTrcd {
+        let mut f = Fix::new();
+        f.post(
+            0,
+            RequestKind::ProfileTrcd {
                 addr: 0,
                 trcd_ps: 9_000,
             },
-            arrival_cycle: 0,
-        });
+            0,
+        );
+        let mut a = f.api();
         a.receive_all();
         assert_eq!(a.request_table().len(), 1);
     }

@@ -317,60 +317,34 @@ impl SoftwareMemoryController for GrapheneController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costs::SmcCostModel;
     use crate::request::RequestKind;
-    use crate::smc::easyapi::{ApiSession, TileCtx};
-    use easydram_bender::{Executor, TransferCost};
-    use easydram_dram::{AddressMapper, DramAddress, DramConfig, DramDevice, MappingScheme};
-    use std::collections::BTreeMap;
+    use crate::smc::fixture::Fix;
+    use easydram_dram::DramAddress;
 
     #[test]
     fn mitigation_observes_rowclone_and_profiling_activations() {
         // An always-firing PARA (p_inverse = 1) must spend refreshes on the
         // RowClone / ProfileTrcd streams too — otherwise in-DRAM copies
         // would be a mitigation-bypassing hammer channel.
-        let mut dev = DramDevice::new(DramConfig::small_for_tests());
-        let geo = dev.config().geometry.clone();
-        let ex = Executor::new();
-        let map = AddressMapper::new(geo, MappingScheme::RowBankCol);
-        let remap = BTreeMap::new();
-        let costs = SmcCostModel::default();
-        let transfer = TransferCost::default();
-        let mut session = ApiSession::new(16);
-        session.post(
-            RequestKind::RowClone {
-                src_addr: map.to_phys(DramAddress::new(0, 10, 0)),
-                dst_addr: map.to_phys(DramAddress::new(0, 12, 0)),
-            },
-            0,
-        );
-        session.post(
-            RequestKind::ProfileTrcd {
-                addr: map.to_phys(DramAddress::new(0, 30, 0)),
-                trcd_ps: 13_500,
-            },
-            0,
-        );
-        let mut api = session.begin(
-            TileCtx {
-                device: &mut dev,
-                executor: &ex,
-                mapper: &map,
-                remap: &remap,
-                costs: &costs,
-                transfer: &transfer,
-                tile_clk_hz: 100_000_000,
-            },
-            0,
-        );
+        let mut f = Fix::new();
+        let rowclone = RequestKind::RowClone {
+            src_addr: f.map.to_phys(DramAddress::new(0, 10, 0)),
+            dst_addr: f.map.to_phys(DramAddress::new(0, 12, 0)),
+        };
+        f.post(0, rowclone, 0);
+        let profile = RequestKind::ProfileTrcd {
+            addr: f.map.to_phys(DramAddress::new(0, 30, 0)),
+            trcd_ps: 13_500,
+        };
+        f.post(0, profile, 0);
         let mut ctrl = ParaController::new(1, 7);
-        let res = ctrl.serve(&mut api);
+        let res = ctrl.serve(&mut f.api());
         assert_eq!(res.served, 2);
         let m = ctrl.mitigation_stats().expect("PARA reports stats");
         // 2 RowClone activations + 2 profiling activations, each firing a
         // ±1 refresh pair.
         assert_eq!(m.targeted_refreshes, 8);
-        assert!(dev.stats().targeted_refreshes >= 8);
+        assert!(f.dev.stats().targeted_refreshes >= 8);
     }
 
     #[test]

@@ -63,7 +63,9 @@ impl std::ops::SubAssign for ServeResult {
 /// * The incoming stream may hold **many** requests (posted writes plus the
 ///   read or fence that forced the drain). Implementations must drain every
 ///   pending request (`api.req_empty()` becomes true) and enqueue exactly
-///   one response per request before returning.
+///   one response per request before returning; the tile checks every
+///   pending id off after the pass and panics naming a duplicate or missing
+///   one.
 /// * Requests to the **same address** must be served in arrival order (the
 ///   table is arrival-ordered; both shipped schedulers pick the earliest
 ///   request among equals, which preserves this). Reordering across
@@ -92,5 +94,84 @@ pub trait SoftwareMemoryController: Send {
     /// to the pre-disturbance format.
     fn mitigation_stats(&self) -> Option<MitigationStats> {
         None
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod fixture {
+    use std::collections::BTreeMap;
+
+    use easydram_bender::{Executor, TransferCost};
+    use easydram_dram::{AddressMapper, DramConfig, DramDevice, MappingScheme};
+
+    use super::easyapi::{ApiSession, EasyApi, TileCtx};
+    use crate::costs::SmcCostModel;
+    use crate::request::{MemRequest, RequestKind};
+
+    /// The tile-side state a serve pass borrows, for controller unit tests:
+    /// a small device, its command substrate and one session to post into.
+    pub(crate) struct Fix {
+        pub(crate) dev: DramDevice,
+        pub(crate) ex: Executor,
+        pub(crate) map: AddressMapper,
+        pub(crate) remap: BTreeMap<u64, (u32, u32)>,
+        pub(crate) costs: SmcCostModel,
+        pub(crate) transfer: TransferCost,
+        pub(crate) session: ApiSession,
+        next_id: u64,
+    }
+
+    impl Fix {
+        pub(crate) fn new() -> Self {
+            let dev = DramDevice::new(DramConfig::small_for_tests());
+            let geo = dev.config().geometry.clone();
+            Self {
+                dev,
+                ex: Executor::new(),
+                map: AddressMapper::new(geo, MappingScheme::RowBankCol),
+                remap: BTreeMap::new(),
+                costs: SmcCostModel::default(),
+                transfer: TransferCost::default(),
+                session: ApiSession::new(16),
+                next_id: 0,
+            }
+        }
+
+        /// Posts `kind` the way the tile does — tagged with the next id and
+        /// its decoded address — and returns the id.
+        pub(crate) fn post(
+            &mut self,
+            requestor: u32,
+            kind: RequestKind,
+            arrival_cycle: u64,
+        ) -> u64 {
+            let id = self.next_id;
+            self.next_id += 1;
+            let dram = self.map.to_dram_remapped(&self.remap, kind.addr());
+            self.session
+                .post(MemRequest::new(id, requestor, kind, arrival_cycle, dram));
+            id
+        }
+
+        /// Posts a read of `addr` from requestor 0 at cycle 0.
+        pub(crate) fn post_read(&mut self, addr: u64) -> u64 {
+            self.post(0, RequestKind::Read { addr }, 0)
+        }
+
+        /// Opens a pass over everything posted.
+        pub(crate) fn api(&mut self) -> EasyApi<'_> {
+            self.session.begin(
+                TileCtx {
+                    device: &mut self.dev,
+                    executor: &self.ex,
+                    mapper: &self.map,
+                    remap: &self.remap,
+                    costs: &self.costs,
+                    transfer: &self.transfer,
+                    tile_clk_hz: 100_000_000,
+                },
+                0,
+            )
+        }
     }
 }

@@ -5,8 +5,13 @@
 //! The [`Tile`] implements [`MemoryBackend`]: every cache-line request from
 //! the core runs end-to-end through the software memory controller
 //! ([`crate::SoftwareMemoryController`]), DRAM Bender, and the device — the
-//! lifetime of a memory request in paper Figure 6 — and the observed latency
-//! is computed per the configured [`TimingMode`]:
+//! lifetime of a memory request in paper Figure 6. The tile decodes and tags
+//! a request once, when it posts it ([`crate::request::RequestTag`]); the tag
+//! rides the request into the controller and comes back on the response, so a
+//! serve pass keeps no per-request side table: it checks that every pending
+//! id was answered exactly once, then prices and attributes each response
+//! from the response alone. The observed latency is computed per the
+//! configured [`TimingMode`]:
 //!
 //! * `Reference` — exact modeled-system accounting (ground truth);
 //! * `TimeScaling` — the same quantities through FPGA-quantized
@@ -14,105 +19,42 @@
 //! * `NoTimeScaling` — raw FPGA wall latency at the slow processor clock
 //!   (the PiDRAM-style skew of §7.2).
 
-// lint: allow(det/hash-order) — HashMap is imported only for the pass
-// scratch's lookup-only metadata map (see `ServeScratch::meta`).
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use easydram_bender::Executor;
 use easydram_cpu::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
+use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
 use easydram_cpu::{CoreModel, CpuApi, Workload};
-use easydram_dram::{AddressMapper, DramDevice, LINE_BYTES};
+use easydram_dram::{AddressMapper, DramAddress, DramDevice, LINE_BYTES};
 
-use crate::alloc::{remap_table, RowCloneAllocator};
+use crate::alloc::{remap_table, RemapEntry, RowCloneAllocator};
 use crate::config::{SystemConfig, TimingMode};
 use crate::obs::{
-    self, configured_trace, EventKind, EventRing, TileMetrics, TraceConfig, TraceEvent, TraceLog,
+    configured_trace, EventKind, EventRing, TileMetrics, TraceConfig, TraceEvent, TraceLog,
 };
 use crate::obs_trace;
 use crate::report::{BankRowOutcomes, ChannelStats, ExecutionReport, RequestorStats, SmcStats};
-use crate::request::RequestKind;
+use crate::request::{MemRequest, RequestClass, RequestKind, RequestTag};
 use crate::smc::easyapi::{ApiSession, TileCtx};
-use crate::smc::{FrFcfsController, SoftwareMemoryController, TrcdPlan};
+use crate::smc::{FrFcfsController, ServeResult, SoftwareMemoryController, TrcdPlan};
 use crate::timeline::{EmulatedTimeline, TimelineDemand};
-use crate::timescale::{cycles_to_ps, ps_to_cycles_round, TimeScalingCounters};
+use crate::timescale::TimeScalingCounters;
 
-/// One serve pass's responses as the tile hands them back to the core,
-/// structure-of-arrays: entry `i` of every column describes the same
-/// response (data plus the emulated processor cycle at which the core may
-/// observe it). The batch lives in the tile's [`ServeScratch`] and is
-/// cleared — never reallocated — between passes.
-#[derive(Debug, Default)]
-struct ServedBatch {
-    ids: Vec<u64>,
-    data: Vec<Option<[u8; LINE_BYTES]>>,
-    corrupted: Vec<bool>,
-    release_cycles: Vec<u64>,
-}
-
-impl ServedBatch {
-    fn clear(&mut self) {
-        self.ids.clear();
-        self.data.clear();
-        self.corrupted.clear();
-        self.release_cycles.clear();
-    }
-
-    fn push(
-        &mut self,
-        id: u64,
-        data: Option<[u8; LINE_BYTES]>,
-        corrupted: bool,
-        release_cycle: u64,
-    ) {
-        self.ids.push(id);
-        self.data.push(data);
-        self.corrupted.push(corrupted);
-        self.release_cycles.push(release_cycle);
-    }
-
-    fn index_of(&self, id: u64) -> Option<usize> {
-        self.ids.iter().position(|&x| x == id)
-    }
-}
-
-/// What the tile remembers about a posted request while the controller
-/// reorders the batch: arrival tag, target bank, and the operation class
-/// (for per-requestor read/write accounting).
-struct ReqMeta {
-    arrival_cycle: u64,
-    bank: usize,
-    kind: ReqClass,
-}
-
-#[derive(Clone, Copy)]
-enum ReqClass {
-    Read,
-    Write,
-    RowClone,
-}
-
-/// One lane's finished controller invocation, pending pricing.
-struct LanePass {
-    lane: usize,
-    batch: u64,
-    ledger: crate::smc::easyapi::ApiLedger,
-    serve_res: crate::smc::ServeResult,
-    end_wall: u64,
-}
-
-/// Buffers the serve pass reuses across invocations so the steady-state
-/// serve loop allocates nothing: the per-lane pass records, the
-/// pricing/attribution metadata (one tile-wide map — request ids are
-/// globally unique across lanes), and the outgoing response batch.
+/// What a serve pass hands back to the core side.
 #[derive(Default)]
-struct ServeScratch {
-    passes: Vec<LanePass>,
-    // lint: allow(det/hash-order) — lookup-only (clear/insert/get, never
-    // iterated), and it must stay a HashMap: it is cleared and refilled
-    // every serve pass, and HashMap retains capacity across `clear()`
-    // while a BTreeMap would allocate nodes per insert on the hot path.
-    meta: HashMap<u64, ReqMeta>,
-    served: ServedBatch,
+struct Served {
+    /// The latest release cycle among the pass's responses; `None` when
+    /// nothing was pending.
+    latest_release: Option<u64>,
+    /// The awaited request's data, corruption flag and release cycle.
+    awaited: Option<(Option<[u8; LINE_BYTES]>, bool, u64)>,
+}
+
+/// One lane's finished controller invocation, pending pricing. The pass's
+/// ledger and responses stay in the lane's session.
+struct LanePass {
+    batch: u64,
+    serve_res: ServeResult,
 }
 
 /// One memory channel of the sharded tile: a private device (all ranks of
@@ -135,6 +77,9 @@ struct Lane {
     /// only maintained while tracing, to turn the cumulative counter into
     /// per-pass delta events.
     mit_seen: u64,
+    /// This lane's share of the serve pass in flight, between the
+    /// controller run and the pricing.
+    pass: Option<LanePass>,
 }
 
 /// The tile-side sections of an [`ExecutionReport`]: lifetime totals from
@@ -177,6 +122,12 @@ pub struct Tile {
     frozen_ps: u64,
     /// Globally unique request ids across every lane's session.
     next_req_id: u64,
+    /// The first id posted since the last serve pass. Every pass drains
+    /// every lane, so a pass's pending ids are `first_pending_id..next_req_id`.
+    first_pending_id: u64,
+    /// Which of the pass's pending ids have been answered, indexed by
+    /// `id - first_pending_id` (recycled across passes).
+    answered: Vec<bool>,
     /// The core id tagged onto subsequently posted requests
     /// ([`MemoryBackend::set_requestor`]); 0 outside multi-core runs.
     current_requestor: u32,
@@ -186,8 +137,6 @@ pub struct Tile {
     counters: TimeScalingCounters,
     stats: SmcStats,
     row_bytes: u64,
-    /// Recycled serve-pass buffers (see [`ServeScratch`]).
-    scratch: ServeScratch,
     /// Always-on latency/depth/batch histograms, accumulated in the
     /// pricing reduction (identical whether or not tracing is enabled).
     metrics: TileMetrics,
@@ -238,6 +187,7 @@ impl Tile {
                     stats: ChannelStats::default(),
                     ring: trace.map(|t| EventRing::new(t.ring_capacity)),
                     mit_seen: 0,
+                    pass: None,
                 }
             })
             .collect();
@@ -254,12 +204,13 @@ impl Tile {
             wall_ps: 0,
             frozen_ps: 0,
             next_req_id: 0,
+            first_pending_id: 0,
+            answered: Vec::new(),
             current_requestor: 0,
             requestor_stats: Vec::new(),
             counters: TimeScalingCounters::new(),
             stats: SmcStats::default(),
             row_bytes,
-            scratch: ServeScratch::default(),
             metrics: TileMetrics::default(),
             trace,
         }
@@ -485,13 +436,13 @@ impl Tile {
     }
 
     /// The cumulative counter slot of one requestor, grown on demand.
-    fn requestor_slot(&mut self, requestor: u32) -> &mut RequestorStats {
+    fn requestor_slot(stats: &mut Vec<RequestorStats>, requestor: u32) -> &mut RequestorStats {
         let idx = requestor as usize;
-        while self.requestor_stats.len() <= idx {
-            let id = self.requestor_stats.len() as u32;
-            self.requestor_stats.push(RequestorStats::new(id));
+        while stats.len() <= idx {
+            let id = stats.len() as u32;
+            stats.push(RequestorStats::new(id));
         }
-        &mut self.requestor_stats[idx]
+        &mut stats[idx]
     }
 
     fn virtual_row(&self, addr: u64) -> u64 {
@@ -539,10 +490,11 @@ impl Tile {
         now
     }
 
-    /// The channel a physical address routes to, honouring RowClone row
-    /// remaps (remapped rows live on channel 0).
-    fn route(&self, addr: u64) -> usize {
-        self.mapper.to_dram_remapped(&self.remap, addr).channel as usize
+    /// Decodes a physical address, honouring RowClone row remaps (remapped
+    /// rows live on channel 0). The one decode of a request's life outside
+    /// the controller's own charged `get_addr_mapping` calls.
+    fn decode(&self, addr: u64) -> DramAddress {
+        self.mapper.to_dram_remapped(&self.remap, addr)
     }
 
     /// Posts one request into its channel's pending stream under a globally
@@ -550,34 +502,27 @@ impl Tile {
     /// scaling experiments use this to build multi-channel batches; the
     /// normal request paths go through [`MemoryBackend`].
     pub fn post_request(&mut self, kind: RequestKind, issue_cycle: u64) -> u64 {
-        let ch = self.route(kind.addr());
-        self.post_to_channel(ch, kind, issue_cycle)
+        self.post_decoded(self.decode(kind.addr()), kind, issue_cycle)
     }
 
-    /// Posts a request to an already-routed channel (single address decode
-    /// on the hot posted-write path).
-    fn post_to_channel(&mut self, ch: usize, kind: RequestKind, issue_cycle: u64) -> u64 {
+    /// Tags a request whose address decodes to `dram` and posts it to its
+    /// channel's session.
+    fn post_decoded(&mut self, dram: DramAddress, kind: RequestKind, issue_cycle: u64) -> u64 {
         let id = self.next_req_id;
         self.next_req_id += 1;
+        let req = MemRequest::new(id, self.current_requestor, kind, issue_cycle, dram);
+        let lane = &mut self.lanes[dram.channel as usize];
         obs_trace!(
-            self.lanes[ch].ring,
+            lane.ring,
             TraceEvent::enqueue(
                 cycles_to_ps(issue_cycle, self.cfg.core.freq_hz),
                 id,
-                ch as u32,
-                self.current_requestor,
-                match kind {
-                    RequestKind::Read { .. } | RequestKind::ProfileTrcd { .. } => {
-                        obs::req_class::READ
-                    }
-                    RequestKind::Write { .. } => obs::req_class::WRITE,
-                    RequestKind::RowClone { .. } => obs::req_class::ROWCLONE,
-                }
+                dram.channel,
+                req.tag.requestor,
+                req.tag.class as u32
             )
         );
-        self.lanes[ch]
-            .session
-            .post_with_id(id, self.current_requestor, kind, issue_cycle);
+        lane.session.post(req);
         id
     }
 
@@ -585,11 +530,8 @@ impl Tile {
     /// one batched pass and returns the latest release cycle (or
     /// `trigger_cycle` when nothing was pending).
     fn drain(&mut self, trigger_cycle: u64) -> u64 {
-        self.serve_pass(trigger_cycle)
-            .release_cycles
-            .iter()
-            .copied()
-            .max()
+        self.serve_pass(trigger_cycle, None)
+            .latest_release
             .unwrap_or(trigger_cycle)
     }
 
@@ -602,40 +544,36 @@ impl Tile {
         issue_cycle: u64,
     ) -> (Option<[u8; LINE_BYTES]>, bool, u64) {
         let id = self.post_request(kind, issue_cycle);
-        let served = self.serve_pass(issue_cycle);
-        let i = served
-            .index_of(id)
-            .expect("controller must respond to every request");
-        (
-            served.data[i],
-            served.corrupted[i],
-            served.release_cycles[i],
-        )
+        self.serve_pass(issue_cycle, Some(id))
+            .awaited
+            .expect("the pass answers every pending request")
     }
 
     /// One batched serve pass over the whole pending stream (paper §4.1,
     /// Listing 1), sharded by channel: each lane with pending requests runs
     /// its own controller over its own device, and every response is priced
-    /// independently on that lane's emulated timeline from its own
+    /// independently on that lane's emulated timeline from its own tag and
     /// [`crate::request::ResponseSlice`], in controller service order — so
     /// FR-FCFS reordering really changes per-request latency *within* a
     /// channel, while channels overlap freely (the pass's frozen wall time
-    /// is the slowest lane's, not the sum).
+    /// is the slowest lane's, not the sum). That is also why the pass has
+    /// two phases: `NoTimeScaling` needs the slowest lane's wall time before
+    /// any response can be priced.
     ///
     /// `trigger_cycle` is the emulated cycle of whatever forced the drain
-    /// (the read, fence, or the posted write that found the buffer full).
-    // lint: no_alloc — the steady-state serve loop runs on recycled
-    // session/scratch buffers; any per-pass allocation is a regression.
-    fn serve_pass(&mut self, trigger_cycle: u64) -> &ServedBatch {
-        // Swap the recycled buffers out of `self` for the duration of the
-        // pass, so lane/stat mutation below never fights the borrow.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.served.clear();
-        scratch.meta.clear();
-        debug_assert!(scratch.passes.is_empty());
+    /// (the read, fence, or the posted write that found the buffer full);
+    /// `awaited` names the request whose response the caller wants back.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the id, if a controller answers a request twice,
+    /// answers one that is not pending, or leaves a pending one unanswered.
+    // lint: no_alloc — the steady-state serve loop runs on the sessions'
+    // buffers, cleared in place; any per-pass allocation is a regression.
+    fn serve_pass(&mut self, trigger_cycle: u64, awaited: Option<u64>) -> Served {
+        let mut served = Served::default();
         if self.lanes.iter().all(|l| l.session.is_empty()) {
-            self.scratch = scratch;
-            return &self.scratch.served;
+            return served;
         }
         let f_core = self.cfg.core.freq_hz;
         let mode = self.cfg.mode;
@@ -649,32 +587,21 @@ impl Tile {
         }
 
         // --- Run every live lane's controller over its own batch, in lane
-        // order, after noting the attribution metadata (arrival tag, bank,
-        // class) of each of its pending requests for the pricing below. ---
-        for (idx, lane) in self.lanes.iter_mut().enumerate() {
+        // order, checking off each response against the pending ids. The
+        // channels are concurrent hardware, so the frozen interval is the
+        // slowest lane's. ---
+        let pending_ids = self.first_pending_id..self.next_req_id;
+        self.first_pending_id = pending_ids.end;
+        self.answered.clear();
+        self.answered
+            .resize((pending_ids.end - pending_ids.start) as usize, false);
+        let mut max_end_wall = start_wall;
+        for lane in &mut self.lanes {
             if lane.session.is_empty() {
                 continue;
             }
             let batch = lane.session.len() as u64;
             self.metrics.queue_depth.record(batch);
-            for r in lane.session.pending() {
-                let bank = self.mapper.to_dram_remapped(&self.remap, r.addr()).bank;
-                let kind = match r.kind {
-                    // Profiling requests move line data to the host just
-                    // like reads; RowClone never touches the bus.
-                    RequestKind::Read { .. } | RequestKind::ProfileTrcd { .. } => ReqClass::Read,
-                    RequestKind::Write { .. } => ReqClass::Write,
-                    RequestKind::RowClone { .. } => ReqClass::RowClone,
-                };
-                scratch.meta.insert(
-                    r.id,
-                    ReqMeta {
-                        arrival_cycle: r.arrival_cycle,
-                        bank: bank as usize,
-                        kind,
-                    },
-                );
-            }
             let mut api = lane.session.begin(
                 TileCtx {
                     device: &mut lane.device,
@@ -688,30 +615,25 @@ impl Tile {
                 start_wall,
             );
             let serve_res = lane.controller.serve(&mut api);
-            let end_wall = api.wall_now_ps();
-            let ledger = lane.session.finish(api);
-            assert_eq!(
-                ledger.responses.len() as u64,
-                batch,
-                "controller must respond to every request exactly once"
-            );
-            scratch.passes.push(LanePass {
-                lane: idx,
-                batch,
-                ledger,
-                serve_res,
-                end_wall,
-            });
+            max_end_wall = max_end_wall.max(api.wall_now_ps());
+            for resp in lane.session.responses() {
+                let id = resp.tag.id;
+                assert!(
+                    pending_ids.contains(&id),
+                    "controller answered request {id}, which is not pending"
+                );
+                let slot = &mut self.answered[(id - pending_ids.start) as usize];
+                assert!(!*slot, "controller answered request {id} twice");
+                *slot = true;
+            }
+            lane.pass = Some(LanePass { batch, serve_res });
         }
-
-        // --- Wall-clock accounting: the channels are concurrent hardware, so
-        // the frozen interval is the slowest lane's. ---
-        let max_end_wall = scratch
-            .passes
-            .iter()
-            .map(|p| p.end_wall)
-            .max()
-            .unwrap_or(start_wall);
+        if let Some(missing) = self.answered.iter().position(|&a| !a) {
+            panic!(
+                "controller never answered request {}",
+                pending_ids.start + missing as u64
+            );
+        }
         self.wall_ps = max_end_wall.max(self.wall_ps);
         let wall_latency = max_end_wall.saturating_sub(base_wall);
         self.frozen_ps += wall_latency;
@@ -722,30 +644,33 @@ impl Tile {
         let t_ck = timing.t_ck_ps;
         let fixed_ps = self.cfg.mc_fixed_latency_ps;
 
-        let mut latest_release = trigger_cycle;
+        // Release cycles start at 1 (`arrival + 1` at the earliest).
+        let mut last_release = 0u64;
         let mut max_lane_cycles = 0u64;
-        for p in &scratch.passes {
+        for (ch, lane) in self.lanes.iter_mut().enumerate() {
+            let Some(p) = lane.pass.take() else { continue };
+            let ch = ch as u32;
+            let ledger = *lane.session.ledger();
             // Fold each lane's pass into the tile-wide and per-channel stats
             // through the shard merges (sums plus a max for `peak_batch`;
             // see `report.rs`).
             self.stats.merge(&SmcStats {
                 requests: p.batch,
-                rocket_cycles: p.ledger.rocket_cycles,
-                hw_cycles: p.ledger.hw_cycles,
-                batches: p.ledger.batches,
+                rocket_cycles: ledger.totals.rocket_cycles,
+                hw_cycles: ledger.hw_cycles,
+                batches: ledger.totals.batches,
                 peak_batch: p.batch,
                 serve: p.serve_res,
                 ..SmcStats::default()
             });
             self.metrics.batch_size.record(p.batch);
-            max_lane_cycles = max_lane_cycles.max(p.ledger.rocket_cycles + p.ledger.hw_cycles);
+            max_lane_cycles = max_lane_cycles.max(ledger.totals.rocket_cycles + ledger.hw_cycles);
 
-            let lane = &mut self.lanes[p.lane];
             lane.stats.merge(&ChannelStats {
                 requests: p.batch,
-                rocket_cycles: p.ledger.rocket_cycles,
-                hw_cycles: p.ledger.hw_cycles,
-                batches: p.ledger.batches,
+                rocket_cycles: ledger.totals.rocket_cycles,
+                hw_cycles: ledger.hw_cycles,
+                batches: ledger.totals.batches,
                 serve: p.serve_res,
                 ..ChannelStats::default()
             });
@@ -762,7 +687,7 @@ impl Tile {
                             lane.ring,
                             TraceEvent::mitigation(
                                 cycles_to_ps(trigger_cycle, f_core),
-                                p.lane as u32,
+                                ch,
                                 u32::try_from(delta).unwrap_or(u32::MAX),
                             )
                         );
@@ -770,23 +695,23 @@ impl Tile {
                 }
             }
 
-            for resp in &p.ledger.responses {
-                let ReqMeta {
+            for resp in lane.session.responses() {
+                let RequestTag {
+                    id,
+                    requestor,
                     arrival_cycle,
-                    bank,
-                    kind,
-                } = *scratch
-                    .meta
-                    .get(&resp.id)
-                    .expect("every response answers a posted request");
+                    class,
+                    dram,
+                } = resp.tag;
+                let bank = dram.bank as usize;
                 // Per-requestor attribution: the response's slice carries
                 // exactly this request's share of the pass.
-                let rs = self.requestor_slot(resp.requestor);
+                let rs = Self::requestor_slot(&mut self.requestor_stats, requestor);
                 rs.requests += 1;
-                match kind {
-                    ReqClass::Read => rs.reads += 1,
-                    ReqClass::Write => rs.writes += 1,
-                    ReqClass::RowClone => rs.rowclones += 1,
+                match class {
+                    RequestClass::Read => rs.reads += 1,
+                    RequestClass::Write => rs.writes += 1,
+                    RequestClass::RowClone => rs.rowclones += 1,
                 }
                 rs.row_hits += resp.slice.row_hits;
                 rs.row_misses += resp.slice.row_misses;
@@ -794,10 +719,9 @@ impl Tile {
                 rs.rocket_cycles += resp.slice.rocket_cycles;
                 rs.dram_occupancy_ps += resp.slice.dram_occupancy_ps;
                 rs.column_ops += resp.slice.column_ops;
-                let lane = &mut self.lanes[p.lane];
                 // Per-bank row-buffer outcome histogram: the response slice
                 // carries exactly this request's hits/misses/conflicts, and
-                // the metadata hoist already decoded its bank.
+                // its tag the decoded bank.
                 if lane.stats.row_outcomes_per_bank.len() <= bank {
                     lane.stats
                         .row_outcomes_per_bank
@@ -841,55 +765,43 @@ impl Tile {
                     }
                 };
                 let release_cycle = release_cycle.max(arrival_cycle + 1);
-                latest_release = latest_release.max(release_cycle);
+                last_release = last_release.max(release_cycle);
+                if awaited == Some(id) {
+                    served.awaited = Some((resp.data, resp.corrupted, release_cycle));
+                }
                 // Always-on latency metrics: identical whether or not
                 // tracing is enabled.
                 let latency_cycles = release_cycle - arrival_cycle;
                 self.metrics.request_latency.record(latency_cycles);
-                match kind {
-                    ReqClass::Read => self.metrics.read_latency.record(latency_cycles),
-                    ReqClass::Write => self.metrics.write_latency.record(latency_cycles),
-                    ReqClass::RowClone => {}
+                match class {
+                    RequestClass::Read => self.metrics.read_latency.record(latency_cycles),
+                    RequestClass::Write => self.metrics.write_latency.record(latency_cycles),
+                    RequestClass::RowClone => {}
                 }
                 obs_trace!(
                     lane.ring,
-                    TraceEvent::issue(
-                        cycles_to_ps(trigger_cycle, f_core),
-                        resp.id,
-                        p.lane as u32,
-                        resp.requestor
-                    )
+                    TraceEvent::issue(cycles_to_ps(trigger_cycle, f_core), id, ch, requestor)
                 );
                 obs_trace!(
                     lane.ring,
-                    TraceEvent::slice_release(
-                        finish_mem_ps,
-                        resp.id,
-                        p.lane as u32,
-                        resp.requestor
-                    )
+                    TraceEvent::slice_release(finish_mem_ps, id, ch, requestor)
                 );
                 obs_trace!(
                     lane.ring,
                     TraceEvent::retire(
                         cycles_to_ps(release_cycle, f_core),
-                        resp.id,
-                        p.lane as u32,
-                        resp.requestor,
-                        match kind {
-                            ReqClass::Read => obs::req_class::READ,
-                            ReqClass::Write => obs::req_class::WRITE,
-                            ReqClass::RowClone => obs::req_class::ROWCLONE,
-                        }
+                        id,
+                        ch,
+                        requestor,
+                        class as u32
                     )
                 );
-                scratch
-                    .served
-                    .push(resp.id, resp.data, resp.corrupted, release_cycle);
             }
         }
 
+        served.latest_release = Some(last_release);
         if mode == TimingMode::TimeScaling {
+            let latest_release = trigger_cycle.max(last_release);
             // Fig. 5 ⑤/⑪: convert the pass duration and advance the MC
             // counter; each response is tagged with its release cycle and
             // the processors resume. The global FPGA counter advances by the
@@ -900,16 +812,22 @@ impl Tile {
             self.counters.exit_critical();
             self.counters.tick_global(max_lane_cycles);
         }
+        served
+    }
 
-        // Give every pass's response buffer back to its lane's session and
-        // stow the scratch for the next pass.
-        for p in scratch.passes.drain(..) {
-            self.lanes[p.lane]
-                .session
-                .recycle_responses(p.ledger.responses);
-        }
-        self.scratch = scratch;
-        &self.scratch.served
+    /// Installs RowClone row remaps. Request tags carry their post-time
+    /// decode, so a remap may only cover rows no pending request targets —
+    /// which holds because the rows were bump-allocated just now.
+    fn install_remaps(&mut self, remaps: &[RemapEntry]) {
+        let table = remap_table(remaps);
+        debug_assert!(
+            self.lanes
+                .iter()
+                .flat_map(|l| l.session.pending())
+                .all(|r| !table.contains_key(&self.virtual_row(r.addr()))),
+            "a pending request targets a row being remapped"
+        );
+        self.remap.extend(table);
     }
 
     fn bump_alloc(&mut self, bytes: u64, align: u64) -> u64 {
@@ -972,8 +890,8 @@ impl MemoryBackend for Tile {
 
     fn post_write(&mut self, line_addr: u64, data: [u8; LINE_BYTES], issue_cycle: u64) -> u64 {
         self.stats.posted_writes += 1;
-        let ch = self.route(line_addr);
-        let accepted = if self.lanes[ch].session.is_full() {
+        let dram = self.decode(line_addr);
+        let accepted = if self.lanes[dram.channel as usize].session.is_full() {
             // Bounded per-channel write buffer: make room by draining what
             // accumulated (all lanes — the pass overlaps them anyway).
             self.stats.forced_drains += 1;
@@ -981,8 +899,8 @@ impl MemoryBackend for Tile {
         } else {
             issue_cycle
         };
-        self.post_to_channel(
-            ch,
+        self.post_decoded(
+            dram,
             RequestKind::Write {
                 addr: line_addr,
                 data,
@@ -1062,7 +980,7 @@ impl MemoryBackend for Tile {
                 "remap pool collided with heap"
             );
         }
-        self.remap.extend(remap_table(&plan.remaps));
+        self.install_remaps(&plan.remaps);
         for (i, &ok) in plan.clonable.iter().enumerate() {
             self.clonable
                 .insert((src_base / rb + i as u64, dst_base / rb + i as u64), ok);
@@ -1082,7 +1000,7 @@ impl MemoryBackend for Tile {
             self.allocator
                 .plan_init(&var, n_rows, dst_base / rb, src_base / rb)?
         };
-        self.remap.extend(remap_table(&plan.remaps));
+        self.install_remaps(&plan.remaps);
         for (j, src) in plan.sources.iter().enumerate() {
             if let Some(s) = src {
                 self.init_sources.insert(dst_base / rb + j as u64, *s);
@@ -1496,6 +1414,54 @@ mod tests {
         // stats describe only its own 4 loads, not the earlier burst.
         assert_eq!(lone.smc.serve.served, lone.smc.requests);
         assert_eq!(lone.smc.serve.served, 4);
+    }
+
+    /// FCFS, except that a posted write is either swallowed or answered
+    /// under the tag of the batch's newest request.
+    struct MishandlesWrites {
+        swallow: bool,
+    }
+
+    impl SoftwareMemoryController for MishandlesWrites {
+        fn name(&self) -> &str {
+            "mishandles-writes"
+        }
+
+        fn serve(&mut self, api: &mut crate::EasyApi<'_>) -> ServeResult {
+            api.receive_all();
+            let newest = *api.request_table().last().expect("a non-empty batch");
+            while let Some(idx) = api.schedule_fcfs() {
+                let req = api.take_request(idx);
+                match req.tag.class {
+                    RequestClass::Write if self.swallow => {}
+                    RequestClass::Write => api.enqueue_response(&newest, None, false),
+                    _ => api.enqueue_response(&req, Some([0; LINE_BYTES]), false),
+                }
+            }
+            ServeResult::default()
+        }
+    }
+
+    /// A posted write (id 0) and the read (id 1) that drains it, through a
+    /// controller that mishandles the write.
+    fn mishandle_a_write(swallow: bool) {
+        let mut s = sys(TimingMode::Reference);
+        s.install_controller(Box::new(MishandlesWrites { swallow }));
+        let a = s.cpu().alloc(128, 64);
+        s.tile_mut().post_write(a, [1; LINE_BYTES], 0);
+        s.tile_mut().read_line(a + 64, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "controller answered request 1 twice")]
+    fn answering_one_request_twice_panics() {
+        mishandle_a_write(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "controller never answered request 0")]
+    fn swallowing_a_posted_write_panics() {
+        mishandle_a_write(true);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Time-scaling counters and clock-domain conversions (paper §4.3, Fig. 5).
+//! Time-scaling counters (paper §4.3, Fig. 5); the clock-domain conversions
+//! they are fed through live in `easydram_cpu::timescale`.
 //!
 //! Time scaling tracks three counters: the **processor cycle counter** (the
 //! emulation point of the processor domain, in emulated processor cycles),
@@ -9,13 +10,6 @@
 //! memory controller finishes a command batch it converts the time spent
 //! into emulated cycles, advances the MC counter, and tags the response with
 //! the processor-cycle value at which it may be consumed.
-
-// The conversion helpers live in `easydram_cpu::timescale` — the bottom of
-// the dependency stack — so the core model's own wall-time conversions (the
-// MMIO round-trip of a RowClone trigger) share the exact same half-up policy
-// as the memory system. Re-exported here so controller and tile code keeps
-// its historical import path.
-pub use easydram_cpu::timescale::{cycles_to_ps, ns_to_cycles_round, ps_to_cycles_round};
 
 /// The three time-scaling counters (paper Fig. 5, right side).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,6 +93,7 @@ impl TimeScalingCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
 
     #[test]
     fn conversions_round_trip_on_grid() {

@@ -6,9 +6,11 @@
 //! writes and writebacks into the tile's pending FIFO without blocking, and
 //! a read (or fence, or a full write buffer) forces a drain. Your `serve`
 //! is then invoked over the whole accumulated batch at once — the request
-//! table can hold many in-flight requests, and everything you spend between
-//! one `enqueue_response` and the next is attributed to that response, so
-//! every request gets its own release cycle. See `docs/API.md` for the full
+//! table can hold many in-flight requests. `enqueue_response(&req, ..)`
+//! copies the request's tag onto its response (answer every request exactly
+//! once — the tile checks), and everything you spend between one
+//! `enqueue_response` and the next is attributed to that response, so every
+//! request gets its own release cycle. See `docs/API.md` for the full
 //! lifecycle and the migration notes.
 //!
 //! ```sh
@@ -58,7 +60,7 @@ impl SoftwareMemoryController for ListingOneController {
                     // Send request response to the processor; the cycles
                     // spent since the previous response become this one's
                     // timing slice.
-                    api.enqueue_response(req.id, Some(data), corrupted);
+                    api.enqueue_response(&req, Some(data), corrupted);
                     result.row_misses += 1;
                 }
                 RequestKind::Write { data, .. } => {
@@ -66,12 +68,12 @@ impl SoftwareMemoryController for ListingOneController {
                     api.ddr_write(addr.bank, addr.col, data).unwrap();
                     api.ddr_precharge(addr.bank).unwrap();
                     api.flush_commands().unwrap();
-                    api.enqueue_response(req.id, None, false);
+                    api.enqueue_response(&req, None, false);
                     result.row_misses += 1;
                 }
                 _ => {
                     // This minimal controller serves only reads and writes.
-                    api.enqueue_response(req.id, None, false);
+                    api.enqueue_response(&req, None, false);
                 }
             }
             result.served += 1;
