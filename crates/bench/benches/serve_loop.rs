@@ -1,18 +1,18 @@
 //! Criterion benches for the serve loop's timing back ends: the precomputed
 //! timing-table hot path vs the rule-based oracle checker it replaced.
 //!
-//! The offline criterion shim reports wall-clock means but keeps no saved
-//! baselines, so the ≥[`SIM_SPEED_THRESHOLD`]× regression threshold is
-//! enforced here directly on median timings (same gate as the
-//! `fig14_sim_speed` harness). A second gate prices the observability
-//! layer: with tracing off (the gate hoisted out of the command loop, as
-//! in the tile's serve pass), the kernel must stay within
-//! [`OBS_OVERHEAD_LIMIT`]× of the bare kernel's median.
+//! The table-vs-oracle regression threshold is enforced by the
+//! `fig14_sim_speed` harness, which records it. The gate here prices the
+//! observability layer: with tracing off (the gate hoisted out of the
+//! command loop, as in the tile's serve pass), the kernel must stay within
+//! [`OBS_OVERHEAD_LIMIT`]× of the bare kernel's median. The offline
+//! criterion shim keeps no saved baselines, so it is enforced directly on
+//! median timings.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use easydram_bench::{
     median_ns_per_cmd, run_oracle_kernel, run_table_kernel, run_table_kernel_obs,
-    sim_speed_geometry, sim_speed_stream, OBS_OVERHEAD_LIMIT, SIM_SPEED_THRESHOLD,
+    sim_speed_geometry, sim_speed_stream, OBS_OVERHEAD_LIMIT,
 };
 use easydram_dram::TimingParams;
 
@@ -44,20 +44,6 @@ fn serve_loop(c: &mut Criterion) {
         });
     });
     g.finish();
-
-    let table_ns = median_ns_per_cmd(5, commands, || {
-        run_table_kernel(&geometry, &timing, &stream)
-    });
-    let oracle_ns = median_ns_per_cmd(5, commands, || {
-        run_oracle_kernel(&geometry, &timing, &stream)
-    });
-    let speedup = oracle_ns / table_ns;
-    println!("serve_loop speedup: {speedup:.2}x (threshold {SIM_SPEED_THRESHOLD:.1}x)");
-    assert!(
-        speedup >= SIM_SPEED_THRESHOLD,
-        "serve-loop regression: timing table is only {speedup:.2}x faster than the oracle \
-         (threshold {SIM_SPEED_THRESHOLD:.1}x)"
-    );
 
     // Observability gate: tracing off must be free (within noise). Each
     // round measures the pair back to back so host frequency drift cancels

@@ -6,91 +6,11 @@
 //! 36.7× (51.3×); with time scaling Copy 15.0× (17.4×), Init 1.8× (2.0×);
 //! Ramulator 2.0 Copy 27.2× (33.0×), Init 17.3× (21.0×).
 
-use easydram::TimingMode;
-use easydram_bench::{fmt_size, geomean, jetson, micro_sizes, pidram, print_table, ramulator, Sim};
-use easydram_workloads::micro::{CpuCopy, CpuInit, FlushMode, RowCloneCopy, RowCloneInit};
-
-fn speedup_copy(mut sim: impl FnMut() -> Sim, bytes: u64) -> f64 {
-    let base = sim().measure(&mut CpuCopy::new(bytes));
-    let rc = sim().measure(&mut RowCloneCopy::new(bytes, FlushMode::NoFlush));
-    base as f64 / rc.max(1) as f64
-}
-
-fn speedup_init(mut sim: impl FnMut() -> Sim, bytes: u64) -> f64 {
-    let base = sim().measure(&mut CpuInit::new(bytes));
-    let rc = sim().measure(&mut RowCloneInit::new(bytes, FlushMode::NoFlush));
-    base as f64 / rc.max(1) as f64
-}
+use easydram_bench::{geomean, rowclone_speedup_figure};
+use easydram_workloads::micro::FlushMode;
 
 fn main() {
-    let sizes = micro_sizes();
-    let mut copy_rows = Vec::new();
-    let mut init_rows = Vec::new();
-    let mut acc: [Vec<f64>; 6] = Default::default();
-    for &bytes in &sizes {
-        let c_nots = speedup_copy(|| Sim::Easy(Box::new(pidram())), bytes);
-        let c_ts = speedup_copy(
-            || Sim::Easy(Box::new(jetson(TimingMode::TimeScaling))),
-            bytes,
-        );
-        let c_ram = speedup_copy(|| Sim::Ram(Box::new(ramulator())), bytes);
-        let i_nots = speedup_init(|| Sim::Easy(Box::new(pidram())), bytes);
-        let i_ts = speedup_init(
-            || Sim::Easy(Box::new(jetson(TimingMode::TimeScaling))),
-            bytes,
-        );
-        let i_ram = speedup_init(|| Sim::Ram(Box::new(ramulator())), bytes);
-        for (v, x) in acc
-            .iter_mut()
-            .zip([c_nots, c_ts, c_ram, i_nots, i_ts, i_ram])
-        {
-            v.push(x);
-        }
-        copy_rows.push(vec![
-            fmt_size(bytes),
-            format!("{c_nots:.1}"),
-            format!("{c_ts:.1}"),
-            format!("{c_ram:.1}"),
-        ]);
-        init_rows.push(vec![
-            fmt_size(bytes),
-            format!("{i_nots:.1}"),
-            format!("{i_ts:.1}"),
-            format!("{i_ram:.1}"),
-        ]);
-        eprintln!("  done {}", fmt_size(bytes));
-    }
-    let header = ["size", "EasyDRAM-NoTS", "EasyDRAM-TS", "Ramulator-2.0"];
-    print_table(
-        "Figure 10(a): RowClone - No Flush Copy speedup",
-        &header,
-        &copy_rows,
-    );
-    print_table(
-        "Figure 10(b): RowClone - No Flush Init speedup",
-        &header,
-        &init_rows,
-    );
-    let max = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
-    println!("\nAverages (maxima) over all sizes:");
-    println!(
-        "  Copy: NoTS {:.1}x ({:.1}x) | TS {:.1}x ({:.1}x) | Ramulator {:.1}x ({:.1}x)",
-        geomean(&acc[0]),
-        max(&acc[0]),
-        geomean(&acc[1]),
-        max(&acc[1]),
-        geomean(&acc[2]),
-        max(&acc[2])
-    );
-    println!(
-        "  Init: NoTS {:.1}x ({:.1}x) | TS {:.1}x ({:.1}x) | Ramulator {:.1}x ({:.1}x)",
-        geomean(&acc[3]),
-        max(&acc[3]),
-        geomean(&acc[4]),
-        max(&acc[4]),
-        geomean(&acc[5]),
-        max(&acc[5])
-    );
+    let acc = rowclone_speedup_figure(FlushMode::NoFlush, "Figure 10", 1);
     println!(
         "\nShape check (paper): NoTS >> TS for both; Ramulator > TS; \
          skew factor Copy NoTS/TS = {:.1}x (paper ~20x)",

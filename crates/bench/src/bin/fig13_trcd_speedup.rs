@@ -20,7 +20,6 @@ const COVERED_ROWS: u32 = 2_048;
 fn easydram_speedup(name: &str, size: PolySize) -> f64 {
     let run = |reduce: bool| {
         let cfg = SystemConfig::jetson_nano(TimingMode::TimeScaling);
-        easydram_bench::validate_system_timing("fig13 EasyDRAM config", &cfg);
         let mut sys = System::new(cfg);
         if reduce {
             sys.enable_trcd_reduction(COVERED_ROWS, REDUCED_TRCD_PS);

@@ -15,10 +15,11 @@
 //! if the table path is less than [`SIM_SPEED_THRESHOLD`]× faster. This is
 //! the CI regression gate for the hot-path rewrite.
 
+use easydram::json::JsonWriter;
 use easydram::{System, SystemConfig, TimingMode};
 use easydram_bench::{
     geomean, median_ns_per_cmd, print_table, quick, ramulator, run_oracle_kernel, run_table_kernel,
-    sim_speed_geometry, sim_speed_stream, write_sim_speed_json, SIM_SPEED_THRESHOLD,
+    sim_speed_geometry, sim_speed_stream, write_record, SIM_SPEED_THRESHOLD,
 };
 use easydram_dram::TimingParams;
 use easydram_workloads::{fig13_names, polybench, PolySize};
@@ -34,7 +35,6 @@ fn main() {
     let mut best: Option<(String, f64)> = None;
     for name in fig13_names() {
         let cfg = SystemConfig::jetson_nano(TimingMode::TimeScaling);
-        easydram_bench::validate_system_timing("fig14 EasyDRAM config", &cfg);
         let mut sys = System::new(cfg);
         let mut w = polybench::by_name(name, size).expect("kernel");
         let er = sys.run(w.as_mut());
@@ -126,16 +126,20 @@ fn serve_loop_regression_gate() {
         "\nTiming-table hot path is {speedup:.2}x faster than the rule-based oracle \
          ({commands} commands, median of {samples} samples; threshold {SIM_SPEED_THRESHOLD:.1}x)."
     );
-    if let Err(e) = write_sim_speed_json(
-        "target/sim-speed.json",
-        commands,
-        samples,
-        table_ns,
-        oracle_ns,
-    ) {
-        eprintln!("warning: could not write target/sim-speed.json: {e}");
-    }
-    if speedup < SIM_SPEED_THRESHOLD {
+    let pass = speedup >= SIM_SPEED_THRESHOLD;
+    let mut w = JsonWriter::new();
+    w.begin_object().key("commands").number(commands);
+    w.key("samples").number(samples);
+    w.key("table_ns_per_cmd")
+        .number(format_args!("{table_ns:.3}"));
+    w.key("oracle_ns_per_cmd")
+        .number(format_args!("{oracle_ns:.3}"));
+    w.key("speedup").number(format_args!("{speedup:.3}"));
+    w.key("threshold")
+        .number(format_args!("{SIM_SPEED_THRESHOLD:.1}"));
+    w.key("pass").bool(pass).end_object();
+    write_record("target/sim-speed.json", &w.finish());
+    if !pass {
         eprintln!(
             "FAIL: serve-loop speedup {speedup:.2}x is below the {SIM_SPEED_THRESHOLD:.1}x \
              regression threshold"

@@ -15,8 +15,9 @@
 //! The per-channel request totals come from the new per-channel report
 //! counters and demonstrate that the interleave spreads traffic evenly.
 
+use easydram::json::JsonWriter;
 use easydram::{RequestKind, System, SystemConfig, TimingMode};
-use easydram_bench::{print_table, quick};
+use easydram_bench::{print_table, quick, write_record};
 use easydram_cpu::backend::MemoryBackend;
 use easydram_workloads::{polybench, PolySize};
 
@@ -28,7 +29,6 @@ fn jetson_with_channels(channels: u32, mode: TimingMode) -> System {
     if quick() {
         cfg.rowclone_test_trials = 100;
     }
-    easydram_bench::validate_system_timing("channel-sweep config", &cfg);
     System::new(cfg)
 }
 
@@ -124,14 +124,17 @@ fn main() {
     );
 
     // Machine-readable record for repro_all / bench-report.json consumers.
-    let entries: Vec<(u32, u64, f64)> = stream_results
-        .iter()
-        .map(|&(ch, cycles, speedup)| (ch, cycles, speedup))
-        .collect();
-    match easydram_bench::write_channel_sweep_json("target/channel-sweep.json", reads, &entries) {
-        Ok(()) => println!("\nwrote target/channel-sweep.json"),
-        Err(e) => eprintln!("\ncould not write target/channel-sweep.json: {e}"),
+    let mut w = JsonWriter::new();
+    w.begin_object().key("stream_reads").number(reads);
+    w.key("channels").begin_array();
+    for &(ch, cycles, speedup) in &stream_results {
+        w.begin_object().key("channels").number(ch);
+        w.key("stream_cycles").number(cycles);
+        w.key("speedup").number(format_args!("{speedup:.3}"));
+        w.end_object();
     }
+    w.end_array().end_object();
+    write_record("target/channel-sweep.json", &w.finish());
     let (_, two_cycles, two_speedup) = stream_results[1];
     println!(
         "\nchannel_sweep: stream_reads={reads} one_ch_cycles={base} two_ch_cycles={two_cycles} \

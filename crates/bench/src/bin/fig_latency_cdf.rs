@@ -19,10 +19,11 @@
 //! Leaves `target/latency-cdf.json` behind for `repro_all` to embed into
 //! bench-report schema 7 under `latency_cdf`.
 
+use easydram::json::JsonWriter;
 use easydram::{
     validate_chrome_json, MultiCoreSystem, SystemConfig, TimingMode, TraceConfig, TraceLog,
 };
-use easydram_bench::{print_table, quick, write_latency_cdf_json};
+use easydram_bench::{print_table, quick, write_record};
 use easydram_cpu::CacheConfig;
 use easydram_workloads::lmbench::LatMemRd;
 use easydram_workloads::StreamWriter;
@@ -49,7 +50,6 @@ fn rig(trace: Option<TraceConfig>) -> SystemConfig {
         hit_latency_cycles: 12,
     });
     cfg.trace = trace;
-    easydram_bench::validate_system_timing("latency-cdf rig", &cfg);
     cfg
 }
 
@@ -148,16 +148,16 @@ fn main() {
     );
     println!("observer effect: zero (traced and untraced reports byte-identical).");
 
-    match write_latency_cdf_json(
-        "target/latency-cdf.json",
-        m.request_latency.count,
-        (p50, p95, p99),
-        log.events.len(),
-        log.dropped,
-    ) {
-        Ok(()) => println!("wrote target/latency-cdf.json"),
-        Err(e) => eprintln!("could not write target/latency-cdf.json: {e}"),
-    }
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .key("requests")
+        .number(m.request_latency.count);
+    w.key("p50_cycles").number(p50);
+    w.key("p95_cycles").number(p95);
+    w.key("p99_cycles").number(p99);
+    w.key("trace_events").number(log.events.len());
+    w.key("trace_dropped").number(log.dropped).end_object();
+    write_record("target/latency-cdf.json", &w.finish());
     println!(
         "latency_cdf: requests={} p50={p50} p95={p95} p99={p99} trace_events={} dropped={}",
         m.request_latency.count,

@@ -21,8 +21,9 @@
 //! much: it bounds how far ahead of the chase the writer may price
 //! traffic (see `QUANTUM` below).
 
+use easydram::json::JsonWriter;
 use easydram::{MultiCoreSystem, SystemConfig, TimingMode};
-use easydram_bench::{print_table, quick, write_multicore_contention_json};
+use easydram_bench::{print_table, quick, write_record};
 use easydram_cpu::CacheConfig;
 use easydram_workloads::lmbench::LatMemRd;
 use easydram_workloads::StreamWriter;
@@ -52,7 +53,6 @@ fn rig(channels: u32) -> SystemConfig {
         ways: 4,
         hit_latency_cycles: 12,
     });
-    easydram_bench::validate_system_timing("multicore-contention rig", &cfg);
     cfg
 }
 
@@ -138,15 +138,21 @@ fn main() {
         &rows,
     );
 
-    let entries: Vec<(u32, f64, f64, f64)> = points
-        .iter()
-        .map(|p| (p.channels, p.solo_cpl, p.corun_cpl, p.degradation))
-        .collect();
-    match write_multicore_contention_json("target/multicore-contention.json", chase_loads, &entries)
-    {
-        Ok(()) => println!("\nwrote target/multicore-contention.json"),
-        Err(e) => eprintln!("\ncould not write target/multicore-contention.json: {e}"),
+    let mut w = JsonWriter::new();
+    w.begin_object().key("chase_loads").number(chase_loads);
+    w.key("channels").begin_array();
+    for p in &points {
+        w.begin_object().key("channels").number(p.channels);
+        w.key("solo_cycles_per_load")
+            .number(format_args!("{:.3}", p.solo_cpl));
+        w.key("corun_cycles_per_load")
+            .number(format_args!("{:.3}", p.corun_cpl));
+        w.key("degradation")
+            .number(format_args!("{:.3}", p.degradation));
+        w.end_object();
     }
+    w.end_array().end_object();
+    write_record("target/multicore-contention.json", &w.finish());
 
     let one = points[0].degradation;
     let two = points[1].degradation;

@@ -14,10 +14,11 @@
 //! HCfirst min / 2) both hold at 0 flips within 1.3× emulated-cycle
 //! overhead.
 
+use easydram::json::JsonWriter;
 use easydram::{
     GrapheneController, ParaController, SoftwareMemoryController, System, SystemConfig, TimingMode,
 };
-use easydram_bench::{print_table, quick, write_rowhammer_json, RowhammerPoint};
+use easydram_bench::{print_table, quick, write_record};
 use easydram_workloads::{HammerKernel, HammerPattern, Workload};
 
 /// The seeded per-row disturbance-threshold range of the rig.
@@ -39,11 +40,27 @@ const GRAPHENE_THRESHOLD: u64 = HC_EFFECTIVE_MIN / 2;
 /// Victim row of the attack (mid-subarray, well above the heap region).
 const VICTIM_ROW: u32 = 500;
 
+/// One measured cell of the sweep: an attack intensity against one defense.
+struct RowhammerPoint {
+    /// Installed defense: `"none"`, `"para"`, or `"graphene"`.
+    defense: String,
+    /// Activations issued per aggressor row.
+    iterations: u64,
+    /// Net victim bits the integrity checker found flipped.
+    flips: u64,
+    /// Emulated cycles of the hammer loop.
+    cycles: u64,
+    /// Targeted (per-row) refreshes the defense spent.
+    targeted_refreshes: u64,
+    /// Emulated-cycle overhead relative to the unmitigated run at the same
+    /// intensity.
+    overhead: f64,
+}
+
 fn rig() -> SystemConfig {
     let mut cfg = SystemConfig::small_for_tests(TimingMode::Reference);
     cfg.dram.variation.disturb_enabled = true;
     cfg.dram.variation.hc_first = HC_FIRST;
-    easydram_bench::validate_system_timing("rowhammer rig", &cfg);
     cfg
 }
 
@@ -135,10 +152,19 @@ fn main() {
         &rows,
     );
 
-    match write_rowhammer_json("target/rowhammer.json", &points) {
-        Ok(()) => println!("\nwrote target/rowhammer.json"),
-        Err(e) => eprintln!("\ncould not write target/rowhammer.json: {e}"),
+    let mut w = JsonWriter::new();
+    w.begin_object().key("points").begin_array();
+    for p in &points {
+        w.begin_object().key("defense").string(&p.defense);
+        w.key("iterations").number(p.iterations);
+        w.key("flips").number(p.flips);
+        w.key("cycles").number(p.cycles);
+        w.key("targeted_refreshes").number(p.targeted_refreshes);
+        w.key("overhead").number(format_args!("{:.3}", p.overhead));
+        w.end_object();
     }
+    w.end_array().end_object();
+    write_record("target/rowhammer.json", &w.finish());
 
     // The regression contract (mirrors the tier-1 integration test).
     let top = *intensities.last().expect("non-empty sweep");

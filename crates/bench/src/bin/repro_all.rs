@@ -3,43 +3,82 @@
 //! perf trajectory can be tracked across commits.
 //!
 //! Equivalent to running each `figNN_*`/`table1_*`/`validate_*` binary; see
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! `EXPERIMENTS.md` for the paper-vs-measured record. `repro_all --check
+//! <record>...` runs only the structural check of section records.
 
 use std::process::Command;
 use std::time::Instant;
 
-use easydram::{SystemConfig, TimingMode};
-use easydram_bench::validate_system_timing;
-use easydram_ramulator::RamulatorConfig;
+use easydram::json::key_paths;
+use easydram_bench::{bench_report_json, write_record};
 
-/// Fail-fast gate over every canonical timing bin the harnesses below will
-/// build, before any of them spends wall-clock: a contradictory bin aborts
-/// the whole reproduction with structured `TimingContradiction` diagnostics
-/// instead of surfacing as one harness's mystery failure mid-sequence.
-fn validate_all_timing_configs() {
-    validate_system_timing(
-        "jetson-nano (time scaling)",
-        &SystemConfig::jetson_nano(TimingMode::TimeScaling),
-    );
-    validate_system_timing(
-        "jetson-nano (reference)",
-        &SystemConfig::jetson_nano(TimingMode::Reference),
-    );
-    validate_system_timing("pidram-like", &SystemConfig::pidram_like());
-    validate_system_timing(
-        "validation-1ghz",
-        &SystemConfig::validation_1ghz(TimingMode::TimeScaling),
-    );
-    validate_system_timing(
-        "small-for-tests",
-        &SystemConfig::small_for_tests(TimingMode::Reference),
-    );
-    easydram_bench::validate_timing("ramulator baseline", &RamulatorConfig::default().timing);
-    println!("timing configurations validated (check_consistency clean).");
+/// The sweep records the harnesses leave behind for the bench report: the
+/// report's section key (the record is `target/<key, dashed>.json`), the
+/// harness that writes it, and the key paths downstream tooling reads.
+const SECTIONS: [(&str, &str, &str); 5] = [
+    (
+        "channel_sweep",
+        "fig_channel_sweep",
+        "stream_reads channels.channels channels.stream_cycles channels.speedup",
+    ),
+    (
+        "multicore_contention",
+        "fig_multicore_contention",
+        "chase_loads channels.channels channels.solo_cycles_per_load \
+         channels.corun_cycles_per_load channels.degradation",
+    ),
+    (
+        "rowhammer",
+        "fig_rowhammer",
+        "points.defense points.iterations points.flips points.cycles \
+         points.targeted_refreshes points.overhead",
+    ),
+    (
+        "sim_speed",
+        "fig14_sim_speed",
+        "commands samples table_ns_per_cmd oracle_ns_per_cmd speedup threshold pass",
+    ),
+    (
+        "latency_cdf",
+        "fig_latency_cdf",
+        "requests p50_cycles p95_cycles p99_cycles trace_events trace_dropped",
+    ),
+];
+
+fn record_path(key: &str) -> String {
+    format!("target/{}.json", key.replace('_', "-"))
+}
+
+/// Reads the section record at `path` and checks it structurally: the
+/// document is well-formed and carries every key path of its section.
+fn checked_section(path: &str) -> Result<String, String> {
+    let (.., fields) = SECTIONS
+        .iter()
+        .find(|(key, ..)| record_path(key) == path)
+        .ok_or_else(|| format!("{path} is not a bench-report section"))?;
+    let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let paths = key_paths(&json).map_err(|e| format!("{path}: {e}"))?;
+    match fields.split_whitespace().find(|f| !paths.contains(*f)) {
+        Some(missing) => Err(format!("{path} is missing `{missing}`")),
+        None => Ok(json),
+    }
 }
 
 fn main() {
-    validate_all_timing_configs();
+    // `repro_all --check <record>...`: only the structural section check,
+    // over records an earlier harness run left behind (CI's gate).
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some((flag, records)) = args.split_first() {
+        assert_eq!(flag, "--check", "usage: repro_all [--check <record>...]");
+        for path in records {
+            if let Err(e) = checked_section(path) {
+                eprintln!("{e}");
+                std::process::exit(1);
+            }
+            println!("{path}: section check passed");
+        }
+        return;
+    }
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");
     let bins = [
@@ -58,11 +97,9 @@ fn main() {
     ];
     // Stale sweep records must not masquerade as this run's numbers — the
     // aggregate report included.
-    std::fs::remove_file("target/channel-sweep.json").ok();
-    std::fs::remove_file("target/multicore-contention.json").ok();
-    std::fs::remove_file("target/rowhammer.json").ok();
-    std::fs::remove_file("target/sim-speed.json").ok();
-    std::fs::remove_file("target/latency-cdf.json").ok();
+    for (key, ..) in SECTIONS {
+        std::fs::remove_file(record_path(key)).ok();
+    }
     std::fs::remove_file("target/trace.json").ok();
     std::fs::remove_file("target/trace.bin").ok();
     std::fs::remove_file("target/bench-report.json").ok();
@@ -77,103 +114,25 @@ fn main() {
         }
         runs.push((bin.to_string(), ok, t0.elapsed().as_secs_f64()));
     }
-    let report_path = "target/bench-report.json";
-    // The channel sweep leaves a per-channel record behind; embed it so the
-    // bench report carries the scaling trajectory alongside pass/fail. Only
-    // a record produced by a *successful* run of this sequence qualifies.
-    let section_ok = |bin: &str| runs.iter().any(|(name, ok, _)| name == bin && *ok);
-    let sections: Vec<(&str, String)> = [
-        (
-            "channel_sweep",
-            "fig_channel_sweep",
-            "target/channel-sweep.json",
-        ),
-        (
-            "multicore_contention",
-            "fig_multicore_contention",
-            "target/multicore-contention.json",
-        ),
-        ("rowhammer", "fig_rowhammer", "target/rowhammer.json"),
-        ("sim_speed", "fig14_sim_speed", "target/sim-speed.json"),
-        ("latency_cdf", "fig_latency_cdf", "target/latency-cdf.json"),
-    ]
-    .into_iter()
-    .filter_map(|(key, bin, path)| {
-        std::fs::read_to_string(path)
-            .ok()
-            .filter(|_| section_ok(bin))
-            .map(|json| (key, json))
-    })
-    .collect();
-    let wrote =
-        match easydram_bench::write_bench_report_with_sections(report_path, &runs, &sections) {
-            Ok(()) => {
-                println!("\nwrote {report_path}");
-                true
-            }
-            Err(e) => {
-                eprintln!("\ncould not write {report_path}: {e}");
-                false
-            }
-        };
-    // Schema-8 contract: the report written by *this* run must self-identify
-    // as schema 8 and, when the relevant harness succeeded, carry its
-    // section with the fields downstream tooling keys on. (The files were
-    // removed up front, so a failed write cannot validate stale data.)
-    if wrote {
-        let report = std::fs::read_to_string(report_path).expect("just wrote the report");
-        assert!(
-            report.contains("\"schema\": 8"),
-            "bench report must declare schema 8"
-        );
-        if section_ok("fig_rowhammer") {
-            for field in [
-                "\"rowhammer\": {",
-                "\"defense\"",
-                "\"iterations\"",
-                "\"flips\"",
-                "\"targeted_refreshes\"",
-                "\"overhead\"",
-            ] {
-                assert!(
-                    report.contains(field),
-                    "schema-5 rowhammer section is missing {field}"
-                );
+    // Embed each sweep record, so the bench report carries the trajectories
+    // alongside pass/fail. Only a record produced by a *successful* run of
+    // this sequence qualifies (the files were removed up front), and it must
+    // pass the structural check: a malformed section fails the reproduction.
+    let mut sections = Vec::new();
+    for (key, bin, _) in SECTIONS {
+        if runs.iter().any(|(name, ok, _)| name == bin && *ok) {
+            match checked_section(&record_path(key)) {
+                Ok(json) => sections.push((key, json)),
+                Err(e) => {
+                    eprintln!("{e}");
+                    runs.push((format!("{key} section check"), false, 0.0));
+                }
             }
         }
-        if section_ok("fig14_sim_speed") {
-            for field in [
-                "\"sim_speed\": {",
-                "\"table_ns_per_cmd\"",
-                "\"oracle_ns_per_cmd\"",
-                "\"speedup\"",
-                "\"threshold\"",
-                "\"commands\"",
-            ] {
-                assert!(
-                    report.contains(field),
-                    "sim_speed section is missing {field}"
-                );
-            }
-        }
-        if section_ok("fig_latency_cdf") {
-            for field in [
-                "\"latency_cdf\": {",
-                "\"requests\"",
-                "\"p50_cycles\"",
-                "\"p95_cycles\"",
-                "\"p99_cycles\"",
-                "\"trace_events\"",
-                "\"trace_dropped\"",
-            ] {
-                assert!(
-                    report.contains(field),
-                    "schema-7 latency_cdf section is missing {field}"
-                );
-            }
-        }
-        println!("bench-report schema 8 validated.");
     }
+    let report = bench_report_json(&runs, &sections);
+    key_paths(&report).expect("the bench report is well-formed");
+    write_record("target/bench-report.json", &report);
     let failures: Vec<&str> = runs
         .iter()
         .filter(|(_, ok, _)| !ok)

@@ -71,7 +71,6 @@ fn main() {
 
     // Back the EasyDRAM row's claims with measurements from this build.
     let cfg = SystemConfig::jetson_nano(TimingMode::TimeScaling);
-    easydram_bench::validate_system_timing("table1 config", &cfg);
     let mut sys = System::new(cfg);
     let mut w = polybench::Gemm::new(PolySize::Mini);
     let er = sys.run(&mut w);

@@ -14,7 +14,6 @@ use easydram_workloads::{validation_suite, PolySize};
 
 fn run_pair(mk: impl Fn() -> Box<dyn Workload>) -> (u64, u64) {
     let ts_cfg = SystemConfig::validation_1ghz(TimingMode::TimeScaling);
-    easydram_bench::validate_system_timing("validation-1ghz config", &ts_cfg);
     let mut ts = System::new(ts_cfg);
     let mut w = mk();
     let ts_cycles = ts.run(w.as_mut()).emulated_cycles;

@@ -10,11 +10,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use easydram::json::JsonWriter;
 use easydram::{System, SystemConfig, TimingMode};
 use easydram_cpu::Workload;
 use easydram_dram::bank::RankTiming;
 use easydram_dram::{DramCommand, Geometry, OracleRankTiming, TimingParams};
 use easydram_ramulator::{RamulatorConfig, RamulatorSystem};
+use easydram_workloads::micro::{CpuCopy, CpuInit, FlushMode, RowCloneCopy, RowCloneInit};
 
 /// KiB.
 pub const KIB: u64 = 1024;
@@ -57,14 +59,15 @@ pub fn lmbench_sizes() -> Vec<u64> {
     sizes
 }
 
-/// Fail-fast timing gate every figure harness passes its configuration
-/// through before measuring anything: runs [`TimingParams::check_consistency`]
-/// and, on failure, prints **every** structured
-/// [`TimingContradiction`](easydram_dram::TimingContradiction) (rule id,
-/// offending parameters by name/value, and the implied contradiction in
-/// words) to stderr and exits non-zero. A sweep that drives a parameter into
-/// a self-contradictory bin must die here, not publish numbers from a table
-/// built on nonsense.
+/// Fail-fast timing gate for a raw [`TimingParams`] that never reaches
+/// `System::new` (which runs the same rules itself): the Ramulator baseline's
+/// bins and the serve-loop kernels' bin. Runs
+/// [`TimingParams::check_consistency`] and, on failure, prints **every**
+/// structured [`TimingContradiction`](easydram_dram::TimingContradiction)
+/// (rule id, offending parameters by name/value, and the implied
+/// contradiction in words) to stderr and exits non-zero. A sweep that drives
+/// a parameter into a self-contradictory bin must die here, not publish
+/// numbers from a table built on nonsense.
 pub fn validate_timing(label: &str, timing: &TimingParams) {
     if let Err(contradictions) = timing.check_consistency() {
         eprintln!("{label}: timing configuration is self-contradictory:");
@@ -76,12 +79,6 @@ pub fn validate_timing(label: &str, timing: &TimingParams) {
     }
 }
 
-/// [`validate_timing`] over a full [`SystemConfig`] (validates the DRAM
-/// timing bin the system will build its table from).
-pub fn validate_system_timing(label: &str, cfg: &SystemConfig) {
-    validate_timing(label, &cfg.dram.timing);
-}
-
 /// Builds the paper's main EasyDRAM system in the given mode.
 #[must_use]
 pub fn jetson(mode: TimingMode) -> System {
@@ -89,7 +86,6 @@ pub fn jetson(mode: TimingMode) -> System {
     if quick() {
         cfg.rowclone_test_trials = 100;
     }
-    validate_system_timing("jetson-nano config", &cfg);
     System::new(cfg)
 }
 
@@ -100,7 +96,6 @@ pub fn pidram() -> System {
     if quick() {
         cfg.rowclone_test_trials = 100;
     }
-    validate_system_timing("pidram-like config", &cfg);
     System::new(cfg)
 }
 
@@ -135,6 +130,76 @@ impl Sim {
             }
         }
     }
+}
+
+/// The shared body of Figures 10 and 11: RowClone Copy and Init speedup over
+/// each configuration's CPU baseline, swept over [`micro_sizes`] on the
+/// No-Time-Scaling system, the time-scaled system and the Ramulator
+/// baseline. Prints the two tables (`"{figure}(a): RowClone - … Copy
+/// speedup"` and `(b)` for Init, to `decimals` places) and the averages, and
+/// returns the six speedup series — Copy then Init, each NoTS / TS /
+/// Ramulator — for the figure's own shape check.
+pub fn rowclone_speedup_figure(flush: FlushMode, figure: &str, decimals: usize) -> [Vec<f64>; 6] {
+    type MakeSim = fn() -> Sim;
+    let sims: [MakeSim; 3] = [
+        || Sim::Easy(Box::new(pidram())),
+        || Sim::Easy(Box::new(jetson(TimingMode::TimeScaling))),
+        || Sim::Ram(Box::new(ramulator())),
+    ];
+    let speedup = |sim: MakeSim, base: &mut dyn Workload, rc: &mut dyn Workload| {
+        sim().measure(base) as f64 / sim().measure(rc).max(1) as f64
+    };
+    let fmt = |x: f64| format!("{x:.decimals$}");
+    let mut acc: [Vec<f64>; 6] = Default::default();
+    let mut rows: [Vec<Vec<String>>; 2] = Default::default();
+    for bytes in micro_sizes() {
+        let copy = sims.map(|sim| {
+            speedup(
+                sim,
+                &mut CpuCopy::new(bytes),
+                &mut RowCloneCopy::new(bytes, flush),
+            )
+        });
+        let init = sims.map(|sim| {
+            speedup(
+                sim,
+                &mut CpuInit::new(bytes),
+                &mut RowCloneInit::new(bytes, flush),
+            )
+        });
+        for (series, x) in acc.iter_mut().zip(copy.into_iter().chain(init)) {
+            series.push(x);
+        }
+        for (table, xs) in rows.iter_mut().zip([copy, init]) {
+            table.push(
+                std::iter::once(fmt_size(bytes))
+                    .chain(xs.map(fmt))
+                    .collect(),
+            );
+        }
+        eprintln!("  done {}", fmt_size(bytes));
+    }
+    let header = ["size", "EasyDRAM-NoTS", "EasyDRAM-TS", "Ramulator-2.0"];
+    let variant = match flush {
+        FlushMode::NoFlush => "No Flush",
+        FlushMode::ClFlush => "CLFLUSH",
+    };
+    for (part, kind, table) in [("a", "Copy", &rows[0]), ("b", "Init", &rows[1])] {
+        let title = format!("{figure}({part}): RowClone - {variant} {kind} speedup");
+        print_table(&title, &header, table);
+    }
+    let max = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
+    println!("\nAverages (maxima) over all sizes:");
+    for (kind, series) in ["Copy", "Init"].iter().zip(acc.chunks(3)) {
+        let cell = |v: &[f64]| format!("{}x ({}x)", fmt(geomean(v)), fmt(max(v)));
+        println!(
+            "  {kind}: NoTS {} | TS {} | Ramulator {}",
+            cell(&series[0]),
+            cell(&series[1]),
+            cell(&series[2])
+        );
+    }
+    acc
 }
 
 /// Formats a byte count the way the paper's x-axes do (8K, 64K, 1M, ...).
@@ -175,164 +240,47 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes the machine-readable harness report consumed by CI and future
-/// perf-trajectory tooling: one JSON object per harness with its name,
-/// pass/fail, and wall seconds, plus run metadata. The JSON is hand-rolled
-/// (no serde in the offline build) and kept to a stable, flat schema.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (missing parent directory is created).
-pub fn write_bench_report(path: &str, runs: &[(String, bool, f64)]) -> Result<(), std::io::Error> {
-    write_bench_report_with_sections(path, runs, &[])
-}
-
-/// Like [`write_bench_report`], with extra named top-level sections whose
-/// values are already-serialized JSON (e.g. the `channel_sweep` record the
-/// `fig_channel_sweep` harness leaves behind — see
-/// [`write_channel_sweep_json`]).
-///
-/// # Errors
-///
-/// Propagates filesystem errors (missing parent directory is created).
-pub fn write_bench_report_with_sections(
-    path: &str,
-    runs: &[(String, bool, f64)],
-    sections: &[(&str, String)],
-) -> Result<(), std::io::Error> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut s = String::from("{\n  \"schema\": 8,\n");
-    s.push_str(&format!("  \"quick\": {},\n", quick()));
+/// The machine-readable harness report `repro_all` leaves in
+/// `target/bench-report.json` for CI and perf-trajectory tooling: run
+/// metadata, one named section per sweep record (`sections` values are the
+/// JSON documents the harnesses wrote, already scanned), and one object per
+/// harness with its name, pass/fail and wall seconds.
+#[must_use]
+pub fn bench_report_json(runs: &[(String, bool, f64)], sections: &[(&str, String)]) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object().key("schema").number(8);
+    w.key("quick").bool(quick());
     for (key, json) in sections {
-        s.push_str(&format!("  \"{key}\": {},\n", json.trim()));
+        w.key(key).raw(json);
     }
-    s.push_str("  \"harnesses\": [\n");
-    for (i, (name, ok, secs)) in runs.iter().enumerate() {
-        let name = name.replace('\\', "\\\\").replace('"', "\\\"");
-        s.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"ok\": {ok}, \"wall_seconds\": {secs:.3}}}{}\n",
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
+    w.key("harnesses").begin_array();
+    for (name, ok, secs) in runs {
+        w.begin_object().key("name").string(name);
+        w.key("ok").bool(*ok);
+        w.key("wall_seconds").number(format_args!("{secs:.3}"));
+        w.end_object();
     }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
+    w.end_array().end_object();
+    w.finish()
 }
 
-/// Writes the `fig_channel_sweep` harness's machine-readable record: one
-/// object per swept channel count with the interleaved-stream cycles and
-/// speedup (the per-channel fields of the bench-report schema). `repro_all`
-/// embeds this file into `target/bench-report.json` under `channel_sweep`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (missing parent directory is created).
-pub fn write_channel_sweep_json(
-    path: &str,
-    stream_reads: u64,
-    entries: &[(u32, u64, f64)],
-) -> Result<(), std::io::Error> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(parent)?;
+/// Writes a harness's machine-readable record to `path` (creating the parent
+/// directory) and says so. The record is a by-product of the run: a failed
+/// write is reported, not fatal.
+pub fn write_record(path: &str, json: &str) {
+    let parent = std::path::Path::new(path).parent();
+    let written = parent
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, json));
+    match written {
+        Ok(()) => println!("\nwrote {path}"),
+        Err(e) => eprintln!("\ncould not write {path}: {e}"),
     }
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"stream_reads\": {stream_reads},\n"));
-    s.push_str("  \"channels\": [\n");
-    for (i, (channels, cycles, speedup)) in entries.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"channels\": {channels}, \"stream_cycles\": {cycles}, \"speedup\": {speedup:.3}}}{}\n",
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
 }
 
-/// Writes the `fig_multicore_contention` harness's machine-readable record:
-/// one object per swept channel count with the chase's solo and co-run
-/// cycles/load and the degradation ratio (the `multicore_contention` fields
-/// of bench-report schema 3). `repro_all` embeds this file into
-/// `target/bench-report.json` under `multicore_contention`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (missing parent directory is created).
-pub fn write_multicore_contention_json(
-    path: &str,
-    chase_loads: u64,
-    entries: &[(u32, f64, f64, f64)],
-) -> Result<(), std::io::Error> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"chase_loads\": {chase_loads},\n"));
-    s.push_str("  \"channels\": [\n");
-    for (i, (channels, solo, corun, degradation)) in entries.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"channels\": {channels}, \"solo_cycles_per_load\": {solo:.3}, \
-             \"corun_cycles_per_load\": {corun:.3}, \"degradation\": {degradation:.3}}}{}\n",
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
-}
-
-/// One measured cell of the `fig_rowhammer` sweep: an attack intensity
-/// against one defense.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowhammerPoint {
-    /// Installed defense: `"none"`, `"para"`, or `"graphene"`.
-    pub defense: String,
-    /// Activations issued per aggressor row.
-    pub iterations: u64,
-    /// Net victim bits the integrity checker found flipped.
-    pub flips: u64,
-    /// Emulated cycles of the hammer loop.
-    pub cycles: u64,
-    /// Targeted (per-row) refreshes the defense spent.
-    pub targeted_refreshes: u64,
-    /// Emulated-cycle overhead relative to the unmitigated run at the same
-    /// intensity.
-    pub overhead: f64,
-}
-
-/// Writes the `fig_rowhammer` harness's machine-readable record: one object
-/// per (defense × intensity) cell (the `rowhammer` fields of bench-report
-/// schema 5). `repro_all` embeds this file into `target/bench-report.json`
-/// under `rowhammer`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (missing parent directory is created).
-pub fn write_rowhammer_json(path: &str, points: &[RowhammerPoint]) -> Result<(), std::io::Error> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut s = String::from("{\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let defense = p.defense.replace('\\', "\\\\").replace('"', "\\\"");
-        s.push_str(&format!(
-            "    {{\"defense\": \"{}\", \"iterations\": {}, \"flips\": {}, \"cycles\": {}, \
-             \"targeted_refreshes\": {}, \"overhead\": {:.3}}}{}\n",
-            defense,
-            p.iterations,
-            p.flips,
-            p.cycles,
-            p.targeted_refreshes,
-            p.overhead,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
-}
-
-/// Serve-loop regression threshold enforced by `fig14_sim_speed` and the
-/// `serve_loop` criterion bench: the precomputed timing-table kernel must
-/// stay at least this many times faster than the rule-based oracle checker.
+/// Serve-loop regression threshold enforced by `fig14_sim_speed`: the
+/// precomputed timing-table kernel must stay at least this many times faster
+/// than the rule-based oracle checker.
 pub const SIM_SPEED_THRESHOLD: f64 = 2.0;
 
 /// The geometry the sim-speed kernels run on: two ranks folded into the
@@ -660,34 +608,6 @@ pub fn run_table_kernel_obs(
     acc
 }
 
-/// Writes the `fig_latency_cdf` harness's machine-readable record (the
-/// `latency_cdf` fields of bench-report schema 7): the served request count,
-/// the log2-histogram latency percentiles in core cycles, and the size of
-/// the Chrome-trace export the harness validated. `repro_all` embeds this
-/// file into `target/bench-report.json` under `latency_cdf`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (missing parent directory is created).
-pub fn write_latency_cdf_json(
-    path: &str,
-    requests: u64,
-    percentiles: (u64, u64, u64),
-    trace_events: usize,
-    trace_dropped: u64,
-) -> Result<(), std::io::Error> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let (p50, p95, p99) = percentiles;
-    let s = format!(
-        "{{\n  \"requests\": {requests},\n  \"p50_cycles\": {p50},\n  \
-         \"p95_cycles\": {p95},\n  \"p99_cycles\": {p99},\n  \
-         \"trace_events\": {trace_events},\n  \"trace_dropped\": {trace_dropped}\n}}\n"
-    );
-    std::fs::write(path, s)
-}
-
 /// Times `kernel` `samples` times and returns the median wall nanoseconds
 /// per command — the robust summary both the fig14 harness and the
 /// `serve_loop` bench report (the criterion shim keeps no baselines, so
@@ -702,37 +622,6 @@ pub fn median_ns_per_cmd(samples: usize, commands: usize, mut kernel: impl FnMut
         .collect();
     ns.sort_by(f64::total_cmp);
     ns[ns.len() / 2]
-}
-
-/// Writes the `fig14_sim_speed` harness's machine-readable serve-loop
-/// record (the `sim_speed` fields of the bench report): stream size,
-/// per-kernel median ns/command, the table-over-oracle speedup, and the
-/// enforced threshold. `repro_all` embeds this file into
-/// `target/bench-report.json` under `sim_speed`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (missing parent directory is created).
-pub fn write_sim_speed_json(
-    path: &str,
-    commands: usize,
-    samples: usize,
-    table_ns_per_cmd: f64,
-    oracle_ns_per_cmd: f64,
-) -> Result<(), std::io::Error> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let speedup = oracle_ns_per_cmd / table_ns_per_cmd;
-    let s = format!(
-        "{{\n  \"commands\": {commands},\n  \"samples\": {samples},\n  \
-         \"table_ns_per_cmd\": {table_ns_per_cmd:.3},\n  \
-         \"oracle_ns_per_cmd\": {oracle_ns_per_cmd:.3},\n  \
-         \"speedup\": {speedup:.3},\n  \"threshold\": {SIM_SPEED_THRESHOLD:.1},\n  \
-         \"pass\": {}\n}}\n",
-        speedup >= SIM_SPEED_THRESHOLD
-    );
-    std::fs::write(path, s)
 }
 
 /// Geometric mean of a slice (for the paper's geomean rows).
@@ -756,6 +645,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easydram::json::key_paths;
 
     #[test]
     fn sweeps_are_powers_of_two() {
@@ -774,80 +664,27 @@ mod tests {
 
     #[test]
     fn bench_report_is_valid_flat_json() {
-        let path = std::env::temp_dir().join("easydram-bench-report-test.json");
-        let path = path.to_str().unwrap();
         let runs = vec![
             ("fig8".to_string(), true, 1.25),
             ("fig\"quoted\"".to_string(), false, 0.5),
         ];
-        write_bench_report(path, &runs).unwrap();
-        let s = std::fs::read_to_string(path).unwrap();
-        assert!(s.contains("\"schema\": 8"));
-        assert!(s.contains("\"name\": \"fig8\", \"ok\": true, \"wall_seconds\": 1.250"));
-        assert!(s.contains("fig\\\"quoted\\\""), "quotes must be escaped");
-        assert_eq!(
-            s.matches('{').count(),
-            s.matches('}').count(),
-            "balanced braces"
-        );
-        std::fs::remove_file(path).ok();
+        let s = bench_report_json(&runs, &[]);
+        assert!(s.starts_with("{\"schema\":8,\"quick\":"));
+        assert!(s.contains(r#"{"name":"fig8","ok":true,"wall_seconds":1.250}"#));
+        assert!(s.contains(r#"fig\"quoted\""#), "quotes must be escaped");
+        let paths = key_paths(&s).expect("well-formed");
+        assert!(paths.contains("harnesses.wall_seconds"));
     }
 
     #[test]
     fn bench_report_embeds_channel_sweep_section() {
-        let dir = std::env::temp_dir().join("easydram-channel-sweep-test");
-        let sweep_path = dir.join("channel-sweep.json");
-        let sweep_path = sweep_path.to_str().unwrap();
-        write_channel_sweep_json(sweep_path, 256, &[(1, 5250, 1.0), (2, 2687, 1.954)]).unwrap();
-        let sweep = std::fs::read_to_string(sweep_path).unwrap();
-        assert!(sweep.contains("\"stream_reads\": 256"));
-        assert!(sweep.contains("\"channels\": 2, \"stream_cycles\": 2687, \"speedup\": 1.954"));
-
-        let report_path = dir.join("bench-report.json");
-        let report_path = report_path.to_str().unwrap();
+        let sweep = "{\"stream_reads\":256,\"channels\":[{\"channels\":2,\"speedup\":1.954}]}\n";
         let runs = vec![("fig_channel_sweep".to_string(), true, 0.4)];
-        write_bench_report_with_sections(report_path, &runs, &[("channel_sweep", sweep)]).unwrap();
-        let s = std::fs::read_to_string(report_path).unwrap();
-        assert!(s.contains("\"channel_sweep\": {"));
-        assert!(s.contains("\"speedup\": 1.954"));
-        assert_eq!(
-            s.matches('{').count(),
-            s.matches('}').count(),
-            "balanced braces"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn rowhammer_json_is_balanced_and_carries_schema4_fields() {
-        let dir = std::env::temp_dir().join("easydram-rowhammer-json-test");
-        let path = dir.join("rowhammer.json");
-        let path = path.to_str().unwrap();
-        let points = vec![
-            RowhammerPoint {
-                defense: "none".into(),
-                iterations: 5000,
-                flips: 42,
-                cycles: 1_000_000,
-                targeted_refreshes: 0,
-                overhead: 1.0,
-            },
-            RowhammerPoint {
-                defense: "graphene".into(),
-                iterations: 5000,
-                flips: 0,
-                cycles: 1_050_000,
-                targeted_refreshes: 17,
-                overhead: 1.05,
-            },
-        ];
-        write_rowhammer_json(path, &points).unwrap();
-        let s = std::fs::read_to_string(path).unwrap();
-        assert!(s.contains("\"defense\": \"graphene\""));
-        assert!(s.contains("\"targeted_refreshes\": 17"));
-        assert!(s.contains("\"overhead\": 1.050"));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        std::fs::remove_dir_all(&dir).ok();
+        let s = bench_report_json(&runs, &[("channel_sweep", sweep.to_string())]);
+        assert!(s.contains("\"channel_sweep\":{\"stream_reads\":256,"));
+        let paths = key_paths(&s).expect("well-formed");
+        assert!(paths.contains("channel_sweep.channels.speedup"));
+        assert!(paths.contains("harnesses.name"));
     }
 
     #[test]
@@ -898,29 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_speed_json_carries_schema6_fields() {
-        let dir = std::env::temp_dir().join("easydram-sim-speed-json-test");
-        let path = dir.join("sim-speed.json");
-        let path = path.to_str().unwrap();
-        write_sim_speed_json(path, 200_000, 7, 10.0, 45.5).unwrap();
-        let s = std::fs::read_to_string(path).unwrap();
-        assert!(s.contains("\"commands\": 200000"));
-        assert!(s.contains("\"table_ns_per_cmd\": 10.000"));
-        assert!(s.contains("\"oracle_ns_per_cmd\": 45.500"));
-        assert!(s.contains("\"speedup\": 4.550"));
-        assert!(s.contains("\"threshold\": 2.0"));
-        assert!(s.contains("\"pass\": true"));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        write_sim_speed_json(path, 100, 3, 10.0, 15.0).unwrap();
-        let s = std::fs::read_to_string(path).unwrap();
-        assert!(
-            s.contains("\"pass\": false"),
-            "sub-threshold speedups must be flagged"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn obs_kernel_digest_matches_bare_kernel() {
         // Armed or disarmed, the observability ring must be invisible to
         // simulated state: all three replays produce one digest.
@@ -937,23 +751,6 @@ mod tests {
             bare,
             "an armed ring (with wraparound) must not perturb the replay"
         );
-    }
-
-    #[test]
-    fn latency_cdf_json_carries_schema7_fields() {
-        let dir = std::env::temp_dir().join("easydram-latency-cdf-json-test");
-        let path = dir.join("latency-cdf.json");
-        let path = path.to_str().unwrap();
-        write_latency_cdf_json(path, 192, (127, 511, 511), 960, 0).unwrap();
-        let s = std::fs::read_to_string(path).unwrap();
-        assert!(s.contains("\"requests\": 192"));
-        assert!(s.contains("\"p50_cycles\": 127"));
-        assert!(s.contains("\"p95_cycles\": 511"));
-        assert!(s.contains("\"p99_cycles\": 511"));
-        assert!(s.contains("\"trace_events\": 960"));
-        assert!(s.contains("\"trace_dropped\": 0"));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

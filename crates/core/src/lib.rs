@@ -41,6 +41,8 @@ pub mod alloc;
 pub mod bloom;
 pub mod config;
 pub mod costs;
+pub mod counters;
+pub mod json;
 pub mod multicore;
 pub mod obs;
 pub mod par;
@@ -56,6 +58,7 @@ pub use alloc::RowCloneAllocator;
 pub use bloom::BloomFilter;
 pub use config::{FpgaConfig, SystemConfig, TimingMode};
 pub use costs::SmcCostModel;
+pub use counters::Counters;
 pub use multicore::{CoRunReport, CoreRun, MultiCoreSystem};
 pub use obs::{
     configured_trace, validate_chrome_json, EventKind, EventRing, LogHistogram, TileMetrics,

@@ -29,7 +29,7 @@ use easydram_cpu::{
 use crate::config::SystemConfig;
 use crate::obs::{TraceEvent, TraceLog};
 use crate::report::ExecutionReport;
-use crate::system::{Tile, TileStats};
+use crate::system::{CoreMark, Tile};
 
 /// Default co-scheduling quantum, in emulated processor cycles.
 ///
@@ -191,14 +191,7 @@ impl MultiCoreSystem {
         );
         let n = self.cores.len();
 
-        // --- Window-start snapshots. ---
-        let cycles0: Vec<u64> = self.cores.iter().map(|c| c.now_cycles()).collect();
-        let stats0: Vec<CoreStats> = self.cores.iter().map(|c| *c.stats()).collect();
-        let (start, wall0) = {
-            let mut tile = self.tile.lock().expect("shared tile");
-            let max_now = cycles0.iter().copied().max().unwrap_or(0);
-            (tile.snapshot(), tile.wall_ps_at(max_now))
-        };
+        let start = self.with_tile(|t| t.open_window(self.core_marks()));
 
         // --- The co-run itself: one thread per core, baton-scheduled. ---
         let sched = CoScheduler::new(n, self.quantum);
@@ -240,85 +233,40 @@ impl MultiCoreSystem {
             self.switches_dropped += dropped;
         }
 
-        // --- Window accounting. ---
-        let mut cores_out = Vec::with_capacity(n);
-        let mut agg_core = CoreStats::default();
-        let mut makespan = 0u64;
-        let mut instructions = 0u64;
-        let mut reads = 0u64;
-        for (i, core) in self.cores.iter().enumerate() {
-            let mut window = *core.stats();
-            window -= stats0[i];
-            let cycles = core.now_cycles() - cycles0[i];
-            makespan = makespan.max(cycles);
-            instructions += window.instructions;
-            reads += window.mem_reads;
-            cores_out.push(CoreRun {
-                requestor: i as u32,
-                workload: workloads[i].name().to_string(),
-                emulated_cycles: cycles,
-                measured_cycles: workloads[i].measured_cycles(),
-                core: window,
-            });
-            agg_core += window;
-        }
-
+        // --- Window accounting: one subtraction, one assembler. ---
         let mut tile = self.tile.lock().expect("shared tile");
-        let TileStats {
-            smc,
-            channels,
-            mut requestors,
-            mitigation,
-            metrics,
-        } = tile.since(&start);
-        // Per-requestor stall cycles are core-side state.
-        for q in &mut requestors {
-            if let Some(c) = cores_out.get(q.requestor as usize) {
-                q.stall_cycles = c.core.stall_cycles;
-            }
-        }
-        let max_now: u64 = self.cores.iter().map(CpuApi::now_cycles).max().unwrap_or(0);
-        let wall_ps = tile.wall_ps_at(max_now).saturating_sub(wall0);
-        let wall_s = wall_ps as f64 / 1e12;
-        let freq = tile.config().core.freq_hz;
-        let name = cores_out
+        let window = tile.close_window(&start, self.core_marks());
+        let cores: Vec<CoreRun> = window
+            .cores
+            .iter()
+            .zip(workloads.iter())
+            .enumerate()
+            .map(|(i, (c, w))| CoreRun {
+                requestor: i as u32,
+                workload: w.name().to_string(),
+                emulated_cycles: c.cycles,
+                measured_cycles: w.measured_cycles(),
+                core: c.stats,
+            })
+            .collect();
+        let name = cores
             .iter()
             .map(|c| c.workload.as_str())
             .collect::<Vec<_>>()
             .join("+");
-        let aggregate = ExecutionReport {
-            name,
-            mode: tile.config().mode,
-            emulated_cycles: makespan,
-            emulated_seconds: makespan as f64 / freq as f64,
-            instructions,
-            fpga_wall_seconds: wall_s,
-            sim_speed_hz: if wall_s > 0.0 {
-                makespan as f64 / wall_s
-            } else {
-                0.0
-            },
-            mem_reads_per_kilo_cycle: if makespan == 0 {
-                0.0
-            } else {
-                reads as f64 * 1000.0 / makespan as f64
-            },
-            core: agg_core,
-            // Cache hierarchies are per core; see each `CoreRun` instead.
-            l1: None,
-            l2: None,
-            dram: tile.device_stats(),
-            smc,
-            channels,
-            controllers: tile.controller_names(),
-            requestors,
-            mitigation,
-            metrics,
-        };
-        CoRunReport {
-            aggregate,
-            cores: cores_out,
+        // Cache hierarchies are per core; see each `CoreRun` instead.
+        let mut aggregate = tile.report_over(name, window, None, None);
+        // Per-requestor stall cycles are core-side state.
+        for q in &mut aggregate.requestors {
+            if let Some(c) = cores.get(q.requestor as usize) {
+                q.stall_cycles = c.core.stall_cycles;
+            }
         }
+        CoRunReport { aggregate, cores }
+    }
+
+    fn core_marks(&self) -> Vec<CoreMark> {
+        self.cores.iter().map(CoreMark::of).collect()
     }
 }
 
@@ -493,5 +441,30 @@ mod tests {
             "window peak, not lifetime: {second} vs {first}"
         );
         assert_eq!(sys.with_tile(|t| t.smc_stats().peak_batch), first);
+    }
+
+    #[test]
+    fn second_run_reports_its_own_window() {
+        // `System::run` on a reused system is a 1-core co-run: every field
+        // of the second report describes the second window alone.
+        let cfg = SystemConfig::small_for_tests(TimingMode::TimeScaling);
+        let mut plain = crate::System::new(cfg.clone());
+        let mut multi = MultiCoreSystem::new(cfg, 1);
+        let touch = || Touch {
+            lines: 48,
+            name: "solo",
+        };
+        plain.run(&mut touch());
+        multi.co_run(&mut [&mut touch()]);
+        let r2 = plain.run(&mut touch());
+        let m2 = multi.co_run(&mut [&mut touch()]).aggregate;
+        assert_eq!(r2.core.instructions, r2.instructions);
+        // The two differ only where a co-run differs by design: caches are
+        // per core there, and it fills in the requestor's stall cycles. So
+        // `sim_speed_hz` is window cycles over window wall on both.
+        let mut expect = m2;
+        (expect.l1, expect.l2) = (r2.l1, r2.l2);
+        expect.requestors[0].stall_cycles = 0;
+        assert_eq!(r2, expect);
     }
 }

@@ -25,8 +25,9 @@
 //! [`TraceLog::to_binary`]) allocate freely — they run outside the serve
 //! loop's `no_alloc` regions, at end of run.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::json::JsonWriter;
 
 /// Number of log2 buckets every [`LogHistogram`] carries. Bucket `b` counts
 /// values whose bit length is `b` (so bucket 0 is exactly the value 0,
@@ -427,26 +428,6 @@ impl LogHistogram {
         self.sum = self.sum.saturating_add(value);
     }
 
-    /// Folds another histogram in: element-wise sums, so the merge is
-    /// commutative and associative (any shard order reduces identically).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (b, b0) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += b0;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
-    /// Rebases against a window-start snapshot (`start` must be a prefix
-    /// history of `self`).
-    pub fn subtract_baseline(&mut self, start: &LogHistogram) {
-        for (b, b0) in self.buckets.iter_mut().zip(&start.buckets) {
-            *b -= b0;
-        }
-        self.count -= start.count;
-        self.sum -= start.sum;
-    }
-
     /// Upper bound of the bucket containing the `pct`-th percentile value
     /// (integer math: rank = ceil(count × pct / 100)). 0 when empty.
     #[must_use]
@@ -475,6 +456,8 @@ impl LogHistogram {
         }
     }
 }
+
+crate::counters::counters!(pub LogHistogram: sum { buckets, count, sum });
 
 impl std::fmt::Debug for LogHistogram {
     /// Sparse rendering: only non-zero buckets, as `bit_len: count` pairs —
@@ -510,26 +493,6 @@ pub struct TileMetrics {
 }
 
 impl TileMetrics {
-    /// Folds an independently-accumulated shard in (element-wise histogram
-    /// merges — commutative and associative like every report merge).
-    pub fn merge(&mut self, shard: &TileMetrics) {
-        self.request_latency.merge(&shard.request_latency);
-        self.read_latency.merge(&shard.read_latency);
-        self.write_latency.merge(&shard.write_latency);
-        self.queue_depth.merge(&shard.queue_depth);
-        self.batch_size.merge(&shard.batch_size);
-    }
-
-    /// Rebases against a window-start snapshot.
-    pub fn subtract_baseline(&mut self, start: &TileMetrics) {
-        self.request_latency
-            .subtract_baseline(&start.request_latency);
-        self.read_latency.subtract_baseline(&start.read_latency);
-        self.write_latency.subtract_baseline(&start.write_latency);
-        self.queue_depth.subtract_baseline(&start.queue_depth);
-        self.batch_size.subtract_baseline(&start.batch_size);
-    }
-
     /// Request-latency percentiles `(p50, p95, p99)` in emulated cycles.
     #[must_use]
     pub fn latency_percentiles(&self) -> (u64, u64, u64) {
@@ -540,6 +503,14 @@ impl TileMetrics {
         )
     }
 }
+
+crate::counters::counters!(pub TileMetrics: sum {
+    request_latency,
+    read_latency,
+    write_latency,
+    queue_depth,
+    batch_size,
+});
 
 /// Magic prefix of the compact binary event dump.
 pub const TRACE_BIN_MAGIC: &[u8; 8] = b"EZTRACE1";
@@ -623,8 +594,6 @@ impl TraceLog {
     pub fn to_chrome_json(&self) -> String {
         let mut sorted = self.clone();
         sorted.sort_for_export();
-        let ts = |ps: u64| format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000);
-
         // Pair request lifecycles by id so enqueue→retire renders as one
         // complete slice carrying its intermediate stages as args.
         struct Life {
@@ -659,25 +628,35 @@ impl TraceLog {
             }
         }
 
-        let mut out = String::from("{\"traceEvents\":[\n");
-        // Track metadata: name every process and thread that carries events.
-        let mut tracks: BTreeMap<(u32, u32), ()> = BTreeMap::new();
-        for ev in &sorted.events {
-            tracks.insert(Self::track(ev), ());
+        // Every event object opens with its phase and track.
+        fn event<'w>(w: &'w mut JsonWriter, ph: &str, track: (u32, u32)) -> &'w mut JsonWriter {
+            w.begin_object().key("ph").string(ph);
+            w.key("pid").number(track.0).key("tid").number(track.1)
         }
-        let mut named_pids: BTreeMap<u32, ()> = BTreeMap::new();
-        for &(pid, tid) in tracks.keys() {
-            if named_pids.insert(pid, ()).is_none() {
-                let pname = if pid == 10_000 {
-                    "scheduler".to_string()
-                } else {
-                    format!("channel {pid}")
+        // An instant event, left open inside its `args`.
+        fn instant<'w>(w: &'w mut JsonWriter, ev: &TraceEvent) -> &'w mut JsonWriter {
+            event(w, "i", TraceLog::track(ev)).key("s").string("t");
+            w.key("ts").number(Us(ev.ps));
+            w.key("name").string(ev.kind.label());
+            w.key("args").begin_object()
+        }
+        let mut w = JsonWriter::new();
+        w.begin_object().key("traceEvents").begin_array();
+        // Track metadata: name every process and thread that carries events.
+        let tracks: BTreeSet<(u32, u32)> = sorted.events.iter().map(Self::track).collect();
+        let mut named_pids = BTreeSet::new();
+        let name = |w: &mut JsonWriter, track, what: &str, name: &str| {
+            event(w, "M", track).key("name").string(what);
+            w.key("args").begin_object().key("name").string(name);
+            w.end_object().end_object();
+        };
+        for &(pid, tid) in &tracks {
+            if named_pids.insert(pid) {
+                let pname = match pid {
+                    10_000 => "scheduler".to_string(),
+                    _ => format!("channel {pid}"),
                 };
-                let _ = writeln!(
-                    out,
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-                     \"args\":{{\"name\":\"{pname}\"}}}},"
-                );
+                name(&mut w, (pid, 0), "process_name", &pname);
             }
             let tname = match tid {
                 1_000 => "commands".to_string(),
@@ -685,71 +664,48 @@ impl TraceLog {
                 _ if pid == 10_000 => "switches".to_string(),
                 r => format!("requestor {r}"),
             };
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{tname}\"}}}},"
-            );
+            name(&mut w, (pid, tid), "thread_name", &tname);
         }
         // Complete slices for fully-observed request lifecycles; leftover
         // endpoints (the ring overwrote their partner) render as instants.
-        let mut rows: Vec<String> = Vec::new();
         for (id, life) in &lives {
             match (&life.enq, &life.retire) {
                 (Some(e), Some(r)) => {
-                    let (pid, tid) = Self::track(e);
-                    let mut args = format!("\"id\":{id}");
+                    event(&mut w, "X", Self::track(e))
+                        .key("ts")
+                        .number(Us(e.ps));
+                    w.key("dur").number(Us(r.ps.saturating_sub(e.ps)));
+                    w.key("name").string(req_class::label(e.a));
+                    w.key("args").begin_object().key("id").number(id);
                     if let Some(p) = life.issue {
-                        let _ = write!(args, ",\"issue_us\":{}", ts(p));
+                        w.key("issue_us").number(Us(p));
                     }
                     if let Some(p) = life.slice {
-                        let _ = write!(args, ",\"slice_release_us\":{}", ts(p));
+                        w.key("slice_release_us").number(Us(p));
                     }
-                    rows.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                         \"name\":\"{}\",\"args\":{{{args}}}}}",
-                        ts(e.ps),
-                        ts(r.ps.saturating_sub(e.ps)),
-                        req_class::label(e.a),
-                    ));
+                    w.end_object().end_object();
                 }
                 _ => {
-                    for ev in [life.enq.as_ref(), life.retire.as_ref()]
-                        .into_iter()
-                        .flatten()
-                    {
-                        let (pid, tid) = Self::track(ev);
-                        rows.push(format!(
-                            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\
-                             \"name\":\"{}\",\"args\":{{\"id\":{id}}}}}",
-                            ts(ev.ps),
-                            ev.kind.label(),
-                        ));
+                    for ev in [&life.enq, &life.retire].into_iter().flatten() {
+                        instant(&mut w, ev).key("id").number(id);
+                        w.end_object().end_object();
                     }
                 }
             }
         }
         for ev in instants {
-            let (pid, tid) = Self::track(ev);
-            rows.push(format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\
-                 \"name\":\"{}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
-                ts(ev.ps),
-                ev.kind.label(),
-                ev.a,
-                ev.b,
-            ));
+            instant(&mut w, ev)
+                .key("a")
+                .number(ev.a)
+                .key("b")
+                .number(ev.b);
+            w.end_object().end_object();
         }
-        for (i, row) in rows.iter().enumerate() {
-            out.push_str(row);
-            out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-        }
-        let _ = writeln!(
-            out,
-            "],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"dropped_events\":{}}}}}",
-            self.dropped
-        );
-        out
+        w.end_array().key("displayTimeUnit").string("ns");
+        w.key("otherData").begin_object();
+        w.key("dropped_events").number(self.dropped);
+        w.end_object().end_object();
+        w.finish()
     }
 
     /// Serializes the log as the compact binary dump the future replay
@@ -805,55 +761,34 @@ impl TraceLog {
     }
 }
 
-/// Validates that `json` is a structurally well-formed JSON document
-/// carrying a `traceEvents` array — the loadability check the trace-smoke
-/// CI job runs over the emitted Chrome trace (no serde in the offline
-/// build, so this is a hand-rolled structural scanner: balanced
-/// braces/brackets outside strings, proper string/escape nesting, and a
-/// non-object top level is rejected).
+/// Validates that `json` is a structurally well-formed JSON object
+/// ([`crate::json::scan`]) carrying a top-level `traceEvents` key — the
+/// loadability check the trace-smoke CI job runs over the emitted Chrome
+/// trace.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first structural defect.
 pub fn validate_chrome_json(json: &str) -> Result<(), String> {
-    let trimmed = json.trim_start();
-    if !trimmed.starts_with('{') {
+    if !json.trim_start().starts_with('{') {
         return Err("top level must be a JSON object".to_string());
     }
-    let mut stack: Vec<char> = Vec::new();
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in json.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => stack.push('}'),
-            '[' => stack.push(']'),
-            '}' | ']' if stack.pop() != Some(c) => {
-                return Err(format!("unbalanced `{c}` at byte {i}"));
-            }
-            _ => {}
-        }
-    }
-    if in_string {
-        return Err("unterminated string".to_string());
-    }
-    if !stack.is_empty() {
-        return Err(format!("{} unclosed scopes at end of input", stack.len()));
-    }
-    if !json.contains("\"traceEvents\"") {
+    let mut has_events = false;
+    crate::json::scan(json, |path| has_events |= path == ["traceEvents"])?;
+    if !has_events {
         return Err("missing the traceEvents array".to_string());
     }
     Ok(())
+}
+
+/// Emulated picoseconds, displayed as microseconds with picosecond
+/// precision (the Chrome trace format's time unit).
+struct Us(u64);
+
+impl std::fmt::Display for Us {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{:06}", self.0 / 1_000_000, self.0 % 1_000_000)
+    }
 }
 
 #[cfg(test)]

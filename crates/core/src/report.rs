@@ -5,6 +5,7 @@ use easydram_cpu::CoreStats;
 use easydram_dram::DeviceStats;
 
 use crate::config::TimingMode;
+use crate::counters::counters;
 use crate::obs::TileMetrics;
 use crate::smc::{MitigationStats, ServeResult};
 
@@ -23,21 +24,7 @@ pub struct BankRowOutcomes {
     pub conflicts: u64,
 }
 
-impl BankRowOutcomes {
-    /// Element-wise sum (commutative and associative, like every merge).
-    pub fn merge(&mut self, shard: &BankRowOutcomes) {
-        self.hits += shard.hits;
-        self.misses += shard.misses;
-        self.conflicts += shard.conflicts;
-    }
-
-    /// Rebases against a window-start snapshot.
-    pub fn subtract_baseline(&mut self, start: &BankRowOutcomes) {
-        self.hits -= start.hits;
-        self.misses -= start.misses;
-        self.conflicts -= start.conflicts;
-    }
-}
+counters!(pub BankRowOutcomes: sum { hits, misses, conflicts });
 
 impl std::fmt::Debug for BankRowOutcomes {
     /// Compact `hits/misses/conflicts` rendering so per-bank vectors stay
@@ -100,77 +87,16 @@ pub struct ChannelStats {
     pub row_outcomes_per_bank: Vec<BankRowOutcomes>,
 }
 
-impl ChannelStats {
-    /// Folds an independently-accumulated shard (one pass's share of this
-    /// channel's activity) into `self`. Every field is a sum — including
-    /// the per-rank/per-bank vectors, merged element-wise after growing to
-    /// the longer length — so the merge is commutative and associative: any
-    /// shard order reduces to the same totals.
-    pub fn merge(&mut self, shard: &ChannelStats) {
-        self.requests += shard.requests;
-        self.rocket_cycles += shard.rocket_cycles;
-        self.hw_cycles += shard.hw_cycles;
-        self.batches += shard.batches;
-        self.serve += shard.serve;
-        if self.refreshes_per_rank.len() < shard.refreshes_per_rank.len() {
-            self.refreshes_per_rank
-                .resize(shard.refreshes_per_rank.len(), 0);
-        }
-        for (r, r0) in self
-            .refreshes_per_rank
-            .iter_mut()
-            .zip(&shard.refreshes_per_rank)
-        {
-            *r += r0;
-        }
-        if self.acts_per_bank.len() < shard.acts_per_bank.len() {
-            self.acts_per_bank.resize(shard.acts_per_bank.len(), 0);
-        }
-        for (a, a0) in self.acts_per_bank.iter_mut().zip(&shard.acts_per_bank) {
-            *a += a0;
-        }
-        if self.row_outcomes_per_bank.len() < shard.row_outcomes_per_bank.len() {
-            self.row_outcomes_per_bank.resize(
-                shard.row_outcomes_per_bank.len(),
-                BankRowOutcomes::default(),
-            );
-        }
-        for (o, o0) in self
-            .row_outcomes_per_bank
-            .iter_mut()
-            .zip(&shard.row_outcomes_per_bank)
-        {
-            o.merge(o0);
-        }
-    }
-
-    /// Rebases every cumulative counter against a window-start snapshot, so
-    /// the result describes just that window.
-    pub fn subtract_baseline(&mut self, start: &ChannelStats) {
-        self.requests -= start.requests;
-        self.rocket_cycles -= start.rocket_cycles;
-        self.hw_cycles -= start.hw_cycles;
-        self.batches -= start.batches;
-        self.serve -= start.serve;
-        for (r, r0) in self
-            .refreshes_per_rank
-            .iter_mut()
-            .zip(&start.refreshes_per_rank)
-        {
-            *r -= r0;
-        }
-        for (a, a0) in self.acts_per_bank.iter_mut().zip(&start.acts_per_bank) {
-            *a -= a0;
-        }
-        for (o, o0) in self
-            .row_outcomes_per_bank
-            .iter_mut()
-            .zip(&start.row_outcomes_per_bank)
-        {
-            o.subtract_baseline(o0);
-        }
-    }
-}
+counters!(pub ChannelStats: sum {
+    requests,
+    rocket_cycles,
+    hw_cycles,
+    batches,
+    serve,
+    refreshes_per_rank,
+    acts_per_bank,
+    row_outcomes_per_bank,
+});
 
 /// Per-requestor (per-core) counters of a shared-tile memory system. The
 /// tile keeps one record per requestor id, cumulative over its lifetime;
@@ -239,49 +165,22 @@ impl RequestorStats {
             self.row_hits as f64 / total as f64
         }
     }
-
-    /// Folds an independently-accumulated shard for the **same requestor**
-    /// into `self`. Every counter is a sum, so shard order cannot change
-    /// the reduced record.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that both records describe the same requestor id —
-    /// merging across requestors would silently misattribute traffic.
-    pub fn merge(&mut self, shard: &RequestorStats) {
-        debug_assert_eq!(
-            self.requestor, shard.requestor,
-            "shards merge per requestor"
-        );
-        self.requests += shard.requests;
-        self.reads += shard.reads;
-        self.writes += shard.writes;
-        self.rowclones += shard.rowclones;
-        self.row_hits += shard.row_hits;
-        self.row_misses += shard.row_misses;
-        self.row_conflicts += shard.row_conflicts;
-        self.rocket_cycles += shard.rocket_cycles;
-        self.dram_occupancy_ps += shard.dram_occupancy_ps;
-        self.column_ops += shard.column_ops;
-        self.stall_cycles += shard.stall_cycles;
-    }
-
-    /// Rebases every cumulative counter against a window-start snapshot, so
-    /// the result describes just that window.
-    pub fn subtract_baseline(&mut self, start: &RequestorStats) {
-        self.requests -= start.requests;
-        self.reads -= start.reads;
-        self.writes -= start.writes;
-        self.rowclones -= start.rowclones;
-        self.row_hits -= start.row_hits;
-        self.row_misses -= start.row_misses;
-        self.row_conflicts -= start.row_conflicts;
-        self.rocket_cycles -= start.rocket_cycles;
-        self.dram_occupancy_ps -= start.dram_occupancy_ps;
-        self.column_ops -= start.column_ops;
-        self.stall_cycles -= start.stall_cycles;
-    }
 }
+
+// `same`: merging across requestors would silently misattribute traffic.
+counters!(pub RequestorStats: same { requestor } sum {
+    requests,
+    reads,
+    writes,
+    rowclones,
+    row_hits,
+    row_misses,
+    row_conflicts,
+    rocket_cycles,
+    dram_occupancy_ps,
+    column_ops,
+    stall_cycles,
+});
 
 /// A complete account of one workload execution on an EasyDRAM system.
 #[derive(Debug, Clone, PartialEq)]
@@ -364,41 +263,18 @@ impl ExecutionReport {
     }
 }
 
-impl SmcStats {
-    /// Folds an independently-accumulated shard into `self`. Every counter
-    /// is a sum except `peak_batch`, which is a **maximum** — summing it
-    /// across shards would fabricate a batch size no pass ever carried
-    /// (the max-vs-sum windowing trap `subtract_baseline` documents). Both
-    /// sums and max are commutative and associative, so any shard order
-    /// reduces to the same record (proven by the permutation test in
-    /// `tests/stats_merge.rs`).
-    pub fn merge(&mut self, shard: &SmcStats) {
-        self.requests += shard.requests;
-        self.rocket_cycles += shard.rocket_cycles;
-        self.hw_cycles += shard.hw_cycles;
-        self.batches += shard.batches;
-        self.posted_writes += shard.posted_writes;
-        self.forced_drains += shard.forced_drains;
-        self.peak_batch = self.peak_batch.max(shard.peak_batch);
-        self.serve += shard.serve;
-        self.rowclone_fallbacks += shard.rowclone_fallbacks;
-    }
-
-    /// Rebases every cumulative counter against a window-start snapshot, so
-    /// the result describes just that window. `peak_batch` is excluded: it
-    /// is a maximum, not a sum — the tile's run window (`Tile::snapshot` /
-    /// `Tile::since`) observes it separately.
-    pub fn subtract_baseline(&mut self, start: &SmcStats) {
-        self.requests -= start.requests;
-        self.rocket_cycles -= start.rocket_cycles;
-        self.hw_cycles -= start.hw_cycles;
-        self.batches -= start.batches;
-        self.posted_writes -= start.posted_writes;
-        self.forced_drains -= start.forced_drains;
-        self.serve -= start.serve;
-        self.rowclone_fallbacks -= start.rowclone_fallbacks;
-    }
-}
+// `peak_batch` is the tree's one maximum: summing it across shards would
+// fabricate a batch size no pass ever carried.
+counters!(pub SmcStats: sum {
+    requests,
+    rocket_cycles,
+    hw_cycles,
+    batches,
+    posted_writes,
+    forced_drains,
+    serve,
+    rowclone_fallbacks,
+} max { peak_batch });
 
 impl std::fmt::Display for ExecutionReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

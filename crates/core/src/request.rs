@@ -102,23 +102,15 @@ pub struct ResponseSlice {
     pub row_conflicts: u64,
 }
 
-impl std::ops::Sub for ResponseSlice {
-    type Output = Self;
-
-    /// Field-wise difference — how EasyAPI attributes "totals now minus
-    /// totals at the previous response" to one slice.
-    fn sub(self, rhs: Self) -> Self {
-        Self {
-            rocket_cycles: self.rocket_cycles - rhs.rocket_cycles,
-            dram_occupancy_ps: self.dram_occupancy_ps - rhs.dram_occupancy_ps,
-            column_ops: self.column_ops - rhs.column_ops,
-            batches: self.batches - rhs.batches,
-            row_hits: self.row_hits - rhs.row_hits,
-            row_misses: self.row_misses - rhs.row_misses,
-            row_conflicts: self.row_conflicts - rhs.row_conflicts,
-        }
-    }
-}
+crate::counters::counters!(pub ResponseSlice: sum {
+    rocket_cycles,
+    dram_occupancy_ps,
+    column_ops,
+    batches,
+    row_hits,
+    row_misses,
+    row_conflicts,
+});
 
 /// A response produced by the software memory controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -27,6 +27,7 @@ use easydram_bender::{BenderProgram, BenderResult, Executor, TransferCost};
 use easydram_dram::{AddressMapper, DramAddress, DramCommand, DramDevice, LINE_BYTES};
 
 use crate::costs::SmcCostModel;
+use crate::counters::Counters;
 use crate::request::{MemRequest, MemResponse, ResponseSlice};
 
 /// Gap used between the ACT→PRE→ACT commands of a RowClone sequence (well
@@ -550,7 +551,7 @@ impl EasyApi<'_> {
     ) {
         self.charge(self.ctx.costs.enqueue_response);
         let totals = self.session.ledger.totals;
-        let slice = totals - self.attributed;
+        let slice = totals.since(&self.attributed);
         self.attributed = totals;
         self.session.responses.push(MemResponse {
             tag: req.tag,

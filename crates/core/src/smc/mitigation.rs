@@ -50,22 +50,11 @@ pub struct MitigationStats {
     pub flips_observed: u64,
 }
 
-impl MitigationStats {
-    /// Rebases every cumulative counter against a window-start snapshot.
-    pub fn subtract_baseline(&mut self, start: &MitigationStats) {
-        self.targeted_refreshes -= start.targeted_refreshes;
-        self.rocket_cycles -= start.rocket_cycles;
-        self.flips_observed -= start.flips_observed;
-    }
-}
-
-impl std::ops::AddAssign for MitigationStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.targeted_refreshes += rhs.targeted_refreshes;
-        self.rocket_cycles += rhs.rocket_cycles;
-        self.flips_observed += rhs.flips_observed;
-    }
-}
+crate::counters::counters!(pub MitigationStats: sum {
+    targeted_refreshes,
+    rocket_cycles,
+    flips_observed,
+});
 
 /// The hook a mitigation policy installs into the serve loop: called once
 /// per request-issued activation (demand read/write row opens, RowClone

@@ -35,25 +35,13 @@ pub struct ServeResult {
     pub reduced_trcd_accesses: u64,
 }
 
-impl std::ops::AddAssign for ServeResult {
-    fn add_assign(&mut self, rhs: Self) {
-        self.served += rhs.served;
-        self.row_hits += rhs.row_hits;
-        self.row_misses += rhs.row_misses;
-        self.row_conflicts += rhs.row_conflicts;
-        self.reduced_trcd_accesses += rhs.reduced_trcd_accesses;
-    }
-}
-
-impl std::ops::SubAssign for ServeResult {
-    fn sub_assign(&mut self, rhs: Self) {
-        self.served -= rhs.served;
-        self.row_hits -= rhs.row_hits;
-        self.row_misses -= rhs.row_misses;
-        self.row_conflicts -= rhs.row_conflicts;
-        self.reduced_trcd_accesses -= rhs.reduced_trcd_accesses;
-    }
-}
+crate::counters::counters!(pub ServeResult: sum {
+    served,
+    row_hits,
+    row_misses,
+    row_conflicts,
+    reduced_trcd_accesses,
+});
 
 /// A software memory controller: the C++ program of paper Listing 1,
 /// expressed as a trait.

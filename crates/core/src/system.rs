@@ -23,12 +23,14 @@ use std::collections::BTreeMap;
 
 use easydram_bender::Executor;
 use easydram_cpu::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
+use easydram_cpu::cache::CacheLevelStats;
 use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
-use easydram_cpu::{CoreModel, CpuApi, Workload};
+use easydram_cpu::{CoreModel, CoreStats, CpuApi, Workload};
 use easydram_dram::{AddressMapper, DramAddress, DramDevice, LINE_BYTES};
 
 use crate::alloc::{remap_table, RemapEntry, RowCloneAllocator};
 use crate::config::{SystemConfig, TimingMode};
+use crate::counters::{counters, Counters};
 use crate::obs::{
     configured_trace, EventKind, EventRing, TileMetrics, TraceConfig, TraceEvent, TraceLog,
 };
@@ -82,22 +84,59 @@ struct Lane {
     pass: Option<LanePass>,
 }
 
-/// The tile-side sections of an [`ExecutionReport`]: lifetime totals from
-/// [`Tile::totals`], or one run window's from [`Tile::since`].
-pub(crate) struct TileStats {
-    pub(crate) smc: SmcStats,
-    pub(crate) channels: Vec<ChannelStats>,
-    pub(crate) requestors: Vec<RequestorStats>,
-    pub(crate) mitigation: Option<crate::smc::MitigationStats>,
-    pub(crate) metrics: TileMetrics,
+// `CoreStats` lives below this crate and keeps its operators.
+impl Counters for CoreStats {
+    fn fold(&mut self, shard: &Self) {
+        *self += *shard;
+    }
+
+    fn rebase(&mut self, start: &Self) {
+        *self -= *start;
+    }
 }
 
-/// A run window's start, as taken by [`Tile::snapshot`].
-pub(crate) struct TileSnapshot {
-    totals: TileStats,
-    /// The lifetime `peak_batch` set aside while the window observes its own.
-    prior_peak: u64,
+/// One core's clock and counters at one instant.
+#[derive(Clone, Copy)]
+pub(crate) struct CoreMark {
+    pub(crate) cycles: u64,
+    pub(crate) stats: CoreStats,
 }
+
+counters!(CoreMark: sum { cycles, stats });
+
+impl CoreMark {
+    pub(crate) fn of<B: MemoryBackend>(core: &CoreModel<B>) -> Self {
+        Self {
+            cycles: core.now_cycles(),
+            stats: *core.stats(),
+        }
+    }
+}
+
+/// Everything a report windows, read at one instant by [`Tile::mark`]: the
+/// cores' clocks and counters, the modeled FPGA wall clock and the tile-side
+/// sections of an [`ExecutionReport`]. A run window is `now.since(&start)`;
+/// a lifetime report is the window from zero, i.e. the mark itself.
+#[derive(Clone)]
+pub(crate) struct Mark {
+    pub(crate) cores: Vec<CoreMark>,
+    wall_ps: u64,
+    smc: SmcStats,
+    channels: Vec<ChannelStats>,
+    requestors: Vec<RequestorStats>,
+    mitigation: Option<crate::smc::MitigationStats>,
+    metrics: TileMetrics,
+}
+
+counters!(Mark: sum {
+    cores,
+    wall_ps,
+    smc,
+    channels,
+    requestors,
+    mitigation,
+    metrics,
+});
 
 /// The EasyTile plus DRAM: the memory system behind the core, sharded into
 /// one lane (device + session + controller + timeline) per memory channel.
@@ -347,9 +386,7 @@ impl Tile {
     pub fn mitigation_stats(&self) -> Option<crate::smc::MitigationStats> {
         let mut total: Option<crate::smc::MitigationStats> = None;
         for lane in &self.lanes {
-            if let Some(m) = lane.controller.mitigation_stats() {
-                *total.get_or_insert_with(Default::default) += m;
-            }
+            total.fold(&lane.controller.mitigation_stats());
         }
         total.map(|mut m| {
             m.flips_observed = self.device_stats().disturbance_flips;
@@ -449,9 +486,13 @@ impl Tile {
         addr / self.row_bytes
     }
 
-    /// The cumulative tile-side sections of a report.
-    pub(crate) fn totals(&self) -> TileStats {
-        TileStats {
+    /// Reads every windowed quantity at this instant. `cores` are the cores
+    /// sharing the tile; the wall clock runs to the furthest of them.
+    pub(crate) fn mark(&self, cores: Vec<CoreMark>) -> Mark {
+        let furthest = cores.iter().map(|c| c.cycles).max().unwrap_or(0);
+        Mark {
+            cores,
+            wall_ps: self.wall_ps_at(furthest),
             smc: self.stats,
             channels: self.channel_stats(),
             requestors: self.requestor_stats(),
@@ -460,34 +501,62 @@ impl Tile {
         }
     }
 
-    /// Opens a run window: snapshots the cumulative counters and starts a
-    /// fresh `peak_batch` observation, so the window reports its own peak
-    /// rather than the lifetime one.
-    pub(crate) fn snapshot(&mut self) -> TileSnapshot {
-        TileSnapshot {
-            totals: self.totals(),
-            prior_peak: std::mem::take(&mut self.stats.peak_batch),
-        }
+    /// Opens a run window: marks the start and begins a fresh `peak_batch`
+    /// observation, so the window reports its own peak, not the lifetime one.
+    pub(crate) fn open_window(&mut self, cores: Vec<CoreMark>) -> Mark {
+        let start = self.mark(cores);
+        self.stats.peak_batch = 0;
+        start
     }
 
-    /// Closes the window opened by `start`: the counters accumulated since,
-    /// with the prior peak folded back into the lifetime `peak_batch`.
-    pub(crate) fn since(&mut self, start: &TileSnapshot) -> TileStats {
-        let mut now = self.totals();
-        self.stats.peak_batch = self.stats.peak_batch.max(start.prior_peak);
-        let then = &start.totals;
-        now.smc.subtract_baseline(&then.smc);
-        for (c, c0) in now.channels.iter_mut().zip(&then.channels) {
-            c.subtract_baseline(c0);
+    /// Closes the window opened at `start`: everything since, with the
+    /// earlier peak folded back into the lifetime `peak_batch`.
+    pub(crate) fn close_window(&mut self, start: &Mark, cores: Vec<CoreMark>) -> Mark {
+        let window = self.mark(cores).since(start);
+        self.stats.peak_batch = self.stats.peak_batch.max(start.smc.peak_batch);
+        window
+    }
+
+    /// Assembles the report on `window`. The cores' counters sum and the
+    /// slowest core's cycles are the window's length (its makespan); the
+    /// cache and device statistics are not windowed.
+    pub(crate) fn report_over(
+        &self,
+        name: String,
+        window: Mark,
+        l1: Option<CacheLevelStats>,
+        l2: Option<CacheLevelStats>,
+    ) -> ExecutionReport {
+        let cycles = window.cores.iter().map(|c| c.cycles).max().unwrap_or(0);
+        let mut core = CoreStats::default();
+        for c in &window.cores {
+            core += c.stats;
         }
-        for (q, q0) in now.requestors.iter_mut().zip(&then.requestors) {
-            q.subtract_baseline(q0);
+        let wall_s = window.wall_ps as f64 / 1e12;
+        ExecutionReport {
+            name,
+            mode: self.cfg.mode,
+            emulated_cycles: cycles,
+            emulated_seconds: cycles as f64 / self.cfg.core.freq_hz as f64,
+            instructions: core.instructions,
+            fpga_wall_seconds: wall_s,
+            sim_speed_hz: if wall_s > 0.0 {
+                cycles as f64 / wall_s
+            } else {
+                0.0
+            },
+            mem_reads_per_kilo_cycle: core.mem_reads_per_kilo_cycle(cycles),
+            core,
+            l1,
+            l2,
+            dram: self.device_stats(),
+            smc: window.smc,
+            channels: window.channels,
+            controllers: self.controller_names(),
+            requestors: window.requestors,
+            mitigation: window.mitigation,
+            metrics: window.metrics,
         }
-        if let (Some(m), Some(m0)) = (now.mitigation.as_mut(), then.mitigation.as_ref()) {
-            m.subtract_baseline(m0);
-        }
-        now.metrics.subtract_baseline(&then.metrics);
-        now
     }
 
     /// Decodes a physical address, honouring RowClone row remaps (remapped
@@ -652,9 +721,8 @@ impl Tile {
             let ch = ch as u32;
             let ledger = *lane.session.ledger();
             // Fold each lane's pass into the tile-wide and per-channel stats
-            // through the shard merges (sums plus a max for `peak_batch`;
-            // see `report.rs`).
-            self.stats.merge(&SmcStats {
+            // (sums plus a max for `peak_batch`; see `counters.rs`).
+            self.stats.fold(&SmcStats {
                 requests: p.batch,
                 rocket_cycles: ledger.totals.rocket_cycles,
                 hw_cycles: ledger.hw_cycles,
@@ -666,7 +734,7 @@ impl Tile {
             self.metrics.batch_size.record(p.batch);
             max_lane_cycles = max_lane_cycles.max(ledger.totals.rocket_cycles + ledger.hw_cycles);
 
-            lane.stats.merge(&ChannelStats {
+            lane.stats.fold(&ChannelStats {
                 requests: p.batch,
                 rocket_cycles: ledger.totals.rocket_cycles,
                 hw_cycles: ledger.hw_cycles,
@@ -727,7 +795,7 @@ impl Tile {
                         .row_outcomes_per_bank
                         .resize(bank + 1, BankRowOutcomes::default());
                 }
-                lane.stats.row_outcomes_per_bank[bank].merge(&BankRowOutcomes {
+                lane.stats.row_outcomes_per_bank[bank].fold(&BankRowOutcomes {
                     hits: resp.slice.row_hits,
                     misses: resp.slice.row_misses,
                     conflicts: resp.slice.row_conflicts,
@@ -1090,64 +1158,24 @@ impl System {
 
     /// Runs a workload to completion and reports on its window.
     pub fn run(&mut self, workload: &mut dyn Workload) -> ExecutionReport {
-        let cycles0 = self.core.now_cycles();
-        let instr0 = self.core.stats().instructions;
-        let reads0 = self.core.stats().mem_reads;
-        let start = self.tile_mut().snapshot();
+        let cores = vec![CoreMark::of(&self.core)];
+        let start = self.tile_mut().open_window(cores);
         workload.run(&mut self.core);
-        let window = self.tile_mut().since(&start);
-        let mut r = self.report_over(workload.name(), window);
-        r.emulated_cycles = self.core.now_cycles() - cycles0;
-        r.instructions = self.core.stats().instructions - instr0;
-        r.emulated_seconds = r.emulated_cycles as f64 / self.core.config().freq_hz as f64;
-        r.mem_reads_per_kilo_cycle = if r.emulated_cycles == 0 {
-            0.0
-        } else {
-            (self.core.stats().mem_reads - reads0) as f64 * 1000.0 / r.emulated_cycles as f64
-        };
-        if r.fpga_wall_seconds > 0.0 {
-            r.sim_speed_hz = r.emulated_cycles as f64 / r.fpga_wall_seconds;
-        }
-        r
+        let cores = vec![CoreMark::of(&self.core)];
+        let window = self.tile_mut().close_window(&start, cores);
+        self.report_over(workload.name(), window)
     }
 
-    /// A cumulative report over the system's whole lifetime.
+    /// A cumulative report over the system's whole lifetime: the window
+    /// from zero.
     #[must_use]
     pub fn report(&self, name: &str) -> ExecutionReport {
-        self.report_over(name, self.tile().totals())
+        self.report_over(name, self.tile().mark(vec![CoreMark::of(&self.core)]))
     }
 
-    /// A lifetime report whose tile-side sections are `tile_stats`.
-    fn report_over(&self, name: &str, tile_stats: TileStats) -> ExecutionReport {
-        let cycles = self.core.now_cycles();
-        let tile = self.core.backend();
-        let wall_ps = tile.wall_ps_at(cycles);
-        let wall_s = wall_ps as f64 / 1e12;
-        let emu_s = cycles as f64 / self.core.config().freq_hz as f64;
-        ExecutionReport {
-            name: name.to_string(),
-            mode: tile.config().mode,
-            emulated_cycles: cycles,
-            emulated_seconds: emu_s,
-            instructions: self.core.stats().instructions,
-            fpga_wall_seconds: wall_s,
-            sim_speed_hz: if wall_s > 0.0 {
-                cycles as f64 / wall_s
-            } else {
-                0.0
-            },
-            mem_reads_per_kilo_cycle: self.core.stats().mem_reads_per_kilo_cycle(cycles),
-            core: *self.core.stats(),
-            l1: self.core.l1_stats(),
-            l2: self.core.l2_stats(),
-            dram: tile.device_stats(),
-            smc: tile_stats.smc,
-            channels: tile_stats.channels,
-            controllers: tile.controller_names(),
-            requestors: tile_stats.requestors,
-            mitigation: tile_stats.mitigation,
-            metrics: tile_stats.metrics,
-        }
+    fn report_over(&self, name: &str, window: Mark) -> ExecutionReport {
+        let (l1, l2) = (self.core.l1_stats(), self.core.l2_stats());
+        self.tile().report_over(name.to_string(), window, l1, l2)
     }
 
     /// Drains the tile's event and command rings into one export-ready

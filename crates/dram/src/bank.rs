@@ -324,73 +324,17 @@ impl RankTiming {
         if cmd.bank().is_some_and(|b| b >= self.geometry.banks()) {
             return true;
         }
-        let tt = &self.table;
-        let now_b = now_ps + BIAS;
-        if now_b < self.last_ref_bps + tt.dist_ps(Scope::Channel, CmdClass::Ref, CmdClass::of(cmd))
-        {
-            return false;
-        }
-        match *cmd {
-            DramCommand::Activate { bank, .. } => {
-                let b = &self.banks[bank as usize];
-                if !matches!(b.state, BankState::Idle) {
-                    return false;
-                }
-                let mut legal =
-                    b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Act);
-                let group = b.group as usize;
-                if tt.rrd_rolled_ok {
-                    legal = legal
-                        .max(
-                            self.last_act_by_group[group]
-                                + tt.dist_ps(Scope::BankGroup, CmdClass::Act, CmdClass::Act),
-                        )
-                        .max(
-                            self.last_act_any
-                                + tt.dist_ps(Scope::Rank, CmdClass::Act, CmdClass::Act),
-                        );
-                } else {
-                    for (g, &t_bps) in self.last_act_by_group.iter().enumerate() {
-                        let scope = if g == group {
-                            Scope::BankGroup
-                        } else {
-                            Scope::Rank
-                        };
-                        legal = legal.max(t_bps + tt.dist_ps(scope, CmdClass::Act, CmdClass::Act));
-                    }
-                }
-                legal = legal.max(self.act_window[self.act_ptr] + tt.t_faw_ps);
-                now_b >= legal
+        let state_ok = match *cmd {
+            DramCommand::Activate { bank, .. } | DramCommand::RefreshRow { bank, .. } => {
+                matches!(self.banks[bank as usize].state, BankState::Idle)
             }
-            DramCommand::Precharge { bank } => now_b >= self.pre_earliest_bps(bank),
-            DramCommand::PrechargeAll => {
-                (0..self.geometry.banks()).all(|bank| now_b >= self.pre_earliest_bps(bank))
+            DramCommand::Read { bank, .. } | DramCommand::Write { bank, .. } => {
+                matches!(self.banks[bank as usize].state, BankState::Active { .. })
             }
-            DramCommand::Read { bank, .. } => {
-                let b = &self.banks[bank as usize];
-                matches!(b.state, BankState::Active { .. })
-                    && now_b
-                        >= (b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, CmdClass::Rd))
-                            .max(self.col_earliest_bps(bank, false))
-            }
-            DramCommand::Write { bank, .. } => {
-                let b = &self.banks[bank as usize];
-                matches!(b.state, BankState::Active { .. })
-                    && now_b
-                        >= (b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, CmdClass::Wr))
-                            .max(self.col_earliest_bps(bank, true))
-            }
-            DramCommand::Refresh => {
-                let d = tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Ref);
-                self.open_banks == 0 && self.banks.iter().all(|b| now_b >= b.last_pre_bps + d)
-            }
-            DramCommand::RefreshRow { bank, .. } => {
-                let b = &self.banks[bank as usize];
-                matches!(b.state, BankState::Idle)
-                    && now_b
-                        >= b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Rfm)
-            }
-        }
+            DramCommand::Refresh => self.open_banks == 0,
+            DramCommand::Precharge { .. } | DramCommand::PrechargeAll => true,
+        };
+        state_ok && now_ps + BIAS >= self.earliest_issue_bps(cmd)
     }
 
     /// Checks every applicable rule for `cmd` at time `now_ps`.

@@ -1,4 +1,4 @@
-//! Permutation proofs for the stats merges.
+//! Permutation and window-additivity proofs for the stats merges.
 //!
 //! Every serve pass folds per-lane [`SmcStats`] / [`ChannelStats`] /
 //! [`RequestorStats`] shards into the tile totals. Those merges must be
@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use easydram::report::{BankRowOutcomes, ChannelStats, RequestorStats, SmcStats};
-use easydram::{LogHistogram, ServeResult, TileMetrics};
+use easydram::{Counters, LogHistogram, ServeResult, TileMetrics};
 
 /// One generated shard: 32 bytes of entropy, spread across every counter.
 type Raw = [u8; 32];
@@ -149,6 +149,23 @@ fn tree_reduce<T: Default + Clone, F: Fn(&mut T, &T) + Copy>(shards: &[T], merge
     }
 }
 
+/// Folds `shards` into a live record the way the tile does, closing a run
+/// window (`now.since(&start)`) after every shard whose bit of `cuts` is set
+/// and after the last one. Returns the windows and the lifetime total.
+fn windowed<T: Counters + Default>(shards: &[T], cuts: u64) -> (Vec<T>, T) {
+    let mut live = T::default();
+    let mut start = T::default();
+    let mut windows = Vec::new();
+    for (i, shard) in shards.iter().enumerate() {
+        live.fold(shard);
+        if cuts >> i & 1 == 1 || i + 1 == shards.len() {
+            windows.push(live.since(&start));
+            start = live.clone();
+        }
+    }
+    (windows, live)
+}
+
 fn raw_shards() -> impl Strategy<Value = Vec<Raw>> {
     prop::collection::vec(prop::array::uniform32(any::<u8>()), 1..12)
 }
@@ -239,6 +256,30 @@ proptest! {
         total.subtract_baseline(&baseline);
         let window = fold(&shards[1..], LogHistogram::merge);
         prop_assert_eq!(total, window);
+    }
+
+    /// Window additivity: however a shard sequence is cut into consecutive
+    /// run windows, the windows fold back to the lifetime total for every
+    /// counter of every struct — and the lifetime `peak_batch` is the max of
+    /// the window peaks, never their sum.
+    #[test]
+    fn windows_fold_to_the_lifetime_total(raws in raw_shards(), cuts in any::<u64>()) {
+        let smc: Vec<SmcStats> = raws.iter().map(smc_from).collect();
+        let (windows, lifetime) = windowed(&smc, cuts);
+        prop_assert_eq!(windows.iter().map(|w| w.peak_batch).max(), Some(lifetime.peak_batch));
+        prop_assert_eq!(fold(&windows, SmcStats::merge), lifetime);
+
+        let channels: Vec<ChannelStats> = raws.iter().map(channel_from).collect();
+        let (windows, lifetime) = windowed(&channels, cuts);
+        prop_assert_eq!(fold(&windows, ChannelStats::merge), lifetime);
+
+        let requestors: Vec<RequestorStats> = raws.iter().map(|b| requestor_from(0, b)).collect();
+        let (windows, lifetime) = windowed(&requestors, cuts);
+        prop_assert_eq!(fold(&windows, RequestorStats::merge), lifetime);
+
+        let metrics: Vec<TileMetrics> = raws.iter().map(metrics_from).collect();
+        let (windows, lifetime) = windowed(&metrics, cuts);
+        prop_assert_eq!(fold(&windows, TileMetrics::merge), lifetime);
     }
 
     /// RequestorStats merge is order-invariant for shards of one requestor.
