@@ -77,6 +77,30 @@ impl Executor {
         program: &BenderProgram,
         start_ps: u64,
     ) -> Result<BenderResult, BenderError> {
+        let mut result = BenderResult::default();
+        self.run_into(dev, program, start_ps, &mut result)
+            .map(|()| result)
+    }
+
+    /// [`Executor::run`] into a caller-owned `result`, which is cleared first
+    /// and keeps its buffers: a caller that reuses one `BenderResult` stops
+    /// allocating once they have grown to its largest batch.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::run`]; `result` then holds what ran before the error.
+    // lint: no_alloc
+    pub fn run_into(
+        &self,
+        dev: &mut DramDevice,
+        program: &BenderProgram,
+        start_ps: u64,
+        result: &mut BenderResult,
+    ) -> Result<(), BenderError> {
+        result.reads.clear();
+        result.read_corrupted.clear();
+        result.rowclones.clear();
+        result.violations.clear();
         if program.read_count() > self.readback_capacity {
             return Err(BenderError::ReadbackOverflow {
                 capacity: self.readback_capacity,
@@ -87,7 +111,6 @@ impl Executor {
         let mut cursor = start;
         let mut last_issue: Option<u64> = None;
         let mut end = start;
-        let mut result = BenderResult::default();
         for instr in program.instrs() {
             match *instr {
                 BenderInstr::Sleep { ps } => {
@@ -121,13 +144,12 @@ impl Executor {
                     end = end.max(out.completion_ps);
                     last_issue = Some(issue);
                     cursor = issue;
-                    let _ = cmd;
                 }
             }
         }
         result.end_ps = end;
         result.elapsed_ps = end - start;
-        Ok(result)
+        Ok(())
     }
 }
 

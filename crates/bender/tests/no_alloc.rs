@@ -1,0 +1,100 @@
+//! The steady-state request path — `Executor::run_into` down through
+//! `DramDevice::issue_raw` — performs no heap allocation once the rows it
+//! touches are materialised and its buffers have grown.
+//!
+//! `// lint: no_alloc` is lexical and stops at each call; this counts what
+//! the allocator is actually asked for. Lives here, not under `crates/dram`,
+//! because `easydram-bender` already depends on the device crate.
+
+// The one `unsafe impl` a counting allocator needs; the libraries under test
+// all `forbid(unsafe_code)`.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use easydram_bender::{BenderProgram, BenderResult, Executor};
+use easydram_dram::{DramCommand, DramConfig, DramDevice, LINE_BYTES};
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread. Per thread, so
+    /// the test harness's own threads do not count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a counter in a `const`
+// thread-local `Cell` (no lazy initialiser, no destructor, so touching it
+// inside the allocator cannot allocate or re-enter).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn steady_state_cycles_do_not_allocate() {
+    let mut cfg = DramConfig::small_for_tests();
+    // Counters on, so the per-ACT disturbance bookkeeping is on the path.
+    cfg.variation.disturb_enabled = true;
+    let banks = cfg.geometry.banks();
+    let mut dev = DramDevice::new(cfg);
+    // One ACT / RD / WR / RD / PRE cycle per (bank, row): a row miss, a read
+    // from the array, a write into the overlay, a read back out of it, and a
+    // dirty precharge.
+    let programs: Vec<BenderProgram> = (0..banks)
+        .flat_map(|bank| (0..16).map(move |row| (bank, row * 3)))
+        .map(|(bank, row)| {
+            let col = row % 128;
+            let data = [row as u8; LINE_BYTES];
+            let mut p = BenderProgram::new();
+            p.cmd(DramCommand::Activate { bank, row }).unwrap();
+            p.cmd(DramCommand::Read { bank, col }).unwrap();
+            p.cmd(DramCommand::Write { bank, col, data }).unwrap();
+            p.cmd(DramCommand::Read { bank, col }).unwrap();
+            p.cmd(DramCommand::Precharge { bank }).unwrap();
+            p
+        })
+        .collect();
+    let exec = Executor::new();
+    let mut result = BenderResult::default();
+    // Warm-up sweep: materialises the rows, row-table pages and overlays,
+    // and grows `result`'s buffers.
+    for p in &programs {
+        exec.run_into(&mut dev, p, 0, &mut result).unwrap();
+    }
+    let before = ALLOCS.with(Cell::get);
+    let mut cycles = 0u64;
+    while cycles < 10_000 {
+        for p in &programs {
+            exec.run_into(&mut dev, p, 0, &mut result).unwrap();
+            assert!(result.violations.is_empty());
+            assert_eq!(result.reads[1][0], result.reads[0][0], "same data again");
+            cycles += 1;
+        }
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations in {cycles} ACT/RD/WR/RD/PRE cycles"
+    );
+    assert_eq!(dev.stats().commands(), (programs.len() as u64 + cycles) * 5);
+}

@@ -62,7 +62,8 @@ pub struct TileCtx<'a> {
 /// session lives as long as the tile; [`ApiSession::begin`] lends it to an
 /// [`EasyApi`] handle for one pass.
 ///
-/// The buffers never move: `begin` clears them in place, so steady-state
+/// The buffers never move: `begin` clears them in place (and each
+/// `flush_commands` refills the one readback result), so steady-state
 /// serving allocates nothing once they have grown to the high-water batch
 /// size, and a finished pass's responses and ledger stay readable
 /// ([`ApiSession::responses`], [`ApiSession::ledger`]) until the next one.
@@ -73,6 +74,8 @@ pub struct ApiSession {
     passes: u64,
     table: Vec<MemRequest>,
     program: BenderProgram,
+    /// What the latest `flush_commands` produced; refilled in place.
+    flush: BenderResult,
     responses: Vec<MemResponse>,
     ledger: ApiLedger,
 }
@@ -95,6 +98,7 @@ impl ApiSession {
             // The derived `BenderProgram::default()` has zero capacity; the
             // command buffer must admit real command batches.
             program: BenderProgram::new(),
+            flush: BenderResult::default(),
             responses: Vec::new(),
             ledger: ApiLedger::default(),
         }
@@ -164,7 +168,6 @@ impl ApiSession {
             session: self,
             wall_base_ps,
             attributed: ResponseSlice::default(),
-            last_flush: None,
             critical: false,
         }
     }
@@ -197,7 +200,6 @@ pub struct EasyApi<'a> {
     tile_period_ps: u64,
     /// Watermark of ledger totals already attributed to a response.
     attributed: ResponseSlice,
-    last_flush: Option<BenderResult>,
     critical: bool,
 }
 
@@ -502,11 +504,12 @@ impl EasyApi<'_> {
         let n_instrs = self.session.program.len();
         self.session.ledger.hw_cycles += self.ctx.transfer.program_cycles(n_instrs);
         let start = self.wall_now_ps();
-        let result = self
-            .ctx
+        let session = &mut *self.session;
+        self.ctx
             .executor
-            .run(self.ctx.device, &self.session.program, start)?;
-        let ledger = &mut self.session.ledger;
+            .run_into(self.ctx.device, &session.program, start, &mut session.flush)?;
+        let result = &session.flush;
+        let ledger = &mut session.ledger;
         ledger.hw_cycles += self.ctx.transfer.readback_cycles(result.reads.len());
         ledger.totals.batches += 1;
         ledger.dram_elapsed_ps += result.elapsed_ps;
@@ -514,8 +517,7 @@ impl EasyApi<'_> {
         // pipeline latency of the final read overlaps with later batches in
         // a real controller.
         let t_cl = self.ctx.device.timing().t_cl_ps;
-        let columns = self
-            .session
+        let columns = session
             .program
             .instrs()
             .iter()
@@ -528,15 +530,8 @@ impl EasyApi<'_> {
             result.elapsed_ps
         };
         ledger.totals.dram_occupancy_ps += occupancy;
-        self.session.program.clear();
-        self.last_flush = Some(result);
-        Ok(self.last_flush.as_ref().expect("just set"))
-    }
-
-    /// The most recent batch result (readback buffer contents).
-    #[must_use]
-    pub fn last_result(&self) -> Option<&BenderResult> {
-        self.last_flush.as_ref()
+        session.program.clear();
+        Ok(&self.session.flush)
     }
 
     /// Finalizes the response to `req` (`enqueue_response`, Table 2): copies

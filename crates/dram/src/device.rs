@@ -12,10 +12,34 @@
 //!   model (paper §7).
 //! * Early `PRE` with dirty row buffer: the incomplete restore loses writes.
 //! * Unrefreshed rows decay when retention enforcement is enabled.
-
-// lint: allow(det/hash-order) — both device maps are keyed sparse stores
-// (entry/get/remove/clear by (bank, row)), never iterated.
-use std::collections::HashMap;
+//!
+//! # One copy of the data
+//!
+//! The **array** is the only place row contents live: a slab of materialised
+//! rows, found through a lazily paged table indexed by
+//! `row * banks + bank` (no hashing; untouched regions cost one null pointer
+//! per 256 records). The same per-row record carries the row's
+//! read-disturbance counter.
+//!
+//! A bank's **sense amplifiers** are not a copy of the open row. `ACT`
+//! records which array row is open and copies nothing; `RD` reads the line
+//! straight from the array. `WR` lands in a per-bank *overlay* — one
+//! row-sized scratch buffer plus a bitmap of the lines written since the
+//! `ACT` — and `RD` prefers an overlaid line. The array is updated only when
+//! the cells would be:
+//!
+//! * a `PRE` that meets tRAS/tWR copies the written lines into the array (a
+//!   clean `PRE` only stamps the restore time);
+//! * a `PRE` that violates them blends old and new contents word by word;
+//! * an `ACT` or `RFM` landing on an open bank discards the overlay — the
+//!   writes never reach the cells;
+//! * RowClone, retention decay, disturbance flips and the host backdoor
+//!   (`write_line` / `write_row`) write the array directly. A backdoor write
+//!   to the open row also drops the overlay lines it covers, so array and
+//!   sense amplifiers agree there.
+//!
+//! [`DramDevice::line_data`] / [`DramDevice::row_data`] read the array, so
+//! they show a `WR` only after its `PRE`.
 
 use crate::bank::RankTiming;
 use crate::command::{DramCommand, LINE_BYTES};
@@ -62,18 +86,89 @@ pub struct CmdOutcome {
     pub completion_ps: u64,
 }
 
+/// One materialised row of the array.
 #[derive(Debug, Clone)]
 struct RowData {
     bytes: Vec<u8>,
     last_restore_ps: u64,
 }
 
-#[derive(Debug, Clone)]
-struct RowBuffer {
+/// Rows per page of the row table.
+const PAGE_ROWS: usize = 256;
+
+type RowPage = [RowRecord; PAGE_ROWS];
+
+/// What the row table knows about one row.
+#[derive(Debug, Clone, Copy)]
+struct RowRecord {
+    /// Index of the row's data in [`DramDevice::rows`]; [`RowRecord::UNTOUCHED`]
+    /// until the row is first touched.
+    slot: usize,
+    /// Activations within hammer window `epoch` (stale, i.e. zero, once the
+    /// device's epoch has moved on).
+    hammer: u64,
+    epoch: u64,
+}
+
+impl RowRecord {
+    const UNTOUCHED: usize = usize::MAX;
+    const EMPTY: Self = Self {
+        slot: Self::UNTOUCHED,
+        hammer: 0,
+        epoch: 0,
+    };
+}
+
+/// The row a bank currently holds in its sense amplifiers.
+#[derive(Debug, Clone, Copy)]
+struct OpenRow {
     row: u32,
-    data: Vec<u8>,
+    /// The row's index in [`DramDevice::rows`].
+    slot: usize,
     act_ps: u64,
+    /// Whether a `WR` landed since the `ACT` (a backdoor write that
+    /// overtakes it does not clear this: the `PRE` still restores).
     dirty: bool,
+}
+
+/// One bank's sense amplifiers: which array row is open, plus the lines
+/// written since its `ACT`. Lines not in `written` are read from the array.
+#[derive(Debug, Clone)]
+struct SenseAmps {
+    open: Option<OpenRow>,
+    /// Row-sized scratch holding the written lines; empty until the bank's
+    /// first `WR`, then kept for the device's lifetime.
+    overlay: Vec<u8>,
+    /// One bit per column: the line lives in `overlay`, not in the array.
+    written: Vec<u64>,
+}
+
+impl SenseAmps {
+    fn is_written(&self, col: u32) -> bool {
+        self.written[col as usize / 64] >> (col % 64) & 1 == 1
+    }
+
+    fn mark_written(&mut self, col: u32) {
+        self.written[col as usize / 64] |= 1 << (col % 64);
+    }
+
+    fn drop_written(&mut self, col: u32) {
+        self.written[col as usize / 64] &= !(1 << (col % 64));
+    }
+
+    /// Copies every written line into `array`, the open row's cells.
+    // lint: no_alloc
+    fn restore_into(&self, array: &mut [u8]) {
+        for (word, &bits) in self.written.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let start = (word * 64 + bits.trailing_zeros() as usize) * LINE_BYTES;
+                array[start..start + LINE_BYTES]
+                    .copy_from_slice(&self.overlay[start..start + LINE_BYTES]);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// Number of rows on each side of a hammered row that can flip (paper-lineage
@@ -137,19 +232,24 @@ pub struct DramDevice {
     cfg: DramConfig,
     rank: RankTiming,
     variation: VariationModel,
-    // lint: allow(det/hash-order) — sparse row store, keyed access only.
-    rows: HashMap<(u32, u32), RowData>,
-    row_buffers: Vec<Option<RowBuffer>>,
+    /// The array: every row touched so far, in first-touch order. Rows are
+    /// never removed, so a slot stays valid for the device's lifetime.
+    rows: Vec<RowData>,
+    /// [`DramDevice::row_index`] → [`RowRecord`], in pages of [`PAGE_ROWS`]
+    /// allocated on first touch.
+    row_table: Vec<Option<Box<RowPage>>>,
+    /// Per-bank sense amplifiers.
+    banks: Vec<SenseAmps>,
     now_ps: u64,
     nonce: u64,
     rank_last_ref_ps: u64,
     stats: DeviceStats,
-    /// Activation count of each row within the current refresh window,
-    /// keyed `(bank, row)`. Only populated when disturbance modeling is on;
-    /// cleared by `REF` (or by `t_refw` elapsing — see
-    /// [`DramDevice::note_hammer`]), pruned per-neighborhood by `RFM`.
-    // lint: allow(det/hash-order) — keyed counters, never iterated.
-    hammer_counts: HashMap<(u32, u32), u64>,
+    /// The current hammer window. A row's activation count
+    /// ([`RowRecord::hammer`]) is live only while its `epoch` equals this,
+    /// so `REF` (or `t_refw` elapsing — see [`DramDevice::note_hammer`])
+    /// resets every counter by incrementing it. Counters only move when
+    /// disturbance modeling is on; `RFM` zeroes its neighborhood in place.
+    hammer_epoch: u64,
     /// Start of the current hammer window, ps.
     hammer_window_start_ps: u64,
     /// Lifetime ACT count per bank (surfaced into per-channel reports so
@@ -174,17 +274,24 @@ impl DramDevice {
         let rank = RankTiming::new(cfg.geometry.clone(), cfg.timing.clone());
         let variation = VariationModel::new(cfg.variation.clone(), cfg.geometry.clone());
         let banks = cfg.geometry.banks() as usize;
+        let rows = banks * cfg.geometry.rows_per_bank as usize;
+        let amps = SenseAmps {
+            open: None,
+            overlay: Vec::new(),
+            written: vec![0; cfg.geometry.cols_per_row().div_ceil(64) as usize],
+        };
         Self {
             cfg,
             rank,
             variation,
-            rows: HashMap::new(), // lint: allow(det/hash-order) — see the field's justification
-            row_buffers: vec![None; banks],
+            rows: Vec::new(),
+            row_table: vec![None; rows.div_ceil(PAGE_ROWS)],
+            banks: vec![amps; banks],
             now_ps: 0,
             nonce: 0,
             rank_last_ref_ps: 0,
             stats: DeviceStats::default(),
-            hammer_counts: HashMap::new(), // lint: allow(det/hash-order) — see the field's justification
+            hammer_epoch: 0,
             hammer_window_start_ps: 0,
             acts_per_bank: vec![0; banks],
             cmd_trace: None,
@@ -262,7 +369,17 @@ impl DramDevice {
     /// Always 0 when disturbance modeling is off.
     #[must_use]
     pub fn hammer_count(&self, bank: u32, row: u32) -> u64 {
-        self.hammer_counts.get(&(bank, row)).copied().unwrap_or(0)
+        let g = &self.cfg.geometry;
+        if bank >= g.banks() || row >= g.rows_per_bank {
+            return 0;
+        }
+        let idx = self.row_index(bank, row);
+        match &self.row_table[idx / PAGE_ROWS] {
+            Some(page) if page[idx % PAGE_ROWS].epoch == self.hammer_epoch => {
+                page[idx % PAGE_ROWS].hammer
+            }
+            _ => 0,
+        }
     }
 
     /// Lifetime ACT count of every bank, indexed by flat bank.
@@ -341,11 +458,10 @@ impl DramDevice {
         let entry = self.row_entry(bank, row);
         entry.bytes.copy_from_slice(bytes);
         entry.last_restore_ps = now;
-        // Keep an open row buffer coherent with the backdoor write.
-        if let Some(buf) = &mut self.row_buffers[bank as usize] {
-            if buf.row == row {
-                buf.data.copy_from_slice(bytes);
-            }
+        // The sense amplifiers of an open row follow the backdoor write.
+        let amps = &mut self.banks[bank as usize];
+        if amps.open.is_some_and(|open| open.row == row) {
+            amps.written.fill(0);
         }
     }
 
@@ -364,36 +480,59 @@ impl DramDevice {
         let entry = self.row_entry(bank, row);
         entry.bytes[start..start + LINE_BYTES].copy_from_slice(data);
         entry.last_restore_ps = now;
-        if let Some(buf) = &mut self.row_buffers[bank as usize] {
-            if buf.row == row {
-                buf.data[start..start + LINE_BYTES].copy_from_slice(data);
-            }
+        let amps = &mut self.banks[bank as usize];
+        if amps.open.is_some_and(|open| open.row == row) {
+            amps.drop_written(col);
         }
     }
 
-    fn row_entry(&mut self, bank: u32, row: u32) -> &mut RowData {
+    /// Row-major, so the rows a small footprint touches — the same few row
+    /// numbers in every bank, under every mapping scheme that puts the row
+    /// bits on top — share table pages.
+    fn row_index(&self, bank: u32, row: u32) -> usize {
+        row as usize * self.cfg.geometry.banks() as usize + bank as usize
+    }
+
+    fn record_mut(&mut self, idx: usize) -> &mut RowRecord {
+        let page = self.row_table[idx / PAGE_ROWS]
+            .get_or_insert_with(|| Box::new([RowRecord::EMPTY; PAGE_ROWS]));
+        &mut page[idx % PAGE_ROWS]
+    }
+
+    /// The array slot of `(bank, row)`, materializing deterministic power-on
+    /// garbage on first touch.
+    fn row_slot(&mut self, bank: u32, row: u32) -> usize {
         let g = &self.cfg.geometry;
         assert!(bank < g.banks(), "bank {bank} out of range");
         assert!(row < g.rows_per_bank, "row {row} out of range");
-        let row_bytes = g.row_bytes as usize;
+        let idx = self.row_index(bank, row);
+        let slot = self.record_mut(idx).slot;
+        if slot != RowRecord::UNTOUCHED {
+            return slot;
+        }
         let seed = self.cfg.variation.seed;
-        self.rows.entry((bank, row)).or_insert_with(|| {
-            // Deterministic power-on garbage.
-            let mut bytes = vec![0u8; row_bytes];
-            for (i, chunk) in bytes.chunks_mut(8).enumerate() {
-                let h = hash_coords(
-                    seed,
-                    b"power-on",
-                    &[u64::from(bank), u64::from(row), i as u64],
-                );
-                let src = h.to_le_bytes();
-                chunk.copy_from_slice(&src[..chunk.len()]);
-            }
-            RowData {
-                bytes,
-                last_restore_ps: 0,
-            }
-        })
+        let mut bytes = vec![0u8; self.cfg.geometry.row_bytes as usize];
+        for (i, chunk) in bytes.chunks_mut(8).enumerate() {
+            let h = hash_coords(
+                seed,
+                b"power-on",
+                &[u64::from(bank), u64::from(row), i as u64],
+            );
+            let src = h.to_le_bytes();
+            chunk.copy_from_slice(&src[..chunk.len()]);
+        }
+        let slot = self.rows.len();
+        self.record_mut(idx).slot = slot;
+        self.rows.push(RowData {
+            bytes,
+            last_restore_ps: 0,
+        });
+        slot
+    }
+
+    fn row_entry(&mut self, bank: u32, row: u32) -> &mut RowData {
+        let slot = self.row_slot(bank, row);
+        &mut self.rows[slot]
     }
 
     fn corrupt_line(data: &mut [u8], seed: u64, nonce: u64) {
@@ -425,9 +564,9 @@ impl DramDevice {
         }
     }
 
-    fn apply_retention_decay(&mut self, bank: u32, row: u32) -> bool {
+    fn apply_retention_decay(&mut self, bank: u32, row: u32) {
         if !self.cfg.enforce_retention {
-            return false;
+            return;
         }
         let t_refw = self.cfg.timing.t_refw_ps;
         let now = self.now_ps;
@@ -437,7 +576,7 @@ impl DramDevice {
         let entry = self.row_entry(bank, row);
         let effective = entry.last_restore_ps.max(rank_ref);
         if now.saturating_sub(effective) <= t_refw {
-            return false;
+            return;
         }
         // Sticky decay: flip bits in the array proportional to the overage.
         let overage = now - effective - t_refw;
@@ -449,7 +588,6 @@ impl DramDevice {
             entry.bytes[byte] ^= 1 << (h % 8);
         }
         entry.last_restore_ps = now; // decayed contents are now "stable"
-        true
     }
 
     /// Issues `cmd` at `now_ps`, rejecting any timing violation.
@@ -531,14 +669,6 @@ impl DramDevice {
                 self.acts_per_bank[bank as usize] += 1;
                 self.note_hammer(bank, row);
                 out.completion_ps = now_ps + self.cfg.timing.t_rcd_ps;
-                // Implicit data loss if ACT lands on an open bank.
-                if out
-                    .violations
-                    .iter()
-                    .any(|v| v.rule == TimingRule::BankOpen)
-                {
-                    self.row_buffers[bank as usize] = None;
-                }
                 let track = self.rank.bank(bank);
                 let clone_src = match (
                     track.prev_open_row,
@@ -558,15 +688,9 @@ impl DramDevice {
                 if let Some(src) = clone_src {
                     out.rowclone = Some(self.perform_rowclone(bank, src, row, now_ps));
                 } else {
-                    let decayed = self.apply_retention_decay(bank, row);
-                    let data = self.row_entry(bank, row).bytes.clone();
-                    self.row_buffers[bank as usize] = Some(RowBuffer {
-                        row,
-                        data,
-                        act_ps: now_ps,
-                        dirty: false,
-                    });
-                    let _ = decayed;
+                    self.apply_retention_decay(bank, row);
+                    let slot = self.row_slot(bank, row);
+                    self.open_bank(bank, row, slot, now_ps);
                 }
                 self.rank.apply(&cmd, now_ps);
             }
@@ -612,7 +736,7 @@ impl DramDevice {
                 // per-row activation counters reset. (This device models one
                 // rank-folded channel, so a rank-level REF covers everything
                 // it holds; ranks of a multi-rank channel share the fold.)
-                self.hammer_counts.clear();
+                self.hammer_epoch += 1;
                 self.hammer_window_start_ps = now_ps;
                 self.rank.apply(&cmd, now_ps);
             }
@@ -620,14 +744,15 @@ impl DramDevice {
                 self.stats.targeted_refreshes += 1;
                 out.completion_ps = now_ps + self.cfg.timing.t_rfm_ps;
                 // An RFM on an open bank tramples the sense amplifiers with
-                // its internal activation: the open buffer is lost without
-                // restore, mirroring the illegal-ACT consequence.
+                // its internal activation: whatever was written since the ACT
+                // is lost without restore, mirroring the illegal-ACT
+                // consequence.
                 if out
                     .violations
                     .iter()
                     .any(|v| v.rule == TimingRule::RefWithOpenRows)
                 {
-                    self.row_buffers[bank as usize] = None;
+                    self.banks[bank as usize].open = None;
                 }
                 let now = self.now_ps;
                 self.row_entry(bank, row).last_restore_ps = now;
@@ -639,9 +764,9 @@ impl DramDevice {
                 // matches RFM-style bookkeeping.
                 if self.cfg.variation.disturb_enabled {
                     let rows = self.cfg.geometry.rows_per_bank;
-                    self.hammer_counts.remove(&(bank, row));
-                    for r in blast_neighbors(row, rows, BLAST_RADIUS) {
-                        self.hammer_counts.remove(&(bank, r));
+                    for r in std::iter::once(row).chain(blast_neighbors(row, rows, BLAST_RADIUS)) {
+                        let idx = self.row_index(bank, r);
+                        self.record_mut(idx).hammer = 0;
                     }
                 }
                 self.rank.apply(&cmd, now_ps);
@@ -670,23 +795,27 @@ impl DramDevice {
         // refresh windows. (Like the explicit REF path, expiry closes the
         // whole rank-folded window at once.)
         if self.now_ps.saturating_sub(self.hammer_window_start_ps) >= self.cfg.timing.t_refw_ps {
-            self.hammer_counts.clear();
+            self.hammer_epoch += 1;
             self.hammer_window_start_ps = self.now_ps;
         }
-        let count = {
-            let c = self.hammer_counts.entry((bank, row)).or_insert(0);
-            *c += 1;
-            *c
-        };
+        let epoch = self.hammer_epoch;
+        let idx = self.row_index(bank, row);
+        let rec = self.record_mut(idx);
+        if rec.epoch != epoch {
+            rec.epoch = epoch;
+            rec.hammer = 0;
+        }
+        rec.hammer += 1;
+        let count = rec.hammer;
         if count <= self.variation.hc_first(bank, row) {
             return;
         }
-        let g = self.cfg.geometry.clone();
         let seed = self.cfg.variation.seed;
         let window = self.hammer_window_start_ps;
-        for victim in blast_neighbors(row, g.rows_per_bank, BLAST_RADIUS) {
+        for victim in blast_neighbors(row, self.cfg.geometry.rows_per_bank, BLAST_RADIUS) {
             // Sense-amplifier stripes isolate subarrays: disturbance never
             // crosses a subarray boundary.
+            let g = &self.cfg.geometry;
             if g.subarray_of(victim) != g.subarray_of(row) {
                 continue;
             }
@@ -707,16 +836,11 @@ impl DramDevice {
                     window,
                 ],
             );
+            // Only the array: if the victim is the row open in `bank`, the
+            // ACT being counted is about to discard its sense amplifiers.
             let entry = self.row_entry(bank, victim);
             let byte = (h as usize / 8) % entry.bytes.len();
-            let bit = 1u8 << (h % 8);
-            entry.bytes[byte] ^= bit;
-            // Keep an open buffer on this row coherent with the array.
-            if let Some(buf) = &mut self.row_buffers[bank as usize] {
-                if buf.row == victim {
-                    buf.data[byte] ^= bit;
-                }
-            }
+            entry.bytes[byte] ^= 1 << (h % 8);
             self.stats.disturbance_flips += 1;
         }
     }
@@ -729,24 +853,20 @@ impl DramDevice {
         if success {
             self.stats.rowclone_successes += 1;
         }
-        let src_data = self.row_entry(bank, src).bytes.clone();
-        let dst_entry_now = self.now_ps;
-        let dst_entry = self.row_entry(bank, dst);
+        let src_slot = self.row_slot(bank, src);
+        let dst_slot = self.row_slot(bank, dst);
+        // `src != dst`; lend the source bytes out while the destination is
+        // written.
+        let src_bytes = std::mem::take(&mut self.rows[src_slot].bytes);
+        let dst_entry = &mut self.rows[dst_slot];
         if success {
-            dst_entry.bytes.copy_from_slice(&src_data);
+            dst_entry.bytes.copy_from_slice(&src_bytes);
         } else {
-            let mut stale = std::mem::take(&mut dst_entry.bytes);
-            Self::corrupt_mix(&src_data, &mut stale, seed, nonce);
-            dst_entry.bytes = stale;
+            Self::corrupt_mix(&src_bytes, &mut dst_entry.bytes, seed, nonce);
         }
-        dst_entry.last_restore_ps = dst_entry_now;
-        let data = dst_entry.bytes.clone();
-        self.row_buffers[bank as usize] = Some(RowBuffer {
-            row: dst,
-            data,
-            act_ps: now_ps,
-            dirty: false,
-        });
+        dst_entry.last_restore_ps = now_ps;
+        self.rows[src_slot].bytes = src_bytes;
+        self.open_bank(bank, dst, dst_slot, now_ps);
         RowCloneOutcome {
             bank,
             src_row: src,
@@ -755,38 +875,57 @@ impl DramDevice {
         }
     }
 
-    fn precharge_bank(&mut self, bank: u32, now_ps: u64, violations: &[TimingViolation]) {
-        let Some(buf) = self.row_buffers[bank as usize].take() else {
-            return;
-        };
-        if !buf.dirty {
-            // Clean close: the array already holds this data (restoration of
-            // a recently-activated row survives an early PRE).
-            let entry = self.row_entry(bank, buf.row);
-            entry.last_restore_ps = now_ps;
-            return;
-        }
-        let restore_violated = violations
-            .iter()
-            .any(|v| matches!(v.rule, TimingRule::Tras | TimingRule::Twr));
-        let seed = self.cfg.variation.seed;
-        let nonce = self.next_nonce();
-        let entry = self.row_entry(bank, buf.row);
-        if restore_violated {
-            // Incomplete restore: writes are partially lost.
-            let src = entry.bytes.clone();
-            let mut mixed = buf.data;
-            Self::corrupt_mix(&src, &mut mixed, seed, nonce);
-            entry.bytes = mixed;
-        } else {
-            entry.bytes.copy_from_slice(&buf.data);
-        }
-        entry.last_restore_ps = now_ps;
+    /// `ACT`: the sense amplifiers now hold array row `slot`. Nothing is
+    /// copied; whatever the bank held un-restored (an `ACT` on an open bank)
+    /// is gone.
+    // lint: no_alloc
+    fn open_bank(&mut self, bank: u32, row: u32, slot: usize, now_ps: u64) {
+        let amps = &mut self.banks[bank as usize];
+        amps.written.fill(0);
+        amps.open = Some(OpenRow {
+            row,
+            slot,
+            act_ps: now_ps,
+            dirty: false,
+        });
     }
 
+    // lint: no_alloc — the interrupted restore (a snapshot) is out of line.
+    fn precharge_bank(&mut self, bank: u32, now_ps: u64, violations: &[TimingViolation]) {
+        let Some(open) = self.banks[bank as usize].open.take() else {
+            return;
+        };
+        if open.dirty {
+            let nonce = self.next_nonce();
+            let restore_violated = violations
+                .iter()
+                .any(|v| matches!(v.rule, TimingRule::Tras | TimingRule::Twr));
+            if restore_violated {
+                self.restore_interrupted(bank, open.slot, nonce);
+            } else {
+                self.banks[bank as usize].restore_into(&mut self.rows[open.slot].bytes);
+            }
+        }
+        // A clean close leaves the array as it is (restoration of a
+        // recently-activated row survives an early PRE).
+        self.rows[open.slot].last_restore_ps = now_ps;
+    }
+
+    /// Incomplete restore (tRAS/tWR violated): the cells end up a word-wise
+    /// blend of what they held and what the sense amplifiers held, so writes
+    /// are partially lost.
+    fn restore_interrupted(&mut self, bank: u32, slot: usize, nonce: u64) {
+        let array = &mut self.rows[slot].bytes;
+        let old = array.clone();
+        self.banks[bank as usize].restore_into(array);
+        Self::corrupt_mix(&old, array, self.cfg.variation.seed, nonce);
+    }
+
+    // lint: no_alloc
     fn read_line(&mut self, bank: u32, col: u32, now_ps: u64) -> ([u8; LINE_BYTES], bool) {
         let seed = self.cfg.variation.seed;
-        let Some(buf) = &self.row_buffers[bank as usize] else {
+        let amps = &self.banks[bank as usize];
+        let Some(open) = amps.open else {
             // Reading a precharged bank: bus garbage.
             let nonce = self.next_nonce();
             let mut data = [0u8; LINE_BYTES];
@@ -796,17 +935,24 @@ impl DramDevice {
             }
             return (data, true);
         };
-        let row = buf.row;
-        let applied_trcd = now_ps.saturating_sub(buf.act_ps);
+        let applied_trcd = now_ps.saturating_sub(open.act_ps);
         let start = col as usize * LINE_BYTES;
+        let src = if amps.is_written(col) {
+            &amps.overlay
+        } else {
+            &self.rows[open.slot].bytes
+        };
         let mut data = [0u8; LINE_BYTES];
-        data.copy_from_slice(&buf.data[start..start + LINE_BYTES]);
+        data.copy_from_slice(&src[start..start + LINE_BYTES]);
         if applied_trcd >= self.cfg.timing.t_rcd_ps {
             return (data, false);
         }
         self.stats.reduced_trcd_reads += 1;
         let nonce = self.next_nonce();
-        if self.variation.read_ok(bank, row, col, applied_trcd, nonce) {
+        if self
+            .variation
+            .read_ok(bank, open.row, col, applied_trcd, nonce)
+        {
             (data, false)
         } else {
             Self::corrupt_line(&mut data, seed, nonce);
@@ -814,23 +960,30 @@ impl DramDevice {
         }
     }
 
+    // lint: no_alloc — the overlay grows once, on the bank's first WR.
     fn write_line_buffered(&mut self, bank: u32, col: u32, data: &[u8; LINE_BYTES], now_ps: u64) {
-        let t_rcd = self.cfg.timing.t_rcd_ps;
         let nonce = self.next_nonce();
-        let seed = self.cfg.variation.seed;
-        let variation = self.variation.clone();
-        let Some(buf) = &mut self.row_buffers[bank as usize] else {
+        let amps = &mut self.banks[bank as usize];
+        let Some(open) = &mut amps.open else {
             // Write to a precharged bank: data is lost on the floor.
             return;
         };
-        let applied_trcd = now_ps.saturating_sub(buf.act_ps);
+        let applied_trcd = now_ps.saturating_sub(open.act_ps);
         let mut payload = *data;
-        if applied_trcd < t_rcd && !variation.read_ok(bank, buf.row, col, applied_trcd, nonce) {
-            Self::corrupt_line(&mut payload, seed, nonce);
+        if applied_trcd < self.cfg.timing.t_rcd_ps
+            && !self
+                .variation
+                .read_ok(bank, open.row, col, applied_trcd, nonce)
+        {
+            Self::corrupt_line(&mut payload, self.cfg.variation.seed, nonce);
+        }
+        open.dirty = true;
+        if amps.overlay.is_empty() {
+            amps.overlay.resize(self.cfg.geometry.row_bytes as usize, 0);
         }
         let start = col as usize * LINE_BYTES;
-        buf.data[start..start + LINE_BYTES].copy_from_slice(&payload);
-        buf.dirty = true;
+        amps.overlay[start..start + LINE_BYTES].copy_from_slice(&payload);
+        amps.mark_written(col);
     }
 }
 
@@ -1061,6 +1214,101 @@ mod tests {
         let _ = before;
     }
 
+    /// Legal ACT of `row` in bank 0 at `at`, then a legal WR of `data` to
+    /// `col`. Returns the time of the WR.
+    fn open_and_write(
+        d: &mut DramDevice,
+        row: u32,
+        col: u32,
+        data: [u8; LINE_BYTES],
+        at: u64,
+    ) -> u64 {
+        d.issue_checked(DramCommand::Activate { bank: 0, row }, at)
+            .unwrap();
+        let wr_at = at + t().t_rcd_ps;
+        d.issue_checked(DramCommand::Write { bank: 0, col, data }, wr_at)
+            .unwrap();
+        wr_at
+    }
+
+    /// Earliest legal PRE of bank 0, issued.
+    fn close_legal(d: &mut DramDevice) {
+        let pre = DramCommand::Precharge { bank: 0 };
+        let at = d.earliest_issue_ps(&pre).max(d.now_ps());
+        d.issue_checked(pre, at).unwrap();
+    }
+
+    fn read_at_earliest(d: &mut DramDevice, col: u32) -> [u8; LINE_BYTES] {
+        let rd = DramCommand::Read { bank: 0, col };
+        let at = d.earliest_issue_ps(&rd).max(d.now_ps());
+        d.issue_checked(rd, at).unwrap().read_data.unwrap()
+    }
+
+    #[test]
+    fn a_write_reaches_the_array_at_precharge_not_before() {
+        let mut d = dev();
+        let old = d.line_data(0, 2, 4);
+        let new = [0x5Au8; LINE_BYTES];
+        assert_ne!(old, new);
+        open_and_write(&mut d, 2, 4, new, 0);
+        assert_eq!(read_at_earliest(&mut d, 4), new, "RD sees the sense amps");
+        assert_eq!(d.line_data(0, 2, 4), old, "the cells are not restored yet");
+        let neighbor = d.line_data(0, 2, 5);
+        assert_eq!(read_at_earliest(&mut d, 5), neighbor, "unwritten line");
+        close_legal(&mut d);
+        assert_eq!(d.line_data(0, 2, 4), new);
+        assert_eq!(d.line_data(0, 2, 5), neighbor);
+    }
+
+    #[test]
+    fn backdoor_write_overtakes_an_unrestored_write() {
+        let mut d = dev();
+        open_and_write(&mut d, 2, 4, [0x11; LINE_BYTES], 0);
+        let backdoor = [0x22u8; LINE_BYTES];
+        d.write_line(0, 2, 4, &backdoor);
+        assert_eq!(read_at_earliest(&mut d, 4), backdoor);
+        close_legal(&mut d);
+        assert_eq!(
+            d.line_data(0, 2, 4),
+            backdoor,
+            "the PRE restores nothing older"
+        );
+        // Same for a whole-row backdoor write.
+        let at = d.earliest_issue_ps(&DramCommand::Activate { bank: 0, row: 2 });
+        open_and_write(&mut d, 2, 4, [0x33; LINE_BYTES], at);
+        d.write_row(0, 2, &[0x44; 8192]);
+        assert_eq!(read_at_earliest(&mut d, 4), [0x44; LINE_BYTES]);
+        close_legal(&mut d);
+        assert_eq!(d.line_data(0, 2, 4), [0x44; LINE_BYTES]);
+    }
+
+    #[test]
+    fn act_on_an_open_bank_drops_unrestored_writes() {
+        let mut d = dev();
+        let old = d.line_data(0, 2, 4);
+        let other = d.line_data(0, 9, 4);
+        let wr_at = open_and_write(&mut d, 2, 4, [0x5A; LINE_BYTES], 0);
+        let out = d
+            .issue_raw(DramCommand::Activate { bank: 0, row: 9 }, wr_at + 100_000)
+            .unwrap();
+        assert!(out
+            .violations
+            .iter()
+            .any(|v| v.rule == TimingRule::BankOpen));
+        assert_eq!(
+            read_at_earliest(&mut d, 4),
+            other,
+            "row 9, not row 2's write"
+        );
+        close_legal(&mut d);
+        assert_eq!(
+            d.line_data(0, 2, 4),
+            old,
+            "the write never reached the cells"
+        );
+        assert_eq!(d.line_data(0, 9, 4), other);
+    }
+
     #[test]
     fn retention_decay_when_enforced() {
         let mut cfg = DramConfig::small_for_tests();
@@ -1201,6 +1449,78 @@ mod tests {
             1,
             "the stale window must expire, counting only the fresh ACT"
         );
+    }
+
+    #[test]
+    fn a_flip_on_an_open_written_victim_lands_in_the_array() {
+        // Certain flips at distance 1 once the aggressor is past HCfirst.
+        let mut d = disturb_dev((8, 16), 1_000);
+        d.write_row(0, 66, &[0u8; 8192]);
+        let hc = d.variation().hc_first(0, 65);
+        let now = hammer(&mut d, 65, hc, 0);
+        assert_eq!(d.stats().disturbance_flips, 0);
+        // Open the victim and overlay every one of its lines, so whichever
+        // byte the flip picks sits under an un-restored write.
+        d.issue_raw(DramCommand::Activate { bank: 0, row: 66 }, now)
+            .unwrap();
+        for col in 0..128 {
+            let data = [0xFF; LINE_BYTES];
+            let wr = DramCommand::Write { bank: 0, col, data };
+            let at = d.earliest_issue_ps(&wr);
+            d.issue_raw(wr, at).unwrap();
+        }
+        // The over-threshold ACT lands on the open bank: it flips a victim
+        // cell and, by reopening the bank, discards the victim's writes.
+        let at = d.now_ps() + 1_500;
+        d.issue_raw(DramCommand::Activate { bank: 0, row: 65 }, at)
+            .unwrap();
+        assert!(d.stats().disturbance_flips >= 1);
+        let array = d.row_data(0, 66).to_vec();
+        let flipped: Vec<usize> = (0..array.len()).filter(|&i| array[i] != 0).collect();
+        assert_eq!(flipped.len(), 1, "one flipped cell, no 0xFF line restored");
+        assert_eq!(array[flipped[0]].count_ones(), 1);
+        // The flip is what a later ACT senses and what its PRE leaves.
+        close_legal(&mut d);
+        let act = DramCommand::Activate { bank: 0, row: 66 };
+        let at = d.earliest_issue_ps(&act);
+        d.issue_raw(act, at).unwrap();
+        let col = (flipped[0] / LINE_BYTES) as u32;
+        let start = col as usize * LINE_BYTES;
+        assert_eq!(
+            read_at_earliest(&mut d, col)[..],
+            array[start..start + LINE_BYTES]
+        );
+        close_legal(&mut d);
+        assert_eq!(d.row_data(0, 66), array.as_slice());
+    }
+
+    #[test]
+    fn window_close_and_rfm_zero_exactly_the_counters_they_cover() {
+        let mut d = disturb_dev((1_000, 2_000), 500);
+        let mut now = 0;
+        for row in (63..=68).chain([200]) {
+            now = hammer(&mut d, row, 3, now);
+        }
+        d.issue_raw(DramCommand::RefreshRow { bank: 0, row: 65 }, now)
+            .unwrap();
+        for row in 63..=67 {
+            assert_eq!(
+                d.hammer_count(0, row),
+                0,
+                "row {row} is within ±2 of the RFM"
+            );
+        }
+        assert_eq!(d.hammer_count(0, 68), 3);
+        assert_eq!(d.hammer_count(0, 200), 3);
+        // tREFW expiry zeroes rows that are not re-activated, too.
+        hammer(&mut d, 300, 1, now + t().t_refw_ps);
+        assert_eq!([68, 200, 300].map(|row| d.hammer_count(0, row)), [0, 0, 1]);
+        let now = hammer(&mut d, 200, 4, 0);
+        assert_eq!(d.hammer_count(0, 200), 4);
+        d.issue_raw(DramCommand::Refresh, now).unwrap();
+        assert_eq!([200, 300].map(|row| d.hammer_count(0, row)), [0, 0]);
+        assert_eq!(d.hammer_count(7, 0), 0, "out of range reads as untouched");
+        assert_eq!(d.hammer_count(0, 1 << 20), 0);
     }
 
     #[test]

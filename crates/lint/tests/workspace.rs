@@ -36,7 +36,7 @@ fn workspace_is_lint_clean() {
 
 /// The most `// lint: allow(...)` escapes the linted file set may hold. A
 /// ratchet: lower it whenever an allow is deleted, never raise it.
-const ALLOW_CEILING: usize = 14;
+const ALLOW_CEILING: usize = 9;
 
 #[test]
 fn allow_pragmas_only_go_down() {
