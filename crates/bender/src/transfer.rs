@@ -40,13 +40,6 @@ impl TransferCost {
     pub fn readback_cycles(&self, n_lines: usize) -> u64 {
         self.cycles_per_readback_line * n_lines as u64
     }
-
-    /// Total cycles for a batch with `n_instrs` instructions producing
-    /// `n_lines` readback lines.
-    #[must_use]
-    pub fn batch_cycles(&self, n_instrs: usize, n_lines: usize) -> u64 {
-        self.program_cycles(n_instrs) + self.readback_cycles(n_lines)
-    }
 }
 
 #[cfg(test)]
@@ -58,10 +51,6 @@ mod tests {
         let c = TransferCost::default();
         assert!(c.program_cycles(10) > c.program_cycles(1));
         assert!(c.readback_cycles(4) > c.readback_cycles(1));
-        assert_eq!(
-            c.batch_cycles(3, 2),
-            c.program_cycles(3) + c.readback_cycles(2)
-        );
     }
 
     #[test]

@@ -168,7 +168,6 @@ impl ApiSession {
             session: self,
             wall_base_ps,
             attributed: ResponseSlice::default(),
-            critical: false,
         }
     }
 }
@@ -200,7 +199,6 @@ pub struct EasyApi<'a> {
     tile_period_ps: u64,
     /// Watermark of ledger totals already attributed to a response.
     attributed: ResponseSlice,
-    critical: bool,
 }
 
 impl EasyApi<'_> {
@@ -224,16 +222,12 @@ impl EasyApi<'_> {
         self.session.ledger.totals.rocket_cycles
     }
 
-    /// Sets critical mode (`set_scheduling_state`, Table 2).
+    /// Sets critical mode (`set_scheduling_state`, Table 2). The handle
+    /// models the call's cost only: the tile gates the processor clock
+    /// around the whole serve pass (`TimeScalingCounters::enter_critical`).
     pub fn set_scheduling_state(&mut self, critical: bool) {
+        let _ = critical;
         self.charge(self.ctx.costs.set_scheduling_state);
-        self.critical = critical;
-    }
-
-    /// Whether the controller is in critical mode.
-    #[must_use]
-    pub fn in_critical_mode(&self) -> bool {
-        self.critical
     }
 
     /// Whether the hardware request FIFO and the request table are both
@@ -485,12 +479,6 @@ impl EasyApi<'_> {
         self.session
             .program
             .cmd_auto(DramCommand::Precharge { bank: dst.bank })
-    }
-
-    /// Number of commands staged in the command buffer.
-    #[must_use]
-    pub fn staged_commands(&self) -> usize {
-        self.session.program.len()
     }
 
     /// Ships the command batch to DRAM Bender and executes it

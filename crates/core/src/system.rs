@@ -25,7 +25,7 @@ use easydram_bender::Executor;
 use easydram_cpu::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
 use easydram_cpu::cache::CacheLevelStats;
 use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
-use easydram_cpu::{CoreModel, CoreStats, CpuApi, Workload};
+use easydram_cpu::{BumpAllocator, CoreModel, CoreStats, CpuApi, Workload};
 use easydram_dram::{AddressMapper, DramAddress, DramDevice, LINE_BYTES};
 
 use crate::alloc::{remap_table, RemapEntry, RowCloneAllocator};
@@ -154,7 +154,7 @@ pub struct Tile {
     clonable: BTreeMap<(u64, u64), bool>,
     /// Init sources: destination vrow → pattern-source vrow.
     init_sources: BTreeMap<u64, u64>,
-    alloc_cursor: u64,
+    heap: BumpAllocator,
     /// Absolute FPGA/DRAM wall clock, ps.
     wall_ps: u64,
     /// Total wall time the processor domain spent clock-gated, ps.
@@ -239,7 +239,7 @@ impl Tile {
             allocator,
             clonable: BTreeMap::new(),
             init_sources: BTreeMap::new(),
-            alloc_cursor: 0x1_0000,
+            heap: BumpAllocator::new(),
             wall_ps: 0,
             frozen_ps: 0,
             next_req_id: 0,
@@ -253,12 +253,6 @@ impl Tile {
             metrics: TileMetrics::default(),
             trace,
         }
-    }
-
-    /// Whether event tracing is enabled on this tile.
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// The resolved tracing configuration (`cfg.trace`, else the
@@ -308,12 +302,6 @@ impl Tile {
     #[must_use]
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
-    }
-
-    /// Channel 0's DRAM device (host-side access for verification and
-    /// setup). Multi-channel tooling uses [`Tile::channel_device_mut`].
-    pub fn device_mut(&mut self) -> &mut DramDevice {
-        &mut self.lanes[0].device
     }
 
     /// Channel 0's DRAM device.
@@ -898,17 +886,6 @@ impl Tile {
         self.remap.extend(table);
     }
 
-    fn bump_alloc(&mut self, bytes: u64, align: u64) -> u64 {
-        let align = align.max(1);
-        let base = self.alloc_cursor.div_ceil(align) * align;
-        self.alloc_cursor = base + bytes;
-        assert!(
-            self.alloc_cursor < self.capacity_bytes(),
-            "allocation exceeds DRAM capacity"
-        );
-        base
-    }
-
     /// Highest natural row index the bump allocator has touched in any bank
     /// (used to keep remap pools collision-free). Allocations interleave
     /// across every channel and rank, so the per-bank row footprint shrinks
@@ -916,7 +893,7 @@ impl Tile {
     fn natural_rows_used(&self) -> u32 {
         let geo = &self.cfg.dram.geometry;
         let span = u64::from(geo.row_bytes) * u64::from(geo.total_banks());
-        (self.alloc_cursor / span + 2) as u32
+        (self.heap.cursor() / span + 2) as u32
     }
 
     /// Serves a profiling request for one cache line at the given tRCD,
@@ -983,7 +960,7 @@ impl MemoryBackend for Tile {
     }
 
     fn alloc(&mut self, bytes: u64, align: u64) -> u64 {
-        self.bump_alloc(bytes, align)
+        self.heap.alloc(bytes, align, self.capacity_bytes())
     }
 
     fn capacity_bytes(&self) -> u64 {
@@ -1033,13 +1010,12 @@ impl MemoryBackend for Tile {
     fn rowclone_alloc_copy(&mut self, bytes: u64) -> Option<(u64, u64)> {
         let rb = self.row_bytes;
         let n_rows = bytes.div_ceil(rb);
-        let src_base = self.bump_alloc(n_rows * rb, rb);
-        let dst_base = self.bump_alloc(n_rows * rb, rb);
-        let plan = {
-            let var = self.lanes[0].device.variation().clone();
-            self.allocator
-                .plan_copy(&var, n_rows, src_base / rb, dst_base / rb)?
-        };
+        let src_base = self.alloc(n_rows * rb, rb);
+        let dst_base = self.alloc(n_rows * rb, rb);
+        let var = self.lanes[0].device.variation();
+        let plan = self
+            .allocator
+            .plan_copy(var, n_rows, src_base / rb, dst_base / rb)?;
         // Pool collision guard: remap rows live far above natural rows.
         let used = self.natural_rows_used();
         for b in 0..self.cfg.dram.geometry.banks() {
@@ -1061,13 +1037,12 @@ impl MemoryBackend for Tile {
         let n_rows = bytes.div_ceil(rb);
         let per_block = u64::from(self.cfg.dram.geometry.subarray_rows) - 1;
         let blocks = n_rows.div_ceil(per_block);
-        let dst_base = self.bump_alloc(n_rows * rb, rb);
-        let src_base = self.bump_alloc(blocks * rb, rb);
-        let plan = {
-            let var = self.lanes[0].device.variation().clone();
-            self.allocator
-                .plan_init(&var, n_rows, dst_base / rb, src_base / rb)?
-        };
+        let dst_base = self.alloc(n_rows * rb, rb);
+        let src_base = self.alloc(blocks * rb, rb);
+        let var = self.lanes[0].device.variation();
+        let plan = self
+            .allocator
+            .plan_init(var, n_rows, dst_base / rb, src_base / rb)?;
         self.install_remaps(&plan.remaps);
         for (j, src) in plan.sources.iter().enumerate() {
             if let Some(s) = src {

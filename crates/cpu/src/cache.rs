@@ -34,16 +34,6 @@ impl CacheConfig {
         }
     }
 
-    /// 2 MiB, 16-way L2 (the Jetson Nano's actual L2, for comparison runs).
-    #[must_use]
-    pub fn l2_2m() -> Self {
-        Self {
-            size_bytes: 2 * 1024 * 1024,
-            ways: 16,
-            hit_latency_cycles: 21,
-        }
-    }
-
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> u32 {
@@ -418,7 +408,6 @@ mod tests {
     fn standard_configs() {
         assert_eq!(CacheConfig::l1d_32k().sets(), 128);
         assert_eq!(CacheConfig::l2_512k().sets(), 512);
-        assert_eq!(CacheConfig::l2_2m().sets(), 2048);
     }
 
     #[test]

@@ -84,18 +84,6 @@ impl<B: MemoryBackend> CoreModel<B> {
         &mut self.backend
     }
 
-    /// Consumes the core and returns the backend.
-    #[must_use]
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
-
-    /// Elapsed emulated time in seconds (`cycles / freq`).
-    #[must_use]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.now as f64 / self.cfg.freq_hz as f64
-    }
-
     fn stall_until(&mut self, cycle: u64) {
         if cycle > self.now {
             self.stats.stall_cycles += cycle - self.now;
@@ -311,11 +299,7 @@ impl<B: MemoryBackend> CpuApi for CoreModel<B> {
         // Newest copy wins: L1 first, then L2. Both copies are invalidated.
         let l1_ev = self.l1.as_mut().and_then(|c| c.invalidate(line_addr));
         let l2_ev = self.l2.as_mut().and_then(|c| c.invalidate(line_addr));
-        let newest = match (&l1_ev, &l2_ev) {
-            (Some(e1), _) if e1.dirty => Some(e1.clone()),
-            (_, Some(e2)) if e2.dirty => Some(e2.clone()),
-            _ => None,
-        };
+        let newest = l1_ev.filter(|e| e.dirty).or(l2_ev.filter(|e| e.dirty));
         if let Some(ev) = newest {
             self.stats.mem_writes += 1;
             // The flush lands in the memory system's pending stream as a
@@ -687,13 +671,6 @@ mod tests {
     fn bad_size_rejected() {
         let mut c = core();
         let _ = c.load(0, 3);
-    }
-
-    #[test]
-    fn elapsed_seconds_uses_frequency() {
-        let mut c = core();
-        c.compute(2 * 1_430_000_000); // 1 second at IPC 2 / 1.43 GHz
-        assert!((c.elapsed_seconds() - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,23 +1,21 @@
 //! A fixed-latency, bandwidth-limited memory backend for unit tests and as
-//! an idealized reference memory.
-
-// lint: allow(det/hash-order) — the line store is lookup-only (entry/insert
-// by line address, never iterated).
-use std::collections::HashMap;
+//! an idealized reference memory. This file is the timing only: the bytes
+//! live in a [`LineStore`] and addresses come from the [`BumpAllocator`]
+//! every backend shares (see [`crate::memory`]).
 
 use crate::backend::{LineFetch, MemoryBackend};
+use crate::memory::{BumpAllocator, LineStore};
 use crate::LINE_BYTES;
 
-/// Serves every line from a hash map with constant latency and a configurable
-/// minimum spacing between service completions (a crude bandwidth model).
+/// Serves every line with constant latency and a configurable minimum
+/// spacing between service completions (a crude bandwidth model).
 #[derive(Debug, Clone)]
 pub struct FixedLatencyBackend {
-    // lint: allow(det/hash-order) — keyed line store, lookup-only.
-    mem: HashMap<u64, [u8; LINE_BYTES]>,
+    mem: LineStore,
     latency_cycles: u64,
     service_interval_cycles: u64,
     server_free: u64,
-    alloc_cursor: u64,
+    heap: BumpAllocator,
     /// Number of read requests served.
     pub reads: u64,
     /// Number of write requests served.
@@ -36,11 +34,11 @@ impl FixedLatencyBackend {
     #[must_use]
     pub fn with_bandwidth(latency_cycles: u64, service_interval_cycles: u64) -> Self {
         Self {
-            mem: HashMap::new(), // lint: allow(det/hash-order) — see the field's justification
+            mem: LineStore::new(),
             latency_cycles,
             service_interval_cycles,
             server_free: 0,
-            alloc_cursor: 0x1_0000,
+            heap: BumpAllocator::new(),
             reads: 0,
             writes: 0,
         }
@@ -57,9 +55,8 @@ impl MemoryBackend for FixedLatencyBackend {
     fn read_line(&mut self, line_addr: u64, issue_cycle: u64) -> LineFetch {
         self.reads += 1;
         let complete_cycle = self.schedule(issue_cycle);
-        let data = *self.mem.entry(line_addr & !63).or_insert([0; LINE_BYTES]);
         LineFetch {
-            data,
+            data: self.mem.read(line_addr),
             complete_cycle,
         }
     }
@@ -67,15 +64,12 @@ impl MemoryBackend for FixedLatencyBackend {
     fn post_write(&mut self, line_addr: u64, data: [u8; LINE_BYTES], issue_cycle: u64) -> u64 {
         // No write buffer: posted writes are served immediately.
         self.writes += 1;
-        self.mem.insert(line_addr & !63, data);
+        self.mem.write(line_addr, data);
         self.schedule(issue_cycle)
     }
 
     fn alloc(&mut self, bytes: u64, align: u64) -> u64 {
-        let align = align.max(1);
-        let base = self.alloc_cursor.div_ceil(align) * align;
-        self.alloc_cursor = base + bytes;
-        base
+        self.heap.alloc(bytes, align, self.capacity_bytes())
     }
 
     fn capacity_bytes(&self) -> u64 {

@@ -36,6 +36,7 @@ pub mod cache;
 pub mod config;
 pub mod core;
 pub mod fixed;
+pub mod memory;
 pub mod shared;
 pub mod stats;
 pub mod timescale;
@@ -47,6 +48,7 @@ pub use cache::{Cache, CacheConfig, Eviction};
 pub use config::CoreConfig;
 pub use core::CoreModel;
 pub use fixed::FixedLatencyBackend;
+pub use memory::{BumpAllocator, LineStore};
 pub use shared::{CoScheduler, QuantumSwitch, SharedBackend};
 pub use stats::CoreStats;
 pub use workload::Workload;

@@ -240,17 +240,6 @@ impl<B: MemoryBackend> SharedBackend<B> {
             .collect()
     }
 
-    /// A new handle onto an already-shared backend.
-    #[must_use]
-    pub fn with_requestor(inner: Arc<Mutex<B>>, requestor: u32) -> Self {
-        Self {
-            inner,
-            requestor,
-            sched: None,
-            last_now: 0,
-        }
-    }
-
     /// The shared backend itself (for host-side tooling and reports).
     #[must_use]
     pub fn shared(&self) -> Arc<Mutex<B>> {

@@ -28,16 +28,6 @@ pub struct CoreStats {
 }
 
 impl CoreStats {
-    /// Backend read requests per thousand instructions.
-    #[must_use]
-    pub fn mem_reads_per_kilo_instr(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.mem_reads as f64 * 1000.0 / self.instructions as f64
-        }
-    }
-
     /// Backend read requests per thousand cycles (the paper's
     /// "last-level cache misses per kilo processor cycles", §8.3).
     #[must_use]
@@ -108,9 +98,7 @@ mod tests {
             mem_reads: 4,
             ..CoreStats::default()
         };
-        assert!((s.mem_reads_per_kilo_instr() - 2.0).abs() < 1e-9);
         assert!((s.mem_reads_per_kilo_cycle(1000) - 4.0).abs() < 1e-9);
-        assert_eq!(CoreStats::default().mem_reads_per_kilo_instr(), 0.0);
         assert_eq!(CoreStats::default().mem_reads_per_kilo_cycle(0), 0.0);
     }
 

@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 
 use easydram_cpu::backend::{LineFetch, MemoryBackend};
-use easydram_cpu::{Cache, CacheConfig, CoreConfig, CoreModel, CpuApi, FixedLatencyBackend};
+use easydram_cpu::{
+    Cache, CacheConfig, CoreConfig, CoreModel, CpuApi, FixedLatencyBackend, LineStore,
+};
 
 /// A fixed-latency backend with an explicit posted-write buffer, so tests
 /// can observe whether fences really drain the pending stream.
@@ -94,6 +96,53 @@ proptest! {
                 }
             }
             prop_assert!(cache.resident_lines() <= 16, "capacity exceeded");
+        }
+    }
+
+    /// `LineStore` agrees with an ordered-map shadow under random writes,
+    /// reads and row copies on a sparse address range.
+    #[test]
+    fn line_store_matches_shadow_map(
+        ops in prop::collection::vec((0u8..4, 0u64..512, 0u64..512, any::<u8>()), 1..200),
+    ) {
+        // Eight one-page regions 35 pages apart: slots share pages, the
+        // pages in between are never written, and an 8 KiB row reaches from
+        // a region into such a page.
+        let addr = |slot: u64| (slot >> 6) * 0x2_3000 + (slot & 63) * 64;
+        let get = |shadow: &std::collections::BTreeMap<u64, [u8; 64]>, a: u64| {
+            shadow.get(&a).copied().unwrap_or([0; 64])
+        };
+        let mut store = LineStore::new();
+        let mut shadow = std::collections::BTreeMap::new();
+        for (op, a, b, val) in ops {
+            match op {
+                0 => {
+                    store.write(addr(a), [val; 64]);
+                    shadow.insert(addr(a), [val; 64]);
+                }
+                1 => prop_assert_eq!(
+                    store.read(addr(a) + u64::from(val) % 64),
+                    get(&shadow, addr(a)),
+                    "any byte address names its line"
+                ),
+                _ => {
+                    // 1 KiB rows put source and destination in one page,
+                    // 8 KiB rows span two.
+                    let rb = if op == 2 { 1024 } else { 8192 };
+                    store.copy_row(addr(a), addr(b), rb);
+                    let (src, dst) = (addr(a) / rb * rb, addr(b) / rb * rb);
+                    for off in (0..rb).step_by(64) {
+                        let line = get(&shadow, src + off);
+                        shadow.insert(dst + off, line);
+                    }
+                }
+            }
+        }
+        for slot in 0..512 {
+            prop_assert_eq!(store.read(addr(slot)), get(&shadow, addr(slot)), "slot {}", slot);
+        }
+        for (&a, line) in &shadow {
+            prop_assert_eq!(&store.read(a), line, "line {:#x}", a);
         }
     }
 

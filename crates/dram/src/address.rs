@@ -41,17 +41,6 @@ impl DramAddress {
             col,
         }
     }
-
-    /// Creates an address on an explicit channel.
-    #[must_use]
-    pub fn on_channel(channel: u32, bank: u32, row: u32, col: u32) -> Self {
-        Self {
-            channel,
-            bank,
-            row,
-            col,
-        }
-    }
 }
 
 impl std::fmt::Display for DramAddress {
@@ -274,13 +263,6 @@ impl AddressMapper {
         }
     }
 
-    /// Physical address of the first byte of a whole row (column 0) on
-    /// channel 0.
-    #[must_use]
-    pub fn row_base_phys(&self, bank: u32, row: u32) -> u64 {
-        self.to_phys(DramAddress::new(bank, row, 0))
-    }
-
     /// Whether a whole row occupies contiguous physical addresses under this
     /// scheme (true for [`MappingScheme::RowBankCol`] and
     /// [`MappingScheme::BankRowCol`] on single-channel geometries; channel
@@ -292,13 +274,6 @@ impl AddressMapper {
                 self.scheme,
                 MappingScheme::RowColBank | MappingScheme::RowColBankXor
             )
-    }
-
-    /// Under XOR hashing, row-aligned address offsets land in different
-    /// banks for different rows (tested property).
-    #[must_use]
-    pub fn uses_bank_hashing(&self) -> bool {
-        matches!(self.scheme, MappingScheme::RowColBankXor)
     }
 }
 
@@ -432,7 +407,6 @@ mod tests {
     #[test]
     fn xor_hashing_separates_row_aligned_streams() {
         let m = AddressMapper::new(Geometry::default(), MappingScheme::RowColBankXor);
-        assert!(m.uses_bank_hashing());
         // Two addresses one row-span apart share the line-offset pattern but
         // must mostly land in different banks.
         let row_span = 128 * 1024u64; // one full row per bank at this scheme
@@ -490,15 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn row_base_is_col_zero() {
-        for m in mappers() {
-            let p = m.row_base_phys(3, 77);
-            let d = m.to_dram(p);
-            assert_eq!((d.bank, d.row, d.col), (3, 77, 0));
-        }
-    }
-
-    #[test]
     fn addr_bits_covers_capacity() {
         for geometry in [
             Geometry::default(),
@@ -524,6 +489,9 @@ mod tests {
     #[should_panic(expected = "channel 1 out of range")]
     fn to_phys_validates_channel() {
         let m = AddressMapper::new(Geometry::default(), MappingScheme::RowBankCol);
-        let _ = m.to_phys(DramAddress::on_channel(1, 0, 0, 0));
+        let _ = m.to_phys(DramAddress {
+            channel: 1,
+            ..DramAddress::new(0, 0, 0)
+        });
     }
 }

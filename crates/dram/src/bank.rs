@@ -599,14 +599,6 @@ impl RankTiming {
             }
         }
     }
-
-    /// Time since the last ACT on `bank`, if one happened.
-    #[must_use]
-    pub fn since_last_act_ps(&self, bank: u32, now_ps: u64) -> Option<u64> {
-        self.banks[bank as usize]
-            .last_act_event_ps()
-            .map(|act_ps| now_ps.saturating_sub(act_ps))
-    }
 }
 
 /// Model-checker hooks, compiled for tests and the `oracle` feature only.
@@ -909,13 +901,5 @@ mod tests {
             t.t_ras_ps + t.t_rp_ps,
         );
         assert_eq!(r.bank(2).prev_open_row, None);
-    }
-
-    #[test]
-    fn since_last_act() {
-        let mut r = rank();
-        assert_eq!(r.since_last_act_ps(0, 500), None);
-        r.apply(&DramCommand::Activate { bank: 0, row: 0 }, 100);
-        assert_eq!(r.since_last_act_ps(0, 500), Some(400));
     }
 }

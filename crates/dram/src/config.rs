@@ -92,12 +92,6 @@ impl Geometry {
         row / self.subarray_rows
     }
 
-    /// Number of subarrays per bank.
-    #[must_use]
-    pub fn subarrays_per_bank(&self) -> u32 {
-        self.rows_per_bank.div_ceil(self.subarray_rows)
-    }
-
     /// Bank group of a flat bank index.
     #[must_use]
     pub fn group_of(&self, bank: u32) -> u32 {
@@ -293,7 +287,6 @@ mod tests {
         assert_eq!(g.banks(), 16);
         assert_eq!(g.cols_per_row(), 128);
         assert_eq!(g.capacity_bytes(), 16 * 32_768 * 8_192);
-        assert_eq!(g.subarrays_per_bank(), 64);
         g.validate().unwrap();
     }
 

@@ -59,14 +59,6 @@ impl DeviceStats {
             + self.refreshes
             + self.targeted_refreshes
     }
-
-    /// Fraction of RowClone attempts that succeeded, or `None` if there were
-    /// no attempts.
-    #[must_use]
-    pub fn rowclone_success_rate(&self) -> Option<f64> {
-        (self.rowclone_attempts > 0)
-            .then(|| self.rowclone_successes as f64 / self.rowclone_attempts as f64)
-    }
 }
 
 impl std::fmt::Display for DeviceStats {
@@ -114,8 +106,6 @@ mod tests {
             ..DeviceStats::default()
         };
         assert_eq!(s.commands(), 12);
-        assert_eq!(s.rowclone_success_rate(), Some(0.75));
-        assert_eq!(DeviceStats::default().rowclone_success_rate(), None);
         assert!(!s.to_string().is_empty());
     }
 

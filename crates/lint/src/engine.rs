@@ -365,8 +365,8 @@ fn scan_determinism(
                 t.line,
                 format!(
                     "{} in simulation code: hash iteration order is \
-                     nondeterministic — use BTreeMap/BTreeSet, or justify a \
-                     lookup-only map with an allow pragma",
+                     nondeterministic — use BTreeMap/BTreeSet or a \
+                     direct-indexed table",
                     t.text
                 ),
             ),

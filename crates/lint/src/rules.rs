@@ -89,8 +89,8 @@ impl Rule {
         match self {
             Rule::DetHashOrder => {
                 "HashMap/HashSet in simulation code (hash iteration order is \
-                 nondeterministic; use BTreeMap/BTreeSet or justify a \
-                 lookup-only map with an allow pragma)"
+                 nondeterministic; use BTreeMap/BTreeSet or a direct-indexed \
+                 table)"
             }
             Rule::DetWallClock => {
                 "SystemTime/Instant in simulation code (wall-clock reads make \

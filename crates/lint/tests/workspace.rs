@@ -36,7 +36,13 @@ fn workspace_is_lint_clean() {
 
 /// The most `// lint: allow(...)` escapes the linted file set may hold. A
 /// ratchet: lower it whenever an allow is deleted, never raise it.
-const ALLOW_CEILING: usize = 9;
+///
+/// The three left each wait on a `benchmark` PR (the only kind that may
+/// touch `benchmark/`): the two `det/wall-clock` allows in `ramulator` go
+/// once `benchmark/` stops reading `RamReport::host_wall_seconds` and times
+/// the baseline from outside; the `det/thread-spawn` allow in
+/// `multicore.rs` goes with `CoScheduler`, which `benchmark/` pins.
+const ALLOW_CEILING: usize = 3;
 
 #[test]
 fn allow_pragmas_only_go_down() {

@@ -6,7 +6,10 @@
 //!
 //! * **Idealized DRAM**: no real-chip variation; every RowClone operation
 //!   succeeds and every target row can be initialized in-DRAM (paper §7.2
-//!   footnote 6) — which is why Ramulator over-reports Init benefits.
+//!   footnote 6) — which is why Ramulator over-reports Init benefits. The
+//!   bytes live in an [`easydram_cpu::LineStore`] and addresses come from
+//!   the [`easydram_cpu::BumpAllocator`] every backend shares; this crate
+//!   is the timing.
 //! * **A different, simpler processor model**: a simple out-of-order core
 //!   with only a 512 KiB LLC (footnote 5) — which is why per-workload
 //!   results diverge from EasyDRAM's real BOOM core.
@@ -32,15 +35,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// lint: allow(det/hash-order) — the line store is lookup-only (entry/insert
-// by line address, never iterated).
-use std::collections::HashMap;
 // lint: allow(det/wall-clock) — Instant measures *host* simulation speed,
 // reported out-of-band; it never feeds simulated state.
 use std::time::Instant;
 
 use easydram_cpu::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
-use easydram_cpu::{CoreConfig, CoreModel, CpuApi, Workload, LINE_BYTES};
+use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
+use easydram_cpu::{BumpAllocator, CoreConfig, CoreModel, CpuApi, LineStore, Workload, LINE_BYTES};
 use easydram_dram::bank::RankTiming;
 use easydram_dram::{AddressMapper, DramCommand, Geometry, MappingScheme, TimingParams};
 
@@ -85,21 +86,21 @@ impl Default for RamulatorConfig {
 }
 
 /// The cycle-level memory model: JEDEC-checked command timing over an
-/// idealized (variation-free) data store. Accepts the same multi-channel /
-/// multi-rank [`Geometry`] as the EasyDRAM tile: each channel gets its own
-/// rank-folded [`RankTiming`] tracker, device timeline, and refresh
-/// schedule, and channels advance independently.
+/// idealized (variation-free) data store (a [`LineStore`], the same
+/// functional memory the fixed-latency reference backend uses). Accepts the
+/// same multi-channel / multi-rank [`Geometry`] as the EasyDRAM tile: each
+/// channel gets its own rank-folded [`RankTiming`] tracker, device timeline,
+/// and refresh schedule, and channels advance independently.
 #[derive(Debug)]
 pub struct RamulatorBackend {
     cfg: RamulatorConfig,
     /// One rank-folded timing tracker per channel.
     channels: Vec<RankTiming>,
     mapper: AddressMapper,
-    // lint: allow(det/hash-order) — keyed line store, lookup-only.
-    mem: HashMap<u64, [u8; LINE_BYTES]>,
+    mem: LineStore,
     /// Per-channel device timeline in simulated ps.
     now_ps: Vec<u64>,
-    alloc_cursor: u64,
+    heap: BumpAllocator,
     /// Next periodic refresh per channel, ps.
     next_ref_ps: Vec<u64>,
     /// Memory transactions served (for the wall-clock model).
@@ -122,23 +123,19 @@ impl RamulatorBackend {
             cfg,
             channels,
             mapper,
-            mem: HashMap::new(), // lint: allow(det/hash-order) — see the field's justification
+            mem: LineStore::new(),
             now_ps: vec![0; n],
-            alloc_cursor: 0x1_0000,
+            heap: BumpAllocator::new(),
             next_ref_ps: vec![next_ref; n],
             mem_events: 0,
             init_source: None,
         }
     }
 
-    fn cycles_to_ps(&self, cycles: u64) -> u64 {
-        ((u128::from(cycles) * 1_000_000_000_000 + u128::from(self.cfg.core.freq_hz) / 2)
-            / u128::from(self.cfg.core.freq_hz)) as u64
-    }
-
-    fn ps_to_cycles(&self, ps: u64) -> u64 {
-        ((u128::from(ps) * u128::from(self.cfg.core.freq_hz) + 500_000_000_000) / 1_000_000_000_000)
-            as u64
+    /// The processor cycle at which a response ready at `done_ps` reaches
+    /// the core: at least one cycle after issue.
+    fn complete_cycle(&self, done_ps: u64, issue_cycle: u64) -> u64 {
+        ps_to_cycles_round(done_ps, self.cfg.core.freq_hz).max(issue_cycle + 1)
     }
 
     fn issue_at_earliest(&mut self, ch: usize, cmd: DramCommand, not_before_ps: u64) -> u64 {
@@ -179,7 +176,7 @@ impl RamulatorBackend {
     /// Serves one column access and returns the completion time in ps.
     fn access(&mut self, line_addr: u64, issue_cycle: u64, is_write: bool) -> u64 {
         self.mem_events += 1;
-        let arrival = self.cycles_to_ps(issue_cycle) + self.cfg.ctrl_latency_ps;
+        let arrival = cycles_to_ps(issue_cycle, self.cfg.core.freq_hz) + self.cfg.ctrl_latency_ps;
         let d = self.mapper.to_dram(line_addr);
         let ch = d.channel as usize;
         let arrival = self.maybe_refresh(ch, arrival);
@@ -237,10 +234,9 @@ impl RamulatorBackend {
 impl MemoryBackend for RamulatorBackend {
     fn read_line(&mut self, line_addr: u64, issue_cycle: u64) -> LineFetch {
         let done_ps = self.access(line_addr, issue_cycle, false);
-        let data = *self.mem.entry(line_addr & !63).or_insert([0; LINE_BYTES]);
         LineFetch {
-            data,
-            complete_cycle: self.ps_to_cycles(done_ps).max(issue_cycle + 1),
+            data: self.mem.read(line_addr),
+            complete_cycle: self.complete_cycle(done_ps, issue_cycle),
         }
     }
 
@@ -248,19 +244,12 @@ impl MemoryBackend for RamulatorBackend {
         // The cycle-level simulator services writes inline (no posted-write
         // buffer to batch from — a structural simplification vs the tile).
         let done_ps = self.access(line_addr, issue_cycle, true);
-        self.mem.insert(line_addr & !63, data);
-        self.ps_to_cycles(done_ps).max(issue_cycle + 1)
+        self.mem.write(line_addr, data);
+        self.complete_cycle(done_ps, issue_cycle)
     }
 
     fn alloc(&mut self, bytes: u64, align: u64) -> u64 {
-        let align = align.max(1);
-        let base = self.alloc_cursor.div_ceil(align) * align;
-        self.alloc_cursor = base + bytes;
-        assert!(
-            self.alloc_cursor < self.capacity_bytes(),
-            "allocation exceeds capacity"
-        );
-        base
+        self.heap.alloc(bytes, align, self.capacity_bytes())
     }
 
     fn capacity_bytes(&self) -> u64 {
@@ -280,17 +269,13 @@ impl MemoryBackend for RamulatorBackend {
         // Idealized in-DRAM copy: always succeeds (paper §7.2 footnote 6),
         // costs two back-to-back activations plus a precharge.
         self.mem_events += 1;
-        let rb = self.row_bytes();
-        let src_base = src_row_addr / rb * rb;
-        let dst_base = dst_row_addr / rb * rb;
-        for off in (0..rb).step_by(LINE_BYTES) {
-            let line = *self.mem.entry(src_base + off).or_insert([0; LINE_BYTES]);
-            self.mem.insert(dst_base + off, line);
-        }
+        self.mem
+            .copy_row(src_row_addr, dst_row_addr, self.row_bytes());
         let t = self.cfg.timing.t_ras_ps + self.cfg.timing.t_rp_ps + self.cfg.timing.t_rcd_ps;
-        let done = self.cycles_to_ps(issue_cycle) + 2 * self.cfg.ctrl_latency_ps + t;
+        let done =
+            cycles_to_ps(issue_cycle, self.cfg.core.freq_hz) + 2 * self.cfg.ctrl_latency_ps + t;
         Some(RowCloneRequestResult {
-            complete_cycle: self.ps_to_cycles(done).max(issue_cycle + 1),
+            complete_cycle: self.complete_cycle(done, issue_cycle),
             copied: true,
         })
     }

@@ -67,15 +67,6 @@ pub fn fig13_names() -> Vec<&'static str> {
     ]
 }
 
-/// Builds the 11 kernels of [`fig13_names`] at the given size.
-#[must_use]
-pub fn fig13_suite(size: PolySize) -> Vec<Box<dyn Workload>> {
-    fig13_names()
-        .into_iter()
-        .map(|n| polybench::by_name(n, size).expect("fig13 kernel exists"))
-        .collect()
-}
-
 /// The 28-kernel PolyBench suite used for the paper's §6 time-scaling
 /// validation.
 #[must_use]
@@ -91,15 +82,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fig13_suite_has_eleven_kernels() {
-        let suite = fig13_suite(PolySize::Mini);
-        assert_eq!(suite.len(), 11);
-        let names: Vec<&str> = suite.iter().map(|w| w.name()).collect();
-        assert!(names.contains(&"durbin"));
-        assert!(names.contains(&"correlation"));
-    }
-
-    #[test]
     fn validation_suite_has_28_kernels() {
         assert_eq!(validation_suite(PolySize::Mini).len(), 28);
     }
@@ -107,6 +89,7 @@ mod tests {
     #[test]
     fn fig13_is_subset_of_validation() {
         let all = polybench::all_names();
+        assert_eq!(fig13_names().len(), 11);
         for n in fig13_names() {
             assert!(all.contains(&n), "{n} missing from suite");
         }

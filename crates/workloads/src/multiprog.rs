@@ -30,7 +30,6 @@ use crate::{lmbench::LatMemRd, micro, polybench, PolySize, Workload};
 pub struct StreamWriter {
     bytes: u64,
     target_cycles: u64,
-    pace_ops: u64,
     passes: u64,
     measured: Option<u64>,
 }
@@ -46,26 +45,10 @@ impl StreamWriter {
     /// Panics if `bytes` is smaller than one cache line.
     #[must_use]
     pub fn new(bytes: u64, target_cycles: u64) -> Self {
-        Self::paced(bytes, target_cycles, 0)
-    }
-
-    /// Like [`StreamWriter::new`], but rate-paced: the writer spends
-    /// `pace_ops` ALU operations between consecutive stores, modeling a
-    /// fixed-bandwidth streamer (a DMA-style producer) instead of an
-    /// elastic one. The shipped contention study co-runs the *elastic*
-    /// writer; the paced variant is the knob for sweeping interference as
-    /// a function of aggressor bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is smaller than one cache line.
-    #[must_use]
-    pub fn paced(bytes: u64, target_cycles: u64, pace_ops: u64) -> Self {
         assert!(bytes >= 64, "the sweep needs at least one cache line");
         Self {
             bytes,
             target_cycles,
-            pace_ops,
             passes: 0,
             measured: None,
         }
@@ -92,9 +75,6 @@ impl Workload for StreamWriter {
             cpu.stream_begin();
             for i in 0..lines {
                 cpu.store_u64(base + i * 64, i ^ self.passes);
-                if self.pace_ops > 0 {
-                    cpu.compute(self.pace_ops);
-                }
             }
             cpu.stream_end();
             self.passes += 1;
@@ -188,25 +168,6 @@ mod tests {
         w.run(&mut cpu);
         assert!(w.passes() >= 1);
         assert!(w.measured_cycles().unwrap() >= 500_000);
-    }
-
-    #[test]
-    fn pacing_throttles_the_store_rate() {
-        // Same cycle budget: the paced writer must complete fewer sweeps
-        // than the elastic one.
-        let run = |pace| {
-            let mut cpu = CoreModel::new(CoreConfig::cortex_a57(), FixedLatencyBackend::new(100));
-            let mut w = StreamWriter::paced(64 * 1024, 500_000, pace);
-            w.run(&mut cpu);
-            w.passes()
-        };
-        let elastic = run(0);
-        let paced = run(256);
-        assert!(
-            paced < elastic,
-            "pacing must throttle the sweep rate: {paced} vs {elastic}"
-        );
-        assert!(paced >= 1, "at least one full sweep always executes");
     }
 
     #[test]

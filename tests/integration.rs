@@ -2,7 +2,7 @@
 //! layer (workload → core → caches → SMC → DRAM Bender → device) and
 //! cross-simulator functional equivalence.
 
-use easydram_suite::cpu::{CpuApi, RowCloneStatus, Workload};
+use easydram_suite::cpu::{CpuApi, FixedLatencyBackend, MemoryBackend, RowCloneStatus, Workload};
 use easydram_suite::easydram::{System, SystemConfig, TimingMode};
 use easydram_suite::ramulator::{RamulatorConfig, RamulatorSystem};
 use easydram_suite::workloads::{polybench, PolySize};
@@ -34,6 +34,38 @@ fn all_28_kernels_compute_identical_results_on_every_memory_system() {
         assert_eq!(ts, ram, "{name}: EasyDRAM vs Ramulator results differ");
         assert!(ts.is_finite(), "{name}");
     }
+}
+
+/// "Identical binaries on every platform" starts at the allocator: one
+/// `(bytes, align)` sequence gets the same base addresses from the
+/// fixed-latency reference, the Ramulator baseline and the EasyDRAM tile.
+#[test]
+fn same_alloc_sequence_same_addresses_on_every_backend() {
+    let seq = [
+        (10, 0),
+        (64, 64),
+        (3 * 8192, 8192),
+        (1, 1),
+        (4096, 4096),
+        (100_000, 64),
+        (8, 8),
+        (1 << 20, 1 << 16),
+    ];
+    let bases = |b: &mut dyn MemoryBackend| seq.map(|(bytes, align)| b.alloc(bytes, align));
+    let fixed = bases(&mut FixedLatencyBackend::new(1));
+    let ram = bases(
+        RamulatorSystem::new(RamulatorConfig::default())
+            .cpu()
+            .backend_mut(),
+    );
+    let tile = bases(System::new(SystemConfig::jetson_nano(TimingMode::TimeScaling)).tile_mut());
+    assert_eq!(
+        fixed[..2],
+        [0x1_0000, 0x1_0040],
+        "the heap starts at 64 KiB"
+    );
+    assert_eq!(fixed, ram);
+    assert_eq!(fixed, tile);
 }
 
 /// RowClone with a deterministic always-reliable chip produces exact copies
