@@ -545,73 +545,9 @@ pub fn run_oracle_kernel(
     acc
 }
 
-/// Overhead ceiling the observability layer must respect with tracing
-/// **off**: the table kernel entered through the tracing gate (but with no
-/// ring armed) must stay within this factor of the bare kernel's median
-/// ns/command. Enforced by the `serve_loop` criterion bench.
-pub const OBS_OVERHEAD_LIMIT: f64 = 1.05;
-
-/// A fixed-capacity overwrite-oldest record ring, shaped exactly like the
-/// command-trace ring `DramDevice` keeps while tracing — the bench-side
-/// twin used to price the observability hot path in isolation.
-struct BenchCmdRing {
-    buf: Vec<(u64, u32)>,
-    cap: usize,
-    head: usize,
-}
-
-/// [`run_table_kernel`] with the observability layer's per-command work
-/// bolted on: `ring_capacity: None` replays with tracing off — the gate is
-/// hoisted out of the command loop, the same shape the tile's serve pass
-/// uses (one `Option` check per pass, never per command), so the disarmed
-/// path must price identically to the bare kernel (this is what
-/// [`OBS_OVERHEAD_LIMIT`] gates) — while `Some(cap)` replays with an armed
-/// overwrite-oldest ring (the tracing-on cost). The digest is bit-identical
-/// to [`run_table_kernel`]'s either way: observability must never change
-/// simulated state.
-#[must_use]
-pub fn run_table_kernel_obs(
-    geometry: &Geometry,
-    timing: &TimingParams,
-    stream: &[ScheduledCmd],
-    ring_capacity: Option<usize>,
-) -> u64 {
-    // Tracing off: hoist the gate above the loop (keeping an `Option` check
-    // *inside* this tight loop costs >10% from codegen alone, which is
-    // exactly the overhead the hoisted-gate design exists to avoid).
-    let Some(cap) = ring_capacity else {
-        return run_table_kernel(geometry, timing, stream);
-    };
-    let mut rank = RankTiming::new(geometry.clone(), timing.clone());
-    let mut ring = BenchCmdRing {
-        buf: Vec::with_capacity(cap.max(1)),
-        cap: cap.max(1),
-        head: 0,
-    };
-    let mut acc = 0u64;
-    for sc in stream {
-        let cmd = sc.decode();
-        let at = sc.issue_ps();
-        if !rank.is_legal(&cmd, at) {
-            acc = acc.wrapping_add(rank.check(&cmd, at).len() as u64);
-        }
-        rank.apply(&cmd, at);
-        let rec = (at, cmd.bank().unwrap_or(0));
-        if ring.buf.len() < ring.cap {
-            ring.buf.push(rec);
-        } else {
-            ring.buf[ring.head] = rec;
-            ring.head = (ring.head + 1) % ring.cap;
-        }
-        acc ^= at;
-    }
-    acc
-}
-
 /// Times `kernel` `samples` times and returns the median wall nanoseconds
-/// per command — the robust summary both the fig14 harness and the
-/// `serve_loop` bench report (the criterion shim keeps no baselines, so
-/// regression thresholds are enforced on these medians directly).
+/// per command, the robust summary the fig14 harness reports and enforces
+/// its threshold on.
 pub fn median_ns_per_cmd(samples: usize, commands: usize, mut kernel: impl FnMut() -> u64) -> f64 {
     let mut ns: Vec<f64> = (0..samples.max(1))
         .map(|_| {
@@ -731,25 +667,6 @@ mod tests {
         assert!(
             count("ACT") + count("RD") + count("WR") > stream.len() / 2,
             "the mix stays hot-path heavy"
-        );
-    }
-
-    #[test]
-    fn obs_kernel_digest_matches_bare_kernel() {
-        // Armed or disarmed, the observability ring must be invisible to
-        // simulated state: all three replays produce one digest.
-        let geometry = sim_speed_geometry();
-        let timing = TimingParams::ddr4_1333();
-        let stream = sim_speed_stream(4_000, &geometry, &timing);
-        let bare = run_table_kernel(&geometry, &timing, &stream);
-        assert_eq!(
-            run_table_kernel_obs(&geometry, &timing, &stream, None),
-            bare
-        );
-        assert_eq!(
-            run_table_kernel_obs(&geometry, &timing, &stream, Some(64)),
-            bare,
-            "an armed ring (with wraparound) must not perturb the replay"
         );
     }
 

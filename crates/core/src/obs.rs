@@ -738,13 +738,15 @@ impl TraceLog {
     pub fn parse_binary(bytes: &[u8]) -> Option<Vec<TraceEvent>> {
         let rest = bytes.strip_prefix(&TRACE_BIN_MAGIC[..])?;
         // `split_at_checked` is post-MSRV (1.80); bounds-check by hand.
-        let (count, mut rest) = (rest.len() >= 8).then(|| rest.split_at(8))?;
-        let count = u64::from_le_bytes(count.try_into().ok()?) as usize;
+        let (count, rest) = (rest.len() >= 8).then(|| rest.split_at(8))?;
+        // The count is untrusted: it must describe exactly the bytes that
+        // follow before anything is allocated for it.
+        let count = usize::try_from(u64::from_le_bytes(count.try_into().ok()?)).ok()?;
+        if count.checked_mul(TRACE_BIN_RECORD_BYTES) != Some(rest.len()) {
+            return None;
+        }
         let mut events = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (rec, tail) = (rest.len() >= TRACE_BIN_RECORD_BYTES)
-                .then(|| rest.split_at(TRACE_BIN_RECORD_BYTES))?;
-            rest = tail;
+        for rec in rest.chunks_exact(TRACE_BIN_RECORD_BYTES) {
             let u64_at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().unwrap());
             let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().unwrap());
             events.push(TraceEvent {
@@ -757,7 +759,7 @@ impl TraceLog {
                 kind: EventKind::from_u8(u32_at(32) as u8)?,
             });
         }
-        rest.is_empty().then_some(events)
+        Some(events)
     }
 }
 
@@ -928,6 +930,11 @@ mod tests {
         assert_eq!(events, expect.events);
         assert!(TraceLog::parse_binary(&bytes[..bytes.len() - 1]).is_none());
         assert!(TraceLog::parse_binary(b"NOTMAGIC").is_none());
+        // A hostile count must be rejected before it sizes an allocation.
+        for count in [u64::MAX, 1 << 40] {
+            let hostile = [&TRACE_BIN_MAGIC[..], &count.to_le_bytes()].concat();
+            assert!(TraceLog::parse_binary(&hostile).is_none());
+        }
     }
 
     #[test]

@@ -9,6 +9,18 @@ use crate::counters::counters;
 use crate::obs::TileMetrics;
 use crate::smc::{MitigationStats, ServeResult};
 
+// The two counter structs defined below this crate: the trait is local and
+// their fields are public, so they are listed here like every other one.
+counters!(CoreStats: sum {
+    instructions, loads, stores, clflushes, fences, mem_reads, mem_writes,
+    rowclone_requests, rowclone_copies, stall_cycles,
+});
+counters!(DeviceStats: sum {
+    activates, precharges, reads, writes, refreshes, violations,
+    rowclone_attempts, rowclone_successes, reduced_trcd_reads, corrupted_reads,
+    targeted_refreshes, disturbance_flips,
+});
+
 /// Row-buffer outcomes of one bank's column sequences: how many requests
 /// found their row open (hit), found the bank idle (miss), or had to close
 /// another row first (conflict). A per-bank histogram of these exposes

@@ -568,25 +568,8 @@ impl EasyApi<'_> {
         addr: DramAddress,
         trcd_override_ps: Option<u64>,
     ) -> Result<RowBufferOutcome, easydram_bender::BenderError> {
-        let outcome = match self.ctx.device.open_row(addr.bank) {
-            Some(r) if r == addr.row => RowBufferOutcome::Hit,
-            Some(_) => RowBufferOutcome::Conflict,
-            None => RowBufferOutcome::Miss,
-        };
-        if outcome == RowBufferOutcome::Conflict {
-            self.ddr_precharge(addr.bank)?;
-        }
-        if outcome != RowBufferOutcome::Hit {
-            self.ddr_activate(addr.bank, addr.row)?;
-            match trcd_override_ps {
-                Some(trcd) => self.ddr_read_after(addr.bank, addr.col, trcd)?,
-                None => self.ddr_read(addr.bank, addr.col)?,
-            }
-        } else {
-            self.ddr_read(addr.bank, addr.col)?;
-        }
-        self.note_outcome(outcome);
-        Ok(outcome)
+        let (bank, col) = (addr.bank, addr.col);
+        self.column_sequence(addr, DramCommand::Read { bank, col }, trcd_override_ps)
     }
 
     /// Convenience: a standard write sequence for `addr` under an open-row
@@ -601,6 +584,24 @@ impl EasyApi<'_> {
         data: [u8; LINE_BYTES],
         trcd_override_ps: Option<u64>,
     ) -> Result<RowBufferOutcome, easydram_bender::BenderError> {
+        let (bank, col) = (addr.bank, addr.col);
+        self.column_sequence(
+            addr,
+            DramCommand::Write { bank, col, data },
+            trcd_override_ps,
+        )
+    }
+
+    /// The open-row sequence around one `column` command to `addr`: `PRE` on
+    /// a conflict, `ACT` unless the row is open, then the column command. A
+    /// tRCD override spaces the column command from the `ACT` it follows; a
+    /// row hit has none and ignores it.
+    fn column_sequence(
+        &mut self,
+        addr: DramAddress,
+        column: DramCommand,
+        trcd_override_ps: Option<u64>,
+    ) -> Result<RowBufferOutcome, easydram_bender::BenderError> {
         let outcome = match self.ctx.device.open_row(addr.bank) {
             Some(r) if r == addr.row => RowBufferOutcome::Hit,
             Some(_) => RowBufferOutcome::Conflict,
@@ -611,21 +612,14 @@ impl EasyApi<'_> {
         }
         if outcome != RowBufferOutcome::Hit {
             self.ddr_activate(addr.bank, addr.row)?;
-            if let Some(trcd) = trcd_override_ps {
-                self.charge(self.ctx.costs.build_command);
-                self.session.program.cmd_after(
-                    DramCommand::Write {
-                        bank: addr.bank,
-                        col: addr.col,
-                        data,
-                    },
-                    trcd,
-                )?;
-                self.note_outcome(outcome);
-                return Ok(outcome);
-            }
         }
-        self.ddr_write(addr.bank, addr.col, data)?;
+        self.charge(self.ctx.costs.build_command);
+        match trcd_override_ps {
+            Some(trcd) if outcome != RowBufferOutcome::Hit => {
+                self.session.program.cmd_after(column, trcd)?;
+            }
+            _ => self.session.program.cmd_auto(column)?,
+        }
         self.note_outcome(outcome);
         Ok(outcome)
     }

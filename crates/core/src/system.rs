@@ -84,17 +84,6 @@ struct Lane {
     pass: Option<LanePass>,
 }
 
-// `CoreStats` lives below this crate and keeps its operators.
-impl Counters for CoreStats {
-    fn fold(&mut self, shard: &Self) {
-        *self += *shard;
-    }
-
-    fn rebase(&mut self, start: &Self) {
-        *self -= *start;
-    }
-}
-
 /// One core's clock and counters at one instant.
 #[derive(Clone, Copy)]
 pub(crate) struct CoreMark {
@@ -340,7 +329,7 @@ impl Tile {
     pub fn device_stats(&self) -> easydram_dram::DeviceStats {
         let mut total = easydram_dram::DeviceStats::default();
         for lane in &self.lanes {
-            total += *lane.device.stats();
+            total.fold(lane.device.stats());
         }
         total
     }
@@ -518,7 +507,7 @@ impl Tile {
         let cycles = window.cores.iter().map(|c| c.cycles).max().unwrap_or(0);
         let mut core = CoreStats::default();
         for c in &window.cores {
-            core += c.stats;
+            core.fold(&c.stats);
         }
         let wall_s = window.wall_ps as f64 / 1e12;
         ExecutionReport {

@@ -116,11 +116,18 @@ impl BumpAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if the heap would reach `capacity`.
+    /// Panics if the heap would reach `capacity` (or the end of the address
+    /// space); the cursor does not move.
     pub fn alloc(&mut self, bytes: u64, align: u64, capacity: u64) -> u64 {
-        let base = self.cursor.next_multiple_of(align.max(1));
-        self.cursor = base + bytes;
-        assert!(self.cursor < capacity, "allocation exceeds capacity");
+        let fit = self
+            .cursor
+            .checked_next_multiple_of(align.max(1))
+            .and_then(|base| Some((base, base.checked_add(bytes)?)))
+            .filter(|&(_, end)| end < capacity);
+        let Some((base, end)) = fit else {
+            panic!("allocation exceeds capacity");
+        };
+        self.cursor = end;
         base
     }
 
@@ -161,7 +168,12 @@ mod tests {
         assert_eq!(a.alloc(64, 64, 1 << 20), 0x1_0040);
         assert_eq!(a.alloc(1, 8192, 1 << 20), 0x1_2000);
         assert_eq!(a.cursor(), 0x1_2001);
-        let full = std::panic::catch_unwind(move || a.alloc(1 << 20, 1, 1 << 20));
-        assert!(full.is_err(), "the heap may not reach capacity");
+        // The second size wraps `base + bytes` past zero.
+        for bytes in [1 << 20, u64::MAX - 10] {
+            let alloc = std::panic::AssertUnwindSafe(|| a.alloc(bytes, 1, 1 << 20));
+            let full = std::panic::catch_unwind(alloc);
+            assert!(full.is_err(), "the heap may not reach capacity");
+            assert_eq!(a.cursor(), 0x1_2001, "a failed allocation moves nothing");
+        }
     }
 }

@@ -40,36 +40,6 @@ impl CoreStats {
     }
 }
 
-impl std::ops::AddAssign for CoreStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.instructions += rhs.instructions;
-        self.loads += rhs.loads;
-        self.stores += rhs.stores;
-        self.clflushes += rhs.clflushes;
-        self.fences += rhs.fences;
-        self.mem_reads += rhs.mem_reads;
-        self.mem_writes += rhs.mem_writes;
-        self.rowclone_requests += rhs.rowclone_requests;
-        self.rowclone_copies += rhs.rowclone_copies;
-        self.stall_cycles += rhs.stall_cycles;
-    }
-}
-
-impl std::ops::SubAssign for CoreStats {
-    fn sub_assign(&mut self, rhs: Self) {
-        self.instructions -= rhs.instructions;
-        self.loads -= rhs.loads;
-        self.stores -= rhs.stores;
-        self.clflushes -= rhs.clflushes;
-        self.fences -= rhs.fences;
-        self.mem_reads -= rhs.mem_reads;
-        self.mem_writes -= rhs.mem_writes;
-        self.rowclone_requests -= rhs.rowclone_requests;
-        self.rowclone_copies -= rhs.rowclone_copies;
-        self.stall_cycles -= rhs.stall_cycles;
-    }
-}
-
 impl std::fmt::Display for CoreStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -29,25 +29,6 @@ pub struct DeviceStats {
     pub disturbance_flips: u64,
 }
 
-impl std::ops::AddAssign for DeviceStats {
-    /// Field-wise accumulation — how a multi-channel system folds its
-    /// per-channel device counters into one system-wide record.
-    fn add_assign(&mut self, rhs: Self) {
-        self.activates += rhs.activates;
-        self.precharges += rhs.precharges;
-        self.reads += rhs.reads;
-        self.writes += rhs.writes;
-        self.refreshes += rhs.refreshes;
-        self.violations += rhs.violations;
-        self.rowclone_attempts += rhs.rowclone_attempts;
-        self.rowclone_successes += rhs.rowclone_successes;
-        self.reduced_trcd_reads += rhs.reduced_trcd_reads;
-        self.corrupted_reads += rhs.corrupted_reads;
-        self.targeted_refreshes += rhs.targeted_refreshes;
-        self.disturbance_flips += rhs.disturbance_flips;
-    }
-}
-
 impl DeviceStats {
     /// Total commands issued.
     #[must_use]

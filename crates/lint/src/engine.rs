@@ -47,9 +47,6 @@ pub struct FileScope {
     /// Whether `det/stray-rng` is exempt (`easydram_dram::det` itself — the
     /// one place allowed to construct RNG state).
     pub rng_exempt: bool,
-    /// Whether `det/thread-spawn` is exempt (`easydram_core::par` — the one
-    /// place allowed to own OS threads, behind a deterministic scheduler).
-    pub par_exempt: bool,
 }
 
 /// Lints one file's source text. `path` is only used for labeling
@@ -340,11 +337,6 @@ fn scan_determinism(
     enabled: &BTreeSet<Rule>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let FileScope {
-        rng_exempt,
-        par_exempt,
-        ..
-    } = scope;
     let mut emit = |rule: Rule, line: u32, message: String| {
         if enabled.contains(&rule) {
             out.push(Diagnostic {
@@ -384,8 +376,7 @@ fn scan_determinism(
             // an already-flagged `thread::scope` block stays quiet — the lint
             // fires once, where the OS thread machinery is entered.
             "thread"
-                if !par_exempt
-                    && tokens.get(i + 1).map(|n| n.text.as_str()) == Some("::")
+                if tokens.get(i + 1).map(|n| n.text.as_str()) == Some("::")
                     && matches!(
                         tokens.get(i + 2).map(|n| n.text.as_str()),
                         Some("spawn" | "scope" | "Builder")
@@ -404,18 +395,17 @@ fn scan_determinism(
                 );
             }
             // Owning a join handle is owning an OS thread: every
-            // `JoinHandle` site outside the reserved pool module needs a
-            // justified allow, so stray thread ownership cannot hide behind
-            // a handle passed in from elsewhere.
-            "JoinHandle" if !par_exempt => emit(
+            // `JoinHandle` site needs a justified allow, so stray thread
+            // ownership cannot hide behind a handle passed in from elsewhere.
+            "JoinHandle" => emit(
                 Rule::DetThreadSpawn,
                 t.line,
-                "JoinHandle in simulation code: owning an OS thread outside \
-                 crates/core/src/par.rs — route parallelism through the \
-                 deterministic pool, or justify with an allow pragma"
+                "JoinHandle in simulation code: owning an OS thread — route \
+                 parallelism through the baton-scheduled harness, or justify \
+                 with an allow pragma"
                     .to_string(),
             ),
-            "rayon" if !par_exempt && tokens.get(i + 1).map(|n| n.text.as_str()) == Some("::") => {
+            "rayon" if tokens.get(i + 1).map(|n| n.text.as_str()) == Some("::") => {
                 emit(
                     Rule::DetThreadSpawn,
                     t.line,
@@ -425,7 +415,7 @@ fn scan_determinism(
                         .to_string(),
                 );
             }
-            name if !rng_exempt
+            name if !scope.rng_exempt
                 && (RNG_IDENTS.contains(&name)
                     || (name == "rand"
                         && tokens.get(i + 1).map(|n| n.text.as_str()) == Some("::"))) =>

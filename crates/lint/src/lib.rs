@@ -39,11 +39,6 @@ const SIM_CRATES: &[&str] = &["bender", "core", "cpu", "dram", "ramulator", "wor
 /// The one file allowed to construct RNG state.
 const RNG_HOME: &str = "crates/dram/src/det.rs";
 
-/// The one file allowed to own OS threads (a deterministic-parallelism
-/// harness, if/when one lands; the path is reserved so the exemption never
-/// silently widens).
-const PAR_HOME: &str = "crates/core/src/par.rs";
-
 /// What to lint and which rules to run.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
@@ -146,7 +141,6 @@ pub fn scope_for(rel: &str) -> FileScope {
     FileScope {
         sim,
         rng_exempt: rel == RNG_HOME,
-        par_exempt: rel == PAR_HOME,
     }
 }
 
@@ -192,9 +186,6 @@ mod tests {
         let det = scope_for("crates/dram/src/det.rs");
         assert!(det.sim && det.rng_exempt);
         assert!(!scope_for("crates/dram/src/device.rs").rng_exempt);
-        let par = scope_for("crates/core/src/par.rs");
-        assert!(par.sim && par.par_exempt);
-        assert!(!scope_for("crates/core/src/multicore.rs").par_exempt);
     }
 
     #[test]

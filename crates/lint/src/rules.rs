@@ -16,10 +16,9 @@ pub enum Rule {
     DetStrayRng,
     /// `std::thread::spawn`/`scope`/`Builder`, `rayon::...`, or a
     /// `JoinHandle` in simulation code: OS scheduling order leaks into
-    /// simulated state unless the parallelism goes through the deterministic
-    /// pool reserved at `crates/core/src/par.rs` or a baton-scheduled
-    /// harness. Every join-handle site outside that module needs a justified
-    /// allow pragma.
+    /// simulated state unless the threads are serialised by a
+    /// baton-scheduled harness. No file is exempt: every site needs a
+    /// justified allow pragma.
     DetThreadSpawn,
     /// `Vec::new`/`vec!`/`String::from`/`format!`/`.to_vec()`/… in a
     /// `// lint: no_alloc` region.
@@ -104,8 +103,7 @@ impl Rule {
             Rule::DetThreadSpawn => {
                 "std::thread::spawn/scope/Builder, rayon, or a JoinHandle in \
                  simulation code (OS scheduling order is nondeterministic; \
-                 parallelism must go through the deterministic pool in \
-                 crates/core/src/par.rs or a baton-scheduled harness, \
+                 threads must be serialised by a baton-scheduled harness, \
                  justified with an allow pragma)"
             }
             Rule::AllocVecNew => {

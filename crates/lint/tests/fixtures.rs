@@ -9,7 +9,6 @@ use easydram_lint::{lint_source, FileScope, Rule};
 const SIM: FileScope = FileScope {
     sim: true,
     rng_exempt: false,
-    par_exempt: false,
 };
 
 fn all_rules() -> BTreeSet<Rule> {
@@ -170,7 +169,6 @@ fn det_rules_only_fire_in_sim_scope() {
     let host = FileScope {
         sim: false,
         rng_exempt: false,
-        par_exempt: false,
     };
     let diags = lint_source("crates/bench/src/x.rs", src, host, &all_rules());
     assert!(
@@ -185,57 +183,26 @@ fn rng_home_is_exempt_from_stray_rng() {
     let det_home = FileScope {
         sim: true,
         rng_exempt: true,
-        par_exempt: false,
     };
     let diags = lint_source("crates/dram/src/det.rs", src, det_home, &all_rules());
     assert!(diags.is_empty(), "det.rs may construct RNG state");
 }
 
 #[test]
-fn par_home_is_exempt_from_thread_spawn() {
-    let src = include_str!("fixtures/det_thread_spawn.rs");
-    let par_home = FileScope {
-        sim: true,
-        rng_exempt: false,
-        par_exempt: true,
-    };
-    let diags = lint_source("crates/core/src/par.rs", src, par_home, &all_rules());
-    assert!(diags.is_empty(), "par.rs may own OS threads: {diags:?}");
-}
-
-#[test]
 fn stray_spawn_elsewhere_in_core_still_fires() {
-    // End-to-end through the walker's own scope derivation: the identical
-    // source fires in any other crates/core module (both the spawn and the
-    // held JoinHandle) and is exempt only at the reserved par.rs path — the
-    // exemption is a single exact file, not a prefix.
+    // End-to-end through the walker's own scope derivation: the spawn and the
+    // held JoinHandle fire in every crates/core module. No path is exempt,
+    // `par.rs` (which owns no thread) included.
     let src = include_str!("fixtures/det_thread_spawn_core.rs");
-    let stray_path = "crates/core/src/smc/mod.rs";
-    let diags = lint_source(
-        stray_path,
-        src,
-        easydram_lint::scope_for(stray_path),
-        &all_rules(),
-    );
-    let got: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule.id(), d.line)).collect();
-    assert_eq!(
-        got,
-        [("det/thread-spawn", 2), ("det/thread-spawn", 6)],
-        "stray thread ownership in core must fire"
-    );
-    let par_path = "crates/core/src/par.rs";
-    let par_diags = lint_source(
-        par_path,
-        src,
-        easydram_lint::scope_for(par_path),
-        &all_rules(),
-    );
-    assert!(par_diags.is_empty(), "{par_diags:?}");
-    let near_miss = "crates/core/src/par/mod.rs";
-    assert!(
-        !easydram_lint::scope_for(near_miss).par_exempt,
-        "the exemption must not widen to sibling paths"
-    );
+    for path in ["crates/core/src/smc/mod.rs", "crates/core/src/par.rs"] {
+        let diags = lint_source(path, src, easydram_lint::scope_for(path), &all_rules());
+        let got: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule.id(), d.line)).collect();
+        assert_eq!(
+            got,
+            [("det/thread-spawn", 2), ("det/thread-spawn", 6)],
+            "stray thread ownership must fire at {path}"
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Replayable counterexample traces.
 //!
-//! A trace is the `(command, issue_ps)` sequence the `serve_loop` bench
-//! replays ([`easydram_bench::ScheduledCmd`] semantics): each line is the
+//! A trace is the `(command, issue_ps)` sequence the `fig14_sim_speed`
+//! kernels replay ([`easydram_bench::ScheduledCmd`] semantics): each line is the
 //! command's canonical [`Display`] form followed by ` @ ` and the absolute
 //! issue time in picoseconds. Replaying a trace means applying each command
 //! at its printed time against fresh trackers.

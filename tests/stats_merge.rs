@@ -14,6 +14,8 @@ use proptest::prelude::*;
 
 use easydram::report::{BankRowOutcomes, ChannelStats, RequestorStats, SmcStats};
 use easydram::{Counters, LogHistogram, ServeResult, TileMetrics};
+use easydram_cpu::CoreStats;
+use easydram_dram::DeviceStats;
 
 /// One generated shard: 32 bytes of entropy, spread across every counter.
 type Raw = [u8; 32];
@@ -103,6 +105,38 @@ fn requestor_from(id: u32, b: &Raw) -> RequestorStats {
         dram_occupancy_ps: b[8] as u64,
         column_ops: b[9] as u64,
         stall_cycles: b[10] as u64,
+    }
+}
+
+fn core_from(b: &Raw) -> CoreStats {
+    CoreStats {
+        instructions: b[0] as u64,
+        loads: b[1] as u64,
+        stores: b[2] as u64,
+        clflushes: b[3] as u64,
+        fences: b[4] as u64,
+        mem_reads: b[5] as u64,
+        mem_writes: b[6] as u64,
+        rowclone_requests: b[7] as u64,
+        rowclone_copies: b[8] as u64,
+        stall_cycles: b[9] as u64,
+    }
+}
+
+fn device_from(b: &Raw) -> DeviceStats {
+    DeviceStats {
+        activates: b[10] as u64,
+        precharges: b[11] as u64,
+        reads: b[12] as u64,
+        writes: b[13] as u64,
+        refreshes: b[14] as u64,
+        violations: b[15] as u64,
+        rowclone_attempts: b[16] as u64,
+        rowclone_successes: b[17] as u64,
+        reduced_trcd_reads: b[18] as u64,
+        corrupted_reads: b[19] as u64,
+        targeted_refreshes: b[20] as u64,
+        disturbance_flips: b[21] as u64,
     }
 }
 
@@ -280,6 +314,17 @@ proptest! {
         let metrics: Vec<TileMetrics> = raws.iter().map(metrics_from).collect();
         let (windows, lifetime) = windowed(&metrics, cuts);
         prop_assert_eq!(fold(&windows, TileMetrics::merge), lifetime);
+
+        // The two structs defined below `easydram` (no inherent `merge`).
+        let cores: Vec<CoreStats> = raws.iter().map(core_from).collect();
+        let (windows, lifetime) = windowed(&cores, cuts);
+        prop_assert_eq!(fold(&windows, CoreStats::fold), lifetime);
+        prop_assert_eq!(lifetime.stall_cycles, cores.iter().map(|c| c.stall_cycles).sum::<u64>());
+
+        let devices: Vec<DeviceStats> = raws.iter().map(device_from).collect();
+        let (windows, lifetime) = windowed(&devices, cuts);
+        prop_assert_eq!(fold(&windows, DeviceStats::fold), lifetime);
+        prop_assert_eq!(lifetime.commands(), devices.iter().map(DeviceStats::commands).sum::<u64>());
     }
 
     /// RequestorStats merge is order-invariant for shards of one requestor.
