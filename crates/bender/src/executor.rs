@@ -7,8 +7,8 @@ use crate::error::BenderError;
 use crate::isa::{BenderInstr, IssueAt};
 use crate::program::BenderProgram;
 
-/// Default readback-buffer capacity in cache lines (paper §5.1 ⑧).
-pub const DEFAULT_READBACK_CAPACITY: usize = 4_096;
+/// Readback-buffer capacity in cache lines (paper §5.1 ⑧).
+const DEFAULT_READBACK_CAPACITY: usize = 4_096;
 
 /// Everything a program execution produced.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -44,19 +44,12 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// Creates an executor with [`DEFAULT_READBACK_CAPACITY`].
+    /// Creates an executor with the default readback-buffer capacity (4,096
+    /// cache lines).
     #[must_use]
     pub fn new() -> Self {
         Self {
             readback_capacity: DEFAULT_READBACK_CAPACITY,
-        }
-    }
-
-    /// Creates an executor with a custom readback-buffer capacity.
-    #[must_use]
-    pub fn with_readback_capacity(capacity: usize) -> Self {
-        Self {
-            readback_capacity: capacity,
         }
     }
 
@@ -89,7 +82,6 @@ impl Executor {
     /// # Errors
     ///
     /// As [`Executor::run`]; `result` then holds what ran before the error.
-    // lint: no_alloc
     pub fn run_into(
         &self,
         dev: &mut DramDevice,
@@ -290,7 +282,9 @@ mod tests {
         for col in 0..4 {
             p.cmd(DramCommand::Read { bank: 0, col }).unwrap();
         }
-        let ex = Executor::with_readback_capacity(2);
+        let ex = Executor {
+            readback_capacity: 2,
+        };
         let err = ex.run(&mut d, &p, 0).unwrap_err();
         assert_eq!(err, BenderError::ReadbackOverflow { capacity: 2 });
         // Nothing executed.

@@ -2,13 +2,15 @@
 //! `DramDevice::issue_raw` — performs no heap allocation once the rows it
 //! touches are materialised and its buffers have grown.
 //!
-//! `// lint: no_alloc` is lexical and stops at each call; this counts what
-//! the allocator is actually asked for. Lives here, not under `crates/dram`,
-//! because `easydram-bender` already depends on the device crate.
+//! This counts what the allocator is actually asked for, through every call.
+//! Lives here, not under `crates/dram`, because `easydram-bender` already
+//! depends on the device crate; `crates/core/tests/no_alloc.rs` counts the
+//! same thing one layer up, at the tile.
 
-// The one `unsafe impl` a counting allocator needs; the libraries under test
-// all `forbid(unsafe_code)`.
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the one `unsafe impl` a counting allocator needs; the libraries under test all `forbid(unsafe_code)`"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -75,12 +75,6 @@ impl BloomFilter {
     pub fn inserted(&self) -> u64 {
         self.inserted
     }
-
-    /// Size of the filter in bits.
-    #[must_use]
-    pub fn capacity_bits(&self) -> u64 {
-        self.n_bits
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +114,7 @@ mod tests {
     #[test]
     fn capacity_rounds_to_words() {
         let f = BloomFilter::new(100, 2, 0);
-        assert_eq!(f.capacity_bits(), 128);
+        assert_eq!(f.n_bits, 128);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use easydram_cpu::CoreConfig;
 use easydram_dram::{DramConfig, MappingScheme};
 
 use crate::costs::SmcCostModel;
-use crate::obs::TraceConfig;
+use crate::obs::{TraceConfig, MAX_RING_CAPACITY};
 
 /// How request latencies observed by the processor are computed (paper §3,
 /// §4.3, §6, §7.2).
@@ -209,6 +209,11 @@ impl SystemConfig {
             if trace.ring_capacity == 0 {
                 return Err("the trace ring needs at least one slot".into());
             }
+            if trace.ring_capacity > MAX_RING_CAPACITY {
+                return Err(format!(
+                    "the trace ring holds at most {MAX_RING_CAPACITY} events"
+                ));
+            }
         }
         Ok(())
     }
@@ -268,6 +273,15 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = SystemConfig::jetson_nano(TimingMode::Reference);
         c.write_buffer_depth = 0;
+        assert!(c.validate().is_err());
+        let mut c = SystemConfig::jetson_nano(TimingMode::Reference);
+        c.trace = Some(TraceConfig {
+            ring_capacity: MAX_RING_CAPACITY,
+        });
+        assert!(c.validate().is_ok());
+        c.trace = Some(TraceConfig {
+            ring_capacity: MAX_RING_CAPACITY + 1,
+        });
         assert!(c.validate().is_err());
     }
 }

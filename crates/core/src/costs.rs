@@ -62,33 +62,9 @@ impl Default for SmcCostModel {
     }
 }
 
-impl SmcCostModel {
-    /// Typical hot-path cost of serving one read with FR-FCFS: poll +
-    /// receive + map + schedule + ~2 commands + response.
-    #[must_use]
-    pub fn typical_read_cycles(&self) -> u64 {
-        self.poll
-            + self.receive_request
-            + self.addr_mapping
-            + self.schedule_frfcfs
-            + 2 * self.build_command
-            + self.enqueue_response
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hot_path_is_tens_of_cycles() {
-        let c = SmcCostModel::default();
-        let t = c.typical_read_cycles();
-        assert!(
-            (30..=150).contains(&t),
-            "hot path should be tens of Rocket cycles, got {t}"
-        );
-    }
 
     #[test]
     fn frfcfs_costs_more_than_fcfs() {

@@ -202,9 +202,10 @@ impl MultiCoreSystem {
         for core in &mut self.cores {
             core.backend_mut().attach_scheduler(Arc::clone(&sched));
         }
-        // lint: allow(det/thread-spawn) — baton-scheduled: CoScheduler admits
-        // exactly one runnable core at a time, so interleaving is a pure
-        // function of simulated cycle counts, not OS scheduling.
+        // Baton-scheduled: CoScheduler admits exactly one runnable core at a
+        // time, so interleaving is a pure function of simulated cycle counts,
+        // not OS scheduling.
+        #[expect(clippy::disallowed_methods, reason = "baton-scheduled by CoScheduler")]
         std::thread::scope(|scope| {
             for (i, (core, workload)) in self.cores.iter_mut().zip(workloads.iter_mut()).enumerate()
             {

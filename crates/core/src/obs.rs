@@ -5,8 +5,8 @@
 //!
 //! * **Timestamps are emulated picoseconds**, never host wall clock — every
 //!   [`TraceEvent`] constructor takes a `ps: u64` already computed from the
-//!   emulated timeline (the `obs/emulated-time-only` lint enforces this at
-//!   the call sites).
+//!   emulated timeline (no host-clock type can be named in a simulation
+//!   crate: `clippy.toml` disallows `Instant` / `SystemTime`).
 //! * **Zero cost when off**: tracing is gated behind an `Option<EventRing>`
 //!   per lane and the [`crate::obs_trace!`] macro compiles to a branch on that
 //!   option — the event expression is never even evaluated when tracing is
@@ -23,7 +23,7 @@
 //! the trailing window of events and counts what it dropped. Draining
 //! ([`EventRing::drain_into`]) and exporting ([`TraceLog::to_chrome_json`],
 //! [`TraceLog::to_binary`]) allocate freely — they run outside the serve
-//! loop's `no_alloc` regions, at end of run.
+//! loop, at end of run.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -42,6 +42,14 @@ pub const TRACE_ENV: &str = "EASYDRAM_TRACE";
 
 /// Default per-lane event-ring capacity (events, not bytes).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+
+/// Largest per-lane event-ring capacity a system accepts (events). Every
+/// lane ring and every channel device's command ring reserves its full
+/// capacity at construction, so an unbounded value from the environment
+/// would abort the process in the allocator; 2²² events is 64x the default
+/// (160 MiB of lane ring). [`TRACE_ENV`] values clamp to it and
+/// `SystemConfig::validate` rejects an explicit [`TraceConfig`] above it.
+pub const MAX_RING_CAPACITY: usize = 1 << 22;
 
 /// Event-tracing configuration (resolved; see [`configured_trace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,12 +75,18 @@ pub fn configured_trace(explicit: Option<TraceConfig>) -> Option<TraceConfig> {
     if explicit.is_some() {
         return explicit;
     }
-    let raw = std::env::var(TRACE_ENV).ok()?;
+    parse_trace_env(&std::env::var(TRACE_ENV).ok()?)
+}
+
+/// The meaning of a raw [`TRACE_ENV`] value: off, the default capacity, or a
+/// capacity clamped to `16..=`[`MAX_RING_CAPACITY`] (the value comes from
+/// outside the program and is allocated in full). Unparsable values are off.
+fn parse_trace_env(raw: &str) -> Option<TraceConfig> {
     match raw.trim() {
         "" | "0" | "false" => None,
         "1" | "true" => Some(TraceConfig::default()),
         n => Some(TraceConfig {
-            ring_capacity: n.parse::<usize>().ok()?.max(16),
+            ring_capacity: n.parse::<usize>().ok()?.clamp(16, MAX_RING_CAPACITY),
         }),
     }
 }
@@ -316,7 +330,7 @@ macro_rules! obs_trace {
 
 /// A fixed-capacity overwrite-oldest ring of [`TraceEvent`]s. All storage
 /// is reserved at construction; `push` never allocates, so it is legal
-/// inside the serve loop's `no_alloc` regions.
+/// inside the serve loop (`crates/core/tests/no_alloc.rs` counts traced runs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventRing {
     buf: Vec<TraceEvent>,
@@ -968,8 +982,14 @@ mod tests {
     fn trace_config_resolution_prefers_explicit() {
         let explicit = Some(TraceConfig { ring_capacity: 99 });
         assert_eq!(configured_trace(explicit), explicit);
-        // Env-dependent resolution is covered end-to-end by the snapshot
-        // suite's trace sweep; here only the explicit-wins contract is
-        // asserted (env mutation would race other tests).
+        // The environment's value goes through a pure parser (setting the
+        // variable here would race other tests).
+        let capacity = |raw| parse_trace_env(raw).map(|t| t.ring_capacity);
+        assert_eq!(capacity("0"), None);
+        assert_eq!(capacity("not a number"), None);
+        assert_eq!(capacity(" 1 "), Some(DEFAULT_RING_CAPACITY));
+        assert_eq!(capacity("3"), Some(16));
+        assert_eq!(capacity("4096"), Some(4096));
+        assert_eq!(capacity("1000000000000"), Some(MAX_RING_CAPACITY));
     }
 }

@@ -289,12 +289,6 @@ impl FrFcfsController {
     pub fn with_trcd_reduction(plan: TrcdPlan) -> Self {
         Self { trcd: Some(plan) }
     }
-
-    /// The installed tRCD plan, if any.
-    #[must_use]
-    pub fn trcd_plan(&self) -> Option<&TrcdPlan> {
-        self.trcd.as_ref()
-    }
 }
 
 impl SoftwareMemoryController for FrFcfsController {
@@ -450,11 +444,11 @@ mod tests {
         let mut f = Fix::new();
         let geo = f.dev.config().geometry.clone();
         let plan = TrcdPlan::from_variation(f.dev.variation(), &geo, geo.rows_per_bank, 9_000, 0);
-        let mut ctrl = FrFcfsController::with_trcd_reduction(plan);
         // Find a strong row and read from it.
         let strong_row = (0..geo.rows_per_bank)
-            .find(|&r| ctrl.trcd_plan().unwrap().trcd_for(0, r).is_some())
+            .find(|&r| plan.trcd_for(0, r).is_some())
             .expect("a strong row exists");
+        let mut ctrl = FrFcfsController::with_trcd_reduction(plan);
         let addr = f
             .map
             .to_phys(easydram_dram::DramAddress::new(0, strong_row, 0));

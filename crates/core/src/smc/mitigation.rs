@@ -25,8 +25,6 @@
 //! — and account their overhead into [`MitigationStats`], which the tile
 //! threads into `ExecutionReport::mitigation`.
 
-use std::collections::BTreeMap;
-
 use easydram_dram::det::DetRng;
 use easydram_dram::BLAST_RADIUS;
 
@@ -166,7 +164,10 @@ impl MisraGries {
 struct GrapheneMitigator {
     threshold: u64,
     table_k: usize,
-    tables: BTreeMap<u32, MisraGries>,
+    /// One table per bank, indexed by bank id and grown on first sight of a
+    /// bank. An epoch reset empties every table in place: the serve path
+    /// must not allocate in steady state.
+    tables: Vec<MisraGries>,
     /// Start of the current tracking epoch, ps of controller wall time.
     epoch_start_ps: u64,
     stats: MitigationStats,
@@ -178,21 +179,20 @@ impl RowHammerMitigator for GrapheneMitigator {
         api.charge_mitigation_track();
         let now = api.wall_now_ps();
         if now.saturating_sub(self.epoch_start_ps) >= api.timing().t_refw_ps {
-            self.tables.clear();
+            for table in &mut self.tables {
+                table.entries.clear();
+            }
             self.epoch_start_ps = now;
         }
-        let count = self
-            .tables
-            .entry(bank)
-            .or_default()
-            .observe(row, self.table_k);
+        let bank_idx = bank as usize;
+        if self.tables.len() <= bank_idx {
+            self.tables.resize_with(bank_idx + 1, MisraGries::default);
+        }
+        let count = self.tables[bank_idx].observe(row, self.table_k);
         self.stats.rocket_cycles += api.cycles_spent() - before;
         if count >= self.threshold {
             refresh_neighborhood(api, &mut self.stats, bank, row, BLAST_RADIUS);
-            self.tables
-                .get_mut(&bank)
-                .expect("just inserted")
-                .reset(row);
+            self.tables[bank_idx].reset(row);
         }
     }
 
@@ -281,7 +281,7 @@ impl GrapheneController {
             mitigator: GrapheneMitigator {
                 threshold,
                 table_k,
-                tables: BTreeMap::new(),
+                tables: Vec::new(),
                 epoch_start_ps: 0,
                 stats: MitigationStats::default(),
             },

@@ -614,8 +614,9 @@ impl Tile {
     ///
     /// Panics, naming the id, if a controller answers a request twice,
     /// answers one that is not pending, or leaves a pending one unanswered.
-    // lint: no_alloc — the steady-state serve loop runs on the sessions'
-    // buffers, cleared in place; any per-pass allocation is a regression.
+    // The steady-state serve loop runs on the sessions' buffers, cleared in
+    // place; any per-pass allocation is a regression
+    // (`crates/core/tests/no_alloc.rs` counts them).
     fn serve_pass(&mut self, trigger_cycle: u64, awaited: Option<u64>) -> Served {
         let mut served = Served::default();
         if self.lanes.iter().all(|l| l.session.is_empty()) {

@@ -84,19 +84,6 @@ pub struct CacheLevelStats {
     pub dirty_evictions: u64,
 }
 
-impl CacheLevelStats {
-    /// Miss ratio over all lookups, or 0 if there were none.
-    #[must_use]
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// One cache level holding real line data.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -264,29 +251,6 @@ impl Cache {
         })
     }
 
-    /// Iterates over every valid line as `(line_addr, data, dirty)`,
-    /// invalidating the whole cache (used for full flushes in tests).
-    pub fn drain(&mut self) -> Vec<Eviction> {
-        let n_sets = u64::from(self.n_sets);
-        let ways = self.cfg.ways as usize;
-        let mut out = Vec::new();
-        for set in 0..n_sets {
-            for w in 0..ways {
-                let i = set as usize * ways + w;
-                if self.sets[i].valid {
-                    let addr = (self.sets[i].tag * n_sets + set) << 6;
-                    out.push(Eviction {
-                        line_addr: addr,
-                        data: self.sets[i].data,
-                        dirty: self.sets[i].dirty,
-                    });
-                    self.sets[i].valid = false;
-                }
-            }
-        }
-        out
-    }
-
     /// Number of valid lines currently resident.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
@@ -380,19 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_everything_with_correct_addrs() {
-        let mut c = tiny();
-        c.insert(0x0000, line(1), false);
-        c.insert(0x0200, line(2), true);
-        c.insert(0x1040, line(3), false);
-        let mut drained = c.drain();
-        drained.sort_by_key(|e| e.line_addr);
-        let addrs: Vec<u64> = drained.iter().map(|e| e.line_addr).collect();
-        assert_eq!(addrs, vec![0x0000, 0x0200, 0x1040]);
-        assert_eq!(c.resident_lines(), 0);
-    }
-
-    #[test]
     fn set_count_power_of_two_enforced() {
         let r = std::panic::catch_unwind(|| {
             Cache::new(CacheConfig {
@@ -408,15 +359,5 @@ mod tests {
     fn standard_configs() {
         assert_eq!(CacheConfig::l1d_32k().sets(), 128);
         assert_eq!(CacheConfig::l2_512k().sets(), 512);
-    }
-
-    #[test]
-    fn miss_ratio() {
-        let mut c = tiny();
-        c.lookup(0);
-        c.insert(0, line(0), false);
-        c.lookup(0);
-        assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-9);
-        assert_eq!(CacheLevelStats::default().miss_ratio(), 0.0);
     }
 }

@@ -392,6 +392,7 @@ mod tests {
         // Baton starts at core 0; core 0 at cycle 100 must yield to core 1
         // at cycle 0, then regain it once core 1 reports cycle 200.
         let s2 = Arc::clone(&sched);
+        #[expect(clippy::disallowed_methods, reason = "the test plays the second core")]
         let t = std::thread::spawn(move || {
             s2.start(1);
             s2.checkpoint(1, 200);

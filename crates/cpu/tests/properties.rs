@@ -64,8 +64,8 @@ proptest! {
         ops in prop::collection::vec((0u64..64, 0u8..3, any::<u8>()), 1..200),
     ) {
         let mut cache = Cache::new(CacheConfig { size_bytes: 1024, ways: 2, hit_latency_cycles: 1 });
-        let mut shadow: std::collections::HashMap<u64, [u8; 64]> = Default::default();
-        let mut resident: std::collections::HashSet<u64> = Default::default();
+        let mut shadow: std::collections::BTreeMap<u64, [u8; 64]> = Default::default();
+        let mut resident: std::collections::BTreeSet<u64> = Default::default();
         for (slot, op, val) in ops {
             let addr = slot * 64;
             match op {
@@ -162,7 +162,7 @@ proptest! {
             FixedLatencyBackend::new(50),
         );
         let base = core.alloc(4096 * 8, 64);
-        let mut shadow = std::collections::HashMap::new();
+        let mut shadow = std::collections::BTreeMap::new();
         if stream {
             core.stream_begin();
         }

@@ -110,30 +110,6 @@ impl AddressMapper {
         self.scheme
     }
 
-    fn col_bits(&self) -> u32 {
-        self.geometry.cols_per_row().trailing_zeros()
-    }
-
-    fn bank_bits(&self) -> u32 {
-        self.geometry.banks_per_channel().trailing_zeros()
-    }
-
-    fn row_bits(&self) -> u32 {
-        self.geometry.rows_per_bank.trailing_zeros()
-    }
-
-    fn channel_bits(&self) -> u32 {
-        self.geometry.channels.trailing_zeros()
-    }
-
-    /// Number of physical-address bits consumed by the mapping
-    /// (including the 6 line-offset bits). The bank field covers the rank
-    /// bits; the channel bits sit just above the line offset.
-    #[must_use]
-    pub fn addr_bits(&self) -> u32 {
-        6 + self.channel_bits() + self.col_bits() + self.bank_bits() + self.row_bits()
-    }
-
     /// Translates a physical byte address to a DRAM coordinate.
     ///
     /// The 6 low bits (line offset) are ignored; addresses beyond the system
@@ -262,19 +238,6 @@ impl AddressMapper {
             None => self.to_dram(phys),
         }
     }
-
-    /// Whether a whole row occupies contiguous physical addresses under this
-    /// scheme (true for [`MappingScheme::RowBankCol`] and
-    /// [`MappingScheme::BankRowCol`] on single-channel geometries; channel
-    /// interleaving spreads every row across the channels).
-    #[must_use]
-    pub fn rows_are_contiguous(&self) -> bool {
-        self.geometry.channels == 1
-            && !matches!(
-                self.scheme,
-                MappingScheme::RowColBank | MappingScheme::RowColBankXor
-            )
-    }
 }
 
 #[cfg(test)]
@@ -352,7 +315,7 @@ mod tests {
         let m = AddressMapper::new(geometry.clone(), MappingScheme::RowColBank);
         // Under RowColBank the bank field rotates fastest: 32 consecutive
         // lines cover both ranks' 16-bank arrays.
-        let banks: std::collections::HashSet<u32> =
+        let banks: std::collections::BTreeSet<u32> =
             (0..32u64).map(|i| m.to_dram(i * 64).bank).collect();
         assert_eq!(banks.len(), 32);
         assert!(banks.iter().any(|&b| geometry.rank_of(b) == 1));
@@ -373,7 +336,6 @@ mod tests {
         assert_eq!(a.row, b.row);
         assert_eq!(a.bank, b.bank);
         assert_eq!(b.col, a.col + 1);
-        assert!(m.rows_are_contiguous());
     }
 
     #[test]
@@ -382,7 +344,6 @@ mod tests {
         let a = m.to_dram(0);
         let b = m.to_dram(64);
         assert_eq!(b.bank, a.bank + 1);
-        assert!(!m.rows_are_contiguous());
     }
 
     #[test]
@@ -392,16 +353,6 @@ mod tests {
             u64::from(Geometry::default().rows_per_bank) * u64::from(Geometry::default().row_bytes);
         assert_eq!(m.to_dram(0).bank, 0);
         assert_eq!(m.to_dram(bank_span).bank, 1);
-    }
-
-    #[test]
-    fn channel_interleave_breaks_row_contiguity() {
-        let geometry = Geometry {
-            channels: 2,
-            ..Geometry::default()
-        };
-        let m = AddressMapper::new(geometry, MappingScheme::RowBankCol);
-        assert!(!m.rows_are_contiguous());
     }
 
     #[test]
@@ -461,21 +412,6 @@ mod tests {
         }
         // The plain interleave really would have spread those lines.
         assert_eq!(m.to_dram(3 * 8192 + 64).channel, 1);
-    }
-
-    #[test]
-    fn addr_bits_covers_capacity() {
-        for geometry in [
-            Geometry::default(),
-            Geometry {
-                channels: 4,
-                ranks: 2,
-                ..Geometry::default()
-            },
-        ] {
-            let m = AddressMapper::new(geometry.clone(), MappingScheme::RowBankCol);
-            assert_eq!(1u64 << m.addr_bits(), geometry.capacity_bytes());
-        }
     }
 
     #[test]

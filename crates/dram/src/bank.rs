@@ -185,7 +185,7 @@ impl RankTiming {
     /// error at issue time.
     #[must_use]
     #[inline]
-    // lint: no_alloc — the scheduler polls this per candidate command.
+    // The scheduler polls this per candidate command.
     pub fn earliest_issue_ps(&self, cmd: &DramCommand) -> u64 {
         self.earliest_issue_bps(cmd).saturating_sub(BIAS)
     }
@@ -196,7 +196,6 @@ impl RankTiming {
     ///
     /// [`earliest_issue_ps`]: RankTiming::earliest_issue_ps
     #[inline]
-    // lint: no_alloc
     fn earliest_issue_bps(&self, cmd: &DramCommand) -> u64 {
         if cmd.bank().is_some_and(|b| b >= self.geometry.banks()) {
             return 0;
@@ -275,7 +274,6 @@ impl RankTiming {
     /// Per-bank precharge readiness (tRAS, tRTP, tWR), excluding tRFC.
     /// Biased like everything else; never-happened events drop out.
     #[inline]
-    // lint: no_alloc
     fn pre_earliest_bps(&self, bank: u32) -> u64 {
         let tt = &self.table;
         let b = &self.banks[bank as usize];
@@ -287,7 +285,6 @@ impl RankTiming {
     /// Column-command spacing from the previous column command (tCCD, tWTR,
     /// and data-bus burst occupancy), resolved through the table. Biased.
     #[inline]
-    // lint: no_alloc
     fn col_earliest_bps(&self, bank: u32, is_write: bool) -> u64 {
         let tt = &self.table;
         let prev = if self.last_col_was_write {
@@ -318,8 +315,8 @@ impl RankTiming {
     /// [`earliest_issue_ps`]: RankTiming::earliest_issue_ps
     #[must_use]
     #[inline]
-    // lint: no_alloc — the hot-path legality gate (`check` is the cold
-    // diagnostic sibling and is allowed to build violation lists).
+    // The hot-path legality gate (`check` is the cold diagnostic sibling and
+    // is allowed to build violation lists).
     pub fn is_legal(&self, cmd: &DramCommand, now_ps: u64) -> bool {
         if cmd.bank().is_some_and(|b| b >= self.geometry.banks()) {
             return true;
@@ -514,7 +511,7 @@ impl RankTiming {
     /// Public so that timing-only simulators (the Ramulator baseline) can
     /// reuse the rule tracker without a data-carrying device.
     #[inline]
-    // lint: no_alloc — state update for every issued command.
+    // State update for every issued command.
     pub fn apply(&mut self, cmd: &DramCommand, now_ps: u64) {
         let now_b = now_ps + BIAS;
         match *cmd {

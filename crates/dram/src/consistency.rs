@@ -25,7 +25,7 @@ use crate::timing::TimingParams;
 /// The closed set of configuration-consistency rules.
 ///
 /// Every variant carries a stable string id (`cfg/...`) used in diagnostics,
-/// regression tests, and the `easydram-lint` rule catalog documentation.
+/// regression tests, and the rule table in `docs/API.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConfigRule {
     /// `t_ck_ps` or `t_burst_ps` is zero: no clock, no bus occupancy.
@@ -524,8 +524,8 @@ mod tests {
 
     #[test]
     fn rule_ids_are_stable_and_distinct() {
-        use std::collections::HashSet;
-        let ids: HashSet<&str> = ConfigRule::all().iter().map(|r| r.id()).collect();
+        use std::collections::BTreeSet;
+        let ids: BTreeSet<&str> = ConfigRule::all().iter().map(|r| r.id()).collect();
         assert_eq!(ids.len(), ConfigRule::all().len());
         assert!(ids.iter().all(|id| id.starts_with("cfg/")));
     }

@@ -157,7 +157,6 @@ impl SenseAmps {
     }
 
     /// Copies every written line into `array`, the open row's cells.
-    // lint: no_alloc
     fn restore_into(&self, array: &mut [u8]) {
         for (word, &bits) in self.written.iter().enumerate() {
             let mut bits = bits;
@@ -878,7 +877,6 @@ impl DramDevice {
     /// `ACT`: the sense amplifiers now hold array row `slot`. Nothing is
     /// copied; whatever the bank held un-restored (an `ACT` on an open bank)
     /// is gone.
-    // lint: no_alloc
     fn open_bank(&mut self, bank: u32, row: u32, slot: usize, now_ps: u64) {
         let amps = &mut self.banks[bank as usize];
         amps.written.fill(0);
@@ -890,7 +888,7 @@ impl DramDevice {
         });
     }
 
-    // lint: no_alloc — the interrupted restore (a snapshot) is out of line.
+    // The interrupted restore (a snapshot) is out of line.
     fn precharge_bank(&mut self, bank: u32, now_ps: u64, violations: &[TimingViolation]) {
         let Some(open) = self.banks[bank as usize].open.take() else {
             return;
@@ -921,7 +919,6 @@ impl DramDevice {
         Self::corrupt_mix(&old, array, self.cfg.variation.seed, nonce);
     }
 
-    // lint: no_alloc
     fn read_line(&mut self, bank: u32, col: u32, now_ps: u64) -> ([u8; LINE_BYTES], bool) {
         let seed = self.cfg.variation.seed;
         let amps = &self.banks[bank as usize];
@@ -960,7 +957,7 @@ impl DramDevice {
         }
     }
 
-    // lint: no_alloc — the overlay grows once, on the bank's first WR.
+    // The overlay grows once, on the bank's first WR.
     fn write_line_buffered(&mut self, bank: u32, col: u32, data: &[u8; LINE_BYTES], now_ps: u64) {
         let nonce = self.next_nonce();
         let amps = &mut self.banks[bank as usize];

@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn rules_display_distinctly() {
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
         let rules = [
             TimingRule::Trcd,
             TimingRule::Trp,
@@ -210,7 +210,7 @@ mod tests {
             TimingRule::BankOpen,
             TimingRule::RefWithOpenRows,
         ];
-        let names: HashSet<String> = rules.iter().map(ToString::to_string).collect();
+        let names: BTreeSet<String> = rules.iter().map(ToString::to_string).collect();
         assert_eq!(names.len(), rules.len());
     }
 }

@@ -73,7 +73,6 @@ impl CmdClass {
     /// precharges, `RefreshRow` is the targeted-refresh (RFM) class.
     #[must_use]
     #[inline]
-    // lint: no_alloc
     pub fn of(cmd: &DramCommand) -> CmdClass {
         match cmd {
             DramCommand::Activate { .. } => CmdClass::Act,
@@ -228,7 +227,7 @@ impl TimingTable {
     /// The entry for `(prev, next)` at `scope`, if the scope constrains the
     /// pair.
     #[must_use]
-    // lint: no_alloc — table lookups sit on the per-command check path.
+    // Table lookups sit on the per-command check path.
     pub fn entry(&self, scope: Scope, prev: CmdClass, next: CmdClass) -> Option<MinDistance> {
         self.matrix(scope)[prev as usize][next as usize]
     }
@@ -237,13 +236,11 @@ impl TimingTable {
     /// is unconstrained at that scope.
     #[must_use]
     #[inline]
-    // lint: no_alloc
     pub fn dist_ps(&self, scope: Scope, prev: CmdClass, next: CmdClass) -> u64 {
         self.matrix(scope)[prev as usize][next as usize].map_or(0, |d| d.dist_ps)
     }
 
     #[inline]
-    // lint: no_alloc
     fn matrix(&self, scope: Scope) -> &Matrix {
         match scope {
             Scope::Channel => &self.channel,
@@ -288,7 +285,6 @@ impl TimingTable {
     /// `Wr→Rd` / `Rd→Wr` entries) are additional constraints on top.
     #[must_use]
     #[inline]
-    // lint: no_alloc
     pub fn col_to_col(&self, same_group: bool, prev: CmdClass, next: CmdClass) -> MinDistance {
         let scope = if same_group {
             Scope::BankGroup

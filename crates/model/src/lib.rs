@@ -37,8 +37,8 @@
 //! `<command> @ <ps>` trace.
 //!
 //! The crate is dependency-free (other than `easydram-dram` itself, with the
-//! oracle compiled in) for the same reason `easydram-lint` is: a CI gate must
-//! not drift with an ecosystem the build environment cannot reach.
+//! oracle compiled in): a CI gate must not drift with an ecosystem the build
+//! environment cannot reach.
 //!
 //! A self-validation mutation harness ([`mutate`]) perturbs every populated
 //! [`TimingTable`] matrix entry (and the three event-recording scalars) by

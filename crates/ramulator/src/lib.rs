@@ -35,8 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// lint: allow(det/wall-clock) — Instant measures *host* simulation speed,
-// reported out-of-band; it never feeds simulated state.
+#[expect(clippy::disallowed_types, reason = "host speed only, out-of-band")]
 use std::time::Instant;
 
 use easydram_cpu::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
@@ -352,8 +351,8 @@ impl RamulatorSystem {
         let cycles0 = self.core.now_cycles();
         let instr0 = self.core.stats().instructions;
         let events0 = self.core.backend().mem_events;
-        // lint: allow(det/wall-clock) — host-speed measurement only; the
-        // value lands in `RamReport::host_wall_seconds`, never in timing.
+        // The value lands in `RamReport::host_wall_seconds`, never in timing.
+        #[expect(clippy::disallowed_types, reason = "host-speed measurement only")]
         let host0 = Instant::now();
         workload.run(&mut self.core);
         let host_wall_seconds = host0.elapsed().as_secs_f64();

@@ -567,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // index loops mirror the math
+    #[expect(clippy::needless_range_loop, reason = "index loops mirror the math")]
     fn gemm_matches_reference_math() {
         // Cross-check the simulated kernel against host arithmetic.
         let n = 20usize;

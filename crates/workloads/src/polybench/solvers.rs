@@ -364,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // index loops mirror the math
+    #[expect(clippy::needless_range_loop, reason = "index loops mirror the math")]
     fn trisolv_solves_the_system() {
         // L x = b with our init; verify residual on the host.
         let n = 64usize;
