@@ -264,6 +264,17 @@ mod tests {
     }
 
     #[test]
+    fn validation_surfaces_core_cache_geometry() {
+        // Either of these used to pass here and panic in `Cache::new`.
+        let mut c = SystemConfig::jetson_nano(TimingMode::Reference);
+        c.core.l1.as_mut().unwrap().ways = 0;
+        assert!(c.validate().unwrap_err().starts_with("L1: "));
+        let mut c = SystemConfig::jetson_nano(TimingMode::Reference);
+        c.core.l2.as_mut().unwrap().ways = 3;
+        assert!(c.validate().unwrap_err().starts_with("L2: "));
+    }
+
+    #[test]
     fn validation_catches_zero_clock() {
         let mut c = SystemConfig::jetson_nano(TimingMode::Reference);
         c.fpga.tile_clk_hz = 0;

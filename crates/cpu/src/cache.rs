@@ -52,27 +52,6 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-    data: [u8; LINE_BYTES],
-}
-
-impl Default for Line {
-    fn default() -> Self {
-        Self {
-            tag: 0,
-            valid: false,
-            dirty: false,
-            lru: 0,
-            data: [0; LINE_BYTES],
-        }
-    }
-}
-
 /// Per-level hit/miss statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLevelStats {
@@ -84,12 +63,36 @@ pub struct CacheLevelStats {
     pub dirty_evictions: u64,
 }
 
+/// Tag of a way that holds no line. Tags are line numbers (`addr >> 6`),
+/// which stop short of it.
+const INVALID: u64 = u64::MAX;
+
 /// One cache level holding real line data.
+///
+/// Tags, recency stamps and dirty bits are arrays of their own, apart from
+/// the data: a probe compares one set's `ways` contiguous tags and touches
+/// the slab only where it hits. All four are indexed by *slot*,
+/// `set * ways + way`.
+///
+/// The probes are `#[inline]` because their caller, `CoreModel<B>`, is
+/// instantiated in whichever crate names the backend: without the hint every
+/// emulated load and store pays a cross-crate call per cache level.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Line>,
-    n_sets: u32,
+    ways: usize,
+    /// Set count minus one; the count is a power of two.
+    set_mask: u64,
+    /// The line number each slot holds, or [`INVALID`].
+    tags: Vec<u64>,
+    /// Tick of each slot's last use; 0 while it is invalid, so a set's
+    /// smallest stamp is its first free way or, failing one, its LRU line.
+    lru: Vec<u64>,
+    dirty: Vec<bool>,
+    /// Line bytes by slot. The core copies between two levels' slabs
+    /// directly, through the slots [`Cache::touch`] and [`Cache::claim`]
+    /// name.
+    pub(crate) data: Vec<[u8; LINE_BYTES]>,
     tick: u64,
     stats: CacheLevelStats,
 }
@@ -107,10 +110,15 @@ impl Cache {
             n_sets.is_power_of_two(),
             "set count {n_sets} must be a power of two"
         );
+        let slots = (n_sets * cfg.ways) as usize;
         Self {
-            sets: vec![Line::default(); (n_sets * cfg.ways) as usize],
-            n_sets,
             cfg,
+            ways: cfg.ways as usize,
+            set_mask: u64::from(n_sets) - 1,
+            tags: vec![INVALID; slots],
+            lru: vec![0; slots],
+            dirty: vec![false; slots],
+            data: vec![[0; LINE_BYTES]; slots],
             tick: 0,
             stats: CacheLevelStats::default(),
         }
@@ -128,133 +136,123 @@ impl Cache {
         &self.stats
     }
 
-    fn set_of(&self, line_addr: u64) -> (usize, u64) {
-        let idx = (line_addr >> 6) % u64::from(self.n_sets);
-        let tag = (line_addr >> 6) / u64::from(self.n_sets);
-        (idx as usize * self.cfg.ways as usize, tag)
+    /// The slots of the set `line` (a line number) maps to.
+    #[inline]
+    fn set_of(&self, line: u64) -> std::ops::Range<usize> {
+        let base = (line & self.set_mask) as usize * self.ways;
+        base..base + self.ways
     }
 
-    fn find(&mut self, line_addr: u64) -> Option<usize> {
-        let (base, tag) = self.set_of(line_addr);
-        (base..base + self.cfg.ways as usize)
-            .find(|&i| self.sets[i].valid && self.sets[i].tag == tag)
+    /// The slot holding the line, without touching LRU or statistics.
+    #[inline]
+    fn find(&self, line_addr: u64) -> Option<usize> {
+        let set = self.set_of(line_addr >> 6);
+        let way = self.tags[set.clone()]
+            .iter()
+            .position(|&tag| tag == line_addr >> 6)?;
+        Some(set.start + way)
+    }
+
+    /// [`Cache::lookup`], naming the slot instead of lending its bytes.
+    #[inline]
+    pub(crate) fn touch(&mut self, line_addr: u64) -> Option<usize> {
+        self.tick += 1;
+        let slot = self.find(line_addr);
+        match slot {
+            Some(slot) => {
+                self.lru[slot] = self.tick;
+                self.stats.hits += 1;
+            }
+            None => self.stats.misses += 1,
+        }
+        slot
     }
 
     /// Looks up a line, updating LRU and hit/miss statistics.
     ///
-    /// Returns a copy of the data on a hit.
-    pub fn lookup(&mut self, line_addr: u64) -> Option<[u8; LINE_BYTES]> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.find(line_addr) {
-            Some(i) => {
-                self.sets[i].lru = tick;
-                self.stats.hits += 1;
-                Some(self.sets[i].data)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Whether the line is present, without touching LRU or statistics.
-    #[must_use]
-    pub fn contains(&self, line_addr: u64) -> bool {
-        let (base, tag) = self.set_of(line_addr);
-        (base..base + self.cfg.ways as usize).any(|i| self.sets[i].valid && self.sets[i].tag == tag)
+    /// Lends the line's bytes, in place, on a hit.
+    #[inline]
+    pub fn lookup(&mut self, line_addr: u64) -> Option<&[u8; LINE_BYTES]> {
+        let slot = self.touch(line_addr)?;
+        Some(&self.data[slot])
     }
 
     /// Overwrites bytes within a resident line and marks it dirty.
     ///
     /// Returns `false` when the line is not resident (statistics untouched).
+    #[inline]
     pub fn write_hit(&mut self, line_addr: u64, offset: usize, bytes: &[u8]) -> bool {
         self.tick += 1;
-        let tick = self.tick;
-        match self.find(line_addr) {
-            Some(i) => {
-                self.sets[i].lru = tick;
-                self.sets[i].dirty = true;
-                self.sets[i].data[offset..offset + bytes.len()].copy_from_slice(bytes);
-                true
-            }
-            None => false,
+        let Some(slot) = self.find(line_addr) else {
+            return false;
+        };
+        self.lru[slot] = self.tick;
+        self.dirty[slot] = true;
+        self.data[slot][offset..offset + bytes.len()].copy_from_slice(bytes);
+        true
+    }
+
+    /// Claims a slot for a line: its own if it is resident, else its set's
+    /// first free way, else the set's LRU line (the first on ties). Stamps
+    /// the slot, and returns it with the other line it displaces, if any, as
+    /// `(line_addr, dirty)`.
+    ///
+    /// The slot's data is untouched, so still the displaced line's: the
+    /// caller moves that out where it is dirty, then fills the slot.
+    pub(crate) fn claim(&mut self, line_addr: u64, dirty: bool) -> (usize, Option<(u64, bool)>) {
+        self.tick += 1;
+        let line = line_addr >> 6;
+        let slot = self.find(line_addr).unwrap_or_else(|| {
+            let set = self.set_of(line);
+            set.min_by_key(|&slot| self.lru[slot])
+                .expect("a set has at least one way")
+        });
+        let held = self.tags[slot];
+        let displaced = (held != INVALID && held != line).then(|| (held << 6, self.dirty[slot]));
+        if let Some((_, true)) = displaced {
+            self.stats.dirty_evictions += 1;
         }
+        self.tags[slot] = line;
+        self.lru[slot] = self.tick;
+        self.dirty[slot] = dirty;
+        (slot, displaced)
     }
 
     /// Inserts a line (fetched from downstream), evicting the set's LRU
     /// victim if necessary.
+    #[inline]
     pub fn insert(
         &mut self,
         line_addr: u64,
         data: [u8; LINE_BYTES],
         dirty: bool,
     ) -> Option<Eviction> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (base, tag) = self.set_of(line_addr);
-        let ways = self.cfg.ways as usize;
-        // Reuse an existing copy or an invalid way; otherwise evict LRU.
-        let mut victim = base;
-        let mut best_lru = u64::MAX;
-        for i in base..base + ways {
-            if self.sets[i].valid && self.sets[i].tag == tag {
-                victim = i;
-                break;
-            }
-            if !self.sets[i].valid {
-                if best_lru > 0 {
-                    victim = i;
-                    best_lru = 0;
-                }
-            } else if self.sets[i].lru < best_lru {
-                victim = i;
-                best_lru = self.sets[i].lru;
-            }
-        }
-        let evicted = if self.sets[victim].valid && self.sets[victim].tag != tag {
-            let v = &self.sets[victim];
-            let victim_addr =
-                (v.tag * u64::from(self.n_sets) + (line_addr >> 6) % u64::from(self.n_sets)) << 6;
-            let ev = Eviction {
-                line_addr: victim_addr,
-                data: v.data,
-                dirty: v.dirty,
-            };
-            if ev.dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            Some(ev)
-        } else {
-            None
-        };
-        self.sets[victim] = Line {
-            tag,
-            valid: true,
+        let (slot, displaced) = self.claim(line_addr, dirty);
+        let evicted = displaced.map(|(line_addr, dirty)| Eviction {
+            line_addr,
+            data: self.data[slot],
             dirty,
-            lru: tick,
-            data,
-        };
+        });
+        self.data[slot] = data;
         evicted
     }
 
     /// Removes a line, returning it (for flushes).
     pub fn invalidate(&mut self, line_addr: u64) -> Option<Eviction> {
-        let i = self.find(line_addr)?;
-        let line = &mut self.sets[i];
-        line.valid = false;
+        let slot = self.find(line_addr)?;
+        self.tags[slot] = INVALID;
+        self.lru[slot] = 0;
         Some(Eviction {
             line_addr,
-            data: line.data,
-            dirty: line.dirty,
+            data: self.data[slot],
+            dirty: self.dirty[slot],
         })
     }
 
     /// Number of valid lines currently resident.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&tag| tag != INVALID).count()
     }
 }
 
@@ -275,12 +273,17 @@ mod tests {
         [v; LINE_BYTES]
     }
 
+    /// Whether the line is present, without touching LRU or statistics.
+    fn contains(c: &Cache, line_addr: u64) -> bool {
+        c.find(line_addr).is_some()
+    }
+
     #[test]
     fn miss_then_hit() {
         let mut c = tiny();
         assert_eq!(c.lookup(0x1000), None);
         assert!(c.insert(0x1000, line(7), false).is_none());
-        assert_eq!(c.lookup(0x1000), Some(line(7)));
+        assert_eq!(c.lookup(0x1000), Some(&line(7)));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
@@ -296,9 +299,9 @@ mod tests {
         let ev = c.insert(0x0400, line(3), false).expect("eviction");
         assert_eq!(ev.line_addr, 0x0200);
         assert!(!ev.dirty);
-        assert!(c.contains(0x0000));
-        assert!(c.contains(0x0400));
-        assert!(!c.contains(0x0200));
+        assert!(contains(&c, 0x0000));
+        assert!(contains(&c, 0x0400));
+        assert!(!contains(&c, 0x0200));
     }
 
     #[test]
@@ -328,7 +331,7 @@ mod tests {
             c.insert(0x0000, line(4), true).is_none(),
             "same line: no eviction"
         );
-        assert_eq!(c.lookup(0x0000), Some(line(4)));
+        assert_eq!(c.lookup(0x0000), Some(&line(4)));
         assert_eq!(c.resident_lines(), 1);
     }
 
@@ -339,7 +342,7 @@ mod tests {
         let ev = c.invalidate(0x0040).expect("line present");
         assert!(ev.dirty);
         assert_eq!(ev.data, line(5));
-        assert!(!c.contains(0x0040));
+        assert!(!contains(&c, 0x0040));
         assert!(c.invalidate(0x0040).is_none());
     }
 

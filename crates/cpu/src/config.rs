@@ -1,6 +1,8 @@
 //! Core-model configuration and the paper's processor presets.
 
 use crate::cache::CacheConfig;
+use crate::core::Q32_ONE;
+use crate::LINE_BYTES;
 
 /// Parameters of the modeled processor core.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,8 +102,11 @@ impl CoreConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first inconsistency (zero frequency,
-    /// non-positive IPC, or zero MSHRs).
+    /// Returns a description of the first inconsistency: a zero frequency;
+    /// an IPC that is not positive, or whose reciprocal does not fit the
+    /// Q32.32 cycles-per-op `compute` accumulates; an MSHR count of zero or
+    /// above 4096; a cache level whose geometry [`crate::Cache`] cannot
+    /// index.
     pub fn validate(&self) -> Result<(), String> {
         if self.freq_hz == 0 {
             return Err("frequency must be non-zero".into());
@@ -109,11 +114,54 @@ impl CoreConfig {
         if self.compute_ipc.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err("IPC must be positive".into());
         }
+        let q32_one = Q32_ONE as f64;
+        if self.compute_ipc <= 1.0 / q32_one || self.compute_ipc > q32_one {
+            return Err(format!(
+                "IPC {} is outside (2^-32, 2^32], where its reciprocal fits Q32.32",
+                self.compute_ipc
+            ));
+        }
         if self.mshrs == 0 {
             return Err("at least one MSHR is required".into());
         }
+        if self.mshrs > MAX_MSHRS {
+            return Err(format!("at most {MAX_MSHRS} MSHRs are supported"));
+        }
+        for (level, cache) in [("L1", self.l1), ("L2", self.l2)] {
+            if let Some(cache) = cache {
+                validate_geometry(&cache).map_err(|e| format!("{level}: {e}"))?;
+            }
+        }
         Ok(())
     }
+}
+
+/// Most MSHRs a core may have: the file is allocated up front and scanned
+/// linearly on every reservation.
+const MAX_MSHRS: usize = 4096;
+
+/// Checks that a cache level divides into whole sets of whole lines, and
+/// into a power-of-two number of them ([`crate::Cache`] indexes sets with a
+/// mask).
+fn validate_geometry(cache: &CacheConfig) -> Result<(), String> {
+    if cache.ways == 0 {
+        return Err("associativity must be non-zero".into());
+    }
+    let set_bytes = u64::from(cache.ways) * LINE_BYTES as u64;
+    let size = u64::from(cache.size_bytes);
+    if size == 0 || size % set_bytes != 0 {
+        return Err(format!(
+            "size {size} is not a positive multiple of {} ways x {LINE_BYTES} bytes",
+            cache.ways
+        ));
+    }
+    if !(size / set_bytes).is_power_of_two() {
+        return Err(format!(
+            "set count {} must be a power of two",
+            size / set_bytes
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -150,5 +198,62 @@ mod tests {
         let mut c = CoreConfig::cortex_a57();
         c.mshrs = 0;
         assert!(c.validate().is_err());
+        c.mshrs = MAX_MSHRS;
+        c.validate().unwrap();
+        c.mshrs = MAX_MSHRS + 1;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_ipc_outside_fixed_point() {
+        let mut c = CoreConfig::cortex_a57();
+        for ok in [0.5, 3.0, 4_294_967_296.0, 1.0 / 4_294_967_295.0] {
+            c.compute_ipc = ok;
+            c.validate().unwrap();
+        }
+        for bad in [
+            1.0 / 4_294_967_296.0,
+            4_294_967_297.0,
+            f64::INFINITY,
+            f64::NAN,
+            -1.0,
+        ] {
+            c.compute_ipc = bad;
+            assert!(c.validate().is_err(), "IPC {bad}");
+        }
+    }
+
+    fn with_l1(size_bytes: u32, ways: u32) -> Result<(), String> {
+        let mut c = CoreConfig::cortex_a57();
+        c.l1 = Some(CacheConfig {
+            size_bytes,
+            ways,
+            hit_latency_cycles: 1,
+        });
+        c.validate()
+    }
+
+    #[test]
+    fn validation_rejects_zero_ways() {
+        assert!(with_l1(1024, 0).unwrap_err().contains("associativity"));
+    }
+
+    #[test]
+    fn validation_rejects_size_not_in_whole_sets() {
+        assert!(with_l1(0, 2).unwrap_err().contains("multiple"));
+        assert!(with_l1(1000, 2).unwrap_err().contains("multiple"));
+        // ways x 64 overflows a u32 here; the check must not.
+        assert!(with_l1(1 << 31, 1 << 27).unwrap_err().contains("multiple"));
+    }
+
+    #[test]
+    fn validation_rejects_non_power_of_two_sets() {
+        // 3 ways of 4 sets is fine; 2 ways of 3 sets is not.
+        with_l1(768, 3).unwrap();
+        assert!(with_l1(384, 2).unwrap_err().contains("power of two"));
+        // The same rule holds for the L2, and names the level.
+        let mut c = CoreConfig::cortex_a57();
+        c.l2.as_mut().unwrap().ways = 3;
+        assert!(c.validate().unwrap_err().starts_with("L2: "));
     }
 }

@@ -7,6 +7,9 @@ use crate::config::CoreConfig;
 use crate::stats::CoreStats;
 use crate::LINE_BYTES;
 
+/// One cycle in the Q32.32 fixed point `compute` accumulates in.
+pub(crate) const Q32_ONE: u64 = 1 << 32;
+
 /// The modeled processor: owns the cache hierarchy and a memory backend,
 /// executes [`CpuApi`] calls, and accounts time in emulated processor cycles.
 #[derive(Debug)]
@@ -15,12 +18,17 @@ pub struct CoreModel<B> {
     backend: B,
     l1: Option<Cache>,
     l2: Option<Cache>,
+    /// On-chip cycles a memory fetch pays before it issues: the hit latency
+    /// of the last cache level it missed in.
+    miss_path_cycles: u64,
     now: u64,
     /// Completion cycles of in-flight overlapped requests (≤ `cfg.mshrs`).
     outstanding: Vec<u64>,
     stream_mode: bool,
-    /// Fractional compute-cycle accumulator (ops issued at `compute_ipc`).
-    compute_carry: f64,
+    /// Cycles per compute op in Q32.32: `1 / compute_ipc`, rounded up.
+    cycles_per_op_q32: u64,
+    /// Fraction of a cycle (Q32) the compute ops so far have left over.
+    compute_carry: u64,
     stats: CoreStats,
 }
 
@@ -33,18 +41,18 @@ impl<B: MemoryBackend> CoreModel<B> {
     #[must_use]
     pub fn new(cfg: CoreConfig, backend: B) -> Self {
         cfg.validate().expect("invalid core configuration");
-        let l1 = cfg.l1.map(Cache::new);
-        let l2 = cfg.l2.map(Cache::new);
         Self {
-            cfg,
             backend,
-            l1,
-            l2,
+            l1: cfg.l1.map(Cache::new),
+            l2: cfg.l2.map(Cache::new),
+            miss_path_cycles: cfg.l2.or(cfg.l1).map_or(0, |c| c.hit_latency_cycles),
             now: 0,
-            outstanding: Vec::new(),
+            outstanding: Vec::with_capacity(cfg.mshrs),
             stream_mode: false,
-            compute_carry: 0.0,
+            cycles_per_op_q32: (Q32_ONE as f64 / cfg.compute_ipc).ceil() as u64,
+            compute_carry: 0,
             stats: CoreStats::default(),
+            cfg,
         }
     }
 
@@ -129,81 +137,90 @@ impl<B: MemoryBackend> CoreModel<B> {
         self.outstanding.len()
     }
 
-    /// Fetches a line into the hierarchy, returning its data, whether it was
-    /// a backend miss, and the cycle at which the data is available.
-    fn fetch_line(&mut self, line_addr: u64) -> ([u8; LINE_BYTES], bool, u64) {
-        // L1 probe.
+    /// Brings a line to the top of the hierarchy and lends its bytes to
+    /// `read` where they lie. Returns what `read` made of them, whether it
+    /// was a backend miss, and the cycle at which the data is available.
+    fn fetch_line<R>(
+        &mut self,
+        line_addr: u64,
+        read: impl FnOnce(&[u8; LINE_BYTES]) -> R,
+    ) -> (R, bool, u64) {
         if let Some(l1) = &mut self.l1 {
-            if let Some(data) = l1.lookup(line_addr) {
-                let lat = l1.config().hit_latency_cycles;
-                return (data, false, self.now + lat);
+            if let Some(line) = l1.lookup(line_addr) {
+                return (read(line), false, self.now + l1.config().hit_latency_cycles);
             }
         }
-        // L2 probe.
-        let l2_hit = self.l2.as_mut().and_then(|l2| {
-            let data = l2.lookup(line_addr)?;
-            Some((data, l2.config().hit_latency_cycles))
-        });
-        if let Some((data, lat)) = l2_hit {
-            self.promote_to_l1(line_addr, data, false);
-            return (data, false, self.now + lat);
+        if let Some(l2) = &mut self.l2 {
+            if let Some(slot) = l2.touch(line_addr) {
+                let avail = self.now + l2.config().hit_latency_cycles;
+                let out = read(&l2.data[slot]);
+                self.promote_to_l1(line_addr, slot);
+                return (out, false, avail);
+            }
         }
         // Memory fetch: charge the on-chip miss path before issue.
-        let miss_path = self
-            .l2
-            .as_ref()
-            .map(|c| c.config().hit_latency_cycles)
-            .or_else(|| self.l1.as_ref().map(|c| c.config().hit_latency_cycles))
-            .unwrap_or(0);
         self.stats.mem_reads += 1;
-        let issue = self.now + miss_path;
+        let issue = self.now + self.miss_path_cycles;
         let fetch = self.backend.read_line(line_addr, issue);
-        self.install_line(line_addr, fetch.data, false);
-        (fetch.data, true, fetch.complete_cycle.max(issue))
+        let Self {
+            l1,
+            l2,
+            backend,
+            stats,
+            ..
+        } = self;
+        if let Some(last) = l2.as_mut().or(l1.as_mut()) {
+            let slot = Self::make_room(last, backend, stats, line_addr, false, self.now);
+            last.data[slot] = fetch.data;
+            self.promote_to_l1(line_addr, slot);
+        }
+        (read(&fetch.data), true, fetch.complete_cycle.max(issue))
     }
 
-    /// Installs a freshly fetched line into L2 and L1.
-    fn install_line(&mut self, line_addr: u64, data: [u8; LINE_BYTES], dirty: bool) {
-        let now = self.now;
-        if let Some(l2) = &mut self.l2 {
-            if let Some(ev) = l2.insert(line_addr, data, dirty && self.l1.is_none()) {
-                if ev.dirty {
-                    self.stats.mem_writes += 1;
-                    self.backend.post_write(ev.line_addr, ev.data, now);
-                }
-            }
+    /// Claims a slot in `cache` for a line, posting the dirty line it
+    /// displaces to memory. The caller fills the slot.
+    fn make_room(
+        cache: &mut Cache,
+        backend: &mut B,
+        stats: &mut CoreStats,
+        line_addr: u64,
+        dirty: bool,
+        now: u64,
+    ) -> usize {
+        let (slot, displaced) = cache.claim(line_addr, dirty);
+        if let Some((victim_addr, true)) = displaced {
+            stats.mem_writes += 1;
+            backend.post_write(victim_addr, cache.data[slot], now);
         }
-        self.promote_to_l1(line_addr, data, dirty);
-        if self.l1.is_none() && self.l2.is_none() {
-            // No caches: writes go straight to memory.
-            if dirty {
-                self.stats.mem_writes += 1;
-                self.backend.post_write(line_addr, data, now);
-            }
-        }
+        slot
     }
 
-    /// Moves a line into L1, spilling the victim into L2 (or memory).
-    fn promote_to_l1(&mut self, line_addr: u64, data: [u8; LINE_BYTES], dirty: bool) {
-        let now = self.now;
-        let Some(l1) = &mut self.l1 else { return };
-        let Some(ev) = l1.insert(line_addr, data, dirty) else {
+    /// With both levels present, copies the line in L2 slot `from` into L1,
+    /// once the L1 victim, where dirty, has been copied into L2 (clean
+    /// victims are dropped; L2 or DRAM still hold them).
+    fn promote_to_l1(&mut self, line_addr: u64, from: usize) {
+        let Self {
+            l1: Some(l1),
+            l2: Some(l2),
+            backend,
+            stats,
+            ..
+        } = self
+        else {
             return;
         };
-        if !ev.dirty {
-            return; // clean victims are dropped; L2/DRAM still hold them
-        }
-        if let Some(l2) = &mut self.l2 {
-            if let Some(ev2) = l2.insert(ev.line_addr, ev.data, true) {
-                if ev2.dirty {
-                    self.stats.mem_writes += 1;
-                    self.backend.post_write(ev2.line_addr, ev2.data, now);
-                }
+        let (to, displaced) = l1.claim(line_addr, false);
+        if let Some((victim_addr, true)) = displaced {
+            let spill = Self::make_room(l2, backend, stats, victim_addr, true, self.now);
+            if spill == from {
+                // A direct-mapped L2 gives the victim the very way the
+                // promoted line is leaving: the two trade places.
+                std::mem::swap(&mut l1.data[to], &mut l2.data[from]);
+                return;
             }
-        } else {
-            self.stats.mem_writes += 1;
-            self.backend.post_write(ev.line_addr, ev.data, now);
+            l2.data[spill] = l1.data[to];
         }
+        l1.data[to] = l2.data[from];
     }
 
     fn check_span(addr: u64, size: u8) {
@@ -233,7 +250,16 @@ impl<B: MemoryBackend> CpuApi for CoreModel<B> {
         if self.stream_mode {
             self.reserve_mshr();
         }
-        let (data, was_miss, avail) = self.fetch_line(line_addr);
+        let offset = (addr % LINE_BYTES as u64) as usize;
+        let (value, was_miss, avail) = self.fetch_line(line_addr, |line| {
+            // One 8-byte read that ends inside the line, shifted and masked
+            // down to the span (a variable-length copy is a `memcpy` call).
+            let start = offset.min(LINE_BYTES - 8);
+            let word = *line[start..]
+                .first_chunk()
+                .expect("start <= LINE_BYTES - 8");
+            (u64::from_le_bytes(word) >> (8 * (offset - start))) & (u64::MAX >> (64 - 8 * size))
+        });
         if self.stream_mode && was_miss {
             self.outstanding.push(avail);
         } else if self.stream_mode {
@@ -241,10 +267,7 @@ impl<B: MemoryBackend> CpuApi for CoreModel<B> {
         } else {
             self.stall_until(avail);
         }
-        let offset = (addr % LINE_BYTES as u64) as usize;
-        let mut buf = [0u8; 8];
-        buf[..size as usize].copy_from_slice(&data[offset..offset + size as usize]);
-        u64::from_le_bytes(buf)
+        value
     }
 
     fn store(&mut self, addr: u64, size: u8, value: u64) {
@@ -264,30 +287,34 @@ impl<B: MemoryBackend> CpuApi for CoreModel<B> {
         // Write-allocate: stores never stall the core (store buffer), but
         // their fills occupy MSHRs.
         self.reserve_mshr();
-        let (mut data, was_miss, avail) = self.fetch_line(line_addr);
+        // Only a core without caches carries the line away, patched, to
+        // post it; with caches the line is patched where it was installed.
+        let cacheless = self.l1.is_none() && self.l2.is_none();
+        let (patched, was_miss, avail) = self.fetch_line(line_addr, |line| {
+            cacheless.then(|| {
+                let mut data = *line;
+                data[offset..offset + bytes.len()].copy_from_slice(bytes);
+                data
+            })
+        });
         if was_miss {
             self.outstanding.push(avail);
         }
-        data[offset..offset + size as usize].copy_from_slice(bytes);
-        if let Some(l1) = &mut self.l1 {
-            let ok = l1.write_hit(line_addr, offset, bytes);
-            debug_assert!(ok, "line was just installed");
-        } else if let Some(l2) = &mut self.l2 {
-            let ok = l2.write_hit(line_addr, offset, bytes);
-            debug_assert!(ok, "line was just installed");
-        } else {
-            let now = self.now;
+        if let Some(data) = patched {
             self.stats.mem_writes += 1;
-            self.backend.post_write(line_addr, data, now);
+            self.backend.post_write(line_addr, data, self.now);
+        } else if let Some(top) = self.l1.as_mut().or(self.l2.as_mut()) {
+            let ok = top.write_hit(line_addr, offset, bytes);
+            debug_assert!(ok, "line was just installed");
         }
     }
 
     fn compute(&mut self, ops: u64) {
         self.stats.instructions += ops;
-        let cycles = ops as f64 / self.cfg.compute_ipc + self.compute_carry;
-        let whole = cycles as u64;
-        self.compute_carry = cycles - whole as f64;
-        self.now += whole;
+        let cycles =
+            u128::from(ops) * u128::from(self.cycles_per_op_q32) + u128::from(self.compute_carry);
+        self.now += (cycles >> 32) as u64;
+        self.compute_carry = cycles as u64 % Q32_ONE;
     }
 
     fn clflush(&mut self, addr: u64) {
@@ -386,6 +413,7 @@ impl<B: MemoryBackend> CpuApi for CoreModel<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
     use crate::fixed::FixedLatencyBackend;
 
     const MEM_LAT: u64 = 150;
@@ -581,6 +609,19 @@ mod tests {
     }
 
     #[test]
+    fn compute_at_non_dyadic_ipc_rounds_each_op_up_by_under_2_pow_minus_32() {
+        // 1/3 cycle per op is stored as ceil(2^32 / 3) / 2^32: 3 x 2^32 ops
+        // are 2^32 whole cycles plus 3 x 2^32 x (2/3) / 2^32 = 2 more.
+        let cfg = CoreConfig {
+            compute_ipc: 3.0,
+            ..CoreConfig::cortex_a57()
+        };
+        let mut c = CoreModel::new(cfg, FixedLatencyBackend::new(1));
+        c.compute(3 << 32);
+        assert_eq!(c.now_cycles(), (1 << 32) + 2);
+    }
+
+    #[test]
     fn mmio_roundtrip_rounds_half_up_not_floor() {
         // 120 ns at 1.43 GHz is 171.6 cycles: the uniform half-up policy
         // says 172. The old truncating division charged 171.
@@ -657,6 +698,39 @@ mod tests {
         assert_eq!(c.load_u64(a), 9);
         assert!(c.l1_stats().is_none());
         assert!(c.l2_stats().is_some());
+    }
+
+    #[test]
+    fn direct_mapped_l2_swaps_promoted_line_with_dirty_victim() {
+        // One L1 set over one L2 set of one way: promoting `b` out of the
+        // L2 evicts dirty `a` from the L1 into the only L2 way there is,
+        // the one `b` is leaving.
+        let one_set = |ways| CacheConfig {
+            size_bytes: 64 * ways,
+            ways,
+            hit_latency_cycles: 1,
+        };
+        let cfg = CoreConfig {
+            l1: Some(one_set(1)),
+            l2: Some(one_set(1)),
+            ..CoreConfig::cortex_a57()
+        };
+        let mut c = CoreModel::new(cfg, FixedLatencyBackend::new(MEM_LAT));
+        let (a, b) = (c.alloc(64, 64), c.alloc(64, 64));
+        c.store_u64(b, 22); // b dirty in L1
+        c.store_u64(a, 11); // a dirty in L1; b spilled, dirty, into L2
+        let reads = c.stats().mem_reads;
+        assert_eq!(c.load_u64(b), 22, "b comes back from the L2");
+        assert_eq!(c.load_u64(a), 11, "a went to the way b left");
+        assert_eq!(c.stats().mem_reads, reads, "both were L2 hits");
+        assert_eq!(c.l2_stats().unwrap().hits, 2);
+        // b's dirty L2 copy was written back when a took its way.
+        c.fence();
+        assert_eq!(c.backend().writes, 1);
+        c.clflush(a);
+        c.clflush(b);
+        c.fence();
+        assert_eq!((c.load_u64(a), c.load_u64(b)), (11, 22));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 
 use easydram_cpu::backend::{LineFetch, MemoryBackend};
+use easydram_cpu::cache::CacheLevelStats;
 use easydram_cpu::{
-    Cache, CacheConfig, CoreConfig, CoreModel, CpuApi, FixedLatencyBackend, LineStore,
+    Cache, CacheConfig, CoreConfig, CoreModel, CpuApi, Eviction, FixedLatencyBackend, LineStore,
 };
 
 /// A fixed-latency backend with an explicit posted-write buffer, so tests
@@ -57,45 +58,75 @@ impl MemoryBackend for BufferedBackend {
 }
 
 proptest! {
-    /// The cache never lies: a sequence of inserts/writes/lookups agrees
-    /// with a naive shadow model.
+    /// The cache never lies: a sequence of inserts, writes, lookups and
+    /// invalidations agrees with a shadow that keeps each set as a recency
+    /// list, down to which line every insertion evicts.
     #[test]
     fn cache_matches_shadow_model(
-        ops in prop::collection::vec((0u64..64, 0u8..3, any::<u8>()), 1..200),
+        ops in prop::collection::vec((0u64..64, 0u8..6, any::<u8>()), 1..300),
     ) {
+        const WAYS: usize = 2;
+        const SETS: u64 = 8;
         let mut cache = Cache::new(CacheConfig { size_bytes: 1024, ways: 2, hit_latency_cycles: 1 });
-        let mut shadow: std::collections::BTreeMap<u64, [u8; 64]> = Default::default();
-        let mut resident: std::collections::BTreeSet<u64> = Default::default();
+        // Resident lines as address → (bytes, dirty), and each set's
+        // addresses from least to most recently used.
+        let mut lines: std::collections::BTreeMap<u64, ([u8; 64], bool)> = Default::default();
+        let mut recency: Vec<Vec<u64>> = vec![Vec::new(); SETS as usize];
+        let mut stats = CacheLevelStats::default();
         for (slot, op, val) in ops {
             let addr = slot * 64;
+            let set = &mut recency[(slot % SETS) as usize];
+            let resident = lines.contains_key(&addr);
+            // Every hit, write and insertion makes its line the set's newest.
+            if resident && op != 4 {
+                set.retain(|&a| a != addr);
+                set.push(addr);
+            }
             match op {
-                0 => {
-                    // Insert with a distinctive payload.
-                    let line = [val; 64];
-                    if let Some(ev) = cache.insert(addr, line, true) {
-                        prop_assert!(resident.remove(&ev.line_addr), "evicted non-resident line");
-                        // The evicted data must match the shadow contents.
-                        prop_assert_eq!(&ev.data, shadow.get(&ev.line_addr).unwrap());
+                0 | 1 => {
+                    // Insert, dirty or clean, with a distinctive payload.
+                    let dirty = op == 0;
+                    let expected = if resident || set.len() < WAYS {
+                        // In place, or into a free way (an invalidated one
+                        // included): nothing leaves.
+                        None
+                    } else {
+                        let victim = set.remove(0);
+                        let (data, dirty) = lines.remove(&victim).unwrap();
+                        stats.dirty_evictions += u64::from(dirty);
+                        Some(Eviction { line_addr: victim, data, dirty })
+                    };
+                    prop_assert_eq!(cache.insert(addr, [val; 64], dirty), expected);
+                    if !resident {
+                        set.push(addr);
                     }
-                    shadow.insert(addr, line);
-                    resident.insert(addr);
+                    lines.insert(addr, ([val; 64], dirty));
                 }
-                1 => {
-                    let hit = cache.write_hit(addr, 3, &[val]);
-                    prop_assert_eq!(hit, resident.contains(&addr));
-                    if hit {
-                        shadow.get_mut(&addr).unwrap()[3] = val;
+                2 => {
+                    prop_assert_eq!(cache.write_hit(addr, 3, &[val]), resident);
+                    if let Some((data, dirty)) = lines.get_mut(&addr) {
+                        data[3] = val;
+                        *dirty = true;
                     }
+                }
+                4 => {
+                    let expected = lines
+                        .remove(&addr)
+                        .map(|(data, dirty)| Eviction { line_addr: addr, data, dirty });
+                    set.retain(|&a| a != addr);
+                    prop_assert_eq!(cache.invalidate(addr), expected);
                 }
                 _ => {
-                    let got = cache.lookup(addr);
-                    prop_assert_eq!(got.is_some(), resident.contains(&addr));
-                    if let Some(data) = got {
-                        prop_assert_eq!(&data, shadow.get(&addr).unwrap());
+                    if resident {
+                        stats.hits += 1;
+                    } else {
+                        stats.misses += 1;
                     }
+                    prop_assert_eq!(cache.lookup(addr), lines.get(&addr).map(|(data, _)| data));
                 }
             }
-            prop_assert!(cache.resident_lines() <= 16, "capacity exceeded");
+            prop_assert_eq!(cache.resident_lines(), lines.len());
+            prop_assert_eq!(cache.stats(), &stats);
         }
     }
 
@@ -217,6 +248,31 @@ proptest! {
             core.backend().pending.is_empty(),
             "fence drains the posted-write stream"
         );
+    }
+
+    /// `compute`'s fixed-point accumulator charges exactly what the `f64`
+    /// divide-and-carry it replaced did, op by op, whenever the IPC is a
+    /// power of two (every preset's is).
+    #[test]
+    fn compute_matches_the_f64_expression_it_replaced(
+        ipc_log2 in 0i32..4,
+        bundles in prop::collection::vec((any::<bool>(), 0u64..1 << 40), 1..200),
+    ) {
+        let ipc = 2f64.powi(ipc_log2 - 1); // 0.5, 1, 2, 4
+        let cfg = CoreConfig { compute_ipc: ipc, ..CoreConfig::cortex_a57() };
+        let mut core = CoreModel::new(cfg, FixedLatencyBackend::new(1));
+        let (mut now, mut carry) = (0u64, 0f64);
+        for (small, ops) in bundles {
+            // Loop bodies are a handful of ops; whole phases are billions.
+            let ops = if small { ops % 16 } else { ops };
+            core.compute(ops);
+            // The old `CoreModel::compute`, kept as the oracle.
+            let cycles = ops as f64 / ipc + carry;
+            let whole = cycles as u64;
+            carry = cycles - whole as f64;
+            now += whole;
+            prop_assert_eq!(core.now_cycles(), now, "after {} ops at IPC {}", ops, ipc);
+        }
     }
 
     /// Time is monotone and instructions are conserved across any op mix.
