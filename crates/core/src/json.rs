@@ -1,20 +1,22 @@
 //! The workspace's one JSON emitter, and the structural scanner that checks
 //! what it (or anything else) emitted. No serde resolves in the offline
-//! build, and every document written here is small and flat.
+//! build, and every document written here is flat.
 //!
-//! [`JsonWriter`] streams compact JSON into one `String`: it owns the
+//! [`JsonWriter`] streams compact JSON into one buffer: it owns the
 //! separators and the string escaping, the caller owns the nesting (every
 //! `begin_*` needs its `end_*`). [`scan`] walks a document without building
 //! a tree, checks that scopes and strings nest, and reports every object
 //! key with its path — enough to ask "does this report carry
 //! `rowhammer.points.flips`" structurally instead of by substring.
 
-use std::fmt::{Display, Write as _};
+use std::fmt::Display;
+use std::io::Write as _;
 
 /// A streaming writer of compact JSON.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
-    out: String,
+    /// Only ASCII and whole `str`s are ever pushed, so always UTF-8.
+    out: Vec<u8>,
     /// Whether the next key or value needs a `,` in front of it.
     comma: bool,
 }
@@ -26,156 +28,217 @@ impl JsonWriter {
         Self::default()
     }
 
-    fn separate(&mut self) {
-        if self.comma {
-            self.out.push(',');
+    /// An empty document with room for `bytes` of output.
+    #[must_use]
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            out: Vec::with_capacity(bytes),
+            comma: false,
         }
     }
 
-    fn open(&mut self, c: char) -> &mut Self {
-        self.separate();
-        self.out.push(c);
-        self.comma = false;
-        self
-    }
-
-    fn close(&mut self, c: char) -> &mut Self {
-        self.out.push(c);
+    /// Starts a value: the separator, then `bytes`.
+    #[inline(always)]
+    fn value(&mut self, bytes: &[u8]) -> &mut Self {
+        if self.comma {
+            self.out.push(b',');
+        }
+        self.out.extend_from_slice(bytes);
         self.comma = true;
         self
     }
 
     /// Opens an object (as a value).
+    #[inline]
     pub fn begin_object(&mut self) -> &mut Self {
-        self.open('{')
+        self.value(b"{").comma = false;
+        self
     }
 
     /// Closes the innermost object.
+    #[inline]
     pub fn end_object(&mut self) -> &mut Self {
-        self.close('}')
+        self.comma = false;
+        self.value(b"}")
     }
 
     /// Opens an array (as a value).
+    #[inline]
     pub fn begin_array(&mut self) -> &mut Self {
-        self.open('[')
+        self.value(b"[").comma = false;
+        self
     }
 
     /// Closes the innermost array.
+    #[inline]
     pub fn end_array(&mut self) -> &mut Self {
-        self.close(']')
+        self.comma = false;
+        self.value(b"]")
     }
 
     /// Writes an object key; the next call writes its value.
+    #[inline(always)]
     pub fn key(&mut self, key: &str) -> &mut Self {
         self.string(key);
-        self.out.push(':');
+        self.out.push(b':');
         self.comma = false;
         self
     }
 
     /// Writes a string value, escaping quotes, backslashes and control
-    /// characters.
+    /// characters. A string that needs no escaping is copied in one piece.
+    #[inline(always)]
     pub fn string(&mut self, s: &str) -> &mut Self {
-        self.separate();
-        self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' | '\\' => self.out.extend(['\\', c]),
-                c if c < ' ' => {
-                    let _ = write!(self.out, "\\u{:04x}", c as u32);
-                }
-                c => self.out.push(c),
-            }
+        self.value(b"\"");
+        if s.bytes().any(|b| b == b'"' || b == b'\\' || b < b' ') {
+            self.escaped(s.as_bytes());
+        } else {
+            self.out.extend_from_slice(s.as_bytes());
         }
-        self.out.push('"');
-        self.comma = true;
+        self.out.push(b'"');
         self
     }
 
-    fn value(&mut self, v: impl Display) -> &mut Self {
-        self.separate();
-        let _ = write!(self.out, "{v}");
-        self.comma = true;
+    /// Pushes `rest` with its escapes, every run between two in one piece.
+    #[cold]
+    fn escaped(&mut self, mut rest: &[u8]) {
+        while let Some(i) = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < b' ')
+        {
+            self.out.extend_from_slice(&rest[..i]);
+            match rest[i] {
+                c @ (b'"' | b'\\') => self.out.extend_from_slice(&[b'\\', c]),
+                c => {
+                    let lo = b"0123456789abcdef"[usize::from(c & 15)];
+                    let escape = [b'\\', b'u', b'0', b'0', b'0' + (c >> 4), lo];
+                    self.out.extend_from_slice(&escape);
+                }
+            }
+            rest = &rest[i + 1..];
+        }
+        self.out.extend_from_slice(rest);
+    }
+
+    /// Pushes `n` in decimal, zero-padded to `width` digits.
+    #[inline(always)]
+    fn digits(&mut self, mut n: u64, width: usize) {
+        let mut buf = [b'0'; 20];
+        let mut at = buf.len();
+        while n > 0 {
+            at -= 1;
+            buf[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        let from = at.min(buf.len() - width);
+        self.out.extend_from_slice(&buf[from..]);
+    }
+
+    /// Writes an unsigned integer.
+    #[inline]
+    pub fn uint(&mut self, n: u64) -> &mut Self {
+        self.value(b"").digits(n, 1);
         self
     }
 
-    /// Writes a number as `n` displays: an integer, or a float through
-    /// `format_args!("{x:.3}")` when the precision matters. The caller keeps
-    /// floats finite (JSON has no NaN or infinity).
+    /// Writes `n` millionths as a decimal with six fractional digits:
+    /// `1234567` is `1.234567`.
+    #[inline]
+    pub fn millionths(&mut self, n: u64) -> &mut Self {
+        self.value(b"").digits(n / 1_000_000, 1);
+        self.out.push(b'.');
+        self.digits(n % 1_000_000, 6);
+        self
+    }
+
+    /// Writes a number as `n` displays: a float through
+    /// `format_args!("{x:.3}")` when the precision matters, or a signed
+    /// integer. The caller keeps floats finite (JSON has no NaN or
+    /// infinity).
     pub fn number(&mut self, n: impl Display) -> &mut Self {
-        self.value(n)
+        self.value(b"");
+        let _ = write!(self.out, "{n}");
+        self
     }
 
     /// Writes `true` or `false`.
     pub fn bool(&mut self, b: bool) -> &mut Self {
-        self.value(b)
+        self.value(if b { "true" } else { "false" }.as_bytes())
     }
 
     /// Splices in a value that is already JSON (a document read back from
     /// disk); [`scan`] it first.
     pub fn raw(&mut self, json: &str) -> &mut Self {
-        self.value(json.trim())
+        self.value(json.trim().as_bytes())
     }
 
     /// The finished document, newline-terminated.
     #[must_use]
     pub fn finish(mut self) -> String {
-        self.out.push('\n');
-        self.out
+        self.out.push(b'\n');
+        String::from_utf8(self.out).expect("only ASCII and whole strs were pushed")
     }
 }
 
 /// Scans a JSON document structurally: scopes balance, strings and escapes
 /// terminate. Calls `on_key` for every object key with the path of keys
 /// leading to it (arrays add no path element), e.g. `["points", "flips"]`
-/// for each `flips` in `{"points":[{"flips":0}]}`.
+/// for each `flips` in `{"points":[{"flips":0}]}`. A key is a string
+/// directly inside an object with only JSON whitespace before its `:`.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first structural defect.
 pub fn scan<'a>(json: &'a str, mut on_key: impl FnMut(&[&'a str])) -> Result<(), String> {
-    let mut closers: Vec<char> = Vec::new();
+    let bytes = json.as_bytes();
+    let mut closers: Vec<u8> = Vec::new();
     // One element per open object: the key whose value is being read.
     let mut path: Vec<&'a str> = Vec::new();
-    let mut string_start = None;
-    let mut escaped = false;
-    for (i, c) in json.char_indices() {
-        if let Some(start) = string_start {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                string_start = None;
-                if closers.last() == Some(&'}') && json[i + 1..].trim_start().starts_with(':') {
+    let mut i = 0;
+    // Outside a string only quotes and brackets matter.
+    while let Some(&c) = bytes.get(i) {
+        i += 1;
+        match c {
+            b'"' => {
+                let start = i;
+                // Inside one, only the closing quote and `\`, which hides
+                // the byte after it (never the lead byte of a character the
+                // scanner would otherwise act on: those are all ASCII).
+                loop {
+                    match bytes.get(i) {
+                        None => return Err("unterminated string".to_string()),
+                        Some(b'"') => break,
+                        Some(b'\\') => i += 2,
+                        Some(_) => i += 1,
+                    }
+                }
+                let mut after = bytes[i + 1..]
+                    .iter()
+                    .skip_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
+                if closers.last() == Some(&b'}') && after.next() == Some(&b':') {
                     if let Some(slot) = path.last_mut() {
                         *slot = &json[start..i];
                     }
                     on_key(&path);
                 }
+                i += 1;
             }
-            continue;
-        }
-        match c {
-            '"' => string_start = Some(i + 1),
-            '{' => {
-                closers.push('}');
+            b'{' => {
+                closers.push(b'}');
                 path.push("");
             }
-            '[' => closers.push(']'),
-            '}' | ']' => {
+            b'[' => closers.push(b']'),
+            b'}' | b']' => {
                 if closers.pop() != Some(c) {
-                    return Err(format!("unbalanced `{c}` at byte {i}"));
+                    let (c, at) = (char::from(c), i - 1);
+                    return Err(format!("unbalanced `{c}` at byte {at}"));
                 }
-                if c == '}' {
+                if c == b'}' {
                     path.pop();
                 }
             }
             _ => {}
         }
-    }
-    if string_start.is_some() {
-        return Err("unterminated string".to_string());
     }
     if !closers.is_empty() {
         return Err(format!("{} unclosed scopes at end of input", closers.len()));
@@ -199,6 +262,156 @@ pub fn key_paths(json: &str) -> Result<std::collections::BTreeSet<String>, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The scanner `scan` replaced, decoding characters and trimming the
+    /// rest of the input at every closing quote: the oracle for it.
+    fn scan_by_chars<'a>(json: &'a str, mut on_key: impl FnMut(&[&'a str])) -> Result<(), String> {
+        let mut closers: Vec<char> = Vec::new();
+        let mut path: Vec<&'a str> = Vec::new();
+        let mut string_start = None;
+        let mut escaped = false;
+        for (i, c) in json.char_indices() {
+            if let Some(start) = string_start {
+                if escaped {
+                    escaped = false;
+                } else if c == '\\' {
+                    escaped = true;
+                } else if c == '"' {
+                    string_start = None;
+                    if closers.last() == Some(&'}') && json[i + 1..].trim_start().starts_with(':') {
+                        if let Some(slot) = path.last_mut() {
+                            *slot = &json[start..i];
+                        }
+                        on_key(&path);
+                    }
+                }
+                continue;
+            }
+            match c {
+                '"' => string_start = Some(i + 1),
+                '{' => {
+                    closers.push('}');
+                    path.push("");
+                }
+                '[' => closers.push(']'),
+                '}' | ']' => {
+                    if closers.pop() != Some(c) {
+                        return Err(format!("unbalanced `{c}` at byte {i}"));
+                    }
+                    if c == '}' {
+                        path.pop();
+                    }
+                }
+                _ => {}
+            }
+        }
+        if string_start.is_some() {
+            return Err("unterminated string".to_string());
+        }
+        if !closers.is_empty() {
+            return Err(format!("{} unclosed scopes at end of input", closers.len()));
+        }
+        Ok(())
+    }
+
+    /// Pieces a generated document is concatenated from: scopes, whole and
+    /// broken strings, escapes (a string ending in `\\`, a lone `\` that can
+    /// land last in the input), non-ASCII text, and every JSON whitespace
+    /// between a key and its colon.
+    const PIECES: [&str; 24] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        "\"",
+        "\\\"",
+        "\\\\",
+        "\\",
+        ":",
+        ",",
+        " ",
+        "\t",
+        "\n",
+        "\r",
+        "1.5",
+        "é",
+        "\u{1F980}",
+        "{\"k\":",
+        "\"key\" \t\r\n:",
+        "\"tail\\\\\"",
+        "\"q\\\"uote\":",
+        "\"ключ\":[",
+        "\"a}]{[b\"",
+        "null",
+    ];
+
+    /// The pieces `picks` names, joined; `balance` closes what they left
+    /// open, so that a good share of the documents scan `Ok`.
+    fn document(picks: &[usize], balance: bool) -> String {
+        let mut doc: String = picks.iter().map(|&p| PIECES[p]).collect();
+        if balance {
+            let mut closers = Vec::new();
+            let mut in_string = false;
+            let mut chars = doc.chars();
+            while let Some(c) = chars.next() {
+                match c {
+                    '\\' if in_string => drop(chars.next()),
+                    '"' => in_string = !in_string,
+                    '{' if !in_string => closers.push('}'),
+                    '[' if !in_string => closers.push(']'),
+                    '}' | ']' if !in_string => drop(closers.pop()),
+                    _ => {}
+                }
+            }
+            if in_string {
+                doc.push('"');
+            }
+            doc.extend(closers.into_iter().rev());
+        }
+        doc
+    }
+
+    proptest! {
+        /// The byte scanner accepts, rejects and reports key paths exactly
+        /// as the character scanner did, on well-formed and broken input.
+        #[test]
+        fn byte_scanner_matches_the_character_scanner(
+            docs in prop::collection::vec(
+                (prop::collection::vec(0usize..PIECES.len(), 0..40), any::<bool>()),
+                16..17,
+            ),
+        ) {
+            for (picks, balance) in docs {
+                let doc = document(&picks, balance);
+                let (mut new_keys, mut old_keys) = (Vec::new(), Vec::new());
+                let new = scan(&doc, |path| new_keys.push(path.join("\0")));
+                let old = scan_by_chars(&doc, |path| old_keys.push(path.join("\0")));
+                prop_assert_eq!(new, old, "{:?}", doc);
+                prop_assert_eq!(new_keys, old_keys, "{:?}", doc);
+            }
+        }
+    }
+
+    #[test]
+    fn digit_writers_match_display() {
+        let ends = [0, 9, 10, 999_999, 1_000_000, 1_000_000_000_001, u64::MAX];
+        for n in ends {
+            let mut w = JsonWriter::new();
+            w.begin_array().uint(n).millionths(n).number(n).end_array();
+            let (whole, frac) = (n / 1_000_000, n % 1_000_000);
+            assert_eq!(w.finish(), format!("[{n},{whole}.{frac:06},{n}]\n"));
+        }
+    }
+
+    #[test]
+    fn control_escapes_match_the_formatted_ones() {
+        for c in 0..0x20u8 {
+            let mut w = JsonWriter::new();
+            w.string(&format!("a{}é", char::from(c)));
+            assert_eq!(w.finish(), format!("\"a\\u{c:04x}é\"\n"));
+        }
+    }
 
     #[test]
     fn writer_escapes_and_nests_and_the_scanner_accepts_it() {

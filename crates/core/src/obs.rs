@@ -25,7 +25,8 @@
 //! [`TraceLog::to_binary`]) allocate freely — they run outside the serve
 //! loop, at end of run.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 use crate::json::JsonWriter;
 
@@ -536,7 +537,9 @@ pub const TRACE_BIN_RECORD_BYTES: usize = 36;
 /// command rings and scheduler switches) flattened into one vector.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceLog {
-    /// The events, in per-source insertion order (the exporters sort).
+    /// The events, in per-source insertion order until
+    /// [`TraceLog::sort_for_export`] (an exporter handed an unsorted log
+    /// sorts a copy).
     pub events: Vec<TraceEvent>,
     /// Events lost to ring overwrites across all sources.
     pub dropped: u64,
@@ -569,30 +572,75 @@ impl TraceLog {
         }
     }
 
+    /// The export order: by track, then `(ps, id, kind)` within one.
+    fn sort_key(ev: &TraceEvent) -> ((u32, u32), (u64, u64, EventKind)) {
+        (Self::track(ev), (ev.ps, ev.id, ev.kind))
+    }
+
     /// Deterministically orders the events by `(pid, tid, ps, id, kind)` —
     /// the order both exporters emit, which makes per-track timestamps
     /// monotone by construction (validated end-to-end by the trace-smoke
-    /// harness re-parsing the JSON).
+    /// harness re-parsing the JSON). Stable: events equal in all five keep
+    /// their order.
     pub fn sort_for_export(&mut self) {
-        self.events.sort_by_key(|e| {
-            let (pid, tid) = Self::track(e);
-            (pid, tid, e.ps, e.id, e.kind)
-        });
+        // A drained log is a concatenation of rings, and each track in one
+        // is nearly in time order already: split the log by track, then let
+        // an insertion sort undo a track's few short-range inversions. A
+        // track that needs more than a few shifts per event goes to the
+        // standard sort instead. Every step is stable.
+        let in_track = |ev: &TraceEvent| Self::sort_key(ev).1;
+        let mut tracks: BTreeMap<(u32, u32), Vec<TraceEvent>> = BTreeMap::new();
+        for ev in &self.events {
+            tracks.entry(Self::track(ev)).or_default().push(*ev);
+        }
+        self.events.clear();
+        for mut track in tracks.into_values() {
+            let mut shifts = 16 * track.len();
+            for at in 1..track.len() {
+                let later = |ev: &&TraceEvent| in_track(ev) > in_track(&track[at]);
+                let to = at - track[..at].iter().rev().take_while(later).count();
+                track[to..=at].rotate_right(1);
+                shifts = shifts.saturating_sub(at - to);
+                if shifts == 0 {
+                    track.sort_by_key(in_track);
+                    break;
+                }
+            }
+            self.events.append(&mut track);
+        }
+    }
+
+    /// The events in export order: the log's own when it is already sorted
+    /// (one linear check), a sorted copy otherwise.
+    fn export_order(&self) -> Cow<'_, [TraceEvent]> {
+        let sorted = |w: &[TraceEvent]| Self::sort_key(&w[0]) <= Self::sort_key(&w[1]);
+        if self.events.windows(2).all(sorted) {
+            return Cow::Borrowed(&self.events);
+        }
+        let mut copy = self.clone();
+        copy.sort_for_export();
+        Cow::Owned(copy.events)
     }
 
     /// Whether timestamps are non-decreasing within every `(pid, tid)`
     /// track, in the log's current event order.
     #[must_use]
     pub fn tracks_monotone(&self) -> bool {
-        let mut last: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+        // The running track's last stamp is a local; `parked` holds the
+        // others, touched only when the track changes. The placeholder the
+        // loop starts on forbids nothing: no stamp is below 0.
+        let mut parked: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+        let mut running = ((u32::MAX, u32::MAX), 0);
         for ev in &self.events {
             let track = Self::track(ev);
-            if let Some(&prev) = last.get(&track) {
-                if ev.ps < prev {
-                    return false;
-                }
+            if track != running.0 {
+                parked.insert(running.0, running.1);
+                running = (track, parked.get(&track).copied().unwrap_or(0));
             }
-            last.insert(track, ev.ps);
+            if ev.ps < running.1 {
+                return false;
+            }
+            running.1 = ev.ps;
         }
         true
     }
@@ -606,66 +654,46 @@ impl TraceLog {
     /// are emulated microseconds with picosecond precision.
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
-        let mut sorted = self.clone();
-        sorted.sort_for_export();
-        // Pair request lifecycles by id so enqueue→retire renders as one
-        // complete slice carrying its intermediate stages as args.
-        struct Life {
-            enq: Option<TraceEvent>,
-            issue: Option<u64>,
-            slice: Option<u64>,
-            retire: Option<TraceEvent>,
-        }
-        let mut lives: BTreeMap<u64, Life> = BTreeMap::new();
-        let mut instants: Vec<&TraceEvent> = Vec::new();
-        for ev in &sorted.events {
-            match ev.kind {
-                EventKind::Enqueue
-                | EventKind::Issue
-                | EventKind::SliceRelease
-                | EventKind::Retire => {
-                    let life = lives.entry(ev.id).or_insert(Life {
-                        enq: None,
-                        issue: None,
-                        slice: None,
-                        retire: None,
-                    });
-                    match ev.kind {
-                        EventKind::Enqueue => life.enq = Some(*ev),
-                        EventKind::Issue => life.issue = Some(ev.ps),
-                        EventKind::SliceRelease => life.slice = Some(ev.ps),
-                        EventKind::Retire => life.retire = Some(*ev),
-                        _ => unreachable!(),
-                    }
-                }
-                _ => instants.push(ev),
-            }
-        }
+        let events = self.export_order();
+        let is_lifecycle = |ev: &TraceEvent| ev.kind <= EventKind::Retire;
+        // Request lifecycles pair by id, so enqueue→retire renders as one
+        // complete slice carrying its intermediate stages as args: sorting
+        // (id, position) groups each id's events in export order.
+        let mut lives: Vec<(u64, usize)> = (events.iter().enumerate())
+            .filter(|(_, ev)| is_lifecycle(ev))
+            .map(|(at, ev)| (ev.id, at))
+            .collect();
+        lives.sort_unstable();
 
         // Every event object opens with its phase and track.
         fn event<'w>(w: &'w mut JsonWriter, ph: &str, track: (u32, u32)) -> &'w mut JsonWriter {
             w.begin_object().key("ph").string(ph);
-            w.key("pid").number(track.0).key("tid").number(track.1)
+            w.key("pid").uint(track.0.into());
+            w.key("tid").uint(track.1.into())
         }
         // An instant event, left open inside its `args`.
         fn instant<'w>(w: &'w mut JsonWriter, ev: &TraceEvent) -> &'w mut JsonWriter {
             event(w, "i", TraceLog::track(ev)).key("s").string("t");
-            w.key("ts").number(Us(ev.ps));
+            w.key("ts").millionths(ev.ps);
             w.key("name").string(ev.kind.label());
             w.key("args").begin_object()
         }
-        let mut w = JsonWriter::new();
+        // An instant is ~100 bytes, a complete slice ~150 for four events.
+        let mut w = JsonWriter::with_capacity(512 + 104 * events.len() - 64 * lives.len());
         w.begin_object().key("traceEvents").begin_array();
-        // Track metadata: name every process and thread that carries events.
-        let tracks: BTreeSet<(u32, u32)> = sorted.events.iter().map(Self::track).collect();
-        let mut named_pids = BTreeSet::new();
+        // Track metadata: name every process and thread that carries
+        // events. Export order keeps each track, and each process, together.
         let name = |w: &mut JsonWriter, track, what: &str, name: &str| {
             event(w, "M", track).key("name").string(what);
             w.key("args").begin_object().key("name").string(name);
             w.end_object().end_object();
         };
-        for &(pid, tid) in &tracks {
-            if named_pids.insert(pid) {
+        let mut last = None;
+        for (pid, tid) in events.iter().map(Self::track) {
+            if last == Some((pid, tid)) {
+                continue;
+            }
+            if last.map(|(named, _)| named) != Some(pid) {
                 let pname = match pid {
                     10_000 => "scheduler".to_string(),
                     _ => format!("channel {pid}"),
@@ -679,45 +707,54 @@ impl TraceLog {
                 r => format!("requestor {r}"),
             };
             name(&mut w, (pid, tid), "thread_name", &tname);
+            last = Some((pid, tid));
         }
         // Complete slices for fully-observed request lifecycles; leftover
         // endpoints (the ring overwrote their partner) render as instants.
-        for (id, life) in &lives {
-            match (&life.enq, &life.retire) {
+        // The last event of a kind wins.
+        for life in lives.chunk_by(|a, b| a.0 == b.0) {
+            let id = life[0].0;
+            let (mut enq, mut issue, mut slice, mut retire) = (None, None, None, None);
+            for ev in life.iter().map(|&(_, at)| &events[at]) {
+                match ev.kind {
+                    EventKind::Enqueue => enq = Some(ev),
+                    EventKind::Issue => issue = Some(ev.ps),
+                    EventKind::SliceRelease => slice = Some(ev.ps),
+                    _ => retire = Some(ev),
+                }
+            }
+            match (enq, retire) {
                 (Some(e), Some(r)) => {
                     event(&mut w, "X", Self::track(e))
                         .key("ts")
-                        .number(Us(e.ps));
-                    w.key("dur").number(Us(r.ps.saturating_sub(e.ps)));
+                        .millionths(e.ps);
+                    w.key("dur").millionths(r.ps.saturating_sub(e.ps));
                     w.key("name").string(req_class::label(e.a));
-                    w.key("args").begin_object().key("id").number(id);
-                    if let Some(p) = life.issue {
-                        w.key("issue_us").number(Us(p));
+                    w.key("args").begin_object().key("id").uint(id);
+                    if let Some(p) = issue {
+                        w.key("issue_us").millionths(p);
                     }
-                    if let Some(p) = life.slice {
-                        w.key("slice_release_us").number(Us(p));
+                    if let Some(p) = slice {
+                        w.key("slice_release_us").millionths(p);
                     }
                     w.end_object().end_object();
                 }
                 _ => {
-                    for ev in [&life.enq, &life.retire].into_iter().flatten() {
-                        instant(&mut w, ev).key("id").number(id);
+                    for ev in [enq, retire].into_iter().flatten() {
+                        instant(&mut w, ev).key("id").uint(id);
                         w.end_object().end_object();
                     }
                 }
             }
         }
-        for ev in instants {
-            instant(&mut w, ev)
-                .key("a")
-                .number(ev.a)
-                .key("b")
-                .number(ev.b);
+        for ev in events.iter().filter(|ev| !is_lifecycle(ev)) {
+            instant(&mut w, ev).key("a").uint(ev.a.into());
+            w.key("b").uint(ev.b.into());
             w.end_object().end_object();
         }
         w.end_array().key("displayTimeUnit").string("ns");
         w.key("otherData").begin_object();
-        w.key("dropped_events").number(self.dropped);
+        w.key("dropped_events").uint(self.dropped);
         w.end_object().end_object();
         w.finish()
     }
@@ -729,12 +766,11 @@ impl TraceLog {
     /// kind:u32`), in export order.
     #[must_use]
     pub fn to_binary(&self) -> Vec<u8> {
-        let mut sorted = self.clone();
-        sorted.sort_for_export();
-        let mut out = Vec::with_capacity(16 + sorted.events.len() * TRACE_BIN_RECORD_BYTES);
+        let events = self.export_order();
+        let mut out = Vec::with_capacity(16 + events.len() * TRACE_BIN_RECORD_BYTES);
         out.extend_from_slice(TRACE_BIN_MAGIC);
-        out.extend_from_slice(&(sorted.events.len() as u64).to_le_bytes());
-        for ev in &sorted.events {
+        out.extend_from_slice(&(events.len() as u64).to_le_bytes());
+        for ev in events.iter() {
             out.extend_from_slice(&ev.ps.to_le_bytes());
             out.extend_from_slice(&ev.id.to_le_bytes());
             out.extend_from_slice(&ev.lane.to_le_bytes());
@@ -770,7 +806,7 @@ impl TraceLog {
                 requestor: u32_at(20),
                 a: u32_at(24),
                 b: u32_at(28),
-                kind: EventKind::from_u8(u32_at(32) as u8)?,
+                kind: EventKind::from_u8(u8::try_from(u32_at(32)).ok()?)?,
             });
         }
         Some(events)
@@ -797,19 +833,53 @@ pub fn validate_chrome_json(json: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Emulated picoseconds, displayed as microseconds with picosecond
-/// precision (the Chrome trace format's time unit).
-struct Us(u64);
-
-impl std::fmt::Display for Us {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.{:06}", self.0 / 1_000_000, self.0 % 1_000_000)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `sort_for_export` is the stable sort by `(pid, tid, ps, id, kind)`
+        /// and `tracks_monotone` the per-track map it replaced, on logs that
+        /// are nearly in order (the insertion path) and on shuffled ones.
+        #[test]
+        fn export_order_and_monotone_check_match_their_oracles(
+            draws in prop::collection::vec((0u32..3, 0u32..3, 0u8..12, 0u64..40, 0u64..6), 0..300),
+            shuffled in any::<bool>(),
+        ) {
+            let mut log = TraceLog::default();
+            for (at, &(lane, requestor, kind, jitter, id)) in draws.iter().enumerate() {
+                // Stamps rise with position, give or take a short range. A
+                // shuffled log draws them from the whole range instead, on
+                // two tracks long enough to exhaust the insertion budget.
+                let base = if shuffled { jitter * 977 % 300 } else { at as u64 };
+                let spread = u32::from(!shuffled);
+                log.push(TraceEvent {
+                    ps: (base + jitter % 8) / 2,
+                    kind: EventKind::from_u8(kind % if shuffled { 10 } else { 12 }).unwrap(),
+                    id,
+                    lane: lane * spread,
+                    requestor: requestor * spread,
+                    a: at as u32, // tells apart events equal in every sort field
+                    b: 0,
+                });
+            }
+            let monotone = |log: &TraceLog| {
+                let mut last = BTreeMap::new();
+                log.events.iter().all(|ev| {
+                    last.insert(TraceLog::track(ev), ev.ps).map_or(true, |prev| prev <= ev.ps)
+                })
+            };
+            prop_assert_eq!(log.tracks_monotone(), monotone(&log));
+            let mut expect = log.events.clone();
+            expect.sort_by_key(|ev| (TraceLog::track(ev), ev.ps, ev.id, ev.kind));
+            let binary = log.to_binary();
+            log.sort_for_export();
+            prop_assert_eq!(&log.events, &expect);
+            prop_assert!(log.tracks_monotone() && monotone(&log));
+            prop_assert_eq!(log.to_binary(), binary);
+        }
+    }
 
     #[test]
     fn histogram_buckets_and_percentiles() {
@@ -944,6 +1014,13 @@ mod tests {
         assert_eq!(events, expect.events);
         assert!(TraceLog::parse_binary(&bytes[..bytes.len() - 1]).is_none());
         assert!(TraceLog::parse_binary(b"NOTMAGIC").is_none());
+        // The kind is a whole 32-bit word: one that only looks like a kind
+        // in its low byte (0x100 would read as `Enqueue`) is malformed.
+        for kind in [12u32, 0x100, 0x0000_0103, 0x8000_0000, u32::MAX] {
+            let mut bad = bytes.clone();
+            bad[16 + 32..16 + 36].copy_from_slice(&kind.to_le_bytes());
+            assert!(TraceLog::parse_binary(&bad).is_none(), "kind {kind:#x}");
+        }
         // A hostile count must be rejected before it sizes an allocation.
         for count in [u64::MAX, 1 << 40] {
             let hostile = [&TRACE_BIN_MAGIC[..], &count.to_le_bytes()].concat();

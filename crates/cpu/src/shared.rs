@@ -16,9 +16,12 @@
 //! by a quantum: the running core keeps the baton while it is within
 //! `quantum` emulated cycles of the laggard. Because every scheduling
 //! decision depends only on emulated cycle counts — never on host timing —
-//! a co-run is byte-identical across repetitions.
+//! a co-run is byte-identical across repetitions. A core without the baton
+//! is parked, and a hand-off wakes the one thread whose turn it is.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, Thread};
 
 use crate::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
 use crate::LINE_BYTES;
@@ -29,6 +32,8 @@ struct CoState {
     finished: Vec<bool>,
     /// The core currently holding the execution baton.
     turn: usize,
+    /// The thread each core runs on, once it has called `start`.
+    threads: Vec<Option<Thread>>,
     /// Optional baton-handoff log (observability), `None` unless
     /// [`CoScheduler::enable_switch_log`] was called.
     switch_log: Option<SwitchLog>,
@@ -70,7 +75,10 @@ impl SwitchLog {
 /// Deterministic smallest-`now`-first baton scheduler for co-run cores.
 pub struct CoScheduler {
     state: Mutex<CoState>,
-    turns: Condvar,
+    /// Mirror of `CoState::turn` that parked cores read without the lock.
+    /// Stored (`Release`) under the lock, loaded (`Acquire`) by the waiter:
+    /// everything the last holder did happens before the next one runs.
+    turn: AtomicUsize,
     quantum: u64,
 }
 
@@ -90,9 +98,10 @@ impl CoScheduler {
                 now: vec![0; cores],
                 finished: vec![false; cores],
                 turn: 0,
+                threads: vec![None; cores],
                 switch_log: None,
             }),
-            turns: Condvar::new(),
+            turn: AtomicUsize::new(0),
             quantum,
         })
     }
@@ -114,13 +123,42 @@ impl CoScheduler {
         }
     }
 
+    /// Moves the baton from core `id` to core `next` and wakes the thread
+    /// `next` runs on, alone, once the state lock is released: a woken core
+    /// that found the lock still held would go straight back to sleep.
+    fn hand_off(&self, mut st: MutexGuard<'_, CoState>, id: usize, next: usize) {
+        let cycle = st.now[id];
+        if let Some(log) = st.switch_log.as_mut() {
+            log.push(QuantumSwitch {
+                cycle,
+                from: id as u32,
+                to: next as u32,
+            });
+        }
+        st.turn = next;
+        // Published under the lock `start` registers under: a core that has
+        // not registered yet reads its turn afterwards and never parks.
+        self.turn.store(next, Ordering::Release);
+        let waiter = st.threads[next].clone();
+        drop(st);
+        if let Some(waiter) = waiter {
+            waiter.unpark();
+        }
+    }
+
+    /// Parks until core `id` holds the baton (a stale or spurious wake-up
+    /// re-checks the turn).
+    fn wait_for_turn(&self, id: usize) {
+        while self.turn.load(Ordering::Acquire) != id {
+            thread::park();
+        }
+    }
+
     /// Blocks until core `id` holds the baton. Each core's thread calls
     /// this once, before executing any workload code.
     pub fn start(&self, id: usize) {
-        let mut st = self.state.lock().expect("co-scheduler state");
-        while st.turn != id {
-            st = self.turns.wait(st).expect("co-scheduler state");
-        }
+        self.state.lock().expect("co-scheduler state").threads[id] = Some(thread::current());
+        self.wait_for_turn(id);
     }
 
     /// Records core `id` at emulated cycle `now` and yields the baton if a
@@ -133,19 +171,8 @@ impl CoScheduler {
         st.now[id] = st.now[id].max(now);
         let next = self.pick(&st);
         if next != id {
-            let cycle = st.now[id];
-            if let Some(log) = st.switch_log.as_mut() {
-                log.push(QuantumSwitch {
-                    cycle,
-                    from: id as u32,
-                    to: next as u32,
-                });
-            }
-            st.turn = next;
-            self.turns.notify_all();
-            while st.turn != id {
-                st = self.turns.wait(st).expect("co-scheduler state");
-            }
+            self.hand_off(st, id, next);
+            self.wait_for_turn(id);
         }
     }
 
@@ -158,18 +185,9 @@ impl CoScheduler {
         if st.turn == id {
             let next = self.pick(&st);
             if next != id {
-                let cycle = st.now[id];
-                if let Some(log) = st.switch_log.as_mut() {
-                    log.push(QuantumSwitch {
-                        cycle,
-                        from: id as u32,
-                        to: next as u32,
-                    });
-                }
+                self.hand_off(st, id, next);
             }
-            st.turn = next;
         }
-        self.turns.notify_all();
     }
 
     /// Enables baton-handoff logging into a fixed-capacity overwrite-oldest
@@ -402,5 +420,69 @@ mod tests {
         sched.checkpoint(0, 100); // yields to core 1, returns when 1 passes 100
         sched.finish(0, 100);
         t.join().unwrap();
+    }
+
+    /// Four cores on seeded cycle streams: the parked threads make exactly
+    /// the baton moves a single-threaded replay of `pick` makes.
+    #[test]
+    fn threaded_baton_moves_match_a_replay_of_pick() {
+        const CORES: usize = 4;
+        const CHECKPOINTS: usize = 5_000;
+        let mut rng = 0x5EED_u64;
+        let streams: Vec<Vec<u64>> = (0..CORES)
+            .map(|_| {
+                let mut now = 0;
+                let mut step = || {
+                    // An LCG's high bits; steps of 0 make equal cycles.
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    now += (rng >> 33) % 97;
+                    now
+                };
+                (0..CHECKPOINTS).map(|_| step()).collect()
+            })
+            .collect();
+        for quantum in [0, 40, 200] {
+            let replay = CoScheduler::new(CORES, quantum);
+            let mut expect = Vec::new();
+            let mut st = replay.state.lock().unwrap();
+            let mut cursor = [0; CORES];
+            while !st.finished[st.turn] {
+                let id = st.turn;
+                match streams[id].get(cursor[id]) {
+                    Some(&now) => st.now[id] = st.now[id].max(now),
+                    None => st.finished[id] = true,
+                }
+                cursor[id] += 1;
+                let next = replay.pick(&st);
+                if next != id {
+                    expect.push(QuantumSwitch {
+                        cycle: st.now[id],
+                        from: id as u32,
+                        to: next as u32,
+                    });
+                    st.turn = next;
+                }
+            }
+
+            let sched = CoScheduler::new(CORES, quantum);
+            sched.enable_switch_log(CORES * (CHECKPOINTS + 1));
+            #[expect(clippy::disallowed_methods, reason = "the test plays the cores")]
+            std::thread::scope(|scope| {
+                for (id, stream) in streams.iter().enumerate() {
+                    let sched = &sched;
+                    scope.spawn(move || {
+                        sched.start(id);
+                        for &now in stream {
+                            sched.checkpoint(id, now);
+                        }
+                        sched.finish(id, stream[CHECKPOINTS - 1]);
+                    });
+                }
+            });
+            let (switches, dropped) = sched.take_switches();
+            assert_eq!(dropped, 0);
+            assert!(switches.len() > CHECKPOINTS / 4, "the baton moved");
+            assert!(switches == expect, "quantum {quantum}");
+        }
     }
 }
