@@ -12,6 +12,12 @@
 use std::fmt::Display;
 use std::io::Write as _;
 
+/// Whether a byte of a string must be written as an escape.
+#[inline(always)]
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < b' '
+}
+
 /// A streaming writer of compact JSON.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
@@ -91,7 +97,7 @@ impl JsonWriter {
     #[inline(always)]
     pub fn string(&mut self, s: &str) -> &mut Self {
         self.value(b"\"");
-        if s.bytes().any(|b| b == b'"' || b == b'\\' || b < b' ') {
+        if s.bytes().any(needs_escape) {
             self.escaped(s.as_bytes());
         } else {
             self.out.extend_from_slice(s.as_bytes());
@@ -103,10 +109,7 @@ impl JsonWriter {
     /// Pushes `rest` with its escapes, every run between two in one piece.
     #[cold]
     fn escaped(&mut self, mut rest: &[u8]) {
-        while let Some(i) = rest
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\' || b < b' ')
-        {
+        while let Some(i) = rest.iter().position(|&b| needs_escape(b)) {
             self.out.extend_from_slice(&rest[..i]);
             match rest[i] {
                 c @ (b'"' | b'\\') => self.out.extend_from_slice(&[b'\\', c]),
