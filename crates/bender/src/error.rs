@@ -16,6 +16,8 @@ pub enum BenderError {
         /// The configured readback capacity in cache lines.
         capacity: usize,
     },
+    /// A sleep or delay carried the picosecond clock past `u64::MAX`.
+    TimeOverflow,
     /// The underlying device rejected a command (out of range coordinates or
     /// a backwards-moving clock).
     Device(String),
@@ -32,6 +34,9 @@ impl fmt::Display for BenderError {
             }
             BenderError::ReadbackOverflow { capacity } => {
                 write!(f, "readback buffer capacity of {capacity} lines exceeded")
+            }
+            BenderError::TimeOverflow => {
+                write!(f, "a sleep or delay overflows the picosecond clock")
             }
             BenderError::Device(msg) => write!(f, "device error: {msg}"),
         }
@@ -58,6 +63,7 @@ mod tests {
         assert!(BenderError::ReadbackOverflow { capacity: 9 }
             .to_string()
             .contains('9'));
+        assert!(BenderError::TimeOverflow.to_string().contains("overflows"));
         assert!(BenderError::Device("x".into()).to_string().contains('x'));
     }
 }

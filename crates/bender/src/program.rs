@@ -20,6 +20,7 @@ pub struct BenderProgram {
     instrs: Vec<BenderInstr>,
     capacity: usize,
     reads: usize,
+    columns: usize,
 }
 
 impl BenderProgram {
@@ -36,6 +37,7 @@ impl BenderProgram {
             instrs: Vec::new(),
             capacity,
             reads: 0,
+            columns: 0,
         }
     }
 
@@ -89,14 +91,9 @@ impl BenderProgram {
                 capacity: self.capacity,
             });
         }
-        if matches!(
-            instr,
-            BenderInstr::Cmd {
-                cmd: DramCommand::Read { .. },
-                ..
-            }
-        ) {
-            self.reads += 1;
+        if let Some(cmd) = instr.command() {
+            self.reads += usize::from(matches!(cmd, DramCommand::Read { .. }));
+            self.columns += usize::from(cmd.is_column());
         }
         self.instrs.push(instr);
         Ok(())
@@ -126,10 +123,18 @@ impl BenderProgram {
         self.reads
     }
 
+    /// Number of column commands (`RD` and `WR`), counted as they are
+    /// appended.
+    #[must_use]
+    pub fn column_count(&self) -> usize {
+        self.columns
+    }
+
     /// Empties the buffer for reuse, keeping its capacity.
     pub fn clear(&mut self) {
         self.instrs.clear();
         self.reads = 0;
+        self.columns = 0;
     }
 }
 
@@ -146,6 +151,14 @@ mod tests {
         p.sleep(100).unwrap();
         assert_eq!(p.len(), 3);
         assert_eq!(p.read_count(), 1);
+        assert_eq!(p.column_count(), 1);
+        p.cmd(DramCommand::Write {
+            bank: 0,
+            col: 1,
+            data: [0; 64],
+        })
+        .unwrap();
+        assert_eq!((p.read_count(), p.column_count()), (1, 2));
         assert!(!p.is_empty());
     }
 
@@ -164,7 +177,7 @@ mod tests {
         p.cmd(DramCommand::Read { bank: 0, col: 0 }).unwrap();
         p.clear();
         assert!(p.is_empty());
-        assert_eq!(p.read_count(), 0);
+        assert_eq!((p.read_count(), p.column_count()), (0, 0));
         // Capacity retained.
         for _ in 0..4 {
             p.cmd(DramCommand::Refresh).unwrap();

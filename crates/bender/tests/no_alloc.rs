@@ -100,3 +100,42 @@ fn steady_state_cycles_do_not_allocate() {
     );
     assert_eq!(dev.stats().commands(), (programs.len() as u64 + cycles) * 5);
 }
+
+#[test]
+fn a_violating_program_allocates_only_the_checkers_lists() {
+    let mut dev = DramDevice::new(DramConfig::small_for_tests());
+    // A reduced-tRCD read, an early PRE (tRAS and tRTP in one list), an
+    // `Auto` RD the closed bank does not admit and an `Auto` ACT the open
+    // bank does not: four illegal commands, each of which
+    // `RankTiming::check` enumerates into one small `Vec` of its own. (The
+    // rows stay clean: an interrupted restore of written lines snapshots
+    // the row, which is the device's business, not the command path's.)
+    let mut p = BenderProgram::new();
+    p.cmd(DramCommand::Activate { bank: 0, row: 3 }).unwrap();
+    p.cmd_after(DramCommand::Read { bank: 0, col: 1 }, 7_500)
+        .unwrap();
+    p.cmd_after(DramCommand::Precharge { bank: 0 }, 3_000)
+        .unwrap();
+    p.cmd(DramCommand::Read { bank: 0, col: 2 }).unwrap();
+    p.cmd(DramCommand::Activate { bank: 0, row: 3 }).unwrap();
+    p.cmd(DramCommand::Activate { bank: 0, row: 4 }).unwrap();
+    p.cmd(DramCommand::Precharge { bank: 0 }).unwrap();
+    const ILLEGAL: u64 = 4;
+    let exec = Executor::new();
+    let mut result = BenderResult::default();
+    // Warm-up: materialises the rows and grows `result`.
+    exec.run_into(&mut dev, &p, 0, &mut result).unwrap();
+    let before = ALLOCS.with(Cell::get);
+    let runs = 1_000;
+    for _ in 0..runs {
+        exec.run_into(&mut dev, &p, 0, &mut result).unwrap();
+        assert!(result.violations.len() >= ILLEGAL as usize);
+        assert_eq!(result.reads.len(), 2);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(
+        allocs,
+        runs * ILLEGAL,
+        "one list per illegal command and nothing else"
+    );
+}

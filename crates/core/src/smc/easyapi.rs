@@ -505,12 +505,7 @@ impl EasyApi<'_> {
         // pipeline latency of the final read overlaps with later batches in
         // a real controller.
         let t_cl = self.ctx.device.timing().t_cl_ps;
-        let columns = session
-            .program
-            .instrs()
-            .iter()
-            .filter(|i| i.command().is_some_and(DramCommand::is_column))
-            .count() as u64;
+        let columns = session.program.column_count() as u64;
         ledger.totals.column_ops += columns;
         let occupancy = if columns > 0 {
             result.elapsed_ps.saturating_sub(t_cl)

@@ -44,6 +44,12 @@ pub enum BankState {
 /// path needs no validity flags or branches to say so.
 const BIAS: u64 = 1 << 40;
 
+/// Latest issue time the tracker accepts. A recorded event is `now + BIAS`
+/// plus at most one offset, and a query adds one table distance to that; all
+/// three stay below `BIAS`, so no sum at or below this limit can wrap.
+/// [`crate::DramDevice`] rejects later times before they reach the tracker.
+pub const MAX_ISSUE_PS: u64 = u64::MAX - 4 * BIAS;
+
 /// Biased timestamp meaning "this event has not happened".
 const NEVER: u64 = 0;
 
@@ -178,32 +184,38 @@ impl RankTiming {
 
     /// Earliest time `cmd` satisfies every timing rule, given current state.
     ///
-    /// Answered entirely from the precomputed table and last-event state:
-    /// O(1) for every per-bank command (ACT spacing uses the rolled-up
-    /// same-group/any-group pair when the bin allows it). Out-of-range banks
-    /// are reported as unconstrained; the device rejects them with a proper
-    /// error at issue time.
+    /// Out-of-range banks are reported as unconstrained; the device rejects
+    /// them with a proper error at issue time.
     #[must_use]
     #[inline]
     // The scheduler polls this per candidate command.
     pub fn earliest_issue_ps(&self, cmd: &DramCommand) -> u64 {
-        self.earliest_issue_bps(cmd).saturating_sub(BIAS)
+        self.admission(cmd).0
     }
 
-    /// Biased-timeline core of [`earliest_issue_ps`]: every term is a biased
-    /// timestamp plus a table distance, so never-happened events ([`NEVER`])
-    /// fall below `BIAS` and drop out of the `max` chain without a branch.
+    /// The one table walk a command needs: the earliest time `cmd` satisfies
+    /// every timing rule, and whether the bank state admits it (`ACT`/`RFM`
+    /// want their bank precharged, a column command wants it open, `REF`
+    /// wants every bank precharged). `cmd` is legal at `t` iff the state
+    /// admits it and `t` is not before the earliest time, so a command
+    /// issued at or after that time needs no second walk to be judged.
     ///
-    /// [`earliest_issue_ps`]: RankTiming::earliest_issue_ps
+    /// Answered entirely from the precomputed table and last-event state:
+    /// O(1) for every per-bank command (ACT spacing uses the rolled-up
+    /// same-group/any-group pair when the bin allows it). Every term is a
+    /// biased timestamp plus a table distance, so never-happened events
+    /// ([`NEVER`]) fall below `BIAS` and drop out of the `max` chain without
+    /// a branch.
+    #[must_use]
     #[inline]
-    fn earliest_issue_bps(&self, cmd: &DramCommand) -> u64 {
+    pub fn admission(&self, cmd: &DramCommand) -> (u64, bool) {
         if cmd.bank().is_some_and(|b| b >= self.geometry.banks()) {
-            return 0;
+            return (0, true);
         }
         let tt = &self.table;
         let mut earliest =
             self.last_ref_bps + tt.dist_ps(Scope::Channel, CmdClass::Ref, CmdClass::of(cmd));
-        match *cmd {
+        let admits = match *cmd {
             DramCommand::Activate { bank, .. } => {
                 let b = &self.banks[bank as usize];
                 earliest = earliest
@@ -234,41 +246,42 @@ impl RankTiming {
                     }
                 }
                 earliest = earliest.max(self.act_window[self.act_ptr] + tt.t_faw_ps);
+                matches!(b.state, BankState::Idle)
             }
             DramCommand::Precharge { bank } => {
                 earliest = earliest.max(self.pre_earliest_bps(bank));
+                true
             }
             DramCommand::PrechargeAll => {
                 for bank in 0..self.geometry.banks() {
                     earliest = earliest.max(self.pre_earliest_bps(bank));
                 }
+                true
             }
-            DramCommand::Read { bank, .. } => {
+            DramCommand::Read { bank, .. } | DramCommand::Write { bank, .. } => {
+                let is_write = matches!(cmd, DramCommand::Write { .. });
+                let next = if is_write { CmdClass::Wr } else { CmdClass::Rd };
                 let b = &self.banks[bank as usize];
                 earliest = earliest
-                    .max(b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, CmdClass::Rd))
-                    .max(self.col_earliest_bps(bank, false));
-            }
-            DramCommand::Write { bank, .. } => {
-                let b = &self.banks[bank as usize];
-                earliest = earliest
-                    .max(b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, CmdClass::Wr))
-                    .max(self.col_earliest_bps(bank, true));
+                    .max(b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, next))
+                    .max(self.col_earliest_bps(bank, is_write));
+                matches!(b.state, BankState::Active { .. })
             }
             DramCommand::Refresh => {
-                // All banks must be precharged; rely on check() for state.
                 let d = tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Ref);
                 for b in &self.banks {
                     earliest = earliest.max(b.last_pre_bps + d);
                 }
+                self.open_banks == 0
             }
             DramCommand::RefreshRow { bank, .. } => {
                 let b = &self.banks[bank as usize];
                 earliest = earliest
                     .max(b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Rfm));
+                matches!(b.state, BankState::Idle)
             }
-        }
-        earliest
+        };
+        (earliest.saturating_sub(BIAS), admits)
     }
 
     /// Per-bank precharge readiness (tRAS, tRTP, tWR), excluding tRFC.
@@ -318,20 +331,8 @@ impl RankTiming {
     // The hot-path legality gate (`check` is the cold diagnostic sibling and
     // is allowed to build violation lists).
     pub fn is_legal(&self, cmd: &DramCommand, now_ps: u64) -> bool {
-        if cmd.bank().is_some_and(|b| b >= self.geometry.banks()) {
-            return true;
-        }
-        let state_ok = match *cmd {
-            DramCommand::Activate { bank, .. } | DramCommand::RefreshRow { bank, .. } => {
-                matches!(self.banks[bank as usize].state, BankState::Idle)
-            }
-            DramCommand::Read { bank, .. } | DramCommand::Write { bank, .. } => {
-                matches!(self.banks[bank as usize].state, BankState::Active { .. })
-            }
-            DramCommand::Refresh => self.open_banks == 0,
-            DramCommand::Precharge { .. } | DramCommand::PrechargeAll => true,
-        };
-        state_ok && now_ps + BIAS >= self.earliest_issue_bps(cmd)
+        let (earliest_ps, admits) = self.admission(cmd);
+        admits && now_ps >= earliest_ps
     }
 
     /// Checks every applicable rule for `cmd` at time `now_ps`.

@@ -41,7 +41,7 @@
 //! [`DramDevice::line_data`] / [`DramDevice::row_data`] read the array, so
 //! they show a `WR` only after its `PRE`.
 
-use crate::bank::RankTiming;
+use crate::bank::{RankTiming, MAX_ISSUE_PS};
 use crate::command::{DramCommand, LINE_BYTES};
 use crate::config::DramConfig;
 use crate::det::hash_coords;
@@ -84,6 +84,34 @@ pub struct CmdOutcome {
     /// Time at which the command's effects complete (data on bus for column
     /// commands, bank ready otherwise), in ps.
     pub completion_ps: u64,
+}
+
+/// Where the device puts what commands produce, as they produce it: a
+/// [`CmdOutcome`] holds one command's worth, the Bender readback buffers a
+/// whole program's. Nothing is built per command and handed back.
+pub trait CmdSink {
+    /// The cache line a `RD` returned, and whether it is known-corrupt.
+    fn read(&mut self, data: &[u8; LINE_BYTES], corrupted: bool);
+    /// A recognized RowClone attempt.
+    fn rowclone(&mut self, outcome: RowCloneOutcome);
+    /// The violation list. The device appends to it, and asks for it only
+    /// when a command is illegal.
+    fn violations(&mut self) -> &mut Vec<TimingViolation>;
+}
+
+impl CmdSink for CmdOutcome {
+    fn read(&mut self, data: &[u8; LINE_BYTES], corrupted: bool) {
+        self.read_data = Some(*data);
+        self.read_corrupted = corrupted;
+    }
+
+    fn rowclone(&mut self, outcome: RowCloneOutcome) {
+        self.rowclone = Some(outcome);
+    }
+
+    fn violations(&mut self) -> &mut Vec<TimingViolation> {
+        &mut self.violations
+    }
 }
 
 /// One materialised row of the array.
@@ -398,7 +426,21 @@ impl DramDevice {
         self.nonce
     }
 
-    fn bounds_check(&self, cmd: &DramCommand) -> Result<(), DramError> {
+    /// What every issue path asks first: coordinates inside the geometry
+    /// (three compares on outside input) and a time the clock can take.
+    fn bounds_check(&self, cmd: &DramCommand, now_ps: u64) -> Result<(), DramError> {
+        if now_ps < self.now_ps {
+            return Err(DramError::TimeWentBackwards {
+                now_ps: self.now_ps,
+                requested_ps: now_ps,
+            });
+        }
+        if now_ps > MAX_ISSUE_PS {
+            return Err(DramError::TimeOutOfRange {
+                requested_ps: now_ps,
+                limit_ps: MAX_ISSUE_PS,
+            });
+        }
         let g = &self.cfg.geometry;
         if let Some(bank) = cmd.bank() {
             if bank >= g.banks() {
@@ -600,48 +642,90 @@ impl DramDevice {
         cmd: DramCommand,
         now_ps: u64,
     ) -> Result<CmdOutcome, DramError> {
-        self.bounds_check(&cmd)?;
-        if now_ps < self.now_ps {
-            return Err(DramError::TimeWentBackwards {
-                now_ps: self.now_ps,
-                requested_ps: now_ps,
-            });
-        }
-        if !self.rank.is_legal(&cmd, now_ps) {
+        self.bounds_check(&cmd, now_ps)?;
+        let legal = self.rank.is_legal(&cmd, now_ps);
+        if !legal {
             if let Some(v) = self.rank.check(&cmd, now_ps).first() {
                 return Err(DramError::Timing(*v));
             }
         }
-        Ok(self.execute(cmd, now_ps))
+        let mut out = CmdOutcome::default();
+        out.completion_ps = self.execute(&cmd, now_ps, legal, &mut out);
+        Ok(out)
     }
 
     /// Issues `cmd` at `now_ps`, executing it even if it violates timing
     /// rules; the outcome lists every violated rule and carries the
-    /// behavioural consequences.
+    /// behavioural consequences. [`DramDevice::issue_into`] with a
+    /// [`CmdOutcome`] for its sink.
     ///
     /// # Errors
     ///
-    /// Returns an error only for out-of-range coordinates or a
-    /// backwards-moving clock — never for timing violations.
+    /// Returns an error only for out-of-range coordinates or a time the
+    /// clock cannot take — never for timing violations.
     pub fn issue_raw(&mut self, cmd: DramCommand, now_ps: u64) -> Result<CmdOutcome, DramError> {
-        self.bounds_check(&cmd)?;
-        if now_ps < self.now_ps {
-            return Err(DramError::TimeWentBackwards {
-                now_ps: self.now_ps,
-                requested_ps: now_ps,
-            });
-        }
-        Ok(self.execute(cmd, now_ps))
+        let mut out = CmdOutcome::default();
+        out.completion_ps = self.issue_into(&cmd, now_ps, &mut out)?;
+        Ok(out)
     }
 
-    fn execute(&mut self, cmd: DramCommand, now_ps: u64) -> CmdOutcome {
-        // Hot path: a legal command needs no rule enumeration and no
-        // allocation — `Vec::new()` does not touch the heap. Only illegal
-        // (or drain-gapped) commands fall back to the enumerating checker.
-        let violations = if self.rank.is_legal(&cmd, now_ps) {
-            Vec::new()
+    /// Issues `cmd` at exactly `now_ps`, violating or not, appending what it
+    /// produces to `sink`. Returns the time its effects complete (data on
+    /// the bus for column commands, bank ready otherwise), in ps.
+    ///
+    /// # Errors
+    ///
+    /// As [`DramDevice::issue_raw`]; nothing ran and `sink` is untouched.
+    pub fn issue_into(
+        &mut self,
+        cmd: &DramCommand,
+        now_ps: u64,
+        sink: &mut dyn CmdSink,
+    ) -> Result<u64, DramError> {
+        self.bounds_check(cmd, now_ps)?;
+        let legal = self.rank.is_legal(cmd, now_ps);
+        Ok(self.execute(cmd, now_ps, legal, sink))
+    }
+
+    /// Issues `cmd` at its earliest JEDEC-legal time that is not before
+    /// `floor_ps` (nor before device time), appending what it produces to
+    /// `sink`. Returns `(issue time, completion time)`. One table walk finds
+    /// the time and judges the command: at or after its earliest time it is
+    /// legal unless the bank state does not admit it.
+    ///
+    /// # Errors
+    ///
+    /// As [`DramDevice::issue_raw`]; nothing ran and `sink` is untouched.
+    pub fn issue_earliest_into(
+        &mut self,
+        cmd: &DramCommand,
+        floor_ps: u64,
+        sink: &mut dyn CmdSink,
+    ) -> Result<(u64, u64), DramError> {
+        let (earliest_ps, admits) = self.rank.admission(cmd);
+        let now_ps = earliest_ps.max(floor_ps).max(self.now_ps);
+        self.bounds_check(cmd, now_ps)?;
+        Ok((now_ps, self.execute(cmd, now_ps, admits, sink)))
+    }
+
+    /// The one place a command runs. `legal` is the caller's verdict from
+    /// [`RankTiming::admission`]; a legal command needs no rule enumeration
+    /// and no allocation, an illegal (or drain-gapped) one falls back to
+    /// the enumerating checker.
+    fn execute(
+        &mut self,
+        cmd: &DramCommand,
+        now_ps: u64,
+        legal: bool,
+        sink: &mut dyn CmdSink,
+    ) -> u64 {
+        let violations: &[TimingViolation] = if legal {
+            &[]
         } else {
-            self.rank.check(&cmd, now_ps)
+            let list = sink.violations();
+            let first = list.len();
+            list.append(&mut self.rank.check(cmd, now_ps));
+            &list[first..]
         };
         self.stats.violations += violations.len() as u64;
         self.now_ps = now_ps;
@@ -650,24 +734,20 @@ impl DramDevice {
                 ps: now_ps,
                 mnemonic: cmd.mnemonic(),
                 bank: cmd.bank().unwrap_or(0),
-                arg: match cmd {
+                arg: match *cmd {
                     DramCommand::Activate { row, .. } | DramCommand::RefreshRow { row, .. } => row,
                     DramCommand::Read { col, .. } | DramCommand::Write { col, .. } => col,
                     _ => 0,
                 },
             });
         }
-        let mut out = CmdOutcome {
-            violations,
-            completion_ps: now_ps,
-            ..CmdOutcome::default()
-        };
-        match cmd {
+        let done_ps;
+        match *cmd {
             DramCommand::Activate { bank, row } => {
+                done_ps = now_ps + self.cfg.timing.t_rcd_ps;
                 self.stats.activates += 1;
                 self.acts_per_bank[bank as usize] += 1;
                 self.note_hammer(bank, row);
-                out.completion_ps = now_ps + self.cfg.timing.t_rcd_ps;
                 let track = self.rank.bank(bank);
                 let clone_src = match (
                     track.prev_open_row,
@@ -685,48 +765,46 @@ impl DramDevice {
                     _ => None,
                 };
                 if let Some(src) = clone_src {
-                    out.rowclone = Some(self.perform_rowclone(bank, src, row, now_ps));
+                    sink.rowclone(self.perform_rowclone(bank, src, row, now_ps));
                 } else {
                     self.apply_retention_decay(bank, row);
                     let slot = self.row_slot(bank, row);
                     self.open_bank(bank, row, slot, now_ps);
                 }
-                self.rank.apply(&cmd, now_ps);
             }
             DramCommand::Precharge { bank } => {
+                done_ps = now_ps + self.cfg.timing.t_rp_ps;
                 self.stats.precharges += 1;
-                out.completion_ps = now_ps + self.cfg.timing.t_rp_ps;
-                self.precharge_bank(bank, now_ps, &out.violations);
-                self.rank.apply(&cmd, now_ps);
+                self.precharge_bank(bank, now_ps, violations);
             }
             DramCommand::PrechargeAll => {
+                done_ps = now_ps + self.cfg.timing.t_rp_ps;
                 self.stats.precharges += 1;
-                out.completion_ps = now_ps + self.cfg.timing.t_rp_ps;
                 for bank in 0..self.cfg.geometry.banks() {
-                    self.precharge_bank(bank, now_ps, &out.violations);
+                    self.precharge_bank(bank, now_ps, violations);
                 }
-                self.rank.apply(&cmd, now_ps);
             }
             DramCommand::Read { bank, col } => {
+                done_ps = now_ps + self.cfg.timing.read_latency_ps();
                 self.stats.reads += 1;
-                out.completion_ps = now_ps + self.cfg.timing.read_latency_ps();
                 let (data, corrupted) = self.read_line(bank, col, now_ps);
-                out.read_data = Some(data);
-                out.read_corrupted = corrupted;
                 if corrupted {
                     self.stats.corrupted_reads += 1;
                 }
-                self.rank.apply(&cmd, now_ps);
+                sink.read(&data, corrupted);
             }
-            DramCommand::Write { bank, col, data } => {
+            DramCommand::Write {
+                bank,
+                col,
+                ref data,
+            } => {
+                done_ps = now_ps + self.cfg.timing.write_latency_ps();
                 self.stats.writes += 1;
-                out.completion_ps = now_ps + self.cfg.timing.write_latency_ps();
-                self.write_line_buffered(bank, col, &data, now_ps);
-                self.rank.apply(&cmd, now_ps);
+                self.write_line_buffered(bank, col, data, now_ps);
             }
             DramCommand::Refresh => {
                 self.stats.refreshes += 1;
-                out.completion_ps = now_ps + self.cfg.timing.t_rfc_ps;
+                done_ps = now_ps + self.cfg.timing.t_rfc_ps;
                 // Simplification: one REF refreshes the whole rank. The
                 // controller timeline charges tRFC every tREFI either way;
                 // retention tests only distinguish refreshed vs. not.
@@ -737,24 +815,21 @@ impl DramDevice {
                 // it holds; ranks of a multi-rank channel share the fold.)
                 self.hammer_epoch += 1;
                 self.hammer_window_start_ps = now_ps;
-                self.rank.apply(&cmd, now_ps);
             }
             DramCommand::RefreshRow { bank, row } => {
                 self.stats.targeted_refreshes += 1;
-                out.completion_ps = now_ps + self.cfg.timing.t_rfm_ps;
+                done_ps = now_ps + self.cfg.timing.t_rfm_ps;
                 // An RFM on an open bank tramples the sense amplifiers with
                 // its internal activation: whatever was written since the ACT
                 // is lost without restore, mirroring the illegal-ACT
                 // consequence.
-                if out
-                    .violations
+                if violations
                     .iter()
                     .any(|v| v.rule == TimingRule::RefWithOpenRows)
                 {
                     self.banks[bank as usize].open = None;
                 }
-                let now = self.now_ps;
-                self.row_entry(bank, row).last_restore_ps = now;
+                self.row_entry(bank, row).last_restore_ps = now_ps;
                 // Restoring the row's cells neutralizes the disturbance its
                 // neighborhood accumulated: the window counters of `row` and
                 // of every row whose blast radius covers it reset.
@@ -768,10 +843,10 @@ impl DramDevice {
                         self.record_mut(idx).hammer = 0;
                     }
                 }
-                self.rank.apply(&cmd, now_ps);
             }
         }
-        out
+        self.rank.apply(cmd, now_ps);
+        done_ps
     }
 
     /// Read-disturbance bookkeeping for one ACT: counts the activation in
@@ -1637,5 +1712,378 @@ mod tests {
             .issue_checked(DramCommand::Read { bank: 0, col: 0 }, t().t_rcd_ps)
             .unwrap();
         assert_eq!(out.completion_ps, t().t_rcd_ps + t().read_latency_ps());
+    }
+
+    /// The per-command path as it was before there was one `execute`: its
+    /// body kept verbatim (legality asked again inside, a `CmdOutcome` built
+    /// and handed back), as the reference the sink path is compared against.
+    impl DramDevice {
+        fn issue_raw_reference(
+            &mut self,
+            cmd: DramCommand,
+            now_ps: u64,
+        ) -> Result<CmdOutcome, DramError> {
+            self.bounds_check(&cmd, now_ps)?;
+            Ok(self.execute_reference(cmd, now_ps))
+        }
+
+        fn execute_reference(&mut self, cmd: DramCommand, now_ps: u64) -> CmdOutcome {
+            // Hot path: a legal command needs no rule enumeration and no
+            // allocation — `Vec::new()` does not touch the heap. Only illegal
+            // (or drain-gapped) commands fall back to the enumerating checker.
+            let violations = if self.rank.is_legal(&cmd, now_ps) {
+                Vec::new()
+            } else {
+                self.rank.check(&cmd, now_ps)
+            };
+            self.stats.violations += violations.len() as u64;
+            self.now_ps = now_ps;
+            if let Some(ring) = self.cmd_trace.as_mut() {
+                ring.push(CmdRecord {
+                    ps: now_ps,
+                    mnemonic: cmd.mnemonic(),
+                    bank: cmd.bank().unwrap_or(0),
+                    arg: match cmd {
+                        DramCommand::Activate { row, .. } | DramCommand::RefreshRow { row, .. } => {
+                            row
+                        }
+                        DramCommand::Read { col, .. } | DramCommand::Write { col, .. } => col,
+                        _ => 0,
+                    },
+                });
+            }
+            let mut out = CmdOutcome {
+                violations,
+                completion_ps: now_ps,
+                ..CmdOutcome::default()
+            };
+            match cmd {
+                DramCommand::Activate { bank, row } => {
+                    self.stats.activates += 1;
+                    self.acts_per_bank[bank as usize] += 1;
+                    self.note_hammer(bank, row);
+                    out.completion_ps = now_ps + self.cfg.timing.t_rcd_ps;
+                    let track = self.rank.bank(bank);
+                    let clone_src = match (
+                        track.prev_open_row,
+                        track.last_pre_event_ps(),
+                        track.last_act_event_ps(),
+                    ) {
+                        (Some(src), Some(pre_ps), Some(act_ps)) => {
+                            let pre_gap = now_ps.saturating_sub(pre_ps);
+                            let act_pre_gap = pre_ps.saturating_sub(act_ps);
+                            (pre_gap <= ROWCLONE_GAP_MAX_PS
+                                && act_pre_gap <= ROWCLONE_GAP_MAX_PS
+                                && src != row)
+                                .then_some(src)
+                        }
+                        _ => None,
+                    };
+                    if let Some(src) = clone_src {
+                        out.rowclone = Some(self.perform_rowclone(bank, src, row, now_ps));
+                    } else {
+                        self.apply_retention_decay(bank, row);
+                        let slot = self.row_slot(bank, row);
+                        self.open_bank(bank, row, slot, now_ps);
+                    }
+                    self.rank.apply(&cmd, now_ps);
+                }
+                DramCommand::Precharge { bank } => {
+                    self.stats.precharges += 1;
+                    out.completion_ps = now_ps + self.cfg.timing.t_rp_ps;
+                    self.precharge_bank(bank, now_ps, &out.violations);
+                    self.rank.apply(&cmd, now_ps);
+                }
+                DramCommand::PrechargeAll => {
+                    self.stats.precharges += 1;
+                    out.completion_ps = now_ps + self.cfg.timing.t_rp_ps;
+                    for bank in 0..self.cfg.geometry.banks() {
+                        self.precharge_bank(bank, now_ps, &out.violations);
+                    }
+                    self.rank.apply(&cmd, now_ps);
+                }
+                DramCommand::Read { bank, col } => {
+                    self.stats.reads += 1;
+                    out.completion_ps = now_ps + self.cfg.timing.read_latency_ps();
+                    let (data, corrupted) = self.read_line(bank, col, now_ps);
+                    out.read_data = Some(data);
+                    out.read_corrupted = corrupted;
+                    if corrupted {
+                        self.stats.corrupted_reads += 1;
+                    }
+                    self.rank.apply(&cmd, now_ps);
+                }
+                DramCommand::Write { bank, col, data } => {
+                    self.stats.writes += 1;
+                    out.completion_ps = now_ps + self.cfg.timing.write_latency_ps();
+                    self.write_line_buffered(bank, col, &data, now_ps);
+                    self.rank.apply(&cmd, now_ps);
+                }
+                DramCommand::Refresh => {
+                    self.stats.refreshes += 1;
+                    out.completion_ps = now_ps + self.cfg.timing.t_rfc_ps;
+                    // Simplification: one REF refreshes the whole rank. The
+                    // controller timeline charges tRFC every tREFI either way;
+                    // retention tests only distinguish refreshed vs. not.
+                    self.rank_last_ref_ps = now_ps;
+                    // Refreshing every row closes the disturbance window: all
+                    // per-row activation counters reset. (This device models one
+                    // rank-folded channel, so a rank-level REF covers everything
+                    // it holds; ranks of a multi-rank channel share the fold.)
+                    self.hammer_epoch += 1;
+                    self.hammer_window_start_ps = now_ps;
+                    self.rank.apply(&cmd, now_ps);
+                }
+                DramCommand::RefreshRow { bank, row } => {
+                    self.stats.targeted_refreshes += 1;
+                    out.completion_ps = now_ps + self.cfg.timing.t_rfm_ps;
+                    // An RFM on an open bank tramples the sense amplifiers with
+                    // its internal activation: whatever was written since the ACT
+                    // is lost without restore, mirroring the illegal-ACT
+                    // consequence.
+                    if out
+                        .violations
+                        .iter()
+                        .any(|v| v.rule == TimingRule::RefWithOpenRows)
+                    {
+                        self.banks[bank as usize].open = None;
+                    }
+                    let now = self.now_ps;
+                    self.row_entry(bank, row).last_restore_ps = now;
+                    // Restoring the row's cells neutralizes the disturbance its
+                    // neighborhood accumulated: the window counters of `row` and
+                    // of every row whose blast radius covers it reset.
+                    // Mitigations refresh every victim of a detected aggressor
+                    // in one action, so this conservative neighborhood reset
+                    // matches RFM-style bookkeeping.
+                    if self.cfg.variation.disturb_enabled {
+                        let rows = self.cfg.geometry.rows_per_bank;
+                        for r in
+                            std::iter::once(row).chain(blast_neighbors(row, rows, BLAST_RADIUS))
+                        {
+                            let idx = self.row_index(bank, r);
+                            self.record_mut(idx).hammer = 0;
+                        }
+                    }
+                    self.rank.apply(&cmd, now_ps);
+                }
+            }
+            out
+        }
+    }
+
+    /// A device with every behavioural model on.
+    fn full_dev() -> DramDevice {
+        let mut cfg = DramConfig::small_for_tests();
+        cfg.enforce_retention = true;
+        cfg.variation.disturb_enabled = true;
+        cfg.variation.hc_first = (4, 8);
+        cfg.variation.disturb_flip_milli = 500;
+        DramDevice::new(cfg)
+    }
+
+    /// Rows on both sides of the subarray boundary at 128.
+    const ROWS: [u32; 6] = [0, 1, 126, 127, 128, 129];
+
+    fn decode(kind: u8, bank: u32, row: usize, col: u32, byte: u8) -> DramCommand {
+        let row = ROWS[row];
+        match kind {
+            0 | 1 => DramCommand::Activate { bank, row },
+            2 | 3 => DramCommand::Precharge { bank },
+            4 | 5 => DramCommand::Read { bank, col },
+            6 | 7 => DramCommand::Write {
+                bank,
+                col,
+                data: [byte; LINE_BYTES],
+            },
+            8 => DramCommand::PrechargeAll,
+            9 => DramCommand::Refresh,
+            _ => DramCommand::RefreshRow { bank, row },
+        }
+    }
+
+    /// What one command produced, comparably.
+    type Produced = (
+        Vec<TimingViolation>,
+        Option<[u8; LINE_BYTES]>,
+        bool,
+        Option<RowCloneOutcome>,
+        u64,
+    );
+
+    fn produced(out: CmdOutcome) -> Produced {
+        (
+            out.violations,
+            out.read_data,
+            out.read_corrupted,
+            out.rowclone,
+            out.completion_ps,
+        )
+    }
+
+    proptest::proptest! {
+        /// Random command streams, legal and not, land the same way through
+        /// the one `execute` as through the reference: every outcome, the
+        /// stats, the clock and the array.
+        #[test]
+        fn sink_path_matches_the_reference(
+            ops in proptest::collection::vec(
+                (0u8..11, 0u32..2, 0usize..6, 0u32..3, 0u8..8, proptest::any::<u8>()),
+                1..120,
+            ),
+        ) {
+            let (mut new, mut old) = (full_dev(), full_dev());
+            let t = t();
+            let mut now = 0;
+            for (kind, bank, row, col, gap, byte) in ops {
+                let cmd = decode(kind, bank, row, col, byte);
+                now = match gap {
+                    0 => now + 1_500,
+                    1 => now + 3_000,
+                    2 => now + 9_000,
+                    3 => now + t.t_ras_ps,
+                    4 => now + t.t_refw_ps + 1,
+                    _ => new.earliest_issue_ps(&cmd).max(now + t.t_ck_ps),
+                };
+                let a = new.issue_raw(cmd, now).map(produced);
+                let b = old.issue_raw_reference(cmd, now).map(produced);
+                proptest::prop_assert_eq!(a, b, "{} @ {}", cmd, now);
+            }
+            proptest::prop_assert_eq!(new.stats(), old.stats());
+            proptest::prop_assert_eq!(new.now_ps(), old.now_ps());
+            for bank in 0..2 {
+                for row in 0..132 {
+                    proptest::prop_assert_eq!(new.row_data(bank, row), old.row_data(bank, row));
+                }
+            }
+        }
+    }
+
+    /// Collects like a Bender readback buffer.
+    #[derive(Default, PartialEq, Debug)]
+    struct Collected {
+        reads: Vec<([u8; LINE_BYTES], bool)>,
+        rowclones: Vec<RowCloneOutcome>,
+        violations: Vec<TimingViolation>,
+        completions: Vec<u64>,
+    }
+
+    impl CmdSink for Collected {
+        fn read(&mut self, data: &[u8; LINE_BYTES], corrupted: bool) {
+            self.reads.push((*data, corrupted));
+        }
+
+        fn rowclone(&mut self, outcome: RowCloneOutcome) {
+            self.rowclones.push(outcome);
+        }
+
+        fn violations(&mut self) -> &mut Vec<TimingViolation> {
+            &mut self.violations
+        }
+    }
+
+    #[test]
+    fn issue_raw_returns_exactly_what_the_sink_path_produced() {
+        // A RowClone, a reduced-tRCD write and read, an early PRE on the
+        // dirty row, a closed-bank read: every kind of product.
+        let stream = [
+            (DramCommand::Activate { bank: 0, row: 3 }, 0),
+            (DramCommand::Precharge { bank: 0 }, 3_000),
+            (DramCommand::Activate { bank: 0, row: 9 }, 6_000),
+            (
+                DramCommand::Write {
+                    bank: 0,
+                    col: 1,
+                    data: [7; LINE_BYTES],
+                },
+                9_000,
+            ),
+            (DramCommand::Read { bank: 0, col: 1 }, 60_000),
+            (DramCommand::Precharge { bank: 0 }, 61_500),
+            (DramCommand::Read { bank: 0, col: 2 }, 100_000),
+            (DramCommand::RefreshRow { bank: 1, row: 5 }, 200_000),
+        ];
+        let (mut by_outcome, mut by_sink) = (dev(), dev());
+        let (mut adapted, mut direct) = (Collected::default(), Collected::default());
+        for (cmd, at) in stream {
+            let out = by_outcome.issue_raw(cmd, at).unwrap();
+            adapted
+                .reads
+                .extend(out.read_data.map(|d| (d, out.read_corrupted)));
+            assert!(out.read_data.is_some() || !out.read_corrupted);
+            adapted.rowclones.extend(out.rowclone);
+            adapted.violations.extend(out.violations);
+            adapted.completions.push(out.completion_ps);
+            let done = by_sink.issue_into(&cmd, at, &mut direct).unwrap();
+            direct.completions.push(done);
+        }
+        assert_eq!(adapted, direct, "the adapter drops nothing");
+        assert_eq!((direct.reads.len(), direct.rowclones.len()), (2, 1));
+        assert!(direct.violations.len() >= 5, "{:?}", direct.violations);
+        assert_eq!(by_outcome.stats(), by_sink.stats());
+    }
+
+    #[test]
+    fn issue_earliest_into_waits_for_the_timing_and_still_judges_the_state() {
+        let mut d = dev();
+        let mut sink = Collected::default();
+        let act = DramCommand::Activate { bank: 0, row: 1 };
+        assert_eq!(
+            d.issue_earliest_into(&act, 500, &mut sink).unwrap(),
+            (500, 500 + t().t_rcd_ps),
+            "the floor holds when nothing constrains"
+        );
+        let rd = DramCommand::Read { bank: 0, col: 0 };
+        let (at, _) = d.issue_earliest_into(&rd, 0, &mut sink).unwrap();
+        assert_eq!(at, 500 + t().t_rcd_ps, "tRCD, not the floor");
+        assert!(sink.violations.is_empty() && !sink.reads[0].1);
+        // The timing of a second ACT can be met; the open bank cannot.
+        let earliest = d.earliest_issue_ps(&act).max(d.now_ps());
+        let (at, _) = d.issue_earliest_into(&act, 0, &mut sink).unwrap();
+        assert_eq!(at, earliest);
+        assert_eq!(sink.violations.len(), 1);
+        assert_eq!(sink.violations[0].rule, TimingRule::BankOpen);
+        assert_eq!(d.stats().violations, 1);
+    }
+
+    #[test]
+    fn times_past_the_clock_limit_are_rejected_not_wrapped() {
+        let mut d = dev();
+        let act = DramCommand::Activate { bank: 0, row: 0 };
+        for at in [u64::MAX, MAX_ISSUE_PS + 1] {
+            let err = d.issue_raw(act, at).unwrap_err();
+            assert!(
+                matches!(err, DramError::TimeOutOfRange { requested_ps, .. } if requested_ps == at),
+                "{err}"
+            );
+            assert!(matches!(
+                d.issue_checked(act, at),
+                Err(DramError::TimeOutOfRange { .. })
+            ));
+        }
+        let mut sink = Collected::default();
+        assert!(matches!(
+            d.issue_earliest_into(&act, u64::MAX, &mut sink),
+            Err(DramError::TimeOutOfRange { .. })
+        ));
+        assert_eq!(d.stats().commands(), 0, "nothing executed");
+        // The limit itself is a time like any other: every sum the tracker
+        // and the device form from it stays below `u64::MAX`.
+        let out = d.issue_raw(act, MAX_ISSUE_PS).unwrap();
+        assert_eq!(out.completion_ps, MAX_ISSUE_PS + t().t_rcd_ps);
+        let wr = DramCommand::Write {
+            bank: 0,
+            col: 0,
+            data: [1; LINE_BYTES],
+        };
+        let out = d.issue_raw(wr, MAX_ISSUE_PS).unwrap();
+        assert!(out.violations.iter().any(|v| v.rule == TimingRule::Trcd));
+        let pre = DramCommand::Precharge { bank: 0 };
+        assert!(d.earliest_issue_ps(&pre) > MAX_ISSUE_PS);
+        assert!(!d
+            .issue_raw(pre, MAX_ISSUE_PS)
+            .unwrap()
+            .violations
+            .is_empty());
     }
 }

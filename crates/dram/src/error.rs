@@ -119,6 +119,14 @@ pub enum DramError {
         /// The (earlier) requested issue time.
         requested_ps: u64,
     },
+    /// An issue time past what the picosecond clock can take: the timing
+    /// tracker adds distances to recorded times, and must not wrap.
+    TimeOutOfRange {
+        /// The requested issue time.
+        requested_ps: u64,
+        /// The latest time the device accepts.
+        limit_ps: u64,
+    },
     /// The configuration failed validation.
     InvalidConfig(String),
     /// The timing parameter set failed the static contradiction checker
@@ -140,6 +148,13 @@ impl fmt::Display for DramError {
             } => write!(
                 f,
                 "command issued at {requested_ps} ps but device time is already {now_ps} ps"
+            ),
+            DramError::TimeOutOfRange {
+                requested_ps,
+                limit_ps,
+            } => write!(
+                f,
+                "command issued at {requested_ps} ps, past the clock's limit of {limit_ps} ps"
             ),
             DramError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             DramError::InvalidTiming(c) => write!(f, "contradictory timing configuration: {c}"),

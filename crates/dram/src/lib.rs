@@ -59,7 +59,7 @@ pub use command::{DramCommand, LINE_BYTES};
 pub use config::{DramConfig, Geometry};
 pub use consistency::{ConfigRule, TimingContradiction};
 pub use device::{
-    blast_neighbors, CmdOutcome, CmdRecord, DramDevice, RowCloneOutcome, BLAST_RADIUS,
+    blast_neighbors, CmdOutcome, CmdRecord, CmdSink, DramDevice, RowCloneOutcome, BLAST_RADIUS,
 };
 pub use error::{DramError, TimingRule, TimingViolation};
 #[cfg(any(test, feature = "oracle"))]

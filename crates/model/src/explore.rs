@@ -401,6 +401,19 @@ impl Explorer<'_> {
                 ));
             }
             let at = now.max(et);
+            // The fused walk is the pair it replaced: the earliest time, and
+            // the verdict of `is_legal` once that time has come.
+            let fused = node.table.admission(&cmd);
+            self.stats.probes += 1;
+            if fused != (et, node.table.is_legal(&cmd, at)) {
+                return Some((
+                    Property::Equivalence,
+                    format!(
+                        "admission for {cmd} is {fused:?}, not (earliest {et}, is_legal @ {at})"
+                    ),
+                    Step { cmd, at_ps: at },
+                ));
+            }
             let mut probe_times = [now, at, 0];
             let mut n_probes = 2;
             if at > now {
@@ -416,6 +429,20 @@ impl Explorer<'_> {
                         Property::Equivalence,
                         format!(
                             "violation list diverged for {cmd} @ {pt}: table {vt:?}, oracle {vo:?}"
+                        ),
+                        Step { cmd, at_ps: pt },
+                    ));
+                }
+                // At its earliest time a command breaks no timing rule, so
+                // whatever `check` still lists is the bank state's doing:
+                // the executor runs `check` for an `Auto` command exactly
+                // when the walk said the state does not admit it.
+                if pt == at && fused.1 != vt.is_empty() {
+                    return Some((
+                        Property::Equivalence,
+                        format!(
+                            "admission says the state {} {cmd}, check @ {pt} lists {vt:?}",
+                            if fused.1 { "admits" } else { "does not admit" }
                         ),
                         Step { cmd, at_ps: pt },
                     ));
