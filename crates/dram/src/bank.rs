@@ -317,15 +317,14 @@ impl RankTiming {
 
     /// Fast legality test: true iff `check` would return no violations.
     ///
-    /// This is the hot-path entry point: no allocation, no rule
-    /// enumeration — a state check plus an [`earliest_issue_ps`] lookup.
+    /// No allocation, no rule enumeration: [`admission`] judged at `now_ps`.
     /// One asymmetry is handled conservatively: the scheduling-only
-    /// read→write bus-drain gap is part of `earliest_issue_ps` but is never
+    /// read→write bus-drain gap is part of the earliest time but is never
     /// reported by `check`, so a command inside that gap returns `false`
     /// here while `check` still enumerates nothing; callers treat a `false`
     /// as "run the enumerating checker", which preserves exact behaviour.
     ///
-    /// [`earliest_issue_ps`]: RankTiming::earliest_issue_ps
+    /// [`admission`]: RankTiming::admission
     #[must_use]
     #[inline]
     // The hot-path legality gate (`check` is the cold diagnostic sibling and

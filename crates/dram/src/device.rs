@@ -787,11 +787,8 @@ impl DramDevice {
             DramCommand::Read { bank, col } => {
                 done_ps = now_ps + self.cfg.timing.read_latency_ps();
                 self.stats.reads += 1;
-                let (data, corrupted) = self.read_line(bank, col, now_ps);
-                if corrupted {
-                    self.stats.corrupted_reads += 1;
-                }
-                sink.read(&data, corrupted);
+                let corrupted = self.read_line(bank, col, now_ps, sink);
+                self.stats.corrupted_reads += u64::from(corrupted);
             }
             DramCommand::Write {
                 bank,
@@ -994,7 +991,10 @@ impl DramDevice {
         Self::corrupt_mix(&old, array, self.cfg.variation.seed, nonce);
     }
 
-    fn read_line(&mut self, bank: u32, col: u32, now_ps: u64) -> ([u8; LINE_BYTES], bool) {
+    /// Hands `sink` the line a `RD` returns and says whether it is corrupt.
+    /// A read at nominal tRCD lends the line where it lies, in the array or
+    /// the overlay: its one copy is the sink's.
+    fn read_line(&mut self, bank: u32, col: u32, now_ps: u64, sink: &mut dyn CmdSink) -> bool {
         let seed = self.cfg.variation.seed;
         let amps = &self.banks[bank as usize];
         let Some(open) = amps.open else {
@@ -1005,7 +1005,8 @@ impl DramDevice {
                 let h = hash_coords(seed, b"bus-garbage", &[nonce, i as u64]);
                 chunk.copy_from_slice(&h.to_le_bytes()[..chunk.len()]);
             }
-            return (data, true);
+            sink.read(&data, true);
+            return true;
         };
         let applied_trcd = now_ps.saturating_sub(open.act_ps);
         let start = col as usize * LINE_BYTES;
@@ -1014,22 +1015,24 @@ impl DramDevice {
         } else {
             &self.rows[open.slot].bytes
         };
-        let mut data = [0u8; LINE_BYTES];
-        data.copy_from_slice(&src[start..start + LINE_BYTES]);
+        let line: &[u8; LINE_BYTES] = src[start..start + LINE_BYTES]
+            .try_into()
+            .expect("a line-sized slice");
         if applied_trcd >= self.cfg.timing.t_rcd_ps {
-            return (data, false);
+            sink.read(line, false);
+            return false;
         }
+        let mut data = *line;
         self.stats.reduced_trcd_reads += 1;
         let nonce = self.next_nonce();
-        if self
+        let corrupted = !self
             .variation
-            .read_ok(bank, open.row, col, applied_trcd, nonce)
-        {
-            (data, false)
-        } else {
+            .read_ok(bank, open.row, col, applied_trcd, nonce);
+        if corrupted {
             Self::corrupt_line(&mut data, seed, nonce);
-            (data, true)
         }
+        sink.read(&data, corrupted);
+        corrupted
     }
 
     // The overlay grows once, on the bank's first WR.
@@ -1716,7 +1719,9 @@ mod tests {
 
     /// The per-command path as it was before there was one `execute`: its
     /// body kept verbatim (legality asked again inside, a `CmdOutcome` built
-    /// and handed back), as the reference the sink path is compared against.
+    /// and handed back, the read line returned by value through
+    /// `read_line_reference`, the old `read_line`), as the reference the sink
+    /// path is compared against.
     impl DramDevice {
         fn issue_raw_reference(
             &mut self,
@@ -1805,7 +1810,7 @@ mod tests {
                 DramCommand::Read { bank, col } => {
                     self.stats.reads += 1;
                     out.completion_ps = now_ps + self.cfg.timing.read_latency_ps();
-                    let (data, corrupted) = self.read_line(bank, col, now_ps);
+                    let (data, corrupted) = self.read_line_reference(bank, col, now_ps);
                     out.read_data = Some(data);
                     out.read_corrupted = corrupted;
                     if corrupted {
@@ -1869,6 +1874,49 @@ mod tests {
                 }
             }
             out
+        }
+
+        fn read_line_reference(
+            &mut self,
+            bank: u32,
+            col: u32,
+            now_ps: u64,
+        ) -> ([u8; LINE_BYTES], bool) {
+            let seed = self.cfg.variation.seed;
+            let amps = &self.banks[bank as usize];
+            let Some(open) = amps.open else {
+                // Reading a precharged bank: bus garbage.
+                let nonce = self.next_nonce();
+                let mut data = [0u8; LINE_BYTES];
+                for (i, chunk) in data.chunks_mut(8).enumerate() {
+                    let h = hash_coords(seed, b"bus-garbage", &[nonce, i as u64]);
+                    chunk.copy_from_slice(&h.to_le_bytes()[..chunk.len()]);
+                }
+                return (data, true);
+            };
+            let applied_trcd = now_ps.saturating_sub(open.act_ps);
+            let start = col as usize * LINE_BYTES;
+            let src = if amps.is_written(col) {
+                &amps.overlay
+            } else {
+                &self.rows[open.slot].bytes
+            };
+            let mut data = [0u8; LINE_BYTES];
+            data.copy_from_slice(&src[start..start + LINE_BYTES]);
+            if applied_trcd >= self.cfg.timing.t_rcd_ps {
+                return (data, false);
+            }
+            self.stats.reduced_trcd_reads += 1;
+            let nonce = self.next_nonce();
+            if self
+                .variation
+                .read_ok(bank, open.row, col, applied_trcd, nonce)
+            {
+                (data, false)
+            } else {
+                Self::corrupt_line(&mut data, seed, nonce);
+                (data, true)
+            }
         }
     }
 
