@@ -676,6 +676,7 @@ impl DramDevice {
     /// # Errors
     ///
     /// As [`DramDevice::issue_raw`]; nothing ran and `sink` is untouched.
+    #[inline]
     pub fn issue_into(
         &mut self,
         cmd: &DramCommand,
@@ -696,6 +697,7 @@ impl DramDevice {
     /// # Errors
     ///
     /// As [`DramDevice::issue_raw`]; nothing ran and `sink` is untouched.
+    #[inline]
     pub fn issue_earliest_into(
         &mut self,
         cmd: &DramCommand,
