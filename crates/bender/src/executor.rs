@@ -78,8 +78,9 @@ impl Executor {
     /// # Errors
     ///
     /// Returns [`BenderError::ReadbackOverflow`] if the program reads more
-    /// lines than the readback buffer holds, or [`BenderError::Device`] for
-    /// out-of-range coordinates.
+    /// lines than the readback buffer holds, [`BenderError::TimeOverflow`] if
+    /// a sleep or delay runs past the end of the picosecond clock, or
+    /// [`BenderError::Device`] for out-of-range coordinates or times.
     pub fn run(
         &self,
         dev: &mut DramDevice,

@@ -41,10 +41,24 @@ pub fn hash_coords(seed: u64, tag: &[u8], coords: &[u64]) -> u64 {
         word[..chunk.len()].copy_from_slice(chunk);
         acc = splitmix64(acc ^ u64::from_le_bytes(word));
     }
-    for &c in coords {
-        acc = splitmix64(acc ^ c);
-    }
-    acc
+    coords.iter().fold(acc, |acc, &c| hash_extend(acc, c))
+}
+
+/// Folds one more coordinate into a [`hash_coords`] value: the hash is a
+/// left fold, so a caller that varies only the last coordinate hashes the
+/// rest once.
+///
+/// # Example
+///
+/// ```
+/// use easydram_dram::det::{hash_coords, hash_extend};
+/// let row = hash_coords(7, b"line", &[0, 12]);
+/// assert_eq!(hash_extend(row, 3), hash_coords(7, b"line", &[0, 12, 3]));
+/// ```
+#[must_use]
+#[inline]
+pub fn hash_extend(hash: u64, coord: u64) -> u64 {
+    splitmix64(hash ^ coord)
 }
 
 /// Maps a hash of the given coordinates to a float in `[0, 1)`.

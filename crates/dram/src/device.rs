@@ -44,7 +44,7 @@
 use crate::bank::{RankTiming, MAX_ISSUE_PS};
 use crate::command::{DramCommand, LINE_BYTES};
 use crate::config::DramConfig;
-use crate::det::hash_coords;
+use crate::det::{hash_coords, hash_extend};
 use crate::error::{DramError, TimingRule, TimingViolation};
 use crate::stats::DeviceStats;
 use crate::timing::TimingParams;
@@ -551,15 +551,12 @@ impl DramDevice {
         if slot != RowRecord::UNTOUCHED {
             return slot;
         }
+        // Everything but the word index is hashed once per row, not per word.
         let seed = self.cfg.variation.seed;
+        let of_row = hash_coords(seed, b"power-on", &[u64::from(bank), u64::from(row)]);
         let mut bytes = vec![0u8; self.cfg.geometry.row_bytes as usize];
         for (i, chunk) in bytes.chunks_mut(8).enumerate() {
-            let h = hash_coords(
-                seed,
-                b"power-on",
-                &[u64::from(bank), u64::from(row), i as u64],
-            );
-            let src = h.to_le_bytes();
+            let src = hash_extend(of_row, i as u64).to_le_bytes();
             chunk.copy_from_slice(&src[..chunk.len()]);
         }
         let slot = self.rows.len();
