@@ -7,10 +7,11 @@
 //! deliberately separate.
 //!
 //! All minimum distances come from a [`TimingTable`] precomputed once at
-//! construction; the per-command hot path is last-event lookups plus a few
-//! rolled-up scalars (latest ACT anywhere, open-bank count), so the common
-//! "is this command legal right now?" question ([`RankTiming::is_legal`])
-//! allocates nothing and touches O(1) state. The enumerating [`check`]
+//! construction; the per-command hot path is one walk
+//! ([`RankTiming::admission`]) over last-event lookups plus a few rolled-up
+//! scalars (latest ACT anywhere, open-bank count), so the common "is this
+//! command legal right now?" question ([`RankTiming::is_legal`]) allocates
+//! nothing and touches O(1) state. The enumerating [`check`]
 //! (rule names, one violation per broken constraint) is the slow path, kept
 //! byte-compatible with the frozen rule-based oracle in [`crate::oracle`].
 //!
@@ -204,7 +205,7 @@ impl RankTiming {
     /// O(1) for every per-bank command (ACT spacing uses the rolled-up
     /// same-group/any-group pair when the bin allows it). Every term is a
     /// biased timestamp plus a table distance, so never-happened events
-    /// ([`NEVER`]) fall below `BIAS` and drop out of the `max` chain without
+    /// (stored as zero) fall below `BIAS` and drop out of the `max` chain without
     /// a branch.
     #[must_use]
     #[inline]
