@@ -10,14 +10,8 @@
 //! rides the request into the controller and comes back on the response, so a
 //! serve pass keeps no per-request side table: it checks that every pending
 //! id was answered exactly once, then prices and attributes each response
-//! from the response alone. The observed latency is computed per the
-//! configured [`TimingMode`]:
-//!
-//! * `Reference` — exact modeled-system accounting (ground truth);
-//! * `TimeScaling` — the same quantities through FPGA-quantized
-//!   time-scaling counters (paper §4.3);
-//! * `NoTimeScaling` — raw FPGA wall latency at the slow processor clock
-//!   (the PiDRAM-style skew of §7.2).
+//! from the response alone. The configured [`crate::TimingMode`] is
+//! interpreted in one place, [`crate::timescale::Pricing::release_cycle`].
 
 use std::collections::BTreeMap;
 
@@ -29,18 +23,18 @@ use easydram_cpu::{BumpAllocator, CoreModel, CoreStats, CpuApi, Workload};
 use easydram_dram::{AddressMapper, DramAddress, DramDevice, LINE_BYTES};
 
 use crate::alloc::{remap_table, RemapEntry, RowCloneAllocator};
-use crate::config::{SystemConfig, TimingMode};
+use crate::config::SystemConfig;
 use crate::counters::{counters, Counters};
 use crate::obs::{
     configured_trace, EventKind, EventRing, TileMetrics, TraceConfig, TraceEvent, TraceLog,
 };
 use crate::obs_trace;
 use crate::report::{BankRowOutcomes, ChannelStats, ExecutionReport, RequestorStats, SmcStats};
-use crate::request::{MemRequest, RequestClass, RequestKind, RequestTag};
-use crate::smc::easyapi::{ApiSession, TileCtx};
+use crate::request::{MemRequest, MemResponse, RequestClass, RequestKind};
+use crate::smc::easyapi::{ApiLedger, ApiSession, TileCtx};
 use crate::smc::{FrFcfsController, ServeResult, SoftwareMemoryController, TrcdPlan};
 use crate::timeline::{EmulatedTimeline, TimelineDemand};
-use crate::timescale::TimeScalingCounters;
+use crate::timescale::{Pricing, TimeScalingCounters};
 
 /// What a serve pass hands back to the core side.
 #[derive(Default)]
@@ -52,11 +46,114 @@ struct Served {
     awaited: Option<(Option<[u8; LINE_BYTES]>, bool, u64)>,
 }
 
-/// One lane's finished controller invocation, pending pricing. The pass's
-/// ledger and responses stay in the lane's session.
+/// One lane's finished controller invocation, pending pricing (its ledger
+/// and responses stay in the lane's session).
 struct LanePass {
     batch: u64,
     serve_res: ServeResult,
+}
+
+/// Stage three of a serve pass: where one lane's priced pass is accounted —
+/// the tile's totals, histograms and per-requestor counters, the lane's
+/// counters and its trace ring.
+struct Books<'a> {
+    ch: u32,
+    f_core: u64,
+    trigger_cycle: u64,
+    smc: &'a mut SmcStats,
+    metrics: &'a mut TileMetrics,
+    requestors: &'a mut Vec<RequestorStats>,
+    channel: &'a mut ChannelStats,
+    ring: &'a mut Option<EventRing>,
+}
+
+impl Books<'_> {
+    /// Folds the lane's pass into the tile-wide and per-channel stats (sums
+    /// plus a max for `peak_batch`; see `counters.rs`).
+    fn lane_pass(
+        &mut self,
+        p: &LanePass,
+        ledger: &ApiLedger,
+        controller: &dyn SoftwareMemoryController,
+        mit_seen: &mut u64,
+    ) {
+        self.smc.fold(&SmcStats {
+            requests: p.batch,
+            rocket_cycles: ledger.totals.rocket_cycles,
+            hw_cycles: ledger.hw_cycles,
+            batches: ledger.totals.batches,
+            peak_batch: p.batch,
+            serve: p.serve_res,
+            ..SmcStats::default()
+        });
+        self.metrics.batch_size.record(p.batch);
+        self.channel.fold(&ChannelStats {
+            requests: p.batch,
+            rocket_cycles: ledger.totals.rocket_cycles,
+            hw_cycles: ledger.hw_cycles,
+            batches: ledger.totals.batches,
+            serve: p.serve_res,
+            ..ChannelStats::default()
+        });
+        // Mitigation activity becomes per-pass delta events: the cumulative
+        // policy counter is differenced against what this lane's ring has
+        // already seen. Only maintained while tracing — the counter itself
+        // reaches reports through `mitigation_stats`.
+        let Some(ring) = &mut *self.ring else { return };
+        let refreshes = (controller.mitigation_stats()).map_or(0, |m| m.targeted_refreshes);
+        if refreshes > *mit_seen {
+            let delta = u32::try_from(refreshes - *mit_seen).unwrap_or(u32::MAX);
+            *mit_seen = refreshes;
+            let trigger_ps = cycles_to_ps(self.trigger_cycle, self.f_core);
+            ring.push(TraceEvent::mitigation(trigger_ps, self.ch, delta));
+        }
+    }
+
+    /// Accounts one response released at `release_cycle` after its data
+    /// movement finished at `finish_mem_ps`.
+    fn response(&mut self, resp: &MemResponse, finish_mem_ps: u64, release_cycle: u64) {
+        let (tag, bank) = (resp.tag, resp.tag.dram.bank as usize);
+        // Per-requestor attribution: the response's slice carries exactly
+        // this request's share of the pass.
+        let rs = Tile::requestor_slot(self.requestors, tag.requestor);
+        rs.requests += 1;
+        match tag.class {
+            RequestClass::Read => rs.reads += 1,
+            RequestClass::Write => rs.writes += 1,
+            RequestClass::RowClone => rs.rowclones += 1,
+        }
+        rs.row_hits += resp.slice.row_hits;
+        rs.row_misses += resp.slice.row_misses;
+        rs.row_conflicts += resp.slice.row_conflicts;
+        rs.rocket_cycles += resp.slice.rocket_cycles;
+        rs.dram_occupancy_ps += resp.slice.dram_occupancy_ps;
+        rs.column_ops += resp.slice.column_ops;
+        // Per-bank row-buffer outcome histogram, by the tag's decoded bank.
+        let per_bank = &mut self.channel.row_outcomes_per_bank;
+        if per_bank.len() <= bank {
+            per_bank.resize(bank + 1, BankRowOutcomes::default());
+        }
+        per_bank[bank].fold(&BankRowOutcomes {
+            hits: resp.slice.row_hits,
+            misses: resp.slice.row_misses,
+            conflicts: resp.slice.row_conflicts,
+        });
+        // Always-on latency metrics: identical traced and untraced.
+        let latency_cycles = release_cycle - tag.arrival_cycle;
+        self.metrics.request_latency.record(latency_cycles);
+        match tag.class {
+            RequestClass::Read => self.metrics.read_latency.record(latency_cycles),
+            RequestClass::Write => self.metrics.write_latency.record(latency_cycles),
+            RequestClass::RowClone => {}
+        }
+        let Some(ring) = &mut *self.ring else { return };
+        let (id, ch, who) = (tag.id, self.ch, tag.requestor);
+        let trigger_ps = cycles_to_ps(self.trigger_cycle, self.f_core);
+        ring.push(TraceEvent::issue(trigger_ps, id, ch, who));
+        ring.push(TraceEvent::slice_release(finish_mem_ps, id, ch, who));
+        let retire_ps = cycles_to_ps(release_cycle, self.f_core);
+        ring.push(TraceEvent::retire(retire_ps, id, ch, who, tag.class as u32));
+    }
 }
 
 /// One memory channel of the sharded tile: a private device (all ranks of
@@ -596,15 +693,15 @@ impl Tile {
     }
 
     /// One batched serve pass over the whole pending stream (paper §4.1,
-    /// Listing 1), sharded by channel: each lane with pending requests runs
-    /// its own controller over its own device, and every response is priced
-    /// independently on that lane's emulated timeline from its own tag and
+    /// Listing 1), sharded by channel, in three stages. [`Tile::execute`]
+    /// runs every live lane's controller. Every response is then priced on
+    /// its lane's emulated timeline from its own tag and
     /// [`crate::request::ResponseSlice`], in controller service order — so
     /// FR-FCFS reordering really changes per-request latency *within* a
-    /// channel, while channels overlap freely (the pass's frozen wall time
-    /// is the slowest lane's, not the sum). That is also why the pass has
-    /// two phases: `NoTimeScaling` needs the slowest lane's wall time before
-    /// any response can be priced.
+    /// channel, while channels overlap freely — and [`Pricing::release_cycle`]
+    /// turns that finish time into a release cycle, which [`Books`] accounts.
+    /// Pricing waits for every lane: the pass's frozen wall time is the
+    /// slowest lane's, and it is an input of the rule.
     ///
     /// `trigger_cycle` is the emulated cycle of whatever forced the drain
     /// (the read, fence, or the posted write that found the buffer full);
@@ -622,21 +719,63 @@ impl Tile {
         if self.lanes.iter().all(|l| l.session.is_empty()) {
             return served;
         }
-        let f_core = self.cfg.core.freq_hz;
-        let mode = self.cfg.mode;
         let base_wall = self.wall_ps_at(trigger_cycle);
-        let start_wall = self.wall_ps.max(base_wall);
-
-        if mode == TimingMode::TimeScaling {
-            // Fig. 5 (b)-(c): tag, clock-gate, enter critical mode.
-            self.counters.advance_proc(trigger_cycle);
-            self.counters.enter_critical();
+        let end_wall = self.execute(self.wall_ps.max(base_wall));
+        let wall_latency_ps = end_wall.saturating_sub(base_wall);
+        self.frozen_ps += wall_latency_ps;
+        let (f_core, t_burst) = (self.cfg.core.freq_hz, self.cfg.dram.timing.t_burst_ps);
+        let pricing = Pricing {
+            cfg: &self.cfg,
+            trigger_cycle,
+            wall_latency_ps,
+        };
+        // Release cycles start at 1 (`arrival + 1` at the earliest).
+        let mut last_release = 0u64;
+        let mut fpga_cycles = 0u64;
+        for (ch, lane) in self.lanes.iter_mut().enumerate() {
+            let Some(p) = lane.pass.take() else { continue };
+            let mut books = Books {
+                ch: ch as u32,
+                f_core,
+                trigger_cycle,
+                smc: &mut self.stats,
+                metrics: &mut self.metrics,
+                requestors: &mut self.requestor_stats,
+                channel: &mut lane.stats,
+                ring: &mut lane.ring,
+            };
+            let ledger = lane.session.ledger();
+            fpga_cycles = fpga_cycles.max(ledger.totals.rocket_cycles + ledger.hw_cycles);
+            books.lane_pass(&p, ledger, &*lane.controller, &mut lane.mit_seen);
+            for resp in lane.session.responses() {
+                let (arrival, burst_ps) = (resp.tag.arrival_cycle, resp.slice.column_ops * t_burst);
+                let finish_mem_ps = lane.timeline.price(&TimelineDemand {
+                    arrival_ps: cycles_to_ps(arrival, f_core),
+                    bank: resp.tag.dram.bank as usize,
+                    prep_ps: resp.slice.dram_occupancy_ps.saturating_sub(burst_ps),
+                    burst_ps,
+                    has_columns: resp.slice.column_ops > 0,
+                });
+                let release_cycle =
+                    pricing.release_cycle(arrival, finish_mem_ps, resp.slice.rocket_cycles);
+                last_release = last_release.max(release_cycle);
+                if awaited == Some(resp.tag.id) {
+                    served.awaited = Some((resp.data, resp.corrupted, release_cycle));
+                }
+                books.response(resp, finish_mem_ps, release_cycle);
+            }
         }
+        served.latest_release = Some(last_release);
+        self.counters
+            .serve_pass(&pricing, last_release, fpga_cycles);
+        served
+    }
 
-        // --- Run every live lane's controller over its own batch, in lane
-        // order, checking off each response against the pending ids. The
-        // channels are concurrent hardware, so the frozen interval is the
-        // slowest lane's. ---
+    /// Stage one of a serve pass: runs every live lane's controller over its
+    /// own batch from `start_wall`, in lane order, checks that every pending
+    /// id was answered exactly once, and advances the wall clock to the
+    /// slowest lane's end (channels are concurrent hardware), returning it.
+    fn execute(&mut self, start_wall: u64) -> u64 {
         let pending_ids = self.first_pending_id..self.next_req_id;
         self.first_pending_id = pending_ids.end;
         self.answered.clear();
@@ -682,183 +821,7 @@ impl Tile {
             );
         }
         self.wall_ps = max_end_wall.max(self.wall_ps);
-        let wall_latency = max_end_wall.saturating_sub(base_wall);
-        self.frozen_ps += wall_latency;
-
-        // --- Per-lane stats and emulated-timeline pricing. ---
-        let timing = self.lanes[0].device.timing();
-        let t_burst = timing.t_burst_ps;
-        let t_ck = timing.t_ck_ps;
-        let fixed_ps = self.cfg.mc_fixed_latency_ps;
-
-        // Release cycles start at 1 (`arrival + 1` at the earliest).
-        let mut last_release = 0u64;
-        let mut max_lane_cycles = 0u64;
-        for (ch, lane) in self.lanes.iter_mut().enumerate() {
-            let Some(p) = lane.pass.take() else { continue };
-            let ch = ch as u32;
-            let ledger = *lane.session.ledger();
-            // Fold each lane's pass into the tile-wide and per-channel stats
-            // (sums plus a max for `peak_batch`; see `counters.rs`).
-            self.stats.fold(&SmcStats {
-                requests: p.batch,
-                rocket_cycles: ledger.totals.rocket_cycles,
-                hw_cycles: ledger.hw_cycles,
-                batches: ledger.totals.batches,
-                peak_batch: p.batch,
-                serve: p.serve_res,
-                ..SmcStats::default()
-            });
-            self.metrics.batch_size.record(p.batch);
-            max_lane_cycles = max_lane_cycles.max(ledger.totals.rocket_cycles + ledger.hw_cycles);
-
-            lane.stats.fold(&ChannelStats {
-                requests: p.batch,
-                rocket_cycles: ledger.totals.rocket_cycles,
-                hw_cycles: ledger.hw_cycles,
-                batches: ledger.totals.batches,
-                serve: p.serve_res,
-                ..ChannelStats::default()
-            });
-            // Mitigation activity becomes per-pass delta events: the
-            // cumulative policy counter is differenced against what this
-            // lane's ring has already seen. Only maintained while tracing —
-            // the counter itself reaches reports through `mitigation_stats`.
-            if lane.ring.is_some() {
-                if let Some(m) = lane.controller.mitigation_stats() {
-                    if m.targeted_refreshes > lane.mit_seen {
-                        let delta = m.targeted_refreshes - lane.mit_seen;
-                        lane.mit_seen = m.targeted_refreshes;
-                        obs_trace!(
-                            lane.ring,
-                            TraceEvent::mitigation(
-                                cycles_to_ps(trigger_cycle, f_core),
-                                ch,
-                                u32::try_from(delta).unwrap_or(u32::MAX),
-                            )
-                        );
-                    }
-                }
-            }
-
-            for resp in lane.session.responses() {
-                let RequestTag {
-                    id,
-                    requestor,
-                    arrival_cycle,
-                    class,
-                    dram,
-                } = resp.tag;
-                let bank = dram.bank as usize;
-                // Per-requestor attribution: the response's slice carries
-                // exactly this request's share of the pass.
-                let rs = Self::requestor_slot(&mut self.requestor_stats, requestor);
-                rs.requests += 1;
-                match class {
-                    RequestClass::Read => rs.reads += 1,
-                    RequestClass::Write => rs.writes += 1,
-                    RequestClass::RowClone => rs.rowclones += 1,
-                }
-                rs.row_hits += resp.slice.row_hits;
-                rs.row_misses += resp.slice.row_misses;
-                rs.row_conflicts += resp.slice.row_conflicts;
-                rs.rocket_cycles += resp.slice.rocket_cycles;
-                rs.dram_occupancy_ps += resp.slice.dram_occupancy_ps;
-                rs.column_ops += resp.slice.column_ops;
-                // Per-bank row-buffer outcome histogram: the response slice
-                // carries exactly this request's hits/misses/conflicts, and
-                // its tag the decoded bank.
-                if lane.stats.row_outcomes_per_bank.len() <= bank {
-                    lane.stats
-                        .row_outcomes_per_bank
-                        .resize(bank + 1, BankRowOutcomes::default());
-                }
-                lane.stats.row_outcomes_per_bank[bank].fold(&BankRowOutcomes {
-                    hits: resp.slice.row_hits,
-                    misses: resp.slice.row_misses,
-                    conflicts: resp.slice.row_conflicts,
-                });
-                let burst_ps = resp.slice.column_ops * t_burst;
-                let finish_mem_ps = lane.timeline.price(&TimelineDemand {
-                    arrival_ps: cycles_to_ps(arrival_cycle, f_core),
-                    bank,
-                    prep_ps: resp.slice.dram_occupancy_ps.saturating_sub(burst_ps),
-                    burst_ps,
-                    has_columns: resp.slice.column_ops > 0,
-                });
-                let sched_emul_ps = cycles_to_ps(resp.slice.rocket_cycles, self.cfg.mc_emul_hz);
-                let release_cycle = match mode {
-                    TimingMode::Reference => {
-                        let done = finish_mem_ps + sched_emul_ps + fixed_ps;
-                        ps_to_cycles_round(done, f_core)
-                    }
-                    TimingMode::TimeScaling => {
-                        // Each component crosses a clock-domain counter and
-                        // is quantized: DRAM Bender reports whole DRAM-clock
-                        // cycles back to the controller (Fig. 5 ④), and
-                        // every component is converted to whole processor
-                        // cycles separately (§4.3).
-                        let finish_q = (finish_mem_ps + t_ck / 2) / t_ck * t_ck;
-                        ps_to_cycles_round(finish_q, f_core)
-                            + ps_to_cycles_round(sched_emul_ps, f_core)
-                            + ps_to_cycles_round(fixed_ps, f_core)
-                    }
-                    TimingMode::NoTimeScaling => {
-                        // The processor observes the raw wall latency of the
-                        // whole frozen pass at its own (FPGA) clock — no
-                        // scaling.
-                        trigger_cycle + ps_to_cycles_round(wall_latency, f_core).max(1)
-                    }
-                };
-                let release_cycle = release_cycle.max(arrival_cycle + 1);
-                last_release = last_release.max(release_cycle);
-                if awaited == Some(id) {
-                    served.awaited = Some((resp.data, resp.corrupted, release_cycle));
-                }
-                // Always-on latency metrics: identical whether or not
-                // tracing is enabled.
-                let latency_cycles = release_cycle - arrival_cycle;
-                self.metrics.request_latency.record(latency_cycles);
-                match class {
-                    RequestClass::Read => self.metrics.read_latency.record(latency_cycles),
-                    RequestClass::Write => self.metrics.write_latency.record(latency_cycles),
-                    RequestClass::RowClone => {}
-                }
-                obs_trace!(
-                    lane.ring,
-                    TraceEvent::issue(cycles_to_ps(trigger_cycle, f_core), id, ch, requestor)
-                );
-                obs_trace!(
-                    lane.ring,
-                    TraceEvent::slice_release(finish_mem_ps, id, ch, requestor)
-                );
-                obs_trace!(
-                    lane.ring,
-                    TraceEvent::retire(
-                        cycles_to_ps(release_cycle, f_core),
-                        id,
-                        ch,
-                        requestor,
-                        class as u32
-                    )
-                );
-            }
-        }
-
-        served.latest_release = Some(last_release);
-        if mode == TimingMode::TimeScaling {
-            let latest_release = trigger_cycle.max(last_release);
-            // Fig. 5 ⑤/⑪: convert the pass duration and advance the MC
-            // counter; each response is tagged with its release cycle and
-            // the processors resume. The global FPGA counter advances by the
-            // slowest lane (lanes run on concurrent per-channel hardware).
-            self.counters.advance_mc(latest_release);
-            self.counters
-                .advance_proc(trigger_cycle.max(latest_release.min(self.counters.mc_cycles)));
-            self.counters.exit_critical();
-            self.counters.tick_global(max_lane_cycles);
-        }
-        served
+        max_end_wall
     }
 
     /// Installs RowClone row remaps. Request tags carry their post-time

@@ -10,6 +10,59 @@
 //! memory controller finishes a command batch it converts the time spent
 //! into emulated cycles, advances the MC counter, and tags the response with
 //! the processor-cycle value at which it may be consumed.
+//!
+//! [`Pricing::release_cycle`] is that tag as a pure function, and the single
+//! place a [`TimingMode`] is interpreted.
+
+use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
+
+use crate::config::{SystemConfig, TimingMode};
+
+/// What a serve pass fixes before any of its responses can be released.
+pub(crate) struct Pricing<'a> {
+    /// Timing mode, clocks and the controller's fixed latency.
+    pub(crate) cfg: &'a SystemConfig,
+    /// The emulated cycle of whatever forced the pass.
+    pub(crate) trigger_cycle: u64,
+    /// FPGA wall time the processor spent frozen: the slowest lane's.
+    pub(crate) wall_latency_ps: u64,
+}
+
+impl Pricing<'_> {
+    /// The processor cycle at which the core may consume a response that
+    /// arrived at cycle `arrival`, whose data movement finishes at
+    /// `finish_ps` on its lane's emulated timeline and whose slice
+    /// charged `rocket_cycles` of controller code: exact under `Reference`,
+    /// within `ceil(t_CK / 2 · f_core) + 1` cycles of that under
+    /// `TimeScaling` (the tests derive it), and always after the arrival.
+    #[inline]
+    pub(crate) fn release_cycle(&self, arrival: u64, finish_ps: u64, rocket_cycles: u64) -> u64 {
+        let (f_core, fixed_ps) = (self.cfg.core.freq_hz, self.cfg.mc_fixed_latency_ps);
+        let sched_emul_ps = cycles_to_ps(rocket_cycles, self.cfg.mc_emul_hz);
+        let release_cycle = match self.cfg.mode {
+            TimingMode::Reference => {
+                ps_to_cycles_round(finish_ps + sched_emul_ps + fixed_ps, f_core)
+            }
+            TimingMode::TimeScaling => {
+                // Each component crosses a clock-domain counter and is
+                // quantized: DRAM Bender reports whole DRAM-clock cycles
+                // back to the controller (Fig. 5 ④), and every component is
+                // converted to whole processor cycles separately (§4.3).
+                let t_ck = self.cfg.dram.timing.t_ck_ps;
+                let finish_q = (finish_ps + t_ck / 2) / t_ck * t_ck;
+                ps_to_cycles_round(finish_q, f_core)
+                    + ps_to_cycles_round(sched_emul_ps, f_core)
+                    + ps_to_cycles_round(fixed_ps, f_core)
+            }
+            // The processor observes the raw wall latency of the whole
+            // frozen pass at its own (FPGA) clock — no scaling.
+            TimingMode::NoTimeScaling => {
+                self.trigger_cycle + ps_to_cycles_round(self.wall_latency_ps, f_core).max(1)
+            }
+        };
+        release_cycle.max(arrival + 1)
+    }
+}
 
 /// The three time-scaling counters (paper Fig. 5, right side).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -82,6 +135,26 @@ impl TimeScalingCounters {
         self.global_cycles += cycles;
     }
 
+    /// One serve pass in Fig. 5's terms; the counters run under
+    /// `TimeScaling` only. `last_release` is the latest release cycle among
+    /// the pass's responses, `fpga_cycles` the slowest lane's Rocket and
+    /// transfer cycles (lanes are concurrent per-channel hardware).
+    pub(crate) fn serve_pass(&mut self, pass: &Pricing, last_release: u64, fpga_cycles: u64) {
+        if pass.cfg.mode != TimingMode::TimeScaling {
+            return;
+        }
+        // (b)-(c): tag, clock-gate, enter critical mode.
+        self.advance_proc(pass.trigger_cycle);
+        self.enter_critical();
+        // ⑤/⑪: convert the pass duration and advance the MC counter; the
+        // responses carry their release cycles and the processors resume.
+        let latest_release = pass.trigger_cycle.max(last_release);
+        self.advance_mc(latest_release);
+        self.advance_proc(pass.trigger_cycle.max(latest_release.min(self.mc_cycles)));
+        self.exit_critical();
+        self.tick_global(fpga_cycles);
+    }
+
     /// The invariant that makes time scaling sound: in critical mode the
     /// processor never emulates past the memory controller.
     #[must_use]
@@ -93,7 +166,6 @@ impl TimeScalingCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
 
     #[test]
     fn conversions_round_trip_on_grid() {
