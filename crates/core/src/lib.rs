@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::too_many_lines)]
 
 pub mod alloc;
 pub mod bloom;
