@@ -172,9 +172,9 @@ struct Lane {
     /// Event-trace ring, `None` when tracing is off (the hot path pays one
     /// branch per site; see [`crate::obs`]).
     ring: Option<EventRing>,
-    /// Mitigation targeted-refresh total already emitted as trace events —
-    /// only maintained while tracing, to turn the cumulative counter into
-    /// per-pass delta events.
+    /// The installed controller's mitigation targeted-refresh total already
+    /// emitted as trace events — only maintained while tracing, to turn the
+    /// cumulative counter into per-pass delta events.
     mit_seen: u64,
     /// This lane's share of the serve pass in flight, between the
     /// controller run and the pricing.
@@ -494,6 +494,7 @@ impl Tile {
             "multi-channel tiles need one controller per channel; use install_controllers"
         );
         self.lanes[0].controller = controller;
+        self.lanes[0].mit_seen = 0;
     }
 
     /// Installs one software memory controller instance per channel: `make`
@@ -505,6 +506,7 @@ impl Tile {
     {
         for (ch, lane) in self.lanes.iter_mut().enumerate() {
             lane.controller = make(ch as u32);
+            lane.mit_seen = 0;
         }
     }
 

@@ -4,7 +4,8 @@
 //! software-memory-controller mitigations hold at bounded overhead.
 
 use easydram::{
-    GrapheneController, MultiCoreSystem, ParaController, System, SystemConfig, TimingMode,
+    EventKind, GrapheneController, MultiCoreSystem, ParaController, System, SystemConfig,
+    TimingMode, TraceConfig, TraceLog,
 };
 use easydram_workloads::lmbench::LatMemRd;
 use easydram_workloads::{multiprog, HammerKernel, HammerPattern, Workload};
@@ -106,6 +107,43 @@ fn para_and_graphene_defeat_the_attack_within_bounded_overhead() {
              ({cycles} vs {baseline_cycles} emulated cycles)"
         );
     }
+}
+
+#[test]
+fn a_freshly_installed_mitigation_is_traced_from_its_first_refresh() {
+    // The tile turns a mitigation's cumulative refresh counter into per-pass
+    // delta events against what the lane's ring has already seen; a new
+    // controller counts from zero, so what was seen must restart with it.
+    let traced_refreshes = |log: &TraceLog| -> u64 {
+        assert_eq!(log.dropped, 0, "the ring holds the whole attack");
+        (log.events.iter())
+            .filter(|e| e.kind == EventKind::Mitigation)
+            .map(|e| u64::from(e.a))
+            .sum()
+    };
+    let mut cfg = rig();
+    cfg.trace = Some(TraceConfig {
+        ring_capacity: 1 << 17,
+    });
+    let mut sys = System::new(cfg);
+    sys.install_controller(Box::new(GrapheneController::new(512, 8)));
+    sys.run(&mut attack());
+    let first = sys.tile().mitigation_stats().expect("mitigating");
+    assert!(first.targeted_refreshes > 0);
+    assert_eq!(
+        traced_refreshes(&sys.take_trace()),
+        first.targeted_refreshes
+    );
+
+    sys.install_controller(Box::new(GrapheneController::new(512, 8)));
+    sys.run(&mut attack());
+    let second = sys.tile().mitigation_stats().expect("mitigating");
+    assert!(second.targeted_refreshes > 0);
+    assert_eq!(
+        traced_refreshes(&sys.take_trace()),
+        second.targeted_refreshes,
+        "every refresh of the new controller is in the trace"
+    );
 }
 
 #[test]
