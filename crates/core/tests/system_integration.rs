@@ -304,10 +304,24 @@ fn emulated_latency_is_independent_of_fpga_clock_under_ts() {
             let _ = s.cpu().load_u64(a + i * 64);
         }
         let r = s.report("x");
-        (s.cpu().now_cycles(), r.fpga_wall_seconds)
+        (s.cpu().now_cycles(), r.fpga_wall_seconds, r.requestors[0])
     };
-    let (cycles_fast, wall_fast) = run(100_000_000);
-    let (cycles_slow, wall_slow) = run(50_000_000);
+    let (cycles_fast, wall_fast, slices_fast) = run(100_000_000);
+    let (cycles_slow, wall_slow, slices_slow) = run(50_000_000);
+    // Where the tolerated drift can come from: under `TimeScaling` the
+    // pricing rule (`Pricing::release_cycle` in `timescale.rs`) reads no FPGA
+    // clock, and neither does the emulated timeline, which runs on arrival
+    // cycles. The clocks reach a release cycle through one input only, the
+    // slice's `dram_occupancy_ps` (hence the timeline's finish time): DRAM
+    // Bender measures a batch on the device in FPGA wall time, so a slower
+    // tile leaves a longer gap since the previous batch, and a constraint
+    // still pending from it (tRP, tRAS, tWR) may have expired. (A mitigating
+    // controller adds a second: its tracker resets per tREFW of wall time.)
+    // The Rocket cycles the controller is charged do not depend on the clock
+    // they are charged at, and on this open-row read stream no batch waits
+    // on the previous one, so today the two runs agree cycle for cycle; the
+    // 2% is headroom for streams where one does.
+    assert_eq!(slices_fast.rocket_cycles, slices_slow.rocket_cycles);
     let drift = cycles_fast.abs_diff(cycles_slow) as f64 / cycles_fast as f64;
     assert!(
         drift < 0.02,
