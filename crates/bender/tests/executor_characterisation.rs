@@ -10,24 +10,13 @@
 //! `crates/dram/tests/device_characterisation.rs` pins the data path one
 //! layer down, through `issue_raw`.
 
+#[path = "../../../tests/support/fnv.rs"]
+mod fnv;
+
 use easydram_bender::{BenderError, BenderProgram, BenderResult, Executor};
 use easydram_dram::det::splitmix64;
 use easydram_dram::{DramCommand, DramConfig, DramDevice, Geometry, TimingParams, LINE_BYTES};
-
-/// FNV-1a over everything observable.
-struct Digest(u64);
-
-impl Digest {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn word(&mut self, x: u64) {
-        self.bytes(&x.to_le_bytes());
-    }
-}
+use fnv::Digest;
 
 /// Two bank groups of two banks, so tCCD/tRRD take both their `_S` and
 /// `_L` forms.
@@ -389,7 +378,7 @@ fn command_path_digest_is_unchanged() {
         cmds: 0,
         programs: 0,
         errors: 0,
-        digest: Digest(0xCBF2_9CE4_8422_2325),
+        digest: Digest::default(),
     };
     while s.cmds < 50_000 {
         s.scenario();

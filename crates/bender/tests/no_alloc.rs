@@ -7,50 +7,12 @@
 //! depends on the device crate; `crates/core/tests/no_alloc.rs` counts the
 //! same thing one layer up, at the tile.
 
-#![expect(
-    unsafe_code,
-    reason = "the one `unsafe impl` a counting allocator needs; the libraries under test all `forbid(unsafe_code)`"
-)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use counting_alloc::allocations;
 use easydram_bender::{BenderProgram, BenderResult, Executor};
 use easydram_dram::{DramCommand, DramConfig, DramDevice, LINE_BYTES};
-
-thread_local! {
-    /// Allocations (and reallocations) made by this thread. Per thread, so
-    /// the test harness's own threads do not count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a counter in a `const`
-// thread-local `Cell` (no lazy initialiser, no destructor, so touching it
-// inside the allocator cannot allocate or re-enter).
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 #[test]
 fn steady_state_cycles_do_not_allocate() {
@@ -83,7 +45,7 @@ fn steady_state_cycles_do_not_allocate() {
     for p in &programs {
         exec.run_into(&mut dev, p, 0, &mut result).unwrap();
     }
-    let before = ALLOCS.with(Cell::get);
+    let before = allocations();
     let mut cycles = 0u64;
     while cycles < 10_000 {
         for p in &programs {
@@ -93,7 +55,7 @@ fn steady_state_cycles_do_not_allocate() {
             cycles += 1;
         }
     }
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = allocations() - before;
     assert_eq!(
         allocs, 0,
         "{allocs} allocations in {cycles} ACT/RD/WR/RD/PRE cycles"
@@ -125,14 +87,14 @@ fn a_violating_program_allocates_only_the_checkers_lists() {
     let mut result = BenderResult::default();
     // Warm-up: materialises the rows and grows `result`.
     exec.run_into(&mut dev, &p, 0, &mut result).unwrap();
-    let before = ALLOCS.with(Cell::get);
+    let before = allocations();
     let runs = 1_000;
     for _ in 0..runs {
         exec.run_into(&mut dev, &p, 0, &mut result).unwrap();
         assert!(result.violations.len() >= ILLEGAL as usize);
         assert_eq!(result.reads.len(), 2);
     }
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = allocations() - before;
     assert_eq!(
         allocs,
         runs * ILLEGAL,

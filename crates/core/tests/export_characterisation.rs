@@ -7,26 +7,28 @@
 //! change to them means an exporter now emits different bytes or the sort
 //! now produces a different order.
 
-use easydram::obs::{req_class, validate_chrome_json, EventKind, TraceEvent, TraceLog};
+#[path = "../../../tests/support/fnv.rs"]
+mod fnv;
 
-/// FNV-1a.
-fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
+use easydram::obs::{req_class, validate_chrome_json, EventKind, TraceEvent, TraceLog};
+use fnv::Digest;
+
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut d = Digest::default();
+    d.bytes(bytes);
+    d.0
 }
 
 fn order_digest(events: &[TraceEvent]) -> u64 {
-    fnv(events.iter().flat_map(|e| {
-        let words = [
-            e.ps,
-            e.id,
-            u64::from(e.lane) << 32 | u64::from(e.requestor),
-            u64::from(e.a) << 32 | u64::from(e.b),
-            e.kind as u64,
-        ];
-        words.into_iter().flat_map(u64::to_le_bytes)
-    }))
+    let mut d = Digest::default();
+    for e in events {
+        d.word(e.ps);
+        d.word(e.id);
+        d.word(u64::from(e.lane) << 32 | u64::from(e.requestor));
+        d.word(u64::from(e.a) << 32 | u64::from(e.b));
+        d.word(e.kind as u64);
+    }
+    d.0
 }
 
 struct Rng(u64);
@@ -209,17 +211,12 @@ fn export_path_matches_recorded_digests() {
 
     validate_chrome_json(&chrome).expect("structurally valid");
     assert_eq!(
-        (fnv(chrome.bytes()), chrome.len()),
+        (fnv(chrome.as_bytes()), chrome.len()),
         (CHROME_DIGEST, CHROME_BYTES),
         "chrome {:#018x}",
-        fnv(chrome.bytes())
+        fnv(chrome.as_bytes())
     );
-    assert_eq!(
-        fnv(binary.iter().copied()),
-        BINARY_DIGEST,
-        "binary {:#018x}",
-        fnv(binary.iter().copied())
-    );
+    assert_eq!(fnv(&binary), BINARY_DIGEST, "binary {:#018x}", fnv(&binary));
     assert_eq!(
         TraceLog::parse_binary(&binary).as_deref(),
         Some(sorted.events.as_slice())

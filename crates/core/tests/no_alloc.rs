@@ -7,53 +7,15 @@
 //! This counts what the allocator is actually asked for, through every call;
 //! `crates/bender/tests/no_alloc.rs` does the same one layer down.
 
-#![expect(
-    unsafe_code,
-    reason = "the one `unsafe impl` a counting allocator needs; the libraries under test all `forbid(unsafe_code)`"
-)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::cell::Cell;
-
+use counting_alloc::allocations;
 use easydram::{
     GrapheneController, ParaController, SoftwareMemoryController, System, SystemConfig, TimingMode,
     TraceConfig,
 };
 use easydram_cpu::{MemoryBackend, LINE_BYTES};
-
-thread_local! {
-    /// Allocations (and reallocations) made by this thread. Per thread, so
-    /// the test harness's own threads do not count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to the system allocator, which
-// upholds the `GlobalAlloc` contract; the only addition is a counter in a
-// `const` thread-local `Cell` (no lazy initialiser, no destructor, so
-// touching it inside the allocator cannot allocate or re-enter).
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { SystemAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from the system allocator with this `layout`.
-        unsafe { SystemAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Lines in the swept buffer (256 KiB: every bank of both channels, many
 /// rows each).
@@ -125,11 +87,11 @@ fn steady_state_tile_requests_do_not_allocate() {
                     now = sweep(&mut sys, base, s as u8, now);
                 }
                 let refreshes_before = sys.tile().mitigation_stats().map(|m| m.targeted_refreshes);
-                let before = ALLOCS.with(Cell::get);
+                let before = allocations();
                 for s in 0..COUNTED_SWEEPS {
                     now = sweep(&mut sys, base, 0x80 + s as u8, now);
                 }
-                let allocs = ALLOCS.with(Cell::get) - before;
+                let allocs = allocations() - before;
                 let refreshes = sys.tile().mitigation_stats().map(|m| m.targeted_refreshes);
                 assert_eq!(refreshes.is_some(), make.is_some());
                 assert!(

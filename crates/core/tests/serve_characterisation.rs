@@ -10,27 +10,16 @@
 //! means a request is now released at another cycle, a counter folds
 //! differently or a trace event moved.
 
+#[path = "../../../tests/support/fnv.rs"]
+mod fnv;
+
 use easydram::{
     EventKind, FcfsController, GrapheneController, System, SystemConfig, TimingMode, TraceConfig,
 };
 use easydram_cpu::{CpuApi, MemoryBackend, Workload, LINE_BYTES};
 use easydram_dram::det::splitmix64;
 use easydram_dram::{AddressMapper, DramAddress};
-
-/// FNV-1a over everything observable.
-struct Digest(u64);
-
-impl Digest {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn word(&mut self, x: u64) {
-        self.bytes(&x.to_le_bytes());
-    }
-}
+use fnv::Digest;
 
 /// Operations per configuration.
 const OPS: u64 = 400;
@@ -196,7 +185,7 @@ const SERVE_DIGEST: u64 = 0xAD44_AFAA_039A_990E;
 
 #[test]
 fn serve_pass_digest_is_unchanged() {
-    let mut d = Digest(0xCBF2_9CE4_8422_2325);
+    let mut d = Digest::default();
     for mode in [
         TimingMode::Reference,
         TimingMode::TimeScaling,

@@ -7,21 +7,16 @@
 //! now computes something else (a value, a cycle count, a victim, a
 //! writeback).
 
+#[path = "../../../tests/support/fnv.rs"]
+mod fnv;
+
 use easydram_cpu::cache::CacheLevelStats;
 use easydram_cpu::{
     CacheConfig, CoreConfig, CoreModel, CoreStats, CpuApi, FixedLatencyBackend, RowCloneStatus,
 };
-
-/// FNV-1a over everything observable.
-struct Digest(u64);
+use fnv::Digest;
 
 impl Digest {
-    fn word(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
     fn stats(&mut self, s: &CoreStats) {
         for x in [
             s.instructions,
@@ -175,7 +170,7 @@ fn core_and_cache_digest_is_unchanged() {
             ..CoreConfig::cortex_a57()
         },
     ];
-    let mut digest = Digest(0xCBF2_9CE4_8422_2325);
+    let mut digest = Digest::default();
     for cfg in hierarchies {
         let (has_l1, has_l2) = (cfg.l1.is_some(), cfg.l2.is_some());
         let mut core = CoreModel::new(cfg, FixedLatencyBackend::with_bandwidth(90, 7));

@@ -5,49 +5,11 @@
 //! This counts what the allocator is actually asked for, as
 //! `crates/core/tests/no_alloc.rs` does one layer down, at the tile.
 
-#![expect(
-    unsafe_code,
-    reason = "the one `unsafe impl` a counting allocator needs; the library under test `forbid`s `unsafe_code`"
-)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::cell::Cell;
-
+use counting_alloc::allocations;
 use easydram_cpu::{CoreConfig, CoreModel, CpuApi, FixedLatencyBackend};
-
-thread_local! {
-    /// Allocations (and reallocations) made by this thread. Per thread, so
-    /// the test harness's own threads do not count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to the system allocator, which
-// upholds the `GlobalAlloc` contract; the only addition is a counter in a
-// `const` thread-local `Cell` (no lazy initialiser, no destructor, so
-// touching it inside the allocator cannot allocate or re-enter).
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { SystemAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from the system allocator with this `layout`.
-        unsafe { SystemAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Lines in the working set: 1 MiB, twice the Cortex-A57 preset's L2, so
 /// every sweep evicts from both levels and writes dirty lines back.
@@ -102,12 +64,12 @@ fn steady_state_core_ops_do_not_allocate() {
     }
     assert_eq!(core.mshr_occupancy(), 0);
     let writes_before = core.stats().mem_writes;
-    let before = ALLOCS.with(Cell::get);
+    let before = allocations();
     for salt in WARM_UP_SWEEPS..WARM_UP_SWEEPS + COUNTED_SWEEPS {
         rewrite(&mut core, base, salt);
         flush_and_stream(&mut core, base, salt);
     }
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = allocations() - before;
     assert!(
         core.stats().mem_writes > writes_before + LINES,
         "the counted sweeps must evict and flush dirty lines"
