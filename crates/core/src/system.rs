@@ -58,8 +58,7 @@ struct LanePass {
 /// counters and its trace ring.
 struct Books<'a> {
     ch: u32,
-    f_core: u64,
-    trigger_cycle: u64,
+    pass: &'a Pricing<'a>,
     smc: &'a mut SmcStats,
     metrics: &'a mut TileMetrics,
     requestors: &'a mut Vec<RequestorStats>,
@@ -70,6 +69,7 @@ struct Books<'a> {
 impl Books<'_> {
     /// Folds the lane's pass into the tile-wide and per-channel stats (sums
     /// plus a max for `peak_batch`; see `counters.rs`).
+    #[inline]
     fn lane_pass(
         &mut self,
         p: &LanePass,
@@ -104,13 +104,14 @@ impl Books<'_> {
         if refreshes > *mit_seen {
             let delta = u32::try_from(refreshes - *mit_seen).unwrap_or(u32::MAX);
             *mit_seen = refreshes;
-            let trigger_ps = cycles_to_ps(self.trigger_cycle, self.f_core);
+            let trigger_ps = cycles_to_ps(self.pass.trigger_cycle, self.pass.cfg.core.freq_hz);
             ring.push(TraceEvent::mitigation(trigger_ps, self.ch, delta));
         }
     }
 
     /// Accounts one response released at `release_cycle` after its data
     /// movement finished at `finish_mem_ps`.
+    #[inline]
     fn response(&mut self, resp: &MemResponse, finish_mem_ps: u64, release_cycle: u64) {
         let (tag, bank) = (resp.tag, resp.tag.dram.bank as usize);
         // Per-requestor attribution: the response's slice carries exactly
@@ -148,10 +149,10 @@ impl Books<'_> {
         }
         let Some(ring) = &mut *self.ring else { return };
         let (id, ch, who) = (tag.id, self.ch, tag.requestor);
-        let trigger_ps = cycles_to_ps(self.trigger_cycle, self.f_core);
+        let trigger_ps = cycles_to_ps(self.pass.trigger_cycle, self.pass.cfg.core.freq_hz);
         ring.push(TraceEvent::issue(trigger_ps, id, ch, who));
         ring.push(TraceEvent::slice_release(finish_mem_ps, id, ch, who));
-        let retire_ps = cycles_to_ps(release_cycle, self.f_core);
+        let retire_ps = cycles_to_ps(release_cycle, self.pass.cfg.core.freq_hz);
         ring.push(TraceEvent::retire(retire_ps, id, ch, who, tag.class as u32));
     }
 }
@@ -176,8 +177,7 @@ struct Lane {
     /// emitted as trace events — only maintained while tracing, to turn the
     /// cumulative counter into per-pass delta events.
     mit_seen: u64,
-    /// This lane's share of the serve pass in flight, between the
-    /// controller run and the pricing.
+    /// This lane's share of the pass in flight: executed, not yet priced.
     pass: Option<LanePass>,
 }
 
@@ -738,8 +738,7 @@ impl Tile {
             let Some(p) = lane.pass.take() else { continue };
             let mut books = Books {
                 ch: ch as u32,
-                f_core,
-                trigger_cycle,
+                pass: &pricing,
                 smc: &mut self.stats,
                 metrics: &mut self.metrics,
                 requestors: &mut self.requestor_stats,
