@@ -11,7 +11,7 @@
 //! serve pass keeps no per-request side table: it checks that every pending
 //! id was answered exactly once, then prices and attributes each response
 //! from the response alone. The configured [`crate::TimingMode`] is
-//! interpreted in one place, [`crate::timescale::Pricing::release_cycle`].
+//! interpreted in one place, `Pricing::release_cycle` in [`crate::timescale`].
 
 use std::collections::BTreeMap;
 

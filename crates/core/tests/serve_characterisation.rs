@@ -31,7 +31,7 @@ const CLONE_ROWS: u64 = 4;
 /// The two aggressors of the hammer bursts: same bank, one victim between.
 const HAMMER_ROWS: [u32; 2] = [700, 702];
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 enum Controller {
     Fcfs,
     FrFcfs,
