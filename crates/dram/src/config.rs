@@ -32,6 +32,11 @@ pub struct Geometry {
 }
 
 impl Geometry {
+    /// Most address bits a geometry may span above the 6-bit line offset:
+    /// [`Geometry::capacity_bytes`] then fits a `u64` and no shift of the
+    /// address decode reaches the word width.
+    const MAX_LINE_ADDRESS_BITS: u32 = 57;
+
     /// Number of banks in one rank (`bank_groups * banks_per_group`).
     #[must_use]
     pub fn banks(&self) -> u32 {
@@ -103,8 +108,10 @@ impl Geometry {
     /// # Errors
     ///
     /// Returns a description of the first inconsistency (zero-sized
-    /// dimension, row size not a multiple of the line size, or a subarray
-    /// size that does not divide the bank).
+    /// dimension, row size not a multiple of the line size, a subarray
+    /// size that does not divide the bank, or a bank count or capacity too
+    /// large for the address decode). Never panics, whatever the fields
+    /// hold: the other methods may multiply them only after it passed.
     pub fn validate(&self) -> Result<(), String> {
         if self.channels == 0 || !self.channels.is_power_of_two() {
             return Err("channel count must be a non-zero power of two".into());
@@ -127,8 +134,25 @@ impl Geometry {
         if !self.rows_per_bank.is_power_of_two() || !self.cols_per_row().is_power_of_two() {
             return Err("rows and columns must be powers of two for address mapping".into());
         }
-        if !self.banks().is_power_of_two() {
+        // In 64 bits, so a hostile pair of factors cannot overflow the check.
+        let banks = u64::from(self.bank_groups) * u64::from(self.banks_per_group);
+        if !banks.is_power_of_two() {
             return Err("bank count must be a power of two for address mapping".into());
+        }
+        // Everything above is a power of two, so sizes add as bit widths.
+        let bank_bits = self.channels.ilog2() + self.ranks.ilog2() + banks.ilog2();
+        if bank_bits >= u32::BITS {
+            return Err(format!(
+                "channels * ranks * bank_groups * banks_per_group = 2^{bank_bits} banks does not fit 32 bits"
+            ));
+        }
+        let line_bits = bank_bits + self.rows_per_bank.ilog2() + self.cols_per_row().ilog2();
+        if line_bits > Self::MAX_LINE_ADDRESS_BITS {
+            return Err(format!(
+                "banks * rows_per_bank * row_bytes needs {line_bits} address bits above the \
+                 line offset, more than the {} supported",
+                Self::MAX_LINE_ADDRESS_BITS
+            ));
         }
         Ok(())
     }
@@ -327,6 +351,41 @@ mod tests {
             ..Geometry::default()
         };
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_overflowing_geometry_without_panicking() {
+        // `banks()` overflows u32.
+        let g = Geometry {
+            bank_groups: 1 << 16,
+            banks_per_group: 1 << 16,
+            ..Geometry::default()
+        };
+        assert!(g.validate().unwrap_err().contains("banks_per_group"));
+        // `total_banks()` overflows u32 through the channel and rank factors.
+        let g = Geometry {
+            channels: 1 << 15,
+            ranks: 1 << 15,
+            ..Geometry::default()
+        };
+        assert!(g.validate().unwrap_err().contains("channels * ranks"));
+        // `capacity_bytes()` overflows u64: 2^(20 + 31 + 13) bytes.
+        let g = Geometry {
+            channels: 1 << 16,
+            rows_per_bank: 1 << 31,
+            subarray_rows: 1 << 9,
+            ..Geometry::default()
+        };
+        assert!(g.validate().unwrap_err().contains("row_bytes"));
+        // The largest geometry that passes still has a capacity.
+        let g = Geometry {
+            channels: 1 << 15,
+            rows_per_bank: 1 << 31,
+            subarray_rows: 1 << 9,
+            ..Geometry::default()
+        };
+        g.validate().unwrap();
+        assert_eq!(g.capacity_bytes(), 1 << 63);
     }
 
     #[test]
