@@ -77,10 +77,27 @@ pub enum MappingScheme {
 }
 
 /// Bidirectional physical ⇄ DRAM address mapper for a given [`Geometry`].
+///
+/// Every dimension of a valid geometry is a power of two, so the mapper
+/// keeps each field's bit width and decodes with shifts and masks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressMapper {
     geometry: Geometry,
     scheme: MappingScheme,
+    /// log2 of the channel count, columns per row, banks per channel and
+    /// rows per bank.
+    channel_bits: u32,
+    col_bits: u32,
+    bank_bits: u32,
+    row_bits: u32,
+    /// log2 of the row size in bytes: `phys >> row_shift` is the virtual
+    /// row a remap entry is keyed on.
+    row_shift: u32,
+}
+
+/// The low `bits` bits of `v`.
+fn low_bits(v: u64, bits: u32) -> u64 {
+    v & ((1 << bits) - 1)
 }
 
 impl AddressMapper {
@@ -88,14 +105,23 @@ impl AddressMapper {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry fails [`Geometry::validate`]; mapping requires
-    /// power-of-two dimensions.
+    /// Panics if the geometry fails [`Geometry::validate`]; the decode is
+    /// built from its power-of-two dimensions.
     #[must_use]
     pub fn new(geometry: Geometry, scheme: MappingScheme) -> Self {
         geometry
             .validate()
             .expect("address mapper requires a valid geometry");
-        Self { geometry, scheme }
+        let col_bits = geometry.cols_per_row().ilog2();
+        Self {
+            channel_bits: geometry.channels.ilog2(),
+            col_bits,
+            bank_bits: geometry.banks_per_channel().ilog2(),
+            row_bits: geometry.rows_per_bank.ilog2(),
+            row_shift: 6 + col_bits,
+            geometry,
+            scheme,
+        }
     }
 
     /// The mapper's geometry.
@@ -118,36 +144,31 @@ impl AddressMapper {
     #[must_use]
     pub fn to_dram(&self, phys: u64) -> DramAddress {
         let line = phys >> 6;
-        let channels = u64::from(self.geometry.channels);
-        let channel = line % channels;
-        let line = line / channels;
-        let cols = u64::from(self.geometry.cols_per_row());
-        let banks = u64::from(self.geometry.banks_per_channel());
-        let rows = u64::from(self.geometry.rows_per_bank);
+        let channel = low_bits(line, self.channel_bits);
+        let line = line >> self.channel_bits;
+        let (cols, banks, rows) = (self.col_bits, self.bank_bits, self.row_bits);
+        let field = |shift: u32, bits: u32| low_bits(line >> shift, bits);
         let (bank, row, col) = match self.scheme {
-            MappingScheme::RowBankCol => {
-                let col = line % cols;
-                let bank = (line / cols) % banks;
-                let row = (line / cols / banks) % rows;
-                (bank, row, col)
-            }
-            MappingScheme::RowColBank => {
-                let bank = line % banks;
-                let col = (line / banks) % cols;
-                let row = (line / banks / cols) % rows;
-                (bank, row, col)
-            }
+            MappingScheme::RowBankCol => (
+                field(cols, banks),
+                field(cols + banks, rows),
+                field(0, cols),
+            ),
+            MappingScheme::RowColBank => (
+                field(0, banks),
+                field(banks + cols, rows),
+                field(banks, cols),
+            ),
             MappingScheme::BankRowCol => {
-                let col = line % cols;
-                let row = (line / cols) % rows;
-                let bank = (line / cols / rows) % banks;
-                (bank, row, col)
+                (field(cols + rows, banks), field(cols, rows), field(0, cols))
             }
             MappingScheme::RowColBankXor => {
-                let bank = line % banks;
-                let col = (line / banks) % cols;
-                let row = (line / banks / cols) % rows;
-                (bank ^ (row % banks), row, col)
+                let row = field(banks + cols, rows);
+                (
+                    field(0, banks) ^ low_bits(row, banks),
+                    row,
+                    field(banks, cols),
+                )
             }
         };
         DramAddress {
@@ -186,32 +207,28 @@ impl AddressMapper {
             "col {} out of range",
             addr.col
         );
-        let cols = u64::from(self.geometry.cols_per_row());
-        let banks = u64::from(self.geometry.banks_per_channel());
-        let rows = u64::from(self.geometry.rows_per_bank);
+        let (cols, banks, rows) = (self.col_bits, self.bank_bits, self.row_bits);
+        let (bank, row, col) = (
+            u64::from(addr.bank),
+            u64::from(addr.row),
+            u64::from(addr.col),
+        );
         let line = match self.scheme {
-            MappingScheme::RowBankCol => {
-                (u64::from(addr.row) * banks + u64::from(addr.bank)) * cols + u64::from(addr.col)
-            }
-            MappingScheme::RowColBank => {
-                (u64::from(addr.row) * cols + u64::from(addr.col)) * banks + u64::from(addr.bank)
-            }
-            MappingScheme::BankRowCol => {
-                (u64::from(addr.bank) * rows + u64::from(addr.row)) * cols + u64::from(addr.col)
-            }
+            MappingScheme::RowBankCol => ((row << banks | bank) << cols) | col,
+            MappingScheme::RowColBank => ((row << cols | col) << banks) | bank,
+            MappingScheme::BankRowCol => ((bank << rows | row) << cols) | col,
             MappingScheme::RowColBankXor => {
-                let bank = u64::from(addr.bank) ^ (u64::from(addr.row) % banks);
-                (u64::from(addr.row) * cols + u64::from(addr.col)) * banks + bank
+                ((row << cols | col) << banks) | (bank ^ low_bits(row, banks))
             }
         };
-        let line = line * u64::from(self.geometry.channels) + u64::from(addr.channel);
-        line << 6
+        (line << self.channel_bits | u64::from(addr.channel)) << 6
     }
 
     /// Remap-aware physical-to-DRAM translation: virtual rows with an
     /// OS-style remap entry (installed by the RowClone allocator, paper §7.1)
     /// go to their remapped `(bank, row)` keeping the in-row column; all
-    /// other addresses use the plain scheme.
+    /// other addresses use the plain scheme. The entry is keyed on the
+    /// virtual row, `phys >> log2(row_bytes)`.
     ///
     /// Remapped rows always live on **channel 0**: RowClone operands must
     /// share a subarray, so the allocator places every remap pool in one
@@ -226,14 +243,12 @@ impl AddressMapper {
         remap: &std::collections::BTreeMap<u64, (u32, u32)>,
         phys: u64,
     ) -> DramAddress {
-        let row_bytes = u64::from(self.geometry.row_bytes);
-        let vrow = phys / row_bytes;
-        match remap.get(&vrow) {
+        match remap.get(&(phys >> self.row_shift)) {
             Some(&(bank, row)) => DramAddress {
                 channel: 0,
                 bank,
                 row,
-                col: ((phys % row_bytes) / crate::LINE_BYTES as u64) as u32,
+                col: low_bits(phys >> 6, self.col_bits) as u32,
             },
             None => self.to_dram(phys),
         }
@@ -270,6 +285,150 @@ mod tests {
             .into_iter()
             .map(|s| AddressMapper::new(geometry.clone(), s))
             .collect()
+    }
+
+    /// The division-and-modulo decode the shift decode replaced, kept word
+    /// for word as the oracle: `to_dram`, `to_phys` and `to_dram_remapped`
+    /// as they were, over the mapper's geometry and scheme.
+    fn div_dram(m: &AddressMapper, phys: u64) -> DramAddress {
+        let line = phys >> 6;
+        let channels = u64::from(m.geometry.channels);
+        let channel = line % channels;
+        let line = line / channels;
+        let cols = u64::from(m.geometry.cols_per_row());
+        let banks = u64::from(m.geometry.banks_per_channel());
+        let rows = u64::from(m.geometry.rows_per_bank);
+        let (bank, row, col) = match m.scheme {
+            MappingScheme::RowBankCol => {
+                let col = line % cols;
+                let bank = (line / cols) % banks;
+                let row = (line / cols / banks) % rows;
+                (bank, row, col)
+            }
+            MappingScheme::RowColBank => {
+                let bank = line % banks;
+                let col = (line / banks) % cols;
+                let row = (line / banks / cols) % rows;
+                (bank, row, col)
+            }
+            MappingScheme::BankRowCol => {
+                let col = line % cols;
+                let row = (line / cols) % rows;
+                let bank = (line / cols / rows) % banks;
+                (bank, row, col)
+            }
+            MappingScheme::RowColBankXor => {
+                let bank = line % banks;
+                let col = (line / banks) % cols;
+                let row = (line / banks / cols) % rows;
+                (bank ^ (row % banks), row, col)
+            }
+        };
+        DramAddress {
+            channel: channel as u32,
+            bank: bank as u32,
+            row: row as u32,
+            col: col as u32,
+        }
+    }
+
+    fn div_phys(m: &AddressMapper, addr: DramAddress) -> u64 {
+        let cols = u64::from(m.geometry.cols_per_row());
+        let banks = u64::from(m.geometry.banks_per_channel());
+        let rows = u64::from(m.geometry.rows_per_bank);
+        let line = match m.scheme {
+            MappingScheme::RowBankCol => {
+                (u64::from(addr.row) * banks + u64::from(addr.bank)) * cols + u64::from(addr.col)
+            }
+            MappingScheme::RowColBank => {
+                (u64::from(addr.row) * cols + u64::from(addr.col)) * banks + u64::from(addr.bank)
+            }
+            MappingScheme::BankRowCol => {
+                (u64::from(addr.bank) * rows + u64::from(addr.row)) * cols + u64::from(addr.col)
+            }
+            MappingScheme::RowColBankXor => {
+                let bank = u64::from(addr.bank) ^ (u64::from(addr.row) % banks);
+                (u64::from(addr.row) * cols + u64::from(addr.col)) * banks + bank
+            }
+        };
+        let line = line * u64::from(m.geometry.channels) + u64::from(addr.channel);
+        line << 6
+    }
+
+    fn div_dram_remapped(
+        m: &AddressMapper,
+        remap: &std::collections::BTreeMap<u64, (u32, u32)>,
+        phys: u64,
+    ) -> DramAddress {
+        let row_bytes = u64::from(m.geometry.row_bytes);
+        let vrow = phys / row_bytes;
+        match remap.get(&vrow) {
+            Some(&(bank, row)) => DramAddress {
+                channel: 0,
+                bank,
+                row,
+                col: ((phys % row_bytes) / crate::LINE_BYTES as u64) as u32,
+            },
+            None => div_dram(m, phys),
+        }
+    }
+
+    /// Every scheme × channels {1, 2, 4} × ranks {1, 2} × the default, the
+    /// unit-test and the two model-checker geometries.
+    fn oracle_mappers() -> Vec<AddressMapper> {
+        let bases = [
+            Geometry::default(),
+            crate::DramConfig::small_for_tests().geometry,
+            Geometry::model_small(),
+            Geometry::model_rank_folded(),
+        ];
+        let mut out = Vec::new();
+        for base in &bases {
+            for (channels, ranks) in [(1, 1), (2, 1), (4, 1), (1, 2), (2, 2), (4, 2)] {
+                let geometry = Geometry {
+                    channels,
+                    ranks,
+                    ..base.clone()
+                };
+                out.extend(all_schemes().map(|s| AddressMapper::new(geometry.clone(), s)));
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// The shift decode is the division decode on every mapper above:
+        /// addresses inside the capacity, beyond it (the wrap) and up to
+        /// `u64::MAX`, with no remap, with entries on both sides of the
+        /// probed row, and with the probed row itself remapped.
+        #[test]
+        fn shift_decode_matches_the_division_decode(
+            raw in proptest::any::<u64>(),
+            target in (0u32..4, 0u32..4),
+        ) {
+            for m in oracle_mappers() {
+                let cap = m.geometry.capacity_bytes();
+                for phys in [raw % cap, cap + raw % cap, raw, u64::MAX - raw % 128, u64::MAX] {
+                    let d = m.to_dram(phys);
+                    proptest::prop_assert_eq!(d, div_dram(&m, phys), "{:?} {:#x}", m, phys);
+                    proptest::prop_assert_eq!(m.to_phys(d), div_phys(&m, d), "{:?} {}", m, d);
+                    proptest::prop_assert_eq!(m.to_phys(d), phys % cap & !63, "{:?} {:#x}", m, phys);
+
+                    let vrow = phys / u64::from(m.geometry.row_bytes);
+                    let mut remap = std::collections::BTreeMap::new();
+                    let plain = m.to_dram_remapped(&remap, phys);
+                    remap.insert(vrow.wrapping_sub(1), (target.1, target.0));
+                    remap.insert(vrow.wrapping_add(1), (target.0, target.1));
+                    let beside = m.to_dram_remapped(&remap, phys);
+                    proptest::prop_assert_eq!(beside, div_dram_remapped(&m, &remap, phys));
+                    proptest::prop_assert_eq!((plain, beside), (d, d), "{:?} {:#x}", m, phys);
+                    remap.insert(vrow, target);
+                    let on = m.to_dram_remapped(&remap, phys);
+                    proptest::prop_assert_eq!(on, div_dram_remapped(&m, &remap, phys));
+                    proptest::prop_assert_eq!((on.channel, on.bank, on.row), (0, target.0, target.1));
+                }
+            }
+        }
     }
 
     #[test]
