@@ -136,6 +136,10 @@ struct RowRecord {
     /// device's epoch has moved on).
     hammer: u64,
     epoch: u64,
+    /// The row's `HCfirst`, hashed on its first counted activation; 0 until
+    /// then (a threshold is at least 1, and the device's variation model
+    /// never changes, so a stored threshold cannot go stale).
+    hc_first: u64,
 }
 
 impl RowRecord {
@@ -144,6 +148,7 @@ impl RowRecord {
         slot: Self::UNTOUCHED,
         hammer: 0,
         epoch: 0,
+        hc_first: 0,
     };
 }
 
@@ -876,8 +881,12 @@ impl DramDevice {
             rec.hammer = 0;
         }
         rec.hammer += 1;
-        let count = rec.hammer;
-        if count <= self.variation.hc_first(bank, row) {
+        let (count, mut hc_first) = (rec.hammer, rec.hc_first);
+        if hc_first == 0 {
+            hc_first = self.variation.hc_first(bank, row);
+            self.record_mut(idx).hc_first = hc_first;
+        }
+        if count <= hc_first {
             return;
         }
         let seed = self.cfg.variation.seed;
@@ -1595,6 +1604,79 @@ mod tests {
         assert_eq!([200, 300].map(|row| d.hammer_count(0, row)), [0, 0]);
         assert_eq!(d.hammer_count(7, 0), 0, "out of range reads as untouched");
         assert_eq!(d.hammer_count(0, 1 << 20), 0);
+    }
+
+    #[test]
+    fn memoised_threshold_is_never_stale() {
+        // `rehashed` forgets every stored threshold before each ACT, so its
+        // `note_hammer` hashes `hc_first` per activation, as the device did
+        // before it kept the threshold in the row record.
+        let (mut d, mut rehashed) = (disturb_dev((4, 8), 500), disturb_dev((4, 8), 500));
+        let watched: Vec<(u32, u32)> = (0..2)
+            .flat_map(|bank| (60..=70).chain(298..=302).map(move |row| (bank, row)))
+            .collect();
+        let t = t();
+        let mut now = 0;
+        let act = |d: &mut DramDevice, rehashed: &mut DramDevice, bank, row, at: u64| {
+            for rec in rehashed
+                .row_table
+                .iter_mut()
+                .flatten()
+                .flat_map(|p| p.iter_mut())
+            {
+                rec.hc_first = 0;
+            }
+            for dev in [&mut *d, &mut *rehashed] {
+                dev.issue_raw(DramCommand::Activate { bank, row }, at)
+                    .unwrap();
+                dev.issue_raw(DramCommand::Precharge { bank }, at + t.t_ras_ps)
+                    .unwrap();
+            }
+            let idx = d.row_index(bank, row);
+            let stored = d.record_mut(idx).hc_first;
+            assert_eq!(
+                stored,
+                d.variation().hc_first(bank, row),
+                "bank {bank} row {row} at {at}"
+            );
+            assert_eq!(d.stats(), rehashed.stats(), "bank {bank} row {row} at {at}");
+            for &(b, r) in &watched {
+                assert_eq!(d.hammer_count(b, r), rehashed.hammer_count(b, r));
+                assert_eq!(
+                    d.row_data(b, r),
+                    rehashed.row_data(b, r),
+                    "bank {b} row {r}"
+                );
+            }
+            at + t.t_ras_ps + t.t_rp_ps
+        };
+        // Window 1, then a second one opened by tREFW elapsing.
+        for window_start in [0, t.t_refw_ps + 1] {
+            now = now.max(window_start);
+            for _ in 0..12 {
+                for (bank, row) in [(0, 64), (0, 66), (1, 65), (0, 300), (0, 64)] {
+                    now = act(&mut d, &mut rehashed, bank, row, now);
+                }
+            }
+        }
+        assert!(d.stats().disturbance_flips > 0, "thresholds were crossed");
+        // An RFM zeroes a neighbourhood's counters, a REF every counter; the
+        // thresholds of the rows hammered again afterwards are still theirs.
+        for cmd in [
+            DramCommand::RefreshRow { bank: 0, row: 65 },
+            DramCommand::Refresh,
+        ] {
+            for dev in [&mut d, &mut rehashed] {
+                dev.issue_raw(cmd, now).unwrap();
+            }
+            now += t.t_rfc_ps;
+            for _ in 0..10 {
+                for (bank, row) in [(0, 64), (0, 66), (1, 65), (1, 300)] {
+                    now = act(&mut d, &mut rehashed, bank, row, now);
+                }
+            }
+        }
+        assert_eq!(d.hammer_count(0, 64), 10, "counted since the REF only");
     }
 
     #[test]
