@@ -106,7 +106,19 @@ impl<B: MemoryBackend> CoreModel<B> {
     /// Retiring **before** the fullness check matters: a full-but-stale MSHR
     /// file (every slot holding an already-completed fill) has free space in
     /// reality, and must not force-retire a slot as if the core had to wait.
+    ///
+    /// With nothing in flight there is nothing to retire and (a valid
+    /// configuration has at least one MSHR) room already: that check is all
+    /// a streaming load that hits pays, inlined at the call.
+    #[inline]
     fn reserve_mshr(&mut self) {
+        if !self.outstanding.is_empty() {
+            self.retire_mshrs();
+        }
+    }
+
+    #[inline(never)]
+    fn retire_mshrs(&mut self) {
         let now = self.now;
         self.outstanding.retain(|&c| c > now);
         if self.outstanding.len() >= self.cfg.mshrs {
