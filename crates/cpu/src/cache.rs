@@ -200,19 +200,34 @@ impl Cache {
     /// The slot's data is untouched, so still the displaced line's: the
     /// caller moves that out where it is dirty, then fills the slot.
     pub(crate) fn claim(&mut self, line_addr: u64, dirty: bool) -> (usize, Option<(u64, bool)>) {
+        let Some(slot) = self.find(line_addr) else {
+            return self.claim_absent(line_addr, dirty);
+        };
         self.tick += 1;
-        let line = line_addr >> 6;
-        let slot = self.find(line_addr).unwrap_or_else(|| {
-            let set = self.set_of(line);
-            set.min_by_key(|&slot| self.lru[slot])
-                .expect("a set has at least one way")
-        });
+        self.lru[slot] = self.tick;
+        self.dirty[slot] = dirty;
+        (slot, None)
+    }
+
+    /// [`Cache::claim`] for a line that is not resident, which a caller
+    /// whose lookup of it has just missed knows without a second search.
+    pub(crate) fn claim_absent(
+        &mut self,
+        line_addr: u64,
+        dirty: bool,
+    ) -> (usize, Option<(u64, bool)>) {
+        debug_assert!(self.find(line_addr).is_none(), "{line_addr:#x} is resident");
+        self.tick += 1;
+        let slot = self
+            .set_of(line_addr >> 6)
+            .min_by_key(|&slot| self.lru[slot])
+            .expect("a set has at least one way");
         let held = self.tags[slot];
-        let displaced = (held != INVALID && held != line).then(|| (held << 6, self.dirty[slot]));
+        let displaced = (held != INVALID).then(|| (held << 6, self.dirty[slot]));
         if let Some((_, true)) = displaced {
             self.stats.dirty_evictions += 1;
         }
-        self.tags[slot] = line;
+        self.tags[slot] = line_addr >> 6;
         self.lru[slot] = self.tick;
         self.dirty[slot] = dirty;
         (slot, displaced)

@@ -182,24 +182,24 @@ impl<B: MemoryBackend> CoreModel<B> {
             ..
         } = self;
         if let Some(last) = l2.as_mut().or(l1.as_mut()) {
-            let slot = Self::make_room(last, backend, stats, line_addr, false, self.now);
+            // Both lookups above missed, and nothing since touched a cache.
+            let claimed = last.claim_absent(line_addr, false);
+            let slot = Self::make_room(last, backend, stats, claimed, self.now);
             last.data[slot] = fetch.data;
             self.promote_to_l1(line_addr, slot);
         }
         (read(&fetch.data), true, fetch.complete_cycle.max(issue))
     }
 
-    /// Claims a slot in `cache` for a line, posting the dirty line it
-    /// displaces to memory. The caller fills the slot.
+    /// Posts the dirty line that claiming `slot` of `cache` displaced, if
+    /// any, to memory. The caller fills the slot.
     fn make_room(
-        cache: &mut Cache,
+        cache: &Cache,
         backend: &mut B,
         stats: &mut CoreStats,
-        line_addr: u64,
-        dirty: bool,
+        (slot, displaced): (usize, Option<(u64, bool)>),
         now: u64,
     ) -> usize {
-        let (slot, displaced) = cache.claim(line_addr, dirty);
         if let Some((victim_addr, true)) = displaced {
             stats.mem_writes += 1;
             backend.post_write(victim_addr, cache.data[slot], now);
@@ -221,9 +221,11 @@ impl<B: MemoryBackend> CoreModel<B> {
         else {
             return;
         };
-        let (to, displaced) = l1.claim(line_addr, false);
+        // Only ever called after the L1 lookup of `line_addr` missed.
+        let (to, displaced) = l1.claim_absent(line_addr, false);
         if let Some((victim_addr, true)) = displaced {
-            let spill = Self::make_room(l2, backend, stats, victim_addr, true, self.now);
+            let claimed = l2.claim(victim_addr, true);
+            let spill = Self::make_room(l2, backend, stats, claimed, self.now);
             if spill == from {
                 // A direct-mapped L2 gives the victim the very way the
                 // promoted line is leaving: the two trade places.
