@@ -412,7 +412,7 @@ mod tests {
                     let d = m.to_dram(phys);
                     proptest::prop_assert_eq!(d, div_dram(&m, phys), "{:?} {:#x}", m, phys);
                     proptest::prop_assert_eq!(m.to_phys(d), div_phys(&m, d), "{:?} {}", m, d);
-                    proptest::prop_assert_eq!(m.to_phys(d), phys % cap & !63, "{:?} {:#x}", m, phys);
+                    proptest::prop_assert_eq!(m.to_phys(d), (phys % cap) & !63, "{:?} {:#x}", m, phys);
 
                     let vrow = phys / u64::from(m.geometry.row_bytes);
                     let mut remap = std::collections::BTreeMap::new();
