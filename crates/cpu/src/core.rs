@@ -183,28 +183,28 @@ impl<B: MemoryBackend> CoreModel<B> {
         } = self;
         if let Some(last) = l2.as_mut().or(l1.as_mut()) {
             // Both lookups above missed, and nothing since touched a cache.
-            let claimed = last.claim_absent(line_addr, false);
-            let slot = Self::make_room(last, backend, stats, claimed, self.now);
+            let (slot, displaced) = last.claim_absent(line_addr, false);
+            Self::post_displaced(last, backend, stats, slot, displaced, self.now);
             last.data[slot] = fetch.data;
             self.promote_to_l1(line_addr, slot);
         }
         (read(&fetch.data), true, fetch.complete_cycle.max(issue))
     }
 
-    /// Posts the dirty line that claiming `slot` of `cache` displaced, if
-    /// any, to memory. The caller fills the slot.
-    fn make_room(
+    /// Posts the line that claiming `slot` of `cache` displaced to memory,
+    /// if there is one and it is dirty. The caller then fills the slot.
+    fn post_displaced(
         cache: &Cache,
         backend: &mut B,
         stats: &mut CoreStats,
-        (slot, displaced): (usize, Option<(u64, bool)>),
+        slot: usize,
+        displaced: Option<(u64, bool)>,
         now: u64,
-    ) -> usize {
+    ) {
         if let Some((victim_addr, true)) = displaced {
             stats.mem_writes += 1;
             backend.post_write(victim_addr, cache.data[slot], now);
         }
-        slot
     }
 
     /// With both levels present, copies the line in L2 slot `from` into L1,
@@ -224,8 +224,8 @@ impl<B: MemoryBackend> CoreModel<B> {
         // Only ever called after the L1 lookup of `line_addr` missed.
         let (to, displaced) = l1.claim_absent(line_addr, false);
         if let Some((victim_addr, true)) = displaced {
-            let claimed = l2.claim(victim_addr, true);
-            let spill = Self::make_room(l2, backend, stats, claimed, self.now);
+            let (spill, from_l2) = l2.claim(victim_addr, true);
+            Self::post_displaced(l2, backend, stats, spill, from_l2, self.now);
             if spill == from {
                 // A direct-mapped L2 gives the victim the very way the
                 // promoted line is leaving: the two trade places.
