@@ -59,26 +59,6 @@ pub fn lmbench_sizes() -> Vec<u64> {
     sizes
 }
 
-/// Fail-fast timing gate for a raw [`TimingParams`] that never reaches
-/// `System::new` (which runs the same rules itself): the Ramulator baseline's
-/// bins and the serve-loop kernels' bin. Runs
-/// [`TimingParams::check_consistency`] and, on failure, prints **every**
-/// structured [`TimingContradiction`](easydram_dram::TimingContradiction)
-/// (rule id, offending parameters by name/value, and the implied
-/// contradiction in words) to stderr and exits non-zero. A sweep that drives
-/// a parameter into a self-contradictory bin must die here, not publish
-/// numbers from a table built on nonsense.
-pub fn validate_timing(label: &str, timing: &TimingParams) {
-    if let Err(contradictions) = timing.check_consistency() {
-        eprintln!("{label}: timing configuration is self-contradictory:");
-        for c in &contradictions {
-            eprintln!("  {c}");
-        }
-        eprintln!("{label}: refusing to run on a contradictory timing bin");
-        std::process::exit(1);
-    }
-}
-
 /// Builds the paper's main EasyDRAM system in the given mode.
 #[must_use]
 pub fn jetson(mode: TimingMode) -> System {
@@ -102,9 +82,7 @@ pub fn pidram() -> System {
 /// Builds the Ramulator 2.0 baseline.
 #[must_use]
 pub fn ramulator() -> RamulatorSystem {
-    let cfg = RamulatorConfig::default();
-    validate_timing("ramulator baseline config", &cfg.timing);
-    RamulatorSystem::new(cfg)
+    RamulatorSystem::new(RamulatorConfig::default())
 }
 
 /// A simulator under measurement (EasyDRAM or the software baseline).

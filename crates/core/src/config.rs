@@ -8,6 +8,9 @@ use easydram_dram::{DramConfig, MappingScheme};
 use crate::costs::SmcCostModel;
 use crate::obs::{TraceConfig, MAX_RING_CAPACITY};
 
+/// The deepest posted-write buffer `SystemConfig::validate` accepts.
+const MAX_WRITE_BUFFER_DEPTH: usize = 1 << 12;
+
 /// How request latencies observed by the processor are computed (paper §3,
 /// §4.3, §6, §7.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,8 +20,9 @@ pub enum TimingMode {
     /// reference system in §6, and the stand-in for the real Cortex-A57
     /// board in Fig. 8).
     Reference,
-    /// EasyDRAM with time scaling: the same quantities computed through
-    /// FPGA-clock-quantized time-scaling counters (§4.3). Validated to be
+    /// EasyDRAM with time scaling: the same quantities, with the DRAM finish
+    /// time rounded to the DRAM clock and each component rounded to whole
+    /// processor cycles, as the FPGA's counters do (§4.3). Validated to be
     /// within 0.1 % of `Reference` on average (§6).
     TimeScaling,
     /// EasyDRAM/PiDRAM without time scaling: the processor observes raw FPGA
@@ -92,13 +96,12 @@ pub struct SystemConfig {
     /// Depth of the tile's posted-write buffer: how many writes/writebacks
     /// the pending-request stream accumulates before a serve pass is forced.
     /// Reads and fences always drain the stream regardless of depth.
+    /// `validate` accepts `1..=4096`: every channel reserves a request slot
+    /// per entry up front (4096 is 16x the deepest buffer any caller sets).
     pub write_buffer_depth: usize,
     /// Number of RowClone trials the allocator uses to qualify a pair
     /// (paper §7.1: 1000).
     pub rowclone_test_trials: u32,
-    /// Extra tRCD margin (ps) the tRCD-reduction controller adds on top of
-    /// each row's profiled minimum.
-    pub trcd_margin_ps: u64,
     /// Accepted and without effect: a simulation runs on its caller's
     /// threads only (docs/API.md "Threads"). Reports were already
     /// byte-identical at every value. The field stays because `benchmark/`
@@ -131,7 +134,6 @@ impl SystemConfig {
             refresh_enabled: true,
             write_buffer_depth: 8,
             rowclone_test_trials: 1_000,
-            trcd_margin_ps: 0,
             threads: None,
             trace: None,
         }
@@ -204,6 +206,11 @@ impl SystemConfig {
         }
         if self.write_buffer_depth == 0 {
             return Err("the posted-write buffer needs at least one slot".into());
+        }
+        if self.write_buffer_depth > MAX_WRITE_BUFFER_DEPTH {
+            return Err(format!(
+                "the posted-write buffer holds at most {MAX_WRITE_BUFFER_DEPTH} writes"
+            ));
         }
         if let Some(trace) = self.trace {
             if trace.ring_capacity == 0 {
@@ -294,5 +301,20 @@ mod tests {
             ring_capacity: MAX_RING_CAPACITY + 1,
         });
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_the_write_buffer() {
+        // Each of these used to validate: the first then overflowed the
+        // session's `depth + 1` in debug, the second aborted in the allocator.
+        for depth in [usize::MAX, 1 << 40, MAX_WRITE_BUFFER_DEPTH + 1] {
+            let mut c = SystemConfig::small_for_tests(TimingMode::Reference);
+            c.write_buffer_depth = depth;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("at most 4096"), "{depth}: {err}");
+        }
+        let mut c = SystemConfig::small_for_tests(TimingMode::Reference);
+        c.write_buffer_depth = MAX_WRITE_BUFFER_DEPTH;
+        assert!(c.validate().is_ok());
     }
 }

@@ -76,4 +76,3 @@ pub use smc::{
 };
 pub use system::System;
 pub use timeline::{EmulatedTimeline, TimelineDemand};
-pub use timescale::TimeScalingCounters;

@@ -766,11 +766,15 @@ impl TraceLog {
     /// kind:u32`), in export order.
     #[must_use]
     pub fn to_binary(&self) -> Vec<u8> {
-        let events = self.export_order();
+        Self::encode_binary(&self.export_order())
+    }
+
+    /// The binary dump of `events` in the order given.
+    fn encode_binary(events: &[TraceEvent]) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + events.len() * TRACE_BIN_RECORD_BYTES);
         out.extend_from_slice(TRACE_BIN_MAGIC);
         out.extend_from_slice(&(events.len() as u64).to_le_bytes());
-        for ev in events.iter() {
+        for ev in events {
             out.extend_from_slice(&ev.ps.to_le_bytes());
             out.extend_from_slice(&ev.id.to_le_bytes());
             out.extend_from_slice(&ev.lane.to_le_bytes());
@@ -878,6 +882,71 @@ mod tests {
             prop_assert_eq!(&log.events, &expect);
             prop_assert!(log.tracks_monotone() && monotone(&log));
             prop_assert_eq!(log.to_binary(), binary);
+        }
+
+        /// `parse_binary` on hostile bytes: arbitrary strings, arbitrary
+        /// records behind a well-formed header, and truncations and
+        /// single-byte overwrites of a valid dump. It never panics, accepts
+        /// exactly the `16 + 36·count`-byte dumps whose kind words are all
+        /// ≤ 11, and re-encodes what it accepts to the input bytes.
+        #[test]
+        fn binary_parse_accepts_exactly_well_formed_dumps(
+            mode in 0u8..4,
+            noise in prop::collection::vec(any::<u8>(), 0..600),
+            fields in prop::collection::vec(
+                (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>(), 0u8..12),
+                0..12,
+            ),
+            cut in any::<usize>(),
+            patch in (any::<usize>(), any::<u8>()),
+        ) {
+            let events: Vec<TraceEvent> = fields
+                .iter()
+                .map(|&(ps, id, lane, a, kind)| TraceEvent {
+                    ps,
+                    kind: EventKind::from_u8(kind).unwrap(),
+                    id,
+                    lane,
+                    requestor: a >> 16,
+                    a,
+                    b: !a,
+                })
+                .collect();
+            let dump = TraceLog::encode_binary(&events);
+            let bytes = match mode {
+                0 => noise,
+                1 => {
+                    // Whole records with kind words in 0..13: most valid.
+                    let mut body = noise;
+                    body.truncate(body.len() / TRACE_BIN_RECORD_BYTES * TRACE_BIN_RECORD_BYTES);
+                    for rec in body.chunks_exact_mut(TRACE_BIN_RECORD_BYTES) {
+                        rec[32] %= 13;
+                        rec[33..].fill(0);
+                    }
+                    let count = (body.len() / TRACE_BIN_RECORD_BYTES) as u64;
+                    [&TRACE_BIN_MAGIC[..], &count.to_le_bytes(), &body].concat()
+                }
+                2 => dump[..cut % (dump.len() + 1)].to_vec(),
+                _ => {
+                    let mut d = dump;
+                    let at = patch.0 % d.len();
+                    d[at] = patch.1;
+                    d
+                }
+            };
+            // A little-endian word of `n` bytes at `at`, as the spec reads it.
+            let word = |at: usize, n: usize| {
+                bytes[at..at + n].iter().rev().fold(0u128, |w, &b| w << 8 | u128::from(b))
+            };
+            let well_formed = bytes.len() >= 16
+                && bytes.starts_with(TRACE_BIN_MAGIC)
+                && word(8, 8) * 36 == (bytes.len() - 16) as u128
+                && (16..bytes.len()).step_by(36).all(|rec| word(rec + 32, 4) <= 11);
+            let parsed = TraceLog::parse_binary(&bytes);
+            prop_assert_eq!(parsed.is_some(), well_formed);
+            if let Some(events) = parsed {
+                prop_assert_eq!(TraceLog::encode_binary(&events), bytes);
+            }
         }
     }
 

@@ -40,18 +40,17 @@ impl TrcdPlan {
 
     /// Builds a plan from profiled per-row minimum tRCD values
     /// (`(bank, row, min_trcd_ps)` triples). Rows needing more than
-    /// `reduced_trcd_ps − margin_ps` are inserted as weak.
+    /// `reduced_trcd_ps` are inserted as weak.
     #[must_use]
     pub fn from_profile(
         rows: &[(u32, u32, u64)],
         covered_rows_per_bank: u32,
         reduced_trcd_ps: u64,
-        margin_ps: u64,
     ) -> Self {
         let mut bloom = BloomFilter::for_keys(rows.len() as u64 / 4 + 64, 0x0007_2CD0);
         let mut weak_rows = 0;
         for &(bank, row, min_ps) in rows {
-            if min_ps + margin_ps > reduced_trcd_ps {
+            if min_ps > reduced_trcd_ps {
                 bloom.insert(Self::row_key(bank, row));
                 weak_rows += 1;
             }
@@ -74,7 +73,6 @@ impl TrcdPlan {
         geometry: &Geometry,
         covered_rows_per_bank: u32,
         reduced_trcd_ps: u64,
-        margin_ps: u64,
     ) -> Self {
         let covered = covered_rows_per_bank.min(geometry.rows_per_bank);
         let mut rows = Vec::new();
@@ -83,7 +81,7 @@ impl TrcdPlan {
                 rows.push((bank, row, variation.row_min_trcd_ps(bank, row)));
             }
         }
-        Self::from_profile(&rows, covered, reduced_trcd_ps, margin_ps)
+        Self::from_profile(&rows, covered, reduced_trcd_ps)
     }
 
     /// The tRCD to apply when opening `row` of `bank`: `Some(reduced)` for
@@ -400,7 +398,7 @@ mod tests {
     fn trcd_plan_classifies_rows() {
         let f = Fix::new();
         let geo = f.dev.config().geometry.clone();
-        let plan = TrcdPlan::from_variation(f.dev.variation(), &geo, geo.rows_per_bank, 9_000, 0);
+        let plan = TrcdPlan::from_variation(f.dev.variation(), &geo, geo.rows_per_bank, 9_000);
         assert!(plan.weak_rows() > 0, "some rows must be weak");
         let mut strong = 0;
         let mut weak = 0;
@@ -415,7 +413,7 @@ mod tests {
         }
         assert!(strong > weak, "majority of rows are strong (paper Fig. 12)");
         // Uncovered rows are conservatively weak.
-        let narrow = TrcdPlan::from_variation(f.dev.variation(), &geo, 8, 9_000, 0);
+        let narrow = TrcdPlan::from_variation(f.dev.variation(), &geo, 8, 9_000);
         assert_eq!(narrow.trcd_for(0, 100), None);
     }
 
@@ -426,7 +424,7 @@ mod tests {
         let f = Fix::new();
         let geo = f.dev.config().geometry.clone();
         let var = f.dev.variation();
-        let plan = TrcdPlan::from_variation(var, &geo, geo.rows_per_bank, 9_000, 0);
+        let plan = TrcdPlan::from_variation(var, &geo, geo.rows_per_bank, 9_000);
         for bank in 0..geo.banks() {
             for row in (0..geo.rows_per_bank).step_by(7) {
                 if let Some(applied) = plan.trcd_for(bank, row) {
@@ -443,7 +441,7 @@ mod tests {
     fn trcd_reduction_controller_uses_reduced_timing() {
         let mut f = Fix::new();
         let geo = f.dev.config().geometry.clone();
-        let plan = TrcdPlan::from_variation(f.dev.variation(), &geo, geo.rows_per_bank, 9_000, 0);
+        let plan = TrcdPlan::from_variation(f.dev.variation(), &geo, geo.rows_per_bank, 9_000);
         // Find a strong row and read from it.
         let strong_row = (0..geo.rows_per_bank)
             .find(|&r| plan.trcd_for(0, r).is_some())

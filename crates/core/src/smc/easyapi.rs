@@ -224,7 +224,7 @@ impl EasyApi<'_> {
 
     /// Sets critical mode (`set_scheduling_state`, Table 2). The handle
     /// models the call's cost only: the tile gates the processor clock
-    /// around the whole serve pass (`TimeScalingCounters::enter_critical`).
+    /// around the whole serve pass (its frozen wall time, `wall_latency_ps`).
     pub fn set_scheduling_state(&mut self, critical: bool) {
         let _ = critical;
         self.charge(self.ctx.costs.set_scheduling_state);

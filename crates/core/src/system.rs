@@ -34,7 +34,7 @@ use crate::request::{MemRequest, MemResponse, RequestClass, RequestKind};
 use crate::smc::easyapi::{ApiLedger, ApiSession, TileCtx};
 use crate::smc::{FrFcfsController, ServeResult, SoftwareMemoryController, TrcdPlan};
 use crate::timeline::{EmulatedTimeline, TimelineDemand};
-use crate::timescale::{Pricing, TimeScalingCounters};
+use crate::timescale::Pricing;
 
 /// What a serve pass hands back to the core side.
 #[derive(Default)]
@@ -259,7 +259,6 @@ pub struct Tile {
     /// Cumulative per-requestor counters, indexed by requestor id (grown on
     /// demand; single-core systems only ever populate entry 0).
     requestor_stats: Vec<RequestorStats>,
-    counters: TimeScalingCounters,
     stats: SmcStats,
     row_bytes: u64,
     /// Always-on latency/depth/batch histograms, accumulated in the
@@ -333,7 +332,6 @@ impl Tile {
             answered: Vec::new(),
             current_requestor: 0,
             requestor_stats: Vec::new(),
-            counters: TimeScalingCounters::new(),
             stats: SmcStats::default(),
             row_bytes,
             metrics: TileMetrics::default(),
@@ -466,12 +464,6 @@ impl Tile {
             m.flips_observed = self.device_stats().disturbance_flips;
             m
         })
-    }
-
-    /// The time-scaling counters.
-    #[must_use]
-    pub fn counters(&self) -> &TimeScalingCounters {
-        &self.counters
     }
 
     /// Total modeled FPGA wall time so far given the processor has emulated
@@ -733,7 +725,6 @@ impl Tile {
         };
         // Release cycles start at 1 (`arrival + 1` at the earliest).
         let mut last_release = 0u64;
-        let mut fpga_cycles = 0u64;
         for (ch, lane) in self.lanes.iter_mut().enumerate() {
             let Some(p) = lane.pass.take() else { continue };
             let mut books = Books {
@@ -746,7 +737,6 @@ impl Tile {
                 ring: &mut lane.ring,
             };
             let ledger = lane.session.ledger();
-            fpga_cycles = fpga_cycles.max(ledger.totals.rocket_cycles + ledger.hw_cycles);
             books.lane_pass(&p, ledger, &*lane.controller, &mut lane.mit_seen);
             for resp in lane.session.responses() {
                 let (arrival, burst_ps) = (resp.tag.arrival_cycle, resp.slice.column_ops * t_burst);
@@ -767,8 +757,6 @@ impl Tile {
             }
         }
         served.latest_release = Some(last_release);
-        self.counters
-            .serve_pass(&pricing, last_release, fpga_cycles);
         served
     }
 
@@ -1062,7 +1050,6 @@ impl System {
     /// from that channel's own device (channels are distinct modules with
     /// distinct variation fields).
     pub fn enable_trcd_reduction(&mut self, covered_rows_per_bank: u32, reduced_trcd_ps: u64) {
-        let margin = self.tile().config().trcd_margin_ps;
         let plans: Vec<TrcdPlan> = {
             let tile = self.tile();
             (0..tile.channels())
@@ -1073,7 +1060,6 @@ impl System {
                         &device.config().geometry,
                         covered_rows_per_bank,
                         reduced_trcd_ps,
-                        margin,
                     )
                 })
                 .collect()
@@ -1274,18 +1260,6 @@ mod tests {
         let st = s.cpu().rowclone_row(a, a + 8192);
         assert_eq!(st, RowCloneStatus::FallbackNeeded);
         assert_eq!(s.tile().smc_stats().rowclone_fallbacks, 1);
-    }
-
-    #[test]
-    fn counters_maintain_invariant() {
-        let mut s = sys(TimingMode::TimeScaling);
-        let a = s.cpu().alloc(64 * 64, 64);
-        for i in 0..64u64 {
-            let _ = s.cpu().load_u64(a + i * 64);
-        }
-        let c = s.tile().counters();
-        assert!(c.invariant_holds());
-        assert!(c.mc_cycles > 0);
     }
 
     #[test]

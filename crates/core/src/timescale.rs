@@ -1,18 +1,18 @@
-//! Time-scaling counters (paper §4.3, Fig. 5); the clock-domain conversions
-//! they are fed through live in `easydram_cpu::timescale`.
+//! Time scaling (paper §4.3, Fig. 5) as one pure function; the clock-domain
+//! conversions it uses live in `easydram_cpu::timescale`.
 //!
-//! Time scaling tracks three counters: the **processor cycle counter** (the
-//! emulation point of the processor domain, in emulated processor cycles),
-//! the **memory-controller cycle counter** (how far the memory system has
-//! emulated, in the same units), and the **global counter** (FPGA clock
-//! cycles since power-on). While a request is in flight the processor is
-//! clock-gated and its counter locked (*critical mode*); when the software
-//! memory controller finishes a command batch it converts the time spent
-//! into emulated cycles, advances the MC counter, and tags the response with
-//! the processor-cycle value at which it may be consumed.
+//! The FPGA keeps three counters because hardware can only count; here each
+//! is a value the simulator already holds. The **processor cycle counter**
+//! is a request's arrival cycle, or the trigger cycle of the pass it forced
+//! (each core's `now`). The **memory-controller cycle counter** is what
+//! `Pricing::release_cycle` returns: the processor cycle at which the
+//! response may be consumed. The **global counter** (FPGA cycles since
+//! power-on) is `Tile::wall_ps`. *Critical mode*, the interval the
+//! processor is clock-gated while the controller works, is a pass's frozen
+//! wall time, `wall_latency_ps`.
 //!
-//! `Pricing::release_cycle` is that tag as a pure function, and the single
-//! place a [`TimingMode`] is interpreted.
+//! `Pricing::release_cycle` is the single place a [`TimingMode`] is
+//! interpreted.
 
 use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
 
@@ -61,105 +61,6 @@ impl Pricing<'_> {
             }
         };
         release_cycle.max(arrival + 1)
-    }
-}
-
-/// The three time-scaling counters (paper Fig. 5, right side).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimeScalingCounters {
-    /// Processor-domain emulation point, in emulated processor cycles.
-    pub proc_cycles: u64,
-    /// Memory-controller emulation point, in emulated processor cycles.
-    pub mc_cycles: u64,
-    /// FPGA clock cycles since power-on (the reference timer).
-    pub global_cycles: u64,
-    /// Whether the software memory controller is in critical mode (the
-    /// processor cycle counter is locked).
-    pub critical: bool,
-}
-
-impl TimeScalingCounters {
-    /// Creates zeroed counters ("as the emulation starts, all counters are
-    /// initialized to 0").
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enters critical mode, locking the processor counter (Fig. 5-(c)).
-    ///
-    /// Outside critical mode both counters "are incremented every cycle
-    /// while the system has no unresolved memory requests" (§4.3), so the MC
-    /// counter first catches up to the processor's emulation point.
-    pub fn enter_critical(&mut self) {
-        self.mc_cycles = self.mc_cycles.max(self.proc_cycles);
-        self.critical = true;
-    }
-
-    /// Leaves critical mode; the counters synchronize as the processor
-    /// catches up (Fig. 5 end of §4.3).
-    pub fn exit_critical(&mut self) {
-        self.critical = false;
-        self.mc_cycles = self.mc_cycles.max(self.proc_cycles);
-    }
-
-    /// Advances the processor emulation point to `cycle` (the processor
-    /// "emulates the missing time scaled duration", Fig. 5-(e)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while the counter is locked by critical mode and
-    /// the target exceeds the MC emulation point — the processor may never
-    /// emulate ahead of the software memory controller (§4.3: "SMC locks the
-    /// processor cycle counter such that the processor cannot emulate ahead
-    /// of SMC").
-    pub fn advance_proc(&mut self, cycle: u64) {
-        if self.critical {
-            assert!(
-                cycle <= self.mc_cycles,
-                "processor (target {cycle}) may not pass the MC counter ({}) in critical mode",
-                self.mc_cycles
-            );
-        }
-        self.proc_cycles = self.proc_cycles.max(cycle);
-    }
-
-    /// Advances the MC emulation point to `cycle` after a command batch
-    /// completes (Fig. 5 step ⑤/⑪).
-    pub fn advance_mc(&mut self, cycle: u64) {
-        self.mc_cycles = self.mc_cycles.max(cycle);
-    }
-
-    /// Advances the global FPGA-cycle counter by `cycles`.
-    pub fn tick_global(&mut self, cycles: u64) {
-        self.global_cycles += cycles;
-    }
-
-    /// One serve pass in Fig. 5's terms; the counters run under
-    /// `TimeScaling` only. `last_release` is the latest release cycle among
-    /// the pass's responses, `fpga_cycles` the slowest lane's Rocket and
-    /// transfer cycles (lanes are concurrent per-channel hardware).
-    pub(crate) fn serve_pass(&mut self, pass: &Pricing, last_release: u64, fpga_cycles: u64) {
-        if pass.cfg.mode != TimingMode::TimeScaling {
-            return;
-        }
-        // (b)-(c): tag, clock-gate, enter critical mode.
-        self.advance_proc(pass.trigger_cycle);
-        self.enter_critical();
-        // ⑤/⑪: convert the pass duration and advance the MC counter; the
-        // responses carry their release cycles and the processors resume.
-        let latest_release = pass.trigger_cycle.max(last_release);
-        self.advance_mc(latest_release);
-        self.advance_proc(pass.trigger_cycle.max(latest_release.min(self.mc_cycles)));
-        self.exit_critical();
-        self.tick_global(fpga_cycles);
-    }
-
-    /// The invariant that makes time scaling sound: in critical mode the
-    /// processor never emulates past the memory controller.
-    #[must_use]
-    pub fn invariant_holds(&self) -> bool {
-        !self.critical || self.proc_cycles <= self.mc_cycles
     }
 }
 
@@ -395,62 +296,5 @@ mod tests {
         let ps = 3_600 * 1_000_000_000_000u64;
         let c = ps_to_cycles_round(ps, 4_000_000_000);
         assert_eq!(c, 14_400_000_000_000);
-    }
-
-    #[test]
-    fn fig5_walkthrough() {
-        // Mirror the paper's Figure 5 narrative.
-        let mut ts = TimeScalingCounters::new();
-        // (b) processors run to cycle 100 and issue a request.
-        ts.tick_global(100);
-        ts.advance_proc(100);
-        // (c) SMC detects the request and enters critical mode.
-        ts.enter_critical();
-        ts.tick_global(50);
-        assert!(ts.invariant_holds());
-        // (d) ACT executed; MC counter advances to 105.
-        ts.advance_mc(105);
-        ts.tick_global(50);
-        // (e) processors emulate the missing duration, to 104 then 105.
-        ts.advance_proc(104);
-        assert!(ts.invariant_holds());
-        ts.advance_proc(105);
-        assert_eq!(ts.proc_cycles, ts.mc_cycles);
-        // (g) response executed; MC advances, processor catches up, exit.
-        ts.advance_mc(135);
-        ts.advance_proc(135);
-        ts.exit_critical();
-        assert!(ts.invariant_holds());
-        assert_eq!(ts.global_cycles, 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "may not pass the MC counter")]
-    fn critical_mode_locks_processor() {
-        let mut ts = TimeScalingCounters::new();
-        ts.advance_mc(10);
-        ts.enter_critical();
-        ts.advance_proc(11);
-    }
-
-    #[test]
-    fn exit_critical_syncs_counters() {
-        let mut ts = TimeScalingCounters::new();
-        ts.advance_proc(500);
-        ts.enter_critical();
-        // proc was already at 500; mc behind.
-        ts.exit_critical();
-        assert_eq!(ts.mc_cycles, 500);
-    }
-
-    #[test]
-    fn advance_is_monotonic() {
-        let mut ts = TimeScalingCounters::new();
-        ts.advance_mc(100);
-        ts.advance_mc(50);
-        assert_eq!(ts.mc_cycles, 100);
-        ts.advance_proc(80);
-        ts.advance_proc(20);
-        assert_eq!(ts.proc_cycles, 80);
     }
 }

@@ -1,6 +1,6 @@
 //! System-level integration tests for the EasyDRAM core crate: request
-//! lifetimes, time-scaling counter behaviour under load, allocator stress,
-//! profiling-request semantics, and controller swapping.
+//! lifetimes, allocator stress, profiling-request semantics, and controller
+//! swapping.
 
 use easydram::{FcfsController, System, SystemConfig, TimingMode};
 use easydram_cpu::{CpuApi, RowCloneStatus};
@@ -37,37 +37,6 @@ fn every_mapping_scheme_round_trips_data() {
             );
         }
     }
-}
-
-#[test]
-fn time_scaling_counters_track_request_traffic() {
-    let mut s = sys(TimingMode::TimeScaling);
-    let a = s.cpu().alloc(64 * 128, 64);
-    for i in 0..128u64 {
-        let _ = s.cpu().load_u64(a + i * 64);
-    }
-    let c = *s.tile().counters();
-    assert!(c.invariant_holds());
-    assert!(!c.critical, "critical mode must end with each batch");
-    assert!(
-        c.mc_cycles >= s.cpu().now_cycles() / 2,
-        "MC counter tracks emulation"
-    );
-    assert!(c.global_cycles > 0, "global counter counts FPGA cycles");
-}
-
-#[test]
-fn reference_mode_keeps_counters_idle() {
-    let mut s = sys(TimingMode::Reference);
-    let a = s.cpu().alloc(64 * 16, 64);
-    for i in 0..16u64 {
-        let _ = s.cpu().load_u64(a + i * 64);
-    }
-    assert_eq!(
-        s.tile().counters().mc_cycles,
-        0,
-        "reference mode needs no time scaling"
-    );
 }
 
 #[test]

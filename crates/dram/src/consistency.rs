@@ -368,21 +368,6 @@ impl TimingParams {
     }
 }
 
-impl TimingTable {
-    /// Builds the distance matrices only if the parameter set passes the
-    /// [`ConfigRule`] contradiction checker — the validated entry point the
-    /// device/config layer uses. [`TimingTable::new`] stays available
-    /// unchecked for tests that deliberately model non-JEDEC bins.
-    ///
-    /// # Errors
-    ///
-    /// Returns every contradiction found, in [`ConfigRule::all`] order.
-    pub fn checked(t: &TimingParams) -> Result<Self, Vec<TimingContradiction>> {
-        t.check_consistency()?;
-        Ok(Self::new(t))
-    }
-}
-
 /// Model-checker hook, compiled for tests and the `oracle` feature only.
 #[cfg(any(test, feature = "oracle"))]
 impl TimingTable {
@@ -497,15 +482,6 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(order, sorted);
-    }
-
-    #[test]
-    fn checked_table_rejects_and_accepts() {
-        let mut t = TimingParams::ddr4_1333();
-        assert!(TimingTable::checked(&t).is_ok());
-        t.t_faw_ps = 1;
-        let errs = TimingTable::checked(&t).unwrap_err();
-        assert_eq!(errs[0].rule, ConfigRule::FawWindow);
     }
 
     #[test]

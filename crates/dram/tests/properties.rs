@@ -296,7 +296,7 @@ proptest! {
         field in 0usize..8,
         scale in 0usize..4,
     ) {
-        use easydram_dram::{ConfigRule, TimingTable};
+        use easydram_dram::ConfigRule;
         let mut t = if base == 0 {
             TimingParams::ddr4_1333()
         } else {
@@ -334,7 +334,6 @@ proptest! {
                 prop_assert!(t.t_refi_ps >= t.t_rfc_ps);
                 prop_assert!(t.t_refw_ps >= t.t_refi_ps);
                 prop_assert!(t.t_rfm_ps == 0 || t.t_rfm_ps >= t.t_rp_ps);
-                prop_assert!(TimingTable::checked(&t).is_ok());
             }
             Err(errs) => {
                 prop_assert!(!errs.is_empty());

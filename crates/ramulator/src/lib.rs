@@ -110,8 +110,17 @@ pub struct RamulatorBackend {
 
 impl RamulatorBackend {
     /// Creates the memory model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.timing` is self-contradictory, listing every
+    /// contradiction found (a sweep must not simulate a nonsense bin).
     #[must_use]
     pub fn new(cfg: RamulatorConfig) -> Self {
+        if let Err(contradictions) = cfg.timing.check_consistency() {
+            let listed: Vec<String> = contradictions.iter().map(ToString::to_string).collect();
+            panic!("invalid Ramulator timing: {}", listed.join("; "));
+        }
         let n = cfg.geometry.channels as usize;
         let channels = (0..n)
             .map(|_| RankTiming::new(cfg.geometry.per_channel(), cfg.timing.clone()))
@@ -331,6 +340,10 @@ pub struct RamulatorSystem {
 
 impl RamulatorSystem {
     /// Builds the simulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.timing` is self-contradictory ([`RamulatorBackend::new`]).
     #[must_use]
     pub fn new(cfg: RamulatorConfig) -> Self {
         let core_cfg = cfg.core.clone();
@@ -537,5 +550,13 @@ mod tests {
         let frequent_ref = run(1);
         let rare_ref = run(1000);
         assert!(frequent_ref > rare_ref, "{frequent_ref} vs {rare_ref}");
+    }
+
+    #[test]
+    #[should_panic(expected = "cfg/faw-window")]
+    fn contradictory_timing_is_rejected() {
+        let mut cfg = RamulatorConfig::default();
+        cfg.timing.t_faw_ps = 4 * cfg.timing.t_rrd_s_ps - 1;
+        let _ = RamulatorSystem::new(cfg);
     }
 }
