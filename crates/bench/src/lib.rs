@@ -1,188 +1,213 @@
-//! Shared harness for regenerating every table and figure of the EasyDRAM
-//! paper's evaluation (see `EXPERIMENTS.md` for paper-vs-measured records).
+//! The paper's evaluation, one function per table and figure.
 //!
-//! Each `src/bin/figNN_*.rs` binary prints the same rows/series the paper
-//! reports. The harness honours two environment variables:
-//!
-//! * `EASYDRAM_QUICK=1` — smaller sweeps for smoke runs and CI;
-//! * `EASYDRAM_MAX_BYTES=N` — cap the microbenchmark size sweeps.
+//! Each figure is a `run(Scale) -> Figure` listed once in [`FIGURES`].
+//! [`Scale`] picks only data: the configuration a system preset is built
+//! at, the sizes swept, the kernels and the systems compared. The printout
+//! (the `repro` binary), the goldens (`tests/snapshots.rs`, at
+//! [`Scale::Golden`]) and the claims (`tests/claims.rs`, at
+//! [`Scale::Quick`]) therefore all come from the same code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use easydram::json::JsonWriter;
-use easydram::{System, SystemConfig, TimingMode};
+use std::fmt::{self, Debug, Display, Write as _};
+
+use easydram::SystemConfig;
 use easydram_cpu::Workload;
 use easydram_dram::bank::RankTiming;
-use easydram_dram::{DramCommand, Geometry, OracleRankTiming, TimingParams};
-use easydram_ramulator::{RamulatorConfig, RamulatorSystem};
-use easydram_workloads::micro::{CpuCopy, CpuInit, FlushMode, RowCloneCopy, RowCloneInit};
+use easydram_dram::{DramCommand, DramConfig, Geometry, OracleRankTiming, TimingParams};
+use easydram_ramulator::{RamReport, RamulatorConfig, RamulatorSystem};
+use easydram_workloads::{polybench, PolySize};
+
+mod contention;
+mod fig12_trcd_heatmap;
+mod fig13_trcd_speedup;
+mod fig14_sim_speed;
+mod fig8_latency_profile;
+mod fig_channel_sweep;
+mod fig_rowhammer;
+mod rowclone;
+mod table1_platforms;
+mod validate_timescaling;
+
+/// A figure: runs it at a scale.
+pub type Run = fn(Scale) -> Figure;
+
+/// Every table and figure, by the name `repro` and the goldens use.
+pub const FIGURES: [(&str, Run); 12] = [
+    ("table1_platforms", table1_platforms::run),
+    ("validate_timescaling", validate_timescaling::run),
+    ("fig8_latency_profile", fig8_latency_profile::run),
+    ("fig10_rowclone_noflush", rowclone::noflush),
+    ("fig11_rowclone_clflush", rowclone::clflush),
+    ("fig12_trcd_heatmap", fig12_trcd_heatmap::run),
+    ("fig13_trcd_speedup", fig13_trcd_speedup::run),
+    ("fig14_sim_speed", fig14_sim_speed::run),
+    ("fig_channel_sweep", fig_channel_sweep::run),
+    ("fig_multicore_contention", contention::multicore),
+    ("fig_rowhammer", fig_rowhammer::run),
+    ("fig_latency_cdf", contention::latency_cdf),
+];
+
+/// The figure called `name` in [`FIGURES`].
+#[must_use]
+pub fn figure(name: &str) -> Option<Run> {
+    FIGURES
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, run)| run)
+}
+
+/// How much of a figure to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// The miniature run a golden pins: small DRAM geometry, few points.
+    Golden,
+    /// Short sweeps whose claims tier-1 tests assert (`EASYDRAM_QUICK=1`).
+    Quick,
+    /// The paper's sweeps.
+    Paper,
+}
+
+impl Scale {
+    /// The value for this scale.
+    pub fn pick<T>(self, golden: T, quick: T, paper: T) -> T {
+        match self {
+            Scale::Golden => golden,
+            Scale::Quick => quick,
+            Scale::Paper => paper,
+        }
+    }
+
+    /// A system preset built at this scale: below `Paper`, RowClone pair
+    /// qualification runs 100 trials instead of the preset's, and `Golden`
+    /// puts it on the small test DRAM.
+    #[must_use]
+    pub fn config(self, mut cfg: SystemConfig) -> SystemConfig {
+        if self != Scale::Paper {
+            cfg.rowclone_test_trials = 100;
+        }
+        if self == Scale::Golden {
+            cfg.dram = DramConfig::small_for_tests();
+        }
+        cfg
+    }
+
+    /// PolyBench kernel `name` at this scale's dataset size.
+    #[must_use]
+    pub fn kernel(self, name: &str) -> Box<dyn Workload> {
+        let size = self.pick(PolySize::Mini, PolySize::Mini, PolySize::Small);
+        polybench::by_name(name, size).expect("a PolyBench kernel")
+    }
+}
+
+/// One statement of the paper (or of an extension) checked against the
+/// numbers a figure just produced.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    /// Where it is stated: a paper section, figure or table.
+    pub cite: &'static str,
+    /// The statement, with the measured numbers.
+    pub text: String,
+    /// Whether the numbers bear it out.
+    pub holds: bool,
+}
+
+impl Display for Claim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = if self.holds { "PASS" } else { "FAIL" };
+        write!(f, "[{verdict}] {}: {}", self.cite, self.text)
+    }
+}
+
+/// What a figure produced.
+#[derive(Debug, Default)]
+pub struct Figure {
+    /// The printed tables and notes.
+    pub text: String,
+    /// Labelled `{:#?}` renders of every deterministic report the figure
+    /// ran, in run order: what a golden pins.
+    pub sections: String,
+    /// The claims, computed from the numbers above.
+    pub claims: Vec<Claim>,
+    /// Files for `repro` to write: `(path, bytes)`.
+    pub files: Vec<(&'static str, Vec<u8>)>,
+}
+
+impl Figure {
+    /// Appends an aligned table: a title, a header row and data rows.
+    pub(crate) fn table(&mut self, title: &str, header: &[&str], rows: &[Vec<String>]) {
+        let header: Vec<String> = header.iter().map(ToString::to_string).collect();
+        let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+        for row in rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
+            }
+        }
+        let _ = writeln!(self.text, "\n== {title} ==");
+        for row in std::iter::once(&header).chain(rows) {
+            let cells: Vec<String> = row
+                .iter()
+                .zip(&widths)
+                .map(|(cell, w)| format!("{cell:>w$}"))
+                .collect();
+            let _ = writeln!(self.text, "{}", cells.join("  "));
+        }
+    }
+
+    /// Appends one line of text.
+    pub(crate) fn note(&mut self, line: impl Display) {
+        let _ = writeln!(self.text, "{line}");
+    }
+
+    /// Appends a labelled section holding `value`'s pretty `Debug` render.
+    pub(crate) fn section(&mut self, label: impl Display, value: &dyn Debug) {
+        let _ = writeln!(self.sections, "== {label} ==\n{value:#?}\n");
+    }
+
+    /// Runs `w` on a fresh Ramulator baseline and pins its report as
+    /// section `label`, measured host time zeroed.
+    pub(crate) fn ramulator(
+        &mut self,
+        label: impl Display,
+        cfg: RamulatorConfig,
+        w: &mut dyn Workload,
+    ) -> RamReport {
+        let r = RamulatorSystem::new(cfg).run(w);
+        let pinned = RamReport {
+            host_wall_seconds: 0.0,
+            ..r.clone()
+        };
+        self.section(label, &pinned);
+        r
+    }
+
+    /// Records a claim.
+    pub(crate) fn claim(&mut self, cite: &'static str, holds: bool, text: impl Into<String>) {
+        self.claims.push(Claim {
+            cite,
+            text: text.into(),
+            holds,
+        });
+    }
+}
 
 /// KiB.
-pub const KIB: u64 = 1024;
+pub(crate) const KIB: u64 = 1024;
 /// MiB.
-pub const MIB: u64 = 1024 * 1024;
+pub(crate) const MIB: u64 = 1024 * 1024;
 
-/// Whether quick (CI) mode is enabled.
+/// The powers of two from `lo` to `hi`, both included.
 #[must_use]
-pub fn quick() -> bool {
-    std::env::var("EASYDRAM_QUICK").is_ok_and(|v| v != "0")
-}
-
-/// The paper's Fig. 10/11 size sweep: 8 KiB – 16 MiB, powers of two,
-/// optionally capped.
-#[must_use]
-pub fn micro_sizes() -> Vec<u64> {
-    let cap = std::env::var("EASYDRAM_MAX_BYTES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick() { 512 * KIB } else { 16 * MIB });
-    let mut sizes = Vec::new();
-    let mut s = 8 * KIB;
-    while s <= cap {
-        sizes.push(s);
-        s *= 2;
-    }
-    sizes
-}
-
-/// The Fig. 8 lmbench working-set sweep: 1 KiB – 16 MiB.
-#[must_use]
-pub fn lmbench_sizes() -> Vec<u64> {
-    let cap = if quick() { MIB } else { 16 * MIB };
-    let mut sizes = Vec::new();
-    let mut s = KIB;
-    while s <= cap {
-        sizes.push(s);
-        s *= 2;
-    }
-    sizes
-}
-
-/// Builds the paper's main EasyDRAM system in the given mode.
-#[must_use]
-pub fn jetson(mode: TimingMode) -> System {
-    let mut cfg = SystemConfig::jetson_nano(mode);
-    if quick() {
-        cfg.rowclone_test_trials = 100;
-    }
-    System::new(cfg)
-}
-
-/// Builds the PiDRAM-like No-Time-Scaling system of §7.2.
-#[must_use]
-pub fn pidram() -> System {
-    let mut cfg = SystemConfig::pidram_like();
-    if quick() {
-        cfg.rowclone_test_trials = 100;
-    }
-    System::new(cfg)
-}
-
-/// Builds the Ramulator 2.0 baseline.
-#[must_use]
-pub fn ramulator() -> RamulatorSystem {
-    RamulatorSystem::new(RamulatorConfig::default())
-}
-
-/// A simulator under measurement (EasyDRAM or the software baseline).
-pub enum Sim {
-    /// An EasyDRAM system.
-    Easy(Box<System>),
-    /// The Ramulator baseline.
-    Ram(Box<RamulatorSystem>),
-}
-
-impl Sim {
-    /// Runs a workload and returns its measured cycles (the workload's
-    /// measured region if it defines one, else the full run).
-    pub fn measure(&mut self, w: &mut dyn Workload) -> u64 {
-        match self {
-            Sim::Easy(s) => {
-                let r = s.run(w);
-                w.measured_cycles().unwrap_or(r.emulated_cycles)
-            }
-            Sim::Ram(s) => {
-                let r = s.run(w);
-                w.measured_cycles().unwrap_or(r.simulated_cycles)
-            }
-        }
-    }
-}
-
-/// The shared body of Figures 10 and 11: RowClone Copy and Init speedup over
-/// each configuration's CPU baseline, swept over [`micro_sizes`] on the
-/// No-Time-Scaling system, the time-scaled system and the Ramulator
-/// baseline. Prints the two tables (`"{figure}(a): RowClone - … Copy
-/// speedup"` and `(b)` for Init, to `decimals` places) and the averages, and
-/// returns the six speedup series — Copy then Init, each NoTS / TS /
-/// Ramulator — for the figure's own shape check.
-pub fn rowclone_speedup_figure(flush: FlushMode, figure: &str, decimals: usize) -> [Vec<f64>; 6] {
-    type MakeSim = fn() -> Sim;
-    let sims: [MakeSim; 3] = [
-        || Sim::Easy(Box::new(pidram())),
-        || Sim::Easy(Box::new(jetson(TimingMode::TimeScaling))),
-        || Sim::Ram(Box::new(ramulator())),
-    ];
-    let speedup = |sim: MakeSim, base: &mut dyn Workload, rc: &mut dyn Workload| {
-        sim().measure(base) as f64 / sim().measure(rc).max(1) as f64
-    };
-    let fmt = |x: f64| format!("{x:.decimals$}");
-    let mut acc: [Vec<f64>; 6] = Default::default();
-    let mut rows: [Vec<Vec<String>>; 2] = Default::default();
-    for bytes in micro_sizes() {
-        let copy = sims.map(|sim| {
-            speedup(
-                sim,
-                &mut CpuCopy::new(bytes),
-                &mut RowCloneCopy::new(bytes, flush),
-            )
-        });
-        let init = sims.map(|sim| {
-            speedup(
-                sim,
-                &mut CpuInit::new(bytes),
-                &mut RowCloneInit::new(bytes, flush),
-            )
-        });
-        for (series, x) in acc.iter_mut().zip(copy.into_iter().chain(init)) {
-            series.push(x);
-        }
-        for (table, xs) in rows.iter_mut().zip([copy, init]) {
-            table.push(
-                std::iter::once(fmt_size(bytes))
-                    .chain(xs.map(fmt))
-                    .collect(),
-            );
-        }
-        eprintln!("  done {}", fmt_size(bytes));
-    }
-    let header = ["size", "EasyDRAM-NoTS", "EasyDRAM-TS", "Ramulator-2.0"];
-    let variant = match flush {
-        FlushMode::NoFlush => "No Flush",
-        FlushMode::ClFlush => "CLFLUSH",
-    };
-    for (part, kind, table) in [("a", "Copy", &rows[0]), ("b", "Init", &rows[1])] {
-        let title = format!("{figure}({part}): RowClone - {variant} {kind} speedup");
-        print_table(&title, &header, table);
-    }
-    let max = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
-    println!("\nAverages (maxima) over all sizes:");
-    for (kind, series) in ["Copy", "Init"].iter().zip(acc.chunks(3)) {
-        let cell = |v: &[f64]| format!("{}x ({}x)", fmt(geomean(v)), fmt(max(v)));
-        println!(
-            "  {kind}: NoTS {} | TS {} | Ramulator {}",
-            cell(&series[0]),
-            cell(&series[1]),
-            cell(&series[2])
-        );
-    }
-    acc
+pub(crate) fn pow2_sweep(lo: u64, hi: u64) -> Vec<u64> {
+    std::iter::successors(Some(lo), |s| Some(s * 2))
+        .take_while(|&s| s <= hi)
+        .collect()
 }
 
 /// Formats a byte count the way the paper's x-axes do (8K, 64K, 1M, ...).
 #[must_use]
-pub fn fmt_size(bytes: u64) -> String {
+pub(crate) fn fmt_size(bytes: u64) -> String {
     if bytes >= MIB {
         format!("{}M", bytes / MIB)
     } else {
@@ -190,83 +215,17 @@ pub fn fmt_size(bytes: u64) -> String {
     }
 }
 
-/// Prints an aligned table: a header row and data rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "{:>w$}  ",
-                c,
-                w = widths.get(i).copied().unwrap_or(8)
-            ));
-        }
-        println!("{}", s.trim_end());
-    };
-    line(&header.iter().map(|s| (*s).to_string()).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
-    }
-}
-
-/// The machine-readable harness report `repro_all` leaves in
-/// `target/bench-report.json` for CI and perf-trajectory tooling: run
-/// metadata, one named section per sweep record (`sections` values are the
-/// JSON documents the harnesses wrote, already scanned), and one object per
-/// harness with its name, pass/fail and wall seconds.
-#[must_use]
-pub fn bench_report_json(runs: &[(String, bool, f64)], sections: &[(&str, String)]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object().key("schema").number(8);
-    w.key("quick").bool(quick());
-    for (key, json) in sections {
-        w.key(key).raw(json);
-    }
-    w.key("harnesses").begin_array();
-    for (name, ok, secs) in runs {
-        w.begin_object().key("name").string(name);
-        w.key("ok").bool(*ok);
-        w.key("wall_seconds").number(format_args!("{secs:.3}"));
-        w.end_object();
-    }
-    w.end_array().end_object();
-    w.finish()
-}
-
-/// Writes a harness's machine-readable record to `path` (creating the parent
-/// directory) and says so. The record is a by-product of the run: a failed
-/// write is reported, not fatal.
-pub fn write_record(path: &str, json: &str) {
-    let parent = std::path::Path::new(path).parent();
-    let written = parent
-        .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(path, json));
-    match written {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
-}
-
-/// Serve-loop regression threshold enforced by `fig14_sim_speed`: the
+/// Serve-loop regression threshold a release `repro fig14_sim_speed` checks: the
 /// precomputed timing-table kernel must stay at least this many times faster
 /// than the rule-based oracle checker.
-pub const SIM_SPEED_THRESHOLD: f64 = 2.0;
+pub(crate) const SIM_SPEED_THRESHOLD: f64 = 2.0;
 
 /// The geometry the sim-speed kernels run on: two ranks folded into the
 /// bank-group dimension ([`Geometry::per_channel`]), i.e. 32 banks across
 /// 8 groups — the largest timing-table scope mix a single channel device
 /// exercises (channel, rank, cross/same bank group, bank, same row).
 #[must_use]
-pub fn sim_speed_geometry() -> Geometry {
+pub(crate) fn sim_speed_geometry() -> Geometry {
     Geometry {
         ranks: 2,
         ..Geometry::default()
@@ -283,7 +242,7 @@ pub fn sim_speed_geometry() -> Geometry {
 /// keeps the buffer cache-resident; both kernels pay the same few-cycle
 /// [`ScheduledCmd::decode`], mirroring the serve loop's own hot decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledCmd {
+pub(crate) struct ScheduledCmd {
     kind: u8,
     bank: u32,
     arg: u32,
@@ -321,7 +280,7 @@ impl ScheduledCmd {
     /// timing trackers never look at payload bytes).
     #[must_use]
     #[inline]
-    pub fn decode(&self) -> DramCommand {
+    pub(crate) fn decode(&self) -> DramCommand {
         match self.kind {
             Self::ACT => DramCommand::Activate {
                 bank: self.bank,
@@ -349,7 +308,7 @@ impl ScheduledCmd {
     /// The issue time the scheduler stamped on this command.
     #[must_use]
     #[inline]
-    pub fn issue_ps(&self) -> u64 {
+    pub(crate) fn issue_ps(&self) -> u64 {
         self.at
     }
 }
@@ -365,7 +324,7 @@ impl ScheduledCmd {
 /// per-command legality decision `DramDevice::execute` makes: an O(1)
 /// table lookup on one side, the full rule walk on the other.
 #[must_use]
-pub fn sim_speed_stream(
+pub(crate) fn sim_speed_stream(
     commands: usize,
     geometry: &Geometry,
     timing: &TimingParams,
@@ -383,11 +342,6 @@ pub fn sim_speed_stream(
     let mut scheduler = RankTiming::new(geometry.clone(), timing.clone());
     let mut now = 0u64;
     let mut out = Vec::with_capacity(commands + commands / 2);
-    let push = |cmd: DramCommand, scheduler: &mut RankTiming, now: &mut u64| {
-        *now = (*now + timing.t_ck_ps).max(scheduler.earliest_issue_ps(&cmd));
-        scheduler.apply(&cmd, *now);
-        ScheduledCmd::encode(&cmd, *now)
-    };
     // Column-dominant mix with rare refreshes, like real serve-loop traffic
     // (tREFI is thousands of commands at DDR4 rates; row hits dominate).
     while out.len() < commands {
@@ -395,138 +349,97 @@ pub fn sim_speed_stream(
         let bank = (next() % banks) as u32;
         let row = (next() % rows) as u32;
         let col = (next() % cols) as u32;
-        match kind {
-            0..=7 => {
-                if scheduler.open_row(bank).is_some() {
-                    out.push(push(
-                        DramCommand::Precharge { bank },
-                        &mut scheduler,
-                        &mut now,
-                    ));
-                }
-                out.push(push(
-                    DramCommand::Activate { bank, row },
-                    &mut scheduler,
-                    &mut now,
-                ));
-            }
-            8..=33 => {
-                if scheduler.open_row(bank).is_none() {
-                    out.push(push(
-                        DramCommand::Activate { bank, row },
-                        &mut scheduler,
-                        &mut now,
-                    ));
-                }
-                out.push(push(
-                    DramCommand::Read { bank, col },
-                    &mut scheduler,
-                    &mut now,
-                ));
-            }
-            34..=53 => {
-                if scheduler.open_row(bank).is_none() {
-                    out.push(push(
-                        DramCommand::Activate { bank, row },
-                        &mut scheduler,
-                        &mut now,
-                    ));
-                }
-                let wr = DramCommand::Write {
-                    bank,
-                    col,
-                    data: [0xA5; easydram_dram::LINE_BYTES],
-                };
-                out.push(push(wr, &mut scheduler, &mut now));
-            }
-            54..=60 => {
-                out.push(push(
-                    DramCommand::Precharge { bank },
-                    &mut scheduler,
-                    &mut now,
-                ));
-            }
-            61 => {
-                out.push(push(DramCommand::PrechargeAll, &mut scheduler, &mut now));
-            }
-            62 => {
-                out.push(push(DramCommand::PrechargeAll, &mut scheduler, &mut now));
-                out.push(push(DramCommand::Refresh, &mut scheduler, &mut now));
-            }
-            _ => {
-                if scheduler.open_row(bank).is_some() {
-                    out.push(push(
-                        DramCommand::Precharge { bank },
-                        &mut scheduler,
-                        &mut now,
-                    ));
-                }
-                out.push(push(
-                    DramCommand::RefreshRow { bank, row },
-                    &mut scheduler,
-                    &mut now,
-                ));
-            }
+        let open = scheduler.open_row(bank).is_some();
+        let pre = DramCommand::Precharge { bank };
+        let act = DramCommand::Activate { bank, row };
+        let data = [0xA5; easydram_dram::LINE_BYTES];
+        let cmds = match kind {
+            0..=7 => [open.then_some(pre), Some(act)],
+            8..=33 => [
+                (!open).then_some(act),
+                Some(DramCommand::Read { bank, col }),
+            ],
+            34..=53 => [
+                (!open).then_some(act),
+                Some(DramCommand::Write { bank, col, data }),
+            ],
+            54..=60 => [Some(pre), None],
+            61 => [Some(DramCommand::PrechargeAll), None],
+            62 => [Some(DramCommand::PrechargeAll), Some(DramCommand::Refresh)],
+            _ => [
+                open.then_some(pre),
+                Some(DramCommand::RefreshRow { bank, row }),
+            ],
+        };
+        for cmd in cmds.into_iter().flatten() {
+            now = (now + timing.t_ck_ps).max(scheduler.earliest_issue_ps(&cmd));
+            scheduler.apply(&cmd, now);
+            out.push(ScheduledCmd::encode(&cmd, now));
         }
     }
     out.truncate(commands);
     out
 }
 
+/// Replays `stream`, asking `violations` for each command's violation count,
+/// and returns a state digest (issue-time XOR plus violation counts) so the
+/// optimizer cannot elide the walk.
+fn replay(stream: &[ScheduledCmd], mut violations: impl FnMut(&DramCommand, u64) -> usize) -> u64 {
+    stream.iter().fold(0u64, |acc, sc| {
+        let at = sc.issue_ps();
+        acc.wrapping_add(violations(&sc.decode(), at) as u64) ^ at
+    })
+}
+
 /// Replays `stream` through the timing-table hot path ([`RankTiming`]):
 /// each command pays one O(1) [`RankTiming::is_legal`] lookup and only
 /// falls back to enumerating [`RankTiming::check`] violations when illegal
-/// — exactly what `DramDevice::execute` does per command. Returns a state
-/// digest (issue-time XOR plus violation counts) so the optimizer cannot
-/// elide the walk; the digest is bit-identical to [`run_oracle_kernel`]'s
-/// on the same stream.
+/// — exactly what `DramDevice::execute` does per command. The digest is
+/// bit-identical to [`run_oracle_kernel`]'s on the same stream.
 #[must_use]
-pub fn run_table_kernel(
+pub(crate) fn run_table_kernel(
     geometry: &Geometry,
     timing: &TimingParams,
     stream: &[ScheduledCmd],
 ) -> u64 {
     let mut rank = RankTiming::new(geometry.clone(), timing.clone());
-    let mut acc = 0u64;
-    for sc in stream {
-        let cmd = sc.decode();
-        let at = sc.issue_ps();
-        if !rank.is_legal(&cmd, at) {
-            acc = acc.wrapping_add(rank.check(&cmd, at).len() as u64);
-        }
-        rank.apply(&cmd, at);
-        acc ^= at;
-    }
-    acc
+    replay(stream, |cmd, at| {
+        let violations = if rank.is_legal(cmd, at) {
+            0
+        } else {
+            rank.check(cmd, at).len()
+        };
+        rank.apply(cmd, at);
+        violations
+    })
 }
 
 /// Replays `stream` through the rule-based oracle checker
 /// ([`OracleRankTiming`]): every command enumerates the full
 /// [`OracleRankTiming::check`] rule walk — the pre-table hot path this
-/// rewrite replaced. Returns the same state digest as
-/// [`run_table_kernel`].
+/// rewrite replaced.
 #[must_use]
-pub fn run_oracle_kernel(
+pub(crate) fn run_oracle_kernel(
     geometry: &Geometry,
     timing: &TimingParams,
     stream: &[ScheduledCmd],
 ) -> u64 {
     let mut rank = OracleRankTiming::new(geometry.clone(), timing.clone());
-    let mut acc = 0u64;
-    for sc in stream {
-        let cmd = sc.decode();
-        let at = sc.issue_ps();
-        acc = acc.wrapping_add(rank.check(&cmd, at).len() as u64);
-        rank.apply(&cmd, at);
-        acc ^= at;
-    }
-    acc
+    replay(stream, |cmd, at| {
+        let violations = rank.check(cmd, at).len();
+        rank.apply(cmd, at);
+        violations
+    })
 }
 
 /// Times `kernel` `samples` times and returns the median wall nanoseconds
-/// per command, the robust summary the fig14 harness reports and enforces
-/// its threshold on.
-pub fn median_ns_per_cmd(samples: usize, commands: usize, mut kernel: impl FnMut() -> u64) -> f64 {
+/// per command, the robust summary Fig. 14's serve-loop race reports and
+/// checks its threshold on.
+pub(crate) fn median_ns_per_cmd(
+    samples: usize,
+    commands: usize,
+    mut kernel: impl FnMut() -> u64,
+) -> f64 {
     let mut ns: Vec<f64> = (0..samples.max(1))
         .map(|_| {
             let start = std::time::Instant::now();
@@ -540,7 +453,7 @@ pub fn median_ns_per_cmd(samples: usize, commands: usize, mut kernel: impl FnMut
 
 /// Geometric mean of a slice (for the paper's geomean rows).
 #[must_use]
-pub fn geomean(xs: &[f64]) -> f64 {
+pub(crate) fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -549,7 +462,7 @@ pub fn geomean(xs: &[f64]) -> f64 {
 
 /// Arithmetic mean.
 #[must_use]
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -559,46 +472,24 @@ pub fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easydram::json::key_paths;
 
     #[test]
     fn sweeps_are_powers_of_two() {
-        for s in micro_sizes() {
-            assert!(s.is_power_of_two());
-            assert!(s >= 8 * KIB);
+        for scale in [Scale::Golden, Scale::Quick, Scale::Paper] {
+            for s in rowclone::sizes(scale) {
+                assert!(s.is_power_of_two() && s >= 8 * KIB, "{scale:?}: {s}");
+            }
+            for s in fig8_latency_profile::sizes(scale) {
+                assert!(s.is_power_of_two(), "{scale:?}: {s}");
+            }
         }
-        assert!(lmbench_sizes().contains(&KIB));
+        assert_eq!(fig8_latency_profile::sizes(Scale::Paper)[0], KIB);
     }
 
     #[test]
     fn size_formatting() {
         assert_eq!(fmt_size(8 * KIB), "8K");
         assert_eq!(fmt_size(16 * MIB), "16M");
-    }
-
-    #[test]
-    fn bench_report_is_valid_flat_json() {
-        let runs = vec![
-            ("fig8".to_string(), true, 1.25),
-            ("fig\"quoted\"".to_string(), false, 0.5),
-        ];
-        let s = bench_report_json(&runs, &[]);
-        assert!(s.starts_with("{\"schema\":8,\"quick\":"));
-        assert!(s.contains(r#"{"name":"fig8","ok":true,"wall_seconds":1.250}"#));
-        assert!(s.contains(r#"fig\"quoted\""#), "quotes must be escaped");
-        let paths = key_paths(&s).expect("well-formed");
-        assert!(paths.contains("harnesses.wall_seconds"));
-    }
-
-    #[test]
-    fn bench_report_embeds_channel_sweep_section() {
-        let sweep = "{\"stream_reads\":256,\"channels\":[{\"channels\":2,\"speedup\":1.954}]}\n";
-        let runs = vec![("fig_channel_sweep".to_string(), true, 0.4)];
-        let s = bench_report_json(&runs, &[("channel_sweep", sweep.to_string())]);
-        assert!(s.contains("\"channel_sweep\":{\"stream_reads\":256,"));
-        let paths = key_paths(&s).expect("well-formed");
-        assert!(paths.contains("channel_sweep.channels.speedup"));
-        assert!(paths.contains("harnesses.name"));
     }
 
     #[test]
