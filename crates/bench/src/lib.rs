@@ -71,7 +71,7 @@ pub enum Scale {
 
 impl Scale {
     /// The value for this scale.
-    pub fn pick<T>(self, golden: T, quick: T, paper: T) -> T {
+    pub(crate) fn pick<T>(self, golden: T, quick: T, paper: T) -> T {
         match self {
             Scale::Golden => golden,
             Scale::Quick => quick,
@@ -83,7 +83,7 @@ impl Scale {
     /// qualification runs 100 trials instead of the preset's, and `Golden`
     /// puts it on the small test DRAM.
     #[must_use]
-    pub fn config(self, mut cfg: SystemConfig) -> SystemConfig {
+    pub(crate) fn config(self, mut cfg: SystemConfig) -> SystemConfig {
         if self != Scale::Paper {
             cfg.rowclone_test_trials = 100;
         }
@@ -95,7 +95,7 @@ impl Scale {
 
     /// PolyBench kernel `name` at this scale's dataset size.
     #[must_use]
-    pub fn kernel(self, name: &str) -> Box<dyn Workload> {
+    pub(crate) fn kernel(self, name: &str) -> Box<dyn Workload> {
         let size = self.pick(PolySize::Mini, PolySize::Mini, PolySize::Small);
         polybench::by_name(name, size).expect("a PolyBench kernel")
     }
@@ -103,7 +103,7 @@ impl Scale {
 
 /// One statement of the paper (or of an extension) checked against the
 /// numbers a figure just produced.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Claim {
     /// Where it is stated: a paper section, figure or table.
     pub cite: &'static str,
