@@ -6,6 +6,11 @@
 //! the core stopped moving lines by value; any change to it means the core
 //! now computes something else (a value, a cycle count, a victim, a
 //! writeback).
+//!
+//! Kernels do not call `load(addr, size)`: they call the typed accessors
+//! (`load_f64`, `store_u64`, ...) on `&mut dyn CpuApi`, whose default bodies
+//! are where the core's inlined hit path lands. The second test drives a twin
+//! core that way, op for op beside the first, and holds the two equal.
 
 #[path = "../../../tests/support/fnv.rs"]
 mod fnv;
@@ -53,6 +58,10 @@ const REGION_BYTES: [u64; 5] = [512, 3 << 10, 24 << 10, 256 << 10, RANGE_BYTES];
 
 struct Stream {
     core: CoreModel<FixedLatencyBackend>,
+    /// A twin of `core` driven the way kernels drive a core, through
+    /// `&mut dyn CpuApi` and its typed accessors; equal to `core` after
+    /// every op.
+    typed: Option<CoreModel<FixedLatencyBackend>>,
     base: u64,
     rng: u64,
     digest: Digest,
@@ -100,38 +109,110 @@ impl Stream {
         levels
     }
 
+    /// Applies one op to `core` and to the twin, if there is one, and
+    /// checks that both return the same.
+    fn each<T: PartialEq + std::fmt::Debug>(&mut self, op: impl Fn(&mut dyn CpuApi) -> T) -> T {
+        let out = op(&mut self.core);
+        if let Some(typed) = &mut self.typed {
+            assert_eq!(op(typed), out, "the twins disagree");
+        }
+        out
+    }
+
+    fn load(&mut self, addr: u64, size: u8) -> u64 {
+        let value = self.core.load(addr, size);
+        if let Some(typed) = &mut self.typed {
+            assert_eq!(
+                load_typed(typed, addr, size),
+                value,
+                "load {addr:#x} size {size}"
+            );
+        }
+        value
+    }
+
+    /// Holds the twin equal to `core` in every counter, and folds the cache
+    /// levels' counters, which the plain stream digests only at its end.
+    fn check_twin(&mut self) {
+        let Some(typed) = &self.typed else {
+            return;
+        };
+        let core = &self.core;
+        assert_eq!(typed.now_cycles(), core.now_cycles());
+        assert_eq!(typed.mshr_occupancy(), core.mshr_occupancy());
+        assert_eq!(typed.stats(), core.stats());
+        let levels = [core.l1_stats(), core.l2_stats()];
+        assert_eq!([typed.l1_stats(), typed.l2_stats()], levels);
+        assert_eq!(typed.backend().reads, core.backend().reads);
+        assert_eq!(typed.backend().writes, core.backend().writes);
+        for l in levels.into_iter().flatten() {
+            for x in [l.hits, l.misses, l.dirty_evictions] {
+                self.digest.word(x);
+            }
+        }
+    }
+
     fn op(&mut self) {
         match self.rand(64) {
             0..=24 => {
                 let (addr, size) = self.span();
-                let value = self.core.load(addr, size);
+                let value = self.load(addr, size);
                 self.digest.word(value);
             }
             25..=46 => {
                 let (addr, size) = self.span();
                 let value = self.rand(u64::MAX);
                 self.core.store(addr, size, value);
+                if let Some(typed) = &mut self.typed {
+                    store_typed(typed, addr, size, value);
+                }
             }
             47..=53 => {
                 let ops = self.rand(40);
-                self.core.compute(ops);
+                self.each(|c| c.compute(ops));
             }
             54..=58 => {
                 let addr = self.line() + self.rand(64);
-                self.core.clflush(addr);
+                self.each(|c| c.clflush(addr));
             }
-            59 => self.core.fence(),
-            60 => self.core.stream_begin(),
-            61..=62 => self.core.stream_end(),
+            59 => self.each(|c| c.fence()),
+            60 => self.each(|c| c.stream_begin()),
+            61..=62 => self.each(|c| c.stream_end()),
             _ => {
                 let (src, dst) = (self.rand(256) * 8_192, self.rand(256) * 8_192);
-                let status = self.core.rowclone_row(self.base + src, self.base + dst);
+                let (src, dst) = (self.base + src, self.base + dst);
+                let status = self.each(|c| c.rowclone_row(src, dst));
                 self.digest
                     .word(u64::from(status == RowCloneStatus::Unsupported));
             }
         }
         self.digest.word(self.core.now_cycles());
         self.digest.word(self.core.mshr_occupancy() as u64);
+        self.check_twin();
+    }
+}
+
+/// `load(addr, size)` as a kernel writes it: the typed accessor for the
+/// size, with 8-byte loads split between `u64` and `f64` by address. No
+/// accessor reads 2 bytes; those go through `load` on the trait object.
+fn load_typed(cpu: &mut dyn CpuApi, addr: u64, size: u8) -> u64 {
+    match size {
+        1 => u64::from(cpu.load_u8(addr)),
+        4 => u64::from(cpu.load_f32(addr).to_bits()),
+        8 if addr & 8 == 0 => cpu.load_u64(addr),
+        8 => cpu.load_f64(addr).to_bits(),
+        _ => cpu.load(addr, size),
+    }
+}
+
+/// [`load_typed`]'s counterpart for stores.
+fn store_typed(cpu: &mut dyn CpuApi, addr: u64, size: u8, value: u64) {
+    match size {
+        1 => cpu.store_u8(addr, value as u8),
+        4 => cpu.store_f32(addr, f32::from_bits(value as u32)),
+        8 if addr & 8 == 0 => cpu.store_u64(addr, value),
+        8 => cpu.store_f64(addr, f64::from_bits(value)),
+        _ => cpu.store(addr, size, value),
     }
 }
 
@@ -143,8 +224,9 @@ fn tiny(size_bytes: u32, ways: u32, hit_latency_cycles: u64) -> Option<CacheConf
     })
 }
 
-#[test]
-fn core_and_cache_digest_is_unchanged() {
+/// Runs the stream on every hierarchy and returns its digest. With `typed`,
+/// each core has a twin driven through the typed accessors beside it.
+fn run(typed: bool) -> u64 {
     let hierarchies = [
         CoreConfig::cortex_a57(),
         // L2 only.
@@ -173,10 +255,17 @@ fn core_and_cache_digest_is_unchanged() {
     let mut digest = Digest::default();
     for cfg in hierarchies {
         let (has_l1, has_l2) = (cfg.l1.is_some(), cfg.l2.is_some());
-        let mut core = CoreModel::new(cfg, FixedLatencyBackend::with_bandwidth(90, 7));
+        let backend = FixedLatencyBackend::with_bandwidth(90, 7);
+        let mut core = CoreModel::new(cfg.clone(), backend.clone());
         let base = core.alloc(RANGE_BYTES, 8_192);
+        let typed = typed.then(|| {
+            let mut twin = CoreModel::new(cfg, backend);
+            assert_eq!(twin.alloc(RANGE_BYTES, 8_192), base);
+            twin
+        });
         let mut s = Stream {
             core,
+            typed,
             base,
             rng: 0x00EA_5D4A_2025,
             digest,
@@ -187,13 +276,14 @@ fn core_and_cache_digest_is_unchanged() {
         let stats = *s.core.stats();
         let levels = s.counters();
         // What the hierarchy holds, read back through it.
-        s.core.stream_end();
-        s.core.fence();
+        s.each(|c| c.stream_end());
+        s.each(|c| c.fence());
         for word in 0..RANGE_BYTES / 8 {
-            let value = s.core.load(base + word * 8, 8);
+            let value = s.load(base + word * 8, 8);
             s.digest.word(value);
         }
         s.counters();
+        s.check_twin();
         // The stream reached every path it exists to pin.
         assert!(stats.rowclone_requests > 1_000, "{stats}");
         assert!(stats.clflushes > 10_000 && stats.fences > 1_000, "{stats}");
@@ -209,5 +299,19 @@ fn core_and_cache_digest_is_unchanged() {
         assert_eq!(levels[1].is_some(), has_l2);
         digest = s.digest;
     }
-    assert_eq!(digest.0, 0x1AF0_2607_7556_53CA, "characterisation digest");
+    digest.0
+}
+
+#[test]
+fn core_and_cache_digest_is_unchanged() {
+    assert_eq!(run(false), 0x1AF0_2607_7556_53CA, "characterisation digest");
+}
+
+/// The same stream through `&mut dyn CpuApi`'s typed accessors, which is
+/// how every kernel reaches the core: every value, cycle and counter, the
+/// cache levels' included, equals the twin's after every op. The digest was
+/// recorded while `load` and `store` were still one body each.
+#[test]
+fn typed_accessors_match_sized_access() {
+    assert_eq!(run(true), 0x4BE9_463C_BF1E_A32F, "typed-accessor digest");
 }
