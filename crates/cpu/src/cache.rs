@@ -157,15 +157,13 @@ impl Cache {
     #[inline]
     pub(crate) fn touch(&mut self, line_addr: u64) -> Option<usize> {
         self.tick += 1;
-        let slot = self.find(line_addr);
-        match slot {
-            Some(slot) => {
-                self.lru[slot] = self.tick;
-                self.stats.hits += 1;
-            }
-            None => self.stats.misses += 1,
-        }
-        slot
+        let Some(slot) = self.find(line_addr) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.lru[slot] = self.tick;
+        self.stats.hits += 1;
+        Some(slot)
     }
 
     /// Looks up a line, updating LRU and hit/miss statistics.
@@ -182,14 +180,22 @@ impl Cache {
     /// Returns `false` when the line is not resident (statistics untouched).
     #[inline]
     pub fn write_hit(&mut self, line_addr: u64, offset: usize, bytes: &[u8]) -> bool {
-        self.tick += 1;
-        let Some(slot) = self.find(line_addr) else {
+        let Some(slot) = self.write_slot(line_addr) else {
             return false;
         };
-        self.lru[slot] = self.tick;
-        self.dirty[slot] = true;
         self.data[slot][offset..offset + bytes.len()].copy_from_slice(bytes);
         true
+    }
+
+    /// [`Cache::write_hit`] before the write: stamps the line's slot and
+    /// marks it dirty, for the caller to write into. Counts nothing.
+    #[inline(always)]
+    pub(crate) fn write_slot(&mut self, line_addr: u64) -> Option<usize> {
+        self.tick += 1;
+        let slot = self.find(line_addr)?;
+        self.lru[slot] = self.tick;
+        self.dirty[slot] = true;
+        Some(slot)
     }
 
     /// Claims a slot for a line: its own if it is resident, else its set's
@@ -218,10 +224,8 @@ impl Cache {
     ) -> (usize, Option<(u64, bool)>) {
         debug_assert!(self.find(line_addr).is_none(), "{line_addr:#x} is resident");
         self.tick += 1;
-        let slot = self
-            .set_of(line_addr >> 6)
-            .min_by_key(|&slot| self.lru[slot])
-            .expect("a set has at least one way");
+        let set = self.set_of(line_addr >> 6);
+        let slot = set.start + victim(&self.lru[set]);
         let held = self.tags[slot];
         let displaced = (held != INVALID).then(|| (held << 6, self.dirty[slot]));
         if let Some((_, true)) = displaced {
@@ -271,9 +275,28 @@ impl Cache {
     }
 }
 
+/// The way to claim in a set whose recency stamps are `stamps`: the first
+/// free way, else the least recently used, the first on ties. A free way's
+/// stamp is 0 and a live one's at least 1, so the first 0 is that way, and
+/// the scan stops there.
+#[inline]
+fn victim(stamps: &[u64]) -> usize {
+    let mut way = 0;
+    for (w, &stamp) in stamps.iter().enumerate() {
+        if stamp == 0 {
+            return w;
+        }
+        if stamp < stamps[way] {
+            way = w;
+        }
+    }
+    way
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> Cache {
         // 8 sets x 2 ways x 64B = 1 KiB
@@ -371,6 +394,25 @@ mod tests {
             })
         });
         assert!(r.is_err());
+    }
+
+    proptest! {
+        /// The early-exit scan picks the way a full scan for the first
+        /// minimum picks, on sets with free ways and without.
+        #[test]
+        fn victim_is_the_first_minimum(
+            stamps in prop::collection::vec(0u64..12, 1..17),
+            live in any::<bool>(),
+        ) {
+            // Every stamp at least 1 half the time, as in a full set.
+            let stamps: Vec<u64> = stamps.iter().map(|&s| s + u64::from(live)).collect();
+            let first_min = stamps
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &stamp)| stamp)
+                .map(|(way, _)| way);
+            prop_assert_eq!(Some(victim(&stamps)), first_min, "{:?}", stamps);
+        }
     }
 
     #[test]

@@ -149,19 +149,66 @@ impl<B: MemoryBackend> CoreModel<B> {
         self.outstanding.len()
     }
 
-    /// Brings a line to the top of the hierarchy and lends its bytes to
-    /// `read` where they lie. Returns what `read` made of them, whether it
-    /// was a backend miss, and the cycle at which the data is available.
+    /// A load the L1 could not serve: its probe there has missed, and
+    /// counted the miss, or there is no L1.
+    #[inline(never)]
+    fn load_miss(&mut self, line_addr: u64, offset: usize, size: u8) -> u64 {
+        let (value, was_miss, avail) =
+            self.fetch_line(line_addr, |line| read_span(line, offset, size));
+        if self.stream_mode && was_miss {
+            self.outstanding.push(avail);
+        } else if self.stream_mode {
+            // Cache hits in streaming mode are pipelined: issue cost only.
+        } else {
+            self.stall_until(avail);
+        }
+        value
+    }
+
+    /// A store the L1 could not take: its probe there has missed, or there
+    /// is no L1.
+    #[inline(never)]
+    fn store_miss(&mut self, line_addr: u64, offset: usize, size: u8, value: u64) {
+        // Write-allocate: stores never stall the core (store buffer), but
+        // their fills occupy MSHRs.
+        self.reserve_mshr();
+        // The hit path's probe counts nothing; the fill is an L1 lookup, and
+        // an L1 miss, like a load's.
+        if let Some(l1) = &mut self.l1 {
+            let hit = l1.touch(line_addr);
+            debug_assert!(hit.is_none(), "the store's L1 probe just missed");
+        }
+        // Only a core without caches carries the line away, patched, to
+        // post it; with caches the line is patched where it was installed.
+        let cacheless = self.l1.is_none() && self.l2.is_none();
+        let (patched, was_miss, avail) = self.fetch_line(line_addr, |line| {
+            cacheless.then(|| {
+                let mut data = *line;
+                write_span(&mut data, offset, size, value);
+                data
+            })
+        });
+        if was_miss {
+            self.outstanding.push(avail);
+        }
+        if let Some(data) = patched {
+            self.stats.mem_writes += 1;
+            self.backend.post_write(line_addr, data, self.now);
+        } else if let Some(top) = self.l1.as_mut().or(self.l2.as_mut()) {
+            let slot = top.write_slot(line_addr).expect("line was just installed");
+            write_span(&mut top.data[slot], offset, size, value);
+        }
+    }
+
+    /// Brings a line the L1 does not hold (or a line of an L1-less core) to
+    /// the top of the hierarchy and lends its bytes to `read` where they
+    /// lie. Returns what `read` made of them, whether it was a backend
+    /// miss, and the cycle at which the data is available.
     fn fetch_line<R>(
         &mut self,
         line_addr: u64,
         read: impl FnOnce(&[u8; LINE_BYTES]) -> R,
     ) -> (R, bool, u64) {
-        if let Some(l1) = &mut self.l1 {
-            if let Some(line) = l1.lookup(line_addr) {
-                return (read(line), false, self.now + l1.config().hit_latency_cycles);
-            }
-        }
         if let Some(l2) = &mut self.l2 {
             if let Some(slot) = l2.touch(line_addr) {
                 let avail = self.now + l2.config().hit_latency_cycles;
@@ -182,7 +229,7 @@ impl<B: MemoryBackend> CoreModel<B> {
             ..
         } = self;
         if let Some(last) = l2.as_mut().or(l1.as_mut()) {
-            // Both lookups above missed, and nothing since touched a cache.
+            // Every level missed, and nothing since touched a cache.
             let (slot, displaced) = last.claim_absent(line_addr, false);
             Self::post_displaced(last, backend, stats, slot, displaced, self.now);
             last.data[slot] = fetch.data;
@@ -236,18 +283,60 @@ impl<B: MemoryBackend> CoreModel<B> {
         }
         l1.data[to] = l2.data[from];
     }
+}
 
-    fn check_span(addr: u64, size: u8) {
-        assert!(
-            matches!(size, 1 | 2 | 4 | 8),
-            "access size {size} must be 1, 2, 4, or 8 bytes"
-        );
-        let offset = (addr % LINE_BYTES as u64) as usize;
-        assert!(
-            offset + size as usize <= LINE_BYTES,
-            "access at {addr:#x} size {size} crosses a cache line"
-        );
+/// Panics unless the `size` bytes at `addr` are an access the core takes:
+/// 1, 2, 4 or 8 bytes inside one line.
+#[inline(always)]
+fn check_span(addr: u64, size: u8) {
+    let offset = (addr % LINE_BYTES as u64) as usize;
+    if !matches!(size, 1 | 2 | 4 | 8) || offset + size as usize > LINE_BYTES {
+        bad_span(addr, size);
     }
+}
+
+/// [`check_span`]'s panic, out of line: its formatting would otherwise sit
+/// in every typed accessor.
+#[cold]
+#[inline(never)]
+fn bad_span(addr: u64, size: u8) -> ! {
+    assert!(
+        matches!(size, 1 | 2 | 4 | 8),
+        "access size {size} must be 1, 2, 4, or 8 bytes"
+    );
+    panic!("access at {addr:#x} size {size} crosses a cache line")
+}
+
+/// Where the ≤ 8-byte span at `offset` lies in one 8-byte word that ends
+/// inside the line: the word's start, the span's shift within it, and the
+/// mask of its low `size` bytes. A variable-length copy is a `memcpy` call;
+/// this is a shift and a mask.
+#[inline(always)]
+fn span_word(offset: usize, size: u8) -> (usize, usize, u64) {
+    let start = offset.min(LINE_BYTES - 8);
+    (start, 8 * (offset - start), u64::MAX >> (64 - 8 * size))
+}
+
+/// The `size` bytes at `offset` of a line, zero-extended.
+#[inline(always)]
+fn read_span(line: &[u8; LINE_BYTES], offset: usize, size: u8) -> u64 {
+    let (start, shift, mask) = span_word(offset, size);
+    let word = *line[start..]
+        .first_chunk()
+        .expect("start <= LINE_BYTES - 8");
+    (u64::from_le_bytes(word) >> shift) & mask
+}
+
+/// Overwrites the `size` bytes at `offset` of a line with the low `size`
+/// bytes of `value`.
+#[inline(always)]
+fn write_span(line: &mut [u8; LINE_BYTES], offset: usize, size: u8, value: u64) {
+    let (start, shift, mask) = span_word(offset, size);
+    let chunk: &mut [u8; 8] = line[start..]
+        .first_chunk_mut()
+        .expect("start <= LINE_BYTES - 8");
+    let word = u64::from_le_bytes(*chunk) & !(mask << shift);
+    *chunk = (word | ((value & mask) << shift)).to_le_bytes();
 }
 
 impl<B: MemoryBackend> CpuApi for CoreModel<B> {
@@ -255,79 +344,65 @@ impl<B: MemoryBackend> CpuApi for CoreModel<B> {
         self.backend.alloc(bytes, align)
     }
 
+    /// The L1 hit path, which every typed accessor inlines: the rest of
+    /// the hierarchy is [`CoreModel::load_miss`], out of line.
+    #[inline(always)]
     fn load(&mut self, addr: u64, size: u8) -> u64 {
-        Self::check_span(addr, size);
+        check_span(addr, size);
         self.stats.instructions += 1;
         self.stats.loads += 1;
         self.now += self.cfg.issue_cost_cycles;
-        let line_addr = addr & !(LINE_BYTES as u64 - 1);
         if self.stream_mode {
             self.reserve_mshr();
         }
+        let line_addr = addr & !(LINE_BYTES as u64 - 1);
         let offset = (addr % LINE_BYTES as u64) as usize;
-        let (value, was_miss, avail) = self.fetch_line(line_addr, |line| {
-            // One 8-byte read that ends inside the line, shifted and masked
-            // down to the span (a variable-length copy is a `memcpy` call).
-            let start = offset.min(LINE_BYTES - 8);
-            let word = *line[start..]
-                .first_chunk()
-                .expect("start <= LINE_BYTES - 8");
-            (u64::from_le_bytes(word) >> (8 * (offset - start))) & (u64::MAX >> (64 - 8 * size))
-        });
-        if self.stream_mode && was_miss {
-            self.outstanding.push(avail);
-        } else if self.stream_mode {
-            // Cache hits in streaming mode are pipelined: issue cost only.
-        } else {
-            self.stall_until(avail);
+        if let Some(l1) = &mut self.l1 {
+            if let Some(slot) = l1.touch(line_addr) {
+                let value = read_span(&l1.data[slot], offset, size);
+                // Cache hits in streaming mode are pipelined: issue cost
+                // only.
+                if !self.stream_mode {
+                    let avail = self.now + l1.config().hit_latency_cycles;
+                    self.stall_until(avail);
+                }
+                return value;
+            }
         }
-        value
+        self.load_miss(line_addr, offset, size)
     }
 
+    /// The L1 hit path, as for [`CpuApi::load`]: a store that hits is
+    /// written in place and never stalls.
+    #[inline(always)]
     fn store(&mut self, addr: u64, size: u8, value: u64) {
-        Self::check_span(addr, size);
+        check_span(addr, size);
         self.stats.instructions += 1;
         self.stats.stores += 1;
         self.now += self.cfg.issue_cost_cycles;
         let line_addr = addr & !(LINE_BYTES as u64 - 1);
         let offset = (addr % LINE_BYTES as u64) as usize;
-        let bytes = &value.to_le_bytes()[..size as usize];
-        // Fast path: line already in L1.
         if let Some(l1) = &mut self.l1 {
-            if l1.write_hit(line_addr, offset, bytes) {
+            if let Some(slot) = l1.write_slot(line_addr) {
+                write_span(&mut l1.data[slot], offset, size, value);
                 return;
             }
         }
-        // Write-allocate: stores never stall the core (store buffer), but
-        // their fills occupy MSHRs.
-        self.reserve_mshr();
-        // Only a core without caches carries the line away, patched, to
-        // post it; with caches the line is patched where it was installed.
-        let cacheless = self.l1.is_none() && self.l2.is_none();
-        let (patched, was_miss, avail) = self.fetch_line(line_addr, |line| {
-            cacheless.then(|| {
-                let mut data = *line;
-                data[offset..offset + bytes.len()].copy_from_slice(bytes);
-                data
-            })
-        });
-        if was_miss {
-            self.outstanding.push(avail);
-        }
-        if let Some(data) = patched {
-            self.stats.mem_writes += 1;
-            self.backend.post_write(line_addr, data, self.now);
-        } else if let Some(top) = self.l1.as_mut().or(self.l2.as_mut()) {
-            let ok = top.write_hit(line_addr, offset, bytes);
-            debug_assert!(ok, "line was just installed");
-        }
+        self.store_miss(line_addr, offset, size, value);
     }
 
     fn compute(&mut self, ops: u64) {
         self.stats.instructions += ops;
         let cycles =
             u128::from(ops) * u128::from(self.cycles_per_op_q32) + u128::from(self.compute_carry);
-        self.now += (cycles >> 32) as u64;
+        // Below 2^96, so the sum cannot wrap; whether it fits is one compare.
+        let now = u128::from(self.now) + (cycles >> 32);
+        self.now = u64::try_from(now).unwrap_or_else(|_| {
+            panic!(
+                "emulated clock overflow: {ops} compute ops at cycle {} pass cycle 2^64",
+                self.now
+            )
+        });
         self.compute_carry = cycles as u64 % Q32_ONE;
     }
 
@@ -429,11 +504,201 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use crate::fixed::FixedLatencyBackend;
+    use proptest::prelude::*;
 
     const MEM_LAT: u64 = 150;
 
     fn core() -> CoreModel<FixedLatencyBackend> {
         CoreModel::new(CoreConfig::cortex_a57(), FixedLatencyBackend::new(MEM_LAT))
+    }
+
+    /// `load` and `store` as one body each, the L1 probe inside
+    /// `fetch_line`, as they were before the L1 hit path was split from the
+    /// rest: the oracle for the split.
+    impl<B: MemoryBackend> CoreModel<B> {
+        fn monolithic_fetch_line<R>(
+            &mut self,
+            line_addr: u64,
+            read: impl FnOnce(&[u8; LINE_BYTES]) -> R,
+        ) -> (R, bool, u64) {
+            if let Some(l1) = &mut self.l1 {
+                if let Some(line) = l1.lookup(line_addr) {
+                    return (read(line), false, self.now + l1.config().hit_latency_cycles);
+                }
+            }
+            if let Some(l2) = &mut self.l2 {
+                if let Some(slot) = l2.touch(line_addr) {
+                    let avail = self.now + l2.config().hit_latency_cycles;
+                    let out = read(&l2.data[slot]);
+                    self.promote_to_l1(line_addr, slot);
+                    return (out, false, avail);
+                }
+            }
+            self.stats.mem_reads += 1;
+            let issue = self.now + self.miss_path_cycles;
+            let fetch = self.backend.read_line(line_addr, issue);
+            let Self {
+                l1,
+                l2,
+                backend,
+                stats,
+                ..
+            } = self;
+            if let Some(last) = l2.as_mut().or(l1.as_mut()) {
+                let (slot, displaced) = last.claim_absent(line_addr, false);
+                Self::post_displaced(last, backend, stats, slot, displaced, self.now);
+                last.data[slot] = fetch.data;
+                self.promote_to_l1(line_addr, slot);
+            }
+            (read(&fetch.data), true, fetch.complete_cycle.max(issue))
+        }
+
+        fn monolithic_load(&mut self, addr: u64, size: u8) -> u64 {
+            check_span(addr, size);
+            self.stats.instructions += 1;
+            self.stats.loads += 1;
+            self.now += self.cfg.issue_cost_cycles;
+            let line_addr = addr & !(LINE_BYTES as u64 - 1);
+            if self.stream_mode {
+                self.reserve_mshr();
+            }
+            let offset = (addr % LINE_BYTES as u64) as usize;
+            let (value, was_miss, avail) = self.monolithic_fetch_line(line_addr, |line| {
+                let start = offset.min(LINE_BYTES - 8);
+                let word = *line[start..]
+                    .first_chunk()
+                    .expect("start <= LINE_BYTES - 8");
+                (u64::from_le_bytes(word) >> (8 * (offset - start))) & (u64::MAX >> (64 - 8 * size))
+            });
+            if self.stream_mode && was_miss {
+                self.outstanding.push(avail);
+            } else if !self.stream_mode {
+                self.stall_until(avail);
+            }
+            value
+        }
+
+        fn monolithic_store(&mut self, addr: u64, size: u8, value: u64) {
+            check_span(addr, size);
+            self.stats.instructions += 1;
+            self.stats.stores += 1;
+            self.now += self.cfg.issue_cost_cycles;
+            let line_addr = addr & !(LINE_BYTES as u64 - 1);
+            let offset = (addr % LINE_BYTES as u64) as usize;
+            let bytes = &value.to_le_bytes()[..size as usize];
+            if let Some(l1) = &mut self.l1 {
+                if l1.write_hit(line_addr, offset, bytes) {
+                    return;
+                }
+            }
+            self.reserve_mshr();
+            let cacheless = self.l1.is_none() && self.l2.is_none();
+            let (patched, was_miss, avail) = self.monolithic_fetch_line(line_addr, |line| {
+                cacheless.then(|| {
+                    let mut data = *line;
+                    data[offset..offset + bytes.len()].copy_from_slice(bytes);
+                    data
+                })
+            });
+            if was_miss {
+                self.outstanding.push(avail);
+            }
+            if let Some(data) = patched {
+                self.stats.mem_writes += 1;
+                self.backend.post_write(line_addr, data, self.now);
+            } else if let Some(top) = self.l1.as_mut().or(self.l2.as_mut()) {
+                let ok = top.write_hit(line_addr, offset, bytes);
+                debug_assert!(ok, "line was just installed");
+            }
+        }
+    }
+
+    /// Hierarchies small enough that a few hundred ops over 6 KiB evict,
+    /// spill and write back: both levels, a direct-mapped L2, each level
+    /// alone, and none.
+    fn small_hierarchy(which: usize) -> CoreConfig {
+        let level = |size_bytes, ways, hit_latency_cycles| {
+            Some(CacheConfig {
+                size_bytes,
+                ways,
+                hit_latency_cycles,
+            })
+        };
+        let (l1, l2) = [
+            (level(1024, 2, 2), level(4096, 4, 9)),
+            (level(1024, 2, 2), level(2048, 1, 9)),
+            (None, level(4096, 4, 9)),
+            (level(1024, 2, 2), None),
+            (None, None),
+        ][which];
+        CoreConfig {
+            l1,
+            l2,
+            mshrs: 3,
+            ..CoreConfig::cortex_a57()
+        }
+    }
+
+    proptest! {
+        /// The split `load` and `store`, through the sized calls and the
+        /// typed accessors on `&mut dyn CpuApi`, compute what the one-body
+        /// versions computed: every value and cycle, and at the end the
+        /// whole core, caches (tags, stamps, dirty bits, data, counters)
+        /// and memory included.
+        #[test]
+        fn split_load_store_match_the_monolithic_bodies(
+            which in 0usize..5,
+            ops in prop::collection::vec(
+                (0u8..16, 0u64..96, 0usize..64, 0u32..4, any::<u64>()),
+                1..400,
+            ),
+        ) {
+            let backend = FixedLatencyBackend::with_bandwidth(40, 5);
+            let mut split = CoreModel::new(small_hierarchy(which), backend.clone());
+            let mut oracle = CoreModel::new(small_hierarchy(which), backend);
+            for (op, line, offset, size_log, value) in ops {
+                let size = 1u8 << size_log;
+                let addr = line * 64 + offset.min(LINE_BYTES - usize::from(size)) as u64;
+                let cpu: &mut dyn CpuApi = &mut split;
+                match op {
+                    0..=2 => prop_assert_eq!(cpu.load(addr, size), oracle.monolithic_load(addr, size)),
+                    3..=5 => prop_assert_eq!(
+                        cpu.load_u64(addr & !7),
+                        oracle.monolithic_load(addr & !7, 8)
+                    ),
+                    6..=8 => {
+                        cpu.store(addr, size, value);
+                        oracle.monolithic_store(addr, size, value);
+                    }
+                    9..=11 => {
+                        cpu.store_f64(addr & !7, f64::from_bits(value));
+                        oracle.monolithic_store(addr & !7, 8, value);
+                    }
+                    12 => {
+                        cpu.compute(value % 50);
+                        oracle.compute(value % 50);
+                    }
+                    13 => {
+                        cpu.clflush(addr);
+                        oracle.clflush(addr);
+                    }
+                    14 => {
+                        cpu.fence();
+                        oracle.fence();
+                    }
+                    _ if value & 1 == 0 => {
+                        cpu.stream_begin();
+                        oracle.stream_begin();
+                    }
+                    _ => {
+                        cpu.stream_end();
+                        oracle.stream_end();
+                    }
+                }
+                prop_assert_eq!(split.now_cycles(), oracle.now_cycles());
+            }
+            prop_assert_eq!(format!("{split:?}"), format!("{oracle:?}"));
+        }
     }
 
     #[test]
@@ -633,6 +898,33 @@ mod tests {
         let mut c = CoreModel::new(cfg, FixedLatencyBackend::new(1));
         c.compute(3 << 32);
         assert_eq!(c.now_cycles(), (1 << 32) + 2);
+    }
+
+    /// IPC 2^-31, which `validate` accepts: an op costs 2^31 cycles.
+    fn slowest_core() -> CoreModel<FixedLatencyBackend> {
+        let cfg = CoreConfig {
+            compute_ipc: 2f64.powi(-31),
+            ..CoreConfig::cortex_a57()
+        };
+        CoreModel::new(cfg, FixedLatencyBackend::new(1))
+    }
+
+    #[test]
+    #[should_panic(expected = "emulated clock overflow")]
+    fn compute_past_the_clock_range_panics_instead_of_wrapping() {
+        // 2^40 ops are 2^71 cycles; the clock used to keep the low 64 bits
+        // of that, 0, and not move.
+        slowest_core().compute(1 << 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "emulated clock overflow")]
+    fn compute_that_carries_the_clock_past_its_range_panics() {
+        // Each call alone fits: 2^32 ops are 2^63 cycles.
+        let mut c = slowest_core();
+        c.compute(1 << 32);
+        assert_eq!(c.now_cycles(), 1 << 63);
+        c.compute(1 << 32);
     }
 
     #[test]
