@@ -281,14 +281,16 @@ impl Cache {
 /// the scan stops there.
 #[inline]
 fn victim(stamps: &[u64]) -> usize {
-    let mut way = 0;
+    let (mut way, mut oldest) = (0, u64::MAX);
     for (w, &stamp) in stamps.iter().enumerate() {
         if stamp == 0 {
             return w;
         }
-        if stamp < stamps[way] {
-            way = w;
-        }
+        (way, oldest) = if stamp < oldest {
+            (w, stamp)
+        } else {
+            (way, oldest)
+        };
     }
     way
 }
