@@ -189,7 +189,7 @@ impl Cache {
 
     /// [`Cache::write_hit`] before the write: stamps the line's slot and
     /// marks it dirty, for the caller to write into. Counts nothing.
-    #[inline(always)]
+    #[inline]
     pub(crate) fn write_slot(&mut self, line_addr: u64) -> Option<usize> {
         self.tick += 1;
         let slot = self.find(line_addr)?;

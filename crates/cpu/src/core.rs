@@ -344,8 +344,8 @@ impl<B: MemoryBackend> CpuApi for CoreModel<B> {
         self.backend.alloc(bytes, align)
     }
 
-    /// The L1 hit path, which every typed accessor inlines: the rest of
-    /// the hierarchy is [`CoreModel::load_miss`], out of line.
+    // The L1 hit path, which every typed accessor inlines: the rest of the
+    // hierarchy is `load_miss`, out of line.
     #[inline(always)]
     fn load(&mut self, addr: u64, size: u8) -> u64 {
         check_span(addr, size);
@@ -372,8 +372,8 @@ impl<B: MemoryBackend> CpuApi for CoreModel<B> {
         self.load_miss(line_addr, offset, size)
     }
 
-    /// The L1 hit path, as for [`CpuApi::load`]: a store that hits is
-    /// written in place and never stalls.
+    // The L1 hit path, as for `load`: a store that hits is written in place
+    // and never stalls.
     #[inline(always)]
     fn store(&mut self, addr: u64, size: u8, value: u64) {
         check_span(addr, size);
