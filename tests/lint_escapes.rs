@@ -4,7 +4,11 @@
 //! tree is clean under the rules, and that every escape still suppresses
 //! something and carries a reason, is the clippy job's to enforce.
 
-use std::path::{Path, PathBuf};
+#[path = "support/sources.rs"]
+mod sources;
+
+use sources::{production, rust_files};
+use std::path::Path;
 
 /// Lower it whenever an escape is deleted, never raise it. The three left
 /// each wait on a `benchmark` PR: two for the `Instant` behind
@@ -12,17 +16,6 @@ use std::path::{Path, PathBuf};
 /// for `co_run`'s `thread::scope` in `multicore.rs` (`benchmark/` pins
 /// `CoScheduler`).
 const ESCAPE_CEILING: usize = 3;
-
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).expect("source directory") {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
 
 #[test]
 fn determinism_escapes_only_go_down() {
@@ -48,8 +41,7 @@ fn determinism_escapes_only_go_down() {
             "{}: use #[expect(.., reason = \"..\")]",
             file.display()
         );
-        let production = text.split("\n#[cfg(test)]").next().unwrap_or_default();
-        escapes += squeeze(production)
+        escapes += squeeze(production(&text))
             .matches("expect(clippy::disallowed_")
             .count();
     }
