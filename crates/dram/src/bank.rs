@@ -7,20 +7,28 @@
 //! deliberately separate.
 //!
 //! All minimum distances come from a [`TimingTable`] precomputed once at
-//! construction; the per-command hot path is one walk
-//! ([`RankTiming::admission`]) over last-event lookups plus a few rolled-up
-//! scalars (latest ACT anywhere, open-bank count), so the common "is this
-//! command legal right now?" question ([`RankTiming::is_legal`]) allocates
-//! nothing and touches O(1) state. The enumerating [`check`]
-//! (rule names, one violation per broken constraint) is the slow path, kept
+//! construction, and the DDR4 rules are stated once: one private walk visits
+//! every rule that binds a command, each spacing as its table entry's rule
+//! and the biased time it allows the command from, each bank-state
+//! requirement as a rule and whether it is met. [`RankTiming::admission`],
+//! the hot path behind [`RankTiming::is_legal`] and
+//! [`RankTiming::earliest_issue_ps`], folds the walk into `(max, all met)`
+//! without allocating. [`check`], the enumerating slow path, folds it into
+//! the named spacings `now` is early for plus the unmet requirements,
 //! byte-compatible with the frozen rule-based oracle in [`crate::oracle`].
+//!
+//! The folds differ only in ACT spacing. `check` visits tRRD once per bank
+//! group: its contract is one violation per constraining group. `admission`
+//! needs only the maximum, which the latest same-group ACT plus tRRD_L and
+//! the latest ACT anywhere plus tRRD_S give when tRRD_L ≥ tRRD_S
+//! (`cfg/rrd-scope`); a table without that falls back to the per-group visit.
 //!
 //! [`check`]: RankTiming::check
 
 use crate::command::DramCommand;
 use crate::config::Geometry;
 use crate::error::{TimingRule, TimingViolation};
-use crate::table::{CmdClass, Scope, TimingTable};
+use crate::table::{CmdClass, MinDistance, Scope, TimingTable};
 use crate::timing::TimingParams;
 
 /// The row-buffer state of one bank.
@@ -58,46 +66,111 @@ const NEVER: u64 = 0;
 /// (`*_bps` = biased picoseconds; see [`BIAS`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BankTrack {
-    pub state: BankState,
+    state: BankState,
     /// This bank's bank-group index, cached at construction: `group_of` is
     /// an integer division by a runtime value, far too slow for a field the
     /// hot path reads once or twice per command.
-    pub group: u32,
+    group: u32,
     /// Biased issue time of the last ACT.
-    pub last_act_bps: u64,
+    last_act_bps: u64,
     /// Biased issue time of the last PRE.
-    pub last_pre_bps: u64,
+    last_pre_bps: u64,
     /// Row open before the last PRE (RowClone detection).
-    pub prev_open_row: Option<u32>,
+    pub(crate) prev_open_row: Option<u32>,
     /// Biased issue time of the last read.
-    pub last_rd_bps: u64,
+    last_rd_bps: u64,
     /// Biased completion time of the last write's final data beat.
-    pub last_wr_end_bps: u64,
+    last_wr_end_bps: u64,
 }
 
 impl BankTrack {
-    /// True once an ACT has been recorded on this bank.
-    #[inline]
-    pub fn act_valid(&self) -> bool {
-        self.last_act_bps != NEVER
-    }
-
-    /// True once a PRE has been recorded on this bank.
-    #[inline]
-    pub fn pre_valid(&self) -> bool {
-        self.last_pre_bps != NEVER
-    }
-
     /// Unbiased issue time of the last ACT, if one happened.
     #[inline]
-    pub fn last_act_event_ps(&self) -> Option<u64> {
-        self.act_valid().then(|| self.last_act_bps - BIAS)
+    pub(crate) fn last_act_event_ps(&self) -> Option<u64> {
+        (self.last_act_bps != NEVER).then(|| self.last_act_bps - BIAS)
     }
 
     /// Unbiased issue time of the last PRE, if one happened.
     #[inline]
-    pub fn last_pre_event_ps(&self) -> Option<u64> {
-        self.pre_valid().then(|| self.last_pre_bps - BIAS)
+    pub(crate) fn last_pre_event_ps(&self) -> Option<u64> {
+        (self.last_pre_bps != NEVER).then(|| self.last_pre_bps - BIAS)
+    }
+}
+
+/// What the rule walk of a [`RankTiming`] is folded into.
+trait RuleFold {
+    /// Whether ACT spacing is visited once per bank group rather than as
+    /// the rolled-up same-group/any-group pair.
+    const PER_GROUP_RRD: bool;
+
+    /// A spacing: the command is allowed from biased time `legal_bps`.
+    /// `rule` is what `check` names when it is broken; `None` for a
+    /// scheduling-only spacing `check` never lists.
+    fn spacing(&mut self, rule: Option<TimingRule>, legal_bps: u64);
+
+    /// A bank-state requirement, and whether the state meets it.
+    fn state(&mut self, rule: TimingRule, met: bool);
+
+    /// The spacing of table entry `e` from an event recorded at biased
+    /// `event_bps`. An unconstrained pair (`None`) allows anything.
+    #[inline(always)]
+    fn entry(&mut self, e: Option<MinDistance>, event_bps: u64) {
+        let (rule, dist_ps) = e.map_or((None, 0), |e| (e.rule, e.dist_ps));
+        self.spacing(rule, event_bps + dist_ps);
+    }
+}
+
+/// The fold behind [`RankTiming::admission`]: the latest time any spacing
+/// allows, and whether every requirement is met.
+struct Admission {
+    earliest_bps: u64,
+    admits: bool,
+}
+
+impl RuleFold for Admission {
+    const PER_GROUP_RRD: bool = false;
+
+    #[inline(always)]
+    fn spacing(&mut self, _: Option<TimingRule>, legal_bps: u64) {
+        self.earliest_bps = self.earliest_bps.max(legal_bps);
+    }
+
+    #[inline(always)]
+    fn state(&mut self, _: TimingRule, met: bool) {
+        self.admits &= met;
+    }
+}
+
+/// The fold behind [`RankTiming::check`]: one violation per named spacing
+/// `now_ps` is early for, and one per unmet requirement.
+struct Check {
+    now_ps: u64,
+    violations: Vec<TimingViolation>,
+}
+
+impl RuleFold for Check {
+    const PER_GROUP_RRD: bool = true;
+
+    fn spacing(&mut self, rule: Option<TimingRule>, legal_bps: u64) {
+        // A never-recorded event allows the command from below `BIAS`, so
+        // the compare that drops a satisfied rule drops an absent one too.
+        if let Some(rule) = rule.filter(|_| self.now_ps + BIAS < legal_bps) {
+            self.violations.push(TimingViolation {
+                rule,
+                earliest_legal_ps: legal_bps - BIAS,
+                issued_ps: self.now_ps,
+            });
+        }
+    }
+
+    fn state(&mut self, rule: TimingRule, met: bool) {
+        if !met {
+            self.violations.push(TimingViolation {
+                rule,
+                earliest_legal_ps: self.now_ps,
+                issued_ps: self.now_ps,
+            });
+        }
     }
 }
 
@@ -194,138 +267,45 @@ impl RankTiming {
         self.admission(cmd).0
     }
 
-    /// The one table walk a command needs: the earliest time `cmd` satisfies
-    /// every timing rule, and whether the bank state admits it (`ACT`/`RFM`
-    /// want their bank precharged, a column command wants it open, `REF`
-    /// wants every bank precharged). `cmd` is legal at `t` iff the state
-    /// admits it and `t` is not before the earliest time, so a command
-    /// issued at or after that time needs no second walk to be judged.
+    /// The answer a command needs on the hot path: the earliest time `cmd`
+    /// satisfies every timing rule, and whether the bank state admits it
+    /// (`ACT`/`RFM` want their bank precharged, a column command wants it
+    /// open, `REF` wants every bank precharged). `cmd` is legal at `t` iff
+    /// the state admits it and `t` is not before the earliest time, so a
+    /// command issued at or after that time needs no second walk to be
+    /// judged.
     ///
-    /// Answered entirely from the precomputed table and last-event state:
-    /// O(1) for every per-bank command (ACT spacing uses the rolled-up
-    /// same-group/any-group pair when the bin allows it). Every term is a
-    /// biased timestamp plus a table distance, so never-happened events
-    /// (stored as zero) fall below `BIAS` and drop out of the `max` chain without
-    /// a branch.
+    /// The rule walk folded into `(max, all met)`. Every term is a biased
+    /// timestamp plus a table distance, so never-happened events (stored as
+    /// zero) fall below `BIAS` and drop out of the `max` without a branch.
+    /// O(1) for every per-bank command: ACT spacing reads the rolled-up
+    /// same-group/any-group pair when the bin allows it.
     #[must_use]
     #[inline]
     pub fn admission(&self, cmd: &DramCommand) -> (u64, bool) {
-        if cmd.bank().is_some_and(|b| b >= self.geometry.banks()) {
-            return (0, true);
-        }
-        let tt = &self.table;
-        let mut earliest =
-            self.last_ref_bps + tt.dist_ps(Scope::Channel, CmdClass::Ref, CmdClass::of(cmd));
-        let admits = match *cmd {
-            DramCommand::Activate { bank, .. } => {
-                let b = &self.banks[bank as usize];
-                earliest = earliest
-                    .max(b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Act));
-                let group = b.group as usize;
-                if tt.rrd_rolled_ok {
-                    // tRRD_L ≥ tRRD_S: the per-group walk collapses to two
-                    // lookups — the latest same-group ACT and the latest ACT
-                    // anywhere.
-                    earliest = earliest
-                        .max(
-                            self.last_act_by_group[group]
-                                + tt.dist_ps(Scope::BankGroup, CmdClass::Act, CmdClass::Act),
-                        )
-                        .max(
-                            self.last_act_any
-                                + tt.dist_ps(Scope::Rank, CmdClass::Act, CmdClass::Act),
-                        );
-                } else {
-                    for (g, &t_bps) in self.last_act_by_group.iter().enumerate() {
-                        let scope = if g == group {
-                            Scope::BankGroup
-                        } else {
-                            Scope::Rank
-                        };
-                        earliest =
-                            earliest.max(t_bps + tt.dist_ps(scope, CmdClass::Act, CmdClass::Act));
-                    }
-                }
-                earliest = earliest.max(self.act_window[self.act_ptr] + tt.t_faw_ps);
-                matches!(b.state, BankState::Idle)
-            }
-            DramCommand::Precharge { bank } => {
-                earliest = earliest.max(self.pre_earliest_bps(bank));
-                true
-            }
-            DramCommand::PrechargeAll => {
-                for bank in 0..self.geometry.banks() {
-                    earliest = earliest.max(self.pre_earliest_bps(bank));
-                }
-                true
-            }
-            DramCommand::Read { bank, .. } | DramCommand::Write { bank, .. } => {
-                let is_write = matches!(cmd, DramCommand::Write { .. });
-                let next = if is_write { CmdClass::Wr } else { CmdClass::Rd };
-                let b = &self.banks[bank as usize];
-                earliest = earliest
-                    .max(b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, next))
-                    .max(self.col_earliest_bps(bank, is_write));
-                matches!(b.state, BankState::Active { .. })
-            }
-            DramCommand::Refresh => {
-                let d = tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Ref);
-                for b in &self.banks {
-                    earliest = earliest.max(b.last_pre_bps + d);
-                }
-                self.open_banks == 0
-            }
-            DramCommand::RefreshRow { bank, .. } => {
-                let b = &self.banks[bank as usize];
-                earliest = earliest
-                    .max(b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Rfm));
-                matches!(b.state, BankState::Idle)
-            }
+        let mut f = Admission {
+            earliest_bps: NEVER,
+            admits: true,
         };
-        (earliest.saturating_sub(BIAS), admits)
+        self.rules(cmd, &mut f);
+        (f.earliest_bps.saturating_sub(BIAS), f.admits)
     }
 
-    /// Per-bank precharge readiness (tRAS, tRTP, tWR), excluding tRFC.
-    /// Biased like everything else; never-happened events drop out.
-    #[inline]
-    fn pre_earliest_bps(&self, bank: u32) -> u64 {
-        let tt = &self.table;
-        let b = &self.banks[bank as usize];
-        (b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, CmdClass::Pre))
-            .max(b.last_rd_bps + tt.dist_ps(Scope::Bank, CmdClass::Rd, CmdClass::Pre))
-            .max(b.last_wr_end_bps + tt.dist_ps(Scope::Bank, CmdClass::Wr, CmdClass::Pre))
-    }
-
-    /// Column-command spacing from the previous column command (tCCD, tWTR,
-    /// and data-bus burst occupancy), resolved through the table. Biased.
-    #[inline]
-    fn col_earliest_bps(&self, bank: u32, is_write: bool) -> u64 {
-        let tt = &self.table;
-        let prev = if self.last_col_was_write {
-            CmdClass::Wr
-        } else {
-            CmdClass::Rd
-        };
-        let next = if is_write { CmdClass::Wr } else { CmdClass::Rd };
-        let same_group = self.last_col_group == self.banks[bank as usize].group;
-        let when = self.last_col_bps;
-        // Direction turnarounds (write→read tWTR fold, read→write bus drain)
-        // are rank-scope entries on top of the column spacing; same-direction
-        // pairs have no such entry and the lookup contributes `when + 0`.
-        (when + tt.col_to_col(same_group, prev, next).dist_ps)
-            .max(when + tt.dist_ps(Scope::Rank, prev, next))
-    }
-
-    /// Fast legality test: true iff `check` would return no violations.
+    /// Fast legality test: [`admission`] judged at `now_ps`, with no
+    /// allocation and no rule enumeration.
     ///
-    /// No allocation, no rule enumeration: [`admission`] judged at `now_ps`.
-    /// One asymmetry is handled conservatively: the scheduling-only
-    /// read→write bus-drain gap is part of the earliest time but is never
-    /// reported by `check`, so a command inside that gap returns `false`
-    /// here while `check` still enumerates nothing; callers treat a `false`
-    /// as "run the enumerating checker", which preserves exact behaviour.
+    /// `true` implies [`check`] is empty. The converse fails where a spacing
+    /// binds the earliest time but `check` names no rule for it:
+    /// - a `WR` inside the read→write bus drain, which no JEDEC rule names;
+    /// - a `PRE` within tRAS of the last `ACT` to a bank already precharged:
+    ///   tRAS binds from the `ACT` on, but `check` names it only while the
+    ///   bank is open.
+    ///
+    /// Callers treat a `false` as "run the enumerating checker", which
+    /// preserves exact behaviour.
     ///
     /// [`admission`]: RankTiming::admission
+    /// [`check`]: RankTiming::check
     #[must_use]
     #[inline]
     // The hot-path legality gate (`check` is the cold diagnostic sibling and
@@ -337,174 +317,115 @@ impl RankTiming {
 
     /// Checks every applicable rule for `cmd` at time `now_ps`.
     ///
-    /// Returns all violations (possibly several). An empty vector means the
-    /// command is legal. This is the enumerating slow path; the order and
-    /// multiplicity of the returned violations are part of the contract
-    /// (they feed violation statistics) and match the rule-based oracle.
+    /// Returns all violations (possibly several); an empty vector means no
+    /// named rule is broken (see [`RankTiming::is_legal`] for the two
+    /// unnamed gaps). The enumerating slow path: the rule walk folded into
+    /// the named spacings `now_ps` is early for plus the unmet bank-state
+    /// requirements. The order and multiplicity of the returned violations
+    /// are part of the contract (they feed violation statistics) and match
+    /// the rule-based oracle.
     #[must_use]
     pub fn check(&self, cmd: &DramCommand, now_ps: u64) -> Vec<TimingViolation> {
-        let mut v = Vec::new();
+        let mut f = Check {
+            now_ps,
+            violations: Vec::new(),
+        };
+        self.rules(cmd, &mut f);
+        f.violations
+    }
+
+    /// Visits every rule that binds `cmd`, in the order `check` lists them.
+    /// An out-of-range bank binds nothing.
+    #[inline(always)]
+    fn rules<F: RuleFold>(&self, cmd: &DramCommand, f: &mut F) {
+        use CmdClass::{Act, Pre, Rd, Ref, Rfm, Wr};
         if cmd.bank().is_some_and(|b| b >= self.geometry.banks()) {
-            return v;
+            return;
         }
         let tt = &self.table;
-        let now_b = now_ps + BIAS;
-        // Biased push: emits only when `now_b < legal_b`. A never-happened
-        // event yields `legal_b < BIAS <= now_b`, so the same compare that
-        // filters satisfied rules also filters absent ones — mirroring the
-        // old `*_valid` guards exactly.
-        let push = |v: &mut Vec<TimingViolation>, rule: TimingRule, legal_b: u64| {
-            if now_b < legal_b {
-                v.push(TimingViolation {
-                    rule,
-                    earliest_legal_ps: legal_b - BIAS,
-                    issued_ps: now_ps,
-                });
-            }
-        };
-        push(
-            &mut v,
-            TimingRule::Trfc,
-            self.last_ref_bps + tt.dist_ps(Scope::Channel, CmdClass::Ref, CmdClass::of(cmd)),
-        );
+        let class = CmdClass::of(cmd);
+        let trfc = tt.entry(Scope::Channel, Ref, class);
+        // A PREA lists its tRFC after the banks' rules; every other command
+        // lists it first.
+        if !matches!(cmd, DramCommand::PrechargeAll) {
+            f.entry(trfc, self.last_ref_bps);
+        }
         match *cmd {
             DramCommand::Activate { bank, .. } => {
                 let b = &self.banks[bank as usize];
-                if matches!(b.state, BankState::Active { .. }) {
-                    v.push(TimingViolation {
-                        rule: TimingRule::BankOpen,
-                        earliest_legal_ps: now_ps,
-                        issued_ps: now_ps,
-                    });
-                }
-                push(
-                    &mut v,
-                    TimingRule::Trp,
-                    b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Act),
-                );
-                // The enumerating path keeps the per-group walk: the
-                // contract is one violation per constraining group.
+                f.state(TimingRule::BankOpen, b.state == BankState::Idle);
+                f.entry(tt.entry(Scope::Bank, Pre, Act), b.last_pre_bps);
                 let group = b.group as usize;
-                for (g, &t_bps) in self.last_act_by_group.iter().enumerate() {
-                    let scope = if g == group {
-                        Scope::BankGroup
-                    } else {
-                        Scope::Rank
-                    };
-                    let e = tt
-                        .entry(scope, CmdClass::Act, CmdClass::Act)
-                        .expect("ACT spacing is always constrained");
-                    push(
-                        &mut v,
-                        e.rule.expect("tRRD names a rule"),
-                        t_bps + e.dist_ps,
-                    );
+                if F::PER_GROUP_RRD || !tt.rrd_rolled_ok {
+                    for (g, &t_bps) in self.last_act_by_group.iter().enumerate() {
+                        let scope = if g == group {
+                            Scope::BankGroup
+                        } else {
+                            Scope::Rank
+                        };
+                        f.entry(tt.entry(scope, Act, Act), t_bps);
+                    }
+                } else {
+                    let same_group = self.last_act_by_group[group];
+                    f.entry(tt.entry(Scope::BankGroup, Act, Act), same_group);
+                    f.entry(tt.entry(Scope::Rank, Act, Act), self.last_act_any);
                 }
-                push(
-                    &mut v,
-                    TimingRule::Tfaw,
-                    self.act_window[self.act_ptr] + tt.t_faw_ps,
-                );
+                let oldest = self.act_window[self.act_ptr];
+                f.spacing(Some(TimingRule::Tfaw), oldest + tt.t_faw_ps);
             }
-            DramCommand::Precharge { bank } => {
-                let b = &self.banks[bank as usize];
-                if matches!(b.state, BankState::Active { .. }) {
-                    push(
-                        &mut v,
-                        TimingRule::Tras,
-                        b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, CmdClass::Pre),
-                    );
-                }
-                push(
-                    &mut v,
-                    TimingRule::Trtp,
-                    b.last_rd_bps + tt.dist_ps(Scope::Bank, CmdClass::Rd, CmdClass::Pre),
-                );
-                push(
-                    &mut v,
-                    TimingRule::Twr,
-                    b.last_wr_end_bps + tt.dist_ps(Scope::Bank, CmdClass::Wr, CmdClass::Pre),
-                );
-            }
+            DramCommand::Precharge { bank } => self.pre_rules(bank, f),
             DramCommand::PrechargeAll => {
                 for bank in 0..self.geometry.banks() {
-                    v.extend(self.check(&DramCommand::Precharge { bank }, now_ps));
+                    self.pre_rules(bank, f);
                 }
-                v.retain(|viol| viol.rule != TimingRule::Trfc);
-                push(
-                    &mut v,
-                    TimingRule::Trfc,
-                    self.last_ref_bps + tt.dist_ps(Scope::Channel, CmdClass::Ref, CmdClass::Pre),
-                );
+                f.entry(trfc, self.last_ref_bps);
             }
             DramCommand::Read { bank, .. } | DramCommand::Write { bank, .. } => {
-                let is_write = matches!(cmd, DramCommand::Write { .. });
-                let next = if is_write { CmdClass::Wr } else { CmdClass::Rd };
                 let b = &self.banks[bank as usize];
-                if !matches!(b.state, BankState::Active { .. }) {
-                    v.push(TimingViolation {
-                        rule: TimingRule::BankClosed,
-                        earliest_legal_ps: now_ps,
-                        issued_ps: now_ps,
-                    });
-                }
-                push(
-                    &mut v,
-                    TimingRule::Trcd,
-                    b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, next),
-                );
-                if self.last_col_bps != NEVER {
-                    let prev = if self.last_col_was_write {
-                        CmdClass::Wr
-                    } else {
-                        CmdClass::Rd
-                    };
-                    let same = self.last_col_group == b.group;
-                    let ccd = tt.col_to_col(same, prev, next);
-                    push(
-                        &mut v,
-                        ccd.rule.expect("tCCD names a rule"),
-                        self.last_col_bps + ccd.dist_ps,
-                    );
-                    if self.last_col_was_write && !is_write {
-                        push(
-                            &mut v,
-                            TimingRule::Twtr,
-                            self.last_col_bps + tt.dist_ps(Scope::Rank, CmdClass::Wr, CmdClass::Rd),
-                        );
-                    }
-                }
+                f.state(TimingRule::BankClosed, b.state != BankState::Idle);
+                f.entry(tt.entry(Scope::Bank, Act, class), b.last_act_bps);
+                // tCCD_L within a bank group, tCCD_S (the shared data bus)
+                // across; then the direction turnaround, a rank-scope entry
+                // that only a change of direction has.
+                let prev = if self.last_col_was_write { Wr } else { Rd };
+                let scope = if self.last_col_group == b.group {
+                    Scope::BankGroup
+                } else {
+                    Scope::Channel
+                };
+                f.entry(tt.entry(scope, prev, class), self.last_col_bps);
+                f.entry(tt.entry(Scope::Rank, prev, class), self.last_col_bps);
             }
             DramCommand::Refresh => {
-                if self.open_banks > 0 {
-                    v.push(TimingViolation {
-                        rule: TimingRule::RefWithOpenRows,
-                        earliest_legal_ps: now_ps,
-                        issued_ps: now_ps,
-                    });
-                }
-                let d = tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Ref);
+                f.state(TimingRule::RefWithOpenRows, self.open_banks == 0);
+                let trp = tt.entry(Scope::Bank, Pre, Ref);
                 for b in &self.banks {
-                    push(&mut v, TimingRule::Trp, b.last_pre_bps + d);
+                    f.entry(trp, b.last_pre_bps);
                 }
             }
             DramCommand::RefreshRow { bank, .. } => {
                 let b = &self.banks[bank as usize];
-                if matches!(b.state, BankState::Active { .. }) {
-                    v.push(TimingViolation {
-                        rule: TimingRule::RefWithOpenRows,
-                        earliest_legal_ps: now_ps,
-                        issued_ps: now_ps,
-                    });
-                }
-                push(
-                    &mut v,
-                    TimingRule::Trp,
-                    b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Rfm),
-                );
+                f.state(TimingRule::RefWithOpenRows, b.state == BankState::Idle);
+                f.entry(tt.entry(Scope::Bank, Pre, Rfm), b.last_pre_bps);
             }
         }
-        v
+    }
+
+    /// The rules binding a precharge of `bank`, tRFC aside.
+    #[inline(always)]
+    fn pre_rules<F: RuleFold>(&self, bank: u32, f: &mut F) {
+        use CmdClass::{Act, Pre, Rd, Wr};
+        let (tt, b) = (&self.table, &self.banks[bank as usize]);
+        // tRAS binds from the last ACT on, but a precharged bank has no row
+        // to cut short, so the rule is named only while the bank is open.
+        let open = b.state != BankState::Idle;
+        let tras = tt.entry(Scope::Bank, Act, Pre).map(|e| MinDistance {
+            rule: e.rule.filter(|_| open),
+            ..e
+        });
+        f.entry(tras, b.last_act_bps);
+        f.entry(tt.entry(Scope::Bank, Rd, Pre), b.last_rd_bps);
+        f.entry(tt.entry(Scope::Bank, Wr, Pre), b.last_wr_end_bps);
     }
 
     /// Records the effects of `cmd` issued at `now_ps` on the tracker state.

@@ -41,7 +41,10 @@ pub enum ConfigRule {
     /// mean what it says.
     FawWindow,
     /// `t_rrd_l < t_rrd_s`: the same-bank-group spacing must be at least the
-    /// cross-group spacing (the rolled-up ACT lookup relies on it).
+    /// cross-group spacing. This is what keeps `RankTiming::admission`'s
+    /// rolled-up ACT spacing sound: the latest same-group ACT plus tRRD_L and
+    /// the latest ACT anywhere plus tRRD_S give the per-group maximum only
+    /// when tRRD_L ≥ tRRD_S.
     RrdScope,
     /// `t_ccd_l < t_ccd_s`: same-group column spacing must be at least the
     /// cross-group spacing.

@@ -30,9 +30,10 @@
 //! lookups against the stored event.
 //!
 //! Each entry optionally names the [`TimingRule`] the checker reports when
-//! the distance is violated. Entries with `rule = None` are scheduling-only:
-//! `earliest_issue_ps` honours them but the rule checker does not enumerate
-//! them (the read→write bus-drain gap, which no JEDEC rule names).
+//! the distance is violated; both of the rank tracker's answers, `admission`
+//! and `check`, take their rules from the entries. Entries with `rule = None`
+//! are scheduling-only: `admission` honours them but `check` never lists them
+//! (the read→write bus-drain gap, which no JEDEC rule names).
 
 use crate::command::DramCommand;
 use crate::error::TimingRule;
@@ -147,8 +148,9 @@ pub struct TimingTable {
     pub rfm_pre_offset_ps: u64,
     /// Whether tRRD_L ≥ tRRD_S, i.e. whether the ACT-spacing earliest time
     /// can be computed from two rolled-up events (latest same-group ACT and
-    /// latest ACT anywhere) instead of a per-group walk. True for every
-    /// JEDEC bin; a pathological parameter set falls back to the walk.
+    /// latest ACT anywhere) instead of a per-group walk. True for every bin
+    /// that passes `cfg/rrd-scope`; an unvalidated parameter set falls back
+    /// to the walk.
     pub rrd_rolled_ok: bool,
 }
 
@@ -227,7 +229,8 @@ impl TimingTable {
     /// The entry for `(prev, next)` at `scope`, if the scope constrains the
     /// pair.
     #[must_use]
-    // Table lookups sit on the per-command check path.
+    #[inline]
+    // Table lookups sit on the per-command rule walk.
     pub fn entry(&self, scope: Scope, prev: CmdClass, next: CmdClass) -> Option<MinDistance> {
         self.matrix(scope)[prev as usize][next as usize]
     }
@@ -276,23 +279,6 @@ impl TimingTable {
             }
         }
         max
-    }
-
-    /// The column-to-column spacing entry for a pair of column commands,
-    /// resolved by whether they share a bank group: same group hits the
-    /// tCCD_L entry at [`Scope::BankGroup`], cross group the tCCD_S entry
-    /// at [`Scope::Channel`]. Direction turnarounds (the rank-scope
-    /// `Wr→Rd` / `Rd→Wr` entries) are additional constraints on top.
-    #[must_use]
-    #[inline]
-    pub fn col_to_col(&self, same_group: bool, prev: CmdClass, next: CmdClass) -> MinDistance {
-        let scope = if same_group {
-            Scope::BankGroup
-        } else {
-            Scope::Channel
-        };
-        self.entry(scope, prev, next)
-            .expect("column pairs are always constrained")
     }
 }
 
@@ -399,17 +385,5 @@ mod tests {
         let mut t = TimingParams::ddr4_1333();
         t.t_rrd_l_ps = 1_000; // looser than tRRD_S: not a JEDEC bin
         assert!(!TimingTable::new(&t).rrd_rolled_ok);
-    }
-
-    #[test]
-    fn col_to_col_resolves_scope() {
-        let t = TimingParams::ddr4_1333();
-        let tt = TimingTable::new(&t);
-        assert_eq!(tt.col_to_col(true, Rd, Rd).rule, Some(TimingRule::TccdL));
-        assert_eq!(tt.col_to_col(false, Rd, Rd).rule, Some(TimingRule::TccdS));
-        assert_eq!(
-            tt.col_to_col(true, Wr, Wr).dist_ps,
-            t.t_ccd_l_ps.max(t.t_burst_ps)
-        );
     }
 }
