@@ -782,6 +782,38 @@ mod tests {
     }
 
     #[test]
+    fn unnamed_spacings_are_illegal_with_nothing_listed() {
+        let t = TimingParams::ddr4_1333();
+        // A WR inside the read→write bus drain: past tCCD_L, before
+        // tCL + tBL.
+        let mut r = rank();
+        r.apply(&DramCommand::Activate { bank: 0, row: 0 }, 0);
+        r.apply(&DramCommand::Read { bank: 0, col: 0 }, t.t_rcd_ps);
+        let wr = DramCommand::Write {
+            bank: 0,
+            col: 1,
+            data: [0; 64],
+        };
+        let at = t.t_rcd_ps + t.t_ccd_l_ps;
+        assert!(!r.is_legal(&wr, at));
+        assert_eq!(r.check(&wr, at), []);
+        assert_eq!(
+            r.earliest_issue_ps(&wr),
+            t.t_rcd_ps + t.t_cl_ps + t.t_burst_ps
+        );
+        // A PRE within tRAS of the last ACT, to a bank an early PRE has
+        // already closed: tRAS binds the time, but names nothing on an idle
+        // bank.
+        let mut r = rank();
+        r.apply(&DramCommand::Activate { bank: 0, row: 0 }, 0);
+        r.apply(&DramCommand::Precharge { bank: 0 }, 10_000);
+        let pre = DramCommand::Precharge { bank: 0 };
+        assert!(!r.is_legal(&pre, 20_000));
+        assert_eq!(r.check(&pre, 20_000), []);
+        assert_eq!(r.earliest_issue_ps(&pre), 36_000);
+    }
+
+    #[test]
     fn refresh_row_requires_precharged_bank_and_holds_it_busy() {
         let mut r = rank();
         let t = TimingParams::ddr4_1333();

@@ -421,6 +421,12 @@ impl DramDevice {
     }
 
     /// Earliest time `cmd` would satisfy all timing rules.
+    ///
+    /// Two spacings bind this time without a rule that
+    /// [`RankTiming::check`] names, so before it a command can be illegal
+    /// with no violation listed: a `WR` inside the read→write bus drain,
+    /// and a `PRE` within tRAS of the last `ACT` to a bank already
+    /// precharged (see [`RankTiming::is_legal`]).
     #[must_use]
     pub fn earliest_issue_ps(&self, cmd: &DramCommand) -> u64 {
         self.rank.earliest_issue_ps(cmd)

@@ -66,6 +66,19 @@ fn run_stream(ops: &[Op], dts: &[u64], timing: &TimingParams, issue_at_earliest:
             oracle.check(&cmd, at),
             "violations diverged for {cmd} at {at}"
         );
+        // `is_legal` is the stricter test: it also honours the two spacings
+        // no rule names (the read→write drain, tRAS on an idle bank).
+        if table.is_legal(&cmd, at) {
+            assert_eq!(oracle.check(&cmd, at), [], "is_legal {cmd} at {at}");
+        }
+        // At its earliest time a command breaks no timing rule, so all that
+        // `check` can list there is the bank state's doing.
+        let (earliest, admits) = table.admission(&cmd);
+        assert_eq!(
+            admits,
+            oracle.check(&cmd, at.max(earliest)).is_empty(),
+            "admission's state verdict for {cmd} at {at}"
+        );
         table.apply(&cmd, at);
         oracle.apply(&cmd, at);
         now = at;
