@@ -591,6 +591,7 @@ impl RankTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::differential::{decode, dt_strategy, Op};
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -1136,27 +1137,6 @@ mod tests {
         }
     }
 
-    /// One abstract command: (kind, bank, row, col).
-    type Op = (u8, u32, u32, u32);
-
-    fn decode(op: Op, banks: u32) -> DramCommand {
-        let (kind, bank, row, col) = op;
-        let bank = bank % banks;
-        match kind {
-            0 | 7 => DramCommand::Activate { bank, row },
-            1 => DramCommand::Precharge { bank },
-            2 => DramCommand::PrechargeAll,
-            3 | 8 => DramCommand::Read { bank, col },
-            4 | 9 => DramCommand::Write {
-                bank,
-                col,
-                data: [0; 64],
-            },
-            5 => DramCommand::Refresh,
-            _ => DramCommand::RefreshRow { bank, row },
-        }
-    }
-
     /// Every command kind on banks 0, 1 and the last one, plus an
     /// out-of-range bank: the probes asked of the tracker after each `apply`.
     fn probes(banks: u32) -> Vec<DramCommand> {
@@ -1220,17 +1200,6 @@ mod tests {
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..10, 0u32..40, 0u32..64, 0u32..128)
-    }
-
-    /// Gaps straddling burst spacing, row-cycle times, the tRFC edge and
-    /// tREFI-scale jumps.
-    fn dt_strategy() -> impl Strategy<Value = u64> {
-        prop_oneof![
-            0u64..2_000,
-            2_000u64..40_000,
-            349_000u64..351_000,
-            7_790_000u64..7_810_000,
-        ]
     }
 
     proptest! {

@@ -401,16 +401,16 @@ impl OracleRankTiming {
 /// the full violation list of `check` (order and multiplicity included),
 /// and per-bank open-row state — over randomized command streams.
 #[cfg(test)]
-mod differential {
+pub(crate) mod differential {
     use super::*;
     use crate::bank::RankTiming;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
     /// One abstract command: (kind, bank, row, col).
-    type Op = (u8, u32, u32, u32);
+    pub(crate) type Op = (u8, u32, u32, u32);
 
-    fn decode(op: Op, banks: u32) -> DramCommand {
+    pub(crate) fn decode(op: Op, banks: u32) -> DramCommand {
         let (kind, bank, row, col) = op;
         let bank = bank % banks;
         match kind {
@@ -436,7 +436,7 @@ mod differential {
     /// Time advances chosen to straddle the interesting boundaries: intra-
     /// burst gaps, tRCD/tRAS-scale gaps, tRFC edges (350 000 ps on the
     /// 1333 bin), and tREFI-scale jumps.
-    fn dt_strategy() -> impl Strategy<Value = u64> {
+    pub(crate) fn dt_strategy() -> impl Strategy<Value = u64> {
         prop_oneof![
             0u64..2_000,
             2_000u64..40_000,
