@@ -366,8 +366,8 @@ impl RankTiming {
                         f.entry(tt.entry(scope, Act, Act), t_bps);
                     }
                 } else {
-                    let same_group = self.last_act_by_group[group];
-                    f.entry(tt.entry(Scope::BankGroup, Act, Act), same_group);
+                    let in_group_bps = self.last_act_by_group[group];
+                    f.entry(tt.entry(Scope::BankGroup, Act, Act), in_group_bps);
                     f.entry(tt.entry(Scope::Rank, Act, Act), self.last_act_any);
                 }
                 let oldest = self.act_window[self.act_ptr];
