@@ -1,11 +1,13 @@
-//! Differential timing-oracle tests at the workspace level: the
-//! table-driven rank tracker must agree with the frozen rule-based checker
-//! (compiled via the dram crate's `oracle` feature) on randomized command
-//! streams over *rank-folded* geometries — the multi-rank configurations the
-//! channel-sharded memory system actually runs.
+//! The differential for the rank tracker: the table-driven `RankTiming`
+//! must give every answer the frozen rule-based `OracleRankTiming`
+//! (compiled via the dram crate's `oracle` feature) gives, on randomized
+//! command streams over every geometry the workspace runs — the default
+//! rank, the small test rank, the model checker's 2 × 2 and the
+//! *rank-folded* geometry of the channel-sharded memory system — and every
+//! timing bin.
 
 use easydram_dram::bank::RankTiming;
-use easydram_dram::{DramCommand, Geometry, OracleRankTiming, TimingParams};
+use easydram_dram::{DramCommand, DramConfig, Geometry, OracleRankTiming, TimingParams};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -42,48 +44,84 @@ fn decode(op: Op, banks: u32) -> DramCommand {
     }
 }
 
-fn run_stream(ops: &[Op], dts: &[u64], timing: &TimingParams, issue_at_earliest: bool) {
-    let geometry = folded_two_rank_geometry();
+/// Every command kind on banks 0, 1 and the last one, plus an
+/// out-of-range bank: the probes asked of the tracker after each `apply`.
+fn probes(banks: u32) -> Vec<DramCommand> {
+    let mut out = vec![
+        DramCommand::PrechargeAll,
+        DramCommand::Refresh,
+        DramCommand::Activate {
+            bank: banks,
+            row: 0,
+        },
+    ];
+    for bank in [0, 1, banks - 1] {
+        for kind in [0, 1, 3, 4, 6] {
+            out.push(decode((kind, bank, 1, 2), banks));
+        }
+    }
+    out
+}
+
+/// Holds every answer the tracker gives about `cmd` at `at` to the
+/// oracle's. At its earliest time a command breaks no spacing, so all the
+/// oracle's `check` lists there is the bank state's verdict: the `admits`
+/// half of `admission`.
+fn assert_agree(table: &RankTiming, oracle: &OracleRankTiming, cmd: &DramCommand, at: u64) {
+    let earliest = oracle.earliest_issue_ps(cmd);
+    let admits = oracle.check(cmd, at.max(earliest)).is_empty();
+    assert_eq!(
+        table.admission(cmd),
+        (earliest, admits),
+        "admission of {cmd} at {at}"
+    );
+    assert_eq!(
+        table.is_legal(cmd, at),
+        admits && at >= earliest,
+        "is_legal {cmd} at {at}"
+    );
+    assert_eq!(
+        table.check(cmd, at),
+        oracle.check(cmd, at),
+        "violations diverged for {cmd} at {at}"
+    );
+}
+
+fn run_stream(
+    geometry: Geometry,
+    timing: TimingParams,
+    ops: &[Op],
+    dts: &[u64],
+    issue_at_earliest: bool,
+) {
     let banks = geometry.banks();
+    let probes = probes(banks);
     let mut table = RankTiming::new(geometry.clone(), timing.clone());
-    let mut oracle = OracleRankTiming::new(geometry, timing.clone());
+    let mut oracle = OracleRankTiming::new(geometry, timing);
     let mut now = 0u64;
     for (op, dt) in ops.iter().zip(dts) {
         let cmd = decode(*op, banks);
         now += dt;
         let at = if issue_at_earliest {
+            // Scheduled mode: issue exactly when the hot path says the
+            // command becomes legal, the ready-cycle contract.
             now.max(table.earliest_issue_ps(&cmd))
         } else {
+            // Raw mode: issue regardless of legality, as DRAM techniques do.
             now
         };
-        assert_eq!(
-            table.earliest_issue_ps(&cmd),
-            oracle.earliest_issue_ps(&cmd),
-            "earliest diverged for {cmd} at {at}"
-        );
-        assert_eq!(
-            table.check(&cmd, at),
-            oracle.check(&cmd, at),
-            "violations diverged for {cmd} at {at}"
-        );
-        // `is_legal` is the stricter test: it also honours the two spacings
-        // no rule names (the read→write drain, tRAS on an idle bank).
-        if table.is_legal(&cmd, at) {
-            assert_eq!(oracle.check(&cmd, at), [], "is_legal {cmd} at {at}");
-        }
-        // At its earliest time a command breaks no timing rule, so all that
-        // `check` can list there is the bank state's doing.
-        let (earliest, admits) = table.admission(&cmd);
-        assert_eq!(
-            admits,
-            oracle.check(&cmd, at.max(earliest)).is_empty(),
-            "admission's state verdict for {cmd} at {at}"
-        );
+        assert_agree(&table, &oracle, &cmd, at);
         table.apply(&cmd, at);
         oracle.apply(&cmd, at);
         now = at;
         for b in 0..banks {
             assert_eq!(table.open_row(b), oracle.open_row(b), "bank {b} state");
+        }
+        for p in &probes {
+            let earliest = oracle.earliest_issue_ps(p);
+            for at in [now, earliest.saturating_sub(1), earliest] {
+                assert_agree(&table, &oracle, p, at);
+            }
         }
     }
 }
@@ -112,7 +150,13 @@ proptest! {
         dts in vec(dt_strategy(), 1..150),
     ) {
         let n = ops.len().min(dts.len());
-        run_stream(&ops[..n], &dts[..n], &TimingParams::ddr4_1333(), false);
+        run_stream(
+            folded_two_rank_geometry(),
+            TimingParams::ddr4_1333(),
+            &ops[..n],
+            &dts[..n],
+            false,
+        );
     }
 
     /// Scheduled streams: issuing at the hot path's earliest legal time
@@ -123,7 +167,13 @@ proptest! {
         dts in vec(dt_strategy(), 1..150),
     ) {
         let n = ops.len().min(dts.len());
-        run_stream(&ops[..n], &dts[..n], &TimingParams::ddr4_1333(), true);
+        run_stream(
+            folded_two_rank_geometry(),
+            TimingParams::ddr4_1333(),
+            &ops[..n],
+            &dts[..n],
+            true,
+        );
     }
 
     /// The faster 2400 bin has a different tCCD_S/tBURST relationship
@@ -134,7 +184,47 @@ proptest! {
         dts in vec(dt_strategy(), 1..100),
     ) {
         let n = ops.len().min(dts.len());
-        run_stream(&ops[..n], &dts[..n], &TimingParams::ddr4_2400(), false);
+        run_stream(
+            folded_two_rank_geometry(),
+            TimingParams::ddr4_2400(),
+            &ops[..n],
+            &dts[..n],
+            false,
+        );
+    }
+
+    /// Raw and earliest-scheduled streams on every geometry (the default
+    /// 4 × 4 rank, the 1-group × 2-bank test rank with its degenerate
+    /// groups, the model checker's 2 × 2, two ranks folded into eight
+    /// groups) and three bins. The third has tRRD_L < tRRD_S: no JEDEC bin
+    /// does, and it is the only way into `admission`'s per-group
+    /// ACT-spacing arm.
+    #[test]
+    fn every_geometry_and_bin_agrees(
+        geometry in 0u8..4,
+        bin in 0u8..3,
+        scheduled in 0u8..2,
+        ops in vec(op_strategy(), 1..100),
+        dts in vec(dt_strategy(), 1..100),
+    ) {
+        let geometry = match geometry {
+            0 => Geometry::default(),
+            1 => DramConfig::small_for_tests().geometry,
+            2 => Geometry::model_small(),
+            _ => folded_two_rank_geometry(),
+        };
+        let timing = match bin {
+            0 => TimingParams::ddr4_1333(),
+            1 => TimingParams::ddr4_2400(),
+            _ => TimingParams {
+                t_rrd_l_ps: 4_000,
+                ..TimingParams::ddr4_1333()
+            },
+        };
+        let rolled = RankTiming::new(geometry.clone(), timing.clone()).table().rrd_rolled_ok;
+        prop_assert_eq!(rolled, bin < 2);
+        let n = ops.len().min(dts.len());
+        run_stream(geometry, timing, &ops[..n], &dts[..n], scheduled == 1);
     }
 }
 
