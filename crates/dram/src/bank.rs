@@ -591,9 +591,6 @@ impl RankTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::differential::{decode, dt_strategy, Op};
-    use proptest::collection::vec;
-    use proptest::prelude::*;
 
     fn rank() -> RankTiming {
         RankTiming::new(Geometry::default(), TimingParams::ddr4_1333())
@@ -855,382 +852,5 @@ mod tests {
             t.t_ras_ps + t.t_rp_ps,
         );
         assert_eq!(r.bank(2).prev_open_row, None);
-    }
-
-    /// The column-to-column entry for a pair of column commands, resolved by
-    /// whether they share a bank group: tCCD_L at [`Scope::BankGroup`],
-    /// tCCD_S at [`Scope::Channel`].
-    fn column_spacing(
-        tt: &TimingTable,
-        same_group: bool,
-        prev: CmdClass,
-        next: CmdClass,
-    ) -> crate::table::MinDistance {
-        let scope = if same_group {
-            Scope::BankGroup
-        } else {
-            Scope::Channel
-        };
-        tt.entry(scope, prev, next)
-            .expect("column pairs are always constrained")
-    }
-
-    /// The two rule statements the tracker had before they became folds of
-    /// one rule walk, kept verbatim as the oracle of `walk_matches_reference`.
-    impl RankTiming {
-        fn admission_reference(&self, cmd: &DramCommand) -> (u64, bool) {
-            if cmd.bank().is_some_and(|b| b >= self.geometry.banks()) {
-                return (0, true);
-            }
-            let tt = &self.table;
-            let mut earliest =
-                self.last_ref_bps + tt.dist_ps(Scope::Channel, CmdClass::Ref, CmdClass::of(cmd));
-            let admits = match *cmd {
-                DramCommand::Activate { bank, .. } => {
-                    let b = &self.banks[bank as usize];
-                    earliest = earliest.max(
-                        b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Act),
-                    );
-                    let group = b.group as usize;
-                    if tt.rrd_rolled_ok {
-                        earliest = earliest
-                            .max(
-                                self.last_act_by_group[group]
-                                    + tt.dist_ps(Scope::BankGroup, CmdClass::Act, CmdClass::Act),
-                            )
-                            .max(
-                                self.last_act_any
-                                    + tt.dist_ps(Scope::Rank, CmdClass::Act, CmdClass::Act),
-                            );
-                    } else {
-                        for (g, &t_bps) in self.last_act_by_group.iter().enumerate() {
-                            let scope = if g == group {
-                                Scope::BankGroup
-                            } else {
-                                Scope::Rank
-                            };
-                            earliest = earliest
-                                .max(t_bps + tt.dist_ps(scope, CmdClass::Act, CmdClass::Act));
-                        }
-                    }
-                    earliest = earliest.max(self.act_window[self.act_ptr] + tt.t_faw_ps);
-                    matches!(b.state, BankState::Idle)
-                }
-                DramCommand::Precharge { bank } => {
-                    earliest = earliest.max(self.pre_earliest_bps_reference(bank));
-                    true
-                }
-                DramCommand::PrechargeAll => {
-                    for bank in 0..self.geometry.banks() {
-                        earliest = earliest.max(self.pre_earliest_bps_reference(bank));
-                    }
-                    true
-                }
-                DramCommand::Read { bank, .. } | DramCommand::Write { bank, .. } => {
-                    let is_write = matches!(cmd, DramCommand::Write { .. });
-                    let next = if is_write { CmdClass::Wr } else { CmdClass::Rd };
-                    let b = &self.banks[bank as usize];
-                    earliest = earliest
-                        .max(b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, next))
-                        .max(self.col_earliest_bps_reference(bank, is_write));
-                    matches!(b.state, BankState::Active { .. })
-                }
-                DramCommand::Refresh => {
-                    let d = tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Ref);
-                    for b in &self.banks {
-                        earliest = earliest.max(b.last_pre_bps + d);
-                    }
-                    self.open_banks == 0
-                }
-                DramCommand::RefreshRow { bank, .. } => {
-                    let b = &self.banks[bank as usize];
-                    earliest = earliest.max(
-                        b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Rfm),
-                    );
-                    matches!(b.state, BankState::Idle)
-                }
-            };
-            (earliest.saturating_sub(BIAS), admits)
-        }
-
-        fn pre_earliest_bps_reference(&self, bank: u32) -> u64 {
-            let tt = &self.table;
-            let b = &self.banks[bank as usize];
-            (b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, CmdClass::Pre))
-                .max(b.last_rd_bps + tt.dist_ps(Scope::Bank, CmdClass::Rd, CmdClass::Pre))
-                .max(b.last_wr_end_bps + tt.dist_ps(Scope::Bank, CmdClass::Wr, CmdClass::Pre))
-        }
-
-        fn col_earliest_bps_reference(&self, bank: u32, is_write: bool) -> u64 {
-            let tt = &self.table;
-            let prev = if self.last_col_was_write {
-                CmdClass::Wr
-            } else {
-                CmdClass::Rd
-            };
-            let next = if is_write { CmdClass::Wr } else { CmdClass::Rd };
-            let same_group = self.last_col_group == self.banks[bank as usize].group;
-            let when = self.last_col_bps;
-            (when + column_spacing(tt, same_group, prev, next).dist_ps)
-                .max(when + tt.dist_ps(Scope::Rank, prev, next))
-        }
-
-        fn check_reference(&self, cmd: &DramCommand, now_ps: u64) -> Vec<TimingViolation> {
-            let mut v = Vec::new();
-            if cmd.bank().is_some_and(|b| b >= self.geometry.banks()) {
-                return v;
-            }
-            let tt = &self.table;
-            let now_b = now_ps + BIAS;
-            let push = |v: &mut Vec<TimingViolation>, rule: TimingRule, legal_b: u64| {
-                if now_b < legal_b {
-                    v.push(TimingViolation {
-                        rule,
-                        earliest_legal_ps: legal_b - BIAS,
-                        issued_ps: now_ps,
-                    });
-                }
-            };
-            push(
-                &mut v,
-                TimingRule::Trfc,
-                self.last_ref_bps + tt.dist_ps(Scope::Channel, CmdClass::Ref, CmdClass::of(cmd)),
-            );
-            match *cmd {
-                DramCommand::Activate { bank, .. } => {
-                    let b = &self.banks[bank as usize];
-                    if matches!(b.state, BankState::Active { .. }) {
-                        v.push(TimingViolation {
-                            rule: TimingRule::BankOpen,
-                            earliest_legal_ps: now_ps,
-                            issued_ps: now_ps,
-                        });
-                    }
-                    push(
-                        &mut v,
-                        TimingRule::Trp,
-                        b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Act),
-                    );
-                    let group = b.group as usize;
-                    for (g, &t_bps) in self.last_act_by_group.iter().enumerate() {
-                        let scope = if g == group {
-                            Scope::BankGroup
-                        } else {
-                            Scope::Rank
-                        };
-                        let e = tt
-                            .entry(scope, CmdClass::Act, CmdClass::Act)
-                            .expect("ACT spacing is always constrained");
-                        push(
-                            &mut v,
-                            e.rule.expect("tRRD names a rule"),
-                            t_bps + e.dist_ps,
-                        );
-                    }
-                    push(
-                        &mut v,
-                        TimingRule::Tfaw,
-                        self.act_window[self.act_ptr] + tt.t_faw_ps,
-                    );
-                }
-                DramCommand::Precharge { bank } => {
-                    let b = &self.banks[bank as usize];
-                    if matches!(b.state, BankState::Active { .. }) {
-                        push(
-                            &mut v,
-                            TimingRule::Tras,
-                            b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, CmdClass::Pre),
-                        );
-                    }
-                    push(
-                        &mut v,
-                        TimingRule::Trtp,
-                        b.last_rd_bps + tt.dist_ps(Scope::Bank, CmdClass::Rd, CmdClass::Pre),
-                    );
-                    push(
-                        &mut v,
-                        TimingRule::Twr,
-                        b.last_wr_end_bps + tt.dist_ps(Scope::Bank, CmdClass::Wr, CmdClass::Pre),
-                    );
-                }
-                DramCommand::PrechargeAll => {
-                    for bank in 0..self.geometry.banks() {
-                        v.extend(self.check_reference(&DramCommand::Precharge { bank }, now_ps));
-                    }
-                    v.retain(|viol| viol.rule != TimingRule::Trfc);
-                    push(
-                        &mut v,
-                        TimingRule::Trfc,
-                        self.last_ref_bps
-                            + tt.dist_ps(Scope::Channel, CmdClass::Ref, CmdClass::Pre),
-                    );
-                }
-                DramCommand::Read { bank, .. } | DramCommand::Write { bank, .. } => {
-                    let is_write = matches!(cmd, DramCommand::Write { .. });
-                    let next = if is_write { CmdClass::Wr } else { CmdClass::Rd };
-                    let b = &self.banks[bank as usize];
-                    if !matches!(b.state, BankState::Active { .. }) {
-                        v.push(TimingViolation {
-                            rule: TimingRule::BankClosed,
-                            earliest_legal_ps: now_ps,
-                            issued_ps: now_ps,
-                        });
-                    }
-                    push(
-                        &mut v,
-                        TimingRule::Trcd,
-                        b.last_act_bps + tt.dist_ps(Scope::Bank, CmdClass::Act, next),
-                    );
-                    if self.last_col_bps != NEVER {
-                        let prev = if self.last_col_was_write {
-                            CmdClass::Wr
-                        } else {
-                            CmdClass::Rd
-                        };
-                        let same = self.last_col_group == b.group;
-                        let ccd = column_spacing(tt, same, prev, next);
-                        push(
-                            &mut v,
-                            ccd.rule.expect("tCCD names a rule"),
-                            self.last_col_bps + ccd.dist_ps,
-                        );
-                        if self.last_col_was_write && !is_write {
-                            push(
-                                &mut v,
-                                TimingRule::Twtr,
-                                self.last_col_bps
-                                    + tt.dist_ps(Scope::Rank, CmdClass::Wr, CmdClass::Rd),
-                            );
-                        }
-                    }
-                }
-                DramCommand::Refresh => {
-                    if self.open_banks > 0 {
-                        v.push(TimingViolation {
-                            rule: TimingRule::RefWithOpenRows,
-                            earliest_legal_ps: now_ps,
-                            issued_ps: now_ps,
-                        });
-                    }
-                    let d = tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Ref);
-                    for b in &self.banks {
-                        push(&mut v, TimingRule::Trp, b.last_pre_bps + d);
-                    }
-                }
-                DramCommand::RefreshRow { bank, .. } => {
-                    let b = &self.banks[bank as usize];
-                    if matches!(b.state, BankState::Active { .. }) {
-                        v.push(TimingViolation {
-                            rule: TimingRule::RefWithOpenRows,
-                            earliest_legal_ps: now_ps,
-                            issued_ps: now_ps,
-                        });
-                    }
-                    push(
-                        &mut v,
-                        TimingRule::Trp,
-                        b.last_pre_bps + tt.dist_ps(Scope::Bank, CmdClass::Pre, CmdClass::Rfm),
-                    );
-                }
-            }
-            v
-        }
-    }
-
-    /// Every command kind on banks 0, 1 and the last one, plus an
-    /// out-of-range bank: the probes asked of the tracker after each `apply`.
-    fn probes(banks: u32) -> Vec<DramCommand> {
-        let mut out = vec![
-            DramCommand::PrechargeAll,
-            DramCommand::Refresh,
-            DramCommand::Activate {
-                bank: banks,
-                row: 0,
-            },
-        ];
-        for bank in [0, 1, banks - 1] {
-            for kind in [0, 1, 3, 4, 6] {
-                out.push(decode((kind, bank, 1, 2), banks));
-            }
-        }
-        out
-    }
-
-    /// The walk's two folds against the reference bodies, on one stream.
-    fn assert_walk_matches_reference(
-        geometry: Geometry,
-        timing: TimingParams,
-        ops: &[Op],
-        dts: &[u64],
-        scheduled: bool,
-    ) {
-        let banks = geometry.banks();
-        let probes = probes(banks);
-        let mut r = RankTiming::new(geometry, timing);
-        let mut now = 0u64;
-        for (op, dt) in ops.iter().zip(dts) {
-            let cmd = decode(*op, banks);
-            now += dt;
-            if scheduled {
-                now = now.max(r.earliest_issue_ps(&cmd));
-            }
-            r.apply(&cmd, now);
-            for p in &probes {
-                let (earliest, admits) = r.admission_reference(p);
-                assert_eq!(
-                    r.admission(p),
-                    (earliest, admits),
-                    "{p} after {cmd} @ {now}"
-                );
-                for at in [now, earliest, earliest.saturating_sub(1)] {
-                    assert_eq!(
-                        r.is_legal(p, at),
-                        admits && at >= earliest,
-                        "{p} @ {at} after {cmd} @ {now}"
-                    );
-                    assert_eq!(
-                        r.check(p, at),
-                        r.check_reference(p, at),
-                        "{p} @ {at} after {cmd} @ {now}"
-                    );
-                }
-            }
-        }
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u8..10, 0u32..40, 0u32..64, 0u32..128)
-    }
-
-    proptest! {
-        /// Raw and earliest-scheduled streams on three geometries (default,
-        /// two ranks folded into eight groups, the model checker's 2x2) and
-        /// three bins. The third bin has tRRD_L < tRRD_S: no JEDEC bin does,
-        /// and it is the only way into the per-group ACT-spacing arm of
-        /// `admission`.
-        #[test]
-        fn walk_matches_reference(
-            geometry in 0u8..3,
-            bin in 0u8..3,
-            scheduled in 0u8..2,
-            ops in vec(op_strategy(), 1..100),
-            dts in vec(dt_strategy(), 1..100),
-        ) {
-            let geometry = match geometry {
-                0 => Geometry::default(),
-                1 => Geometry { ranks: 2, ..Geometry::default() }.per_channel(),
-                _ => Geometry::model_small(),
-            };
-            let timing = match bin {
-                0 => TimingParams::ddr4_1333(),
-                1 => TimingParams::ddr4_2400(),
-                _ => TimingParams {
-                    t_rrd_l_ps: 4_000,
-                    ..TimingParams::ddr4_1333()
-                },
-            };
-            let n = ops.len().min(dts.len());
-            assert_walk_matches_reference(geometry, timing, &ops[..n], &dts[..n], scheduled == 1);
-        }
     }
 }
