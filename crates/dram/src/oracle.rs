@@ -1,4 +1,5 @@
-//! The rule-based timing checker, frozen as a differential oracle.
+//! The rule-based timing checker, frozen as the reference for the rank
+//! tracker.
 //!
 //! This module is a verbatim copy of the rank tracker as it existed before
 //! the precomputed-[`TimingTable`](crate::table::TimingTable) rewrite of
@@ -6,19 +7,18 @@
 //! JEDEC rules one by one. It is deliberately *not* refactored to share code
 //! with the hot path — sharing would let a bug hide in the shared half.
 //!
-//! The differential proptest layer drives randomized command streams through
-//! both [`OracleRankTiming`] and [`RankTiming`](crate::bank::RankTiming) and
-//! asserts identical `earliest_issue_ps` answers and identical violation
-//! lists. The module is compiled only for tests, or when the `oracle` cargo
-//! feature is enabled (useful for debugging a suspected table bug from a
-//! downstream crate: enable the feature, run both trackers side by side).
+//! [`OracleRankTiming`] is the one reference
+//! [`RankTiming`](crate::bank::RankTiming) is held to: by the workspace's
+//! differential (`tests/oracle_differential.rs`, randomized streams on every
+//! geometry and bin), by `easydram-model` (every reachable state) and by the
+//! Fig. 14 table-vs-oracle race. It is compiled only with the `oracle` cargo
+//! feature, which those three enable.
 
+use crate::bank::BankState;
 use crate::command::DramCommand;
 use crate::config::Geometry;
 use crate::error::{TimingRule, TimingViolation};
 use crate::timing::TimingParams;
-
-pub use crate::bank::BankState;
 
 const NEVER: u64 = 0;
 
@@ -392,175 +392,6 @@ impl OracleRankTiming {
                 b.last_pre_ps = now_ps + t.t_rfm_ps.saturating_sub(t.t_rp_ps);
                 b.pre_valid = true;
             }
-        }
-    }
-}
-
-/// Differential tests: the table-driven tracker must agree with this frozen
-/// rule-based implementation on every observable — `earliest_issue_ps`,
-/// the full violation list of `check` (order and multiplicity included),
-/// and per-bank open-row state — over randomized command streams.
-#[cfg(test)]
-pub(crate) mod differential {
-    use super::*;
-    use crate::bank::RankTiming;
-    use proptest::collection::vec;
-    use proptest::prelude::*;
-
-    /// One abstract command: (kind, bank, row, col).
-    pub(crate) type Op = (u8, u32, u32, u32);
-
-    pub(crate) fn decode(op: Op, banks: u32) -> DramCommand {
-        let (kind, bank, row, col) = op;
-        let bank = bank % banks;
-        match kind {
-            // Column commands and ACT dominate real streams; weight them.
-            0 | 7 => DramCommand::Activate { bank, row },
-            1 => DramCommand::Precharge { bank },
-            2 => DramCommand::PrechargeAll,
-            3 | 8 => DramCommand::Read { bank, col },
-            4 | 9 => DramCommand::Write {
-                bank,
-                col,
-                data: [0xA5; 64],
-            },
-            5 => DramCommand::Refresh,
-            _ => DramCommand::RefreshRow { bank, row },
-        }
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u8..10, 0u32..16, 0u32..64, 0u32..128)
-    }
-
-    /// Time advances chosen to straddle the interesting boundaries: intra-
-    /// burst gaps, tRCD/tRAS-scale gaps, tRFC edges (350 000 ps on the
-    /// 1333 bin), and tREFI-scale jumps.
-    pub(crate) fn dt_strategy() -> impl Strategy<Value = u64> {
-        prop_oneof![
-            0u64..2_000,
-            2_000u64..40_000,
-            349_000u64..351_000,
-            7_790_000u64..7_810_000,
-        ]
-    }
-
-    fn assert_agree(table: &RankTiming, oracle: &OracleRankTiming, cmd: &DramCommand, now: u64) {
-        assert_eq!(
-            table.earliest_issue_ps(cmd),
-            oracle.earliest_issue_ps(cmd),
-            "earliest diverged for {cmd} at {now}"
-        );
-        assert_eq!(
-            table.check(cmd, now),
-            oracle.check(cmd, now),
-            "violation list diverged for {cmd} at {now}"
-        );
-        let legal = table.check(cmd, now).is_empty();
-        if table.is_legal(cmd, now) {
-            assert!(legal, "is_legal=true but check flagged {cmd} at {now}");
-        }
-        // The converse may not hold (the scheduling-only rd→wr drain), but a
-        // command at/after its earliest with compatible state must be legal.
-    }
-
-    fn run_stream(geometry: Geometry, ops: &[Op], dts: &[u64], issue_at_earliest: bool) {
-        let timing = TimingParams::ddr4_1333();
-        let banks = geometry.banks();
-        let mut table = RankTiming::new(geometry.clone(), timing.clone());
-        let mut oracle = OracleRankTiming::new(geometry, timing);
-        let mut now = 0u64;
-        for (op, dt) in ops.iter().zip(dts) {
-            let cmd = decode(*op, banks);
-            now += dt;
-            let at = if issue_at_earliest {
-                // Scheduled mode: issue exactly when the hot path says the
-                // command becomes legal — the ready-cycle contract.
-                now.max(table.earliest_issue_ps(&cmd))
-            } else {
-                // Raw mode: issue regardless of legality, as DRAM
-                // techniques do.
-                now
-            };
-            assert_agree(&table, &oracle, &cmd, at);
-            table.apply(&cmd, at);
-            oracle.apply(&cmd, at);
-            now = at;
-            for b in 0..banks {
-                assert_eq!(table.open_row(b), oracle.open_row(b), "bank {b} state");
-            }
-        }
-    }
-
-    proptest! {
-        /// Raw randomized streams (legal and illegal commands alike) over
-        /// the default 4-group × 4-bank geometry.
-        #[test]
-        fn raw_streams_agree(
-            ops in vec(op_strategy(), 1..120),
-            dts in vec(dt_strategy(), 1..120),
-        ) {
-            let n = ops.len().min(dts.len());
-            run_stream(Geometry::default(), &ops[..n], &dts[..n], false);
-        }
-
-        /// Scheduled streams: every command issued at the table tracker's
-        /// earliest legal time must be judged identically by the oracle.
-        #[test]
-        fn scheduled_streams_agree(
-            ops in vec(op_strategy(), 1..120),
-            dts in vec(dt_strategy(), 1..120),
-        ) {
-            let n = ops.len().min(dts.len());
-            run_stream(Geometry::default(), &ops[..n], &dts[..n], true);
-        }
-
-        /// The reduced test geometry (1 group × 2 banks) exercises the
-        /// degenerate-group paths.
-        #[test]
-        fn small_geometry_agrees(
-            ops in vec(op_strategy(), 1..80),
-            dts in vec(dt_strategy(), 1..80),
-        ) {
-            let n = ops.len().min(dts.len());
-            let geom = crate::config::DramConfig::small_for_tests().geometry;
-            run_stream(geom, &ops[..n], &dts[..n], false);
-        }
-    }
-
-    /// Deterministic regression: an RFM folded into the precharge timestamp
-    /// must gate tRP-successors identically in both trackers, including a
-    /// premature PRE that *rewinds* the folded timestamp.
-    #[test]
-    fn rfm_fold_and_premature_pre_agree() {
-        let t = TimingParams::ddr4_1333();
-        let geom = Geometry::default();
-        let mut table = RankTiming::new(geom.clone(), t.clone());
-        let mut oracle = OracleRankTiming::new(geom, t.clone());
-        let script = [
-            (DramCommand::Activate { bank: 0, row: 1 }, 0),
-            (DramCommand::Precharge { bank: 0 }, t.t_ras_ps),
-            (
-                DramCommand::RefreshRow { bank: 0, row: 2 },
-                t.t_ras_ps + t.t_rp_ps,
-            ),
-            // PRE while the RFM fold still points into the future: the
-            // recorded precharge timestamp moves *backwards*.
-            (
-                DramCommand::Precharge { bank: 0 },
-                t.t_ras_ps + t.t_rp_ps + 1,
-            ),
-            (DramCommand::Activate { bank: 0, row: 3 }, 2 * t.t_rfm_ps),
-        ];
-        for (cmd, at) in script {
-            assert_eq!(
-                table.earliest_issue_ps(&cmd),
-                oracle.earliest_issue_ps(&cmd),
-                "{cmd}"
-            );
-            assert_eq!(table.check(&cmd, at), oracle.check(&cmd, at), "{cmd}");
-            table.apply(&cmd, at);
-            oracle.apply(&cmd, at);
         }
     }
 }

@@ -289,3 +289,39 @@ fn refresh_row_folded_rank_is_identical() {
     assert_eq!(table.earliest_issue_ps(&free), 0);
     assert_eq!(oracle.earliest_issue_ps(&free), 0);
 }
+
+/// Deterministic regression: an RFM folded into the precharge timestamp
+/// must gate tRP-successors identically in both trackers, including a
+/// premature PRE that *rewinds* the folded timestamp.
+#[test]
+fn rfm_fold_and_premature_pre_agree() {
+    let t = TimingParams::ddr4_1333();
+    let geom = Geometry::default();
+    let mut table = RankTiming::new(geom.clone(), t.clone());
+    let mut oracle = OracleRankTiming::new(geom, t.clone());
+    let script = [
+        (DramCommand::Activate { bank: 0, row: 1 }, 0),
+        (DramCommand::Precharge { bank: 0 }, t.t_ras_ps),
+        (
+            DramCommand::RefreshRow { bank: 0, row: 2 },
+            t.t_ras_ps + t.t_rp_ps,
+        ),
+        // PRE while the RFM fold still points into the future: the
+        // recorded precharge timestamp moves *backwards*.
+        (
+            DramCommand::Precharge { bank: 0 },
+            t.t_ras_ps + t.t_rp_ps + 1,
+        ),
+        (DramCommand::Activate { bank: 0, row: 3 }, 2 * t.t_rfm_ps),
+    ];
+    for (cmd, at) in script {
+        assert_eq!(
+            table.earliest_issue_ps(&cmd),
+            oracle.earliest_issue_ps(&cmd),
+            "{cmd}"
+        );
+        assert_eq!(table.check(&cmd, at), oracle.check(&cmd, at), "{cmd}");
+        table.apply(&cmd, at);
+        oracle.apply(&cmd, at);
+    }
+}
