@@ -317,4 +317,14 @@ mod tests {
         c.write_buffer_depth = MAX_WRITE_BUFFER_DEPTH;
         assert!(c.validate().is_ok());
     }
+
+    #[test]
+    fn validation_rejects_a_zero_refresh_interval() {
+        // Used to validate, then divide by zero pricing the first read.
+        let mut c = SystemConfig::small_for_tests(TimingMode::Reference);
+        c.dram.timing.t_refi_ps = 0;
+        c.dram.timing.t_rfc_ps = 0;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("cfg/refresh-interval"), "{err}");
+    }
 }

@@ -4,8 +4,8 @@
 //! only trustworthy if illegal configurations are rejected *before* a run.
 //! The [`crate::table::TimingTable`] pipeline will happily fold any
 //! [`TimingParams`] into minimum-distance matrices — including contradictory
-//! ones (`tFAW < 4·tRRD_S`, a refresh interval shorter than the refresh
-//! command itself) that silently produce meaningless figures.
+//! ones (`tFAW < 4·tRRD_S`, a refresh interval that leaves no room for its
+//! own refresh) that silently produce meaningless figures.
 //!
 //! [`TimingParams::check_consistency`] closes that hole: every parameter set
 //! is validated against a **closed rule set** ([`ConfigRule`]) and rejected
@@ -49,8 +49,11 @@ pub enum ConfigRule {
     /// `t_ccd_l < t_ccd_s`: same-group column spacing must be at least the
     /// cross-group spacing.
     CcdScope,
-    /// `t_refi < t_rfc`: the refresh interval is shorter than the refresh
-    /// command itself — the device would spend >100 % of time refreshing.
+    /// `t_refi ≤ t_rfc + t_rp`: each refresh is a precharge-all followed by
+    /// a REF, which together hold the rank for tRP + tRFC, so an interval no
+    /// longer than that leaves no time to serve anything, and a refresh loop
+    /// that issues one pair per interval falls further behind on every pass
+    /// (a zero interval also divides by zero in the tile's refresh pricing).
     RefreshInterval,
     /// `t_refw < t_refi`: the retention window is shorter than the average
     /// refresh interval — rows would decay before their refresh arrives.
@@ -318,12 +321,22 @@ impl TimingParams {
                 "same-bank-group column spacing must be at least the cross-group spacing",
             ));
         }
-        if self.t_refi_ps < self.t_rfc_ps {
-            out.push(contra(
+        match self.t_rfc_ps.checked_add(self.t_rp_ps) {
+            Some(busy) if self.t_refi_ps > busy => {}
+            Some(_) => out.push(contra(
                 ConfigRule::RefreshInterval,
-                &[("t_refi_ps", self.t_refi_ps), ("t_rfc_ps", self.t_rfc_ps)],
-                "the refresh interval is shorter than the refresh command itself",
-            ));
+                &[
+                    ("t_refi_ps", self.t_refi_ps),
+                    ("t_rfc_ps", self.t_rfc_ps),
+                    ("t_rp_ps", self.t_rp_ps),
+                ],
+                "the refresh interval leaves no time beyond its own precharge-all and refresh",
+            )),
+            None => out.push(contra(
+                ConfigRule::DistOverflow,
+                &[("t_rfc_ps", self.t_rfc_ps), ("t_rp_ps", self.t_rp_ps)],
+                "t_rfc + t_rp overflows the picosecond timeline",
+            )),
         }
         if self.t_refw_ps < self.t_refi_ps {
             out.push(contra(
@@ -499,6 +512,32 @@ mod tests {
         t.t_rrd_l_ps = u64::MAX / 2;
         let errs = t.check_consistency().unwrap_err();
         assert!(errs.iter().any(|e| e.rule == ConfigRule::DistOverflow));
+
+        let mut t = TimingParams::ddr4_1333();
+        t.t_rfc_ps = u64::MAX;
+        let errs = t.check_consistency().unwrap_err();
+        assert!(errs.iter().any(|e| e.rule == ConfigRule::DistOverflow));
+    }
+
+    #[test]
+    fn refresh_interval_must_outlast_its_precharge_all_and_refresh() {
+        let base = TimingParams::ddr4_1333();
+        let with_refi = |t_refi_ps| TimingParams {
+            t_refi_ps,
+            ..base.clone()
+        };
+        for refi in [0, base.t_rfc_ps + base.t_rp_ps] {
+            let rules: Vec<ConfigRule> = with_refi(refi)
+                .check_consistency()
+                .unwrap_err()
+                .iter()
+                .map(|e| e.rule)
+                .collect();
+            assert_eq!(rules, [ConfigRule::RefreshInterval], "t_refi_ps = {refi}");
+        }
+        with_refi(base.t_rfc_ps + base.t_rp_ps + 1)
+            .check_consistency()
+            .unwrap();
     }
 
     #[test]

@@ -331,7 +331,7 @@ proptest! {
                 prop_assert!(t.t_faw_ps >= 4 * t.t_rrd_s_ps);
                 prop_assert!(t.t_rrd_l_ps >= t.t_rrd_s_ps);
                 prop_assert!(t.t_ccd_l_ps >= t.t_ccd_s_ps);
-                prop_assert!(t.t_refi_ps >= t.t_rfc_ps);
+                prop_assert!(t.t_refi_ps > t.t_rfc_ps + t.t_rp_ps);
                 prop_assert!(t.t_refw_ps >= t.t_refi_ps);
                 prop_assert!(t.t_rfm_ps == 0 || t.t_rfm_ps >= t.t_rp_ps);
             }
@@ -344,7 +344,7 @@ proptest! {
                         ConfigRule::FawWindow => t.t_faw_ps < 4 * t.t_rrd_s_ps,
                         ConfigRule::RrdScope => t.t_rrd_l_ps < t.t_rrd_s_ps,
                         ConfigRule::CcdScope => t.t_ccd_l_ps < t.t_ccd_s_ps,
-                        ConfigRule::RefreshInterval => t.t_refi_ps < t.t_rfc_ps,
+                        ConfigRule::RefreshInterval => t.t_refi_ps <= t.t_rfc_ps + t.t_rp_ps,
                         ConfigRule::RefreshWindow => t.t_refw_ps < t.t_refi_ps,
                         ConfigRule::RfmVsRp => t.t_rfm_ps != 0 && t.t_rfm_ps < t.t_rp_ps,
                         // Overflow/coverage rules are unreachable from the

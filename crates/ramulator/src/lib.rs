@@ -559,4 +559,15 @@ mod tests {
         cfg.timing.t_faw_ps = 4 * cfg.timing.t_rrd_s_ps - 1;
         let _ = RamulatorSystem::new(cfg);
     }
+
+    /// A PREA and a REF hold the channel for tRP + tRFC: with no more than
+    /// that between refreshes, `maybe_refresh` falls further behind on every
+    /// pass and never returns.
+    #[test]
+    #[should_panic(expected = "cfg/refresh-interval")]
+    fn refresh_interval_without_room_is_rejected() {
+        let mut cfg = RamulatorConfig::default();
+        cfg.timing.t_refi_ps = cfg.timing.t_rfc_ps + cfg.timing.t_rp_ps;
+        let _ = RamulatorSystem::new(cfg);
+    }
 }
