@@ -29,6 +29,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::json::JsonWriter;
+use crate::request::RequestClass;
 
 /// Number of log2 buckets every [`LogHistogram`] carries. Bucket `b` counts
 /// values whose bit length is `b` (so bucket 0 is exactly the value 0,
@@ -167,29 +168,6 @@ impl EventKind {
             EventKind::CmdRfm => "RFM",
             EventKind::Mitigation => "mitigation",
             EventKind::QuantumSwitch => "quantum_switch",
-        }
-    }
-}
-
-/// Request classes tagged onto request-lifecycle events (the `a` field).
-pub mod req_class {
-    use crate::request::RequestClass;
-
-    /// A line read (including profiling reads).
-    pub const READ: u32 = RequestClass::Read as u32;
-    /// A line write / writeback.
-    pub const WRITE: u32 = RequestClass::Write as u32;
-    /// A RowClone operation.
-    pub const ROWCLONE: u32 = RequestClass::RowClone as u32;
-
-    /// Stable label for the exporters.
-    #[must_use]
-    pub fn label(class: u32) -> &'static str {
-        match class {
-            READ => "read",
-            WRITE => "write",
-            ROWCLONE => "rowclone",
-            _ => "request",
         }
     }
 }
@@ -533,6 +511,20 @@ pub const TRACE_BIN_MAGIC: &[u8; 8] = b"EZTRACE1";
 /// Bytes per record in the binary event dump.
 pub const TRACE_BIN_RECORD_BYTES: usize = 36;
 
+/// The exporters' name for a lifecycle event's request class (its `a`
+/// field, a [`RequestClass`] as `u32`).
+fn class_label(class: u32) -> &'static str {
+    const READ: u32 = RequestClass::Read as u32;
+    const WRITE: u32 = RequestClass::Write as u32;
+    const ROWCLONE: u32 = RequestClass::RowClone as u32;
+    match class {
+        READ => "read",
+        WRITE => "write",
+        ROWCLONE => "rowclone",
+        _ => "request",
+    }
+}
+
 /// A drained, export-ready event log: every lane's ring (plus device
 /// command rings and scheduler switches) flattened into one vector.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -729,7 +721,7 @@ impl TraceLog {
                         .key("ts")
                         .millionths(e.ps);
                     w.key("dur").millionths(r.ps.saturating_sub(e.ps));
-                    w.key("name").string(req_class::label(e.a));
+                    w.key("name").string(class_label(e.a));
                     w.key("args").begin_object().key("id").uint(id);
                     if let Some(p) = issue {
                         w.key("issue_us").millionths(p);
@@ -841,6 +833,10 @@ pub fn validate_chrome_json(json: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    const READ: u32 = RequestClass::Read as u32;
+    const WRITE: u32 = RequestClass::Write as u32;
+    const ROWCLONE: u32 = RequestClass::RowClone as u32;
 
     proptest! {
         /// `sort_for_export` is the stable sort by `(pid, tid, ps, id, kind)`
@@ -1008,7 +1004,7 @@ mod tests {
     fn ring_overwrites_oldest_and_drains_in_order() {
         let mut ring = EventRing::new(3);
         for i in 0..5u64 {
-            ring.push(TraceEvent::enqueue(i * 10, i, 0, 0, req_class::READ));
+            ring.push(TraceEvent::enqueue(i * 10, i, 0, 0, READ));
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
@@ -1042,8 +1038,8 @@ mod tests {
     #[test]
     fn chrome_export_is_valid_and_monotone_per_track() {
         let mut log = TraceLog::default();
-        log.push(TraceEvent::enqueue(2_000_000, 1, 0, 0, req_class::READ));
-        log.push(TraceEvent::retire(5_500_000, 1, 0, 0, req_class::READ));
+        log.push(TraceEvent::enqueue(2_000_000, 1, 0, 0, READ));
+        log.push(TraceEvent::retire(5_500_000, 1, 0, 0, READ));
         log.push(TraceEvent::issue(3_000_000, 1, 0, 0));
         log.push(TraceEvent::command(
             2_500_000,
@@ -1055,7 +1051,7 @@ mod tests {
         log.push(TraceEvent::command(2_600_000, 0, EventKind::CmdRead, 3, 8));
         log.push(TraceEvent::quantum_switch(4_000_000, 0, 1));
         // An orphan enqueue (its retire was overwritten) renders as instant.
-        log.push(TraceEvent::enqueue(6_000_000, 2, 0, 1, req_class::WRITE));
+        log.push(TraceEvent::enqueue(6_000_000, 2, 0, 1, WRITE));
         let json = log.to_chrome_json();
         validate_chrome_json(&json).expect("valid chrome trace");
         assert!(json.contains("\"ph\":\"X\""), "complete request slice");
@@ -1073,7 +1069,7 @@ mod tests {
     #[test]
     fn binary_dump_round_trips() {
         let mut log = TraceLog::default();
-        log.push(TraceEvent::retire(123, 9, 1, 2, req_class::ROWCLONE));
+        log.push(TraceEvent::retire(123, 9, 1, 2, ROWCLONE));
         log.push(TraceEvent::command(50, 0, EventKind::CmdRfm, 7, 99));
         let bytes = log.to_binary();
         assert_eq!(&bytes[..8], TRACE_BIN_MAGIC);

@@ -34,8 +34,8 @@ pub enum RequestKind {
 }
 
 /// The operation class a request is accounted under (per-requestor
-/// read/write counters, latency histograms, and the `a` field of its
-/// `Enqueue`/`Retire` trace events — see [`crate::obs::req_class`]).
+/// read/write counters, latency histograms, and, as `u32`, the `a` field of
+/// its `Enqueue`/`Retire` trace events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestClass {
     /// Moves line data to the host: reads and profiling reads.

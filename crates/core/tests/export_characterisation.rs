@@ -10,7 +10,8 @@
 #[path = "../../../tests/support/fnv.rs"]
 mod fnv;
 
-use easydram::obs::{req_class, validate_chrome_json, EventKind, TraceEvent, TraceLog};
+use easydram::obs::{validate_chrome_json, EventKind, TraceEvent, TraceLog};
+use easydram::RequestClass;
 use fnv::Digest;
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -146,14 +147,14 @@ fn synthetic_log() -> TraceLog {
         REQUESTS,
         1,
         2,
-        req_class::WRITE,
+        RequestClass::Write as u32,
     ));
     log.push(TraceEvent::retire(
         2_000_000_999_999,
         REQUESTS,
         1,
         2,
-        req_class::WRITE,
+        RequestClass::Write as u32,
     ));
     log.dropped = 4_321;
     // Fisher-Yates.
