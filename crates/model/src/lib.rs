@@ -1,11 +1,11 @@
 //! Exhaustive bounded protocol model checker for the EasyDRAM timing stack.
 //!
-//! The differential proptest layer in `easydram-dram` samples random command
-//! streams; this crate replaces sampling with **exhaustive enumeration**: it
-//! explores *every* protocol-legal command sequence up to a depth bound `k`
-//! on deliberately small geometries ([`Geometry::model_small`],
-//! [`Geometry::model_rank_folded`]) and checks four property classes at every
-//! reachable state:
+//! The workspace's differential proptest (`tests/oracle_differential.rs`)
+//! samples random command streams; this crate replaces sampling with
+//! **exhaustive enumeration**: it explores *every* protocol-legal command
+//! sequence up to a depth bound `k` on deliberately small geometries
+//! ([`Geometry::model_small`], [`Geometry::model_rank_folded`]) and checks
+//! four property classes at every reachable state:
 //!
 //! 1. **Equivalence** — the precomputed-table tracker
 //!    ([`RankTiming`](easydram_dram::bank::RankTiming)) and the frozen
