@@ -591,6 +591,7 @@ impl RankTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::differential::harness;
 
     fn rank() -> RankTiming {
         RankTiming::new(Geometry::default(), TimingParams::ddr4_1333())
@@ -852,5 +853,24 @@ mod tests {
             t.t_ras_ps + t.t_rp_ps,
         );
         assert_eq!(r.bank(2).prev_open_row, None);
+    }
+
+    proptest::proptest! {
+        /// The rule walk, through both its folds (`admission`, `check`),
+        /// against the frozen oracle on the default, rank-folded and
+        /// model-checker geometries and every bin, raw and scheduled.
+        #[test]
+        fn walk_matches_reference(
+            geometry in 0usize..3,
+            bin in 0u8..3,
+            scheduled in 0u8..2,
+            ops in proptest::collection::vec(harness::op_strategy(), 1..100),
+            dts in proptest::collection::vec(harness::dt_strategy(), 1..100),
+        ) {
+            let n = ops.len().min(dts.len());
+            let geometry = harness::geometry([0, 3, 2][geometry]);
+            let timing = harness::bin(bin);
+            harness::run_stream(geometry, timing, &ops[..n], &dts[..n], scheduled == 1);
+        }
     }
 }

@@ -47,7 +47,7 @@ pub mod consistency;
 pub mod det;
 pub mod device;
 pub mod error;
-#[cfg(feature = "oracle")]
+#[cfg(any(test, feature = "oracle"))]
 pub mod oracle;
 pub mod stats;
 pub mod table;
@@ -62,7 +62,7 @@ pub use device::{
     blast_neighbors, CmdOutcome, CmdRecord, CmdSink, DramDevice, RowCloneOutcome, BLAST_RADIUS,
 };
 pub use error::{DramError, TimingRule, TimingViolation};
-#[cfg(feature = "oracle")]
+#[cfg(any(test, feature = "oracle"))]
 pub use oracle::OracleRankTiming;
 pub use stats::DeviceStats;
 pub use table::{CmdClass, MinDistance, Scope, TimingTable};

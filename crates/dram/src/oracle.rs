@@ -7,12 +7,12 @@
 //! JEDEC rules one by one. It is deliberately *not* refactored to share code
 //! with the hot path — sharing would let a bug hide in the shared half.
 //!
-//! [`OracleRankTiming`] is the one reference
-//! [`RankTiming`](crate::bank::RankTiming) is held to: by the workspace's
-//! differential (`tests/oracle_differential.rs`, randomized streams on every
-//! geometry and bin), by `easydram-model` (every reachable state) and by the
-//! Fig. 14 table-vs-oracle race. It is compiled only with the `oracle` cargo
-//! feature, which those three enable.
+//! [`OracleRankTiming`] is the one reference the table-driven
+//! [`RankTiming`](crate::bank::RankTiming) is held to: by one differential
+//! harness (`tests/support/rank_differential.rs`, which the workspace's
+//! `tests/oracle_differential.rs` and this crate's tests run), by
+//! `easydram-model` and by the Fig. 14 race. Outside tests it needs the
+//! `oracle` feature, which the last two and the workspace's tests enable.
 
 use crate::bank::BankState;
 use crate::command::DramCommand;
@@ -395,3 +395,6 @@ impl OracleRankTiming {
         }
     }
 }
+
+#[cfg(test)]
+pub(crate) mod differential;
