@@ -868,6 +868,30 @@ mod tests {
     }
 
     #[test]
+    fn tile_period_truncates_at_a_clock_that_does_not_divide_a_second() {
+        // At 150 MHz a Rocket cycle is 6,666.67 ps: the period truncates to
+        // 6,666 (rounding would give 6,667). Every golden runs at 100 MHz,
+        // where the two agree, so only this pins the truncation.
+        let mut f = Fix::new();
+        let base = 1_000_000;
+        let mut a = f.session.begin(
+            TileCtx {
+                device: &mut f.dev,
+                executor: &f.ex,
+                mapper: &f.map,
+                remap: &f.remap,
+                costs: &f.costs,
+                transfer: &f.transfer,
+                tile_clk_hz: 150_000_000,
+            },
+            base,
+        );
+        a.set_scheduling_state(true);
+        assert_eq!(f.costs.set_scheduling_state, 4);
+        assert_eq!(a.wall_now_ps(), base + 4 * 6_666);
+    }
+
+    #[test]
     fn profiling_request_kind_round_trips() {
         let mut f = Fix::new();
         f.post(
