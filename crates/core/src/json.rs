@@ -1,16 +1,16 @@
-//! The workspace's one JSON emitter, and the structural scanner that checks
-//! what it (or anything else) emitted. No serde resolves in the offline
-//! build, and every document written here is flat.
+//! The JSON writer behind the Chrome trace exporter
+//! ([`crate::TraceLog::to_chrome_json`]), and the structural scanner
+//! that checks what it (or anything else) emitted. No serde resolves in the
+//! offline build.
 //!
 //! [`JsonWriter`] streams compact JSON into one buffer: it owns the
 //! separators and the string escaping, the caller owns the nesting (every
-//! `begin_*` needs its `end_*`). [`scan`] walks a document without building
-//! a tree, checks that scopes and strings nest, and reports every object
-//! key with its path — enough to ask "does this report carry
-//! `rowhammer.points.flips`" structurally instead of by substring.
-
-use std::fmt::Display;
-use std::io::Write as _;
+//! `begin_*` needs its `end_*`). It writes exactly what a trace needs:
+//! scopes, keys, strings, unsigned integers and fixed six-digit decimals.
+//! [`scan`] walks a document without building a tree, checks that scopes
+//! and strings nest, and reports every object key with its path — enough
+//! to ask "does this document carry a top-level `traceEvents`"
+//! structurally instead of by substring.
 
 /// Whether a byte of a string must be written as an escape.
 #[inline(always)]
@@ -28,12 +28,6 @@ pub struct JsonWriter {
 }
 
 impl JsonWriter {
-    /// An empty document.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty document with room for `bytes` of output.
     #[must_use]
     pub fn with_capacity(bytes: usize) -> Self {
@@ -155,27 +149,6 @@ impl JsonWriter {
         self
     }
 
-    /// Writes a number as `n` displays: a float through
-    /// `format_args!("{x:.3}")` when the precision matters, or a signed
-    /// integer. The caller keeps floats finite (JSON has no NaN or
-    /// infinity).
-    pub fn number(&mut self, n: impl Display) -> &mut Self {
-        self.value(b"");
-        let _ = write!(self.out, "{n}");
-        self
-    }
-
-    /// Writes `true` or `false`.
-    pub fn bool(&mut self, b: bool) -> &mut Self {
-        self.value(if b { "true" } else { "false" }.as_bytes())
-    }
-
-    /// Splices in a value that is already JSON (a document read back from
-    /// disk); [`scan`] it first.
-    pub fn raw(&mut self, json: &str) -> &mut Self {
-        self.value(json.trim().as_bytes())
-    }
-
     /// The finished document, newline-terminated.
     #[must_use]
     pub fn finish(mut self) -> String {
@@ -250,23 +223,19 @@ pub fn scan<'a>(json: &'a str, mut on_key: impl FnMut(&[&'a str])) -> Result<(),
     Ok(())
 }
 
-/// Every key path of `json`, dot-joined (see [`scan`]).
-///
-/// # Errors
-///
-/// Propagates [`scan`]'s structural defects.
-pub fn key_paths(json: &str) -> Result<std::collections::BTreeSet<String>, String> {
-    let mut paths = std::collections::BTreeSet::new();
-    scan(json, |path| {
-        paths.insert(path.join("."));
-    })?;
-    Ok(paths)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Every key path of `json`, dot-joined (see [`scan`]).
+    fn key_paths(json: &str) -> Result<std::collections::BTreeSet<String>, String> {
+        let mut paths = std::collections::BTreeSet::new();
+        scan(json, |path| {
+            paths.insert(path.join("."));
+        })?;
+        Ok(paths)
+    }
 
     /// The scanner `scan` replaced, decoding characters and trimming the
     /// rest of the input at every closing quote: the oracle for it.
@@ -401,17 +370,17 @@ mod tests {
     fn digit_writers_match_display() {
         let ends = [0, 9, 10, 999_999, 1_000_000, 1_000_000_000_001, u64::MAX];
         for n in ends {
-            let mut w = JsonWriter::new();
-            w.begin_array().uint(n).millionths(n).number(n).end_array();
             let (whole, frac) = (n / 1_000_000, n % 1_000_000);
-            assert_eq!(w.finish(), format!("[{n},{whole}.{frac:06},{n}]\n"));
+            let mut w = JsonWriter::default();
+            w.begin_array().uint(n).millionths(n).millionths(frac).end_array();
+            assert_eq!(w.finish(), format!("[{n},{whole}.{frac:06},0.{frac:06}]\n"));
         }
     }
 
     #[test]
     fn control_escapes_match_the_formatted_ones() {
         for c in 0..0x20u8 {
-            let mut w = JsonWriter::new();
+            let mut w = JsonWriter::default();
             w.string(&format!("a{}é", char::from(c)));
             assert_eq!(w.finish(), format!("\"a\\u{c:04x}é\"\n"));
         }
@@ -419,23 +388,20 @@ mod tests {
 
     #[test]
     fn writer_escapes_and_nests_and_the_scanner_accepts_it() {
-        let mut w = JsonWriter::new();
+        let mut w = JsonWriter::default();
         w.begin_object();
         w.key("q\"uote").string("back\\slash \"q\" \u{1}\n");
         w.key("empty").begin_object().end_object();
         w.key("list").begin_array();
-        w.begin_array()
-            .end_array()
-            .number(3)
-            .number(format_args!("{:.2}", 0.5));
-        w.begin_object().key("ok").bool(true).end_object();
+        w.begin_array().end_array().uint(3).millionths(500_000);
+        w.begin_object().key("ok").uint(1).end_object();
         w.end_array();
-        w.key("spliced").raw(" {\"x\":null}\n");
+        w.key("nested").begin_object().key("x").string("").end_object();
         w.end_object();
         let json = w.finish();
         assert_eq!(
             json,
-            r#"{"q\"uote":"back\\slash \"q\" \u0001\u000a","empty":{},"list":[[],3,0.50,{"ok":true}],"spliced":{"x":null}}"#
+            r#"{"q\"uote":"back\\slash \"q\" \u0001\u000a","empty":{},"list":[[],3,0.500000,{"ok":1}],"nested":{"x":""}}"#
                 .to_string()
                 + "\n"
         );
@@ -447,9 +413,9 @@ mod tests {
                 "empty",
                 "list",
                 "list.ok",
-                r#"q\"uote"#,
-                "spliced",
-                "spliced.x"
+                "nested",
+                "nested.x",
+                r#"q\"uote"#
             ]
         );
     }

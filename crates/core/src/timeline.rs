@@ -52,6 +52,10 @@ pub struct EmulatedTimeline {
 
 impl EmulatedTimeline {
     /// Creates an idle single-rank timeline for `n_banks` banks.
+    ///
+    /// # Panics
+    ///
+    /// As [`EmulatedTimeline::with_ranks`].
     #[must_use]
     pub fn new(n_banks: usize, timing: &TimingParams, refresh_enabled: bool) -> Self {
         Self::with_ranks(1, n_banks, timing, refresh_enabled)
@@ -62,7 +66,9 @@ impl EmulatedTimeline {
     ///
     /// # Panics
     ///
-    /// Panics if `ranks` or `banks_per_rank` is zero.
+    /// Panics if `ranks` or `banks_per_rank` is zero, or if `timing` is
+    /// self-contradictory, listing every contradiction found: refresh
+    /// pricing divides by tREFI and by tREFI − tRFC.
     #[must_use]
     pub fn with_ranks(
         ranks: usize,
@@ -71,6 +77,10 @@ impl EmulatedTimeline {
         refresh_enabled: bool,
     ) -> Self {
         assert!(ranks > 0 && banks_per_rank > 0, "empty timeline geometry");
+        if let Err(contradictions) = timing.check_consistency() {
+            let listed: Vec<String> = contradictions.iter().map(ToString::to_string).collect();
+            panic!("invalid timeline timing: {}", listed.join("; "));
+        }
         let next_ref = if refresh_enabled {
             timing.t_refi_ps
         } else {
@@ -124,11 +134,9 @@ impl EmulatedTimeline {
         if t_end < next_ref {
             return t_end;
         }
-        // tREFI == tRFC (validation allows equality) would make the walk
-        // non-terminating — every extension lands on the next boundary; the
-        // guard prices that degenerate bin as back-to-back refreshes instead.
-        let gain = (self.t_refi_ps - self.t_rfc_ps).max(1);
-        let n = (t_end - next_ref) / gain + 1;
+        // `cfg/refresh-interval` (checked in `with_ranks`) keeps tREFI above
+        // tRFC, so the gain is positive.
+        let n = (t_end - next_ref) / (self.t_refi_ps - self.t_rfc_ps) + 1;
         self.stall_rank(rank, next_ref + (n - 1) * self.t_refi_ps + self.t_rfc_ps);
         self.next_ref_ps[rank] = next_ref + n * self.t_refi_ps;
         self.refreshes[rank] += n;
@@ -409,6 +417,36 @@ mod tests {
         };
         let _ = tl.price(&late);
         assert_eq!(tl.refreshes_per_rank(), &[k]);
+    }
+
+    /// A timeline over `timing()` with tRFC and tREFI replaced.
+    fn with_refresh(t_rfc_ps: u64, t_refi_ps: u64) -> EmulatedTimeline {
+        let t = TimingParams {
+            t_rfc_ps,
+            t_refi_ps,
+            ..timing()
+        };
+        EmulatedTimeline::new(2, &t, true)
+    }
+
+    #[test]
+    #[should_panic(expected = "cfg/refresh-interval")]
+    fn zero_refresh_interval_is_rejected() {
+        let _ = with_refresh(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cfg/refresh-interval")]
+    fn refresh_interval_below_trfc_is_rejected() {
+        let t_rfc = timing().t_rfc_ps;
+        let _ = with_refresh(t_rfc, t_rfc - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cfg/refresh-interval")]
+    fn refresh_interval_equal_to_trfc_is_rejected() {
+        let t_rfc = timing().t_rfc_ps;
+        let _ = with_refresh(t_rfc, t_rfc);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! [`RankTiming::earliest_issue_ps`], folds the walk into `(max, all met)`
 //! without allocating. [`check`], the enumerating slow path, folds it into
 //! the named spacings `now` is early for plus the unmet requirements,
-//! byte-compatible with the frozen rule-based oracle in [`crate::oracle`].
+//! byte-compatible with the frozen rule-based oracle in `oracle.rs` (built
+//! for the crate's tests and under the `oracle` feature only).
 //!
 //! The folds differ only in ACT spacing. `check` visits tRRD once per bank
 //! group: its contract is one violation per constraining group. `admission`
