@@ -372,7 +372,11 @@ mod tests {
         for n in ends {
             let (whole, frac) = (n / 1_000_000, n % 1_000_000);
             let mut w = JsonWriter::default();
-            w.begin_array().uint(n).millionths(n).millionths(frac).end_array();
+            w.begin_array()
+                .uint(n)
+                .millionths(n)
+                .millionths(frac)
+                .end_array();
             assert_eq!(w.finish(), format!("[{n},{whole}.{frac:06},0.{frac:06}]\n"));
         }
     }
@@ -396,7 +400,11 @@ mod tests {
         w.begin_array().end_array().uint(3).millionths(500_000);
         w.begin_object().key("ok").uint(1).end_object();
         w.end_array();
-        w.key("nested").begin_object().key("x").string("").end_object();
+        w.key("nested")
+            .begin_object()
+            .key("x")
+            .string("")
+            .end_object();
         w.end_object();
         let json = w.finish();
         assert_eq!(

@@ -69,10 +69,10 @@ pub use par::WorkerPool;
 pub use profiling::{ProfileOutcome, TrcdProfiler};
 pub use report::{BankRowOutcomes, ExecutionReport, RequestorStats};
 pub use request::{MemRequest, MemResponse, RequestClass, RequestKind, RequestTag, ResponseSlice};
-pub use smc::easyapi::{ApiSession, EasyApi, TileCtx};
+pub use smc::easyapi::EasyApi;
 pub use smc::{
     FcfsController, FrFcfsController, GrapheneController, MitigationStats, ParaController,
-    RowPolicy, ServeResult, SoftwareMemoryController,
+    ServeResult, SoftwareMemoryController,
 };
 pub use system::System;
 pub use timeline::{EmulatedTimeline, TimelineDemand};

@@ -6,13 +6,13 @@ use easydram_dram::{Geometry, VariationModel, LINE_BYTES};
 
 use crate::bloom::BloomFilter;
 use crate::request::{MemRequest, RequestKind};
-use crate::smc::easyapi::{EasyApi, RowBufferOutcome};
+use crate::smc::easyapi::EasyApi;
 use crate::smc::mitigation::RowHammerMitigator;
 use crate::smc::{ServeResult, SoftwareMemoryController};
 
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RowPolicy {
+pub(crate) enum RowPolicy {
     /// Leave rows open after column access (FR-FCFS exploits the hits).
     Open,
     /// Precharge after every access (FCFS pairs with closed page).
@@ -121,26 +121,26 @@ fn profile_pattern(id: u64) -> [u8; LINE_BYTES] {
     p
 }
 
-/// Shared request-serving engine for every shipped controller. An optional
-/// RowHammer mitigation hook observes each demand activation (the stream an
-/// attacker controls) and may spend targeted refreshes before the
-/// triggering request's response is finalized — so mitigation overhead is
-/// attributed to, and priced against, the request that caused it.
+/// Shared request-serving engine for every shipped controller. The page
+/// policy picks the scheduler: FR-FCFS exploits the hits an open page
+/// leaves, FCFS pairs with a closed page. An optional RowHammer mitigation
+/// hook observes each demand activation (the stream an attacker controls)
+/// and may spend targeted refreshes before the triggering request's
+/// response is finalized — so mitigation overhead is attributed to, and
+/// priced against, the request that caused it.
 pub(crate) fn serve_with_policy(
     api: &mut EasyApi<'_>,
     policy: RowPolicy,
     trcd: Option<&TrcdPlan>,
-    use_frfcfs: bool,
     mut mitigator: Option<&mut dyn RowHammerMitigator>,
 ) -> ServeResult {
     let mut res = ServeResult::default();
     api.set_scheduling_state(true);
     api.receive_all();
     loop {
-        let pick = if use_frfcfs {
-            api.schedule_frfcfs()
-        } else {
-            api.schedule_fcfs()
+        let pick = match policy {
+            RowPolicy::Open => api.schedule_frfcfs(),
+            RowPolicy::Closed => api.schedule_fcfs(),
         };
         let Some(idx) = pick else { break };
         let req = api.take_request(idx);
@@ -149,14 +149,6 @@ pub(crate) fn serve_with_policy(
     }
     api.set_scheduling_state(false);
     res
-}
-
-fn count(res: &mut ServeResult, outcome: RowBufferOutcome) {
-    match outcome {
-        RowBufferOutcome::Hit => res.row_hits += 1,
-        RowBufferOutcome::Miss => res.row_misses += 1,
-        RowBufferOutcome::Conflict => res.row_conflicts += 1,
-    }
 }
 
 fn serve_one(
@@ -197,7 +189,12 @@ fn serve_one(
                 Some(data) => api.write_sequence(d, *data, reduced),
                 None => api.read_sequence(d, reduced),
             };
-            count(res, sequence.expect(BUF));
+            let outcome = sequence.expect(BUF);
+            outcome.tally(
+                &mut res.row_hits,
+                &mut res.row_misses,
+                &mut res.row_conflicts,
+            );
             if policy == RowPolicy::Closed {
                 api.ddr_precharge(d.bank).expect(BUF);
             }
@@ -299,7 +296,7 @@ impl SoftwareMemoryController for FrFcfsController {
     }
 
     fn serve(&mut self, api: &mut EasyApi<'_>) -> ServeResult {
-        serve_with_policy(api, RowPolicy::Open, self.trcd.as_ref(), true, None)
+        serve_with_policy(api, RowPolicy::Open, self.trcd.as_ref(), None)
     }
 }
 
@@ -322,7 +319,7 @@ impl SoftwareMemoryController for FcfsController {
     }
 
     fn serve(&mut self, api: &mut EasyApi<'_>) -> ServeResult {
-        serve_with_policy(api, RowPolicy::Closed, None, false, None)
+        serve_with_policy(api, RowPolicy::Closed, None, None)
     }
 }
 

@@ -2,15 +2,17 @@
 //! software memory controllers program against (paper §5.2, Table 2).
 //!
 //! The system↔controller boundary is a **request stream**: the tile posts
-//! tagged requests ([`crate::request::RequestTag`]) into a persistent
-//! [`ApiSession`] — the hardware FIFO, scratchpad request table, command
-//! buffer and response queue of paper Fig. 7 — and each serve pass borrows
-//! the session, together with a [`TileCtx`] borrow-bundle, as one
-//! [`EasyApi`] handle ([`ApiSession::begin`], the only way to open a pass).
-//! The handle exposes a multi-entry request table, so FR-FCFS and
-//! critical-mode scheduling see every in-flight request at once. When the
-//! handle is dropped the pass's responses and ledger stay in the session
-//! until the next `begin` clears them.
+//! tagged requests ([`crate::request::RequestTag`]) into each lane's
+//! persistent controller session — the hardware FIFO, scratchpad request
+//! table, command buffer and response queue of paper Fig. 7, plus the
+//! constants a pass charges against (call costs, transfer costs, tile clock
+//! period) and the DRAM Bender executor. Each serve pass lends the session,
+//! together with the device, the address mapper and the remap table (the
+//! only things that change between passes), to one [`EasyApi`] handle. The
+//! handle exposes a multi-entry request table, so FR-FCFS and critical-mode
+//! scheduling see every in-flight request at once. When the handle is
+//! dropped the pass's responses and ledger stay in the session until the
+//! next pass clears them.
 //!
 //! Every call charges Rocket cycles from the [`SmcCostModel`] to the pass's
 //! ledger. The ledger feeds (a) the FPGA wall clock — how long the slow
@@ -23,9 +25,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use easydram_bender::{BenderProgram, BenderResult, Executor, TransferCost};
+use easydram_bender::{BenderError, BenderProgram, BenderResult, Executor, TransferCost};
 use easydram_dram::{AddressMapper, DramAddress, DramCommand, DramDevice, LINE_BYTES};
 
+use crate::config::SystemConfig;
 use crate::costs::SmcCostModel;
 use crate::counters::Counters;
 use crate::request::{MemRequest, MemResponse, ResponseSlice};
@@ -34,66 +37,51 @@ use crate::request::{MemRequest, MemResponse, ResponseSlice};
 /// below tRAS/tRP, comfortably inside the device's recognition window).
 pub const ROWCLONE_GAP_PS: u64 = 3_000;
 
-/// Everything an EasyAPI handle borrows from the tile for one serve pass:
-/// the device, the command substrate, address translation state, and the
-/// cost models. Bundling the borrows replaces the former nine-argument
-/// `EasyApi::new`.
-#[derive(Debug)]
-pub struct TileCtx<'a> {
-    /// The DRAM device behind DRAM Bender.
-    pub device: &'a mut DramDevice,
-    /// The DRAM Bender executor.
-    pub executor: &'a Executor,
-    /// Physical-to-DRAM address mapper.
-    pub mapper: &'a AddressMapper,
-    /// OS-style row remapping installed by the RowClone allocator.
-    pub remap: &'a BTreeMap<u64, (u32, u32)>,
-    /// Per-EasyAPI-call Rocket-cycle costs.
-    pub costs: &'a SmcCostModel,
-    /// Command/readback transfer cost model.
-    pub transfer: &'a TransferCost,
-    /// Clock of the tile domain (Rocket + tile control logic), Hz.
-    pub tile_clk_hz: u64,
-}
-
-/// The persistent controller session owned by the tile: the hardware
-/// request FIFO requests are posted into, plus the buffers a serve pass runs
-/// on — request table, command program, response queue and ledger. One
-/// session lives as long as the tile; [`ApiSession::begin`] lends it to an
-/// [`EasyApi`] handle for one pass.
+/// The persistent controller session owned by one tile lane: the hardware
+/// request FIFO requests are posted into, the buffers a serve pass runs on
+/// — request table, command program, response queue and ledger — and the
+/// constants every pass charges against. One session lives as long as the
+/// tile; [`ApiSession::begin`] lends it to an [`EasyApi`] handle for one
+/// pass.
 ///
 /// The buffers never move: `begin` clears them in place (and each
 /// `flush_commands` refills the one readback result), so steady-state
 /// serving allocates nothing once they have grown to the high-water batch
 /// size, and a finished pass's responses and ledger stay readable
 /// ([`ApiSession::responses`], [`ApiSession::ledger`]) until the next one.
-#[derive(Debug, Clone)]
-pub struct ApiSession {
+#[derive(Debug)]
+pub(crate) struct ApiSession {
     pending: VecDeque<MemRequest>,
     capacity: usize,
-    passes: u64,
     table: Vec<MemRequest>,
     program: BenderProgram,
     /// What the latest `flush_commands` produced; refilled in place.
     flush: BenderResult,
     responses: Vec<MemResponse>,
     ledger: ApiLedger,
+    executor: Executor,
+    /// Per-EasyAPI-call Rocket-cycle costs.
+    costs: SmcCostModel,
+    /// Command/readback transfer cost model.
+    transfer: TransferCost,
+    /// One tile-clock cycle, ps, truncated (`1e12 / tile_clk_hz`).
+    tile_period_ps: u64,
 }
 
 impl ApiSession {
-    /// Creates an empty session whose FIFO admits `capacity` posted
-    /// requests before the tile must drain it.
+    /// Creates an empty session whose FIFO admits `cfg.write_buffer_depth`
+    /// posted requests before the tile must drain it, charging
+    /// `cfg.smc_costs` and `cfg.fpga.transfer` at `cfg.fpga.tile_clk_hz`.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    /// Panics if the depth or the tile clock is zero.
+    pub(crate) fn new(cfg: &SystemConfig) -> Self {
+        let capacity = cfg.write_buffer_depth;
         assert!(capacity > 0, "the request FIFO needs at least one slot");
         Self {
             pending: VecDeque::with_capacity(capacity + 1),
             capacity,
-            passes: 0,
             table: Vec::new(),
             // The derived `BenderProgram::default()` has zero capacity; the
             // command buffer must admit real command batches.
@@ -101,71 +89,70 @@ impl ApiSession {
             flush: BenderResult::default(),
             responses: Vec::new(),
             ledger: ApiLedger::default(),
+            executor: Executor::new(),
+            costs: cfg.smc_costs,
+            transfer: cfg.fpga.transfer,
+            tile_period_ps: 1_000_000_000_000 / cfg.fpga.tile_clk_hz,
         }
     }
 
     /// Posts a tagged request into the FIFO.
-    pub fn post(&mut self, req: MemRequest) {
+    pub(crate) fn post(&mut self, req: MemRequest) {
         self.pending.push_back(req);
     }
 
     /// Whether the FIFO has reached its capacity (posting more would exceed
     /// the bounded write buffer; the tile drains first).
-    #[must_use]
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.pending.len() >= self.capacity
     }
 
     /// Number of requests waiting in the FIFO.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pending.len()
     }
 
     /// Whether the FIFO is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
 
     /// The requests currently pending, oldest first.
-    #[must_use]
-    pub fn pending(&self) -> &VecDeque<MemRequest> {
+    pub(crate) fn pending(&self) -> &VecDeque<MemRequest> {
         &self.pending
     }
 
-    /// Serve passes run so far.
-    #[must_use]
-    pub fn passes(&self) -> u64 {
-        self.passes
-    }
-
     /// The most recent pass's responses, in service order.
-    #[must_use]
-    pub fn responses(&self) -> &[MemResponse] {
+    pub(crate) fn responses(&self) -> &[MemResponse] {
         &self.responses
     }
 
     /// The most recent pass's ledger.
-    #[must_use]
-    pub fn ledger(&self) -> &ApiLedger {
+    pub(crate) fn ledger(&self) -> &ApiLedger {
         &self.ledger
     }
 
     /// Opens an API handle for one serve pass over everything pending,
     /// clearing the previous pass's table, command buffer, responses and
-    /// ledger in place. `wall_base_ps` is the absolute FPGA/DRAM time at
-    /// which the controller starts executing.
-    pub fn begin<'a>(&'a mut self, ctx: TileCtx<'a>, wall_base_ps: u64) -> EasyApi<'a> {
-        self.passes += 1;
+    /// ledger in place. The pass runs on `device`, translates addresses
+    /// through `mapper` and the RowClone allocator's `remap`, and starts
+    /// executing at `wall_base_ps`, absolute FPGA/DRAM time.
+    pub(crate) fn begin<'a>(
+        &'a mut self,
+        device: &'a mut DramDevice,
+        mapper: &'a AddressMapper,
+        remap: &'a BTreeMap<u64, (u32, u32)>,
+        wall_base_ps: u64,
+    ) -> EasyApi<'a> {
         self.table.clear();
         self.program.clear();
         self.responses.clear();
         self.ledger = ApiLedger::default();
         EasyApi {
-            tile_period_ps: 1_000_000_000_000 / ctx.tile_clk_hz,
-            ctx,
             session: self,
+            device,
+            mapper,
+            remap,
             wall_base_ps,
             attributed: ResponseSlice::default(),
         }
@@ -175,28 +162,32 @@ impl ApiSession {
 /// Everything the system needs back from one controller invocation, besides
 /// the responses themselves ([`ApiSession::responses`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ApiLedger {
+pub(crate) struct ApiLedger {
     /// FPGA tile cycles spent on command/readback transfers (wall time
     /// only).
-    pub hw_cycles: u64,
+    pub(crate) hw_cycles: u64,
     /// Total DRAM time of executed command batches, in ps.
-    pub dram_elapsed_ps: u64,
+    pub(crate) dram_elapsed_ps: u64,
     /// Running totals of every quantity that gets attributed to responses:
     /// Rocket cycles of controller code (feeds scheduling latency via time
     /// scaling), DRAM bus occupancy, column commands, batches, and the
     /// row-buffer outcomes observed by the read/write sequence helpers.
-    pub totals: ResponseSlice,
+    pub(crate) totals: ResponseSlice,
 }
 
 /// The EasyAPI handle passed to [`crate::SoftwareMemoryController::serve`]:
 /// one serve pass over a batch of pending requests, running on the borrowed
-/// session's buffers.
+/// session's buffers and constants.
 #[derive(Debug)]
 pub struct EasyApi<'a> {
-    ctx: TileCtx<'a>,
     session: &'a mut ApiSession,
+    /// The DRAM device behind DRAM Bender.
+    device: &'a mut DramDevice,
+    /// Physical-to-DRAM address mapper.
+    mapper: &'a AddressMapper,
+    /// OS-style row remapping installed by the RowClone allocator.
+    remap: &'a BTreeMap<u64, (u32, u32)>,
     wall_base_ps: u64,
-    tile_period_ps: u64,
     /// Watermark of ledger totals already attributed to a response.
     attributed: ResponseSlice,
 }
@@ -206,13 +197,20 @@ impl EasyApi<'_> {
         self.session.ledger.totals.rocket_cycles += cycles;
     }
 
+    /// Charges one command build and appends `cmd` at its earliest legal
+    /// time.
+    fn build(&mut self, cmd: DramCommand) -> Result<(), BenderError> {
+        self.charge(self.session.costs.build_command);
+        self.session.program.cmd_auto(cmd)
+    }
+
     /// The absolute FPGA/DRAM wall time at the controller's current point of
     /// execution.
     #[must_use]
     pub fn wall_now_ps(&self) -> u64 {
         let ledger = &self.session.ledger;
         self.wall_base_ps
-            + (ledger.totals.rocket_cycles + ledger.hw_cycles) * self.tile_period_ps
+            + (ledger.totals.rocket_cycles + ledger.hw_cycles) * self.session.tile_period_ps
             + ledger.dram_elapsed_ps
     }
 
@@ -227,21 +225,21 @@ impl EasyApi<'_> {
     /// around the whole serve pass (its frozen wall time, `wall_latency_ps`).
     pub fn set_scheduling_state(&mut self, critical: bool) {
         let _ = critical;
-        self.charge(self.ctx.costs.set_scheduling_state);
+        self.charge(self.session.costs.set_scheduling_state);
     }
 
     /// Whether the hardware request FIFO and the request table are both
     /// empty (the `req_empty()` poll of paper Listing 1).
     #[must_use = "polling has a purpose only if the result is inspected"]
     pub fn req_empty(&mut self) -> bool {
-        self.charge(self.ctx.costs.poll);
+        self.charge(self.session.costs.poll);
         self.session.pending.is_empty() && self.session.table.is_empty()
     }
 
     /// Moves one request from the hardware FIFO into the software request
     /// table (`receive_request` / `add_request`, Table 2) and returns a copy.
     pub fn receive_request(&mut self) -> Option<MemRequest> {
-        self.charge(self.ctx.costs.receive_request);
+        self.charge(self.session.costs.receive_request);
         let req = self.session.pending.pop_front()?;
         self.session.table.push(req);
         Some(req)
@@ -259,7 +257,7 @@ impl EasyApi<'_> {
     pub fn receive_all(&mut self) -> usize {
         let mut moved = 0;
         loop {
-            self.charge(self.ctx.costs.poll);
+            self.charge(self.session.costs.poll);
             if self.session.pending.is_empty() {
                 break;
             }
@@ -277,14 +275,14 @@ impl EasyApi<'_> {
 
     /// FCFS scheduling decision: the oldest request (`FCFS::schedule`).
     pub fn schedule_fcfs(&mut self) -> Option<usize> {
-        self.charge(self.ctx.costs.schedule_fcfs);
+        self.charge(self.session.costs.schedule_fcfs);
         (!self.session.table.is_empty()).then_some(0)
     }
 
     /// FR-FCFS scheduling decision: the oldest row-hit if any, else the
     /// oldest request (`FRFCFS::schedule`).
     pub fn schedule_frfcfs(&mut self) -> Option<usize> {
-        self.charge(self.ctx.costs.schedule_frfcfs);
+        self.charge(self.session.costs.schedule_frfcfs);
         if self.session.table.is_empty() {
             return None;
         }
@@ -292,7 +290,7 @@ impl EasyApi<'_> {
             .session
             .table
             .iter()
-            .position(|r| self.ctx.device.open_row(r.tag.dram.bank) == Some(r.tag.dram.row));
+            .position(|r| self.device.open_row(r.tag.dram.bank) == Some(r.tag.dram.row));
         Some(hit.unwrap_or(0))
     }
 
@@ -309,21 +307,21 @@ impl EasyApi<'_> {
     /// (`get_addr_mapping`, Table 2), honouring OS-level row remapping
     /// installed by the RowClone allocator.
     pub fn get_addr_mapping(&mut self, phys: u64) -> DramAddress {
-        self.charge(self.ctx.costs.addr_mapping);
-        self.ctx.mapper.to_dram_remapped(self.ctx.remap, phys)
+        self.charge(self.session.costs.addr_mapping);
+        self.mapper.to_dram_remapped(self.remap, phys)
     }
 
     /// The row currently open in `bank` (tile shadow state; free).
     #[must_use]
     pub fn open_row(&self, bank: u32) -> Option<u32> {
-        self.ctx.device.open_row(bank)
+        self.device.open_row(bank)
     }
 
     /// Rows per bank of the channel's device (tile shadow state; free).
     /// Mitigation policies use this to clamp victim-row arithmetic.
     #[must_use]
     pub fn rows_per_bank(&self) -> u32 {
-        self.ctx.device.config().geometry.rows_per_bank
+        self.device.config().geometry.rows_per_bank
     }
 
     /// The device's timing bin (tile shadow state; free). Mitigation
@@ -331,13 +329,13 @@ impl EasyApi<'_> {
     /// with the refresh window.
     #[must_use]
     pub fn timing(&self) -> &easydram_dram::TimingParams {
-        self.ctx.device.timing()
+        self.device.timing()
     }
 
     /// Queries the weak-row Bloom filter cost point (§8.2). The filter
     /// itself lives in the controller; this only charges the lookup.
     pub fn charge_bloom_check(&mut self) {
-        self.charge(self.ctx.costs.bloom_check);
+        self.charge(self.session.costs.bloom_check);
     }
 
     /// Appends an `ACT` at the earliest legal time (`ddr_activate`).
@@ -345,15 +343,8 @@ impl EasyApi<'_> {
     /// # Errors
     ///
     /// Returns an error when the command buffer is full.
-    pub fn ddr_activate(
-        &mut self,
-        bank: u32,
-        row: u32,
-    ) -> Result<(), easydram_bender::BenderError> {
-        self.charge(self.ctx.costs.build_command);
-        self.session
-            .program
-            .cmd_auto(DramCommand::Activate { bank, row })
+    pub fn ddr_activate(&mut self, bank: u32, row: u32) -> Result<(), BenderError> {
+        self.build(DramCommand::Activate { bank, row })
     }
 
     /// Appends a `PRE` at the earliest legal time (`ddr_precharge`).
@@ -361,11 +352,8 @@ impl EasyApi<'_> {
     /// # Errors
     ///
     /// Returns an error when the command buffer is full.
-    pub fn ddr_precharge(&mut self, bank: u32) -> Result<(), easydram_bender::BenderError> {
-        self.charge(self.ctx.costs.build_command);
-        self.session
-            .program
-            .cmd_auto(DramCommand::Precharge { bank })
+    pub fn ddr_precharge(&mut self, bank: u32) -> Result<(), BenderError> {
+        self.build(DramCommand::Precharge { bank })
     }
 
     /// Appends a `RD` at the earliest legal time (`ddr_read`).
@@ -373,11 +361,8 @@ impl EasyApi<'_> {
     /// # Errors
     ///
     /// Returns an error when the command buffer is full.
-    pub fn ddr_read(&mut self, bank: u32, col: u32) -> Result<(), easydram_bender::BenderError> {
-        self.charge(self.ctx.costs.build_command);
-        self.session
-            .program
-            .cmd_auto(DramCommand::Read { bank, col })
+    pub fn ddr_read(&mut self, bank: u32, col: u32) -> Result<(), BenderError> {
+        self.build(DramCommand::Read { bank, col })
     }
 
     /// Appends a `RD` exactly `delay_ps` after the previous command — the
@@ -391,8 +376,8 @@ impl EasyApi<'_> {
         bank: u32,
         col: u32,
         delay_ps: u64,
-    ) -> Result<(), easydram_bender::BenderError> {
-        self.charge(self.ctx.costs.build_command);
+    ) -> Result<(), BenderError> {
+        self.charge(self.session.costs.build_command);
         self.session
             .program
             .cmd_after(DramCommand::Read { bank, col }, delay_ps)
@@ -408,11 +393,8 @@ impl EasyApi<'_> {
         bank: u32,
         col: u32,
         data: [u8; LINE_BYTES],
-    ) -> Result<(), easydram_bender::BenderError> {
-        self.charge(self.ctx.costs.build_command);
-        self.session
-            .program
-            .cmd_auto(DramCommand::Write { bank, col, data })
+    ) -> Result<(), BenderError> {
+        self.build(DramCommand::Write { bank, col, data })
     }
 
     /// Appends a `REF` at the earliest legal time (`ddr_refresh`).
@@ -420,9 +402,8 @@ impl EasyApi<'_> {
     /// # Errors
     ///
     /// Returns an error when the command buffer is full.
-    pub fn ddr_refresh(&mut self) -> Result<(), easydram_bender::BenderError> {
-        self.charge(self.ctx.costs.build_command);
-        self.session.program.cmd_auto(DramCommand::Refresh)
+    pub fn ddr_refresh(&mut self) -> Result<(), BenderError> {
+        self.build(DramCommand::Refresh)
     }
 
     /// Appends a targeted per-row refresh (`RFM`) at the earliest legal
@@ -432,21 +413,14 @@ impl EasyApi<'_> {
     /// # Errors
     ///
     /// Returns an error when the command buffer is full.
-    pub fn ddr_refresh_row(
-        &mut self,
-        bank: u32,
-        row: u32,
-    ) -> Result<(), easydram_bender::BenderError> {
-        self.charge(self.ctx.costs.build_command);
-        self.session
-            .program
-            .cmd_auto(DramCommand::RefreshRow { bank, row })
+    pub fn ddr_refresh_row(&mut self, bank: u32, row: u32) -> Result<(), BenderError> {
+        self.build(DramCommand::RefreshRow { bank, row })
     }
 
     /// Charges the per-activation mitigation-tracking cost point (a PARA
     /// coin flip or a Graphene table update).
     pub fn charge_mitigation_track(&mut self) {
-        self.charge(self.ctx.costs.mitigation_track);
+        self.charge(self.session.costs.mitigation_track);
     }
 
     /// Appends a RowClone command sequence: open the source row, interrupt
@@ -456,12 +430,8 @@ impl EasyApi<'_> {
     /// # Errors
     ///
     /// Returns an error when the command buffer is full.
-    pub fn rowclone(
-        &mut self,
-        src: DramAddress,
-        dst: DramAddress,
-    ) -> Result<(), easydram_bender::BenderError> {
-        self.charge(self.ctx.costs.build_rowclone);
+    pub fn rowclone(&mut self, src: DramAddress, dst: DramAddress) -> Result<(), BenderError> {
+        self.charge(self.session.costs.build_rowclone);
         self.session.program.cmd_auto(DramCommand::Activate {
             bank: src.bank,
             row: src.row,
@@ -488,23 +458,23 @@ impl EasyApi<'_> {
     /// # Errors
     ///
     /// Propagates readback overflow or device addressing errors.
-    pub fn flush_commands(&mut self) -> Result<&BenderResult, easydram_bender::BenderError> {
+    pub fn flush_commands(&mut self) -> Result<&BenderResult, BenderError> {
         let n_instrs = self.session.program.len();
-        self.session.ledger.hw_cycles += self.ctx.transfer.program_cycles(n_instrs);
+        self.session.ledger.hw_cycles += self.session.transfer.program_cycles(n_instrs);
         let start = self.wall_now_ps();
         let session = &mut *self.session;
-        self.ctx
+        session
             .executor
-            .run_into(self.ctx.device, &session.program, start, &mut session.flush)?;
+            .run_into(self.device, &session.program, start, &mut session.flush)?;
         let result = &session.flush;
         let ledger = &mut session.ledger;
-        ledger.hw_cycles += self.ctx.transfer.readback_cycles(result.reads.len());
+        ledger.hw_cycles += session.transfer.readback_cycles(result.reads.len());
         ledger.totals.batches += 1;
         ledger.dram_elapsed_ps += result.elapsed_ps;
         // Occupancy: the bus/bank time the batch holds the channel; the CAS
         // pipeline latency of the final read overlaps with later batches in
         // a real controller.
-        let t_cl = self.ctx.device.timing().t_cl_ps;
+        let t_cl = self.device.timing().t_cl_ps;
         let columns = session.program.column_count() as u64;
         ledger.totals.column_ops += columns;
         let occupancy = if columns > 0 {
@@ -527,7 +497,7 @@ impl EasyApi<'_> {
         data: Option<[u8; LINE_BYTES]>,
         corrupted: bool,
     ) {
-        self.charge(self.ctx.costs.enqueue_response);
+        self.charge(self.session.costs.enqueue_response);
         let totals = self.session.ledger.totals;
         let slice = totals.since(&self.attributed);
         self.attributed = totals;
@@ -537,18 +507,6 @@ impl EasyApi<'_> {
             corrupted,
             slice,
         });
-    }
-
-    /// Records a row-buffer outcome in the ledger, so the slice attributed
-    /// to the current response carries its own hit/miss/conflict counts
-    /// (per-requestor row-hit accounting reads these off the slices).
-    fn note_outcome(&mut self, outcome: RowBufferOutcome) {
-        let totals = &mut self.session.ledger.totals;
-        match outcome {
-            RowBufferOutcome::Hit => totals.row_hits += 1,
-            RowBufferOutcome::Miss => totals.row_misses += 1,
-            RowBufferOutcome::Conflict => totals.row_conflicts += 1,
-        }
     }
 
     /// Convenience: a standard read sequence for `addr` under an open-row
@@ -562,7 +520,7 @@ impl EasyApi<'_> {
         &mut self,
         addr: DramAddress,
         trcd_override_ps: Option<u64>,
-    ) -> Result<RowBufferOutcome, easydram_bender::BenderError> {
+    ) -> Result<RowBufferOutcome, BenderError> {
         let (bank, col) = (addr.bank, addr.col);
         self.column_sequence(addr, DramCommand::Read { bank, col }, trcd_override_ps)
     }
@@ -578,7 +536,7 @@ impl EasyApi<'_> {
         addr: DramAddress,
         data: [u8; LINE_BYTES],
         trcd_override_ps: Option<u64>,
-    ) -> Result<RowBufferOutcome, easydram_bender::BenderError> {
+    ) -> Result<RowBufferOutcome, BenderError> {
         let (bank, col) = (addr.bank, addr.col);
         self.column_sequence(
             addr,
@@ -596,8 +554,8 @@ impl EasyApi<'_> {
         addr: DramAddress,
         column: DramCommand,
         trcd_override_ps: Option<u64>,
-    ) -> Result<RowBufferOutcome, easydram_bender::BenderError> {
-        let outcome = match self.ctx.device.open_row(addr.bank) {
+    ) -> Result<RowBufferOutcome, BenderError> {
+        let outcome = match self.device.open_row(addr.bank) {
             Some(r) if r == addr.row => RowBufferOutcome::Hit,
             Some(_) => RowBufferOutcome::Conflict,
             None => RowBufferOutcome::Miss,
@@ -608,14 +566,17 @@ impl EasyApi<'_> {
         if outcome != RowBufferOutcome::Hit {
             self.ddr_activate(addr.bank, addr.row)?;
         }
-        self.charge(self.ctx.costs.build_command);
+        self.charge(self.session.costs.build_command);
         match trcd_override_ps {
             Some(trcd) if outcome != RowBufferOutcome::Hit => {
                 self.session.program.cmd_after(column, trcd)?;
             }
             _ => self.session.program.cmd_auto(column)?,
         }
-        self.note_outcome(outcome);
+        // The slice attributed to the current response carries its own
+        // outcome counts (per-requestor row-hit accounting reads them).
+        let t = &mut self.session.ledger.totals;
+        outcome.tally(&mut t.row_hits, &mut t.row_misses, &mut t.row_conflicts);
         Ok(outcome)
     }
 }
@@ -629,6 +590,18 @@ pub enum RowBufferOutcome {
     Miss,
     /// Another row was open (precharge + activate).
     Conflict,
+}
+
+impl RowBufferOutcome {
+    /// Counts this outcome in the one of `hits`, `misses` and `conflicts`
+    /// it names.
+    pub(crate) fn tally(self, hits: &mut u64, misses: &mut u64, conflicts: &mut u64) {
+        *match self {
+            Self::Hit => hits,
+            Self::Miss => misses,
+            Self::Conflict => conflicts,
+        } += 1;
+    }
 }
 
 #[cfg(test)]
@@ -674,7 +647,10 @@ mod tests {
     #[test]
     fn session_posts_drain_into_a_pass() {
         let mut f = Fix::new();
-        f.session = ApiSession::new(4);
+        f.session = ApiSession::new(&SystemConfig {
+            write_buffer_depth: 4,
+            ..Fix::config()
+        });
         f.post(0, RequestKind::Read { addr: 0 }, 5);
         f.post(1, RequestKind::Read { addr: 64 }, 6);
         assert_eq!(f.session.len(), 2);
@@ -686,7 +662,6 @@ mod tests {
         assert_eq!((table[0].tag.id, table[1].tag.id), (0, 1), "FIFO order");
         assert_eq!(table[1].tag.requestor, 1);
         assert!(f.session.is_empty(), "the pass drained the FIFO");
-        assert_eq!(f.session.passes(), 1);
     }
 
     #[test]
@@ -731,7 +706,7 @@ mod tests {
             for i in 0..n {
                 f.post_read(i * 64);
             }
-            let costs = f.costs;
+            let costs = f.session.costs;
             let mut a = f.api();
             let before = a.cycles_spent();
             assert_eq!(a.receive_all() as u64, n);
@@ -750,7 +725,7 @@ mod tests {
         for (requestor, addr) in [(0, 0u64), (1, 8192 * 2)] {
             f.post(requestor, RequestKind::Read { addr }, 0);
         }
-        let trailing = f.costs.set_scheduling_state;
+        let trailing = f.session.costs.set_scheduling_state;
         let mut a = f.api();
         a.receive_all();
         for idx in [0, 0] {
@@ -873,21 +848,13 @@ mod tests {
         // 6,666 (rounding would give 6,667). Every golden runs at 100 MHz,
         // where the two agree, so only this pins the truncation.
         let mut f = Fix::new();
+        let mut cfg = Fix::config();
+        cfg.fpga.tile_clk_hz = 150_000_000;
+        f.session = ApiSession::new(&cfg);
+        assert_eq!(f.session.costs.set_scheduling_state, 4);
         let base = 1_000_000;
-        let mut a = f.session.begin(
-            TileCtx {
-                device: &mut f.dev,
-                executor: &f.ex,
-                mapper: &f.map,
-                remap: &f.remap,
-                costs: &f.costs,
-                transfer: &f.transfer,
-                tile_clk_hz: 150_000_000,
-            },
-            base,
-        );
+        let mut a = f.session.begin(&mut f.dev, &f.map, &f.remap, base);
         a.set_scheduling_state(true);
-        assert_eq!(f.costs.set_scheduling_state, 4);
         assert_eq!(a.wall_now_ps(), base + 4 * 6_666);
     }
 

@@ -5,7 +5,7 @@
 //! mitigation is nothing but controller code that watches the activation
 //! stream and spends targeted refreshes ([`EasyApi::ddr_refresh_row`]) to
 //! keep every row's hammer count below its `HCfirst` threshold. Two shipped
-//! policies wrap the FR-FCFS scheduler:
+//! controllers run FR-FCFS with a policy that is their own mitigation hook:
 //!
 //! * [`ParaController`] — PARA (probabilistic adjacent-row activation):
 //!   stateless; on every activation, with probability `1/p_inverse`, the
@@ -28,9 +28,9 @@
 use easydram_dram::det::DetRng;
 use easydram_dram::BLAST_RADIUS;
 
-use crate::smc::controllers::serve_with_policy;
+use crate::smc::controllers::{serve_with_policy, RowPolicy};
 use crate::smc::easyapi::EasyApi;
-use crate::smc::{RowPolicy, ServeResult, SoftwareMemoryController};
+use crate::smc::{ServeResult, SoftwareMemoryController};
 
 /// Counters a RowHammer mitigation policy accumulates, reported alongside
 /// the per-channel/per-requestor statistics in `ExecutionReport`.
@@ -60,13 +60,10 @@ crate::counters::counters!(pub MitigationStats: sum {
 /// executed and before its response is finalized, so any refresh traffic
 /// the policy adds is attributed to (and priced against) the triggering
 /// request.
-pub(crate) trait RowHammerMitigator: Send {
+pub(crate) trait RowHammerMitigator {
     /// Observes the activation of `(bank, row)` and optionally issues
     /// mitigation commands through `api`.
     fn on_activate(&mut self, api: &mut EasyApi<'_>, bank: u32, row: u32);
-
-    /// Cumulative mitigation counters (without device-side flip counts).
-    fn stats(&self) -> MitigationStats;
 }
 
 /// Closes `bank` and refreshes every same-bank row within `radius` of
@@ -95,17 +92,35 @@ fn refresh_neighborhood(
     stats.rocket_cycles += api.cycles_spent() - before;
 }
 
-/// PARA: on each activation, with probability `1 / p_inverse`, refresh the
-/// two adjacent rows. Draws come from a seeded [`DetRng`] stream, so runs
-/// reproduce exactly.
+/// FR-FCFS (open page) with PARA: on each activation, with probability
+/// `1 / p_inverse`, refresh the two adjacent rows. Draws come from a seeded
+/// [`DetRng`] stream, so runs reproduce exactly.
 #[derive(Debug, Clone)]
-struct ParaMitigator {
+pub struct ParaController {
     p_inverse: u64,
     rng: DetRng,
     stats: MitigationStats,
 }
 
-impl RowHammerMitigator for ParaMitigator {
+impl ParaController {
+    /// Creates a PARA controller refreshing adjacent rows with probability
+    /// `1 / p_inverse` per activation; `seed` drives the coin-flip stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p_inverse` is zero.
+    #[must_use]
+    pub fn new(p_inverse: u64, seed: u64) -> Self {
+        assert!(p_inverse > 0, "PARA needs a non-zero refresh probability");
+        Self {
+            p_inverse,
+            rng: DetRng::new(seed),
+            stats: MitigationStats::default(),
+        }
+    }
+}
+
+impl RowHammerMitigator for ParaController {
     fn on_activate(&mut self, api: &mut EasyApi<'_>, bank: u32, row: u32) {
         let before = api.cycles_spent();
         api.charge_mitigation_track();
@@ -115,9 +130,19 @@ impl RowHammerMitigator for ParaMitigator {
             refresh_neighborhood(api, &mut self.stats, bank, row, 1);
         }
     }
+}
 
-    fn stats(&self) -> MitigationStats {
-        self.stats
+impl SoftwareMemoryController for ParaController {
+    fn name(&self) -> &str {
+        "frfcfs+para"
+    }
+
+    fn serve(&mut self, api: &mut EasyApi<'_>) -> ServeResult {
+        serve_with_policy(api, RowPolicy::Open, None, Some(self))
+    }
+
+    fn mitigation_stats(&self) -> Option<MitigationStats> {
+        Some(self.stats)
     }
 }
 
@@ -154,14 +179,15 @@ impl MisraGries {
     }
 }
 
-/// Graphene-style deterministic tracker: per-bank Misra–Gries tables; a
-/// tracked row reaching `threshold` estimated activations triggers a
-/// blast-radius refresh and resets its entry. Tables reset wholesale every
-/// `tREFW` of wall time — the device's hammer windows close on the same
-/// period, so estimates stay per-window quantities (lifetime counts would
-/// eventually trip the threshold on arbitrarily slow benign traffic).
+/// FR-FCFS (open page) with Graphene-style deterministic tracking:
+/// per-bank Misra–Gries tables; a tracked row reaching `threshold`
+/// estimated activations triggers a blast-radius refresh and resets its
+/// entry. Tables reset wholesale every `tREFW` of wall time — the device's
+/// hammer windows close on the same period, so estimates stay per-window
+/// quantities (lifetime counts would eventually trip the threshold on
+/// arbitrarily slow benign traffic).
 #[derive(Debug, Clone)]
-struct GrapheneMitigator {
+pub struct GrapheneController {
     threshold: u64,
     table_k: usize,
     /// One table per bank, indexed by bank id and grown on first sight of a
@@ -171,80 +197,6 @@ struct GrapheneMitigator {
     /// Start of the current tracking epoch, ps of controller wall time.
     epoch_start_ps: u64,
     stats: MitigationStats,
-}
-
-impl RowHammerMitigator for GrapheneMitigator {
-    fn on_activate(&mut self, api: &mut EasyApi<'_>, bank: u32, row: u32) {
-        let before = api.cycles_spent();
-        api.charge_mitigation_track();
-        let now = api.wall_now_ps();
-        if now.saturating_sub(self.epoch_start_ps) >= api.timing().t_refw_ps {
-            for table in &mut self.tables {
-                table.entries.clear();
-            }
-            self.epoch_start_ps = now;
-        }
-        let bank_idx = bank as usize;
-        if self.tables.len() <= bank_idx {
-            self.tables.resize_with(bank_idx + 1, MisraGries::default);
-        }
-        let count = self.tables[bank_idx].observe(row, self.table_k);
-        self.stats.rocket_cycles += api.cycles_spent() - before;
-        if count >= self.threshold {
-            refresh_neighborhood(api, &mut self.stats, bank, row, BLAST_RADIUS);
-            self.tables[bank_idx].reset(row);
-        }
-    }
-
-    fn stats(&self) -> MitigationStats {
-        self.stats
-    }
-}
-
-/// FR-FCFS (open page) wrapped with the PARA probabilistic mitigation.
-#[derive(Debug, Clone)]
-pub struct ParaController {
-    mitigator: ParaMitigator,
-}
-
-impl ParaController {
-    /// Creates a PARA controller refreshing adjacent rows with probability
-    /// `1 / p_inverse` per activation; `seed` drives the coin-flip stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p_inverse` is zero.
-    #[must_use]
-    pub fn new(p_inverse: u64, seed: u64) -> Self {
-        assert!(p_inverse > 0, "PARA needs a non-zero refresh probability");
-        Self {
-            mitigator: ParaMitigator {
-                p_inverse,
-                rng: DetRng::new(seed),
-                stats: MitigationStats::default(),
-            },
-        }
-    }
-}
-
-impl SoftwareMemoryController for ParaController {
-    fn name(&self) -> &str {
-        "frfcfs+para"
-    }
-
-    fn serve(&mut self, api: &mut EasyApi<'_>) -> ServeResult {
-        serve_with_policy(api, RowPolicy::Open, None, true, Some(&mut self.mitigator))
-    }
-
-    fn mitigation_stats(&self) -> Option<MitigationStats> {
-        Some(self.mitigator.stats())
-    }
-}
-
-/// FR-FCFS (open page) wrapped with Graphene-style deterministic tracking.
-#[derive(Debug, Clone)]
-pub struct GrapheneController {
-    mitigator: GrapheneMitigator,
 }
 
 impl GrapheneController {
@@ -278,13 +230,35 @@ impl GrapheneController {
         assert!(threshold > 0, "a zero threshold would refresh on every ACT");
         assert!(table_k > 0, "the activation table needs at least one entry");
         Self {
-            mitigator: GrapheneMitigator {
-                threshold,
-                table_k,
-                tables: Vec::new(),
-                epoch_start_ps: 0,
-                stats: MitigationStats::default(),
-            },
+            threshold,
+            table_k,
+            tables: Vec::new(),
+            epoch_start_ps: 0,
+            stats: MitigationStats::default(),
+        }
+    }
+}
+
+impl RowHammerMitigator for GrapheneController {
+    fn on_activate(&mut self, api: &mut EasyApi<'_>, bank: u32, row: u32) {
+        let before = api.cycles_spent();
+        api.charge_mitigation_track();
+        let now = api.wall_now_ps();
+        if now.saturating_sub(self.epoch_start_ps) >= api.timing().t_refw_ps {
+            for table in &mut self.tables {
+                table.entries.clear();
+            }
+            self.epoch_start_ps = now;
+        }
+        let bank_idx = bank as usize;
+        if self.tables.len() <= bank_idx {
+            self.tables.resize_with(bank_idx + 1, MisraGries::default);
+        }
+        let count = self.tables[bank_idx].observe(row, self.table_k);
+        self.stats.rocket_cycles += api.cycles_spent() - before;
+        if count >= self.threshold {
+            refresh_neighborhood(api, &mut self.stats, bank, row, BLAST_RADIUS);
+            self.tables[bank_idx].reset(row);
         }
     }
 }
@@ -295,11 +269,11 @@ impl SoftwareMemoryController for GrapheneController {
     }
 
     fn serve(&mut self, api: &mut EasyApi<'_>) -> ServeResult {
-        serve_with_policy(api, RowPolicy::Open, None, true, Some(&mut self.mitigator))
+        serve_with_policy(api, RowPolicy::Open, None, Some(self))
     }
 
     fn mitigation_stats(&self) -> Option<MitigationStats> {
-        Some(self.mitigator.stats())
+        Some(self.stats)
     }
 }
 

@@ -3,10 +3,10 @@
 //! A software memory controller is an ordinary program — here a Rust type
 //! implementing [`SoftwareMemoryController`] — that serves memory requests
 //! through the [`easyapi::EasyApi`] surface of paper Table 2. The tile
-//! accumulates posted requests in a persistent [`easyapi::ApiSession`] and
-//! invokes the controller in **batched serve passes**: one pass may carry
-//! many in-flight requests (posted writebacks plus the read that forced the
-//! drain), which is what makes FR-FCFS reordering, critical-mode
+//! accumulates posted requests in one persistent controller session per
+//! channel and invokes the controller in **batched serve passes**: one pass
+//! may carry many in-flight requests (posted writebacks plus the read that
+//! forced the drain), which is what makes FR-FCFS reordering, critical-mode
 //! scheduling, and request batching meaningful. Every API call charges
 //! Rocket cycles, and the accumulated ledger feeds time scaling.
 
@@ -14,8 +14,7 @@ pub mod controllers;
 pub mod easyapi;
 pub mod mitigation;
 
-pub use controllers::{FcfsController, FrFcfsController, RowPolicy, TrcdPlan};
-pub use easyapi::{ApiSession, TileCtx};
+pub use controllers::{FcfsController, FrFcfsController, TrcdPlan};
 pub use mitigation::{GrapheneController, MitigationStats, ParaController};
 
 use crate::smc::easyapi::EasyApi;
@@ -89,38 +88,41 @@ pub trait SoftwareMemoryController: Send {
 pub(crate) mod fixture {
     use std::collections::BTreeMap;
 
-    use easydram_bender::{Executor, TransferCost};
-    use easydram_dram::{AddressMapper, DramConfig, DramDevice, MappingScheme};
+    use easydram_dram::{AddressMapper, DramDevice, MappingScheme};
 
-    use super::easyapi::{ApiSession, EasyApi, TileCtx};
-    use crate::costs::SmcCostModel;
+    use super::easyapi::{ApiSession, EasyApi};
+    use crate::config::{SystemConfig, TimingMode};
     use crate::request::{MemRequest, RequestKind};
 
     /// The tile-side state a serve pass borrows, for controller unit tests:
-    /// a small device, its command substrate and one session to post into.
+    /// a small device, its address translation and one session to post
+    /// into.
     pub(crate) struct Fix {
         pub(crate) dev: DramDevice,
-        pub(crate) ex: Executor,
         pub(crate) map: AddressMapper,
         pub(crate) remap: BTreeMap<u64, (u32, u32)>,
-        pub(crate) costs: SmcCostModel,
-        pub(crate) transfer: TransferCost,
         pub(crate) session: ApiSession,
         next_id: u64,
     }
 
     impl Fix {
+        /// The configuration the fixture's device and session come from.
+        pub(crate) fn config() -> SystemConfig {
+            SystemConfig {
+                write_buffer_depth: 16,
+                ..SystemConfig::small_for_tests(TimingMode::TimeScaling)
+            }
+        }
+
         pub(crate) fn new() -> Self {
-            let dev = DramDevice::new(DramConfig::small_for_tests());
+            let cfg = Self::config();
+            let dev = DramDevice::new(cfg.dram.clone());
             let geo = dev.config().geometry.clone();
             Self {
                 dev,
-                ex: Executor::new(),
                 map: AddressMapper::new(geo, MappingScheme::RowBankCol),
                 remap: BTreeMap::new(),
-                costs: SmcCostModel::default(),
-                transfer: TransferCost::default(),
-                session: ApiSession::new(16),
+                session: ApiSession::new(&cfg),
                 next_id: 0,
             }
         }
@@ -146,20 +148,9 @@ pub(crate) mod fixture {
             self.post(0, RequestKind::Read { addr }, 0)
         }
 
-        /// Opens a pass over everything posted.
+        /// Opens a pass over everything posted, starting at wall time 0.
         pub(crate) fn api(&mut self) -> EasyApi<'_> {
-            self.session.begin(
-                TileCtx {
-                    device: &mut self.dev,
-                    executor: &self.ex,
-                    mapper: &self.map,
-                    remap: &self.remap,
-                    costs: &self.costs,
-                    transfer: &self.transfer,
-                    tile_clk_hz: 100_000_000,
-                },
-                0,
-            )
+            self.session.begin(&mut self.dev, &self.map, &self.remap, 0)
         }
     }
 }

@@ -15,7 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use easydram_bender::Executor;
 use easydram_cpu::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
 use easydram_cpu::cache::CacheLevelStats;
 use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
@@ -31,7 +30,7 @@ use crate::obs::{
 use crate::obs_trace;
 use crate::report::{BankRowOutcomes, ChannelStats, ExecutionReport, RequestorStats, SmcStats};
 use crate::request::{MemRequest, MemResponse, RequestClass, RequestKind};
-use crate::smc::easyapi::{ApiLedger, ApiSession, TileCtx};
+use crate::smc::easyapi::{ApiLedger, ApiSession};
 use crate::smc::{FrFcfsController, ServeResult, SoftwareMemoryController, TrcdPlan};
 use crate::timeline::{EmulatedTimeline, TimelineDemand};
 use crate::timescale::Pricing;
@@ -229,7 +228,6 @@ counters!(Mark: sum {
 pub struct Tile {
     cfg: SystemConfig,
     lanes: Vec<Lane>,
-    executor: Executor,
     mapper: AddressMapper,
     /// OS-style row remapping installed by the RowClone allocator. Ordered
     /// maps: remap state is written on the cold allocation path only, and
@@ -300,7 +298,7 @@ impl Tile {
                 }
                 Lane {
                     device,
-                    session: ApiSession::new(cfg.write_buffer_depth),
+                    session: ApiSession::new(&cfg),
                     timeline: EmulatedTimeline::with_ranks(
                         geometry.ranks as usize,
                         geometry.banks() as usize,
@@ -318,7 +316,6 @@ impl Tile {
         Self {
             cfg,
             lanes,
-            executor: Executor::new(),
             mapper,
             remap: BTreeMap::new(),
             allocator,
@@ -777,18 +774,9 @@ impl Tile {
             }
             let batch = lane.session.len() as u64;
             self.metrics.queue_depth.record(batch);
-            let mut api = lane.session.begin(
-                TileCtx {
-                    device: &mut lane.device,
-                    executor: &self.executor,
-                    mapper: &self.mapper,
-                    remap: &self.remap,
-                    costs: &self.cfg.smc_costs,
-                    transfer: &self.cfg.fpga.transfer,
-                    tile_clk_hz: self.cfg.fpga.tile_clk_hz,
-                },
-                start_wall,
-            );
+            let mut api =
+                lane.session
+                    .begin(&mut lane.device, &self.mapper, &self.remap, start_wall);
             let serve_res = lane.controller.serve(&mut api);
             max_end_wall = max_end_wall.max(api.wall_now_ps());
             for resp in lane.session.responses() {
