@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 #![deny(clippy::too_many_lines)]
 
-pub mod alloc;
+mod alloc;
 pub mod bloom;
 pub mod config;
 pub mod costs;
@@ -55,7 +55,6 @@ pub mod system;
 pub mod timeline;
 pub mod timescale;
 
-pub use alloc::RowCloneAllocator;
 pub use bloom::BloomFilter;
 pub use config::{FpgaConfig, SystemConfig, TimingMode};
 pub use costs::SmcCostModel;

@@ -66,7 +66,8 @@ pub struct RequestTag {
     /// The decoded DRAM coordinate of [`MemRequest::addr`], RowClone remaps
     /// included. Decoded once, at post: a row is remapped before its address
     /// is first handed out, so the decode cannot change under a pending
-    /// request.
+    /// request (the tile debug-asserts this after every RowClone
+    /// allocation).
     pub dram: DramAddress,
 }
 

@@ -13,15 +13,13 @@
 //! from the response alone. The configured [`crate::TimingMode`] is
 //! interpreted in one place, `Pricing::release_cycle` in [`crate::timescale`].
 
-use std::collections::BTreeMap;
-
 use easydram_cpu::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
 use easydram_cpu::cache::CacheLevelStats;
 use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
-use easydram_cpu::{BumpAllocator, CoreModel, CoreStats, CpuApi, Workload};
+use easydram_cpu::{CoreModel, CoreStats, CpuApi, Workload};
 use easydram_dram::{AddressMapper, DramAddress, DramDevice, LINE_BYTES};
 
-use crate::alloc::{remap_table, RemapEntry, RowCloneAllocator};
+use crate::alloc::RowCloneAllocator;
 use crate::config::SystemConfig;
 use crate::counters::{counters, Counters};
 use crate::obs::{
@@ -229,16 +227,9 @@ pub struct Tile {
     cfg: SystemConfig,
     lanes: Vec<Lane>,
     mapper: AddressMapper,
-    /// OS-style row remapping installed by the RowClone allocator. Ordered
-    /// maps: remap state is written on the cold allocation path only, and
-    /// ordering keeps any traversal deterministic by construction.
-    remap: BTreeMap<u64, (u32, u32)>,
-    allocator: RowCloneAllocator,
-    /// Qualified copy pairs: `(src_vrow, dst_vrow) → passed the trial test`.
-    clonable: BTreeMap<(u64, u64), bool>,
-    /// Init sources: destination vrow → pattern-source vrow.
-    init_sources: BTreeMap<u64, u64>,
-    heap: BumpAllocator,
+    /// The heap and RowClone placement: remap table, qualified pairs, init
+    /// sources (paper §7.1).
+    placement: RowCloneAllocator,
     /// Absolute FPGA/DRAM wall clock, ps.
     wall_ps: u64,
     /// Total wall time the processor domain spent clock-gated, ps.
@@ -258,7 +249,6 @@ pub struct Tile {
     /// demand; single-core systems only ever populate entry 0).
     requestor_stats: Vec<RequestorStats>,
     stats: SmcStats,
-    row_bytes: u64,
     /// Always-on latency/depth/batch histograms, accumulated in the
     /// pricing reduction (identical whether or not tracing is enabled).
     metrics: TileMetrics,
@@ -271,18 +261,7 @@ impl Tile {
     pub(crate) fn new(cfg: SystemConfig) -> Self {
         let geometry = cfg.dram.geometry.clone();
         let mapper = AddressMapper::new(geometry.clone(), cfg.mapping);
-        // RowClone placement (remap pools, pair qualification) lives on
-        // channel 0: operands must share a subarray, so pools never span
-        // channels. The allocator plans against one rank's bank array.
-        let allocator = RowCloneAllocator::new(
-            easydram_dram::Geometry {
-                channels: 1,
-                ranks: 1,
-                ..geometry.clone()
-            },
-            cfg.rowclone_test_trials,
-        );
-        let row_bytes = u64::from(geometry.row_bytes);
+        let placement = RowCloneAllocator::new(&geometry, cfg.rowclone_test_trials);
         let trace = configured_trace(cfg.trace);
         let lanes = (0..geometry.channels)
             .map(|ch| {
@@ -317,11 +296,7 @@ impl Tile {
             cfg,
             lanes,
             mapper,
-            remap: BTreeMap::new(),
-            allocator,
-            clonable: BTreeMap::new(),
-            init_sources: BTreeMap::new(),
-            heap: BumpAllocator::new(),
+            placement,
             wall_ps: 0,
             frozen_ps: 0,
             next_req_id: 0,
@@ -330,7 +305,6 @@ impl Tile {
             current_requestor: 0,
             requestor_stats: Vec::new(),
             stats: SmcStats::default(),
-            row_bytes,
             metrics: TileMetrics::default(),
             trace,
         }
@@ -547,10 +521,6 @@ impl Tile {
         &mut stats[idx]
     }
 
-    fn virtual_row(&self, addr: u64) -> u64 {
-        addr / self.row_bytes
-    }
-
     /// Reads every windowed quantity at this instant. `cores` are the cores
     /// sharing the tile; the wall clock runs to the furthest of them.
     pub(crate) fn mark(&self, cores: Vec<CoreMark>) -> Mark {
@@ -628,7 +598,16 @@ impl Tile {
     /// rows live on channel 0). The one decode of a request's life outside
     /// the controller's own charged `get_addr_mapping` calls.
     fn decode(&self, addr: u64) -> DramAddress {
-        self.mapper.to_dram_remapped(&self.remap, addr)
+        self.mapper.to_dram_remapped(self.placement.remap(), addr)
+    }
+
+    /// The invariant [`crate::request::RequestTag::dram`] documents: every
+    /// pending request's tag equals the current decode of its address.
+    fn tags_match_decode(&self) -> bool {
+        self.lanes
+            .iter()
+            .flat_map(|l| l.session.pending())
+            .all(|r| r.tag.dram == self.decode(r.addr()))
     }
 
     /// Posts one request into its channel's pending stream under a globally
@@ -774,9 +753,12 @@ impl Tile {
             }
             let batch = lane.session.len() as u64;
             self.metrics.queue_depth.record(batch);
-            let mut api =
-                lane.session
-                    .begin(&mut lane.device, &self.mapper, &self.remap, start_wall);
+            let mut api = lane.session.begin(
+                &mut lane.device,
+                &self.mapper,
+                self.placement.remap(),
+                start_wall,
+            );
             let serve_res = lane.controller.serve(&mut api);
             max_end_wall = max_end_wall.max(api.wall_now_ps());
             for resp in lane.session.responses() {
@@ -799,31 +781,6 @@ impl Tile {
         }
         self.wall_ps = max_end_wall.max(self.wall_ps);
         max_end_wall
-    }
-
-    /// Installs RowClone row remaps. Request tags carry their post-time
-    /// decode, so a remap may only cover rows no pending request targets —
-    /// which holds because the rows were bump-allocated just now.
-    fn install_remaps(&mut self, remaps: &[RemapEntry]) {
-        let table = remap_table(remaps);
-        debug_assert!(
-            self.lanes
-                .iter()
-                .flat_map(|l| l.session.pending())
-                .all(|r| !table.contains_key(&self.virtual_row(r.addr()))),
-            "a pending request targets a row being remapped"
-        );
-        self.remap.extend(table);
-    }
-
-    /// Highest natural row index the bump allocator has touched in any bank
-    /// (used to keep remap pools collision-free). Allocations interleave
-    /// across every channel and rank, so the per-bank row footprint shrinks
-    /// with the total bank count.
-    fn natural_rows_used(&self) -> u32 {
-        let geo = &self.cfg.dram.geometry;
-        let span = u64::from(geo.row_bytes) * u64::from(geo.total_banks());
-        (self.heap.cursor() / span + 2) as u32
     }
 
     /// Serves a profiling request for one cache line at the given tRCD,
@@ -890,7 +847,7 @@ impl MemoryBackend for Tile {
     }
 
     fn alloc(&mut self, bytes: u64, align: u64) -> u64 {
-        self.heap.alloc(bytes, align, self.capacity_bytes())
+        self.placement.alloc(bytes, align)
     }
 
     fn capacity_bytes(&self) -> u64 {
@@ -898,7 +855,7 @@ impl MemoryBackend for Tile {
     }
 
     fn row_bytes(&self) -> u64 {
-        self.row_bytes
+        u64::from(self.cfg.dram.geometry.row_bytes)
     }
 
     fn rowclone(
@@ -907,13 +864,7 @@ impl MemoryBackend for Tile {
         dst_row_addr: u64,
         issue_cycle: u64,
     ) -> Option<RowCloneRequestResult> {
-        let key = (
-            self.virtual_row(src_row_addr),
-            self.virtual_row(dst_row_addr),
-        );
-        let qualified = self.clonable.get(&key).copied().unwrap_or(false)
-            || self.init_sources.get(&key.1) == Some(&key.0);
-        if !qualified {
+        if !self.placement.qualified(src_row_addr, dst_row_addr) {
             // The controller consults its qualification table and refuses:
             // the caller falls back to CPU loads/stores (paper §7.1).
             self.stats.rowclone_fallbacks += 1;
@@ -938,55 +889,21 @@ impl MemoryBackend for Tile {
     }
 
     fn rowclone_alloc_copy(&mut self, bytes: u64) -> Option<(u64, u64)> {
-        let rb = self.row_bytes;
-        let n_rows = bytes.div_ceil(rb);
-        let src_base = self.alloc(n_rows * rb, rb);
-        let dst_base = self.alloc(n_rows * rb, rb);
         let var = self.lanes[0].device.variation();
-        let plan = self
-            .allocator
-            .plan_copy(var, n_rows, src_base / rb, dst_base / rb)?;
-        // Pool collision guard: remap rows live far above natural rows.
-        let used = self.natural_rows_used();
-        for b in 0..self.cfg.dram.geometry.banks() {
-            assert!(
-                self.allocator.free_rows(b) > used,
-                "remap pool collided with heap"
-            );
-        }
-        self.install_remaps(&plan.remaps);
-        for (i, &ok) in plan.clonable.iter().enumerate() {
-            self.clonable
-                .insert((src_base / rb + i as u64, dst_base / rb + i as u64), ok);
-        }
-        Some((src_base, dst_base))
+        let pair = self.placement.alloc_copy(var, bytes);
+        debug_assert!(self.tags_match_decode(), "a pending row was remapped");
+        pair
     }
 
     fn rowclone_alloc_init(&mut self, bytes: u64) -> Option<(u64, Vec<u64>)> {
-        let rb = self.row_bytes;
-        let n_rows = bytes.div_ceil(rb);
-        let per_block = u64::from(self.cfg.dram.geometry.subarray_rows) - 1;
-        let blocks = n_rows.div_ceil(per_block);
-        let dst_base = self.alloc(n_rows * rb, rb);
-        let src_base = self.alloc(blocks * rb, rb);
         let var = self.lanes[0].device.variation();
-        let plan = self
-            .allocator
-            .plan_init(var, n_rows, dst_base / rb, src_base / rb)?;
-        self.install_remaps(&plan.remaps);
-        for (j, src) in plan.sources.iter().enumerate() {
-            if let Some(s) = src {
-                self.init_sources.insert(dst_base / rb + j as u64, *s);
-            }
-        }
-        let src_addrs = plan.source_vrows.iter().map(|v| v * rb).collect();
-        Some((dst_base, src_addrs))
+        let region = self.placement.alloc_init(var, bytes);
+        debug_assert!(self.tags_match_decode(), "a pending row was remapped");
+        region
     }
 
     fn rowclone_init_source(&mut self, dst_row_addr: u64) -> Option<u64> {
-        self.init_sources
-            .get(&self.virtual_row(dst_row_addr))
-            .map(|v| v * self.row_bytes)
+        self.placement.init_source(dst_row_addr)
     }
 }
 
@@ -1238,6 +1155,86 @@ mod tests {
         for i in 0..bytes / 8 {
             assert_eq!(s.cpu().load_u64(dst + i * 8), 0xF00D, "word {i}");
         }
+    }
+
+    /// Copy and init on a 2-channel × 2-rank tile with ideal chips: every
+    /// word arrives, and every RowClone runs on channel 0.
+    #[test]
+    fn rowclone_runs_on_channel_zero_of_a_two_channel_two_rank_tile() {
+        let mut cfg = SystemConfig::small_for_tests(TimingMode::TimeScaling);
+        cfg.dram.geometry.channels = 2;
+        cfg.dram.geometry.ranks = 2;
+        cfg.dram.variation = easydram_dram::VariationConfig::ideal();
+        let mut s = System::new(cfg);
+        let (row, rows) = (s.cpu().row_bytes(), 4u64);
+        let bytes = rows * row;
+        let flush = |s: &mut System, base: u64, len: u64| {
+            for line in 0..len / 64 {
+                s.cpu().clflush(base + line * 64);
+            }
+        };
+        let (src, dst) = s.cpu().rowclone_alloc_copy(bytes).expect("copy pair");
+        for i in 0..bytes / 8 {
+            s.cpu().store_u64(src + i * 8, i ^ 0x5A5A);
+        }
+        flush(&mut s, src, bytes);
+        s.cpu().fence();
+        for r in 0..rows {
+            let st = s.cpu().rowclone_row(src + r * row, dst + r * row);
+            assert_eq!(st, RowCloneStatus::Copied, "row {r}");
+        }
+        for i in 0..bytes / 8 {
+            assert_eq!(s.cpu().load_u64(dst + i * 8), i ^ 0x5A5A, "copy word {i}");
+        }
+        let (init, sources) = s.cpu().rowclone_alloc_init(bytes).expect("init region");
+        for &sr in &sources {
+            for i in 0..row / 8 {
+                s.cpu().store_u64(sr + i * 8, 0xF00D);
+            }
+            flush(&mut s, sr, row);
+        }
+        s.cpu().fence();
+        for r in 0..rows {
+            let d = init + r * row;
+            let sr = s.cpu().rowclone_init_source(d).expect("ideal rows qualify");
+            assert_eq!(s.cpu().rowclone_row(sr, d), RowCloneStatus::Copied);
+        }
+        for i in 0..bytes / 8 {
+            assert_eq!(s.cpu().load_u64(init + i * 8), 0xF00D, "init word {i}");
+        }
+        let attempts = |ch| s.tile().channel_device(ch).stats().rowclone_attempts;
+        assert_eq!(attempts(0), 2 * rows);
+        assert_eq!(attempts(1), 0);
+    }
+
+    /// The init region's pools would reach the heap's natural rows.
+    #[test]
+    #[should_panic(expected = "remap pool collided with heap")]
+    fn init_pool_may_not_reach_the_heap() {
+        let _ = sys(TimingMode::TimeScaling)
+            .cpu()
+            .rowclone_alloc_init(8 << 20);
+    }
+
+    /// The copy pair's pools would reach the heap's natural rows.
+    #[test]
+    #[should_panic(expected = "remap pool collided with heap")]
+    fn copy_pool_may_not_reach_the_heap() {
+        let _ = sys(TimingMode::TimeScaling)
+            .cpu()
+            .rowclone_alloc_copy(4 << 20);
+    }
+
+    /// A 2 MiB copy pair leaves the heap 12 MiB; 8 MiB more would grow into
+    /// the pools.
+    #[test]
+    #[should_panic(expected = "allocation exceeds capacity")]
+    fn heap_may_not_grow_into_a_pool() {
+        let mut s = sys(TimingMode::TimeScaling);
+        s.cpu()
+            .rowclone_alloc_copy(2 << 20)
+            .expect("pools hold 2 MiB");
+        s.cpu().alloc(8 << 20, 64);
     }
 
     #[test]

@@ -66,8 +66,9 @@ pub enum MappingScheme {
     /// rotate banks (maximal bank-level parallelism).
     RowColBank,
     /// `[bank | row | col | channel | offset]`: a bank owns one contiguous
-    /// region of the physical address space (simplest to reason about; used
-    /// by the RowClone allocator tests).
+    /// region of the physical address space (simplest to reason about).
+    /// The RowClone allocator's heap/pool rule assumes a natural row is
+    /// `addr / (row_bytes · total_banks)`, which this scheme breaks.
     BankRowCol,
     /// [`MappingScheme::RowColBank`] with the bank index XOR-hashed by the
     /// low row bits, the standard trick real controllers use so that

@@ -104,8 +104,9 @@ pub struct RamulatorBackend {
     next_ref_ps: Vec<u64>,
     /// Memory transactions served (for the wall-clock model).
     pub mem_events: u64,
-    /// Init pattern source row handed out by `rowclone_alloc_init`.
-    init_source: Option<u64>,
+    /// Each `rowclone_alloc_init` region's destination bytes and the
+    /// pattern source row handed out for them.
+    init_regions: Vec<(std::ops::Range<u64>, u64)>,
 }
 
 impl RamulatorBackend {
@@ -136,7 +137,7 @@ impl RamulatorBackend {
             heap: BumpAllocator::new(),
             next_ref_ps: vec![next_ref; n],
             mem_events: 0,
-            init_source: None,
+            init_regions: Vec::new(),
         }
     }
 
@@ -299,12 +300,16 @@ impl MemoryBackend for RamulatorBackend {
         let n = bytes.div_ceil(rb) * rb;
         let dst = self.alloc(n, rb);
         let src = self.alloc(rb, rb);
-        self.init_source = Some(src);
+        self.init_regions.push((dst..dst + n, src));
         Some((dst, vec![src]))
     }
 
-    fn rowclone_init_source(&mut self, _dst_row_addr: u64) -> Option<u64> {
-        self.init_source
+    fn rowclone_init_source(&mut self, dst_row_addr: u64) -> Option<u64> {
+        let (_, src) = self
+            .init_regions
+            .iter()
+            .find(|(rows, _)| rows.contains(&dst_row_addr))?;
+        Some(*src)
     }
 }
 
@@ -484,6 +489,25 @@ mod tests {
                 Some(sources[0])
             );
         }
+    }
+
+    #[test]
+    fn init_source_is_scoped_to_its_region() {
+        let mut s = sim();
+        let plain = s.cpu().alloc(8192, 8192);
+        let (first, first_src) = s.cpu().rowclone_alloc_init(2 * 8192).unwrap();
+        let (second, second_src) = s.cpu().rowclone_alloc_init(2 * 8192).unwrap();
+        assert_eq!(s.cpu().rowclone_init_source(plain), None, "plain row");
+        assert_eq!(
+            s.cpu().rowclone_init_source(first_src[0]),
+            None,
+            "source row"
+        );
+        assert_eq!(
+            s.cpu().rowclone_init_source(first + 8192),
+            Some(first_src[0])
+        );
+        assert_eq!(s.cpu().rowclone_init_source(second), Some(second_src[0]));
     }
 
     #[test]
