@@ -190,6 +190,72 @@ fn quad_corun_over_two_channels() {
     assert!(r.aggregate.channels.iter().all(|c| c.requests > 0));
 }
 
+/// `System::run` is a 1-core co-run: over the figure workloads' whole
+/// range of memory paths (cache-resident compute, a dependent chase,
+/// RowClone copy and init in both flush settings, posted store sweeps and
+/// a mitigated hammer), the plain report equals the co-run aggregate in
+/// every field but the per-core caches.
+#[test]
+fn plain_run_equals_a_one_core_co_run() {
+    use easydram::GrapheneController;
+    use easydram_workloads::micro::{FlushMode, RowCloneCopy, RowCloneInit};
+    use easydram_workloads::{polybench, HammerKernel, HammerPattern, PolySize};
+
+    let plain = SystemConfig::small_for_tests(TimingMode::TimeScaling);
+    let mut hammer_rig = SystemConfig::small_for_tests(TimingMode::Reference);
+    hammer_rig.dram.variation.disturb_enabled = true;
+    hammer_rig.dram.variation.hc_first = (2_048, 4_096);
+    let hammer = || {
+        HammerKernel::in_bank(
+            &hammer_rig.dram.geometry,
+            hammer_rig.mapping,
+            0,
+            500,
+            HammerPattern::DoubleSided,
+            3_000,
+        )
+    };
+    type Case<'a> = (SystemConfig, bool, &'a dyn Fn() -> Box<dyn Workload>);
+    let cases: [Case; 8] = [
+        (plain.clone(), false, &|| {
+            polybench::by_name("gemm", PolySize::Mini).expect("registered")
+        }),
+        (plain.clone(), false, &|| {
+            Box::new(LatMemRd::shuffled_with_loads(64 * 1024, 64, 512))
+        }),
+        (plain.clone(), false, &|| {
+            Box::new(RowCloneCopy::new(16 * 1024, FlushMode::NoFlush))
+        }),
+        (plain.clone(), false, &|| {
+            Box::new(RowCloneCopy::new(16 * 1024, FlushMode::ClFlush))
+        }),
+        (plain.clone(), false, &|| {
+            Box::new(RowCloneInit::new(16 * 1024, FlushMode::NoFlush))
+        }),
+        (plain.clone(), false, &|| {
+            Box::new(RowCloneInit::new(16 * 1024, FlushMode::ClFlush))
+        }),
+        (plain.clone(), false, &|| {
+            Box::new(StreamWriter::new(32 * 1024, 50_000))
+        }),
+        (hammer_rig.clone(), true, &|| Box::new(hammer())),
+    ];
+    for (cfg, graphene, make) in cases {
+        let mut sys = easydram::System::new(cfg.clone());
+        let mut multi = MultiCoreSystem::new(cfg, 1);
+        if graphene {
+            sys.install_controller(Box::new(GrapheneController::new(512, 8)));
+            multi.with_tile(|t| t.install_controller(Box::new(GrapheneController::new(512, 8))));
+        }
+        let r = sys.run(make().as_mut());
+        let mut expect = multi.co_run(&mut [make().as_mut()]).aggregate;
+        // Caches are per core in a co-run, so the aggregate carries none.
+        (expect.l1, expect.l2) = (r.l1, r.l2);
+        expect.requestors[0].stall_cycles = 0;
+        assert_eq!(r, expect, "{}", r.name);
+    }
+}
+
 /// Re-running on the same system opens a fresh window (mirrors
 /// `System::run` semantics).
 #[test]
