@@ -65,7 +65,7 @@ pub struct CoRunReport {
     /// Aggregate report over the shared tile. `emulated_cycles` is the
     /// slowest core's window (the co-run's makespan); `core` sums every
     /// core's counters; `requestors` carries the per-core memory-system
-    /// breakdown with `stall_cycles` filled in from each core.
+    /// breakdown.
     pub aggregate: ExecutionReport,
     /// One summary per core, in requestor order.
     pub cores: Vec<CoreRun>,
@@ -256,13 +256,7 @@ impl MultiCoreSystem {
             .collect::<Vec<_>>()
             .join("+");
         // Cache hierarchies are per core; see each `CoreRun` instead.
-        let mut aggregate = tile.report_over(name, window, None, None);
-        // Per-requestor stall cycles are core-side state.
-        for q in &mut aggregate.requestors {
-            if let Some(c) = cores.get(q.requestor as usize) {
-                q.stall_cycles = c.core.stall_cycles;
-            }
-        }
+        let aggregate = tile.report_over(name, window, None, None);
         CoRunReport { aggregate, cores }
     }
 
@@ -461,11 +455,10 @@ mod tests {
         let m2 = multi.co_run(&mut [&mut touch()]).aggregate;
         assert_eq!(r2.core.instructions, r2.instructions);
         // The two differ only where a co-run differs by design: caches are
-        // per core there, and it fills in the requestor's stall cycles. So
-        // `sim_speed_hz` is window cycles over window wall on both.
+        // per core there. So `sim_speed_hz` is window cycles over window
+        // wall on both.
         let mut expect = m2;
         (expect.l1, expect.l2) = (r2.l1, r2.l2);
-        expect.requestors[0].stall_cycles = 0;
         assert_eq!(r2, expect);
     }
 }

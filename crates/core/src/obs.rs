@@ -468,7 +468,7 @@ impl std::fmt::Debug for LogHistogram {
 
 /// The tile's always-on metric frame, collected in the deterministic
 /// pricing loop of every serve pass. Latencies are **emulated processor
-/// cycles** (release − arrival); depths/sizes are request counts. `Copy`
+/// cycles** (release − arrival); batch sizes are request counts. `Copy`
 /// like `SmcStats`, so `System::run` windows it with the same
 /// snapshot/rebase pattern.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -479,8 +479,6 @@ pub struct TileMetrics {
     pub read_latency: LogHistogram,
     /// Write / writeback latency.
     pub write_latency: LogHistogram,
-    /// Pending-stream depth of each live lane at serve-pass start.
-    pub queue_depth: LogHistogram,
     /// Requests per lane batch (one sample per live lane per pass).
     pub batch_size: LogHistogram,
 }
@@ -501,7 +499,6 @@ crate::counters::counters!(pub TileMetrics: sum {
     request_latency,
     read_latency,
     write_latency,
-    queue_depth,
     batch_size,
 });
 
@@ -571,9 +568,9 @@ impl TraceLog {
 
     /// Deterministically orders the events by `(pid, tid, ps, id, kind)` —
     /// the order both exporters emit, which makes per-track timestamps
-    /// monotone by construction (validated end-to-end by the trace-smoke
-    /// harness re-parsing the JSON). Stable: events equal in all five keep
-    /// their order.
+    /// monotone by construction (validated end-to-end by the
+    /// `fig_latency_cdf` figure re-parsing the JSON). Stable: events equal
+    /// in all five keep their order.
     pub fn sort_for_export(&mut self) {
         // A drained log is a concatenation of rings, and each track in one
         // is nearly in time order already: split the log by track, then let
@@ -811,8 +808,8 @@ impl TraceLog {
 
 /// Validates that `json` is a structurally well-formed JSON object
 /// ([`crate::json::scan`]) carrying a top-level `traceEvents` key — the
-/// loadability check the trace-smoke CI job runs over the emitted Chrome
-/// trace.
+/// loadability check the `fig_latency_cdf` figure runs over the Chrome
+/// trace it emits.
 ///
 /// # Errors
 ///
@@ -1109,7 +1106,6 @@ mod tests {
         m.request_latency.record(100);
         m.read_latency.record(100);
         m.batch_size.record(4);
-        m.queue_depth.record(4);
         let snap = m;
         m.request_latency.record(900);
         m.write_latency.record(900);

@@ -140,10 +140,6 @@ pub struct RequestorStats {
     pub dram_occupancy_ps: u64,
     /// Column (RD/WR) commands issued for this requestor.
     pub column_ops: u64,
-    /// Cycles this requestor's core spent stalled on memory. Core-side
-    /// state: the tile reports 0 and the multi-core harness fills it in
-    /// from each core's own statistics.
-    pub stall_cycles: u64,
 }
 
 impl RequestorStats {
@@ -191,7 +187,6 @@ counters!(pub RequestorStats: same { requestor } sum {
     rocket_cycles,
     dram_occupancy_ps,
     column_ops,
-    stall_cycles,
 });
 
 /// A complete account of one workload execution on an EasyDRAM system.
@@ -239,12 +234,12 @@ pub struct ExecutionReport {
     /// runs carry one per core.
     pub requestors: Vec<RequestorStats>,
     /// RowHammer-mitigation counters for the run window, summed over every
-    /// channel whose controller runs a mitigation policy, with
-    /// `flips_observed` filled in from the device statistics. `None` when no
-    /// installed controller mitigates (the default — reports stay
-    /// byte-identical to the pre-disturbance format).
+    /// channel whose controller runs a mitigation policy (the device's
+    /// flips are `dram.disturbance_flips`, cumulative like all of `dram`).
+    /// `None` when no installed controller mitigates (the default — reports
+    /// stay byte-identical to the pre-disturbance format).
     pub mitigation: Option<MitigationStats>,
-    /// Always-on latency/depth/batch histograms for the run window,
+    /// Always-on latency and batch-size histograms for the run window,
     /// collected in the deterministic pricing loop whether or not event
     /// tracing is enabled — so percentiles exist in every report and
     /// enabling tracing cannot change a report byte.
@@ -359,7 +354,7 @@ impl std::fmt::Display for ExecutionReport {
             for q in &self.requestors {
                 write!(
                     f,
-                    "\n  req{}: {} reqs (rd {} wr {}), {}/{}/{} hit/miss/conflict, bw {:.0}%, stalls {}",
+                    "\n  req{}: {} reqs (rd {} wr {}), {}/{}/{} hit/miss/conflict, bw {:.0}%",
                     q.requestor,
                     q.requests,
                     q.reads,
@@ -368,7 +363,6 @@ impl std::fmt::Display for ExecutionReport {
                     q.row_misses,
                     q.row_conflicts,
                     q.bandwidth_share(total_occ) * 100.0,
-                    q.stall_cycles,
                 )?;
             }
         }
@@ -377,8 +371,8 @@ impl std::fmt::Display for ExecutionReport {
         if let Some(m) = &self.mitigation {
             write!(
                 f,
-                "\n  mitigation: {} targeted refreshes, {} rocket cycles, {} flips observed",
-                m.targeted_refreshes, m.rocket_cycles, m.flips_observed,
+                "\n  mitigation: {} targeted refreshes, {} rocket cycles",
+                m.targeted_refreshes, m.rocket_cycles,
             )?;
         }
         Ok(())
@@ -471,7 +465,6 @@ mod tests {
             hw_cycles: 80,
             batches: 12,
             serve: ServeResult {
-                served: 10,
                 row_hits: 6,
                 ..ServeResult::default()
             },
@@ -496,7 +489,6 @@ mod tests {
             hw_cycles: 30,
             batches: 5,
             serve: ServeResult {
-                served: 4,
                 row_hits: 1,
                 ..ServeResult::default()
             },
@@ -535,11 +527,10 @@ mod tests {
         r.mitigation = Some(MitigationStats {
             targeted_refreshes: 12,
             rocket_cycles: 340,
-            flips_observed: 0,
         });
         assert!(r
             .to_string()
-            .contains("mitigation: 12 targeted refreshes, 340 rocket cycles, 0 flips observed"));
+            .contains("mitigation: 12 targeted refreshes, 340 rocket cycles"));
     }
 
     #[test]

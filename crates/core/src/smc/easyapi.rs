@@ -26,6 +26,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use easydram_bender::{BenderError, BenderProgram, BenderResult, Executor, TransferCost};
+use easydram_cpu::timescale::cycles_to_ps;
 use easydram_dram::{AddressMapper, DramAddress, DramCommand, DramDevice, LINE_BYTES};
 
 use crate::config::SystemConfig;
@@ -64,8 +65,8 @@ pub(crate) struct ApiSession {
     costs: SmcCostModel,
     /// Command/readback transfer cost model.
     transfer: TransferCost,
-    /// One tile-clock cycle, ps, truncated (`1e12 / tile_clk_hz`).
-    tile_period_ps: u64,
+    /// The tile clock the Rocket and transfer cycles tick at, Hz.
+    tile_clk_hz: u64,
 }
 
 impl ApiSession {
@@ -75,7 +76,7 @@ impl ApiSession {
     ///
     /// # Panics
     ///
-    /// Panics if the depth or the tile clock is zero.
+    /// Panics if the depth is zero.
     pub(crate) fn new(cfg: &SystemConfig) -> Self {
         let capacity = cfg.write_buffer_depth;
         assert!(capacity > 0, "the request FIFO needs at least one slot");
@@ -92,7 +93,7 @@ impl ApiSession {
             executor: Executor::new(),
             costs: cfg.smc_costs,
             transfer: cfg.fpga.transfer,
-            tile_period_ps: 1_000_000_000_000 / cfg.fpga.tile_clk_hz,
+            tile_clk_hz: cfg.fpga.tile_clk_hz,
         }
     }
 
@@ -205,12 +206,14 @@ impl EasyApi<'_> {
     }
 
     /// The absolute FPGA/DRAM wall time at the controller's current point of
-    /// execution.
+    /// execution: the tile-clock cycles spent so far convert to ps with the
+    /// workspace's one rounding rule ([`cycles_to_ps`], half-up).
     #[must_use]
     pub fn wall_now_ps(&self) -> u64 {
         let ledger = &self.session.ledger;
+        let tile_cycles = ledger.totals.rocket_cycles + ledger.hw_cycles;
         self.wall_base_ps
-            + (ledger.totals.rocket_cycles + ledger.hw_cycles) * self.session.tile_period_ps
+            + cycles_to_ps(tile_cycles, self.session.tile_clk_hz)
             + ledger.dram_elapsed_ps
     }
 
@@ -843,10 +846,11 @@ mod tests {
     }
 
     #[test]
-    fn tile_period_truncates_at_a_clock_that_does_not_divide_a_second() {
-        // At 150 MHz a Rocket cycle is 6,666.67 ps: the period truncates to
-        // 6,666 (rounding would give 6,667). Every golden runs at 100 MHz,
-        // where the two agree, so only this pins the truncation.
+    fn tile_cycles_round_half_up_at_a_clock_that_does_not_divide_a_second() {
+        // At 150 MHz a Rocket cycle is 6,666.67 ps: 4 cycles are 26,666.67
+        // ps, which rounds to 26,667 (a truncated per-cycle period would
+        // give 26,664). Every golden runs at 100 MHz, where the two agree,
+        // so only this pins the rounding.
         let mut f = Fix::new();
         let mut cfg = Fix::config();
         cfg.fpga.tile_clk_hz = 150_000_000;
@@ -855,7 +859,7 @@ mod tests {
         let base = 1_000_000;
         let mut a = f.session.begin(&mut f.dev, &f.map, &f.remap, base);
         a.set_scheduling_state(true);
-        assert_eq!(a.wall_now_ps(), base + 4 * 6_666);
+        assert_eq!(a.wall_now_ps(), base + 26_667);
     }
 
     #[test]

@@ -22,8 +22,6 @@ use crate::smc::easyapi::EasyApi;
 /// Summary a controller returns after a scheduling pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeResult {
-    /// Requests served in this pass.
-    pub served: u64,
     /// Row-buffer hits among column accesses.
     pub row_hits: u64,
     /// Row misses (bank was idle).
@@ -35,7 +33,6 @@ pub struct ServeResult {
 }
 
 crate::counters::counters!(pub ServeResult: sum {
-    served,
     row_hits,
     row_misses,
     row_conflicts,

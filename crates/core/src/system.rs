@@ -422,8 +422,7 @@ impl Tile {
     }
 
     /// Cumulative RowHammer-mitigation counters summed over every channel
-    /// whose controller runs a mitigation policy, with `flips_observed`
-    /// filled in from the device statistics. `None` when no installed
+    /// whose controller runs a mitigation policy. `None` when no installed
     /// controller mitigates.
     #[must_use]
     pub fn mitigation_stats(&self) -> Option<crate::smc::MitigationStats> {
@@ -431,10 +430,7 @@ impl Tile {
         for lane in &self.lanes {
             total.fold(&lane.controller.mitigation_stats());
         }
-        total.map(|mut m| {
-            m.flips_observed = self.device_stats().disturbance_flips;
-            m
-        })
+        total
     }
 
     /// Total modeled FPGA wall time so far given the processor has emulated
@@ -503,9 +499,8 @@ impl Tile {
 
     /// Cumulative per-requestor counters, indexed by requestor id. Entry `i`
     /// describes everything core `i` has asked of the memory system; the
-    /// entries partition the tile-wide totals. `stall_cycles` is core-side
-    /// state and stays 0 here — the multi-core harness fills it in from each
-    /// core's own statistics.
+    /// entries partition the tile-wide totals. Stall cycles are core-side
+    /// state: see each core's `CoreStats`.
     #[must_use]
     pub fn requestor_stats(&self) -> Vec<RequestorStats> {
         self.requestor_stats.clone()
@@ -752,7 +747,6 @@ impl Tile {
                 continue;
             }
             let batch = lane.session.len() as u64;
-            self.metrics.queue_depth.record(batch);
             let mut api = lane.session.begin(
                 &mut lane.device,
                 &self.mapper,
@@ -1328,8 +1322,8 @@ mod tests {
         assert_eq!(s.tile().smc_stats().peak_batch, burst.smc.peak_batch);
         // Scheduling outcomes are windowed too: the second run's serve
         // stats describe only its own 4 loads, not the earlier burst.
-        assert_eq!(lone.smc.serve.served, lone.smc.requests);
-        assert_eq!(lone.smc.serve.served, 4);
+        let serve = lone.smc.serve;
+        assert_eq!(serve.row_hits + serve.row_misses + serve.row_conflicts, 4);
     }
 
     /// FCFS, except that a posted write is either swallowed or answered

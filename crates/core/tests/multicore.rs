@@ -145,10 +145,6 @@ fn identical_pair_partitions_aggregate_and_reproduces_byte_identically() {
     // The per-core summaries carry each core's own stall picture.
     for c in &r.cores {
         assert!(c.core.stall_cycles > 0);
-        assert_eq!(
-            c.core.stall_cycles, q[c.requestor as usize].stall_cycles,
-            "requestor stalls mirror the core's counters"
-        );
     }
 }
 
@@ -251,7 +247,6 @@ fn plain_run_equals_a_one_core_co_run() {
         let mut expect = multi.co_run(&mut [make().as_mut()]).aggregate;
         // Caches are per core in a co-run, so the aggregate carries none.
         (expect.l1, expect.l2) = (r.l1, r.l2);
-        expect.requestors[0].stall_cycles = 0;
         assert_eq!(r, expect, "{}", r.name);
     }
 }

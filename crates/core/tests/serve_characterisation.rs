@@ -180,8 +180,10 @@ fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool, 
     d.bytes(&log.to_binary());
 }
 
-/// Recorded at the parent of the serve-pass split.
-const SERVE_DIGEST: u64 = 0xAD44_AFAA_039A_990E;
+/// Recorded at the parent of the serve-pass split, then re-recorded once
+/// when four report fields that duplicated another counter went: the parent
+/// with those fields stripped from each report string digests to this.
+const SERVE_DIGEST: u64 = 0x5F49_1FC9_5A68_91F4;
 
 #[test]
 fn serve_pass_digest_is_unchanged() {

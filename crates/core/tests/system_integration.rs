@@ -251,8 +251,9 @@ fn report_window_accounts_are_consistent() {
     assert!(r.ipc() > 0.0);
     let smc = r.smc;
     assert_eq!(
-        smc.serve.served, smc.requests,
-        "every request is served exactly once"
+        smc.serve.row_hits + smc.serve.row_misses + smc.serve.row_conflicts,
+        smc.requests,
+        "every line read opens or hits its row exactly once"
     );
     assert!(
         smc.rocket_cycles > smc.requests * 10,

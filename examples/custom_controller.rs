@@ -76,7 +76,6 @@ impl SoftwareMemoryController for ListingOneController {
                     api.enqueue_response(&req, None, false);
                 }
             }
-            result.served += 1;
         }
         api.set_scheduling_state(false);
         result

@@ -22,7 +22,6 @@ type Raw = [u8; 32];
 
 fn serve_from(b: &Raw) -> ServeResult {
     ServeResult {
-        served: b[7] as u64,
         row_hits: b[8] as u64,
         row_misses: b[9] as u64,
         row_conflicts: b[10] as u64,
@@ -86,7 +85,6 @@ fn metrics_from(b: &Raw) -> TileMetrics {
         request_latency: hist_from(b),
         read_latency: hist_from(&rot),
         write_latency: hist_from(&rot2),
-        queue_depth: hist_from(b),
         batch_size: hist_from(&rot),
     }
 }
@@ -104,7 +102,6 @@ fn requestor_from(id: u32, b: &Raw) -> RequestorStats {
         rocket_cycles: b[7] as u64,
         dram_occupancy_ps: b[8] as u64,
         column_ops: b[9] as u64,
-        stall_cycles: b[10] as u64,
     }
 }
 
