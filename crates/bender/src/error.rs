@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use easydram_dram::DramError;
+
 /// Errors from building or executing a DRAM Bender program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BenderError {
@@ -20,7 +22,7 @@ pub enum BenderError {
     TimeOverflow,
     /// The underlying device rejected a command (out of range coordinates or
     /// a backwards-moving clock).
-    Device(String),
+    Device(DramError),
 }
 
 impl fmt::Display for BenderError {
@@ -38,16 +40,16 @@ impl fmt::Display for BenderError {
             BenderError::TimeOverflow => {
                 write!(f, "a sleep or delay overflows the picosecond clock")
             }
-            BenderError::Device(msg) => write!(f, "device error: {msg}"),
+            BenderError::Device(e) => write!(f, "device error: {e}"),
         }
     }
 }
 
 impl Error for BenderError {}
 
-impl From<easydram_dram::DramError> for BenderError {
-    fn from(e: easydram_dram::DramError) -> Self {
-        BenderError::Device(e.to_string())
+impl From<DramError> for BenderError {
+    fn from(e: DramError) -> Self {
+        BenderError::Device(e)
     }
 }
 
@@ -64,6 +66,13 @@ mod tests {
             .to_string()
             .contains('9'));
         assert!(BenderError::TimeOverflow.to_string().contains("overflows"));
-        assert!(BenderError::Device("x".into()).to_string().contains('x'));
+        let e = DramError::TimeWentBackwards {
+            now_ps: 9,
+            requested_ps: 4,
+        };
+        assert_eq!(
+            BenderError::from(e.clone()).to_string(),
+            format!("device error: {e}")
+        );
     }
 }

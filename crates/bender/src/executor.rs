@@ -162,7 +162,9 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easydram_dram::{DramCommand, DramConfig, TimingParams, TimingRule, VariationConfig};
+    use easydram_dram::{
+        DramCommand, DramConfig, DramError, TimingParams, TimingRule, VariationConfig,
+    };
 
     fn dev() -> DramDevice {
         DramDevice::new(DramConfig::small_for_tests())
@@ -311,7 +313,10 @@ mod tests {
         let mut p = BenderProgram::new();
         p.cmd(DramCommand::Activate { bank: 99, row: 0 }).unwrap();
         let err = Executor::new().run(&mut d, &p, 0).unwrap_err();
-        assert!(matches!(err, BenderError::Device(_)));
+        assert!(matches!(
+            err,
+            BenderError::Device(DramError::OutOfRange { what: "bank", .. })
+        ));
     }
 
     #[test]
@@ -632,7 +637,7 @@ mod tests {
         p.cmd(act).unwrap();
         let err = Executor::new().run(&mut d, &p, 0).unwrap_err();
         assert!(
-            matches!(&err, BenderError::Device(m) if m.contains("limit")),
+            matches!(err, BenderError::Device(DramError::TimeOutOfRange { .. })),
             "{err}"
         );
         // `prev + t_ck`: an `Auto` command after one at the very end of
@@ -643,7 +648,10 @@ mod tests {
         p.cmd(act).unwrap();
         p.cmd(pre).unwrap();
         let err = Executor::new().run(&mut d, &p, 0).unwrap_err();
-        assert!(matches!(err, BenderError::Device(_)), "{err}");
+        assert!(
+            matches!(err, BenderError::Device(DramError::TimeOutOfRange { .. })),
+            "{err}"
+        );
         assert_eq!(d.stats().commands(), 1, "the ACT at the limit ran");
         assert_eq!(d.now_ps(), easydram_dram::bank::MAX_ISSUE_PS);
     }
