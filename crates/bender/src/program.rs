@@ -184,4 +184,11 @@ mod tests {
         }
         assert!(p.cmd(DramCommand::Refresh).is_err());
     }
+
+    #[test]
+    fn default_program_admits_commands() {
+        assert!(BenderProgram::default()
+            .cmd_auto(DramCommand::Refresh)
+            .is_ok());
+    }
 }
