@@ -184,10 +184,11 @@ mod tests {
     fn auto_sequence_is_violation_free() {
         let mut d = dev();
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 0, row: 5 }).unwrap();
-        p.cmd(DramCommand::Read { bank: 0, col: 0 }).unwrap();
-        p.cmd(DramCommand::Read { bank: 0, col: 1 }).unwrap();
-        p.cmd(DramCommand::Precharge { bank: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 5 })
+            .unwrap();
+        p.cmd_auto(DramCommand::Read { bank: 0, col: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Read { bank: 0, col: 1 }).unwrap();
+        p.cmd_auto(DramCommand::Precharge { bank: 0 }).unwrap();
         let r = Executor::new().run(&mut d, &p, 0).unwrap();
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.reads.len(), 2);
@@ -198,8 +199,9 @@ mod tests {
     fn auto_read_waits_exactly_trcd() {
         let mut d = dev();
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 0, row: 5 }).unwrap();
-        p.cmd(DramCommand::Read { bank: 0, col: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 5 })
+            .unwrap();
+        p.cmd_auto(DramCommand::Read { bank: 0, col: 0 }).unwrap();
         let r = Executor::new().run(&mut d, &p, 0).unwrap();
         // Data completes at tRCD + CL + burst for a closed-row access.
         assert_eq!(r.elapsed_ps, t().closed_row_access_ps());
@@ -211,7 +213,8 @@ mod tests {
         // batch is executed exactly as intended by the EasyDRAM user".
         let mut d = dev();
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 0, row: 5 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 5 })
+            .unwrap();
         p.cmd_after(DramCommand::Read { bank: 0, col: 0 }, 9_000)
             .unwrap();
         let r = Executor::new().run(&mut d, &p, 0).unwrap();
@@ -231,7 +234,8 @@ mod tests {
         d.write_line(0, 1, 0, &line);
         let min = d.variation().line_min_trcd_ps(0, 1, 0);
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 0, row: 1 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 1 })
+            .unwrap();
         p.cmd_after(DramCommand::Read { bank: 0, col: 0 }, min)
             .unwrap();
         let r = Executor::new().run(&mut d, &p, 0).unwrap();
@@ -245,7 +249,8 @@ mod tests {
         let pattern: Vec<u8> = (0..8192u32).map(|i| (i * 7 % 256) as u8).collect();
         d.write_row(1, 10, &pattern);
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 1, row: 10 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 1, row: 10 })
+            .unwrap();
         p.cmd_after(DramCommand::Precharge { bank: 1 }, 3_000)
             .unwrap();
         p.cmd_after(DramCommand::Activate { bank: 1, row: 11 }, 3_000)
@@ -273,7 +278,8 @@ mod tests {
     fn start_time_respected_and_elapsed_relative() {
         let mut d = dev();
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 0, row: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 0 })
+            .unwrap();
         let r = Executor::new().run(&mut d, &p, 1_000_000).unwrap();
         assert_eq!(r.end_ps, 1_000_000 + t().t_rcd_ps);
         assert_eq!(r.elapsed_ps, t().t_rcd_ps);
@@ -284,7 +290,8 @@ mod tests {
         let mut d = dev();
         d.issue_raw(DramCommand::Refresh, 2_000_000).unwrap();
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 0, row: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 0 })
+            .unwrap();
         // Ask for start at 0: executor must clamp to device time and tRFC.
         let r = Executor::new().run(&mut d, &p, 0).unwrap();
         assert!(r.end_ps >= 2_000_000 + t().t_rfc_ps);
@@ -294,9 +301,10 @@ mod tests {
     fn readback_overflow_detected_before_execution() {
         let mut d = dev();
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 0, row: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 0 })
+            .unwrap();
         for col in 0..4 {
-            p.cmd(DramCommand::Read { bank: 0, col }).unwrap();
+            p.cmd_auto(DramCommand::Read { bank: 0, col }).unwrap();
         }
         let ex = Executor {
             readback_capacity: 2,
@@ -311,7 +319,8 @@ mod tests {
     fn device_error_propagates() {
         let mut d = dev();
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 99, row: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 99, row: 0 })
+            .unwrap();
         let err = Executor::new().run(&mut d, &p, 0).unwrap_err();
         assert!(matches!(
             err,
@@ -333,8 +342,10 @@ mod tests {
     fn consecutive_auto_commands_at_least_one_clock_apart() {
         let mut d = dev();
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 0, row: 0 }).unwrap();
-        p.cmd(DramCommand::Activate { bank: 1, row: 0 }).unwrap(); // same group
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 0 })
+            .unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 1, row: 0 })
+            .unwrap(); // same group
         let r = Executor::new().run(&mut d, &p, 0).unwrap();
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         // Second ACT at tRRD_L >= t_ck after the first.
@@ -434,7 +445,7 @@ mod tests {
             _ => return p.sleep(7_800_000 * u64::from(byte)).unwrap(),
         };
         match at {
-            0..=3 => p.cmd(cmd),
+            0..=3 => p.cmd_auto(cmd),
             4 => p.cmd_after(cmd, 0),
             5 => p.cmd_after(cmd, 3_000),
             6 => p.cmd_after(cmd, 9_000),
@@ -482,8 +493,9 @@ mod tests {
 
     /// ACT + WR to `(bank 0, row 5, col 0)`, all `Auto`.
     fn open_and_write(p: &mut BenderProgram) {
-        p.cmd(DramCommand::Activate { bank: 0, row: 5 }).unwrap();
-        p.cmd(DramCommand::Write {
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 5 })
+            .unwrap();
+        p.cmd_auto(DramCommand::Write {
             bank: 0,
             col: 0,
             data: [0xAB; LINE_BYTES],
@@ -499,8 +511,8 @@ mod tests {
     fn auto_column_commands_on_a_closed_bank_report_bank_closed() {
         let mut d = dev();
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Read { bank: 0, col: 0 }).unwrap();
-        p.cmd(DramCommand::Write {
+        p.cmd_auto(DramCommand::Read { bank: 0, col: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Write {
             bank: 0,
             col: 0,
             data: [1; LINE_BYTES],
@@ -520,8 +532,9 @@ mod tests {
         let before = d.line_data(0, 5, 0);
         let mut p = BenderProgram::new();
         open_and_write(&mut p);
-        p.cmd(DramCommand::Activate { bank: 0, row: 6 }).unwrap();
-        p.cmd(DramCommand::Precharge { bank: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 6 })
+            .unwrap();
+        p.cmd_auto(DramCommand::Precharge { bank: 0 }).unwrap();
         let r = Executor::new().run(&mut d, &p, 0).unwrap();
         let rules: Vec<_> = r.violations.iter().map(|v| v.rule).collect();
         assert_eq!(rules, [TimingRule::BankOpen]);
@@ -535,8 +548,9 @@ mod tests {
         let before = d.line_data(0, 5, 0);
         let mut p = BenderProgram::new();
         open_and_write(&mut p);
-        p.cmd(DramCommand::RefreshRow { bank: 0, row: 9 }).unwrap();
-        p.cmd(DramCommand::Read { bank: 0, col: 0 }).unwrap();
+        p.cmd_auto(DramCommand::RefreshRow { bank: 0, row: 9 })
+            .unwrap();
+        p.cmd_auto(DramCommand::Read { bank: 0, col: 0 }).unwrap();
         let r = Executor::new().run(&mut d, &p, 0).unwrap();
         let rules: Vec<_> = r.violations.iter().map(|v| v.rule).collect();
         assert_eq!(
@@ -554,8 +568,8 @@ mod tests {
         let mut d = dev();
         let mut p = BenderProgram::new();
         open_and_write(&mut p);
-        p.cmd(DramCommand::Refresh).unwrap();
-        p.cmd(DramCommand::Read { bank: 0, col: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Refresh).unwrap();
+        p.cmd_auto(DramCommand::Read { bank: 0, col: 0 }).unwrap();
         let r = Executor::new().run(&mut d, &p, 0).unwrap();
         let rules: Vec<_> = r.violations.iter().map(|v| v.rule).collect();
         assert_eq!(rules, [TimingRule::RefWithOpenRows]);
@@ -567,7 +581,8 @@ mod tests {
     fn run_returns_exactly_what_run_into_produced() {
         // A RowClone into row 5, then a write and a too-early read of it.
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 0, row: 7 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 7 })
+            .unwrap();
         p.cmd_after(DramCommand::Precharge { bank: 0 }, 3_000)
             .unwrap();
         p.cmd_after(DramCommand::Activate { bank: 0, row: 5 }, 3_000)
@@ -583,7 +598,7 @@ mod tests {
         .unwrap();
         p.cmd_after(DramCommand::Read { bank: 0, col: 0 }, 4_500)
             .unwrap();
-        p.cmd(DramCommand::Read { bank: 0, col: 1 }).unwrap();
+        p.cmd_auto(DramCommand::Read { bank: 0, col: 1 }).unwrap();
         p.sleep(40_000).unwrap();
         let (mut a, mut b) = (dev(), dev());
         let ex = Executor::new();
@@ -634,7 +649,7 @@ mod tests {
         let mut d = dev();
         let mut p = BenderProgram::new();
         p.sleep(u64::MAX - 10).unwrap();
-        p.cmd(act).unwrap();
+        p.cmd_auto(act).unwrap();
         let err = Executor::new().run(&mut d, &p, 0).unwrap_err();
         assert!(
             matches!(err, BenderError::Device(DramError::TimeOutOfRange { .. })),
@@ -645,8 +660,8 @@ mod tests {
         // checked add is exercised just below the device's limit.
         let mut p = BenderProgram::new();
         p.sleep(easydram_dram::bank::MAX_ISSUE_PS).unwrap();
-        p.cmd(act).unwrap();
-        p.cmd(pre).unwrap();
+        p.cmd_auto(act).unwrap();
+        p.cmd_auto(pre).unwrap();
         let err = Executor::new().run(&mut d, &p, 0).unwrap_err();
         assert!(
             matches!(err, BenderError::Device(DramError::TimeOutOfRange { .. })),

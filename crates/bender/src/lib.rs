@@ -21,10 +21,10 @@
 //! dev.write_row(0, 1, &vec![0xAB; 8192]);
 //!
 //! let mut prog = BenderProgram::new();
-//! prog.cmd(DramCommand::Activate { bank: 0, row: 1 })?;   // open source row
+//! prog.cmd_auto(DramCommand::Activate { bank: 0, row: 1 })?; // open source row
 //! prog.cmd_after(DramCommand::Precharge { bank: 0 }, 3_000)?; // interrupt it
 //! prog.cmd_after(DramCommand::Activate { bank: 0, row: 2 }, 3_000)?; // clone!
-//! prog.cmd_auto(DramCommand::Precharge { bank: 0 })?;     // clean close
+//! prog.cmd_auto(DramCommand::Precharge { bank: 0 })?; // clean close
 //!
 //! let result = Executor::new().run(&mut dev, &prog, 0)?;
 //! assert_eq!(result.rowclones.len(), 1);

@@ -15,12 +15,18 @@ pub const DEFAULT_CAPACITY: usize = 8_192;
 /// A DRAM Bender program being assembled by the software memory controller.
 ///
 /// Build with the `cmd*` methods, then hand to [`crate::Executor::run`].
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenderProgram {
     instrs: Vec<BenderInstr>,
     capacity: usize,
     reads: usize,
     columns: usize,
+}
+
+impl Default for BenderProgram {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl BenderProgram {
@@ -51,16 +57,6 @@ impl BenderProgram {
             cmd,
             at: IssueAt::Auto,
         })
-    }
-
-    /// Appends `cmd` issued at the earliest legal time (alias of
-    /// [`BenderProgram::cmd_auto`], the common case).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BenderError::ProgramTooLong`] when the buffer is full.
-    pub fn cmd(&mut self, cmd: DramCommand) -> Result<(), BenderError> {
-        self.cmd_auto(cmd)
     }
 
     /// Appends `cmd` issued exactly `delay_ps` after the previous command —
@@ -145,14 +141,15 @@ mod tests {
     #[test]
     fn builds_and_counts() {
         let mut p = BenderProgram::new();
-        p.cmd(DramCommand::Activate { bank: 0, row: 1 }).unwrap();
+        p.cmd_auto(DramCommand::Activate { bank: 0, row: 1 })
+            .unwrap();
         p.cmd_after(DramCommand::Read { bank: 0, col: 0 }, 9_000)
             .unwrap();
         p.sleep(100).unwrap();
         assert_eq!(p.len(), 3);
         assert_eq!(p.read_count(), 1);
         assert_eq!(p.column_count(), 1);
-        p.cmd(DramCommand::Write {
+        p.cmd_auto(DramCommand::Write {
             bank: 0,
             col: 1,
             data: [0; 64],
@@ -165,24 +162,24 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let mut p = BenderProgram::with_capacity(2);
-        p.cmd(DramCommand::Refresh).unwrap();
-        p.cmd(DramCommand::Refresh).unwrap();
-        let err = p.cmd(DramCommand::Refresh).unwrap_err();
+        p.cmd_auto(DramCommand::Refresh).unwrap();
+        p.cmd_auto(DramCommand::Refresh).unwrap();
+        let err = p.cmd_auto(DramCommand::Refresh).unwrap_err();
         assert_eq!(err, BenderError::ProgramTooLong { capacity: 2 });
     }
 
     #[test]
     fn clear_resets() {
         let mut p = BenderProgram::with_capacity(4);
-        p.cmd(DramCommand::Read { bank: 0, col: 0 }).unwrap();
+        p.cmd_auto(DramCommand::Read { bank: 0, col: 0 }).unwrap();
         p.clear();
         assert!(p.is_empty());
         assert_eq!((p.read_count(), p.column_count()), (0, 0));
         // Capacity retained.
         for _ in 0..4 {
-            p.cmd(DramCommand::Refresh).unwrap();
+            p.cmd_auto(DramCommand::Refresh).unwrap();
         }
-        assert!(p.cmd(DramCommand::Refresh).is_err());
+        assert!(p.cmd_auto(DramCommand::Refresh).is_err());
     }
 
     #[test]

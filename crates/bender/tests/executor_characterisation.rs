@@ -91,7 +91,7 @@ impl Stream {
     /// `ACT` lands on a precharged bank.
     fn close_first(&mut self, p: &mut BenderProgram, bank: u32) {
         if self.dev.open_row(bank).is_some() {
-            p.cmd(DramCommand::Precharge { bank }).unwrap();
+            p.cmd_auto(DramCommand::Precharge { bank }).unwrap();
         }
     }
 
@@ -150,13 +150,13 @@ impl Stream {
             // ordinary request.
             0..=9 => {
                 self.close_first(&mut p, bank);
-                p.cmd(DramCommand::Activate { bank, row }).unwrap();
+                p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
                 for _ in 0..1 + self.rand(4) {
                     let op = self.column_op(bank);
-                    p.cmd(op).unwrap();
+                    p.cmd_auto(op).unwrap();
                 }
                 if self.rand(2) == 0 {
-                    p.cmd(DramCommand::Precharge { bank }).unwrap();
+                    p.cmd_auto(DramCommand::Precharge { bank }).unwrap();
                 }
             }
             // Row hits: column commands alone on whatever is open (a closed
@@ -164,32 +164,32 @@ impl Stream {
             10..=12 => {
                 for _ in 0..1 + self.rand(3) {
                     let op = self.column_op(bank);
-                    p.cmd(op).unwrap();
+                    p.cmd_auto(op).unwrap();
                 }
             }
             // Reduced-tRCD column access, then `Auto` ones.
             13..=16 => {
                 self.close_first(&mut p, bank);
-                p.cmd(DramCommand::Activate { bank, row }).unwrap();
+                p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
                 let op = self.column_op(bank);
                 p.cmd_after(op, 1_500 + self.rand(9) * 1_500).unwrap();
                 for _ in 0..self.rand(3) {
                     let op = self.column_op(bank);
-                    p.cmd(op).unwrap();
+                    p.cmd_auto(op).unwrap();
                 }
-                p.cmd(DramCommand::Precharge { bank }).unwrap();
+                p.cmd_auto(DramCommand::Precharge { bank }).unwrap();
             }
             // Early PRE on a dirty row (tWR, often tRAS), then an early ACT
             // (tRP) outside the RowClone window.
             17..=20 => {
                 self.close_first(&mut p, bank);
-                p.cmd(DramCommand::Activate { bank, row }).unwrap();
+                p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
                 let col = self.col();
                 let wr = self.write(bank, col);
                 if self.rand(3) == 0 {
                     p.cmd_after(wr, 3_000).unwrap();
                 } else {
-                    p.cmd(wr).unwrap();
+                    p.cmd_auto(wr).unwrap();
                 }
                 p.cmd_after(
                     DramCommand::Precharge { bank },
@@ -199,8 +199,8 @@ impl Stream {
                 let other = self.row();
                 p.cmd_after(DramCommand::Activate { bank, row: other }, 7_500)
                     .unwrap();
-                p.cmd(DramCommand::Read { bank, col }).unwrap();
-                p.cmd(DramCommand::Precharge { bank }).unwrap();
+                p.cmd_auto(DramCommand::Read { bank, col }).unwrap();
+                p.cmd_auto(DramCommand::Precharge { bank }).unwrap();
             }
             // RowClone, as `EasyApi::rowclone` builds it; the source is
             // sometimes restored first, the destination in either subarray,
@@ -208,10 +208,10 @@ impl Stream {
             21..=25 => {
                 self.close_first(&mut p, bank);
                 if self.rand(2) == 0 {
-                    p.cmd(DramCommand::Activate { bank, row }).unwrap();
-                    p.cmd(DramCommand::Precharge { bank }).unwrap();
+                    p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
+                    p.cmd_auto(DramCommand::Precharge { bank }).unwrap();
                 }
-                p.cmd(DramCommand::Activate { bank, row }).unwrap();
+                p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
                 p.cmd_after(DramCommand::Precharge { bank }, 3_000).unwrap();
                 let dst = self.row();
                 let dst_bank = if self.rand(8) == 0 { bank ^ 1 } else { bank };
@@ -225,51 +225,52 @@ impl Stream {
                 .unwrap();
                 for _ in 0..self.rand(3) {
                     let op = self.column_op(dst_bank);
-                    p.cmd(op).unwrap();
+                    p.cmd_auto(op).unwrap();
                 }
-                p.cmd(DramCommand::Precharge { bank: dst_bank }).unwrap();
+                p.cmd_auto(DramCommand::Precharge { bank: dst_bank })
+                    .unwrap();
             }
             // `Auto` commands the bank state does not admit: ACT and RFM on
             // an open bank, REF with rows open. The timing is met, the
             // state is not.
             26..=29 => {
                 self.close_first(&mut p, bank);
-                p.cmd(DramCommand::Activate { bank, row }).unwrap();
+                p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
                 let wr = self.write(bank, 0);
-                p.cmd(wr).unwrap();
+                p.cmd_auto(wr).unwrap();
                 let other = self.row();
                 match self.rand(3) {
-                    0 => p.cmd(DramCommand::Activate { bank, row: other }),
-                    1 => p.cmd(DramCommand::RefreshRow { bank, row: other }),
-                    _ => p.cmd(DramCommand::Refresh),
+                    0 => p.cmd_auto(DramCommand::Activate { bank, row: other }),
+                    1 => p.cmd_auto(DramCommand::RefreshRow { bank, row: other }),
+                    _ => p.cmd_auto(DramCommand::Refresh),
                 }
                 .unwrap();
-                p.cmd(DramCommand::Read { bank, col: 0 }).unwrap();
-                p.cmd(DramCommand::Precharge { bank }).unwrap();
+                p.cmd_auto(DramCommand::Read { bank, col: 0 }).unwrap();
+                p.cmd_auto(DramCommand::Precharge { bank }).unwrap();
             }
             // PREA over open banks, `Auto` or early, then REF or RFM.
             30..=32 => {
-                p.cmd(DramCommand::Activate { bank, row }).unwrap();
+                p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
                 let other = self.row();
-                p.cmd(DramCommand::Activate {
+                p.cmd_auto(DramCommand::Activate {
                     bank: bank ^ 2,
                     row: other,
                 })
                 .unwrap();
                 let wr = self.write(bank, 1);
-                p.cmd(wr).unwrap();
+                p.cmd_auto(wr).unwrap();
                 if self.rand(2) == 0 {
-                    p.cmd(DramCommand::PrechargeAll).unwrap();
+                    p.cmd_auto(DramCommand::PrechargeAll).unwrap();
                 } else {
                     p.cmd_after(DramCommand::PrechargeAll, 1_500).unwrap();
                 }
                 if self.rand(2) == 0 {
-                    p.cmd(DramCommand::Refresh).unwrap();
+                    p.cmd_auto(DramCommand::Refresh).unwrap();
                 } else {
                     p.cmd_after(DramCommand::RefreshRow { bank, row: other }, 4_500)
                         .unwrap();
                 }
-                p.cmd(DramCommand::Activate { bank, row }).unwrap();
+                p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
             }
             // Sleeps: before the first command, between `After` and `Auto`
             // commands, and trailing (the program ends when its last sleep
@@ -282,12 +283,12 @@ impl Stream {
                 p.sleep(self.rand(30) * 1_000).unwrap();
                 let op = self.column_op(bank);
                 if self.rand(2) == 0 {
-                    p.cmd(op).unwrap();
+                    p.cmd_auto(op).unwrap();
                 } else {
                     p.cmd_after(op, 1_500 + self.rand(12) * 1_500).unwrap();
                 }
                 p.sleep(self.rand(3) * 40_000).unwrap();
-                p.cmd(DramCommand::Precharge { bank }).unwrap();
+                p.cmd_auto(DramCommand::Precharge { bank }).unwrap();
                 p.sleep(self.rand(4) * 25_000).unwrap();
             }
             // Readback order: many reads, writes between them, two banks.
@@ -295,9 +296,9 @@ impl Stream {
                 let other_bank = bank ^ 1 ^ (self.rand(2) as u32 * 2);
                 self.close_first(&mut p, bank);
                 self.close_first(&mut p, other_bank);
-                p.cmd(DramCommand::Activate { bank, row }).unwrap();
+                p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
                 let other = self.row();
-                p.cmd(DramCommand::Activate {
+                p.cmd_auto(DramCommand::Activate {
                     bank: other_bank,
                     row: other,
                 })
@@ -308,7 +309,7 @@ impl Stream {
                     if self.rand(6) == 0 {
                         p.cmd_after(op, self.rand(4) * 1_500).unwrap();
                     } else {
-                        p.cmd(op).unwrap();
+                        p.cmd_auto(op).unwrap();
                     }
                 }
             }
@@ -316,8 +317,8 @@ impl Stream {
             // ran before it, nothing after it runs.
             40 => {
                 self.close_first(&mut p, bank);
-                p.cmd(DramCommand::Activate { bank, row }).unwrap();
-                p.cmd(DramCommand::Read { bank, col: 3 }).unwrap();
+                p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
+                p.cmd_auto(DramCommand::Read { bank, col: 3 }).unwrap();
                 let bad = match self.rand(3) {
                     0 => DramCommand::Read { bank: 99, col: 0 },
                     1 => DramCommand::Activate { bank, row: 1 << 20 },
@@ -328,19 +329,19 @@ impl Stream {
                     },
                 };
                 if self.rand(2) == 0 {
-                    p.cmd(bad).unwrap();
+                    p.cmd_auto(bad).unwrap();
                 } else {
                     p.cmd_after(bad, 1_500).unwrap();
                 }
-                p.cmd(DramCommand::Read { bank, col: 4 }).unwrap();
-                p.cmd(DramCommand::Precharge { bank }).unwrap();
+                p.cmd_auto(DramCommand::Read { bank, col: 4 }).unwrap();
+                p.cmd_auto(DramCommand::Precharge { bank }).unwrap();
             }
             // Hammer one row with `Auto` ACT/PRE pairs.
             41..=42 => {
                 self.close_first(&mut p, bank);
                 for _ in 0..10 + self.rand(40) {
-                    p.cmd(DramCommand::Activate { bank, row }).unwrap();
-                    p.cmd(DramCommand::Precharge { bank }).unwrap();
+                    p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
+                    p.cmd_auto(DramCommand::Precharge { bank }).unwrap();
                 }
             }
             // Nothing, or nothing but time.

@@ -30,11 +30,11 @@ fn steady_state_cycles_do_not_allocate() {
             let col = row % 128;
             let data = [row as u8; LINE_BYTES];
             let mut p = BenderProgram::new();
-            p.cmd(DramCommand::Activate { bank, row }).unwrap();
-            p.cmd(DramCommand::Read { bank, col }).unwrap();
-            p.cmd(DramCommand::Write { bank, col, data }).unwrap();
-            p.cmd(DramCommand::Read { bank, col }).unwrap();
-            p.cmd(DramCommand::Precharge { bank }).unwrap();
+            p.cmd_auto(DramCommand::Activate { bank, row }).unwrap();
+            p.cmd_auto(DramCommand::Read { bank, col }).unwrap();
+            p.cmd_auto(DramCommand::Write { bank, col, data }).unwrap();
+            p.cmd_auto(DramCommand::Read { bank, col }).unwrap();
+            p.cmd_auto(DramCommand::Precharge { bank }).unwrap();
             p
         })
         .collect();
@@ -73,15 +73,18 @@ fn a_violating_program_allocates_only_the_checkers_lists() {
     // rows stay clean: an interrupted restore of written lines snapshots
     // the row, which is the device's business, not the command path's.)
     let mut p = BenderProgram::new();
-    p.cmd(DramCommand::Activate { bank: 0, row: 3 }).unwrap();
+    p.cmd_auto(DramCommand::Activate { bank: 0, row: 3 })
+        .unwrap();
     p.cmd_after(DramCommand::Read { bank: 0, col: 1 }, 7_500)
         .unwrap();
     p.cmd_after(DramCommand::Precharge { bank: 0 }, 3_000)
         .unwrap();
-    p.cmd(DramCommand::Read { bank: 0, col: 2 }).unwrap();
-    p.cmd(DramCommand::Activate { bank: 0, row: 3 }).unwrap();
-    p.cmd(DramCommand::Activate { bank: 0, row: 4 }).unwrap();
-    p.cmd(DramCommand::Precharge { bank: 0 }).unwrap();
+    p.cmd_auto(DramCommand::Read { bank: 0, col: 2 }).unwrap();
+    p.cmd_auto(DramCommand::Activate { bank: 0, row: 3 })
+        .unwrap();
+    p.cmd_auto(DramCommand::Activate { bank: 0, row: 4 })
+        .unwrap();
+    p.cmd_auto(DramCommand::Precharge { bank: 0 }).unwrap();
     const ILLEGAL: u64 = 4;
     let exec = Executor::new();
     let mut result = BenderResult::default();

@@ -84,8 +84,6 @@ impl ApiSession {
             pending: VecDeque::with_capacity(capacity + 1),
             capacity,
             table: Vec::new(),
-            // The derived `BenderProgram::default()` has zero capacity; the
-            // command buffer must admit real command batches.
             program: BenderProgram::new(),
             flush: BenderResult::default(),
             responses: Vec::new(),
