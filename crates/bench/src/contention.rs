@@ -150,7 +150,6 @@ pub(crate) fn latency_cdf(scale: Scale) -> Figure {
         (1_024, 64 * KIB, 128 * KIB, 1_000_000),
         (2_048, 128 * KIB, 128 * KIB, 1_000_000),
     );
-    // `trace: Some` wins over the `EASYDRAM_TRACE` environment.
     let run = |trace: Option<TraceConfig>| {
         let mut cfg = rig(2);
         cfg.trace = trace;

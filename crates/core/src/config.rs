@@ -107,10 +107,10 @@ pub struct SystemConfig {
     /// byte-identical at every value. The field stays because `benchmark/`
     /// sets it; it goes when that pin does (see ROADMAP).
     pub threads: Option<u32>,
-    /// Event-tracing override. `None` (the default everywhere) defers to the
-    /// `EASYDRAM_TRACE` environment variable; `Some(cfg)` forces tracing on
-    /// with the given ring capacity. Tracing never changes a report byte —
-    /// it only records events (see `crate::obs`).
+    /// Event tracing: `None` (the default everywhere) records no events;
+    /// `Some(cfg)` turns tracing on with the given ring capacity. This field
+    /// is the only switch. Tracing never changes a report byte — it only
+    /// records events (see `crate::obs`).
     pub trace: Option<TraceConfig>,
 }
 

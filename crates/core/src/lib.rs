@@ -61,8 +61,8 @@ pub use costs::SmcCostModel;
 pub use counters::Counters;
 pub use multicore::{CoRunReport, CoreRun, MultiCoreSystem};
 pub use obs::{
-    configured_trace, validate_chrome_json, EventKind, EventRing, LogHistogram, TileMetrics,
-    TraceConfig, TraceEvent, TraceLog, TRACE_ENV,
+    validate_chrome_json, EventKind, EventRing, LogHistogram, TileMetrics, TraceConfig, TraceEvent,
+    TraceLog,
 };
 pub use par::WorkerPool;
 pub use profiling::{ProfileOutcome, TrcdProfiler};

@@ -195,7 +195,7 @@ impl MultiCoreSystem {
 
         // --- The co-run itself: one thread per core, baton-scheduled. ---
         let sched = CoScheduler::new(n, self.quantum);
-        let trace_cfg = self.with_tile(|t| t.trace_config());
+        let trace_cfg = self.with_tile(|t| t.config().trace);
         if let Some(t) = trace_cfg {
             sched.enable_switch_log(t.ring_capacity);
         }

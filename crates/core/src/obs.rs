@@ -13,7 +13,9 @@
 //!   disabled. Metrics histograms are always on, so reports carry latency
 //!   percentiles whether or not events are being recorded, and enabling
 //!   tracing cannot change a single report byte (observer effect = 0,
-//!   pinned by the snapshot suite).
+//!   pinned by `tracing_moves_no_report_byte` in
+//!   `crates/core/tests/serve_characterisation.rs`). `SystemConfig::trace`
+//!   is the only switch: nothing here reads the process environment.
 //! * **Order-invariant reduction**: [`LogHistogram::merge`] and
 //!   [`TileMetrics::merge`] are commutative and associative (element-wise
 //!   sums), so shards fold to the same frame in any order (proven by
@@ -37,23 +39,18 @@ use crate::request::RequestClass;
 /// saturate into the top bucket.
 pub const HIST_BUCKETS: usize = 32;
 
-/// Environment variable that enables event tracing when the config leaves
-/// `SystemConfig::trace` unset: `0`/unset disables, `1` enables with the
-/// default ring capacity, any other number is the per-lane ring capacity.
-pub const TRACE_ENV: &str = "EASYDRAM_TRACE";
-
 /// Default per-lane event-ring capacity (events, not bytes).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// Largest per-lane event-ring capacity a system accepts (events). Every
 /// lane ring and every channel device's command ring reserves its full
-/// capacity at construction, so an unbounded value from the environment
-/// would abort the process in the allocator; 2²² events is 64x the default
-/// (160 MiB of lane ring). [`TRACE_ENV`] values clamp to it and
-/// `SystemConfig::validate` rejects an explicit [`TraceConfig`] above it.
+/// capacity at construction, so an unbounded capacity would abort the
+/// process in the allocator; 2²² events is 64x the default (160 MiB of lane
+/// ring). `SystemConfig::validate` rejects a [`TraceConfig`] above it.
 pub const MAX_RING_CAPACITY: usize = 1 << 22;
 
-/// Event-tracing configuration (resolved; see [`configured_trace`]).
+/// Event-tracing configuration: `SystemConfig::trace` set to `Some` turns
+/// tracing on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Capacity of each per-lane event ring, in events. The DRAM command
@@ -66,30 +63,6 @@ impl Default for TraceConfig {
         Self {
             ring_capacity: DEFAULT_RING_CAPACITY,
         }
-    }
-}
-
-/// Resolves the effective tracing configuration: an explicit
-/// `SystemConfig::trace` wins; otherwise the [`TRACE_ENV`] environment
-/// variable is consulted. Returns `None` when tracing is off.
-#[must_use]
-pub fn configured_trace(explicit: Option<TraceConfig>) -> Option<TraceConfig> {
-    if explicit.is_some() {
-        return explicit;
-    }
-    parse_trace_env(&std::env::var(TRACE_ENV).ok()?)
-}
-
-/// The meaning of a raw [`TRACE_ENV`] value: off, the default capacity, or a
-/// capacity clamped to `16..=`[`MAX_RING_CAPACITY`] (the value comes from
-/// outside the program and is allocated in full). Unparsable values are off.
-fn parse_trace_env(raw: &str) -> Option<TraceConfig> {
-    match raw.trim() {
-        "" | "0" | "false" => None,
-        "1" | "true" => Some(TraceConfig::default()),
-        n => Some(TraceConfig {
-            ring_capacity: n.parse::<usize>().ok()?.clamp(16, MAX_RING_CAPACITY),
-        }),
     }
 }
 
@@ -1114,20 +1087,5 @@ mod tests {
         assert_eq!(m.read_latency.count, 0);
         let (p50, p95, p99) = m.latency_percentiles();
         assert_eq!((p50, p95, p99), (1023, 1023, 1023), "900 lands in 512–1023");
-    }
-
-    #[test]
-    fn trace_config_resolution_prefers_explicit() {
-        let explicit = Some(TraceConfig { ring_capacity: 99 });
-        assert_eq!(configured_trace(explicit), explicit);
-        // The environment's value goes through a pure parser (setting the
-        // variable here would race other tests).
-        let capacity = |raw| parse_trace_env(raw).map(|t| t.ring_capacity);
-        assert_eq!(capacity("0"), None);
-        assert_eq!(capacity("not a number"), None);
-        assert_eq!(capacity(" 1 "), Some(DEFAULT_RING_CAPACITY));
-        assert_eq!(capacity("3"), Some(16));
-        assert_eq!(capacity("4096"), Some(4096));
-        assert_eq!(capacity("1000000000000"), Some(MAX_RING_CAPACITY));
     }
 }

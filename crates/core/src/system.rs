@@ -22,9 +22,7 @@ use easydram_dram::{AddressMapper, DramAddress, DramDevice, LINE_BYTES};
 use crate::alloc::RowCloneAllocator;
 use crate::config::SystemConfig;
 use crate::counters::{counters, Counters};
-use crate::obs::{
-    configured_trace, EventKind, EventRing, TileMetrics, TraceConfig, TraceEvent, TraceLog,
-};
+use crate::obs::{EventKind, EventRing, TileMetrics, TraceEvent, TraceLog};
 use crate::obs_trace;
 use crate::report::{BankRowOutcomes, ChannelStats, ExecutionReport, RequestorStats, SmcStats};
 use crate::request::{MemRequest, MemResponse, RequestClass, RequestKind};
@@ -252,9 +250,6 @@ pub struct Tile {
     /// Always-on latency/depth/batch histograms, accumulated in the
     /// pricing reduction (identical whether or not tracing is enabled).
     metrics: TileMetrics,
-    /// Resolved tracing configuration (`cfg.trace`, else `EASYDRAM_TRACE`);
-    /// `None` means no rings exist anywhere.
-    trace: Option<TraceConfig>,
 }
 
 impl Tile {
@@ -262,7 +257,6 @@ impl Tile {
         let geometry = cfg.dram.geometry.clone();
         let mapper = AddressMapper::new(geometry.clone(), cfg.mapping);
         let placement = RowCloneAllocator::new(&geometry, cfg.rowclone_test_trials);
-        let trace = configured_trace(cfg.trace);
         let lanes = (0..geometry.channels)
             .map(|ch| {
                 let mut dram = cfg.dram.clone();
@@ -272,7 +266,7 @@ impl Tile {
                 // configured seed, so single-channel systems are unchanged).
                 dram.variation.seed = dram.variation.seed.wrapping_add(u64::from(ch));
                 let mut device = DramDevice::new(dram);
-                if let Some(t) = trace {
+                if let Some(t) = cfg.trace {
                     device.enable_cmd_trace(t.ring_capacity);
                 }
                 Lane {
@@ -286,7 +280,7 @@ impl Tile {
                     ),
                     controller: Box::new(FrFcfsController::new()),
                     stats: ChannelStats::default(),
-                    ring: trace.map(|t| EventRing::new(t.ring_capacity)),
+                    ring: cfg.trace.map(|t| EventRing::new(t.ring_capacity)),
                     mit_seen: 0,
                     pass: None,
                 }
@@ -306,15 +300,7 @@ impl Tile {
             requestor_stats: Vec::new(),
             stats: SmcStats::default(),
             metrics: TileMetrics::default(),
-            trace,
         }
-    }
-
-    /// The resolved tracing configuration (`cfg.trace`, else the
-    /// `EASYDRAM_TRACE` environment variable at construction time).
-    #[must_use]
-    pub fn trace_config(&self) -> Option<TraceConfig> {
-        self.trace
     }
 
     /// The cumulative always-on metric frame (latency/depth/batch

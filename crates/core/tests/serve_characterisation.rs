@@ -9,12 +9,16 @@
 //! function with the timing-mode arithmetic in its middle; any change to it
 //! means a request is now released at another cycle, a counter folds
 //! differently or a trace event moved.
+//!
+//! The same mix, traced and untraced, also pins the observer effect at
+//! zero: tracing may add events, and must move nothing else.
 
 #[path = "../../../tests/support/fnv.rs"]
 mod fnv;
 
 use easydram::{
-    EventKind, FcfsController, GrapheneController, System, SystemConfig, TimingMode, TraceConfig,
+    EventKind, FcfsController, GrapheneController, ParaController, System, SystemConfig,
+    TimingMode, TraceConfig,
 };
 use easydram_cpu::{CpuApi, MemoryBackend, Workload, LINE_BYTES};
 use easydram_dram::det::splitmix64;
@@ -31,12 +35,55 @@ const CLONE_ROWS: u64 = 4;
 /// The two aggressors of the hammer bursts: same bank, one victim between.
 const HAMMER_ROWS: [u32; 2] = [700, 702];
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum Controller {
     Fcfs,
     FrFcfs,
     FrFcfsReducedTrcd,
     Graphene,
+    Para,
+}
+
+const MODES: [TimingMode; 3] = [
+    TimingMode::Reference,
+    TimingMode::TimeScaling,
+    TimingMode::NoTimeScaling,
+];
+const CHANNELS: [u32; 3] = [1, 2, 4];
+/// The controllers the digest drives.
+const DIGESTED: [Controller; 4] = [
+    Controller::Fcfs,
+    Controller::FrFcfs,
+    Controller::FrFcfsReducedTrcd,
+    Controller::Graphene,
+];
+
+/// One thing a drive observed.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    /// An [`easydram::ExecutionReport`], `{:?}`.
+    Report(String),
+    /// A release cycle, loaded data or another answer of the tile.
+    Word(u64),
+}
+
+/// Everything one drive observed, in order, and then its binary trace: the
+/// one output tracing may change.
+struct Run {
+    seen: Vec<Seen>,
+    trace: Vec<u8>,
+}
+
+impl Run {
+    fn digest(&self, d: &mut Digest) {
+        for seen in &self.seen {
+            match seen {
+                Seen::Report(report) => d.bytes(report.as_bytes()),
+                Seen::Word(x) => d.word(*x),
+            }
+        }
+        d.bytes(&self.trace);
+    }
 }
 
 /// Through the core and its caches, so the windowed report (`System::run`)
@@ -63,11 +110,12 @@ impl Workload for FlushBurst {
     }
 }
 
-fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool, d: &mut Digest) {
+fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool) -> Run {
+    let mitigating = matches!(controller, Controller::Graphene | Controller::Para);
     let mut cfg = SystemConfig::small_for_tests(mode);
     cfg.dram.geometry.channels = channels;
     cfg.write_buffer_depth = 4;
-    cfg.dram.variation.disturb_enabled = matches!(controller, Controller::Graphene);
+    cfg.dram.variation.disturb_enabled = mitigating;
     cfg.trace = traced.then_some(TraceConfig {
         ring_capacity: 1 << 16,
     });
@@ -82,9 +130,11 @@ fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool, 
         Controller::Graphene => sys
             .tile_mut()
             .install_controllers(|_| Box::new(GrapheneController::new(16, 8))),
+        Controller::Para => sys
+            .tile_mut()
+            .install_controllers(|ch| Box::new(ParaController::new(8, 0xEA5D + u64::from(ch)))),
     }
-    let report = sys.run(&mut FlushBurst);
-    d.bytes(format!("{report:?}").as_bytes());
+    let mut seen = vec![Seen::Report(format!("{:?}", sys.run(&mut FlushBurst)))];
 
     let row_bytes = sys.tile().row_bytes();
     let base = sys.tile_mut().alloc(LINES * LINE_BYTES as u64, row_bytes);
@@ -107,7 +157,8 @@ fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool, 
         let next = match rand(16) {
             0..=4 => {
                 let fetch = tile.read_line(addr, now);
-                d.bytes(&fetch.data[..8]);
+                let data = fetch.data[..8].try_into().expect("eight bytes");
+                seen.push(Seen::Word(u64::from_le_bytes(data)));
                 fetch.complete_cycle
             }
             5..=9 => tile.post_write(addr, [(i as u8).wrapping_add(1); LINE_BYTES], now) + 1,
@@ -115,7 +166,7 @@ fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool, 
             11 => {
                 let row = rand(CLONE_ROWS) * row_bytes;
                 let done = tile.rowclone(src + row, dst + row, now).expect("supported");
-                d.word(u64::from(done.copied));
+                seen.push(Seen::Word(u64::from(done.copied)));
                 done.complete_cycle
             }
             12 => {
@@ -128,7 +179,7 @@ fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool, 
             13 => {
                 let (row, col) = (rand(1_024) as u32, rand(128) as u32);
                 let ok = tile.profile_line(rand(2) as u32, row, col, 9_000, now);
-                d.word(u64::from(ok));
+                seen.push(Seen::Word(u64::from(ok)));
                 now + 1
             }
             14 => {
@@ -137,7 +188,7 @@ fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool, 
                 let mut t = now;
                 for k in 0..8 {
                     t = tile.read_line(hammer[k % 2], t).complete_cycle;
-                    d.word(t);
+                    seen.push(Seen::Word(t));
                 }
                 t
             }
@@ -145,20 +196,21 @@ fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool, 
                 // A host-side batch: several reads posted, one drain.
                 for _ in 0..3 {
                     let addr = base + rand(LINES) * LINE_BYTES as u64;
-                    d.word(tile.post_request(easydram::RequestKind::Read { addr }, now));
+                    let posted = tile.post_request(easydram::RequestKind::Read { addr }, now);
+                    seen.push(Seen::Word(posted));
                 }
                 tile.drain_writes(now)
             }
         };
-        d.word(next);
+        seen.push(Seen::Word(next));
         now = next.max(now + 1);
         if i % 100 == 99 {
-            d.bytes(format!("{:?}", sys.report("checkpoint")).as_bytes());
+            seen.push(Seen::Report(format!("{:?}", sys.report("checkpoint"))));
         }
     }
-    d.word(sys.tile_mut().drain_writes(now));
+    seen.push(Seen::Word(sys.tile_mut().drain_writes(now)));
     let end = sys.report("end");
-    d.bytes(format!("{end:?}").as_bytes());
+    seen.push(Seen::Report(format!("{end:?}")));
     let log = sys.take_trace();
     assert_eq!(log.dropped, 0);
     // The mix reaches what it is here for.
@@ -168,7 +220,7 @@ fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool, 
         "a qualified pair copied in DRAM"
     );
     assert!(end.smc.peak_batch >= 4 && end.requestors.len() == 2);
-    if matches!(controller, Controller::Graphene) {
+    if mitigating {
         let refreshes = end.mitigation.expect("mitigating").targeted_refreshes;
         assert!(refreshes > 0, "the bursts must trip it");
         let traced_refreshes: u64 = (log.events.iter())
@@ -177,7 +229,10 @@ fn drive(mode: TimingMode, channels: u32, controller: Controller, traced: bool, 
             .sum();
         assert_eq!(traced_refreshes, if traced { refreshes } else { 0 });
     }
-    d.bytes(&log.to_binary());
+    Run {
+        seen,
+        trace: log.to_binary(),
+    }
 }
 
 /// Recorded at the parent of the serve-pass split, then re-recorded once
@@ -188,23 +243,48 @@ const SERVE_DIGEST: u64 = 0x5F49_1FC9_5A68_91F4;
 #[test]
 fn serve_pass_digest_is_unchanged() {
     let mut d = Digest::default();
-    for mode in [
-        TimingMode::Reference,
-        TimingMode::TimeScaling,
-        TimingMode::NoTimeScaling,
-    ] {
-        for channels in [1, 2, 4] {
-            for controller in [
-                Controller::Fcfs,
-                Controller::FrFcfs,
-                Controller::FrFcfsReducedTrcd,
-                Controller::Graphene,
-            ] {
+    for mode in MODES {
+        for channels in CHANNELS {
+            for controller in DIGESTED {
                 for traced in [false, true] {
-                    drive(mode, channels, controller, traced, &mut d);
+                    drive(mode, channels, controller, traced).digest(&mut d);
                 }
             }
         }
     }
     assert_eq!(d.0, SERVE_DIGEST, "digest {:#018x}", d.0);
+}
+
+/// The observer effect is zero where the rings live: under every
+/// configuration the digest drives, and PARA, a traced run observes exactly
+/// what an untraced one does (every report string, every release cycle).
+#[test]
+fn tracing_moves_no_report_byte() {
+    for mode in MODES {
+        for channels in CHANNELS {
+            for controller in DIGESTED.into_iter().chain([Controller::Para]) {
+                let untraced = drive(mode, channels, controller, false).seen;
+                let traced = drive(mode, channels, controller, true).seen;
+                let n = untraced.len().max(traced.len());
+                if let Some(i) = (0..n).find(|&i| untraced.get(i) != traced.get(i)) {
+                    let (a, b) = (
+                        format!("{:?}", untraced.get(i)),
+                        format!("{:?}", traced.get(i)),
+                    );
+                    // Both from the field in which they part.
+                    let at = a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count();
+                    let from = (a.get(..at))
+                        .and_then(|s| s.rfind(", "))
+                        .map_or(0, |k| k + 2);
+                    let field = |s: &str| s[from..].chars().take(120).collect::<String>();
+                    panic!(
+                        "{mode:?}, {channels} channel(s), {controller:?}: tracing moved \
+                         observation {i}\nuntraced: {}\n  traced: {}",
+                        field(&a),
+                        field(&b)
+                    );
+                }
+            }
+        }
+    }
 }

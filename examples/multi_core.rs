@@ -17,6 +17,10 @@ use easydram_suite::easydram::{MultiCoreSystem, SystemConfig, TimingMode};
 use easydram_suite::workloads::lmbench::LatMemRd;
 use easydram_suite::workloads::StreamWriter;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a run-length knob for CI; it picks the workload, not the simulation's behaviour"
+)]
 fn quick() -> bool {
     std::env::var("EASYDRAM_QUICK").is_ok_and(|v| v != "0")
 }

@@ -13,6 +13,10 @@ use easydram_suite::easydram::{
 use easydram_suite::workloads::hammer::{HammerKernel, HammerPattern};
 use easydram_suite::workloads::Workload;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a run-length knob for CI; it picks the workload, not the simulation's behaviour"
+)]
 fn quick() -> bool {
     std::env::var("EASYDRAM_QUICK").is_ok_and(|v| v != "0")
 }

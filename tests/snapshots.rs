@@ -8,9 +8,10 @@
 //! any figure's pipeline shows up as a byte diff here, pretty-printed at the
 //! first divergent field.
 //!
-//! Every figure additionally runs a second time with `EASYDRAM_TRACE=1`,
-//! which proves the observability layer has zero observer effect: event
-//! tracing on or off, the report bytes never move.
+//! Figures render with the tracing their own configurations set (only
+//! `fig_latency_cdf` traces). That tracing moves no report byte is checked
+//! where the rings live, by `tracing_moves_no_report_byte` in
+//! `crates/core/tests/serve_characterisation.rs`.
 //!
 //! Regenerate the goldens with:
 //!
@@ -21,10 +22,8 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use easydram_bench::{figure, Scale, FIGURES};
-use easydram_suite::easydram::TRACE_ENV;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -37,7 +36,12 @@ fn golden_path(name: &str) -> PathBuf {
 /// field pretty-printed (line number, expected vs. actual, and context).
 fn check_snapshot(name: &str, actual: &str) {
     let path = golden_path(name);
-    if std::env::var_os("EASYDRAM_BLESS").is_some() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a developer switch that rewrites the goldens; it never reaches a simulation"
+    )]
+    let bless = std::env::var_os("EASYDRAM_BLESS").is_some();
+    if bless {
         fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir goldens");
         fs::write(&path, actual).expect("write golden");
         return;
@@ -51,43 +55,6 @@ fn check_snapshot(name: &str, actual: &str) {
     if expected != actual {
         panic!("{}", first_divergence(name, &expected, actual));
     }
-}
-
-/// `EASYDRAM_TRACE` is process-global and the tests in this binary run
-/// concurrently, so every render pair serializes behind this lock and
-/// restores the variable before releasing it.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores `EASYDRAM_TRACE` to its pre-render value on drop, so a
-/// panicking render cannot leak tracing into later tests.
-struct TraceEnvGuard(Option<std::ffi::OsString>);
-
-impl Drop for TraceEnvGuard {
-    fn drop(&mut self) {
-        match self.0.take() {
-            Some(v) => std::env::set_var(TRACE_ENV, v),
-            None => std::env::remove_var(TRACE_ENV),
-        }
-    }
-}
-
-/// Renders the figure untraced and with `EASYDRAM_TRACE=1`, asserts the two
-/// snapshots are byte-identical (the observer-effect probe), then pins the
-/// untraced render against the golden.
-fn check_snapshot_trace_invisible(name: &str, render: impl Fn() -> String) {
-    let _serial = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = TraceEnvGuard(std::env::var_os(TRACE_ENV));
-    std::env::remove_var(TRACE_ENV);
-    let untraced = render();
-    std::env::set_var(TRACE_ENV, "1");
-    let traced = render();
-    assert!(
-        traced == untraced,
-        "figure '{name}' is not trace-invisible \
-         (EASYDRAM_TRACE=1 changed the report):\n{}",
-        first_divergence(name, &untraced, &traced)
-    );
-    check_snapshot(name, &untraced);
 }
 
 /// Renders the first divergent line of two snapshots with surrounding
@@ -125,7 +92,7 @@ fn first_divergence(name: &str, expected: &str, actual: &str) -> String {
 /// Renders figure `name` at `Scale::Golden` and pins its sections.
 fn check_figure(name: &str) {
     let run = figure(name).expect("a figure of FIGURES");
-    check_snapshot_trace_invisible(name, || run(Scale::Golden).sections);
+    check_snapshot(name, &run(Scale::Golden).sections);
 }
 
 macro_rules! figure_snapshots {
@@ -167,8 +134,7 @@ fn snapshot_model_counterexamples() {
     // explorer and minimizer are fully deterministic (DFS in alphabet
     // order, greedy left-to-right delta debugging), so any change to the
     // timing tables, the trackers, or the checker's search order shows up
-    // as a diff here. No tile is involved, so this snapshot skips the
-    // traced render.
+    // as a diff here.
     use easydram_model::{
         corrupt_tfaw_window, format_trace, swap_bank_group_act_spacing, verdict, zero_rfm_fold,
         ModelConfig,
