@@ -355,27 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn single_core_multicore_matches_plain_system() {
-        // One core over a SharedBackend must time exactly like the plain
-        // System path: the handle adds attribution, never cycles.
-        let cfg = SystemConfig::small_for_tests(TimingMode::TimeScaling);
-        let mut plain = crate::System::new(cfg.clone());
-        let mut multi = MultiCoreSystem::new(cfg, 1);
-        let mut w1 = Touch {
-            lines: 48,
-            name: "solo",
-        };
-        let mut w2 = Touch {
-            lines: 48,
-            name: "solo",
-        };
-        let rp = plain.run(&mut w1);
-        let rm = multi.co_run(&mut [&mut w2]);
-        assert_eq!(rp.emulated_cycles, rm.aggregate.emulated_cycles);
-        assert_eq!(rp.smc, rm.aggregate.smc);
-    }
-
-    #[test]
     fn workload_panic_propagates_while_other_cores_finish() {
         // Core 1 panics holding the baton, mid-run. The baton must still
         // reach cores 0 and 2 (a lost baton would hang this test), and the
