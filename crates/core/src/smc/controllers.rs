@@ -413,6 +413,19 @@ mod tests {
     }
 
     #[test]
+    fn trcd_plan_treats_rows_of_unprofiled_banks_as_weak() {
+        // The shape `profile_region(sys, 2, 256)` returns: banks 0-1, rows
+        // 0-255, every one of them strong.
+        let rows: Vec<(u32, u32, u64)> = (0..2)
+            .flat_map(|bank| (0..256).map(move |row| (bank, row, 5_000)))
+            .collect();
+        let plan = TrcdPlan::from_profile(&rows, 256, 9_000);
+        assert_eq!(plan.trcd_for(1, 5), Some(9_000), "profiled and strong");
+        assert_eq!(plan.trcd_for(1, 256), None, "row outside the profile");
+        assert_eq!(plan.trcd_for(2, 5), None, "bank outside the profile");
+    }
+
+    #[test]
     fn trcd_plan_never_reduces_weak_rows() {
         // The safety property: every row the plan reduces must truly be
         // reliable at the reduced value (no false negatives in the filter).
