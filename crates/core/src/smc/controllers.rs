@@ -27,23 +27,25 @@ pub(crate) enum RowPolicy {
 pub struct TrcdPlan {
     bloom: BloomFilter,
     reduced_trcd_ps: u64,
+    covered_banks: u32,
     covered_rows_per_bank: u32,
     weak_rows: u64,
 }
 
 impl TrcdPlan {
     /// The Bloom-filter key of a row.
-    #[must_use]
-    pub fn row_key(bank: u32, row: u32) -> u64 {
+    fn row_key(bank: u32, row: u32) -> u64 {
         (u64::from(bank) << 32) | u64::from(row)
     }
 
     /// Builds a plan from profiled per-row minimum tRCD values
-    /// (`(bank, row, min_trcd_ps)` triples). Rows needing more than
-    /// `reduced_trcd_ps` are inserted as weak.
+    /// (`(bank, row, min_trcd_ps)` triples) covering the first
+    /// `covered_rows_per_bank` rows of the first `covered_banks` banks.
+    /// Rows needing more than `reduced_trcd_ps` are inserted as weak.
     #[must_use]
     pub fn from_profile(
         rows: &[(u32, u32, u64)],
+        covered_banks: u32,
         covered_rows_per_bank: u32,
         reduced_trcd_ps: u64,
     ) -> Self {
@@ -58,6 +60,7 @@ impl TrcdPlan {
         Self {
             bloom,
             reduced_trcd_ps,
+            covered_banks,
             covered_rows_per_bank,
             weak_rows,
         }
@@ -81,14 +84,14 @@ impl TrcdPlan {
                 rows.push((bank, row, variation.row_min_trcd_ps(bank, row)));
             }
         }
-        Self::from_profile(&rows, covered, reduced_trcd_ps)
+        Self::from_profile(&rows, geometry.banks(), covered, reduced_trcd_ps)
     }
 
     /// The tRCD to apply when opening `row` of `bank`: `Some(reduced)` for
     /// known-strong rows, `None` (nominal) otherwise.
     #[must_use]
     pub fn trcd_for(&self, bank: u32, row: u32) -> Option<u64> {
-        if row >= self.covered_rows_per_bank {
+        if bank >= self.covered_banks || row >= self.covered_rows_per_bank {
             return None; // outside profiled coverage: conservative
         }
         if self.bloom.contains(Self::row_key(bank, row)) {
@@ -419,7 +422,7 @@ mod tests {
         let rows: Vec<(u32, u32, u64)> = (0..2)
             .flat_map(|bank| (0..256).map(move |row| (bank, row, 5_000)))
             .collect();
-        let plan = TrcdPlan::from_profile(&rows, 256, 9_000);
+        let plan = TrcdPlan::from_profile(&rows, 2, 256, 9_000);
         assert_eq!(plan.trcd_for(1, 5), Some(9_000), "profiled and strong");
         assert_eq!(plan.trcd_for(1, 256), None, "row outside the profile");
         assert_eq!(plan.trcd_for(2, 5), None, "bank outside the profile");
