@@ -414,7 +414,6 @@ mod tests {
 
     fn full_dev() -> DramDevice {
         let mut cfg = DramConfig::small_for_tests();
-        cfg.enforce_retention = true;
         cfg.variation.disturb_enabled = true;
         cfg.variation.hc_first = (4, 8);
         cfg.variation.disturb_flip_milli = 500;

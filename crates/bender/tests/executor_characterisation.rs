@@ -363,7 +363,6 @@ fn command_path_digest_is_unchanged() {
         bank_groups: 2,
         ..cfg.geometry
     };
-    cfg.enforce_retention = false;
     cfg.variation.disturb_enabled = true;
     // Default (non-ideal) variation otherwise; the disturbance threshold is
     // lowered so the stream hammers past `HCfirst`.

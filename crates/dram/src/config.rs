@@ -223,10 +223,6 @@ pub struct DramConfig {
     pub timing: TimingParams,
     /// Real-chip variation model configuration.
     pub variation: VariationConfig,
-    /// When `true`, rows decay if not refreshed within `tREFW`
-    /// (failure-injection experiments). Performance studies leave this off
-    /// and account for refresh overheads in the controller timeline instead.
-    pub enforce_retention: bool,
 }
 
 impl DramConfig {
@@ -245,7 +241,6 @@ impl DramConfig {
             },
             timing: TimingParams::ddr4_1333(),
             variation: VariationConfig::default(),
-            enforce_retention: false,
         }
     }
 

@@ -11,7 +11,8 @@
 //!   success is governed by the subarray constraint and the pair-reliability
 //!   model (paper §7).
 //! * Early `PRE` with dirty row buffer: the incomplete restore loses writes.
-//! * Unrefreshed rows decay when retention enforcement is enabled.
+//! * Activating a row past its neighbours' `HCfirst`: read-disturbance bit
+//!   flips in the blast radius, when disturbance modeling is on.
 //!
 //! # One copy of the data
 //!
@@ -29,12 +30,12 @@
 //! the cells would be:
 //!
 //! * a `PRE` that meets tRAS/tWR copies the written lines into the array (a
-//!   clean `PRE` only stamps the restore time);
+//!   clean `PRE` leaves it as it is);
 //! * a `PRE` that violates them blends old and new contents word by word;
 //! * an `ACT` or `RFM` landing on an open bank discards the overlay — the
 //!   writes never reach the cells;
-//! * RowClone, retention decay, disturbance flips and the host backdoor
-//!   (`write_line` / `write_row`) write the array directly. A backdoor write
+//! * RowClone, disturbance flips and the host backdoor (`write_line` /
+//!   `write_row`) write the array directly. A backdoor write
 //!   to the open row also drops the overlay lines it covers, so array and
 //!   sense amplifiers agree there.
 //!
@@ -76,8 +77,8 @@ pub struct CmdOutcome {
     pub violations: Vec<TimingViolation>,
     /// The cache line returned by a `RD`.
     pub read_data: Option<[u8; LINE_BYTES]>,
-    /// Whether the returned read data is known-corrupt (reduced-tRCD failure,
-    /// closed-bank read, or retention decay).
+    /// Whether the returned read data is known-corrupt (reduced-tRCD failure
+    /// or closed-bank read).
     pub read_corrupted: bool,
     /// Present when the command completed a RowClone attempt.
     pub rowclone: Option<RowCloneOutcome>,
@@ -112,13 +113,6 @@ impl CmdSink for CmdOutcome {
     fn violations(&mut self) -> &mut Vec<TimingViolation> {
         &mut self.violations
     }
-}
-
-/// One materialised row of the array.
-#[derive(Debug, Clone)]
-struct RowData {
-    bytes: Vec<u8>,
-    last_restore_ps: u64,
 }
 
 /// Rows per page of the row table.
@@ -266,7 +260,7 @@ pub struct DramDevice {
     variation: VariationModel,
     /// The array: every row touched so far, in first-touch order. Rows are
     /// never removed, so a slot stays valid for the device's lifetime.
-    rows: Vec<RowData>,
+    rows: Vec<Vec<u8>>,
     /// [`DramDevice::row_index`] → [`RowRecord`], in pages of [`PAGE_ROWS`]
     /// allocated on first touch.
     row_table: Vec<Option<Box<RowPage>>>,
@@ -274,7 +268,6 @@ pub struct DramDevice {
     banks: Vec<SenseAmps>,
     now_ps: u64,
     nonce: u64,
-    rank_last_ref_ps: u64,
     stats: DeviceStats,
     /// The current hammer window. A row's activation count
     /// ([`RowRecord::hammer`]) is live only while its `epoch` equals this,
@@ -321,7 +314,6 @@ impl DramDevice {
             banks: vec![amps; banks],
             now_ps: 0,
             nonce: 0,
-            rank_last_ref_ps: 0,
             stats: DeviceStats::default(),
             hammer_epoch: 0,
             hammer_window_start_ps: 0,
@@ -491,7 +483,7 @@ impl DramDevice {
     /// Mirrors DRAM Bender's host DMA interface, which EasyDRAM's host tools
     /// use for result checking.
     pub fn row_data(&mut self, bank: u32, row: u32) -> &[u8] {
-        &self.row_entry(bank, row).bytes
+        self.row_entry(bank, row)
     }
 
     /// Host-side backdoor: overwrites a whole row's array contents.
@@ -506,10 +498,7 @@ impl DramDevice {
             row_bytes,
             "row write must be exactly {row_bytes} bytes"
         );
-        let now = self.now_ps;
-        let entry = self.row_entry(bank, row);
-        entry.bytes.copy_from_slice(bytes);
-        entry.last_restore_ps = now;
+        self.row_entry(bank, row).copy_from_slice(bytes);
         // The sense amplifiers of an open row follow the backdoor write.
         let amps = &mut self.banks[bank as usize];
         if amps.open.is_some_and(|open| open.row == row) {
@@ -521,17 +510,14 @@ impl DramDevice {
     pub fn line_data(&mut self, bank: u32, row: u32, col: u32) -> [u8; LINE_BYTES] {
         let start = col as usize * LINE_BYTES;
         let mut out = [0u8; LINE_BYTES];
-        out.copy_from_slice(&self.row_entry(bank, row).bytes[start..start + LINE_BYTES]);
+        out.copy_from_slice(&self.row_entry(bank, row)[start..start + LINE_BYTES]);
         out
     }
 
     /// Host-side backdoor: writes one cache line into the array.
     pub fn write_line(&mut self, bank: u32, row: u32, col: u32, data: &[u8; LINE_BYTES]) {
         let start = col as usize * LINE_BYTES;
-        let now = self.now_ps;
-        let entry = self.row_entry(bank, row);
-        entry.bytes[start..start + LINE_BYTES].copy_from_slice(data);
-        entry.last_restore_ps = now;
+        self.row_entry(bank, row)[start..start + LINE_BYTES].copy_from_slice(data);
         let amps = &mut self.banks[bank as usize];
         if amps.open.is_some_and(|open| open.row == row) {
             amps.drop_written(col);
@@ -572,14 +558,11 @@ impl DramDevice {
         }
         let slot = self.rows.len();
         self.record_mut(idx).slot = slot;
-        self.rows.push(RowData {
-            bytes,
-            last_restore_ps: 0,
-        });
+        self.rows.push(bytes);
         slot
     }
 
-    fn row_entry(&mut self, bank: u32, row: u32) -> &mut RowData {
+    fn row_entry(&mut self, bank: u32, row: u32) -> &mut Vec<u8> {
         let slot = self.row_slot(bank, row);
         &mut self.rows[slot]
     }
@@ -611,55 +594,6 @@ impl DramDevice {
                 }
             }
         }
-    }
-
-    fn apply_retention_decay(&mut self, bank: u32, row: u32) {
-        if !self.cfg.enforce_retention {
-            return;
-        }
-        let t_refw = self.cfg.timing.t_refw_ps;
-        let now = self.now_ps;
-        let rank_ref = self.rank_last_ref_ps;
-        let seed = self.cfg.variation.seed;
-        let nonce = self.next_nonce();
-        let entry = self.row_entry(bank, row);
-        let effective = entry.last_restore_ps.max(rank_ref);
-        if now.saturating_sub(effective) <= t_refw {
-            return;
-        }
-        // Sticky decay: flip bits in the array proportional to the overage.
-        let overage = now - effective - t_refw;
-        let cells = entry.bytes.len() as u64 * 8;
-        let flips = ((overage / t_refw.max(1)).min(64) + 1) * (cells / 4096).max(1);
-        for i in 0..flips {
-            let h = hash_coords(seed, b"decay", &[u64::from(bank), u64::from(row), nonce, i]);
-            let byte = (h as usize / 8) % entry.bytes.len();
-            entry.bytes[byte] ^= 1 << (h % 8);
-        }
-        entry.last_restore_ps = now; // decayed contents are now "stable"
-    }
-
-    /// Issues `cmd` at `now_ps`, rejecting any timing violation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::Timing`] with the first violation, or an
-    /// out-of-range / time-ordering error.
-    pub fn issue_checked(
-        &mut self,
-        cmd: DramCommand,
-        now_ps: u64,
-    ) -> Result<CmdOutcome, DramError> {
-        self.bounds_check(&cmd, now_ps)?;
-        let legal = self.rank.is_legal(&cmd, now_ps);
-        if !legal {
-            if let Some(v) = self.rank.check(&cmd, now_ps).first() {
-                return Err(DramError::Timing(*v));
-            }
-        }
-        let mut out = CmdOutcome::default();
-        out.completion_ps = self.execute(&cmd, now_ps, legal, &mut out);
-        Ok(out)
     }
 
     /// Issues `cmd` at `now_ps`, executing it even if it violates timing
@@ -777,7 +711,6 @@ impl DramDevice {
                 if let Some(src) = clone_src {
                     sink.rowclone(self.perform_rowclone(bank, src, row, now_ps));
                 } else {
-                    self.apply_retention_decay(bank, row);
                     let slot = self.row_slot(bank, row);
                     self.open_bank(bank, row, slot, now_ps);
                 }
@@ -785,13 +718,13 @@ impl DramDevice {
             DramCommand::Precharge { bank } => {
                 done_ps = now_ps + self.cfg.timing.t_rp_ps;
                 self.stats.precharges += 1;
-                self.precharge_bank(bank, now_ps, violations);
+                self.precharge_bank(bank, violations);
             }
             DramCommand::PrechargeAll => {
                 done_ps = now_ps + self.cfg.timing.t_rp_ps;
                 self.stats.precharges += 1;
                 for bank in 0..self.cfg.geometry.banks() {
-                    self.precharge_bank(bank, now_ps, violations);
+                    self.precharge_bank(bank, violations);
                 }
             }
             DramCommand::Read { bank, col } => {
@@ -812,10 +745,6 @@ impl DramDevice {
             DramCommand::Refresh => {
                 self.stats.refreshes += 1;
                 done_ps = now_ps + self.cfg.timing.t_rfc_ps;
-                // Simplification: one REF refreshes the whole rank. The
-                // controller timeline charges tRFC every tREFI either way;
-                // retention tests only distinguish refreshed vs. not.
-                self.rank_last_ref_ps = now_ps;
                 // Refreshing every row closes the disturbance window: all
                 // per-row activation counters reset. (This device models one
                 // rank-folded channel, so a rank-level REF covers everything
@@ -836,7 +765,6 @@ impl DramDevice {
                 {
                     self.banks[bank as usize].open = None;
                 }
-                self.row_entry(bank, row).last_restore_ps = now_ps;
                 // Restoring the row's cells neutralizes the disturbance its
                 // neighborhood accumulated: the window counters of `row` and
                 // of every row whose blast radius covers it reset.
@@ -923,9 +851,9 @@ impl DramDevice {
             );
             // Only the array: if the victim is the row open in `bank`, the
             // ACT being counted is about to discard its sense amplifiers.
-            let entry = self.row_entry(bank, victim);
-            let byte = (h as usize / 8) % entry.bytes.len();
-            entry.bytes[byte] ^= 1 << (h % 8);
+            let bytes = self.row_entry(bank, victim);
+            let byte = (h as usize / 8) % bytes.len();
+            bytes[byte] ^= 1 << (h % 8);
             self.stats.disturbance_flips += 1;
         }
     }
@@ -942,15 +870,14 @@ impl DramDevice {
         let dst_slot = self.row_slot(bank, dst);
         // `src != dst`; lend the source bytes out while the destination is
         // written.
-        let src_bytes = std::mem::take(&mut self.rows[src_slot].bytes);
-        let dst_entry = &mut self.rows[dst_slot];
+        let src_bytes = std::mem::take(&mut self.rows[src_slot]);
+        let dst_bytes = &mut self.rows[dst_slot];
         if success {
-            dst_entry.bytes.copy_from_slice(&src_bytes);
+            dst_bytes.copy_from_slice(&src_bytes);
         } else {
-            Self::corrupt_mix(&src_bytes, &mut dst_entry.bytes, seed, nonce);
+            Self::corrupt_mix(&src_bytes, dst_bytes, seed, nonce);
         }
-        dst_entry.last_restore_ps = now_ps;
-        self.rows[src_slot].bytes = src_bytes;
+        self.rows[src_slot] = src_bytes;
         self.open_bank(bank, dst, dst_slot, now_ps);
         RowCloneOutcome {
             bank,
@@ -974,8 +901,10 @@ impl DramDevice {
         });
     }
 
-    // The interrupted restore (a snapshot) is out of line.
-    fn precharge_bank(&mut self, bank: u32, now_ps: u64, violations: &[TimingViolation]) {
+    // The interrupted restore (a snapshot) is out of line. A clean close
+    // leaves the array as it is (restoration of a recently-activated row
+    // survives an early PRE).
+    fn precharge_bank(&mut self, bank: u32, violations: &[TimingViolation]) {
         let Some(open) = self.banks[bank as usize].open.take() else {
             return;
         };
@@ -987,19 +916,16 @@ impl DramDevice {
             if restore_violated {
                 self.restore_interrupted(bank, open.slot, nonce);
             } else {
-                self.banks[bank as usize].restore_into(&mut self.rows[open.slot].bytes);
+                self.banks[bank as usize].restore_into(&mut self.rows[open.slot]);
             }
         }
-        // A clean close leaves the array as it is (restoration of a
-        // recently-activated row survives an early PRE).
-        self.rows[open.slot].last_restore_ps = now_ps;
     }
 
     /// Incomplete restore (tRAS/tWR violated): the cells end up a word-wise
     /// blend of what they held and what the sense amplifiers held, so writes
     /// are partially lost.
     fn restore_interrupted(&mut self, bank: u32, slot: usize, nonce: u64) {
-        let array = &mut self.rows[slot].bytes;
+        let array = &mut self.rows[slot];
         let old = array.clone();
         self.banks[bank as usize].restore_into(array);
         Self::corrupt_mix(&old, array, self.cfg.variation.seed, nonce);
@@ -1027,7 +953,7 @@ impl DramDevice {
         let src = if amps.is_written(col) {
             &amps.overlay
         } else {
-            &self.rows[open.slot].bytes
+            &self.rows[open.slot]
         };
         let line: &[u8; LINE_BYTES] = src[start..start + LINE_BYTES]
             .try_into()
@@ -1090,12 +1016,21 @@ mod tests {
         TimingParams::ddr4_1333()
     }
 
+    /// Issues `cmd` at `at`, asserting that it violates no timing rule.
+    fn issue_legal(d: &mut DramDevice, cmd: DramCommand, at: u64) -> CmdOutcome {
+        let out = d.issue_raw(cmd, at).unwrap();
+        assert!(
+            out.violations.is_empty(),
+            "{cmd} @ {at}: {:?}",
+            out.violations
+        );
+        out
+    }
+
     /// ACT + RD with legal timing, returning (outcome, completion time).
     fn read_legal(dev: &mut DramDevice, bank: u32, row: u32, col: u32, at: u64) -> CmdOutcome {
-        dev.issue_checked(DramCommand::Activate { bank, row }, at)
-            .unwrap();
-        dev.issue_checked(DramCommand::Read { bank, col }, at + t().t_rcd_ps)
-            .unwrap()
+        issue_legal(dev, DramCommand::Activate { bank, row }, at);
+        issue_legal(dev, DramCommand::Read { bank, col }, at + t().t_rcd_ps)
     }
 
     #[test]
@@ -1124,26 +1059,25 @@ mod tests {
     fn write_then_precharge_then_read_round_trips() {
         let mut d = dev();
         let timing = t();
-        d.issue_checked(DramCommand::Activate { bank: 0, row: 2 }, 0)
-            .unwrap();
+        issue_legal(&mut d, DramCommand::Activate { bank: 0, row: 2 }, 0);
         let mut line = [0x5Au8; LINE_BYTES];
         line[10] = 0x10;
         let wr_at = timing.t_rcd_ps;
-        d.issue_checked(
+        issue_legal(
+            &mut d,
             DramCommand::Write {
                 bank: 0,
                 col: 4,
                 data: line,
             },
             wr_at,
-        )
-        .unwrap();
+        );
         let pre_at = wr_at + timing.t_cwl_ps + timing.t_burst_ps + timing.t_wr_ps;
-        d.issue_checked(
+        issue_legal(
+            &mut d,
             DramCommand::Precharge { bank: 0 },
             pre_at.max(timing.t_ras_ps),
-        )
-        .unwrap();
+        );
         assert_eq!(d.line_data(0, 2, 4), line);
         // Re-open and read back through the DRAM path.
         let act2 = pre_at.max(timing.t_ras_ps) + timing.t_rp_ps;
@@ -1152,14 +1086,9 @@ mod tests {
     }
 
     #[test]
-    fn checked_rejects_trcd_violation_raw_executes_it() {
+    fn a_trcd_violation_executes_and_is_reported() {
         let mut d = dev();
-        d.issue_checked(DramCommand::Activate { bank: 0, row: 1 }, 0)
-            .unwrap();
-        let err = d
-            .issue_checked(DramCommand::Read { bank: 0, col: 0 }, 5_000)
-            .unwrap_err();
-        assert!(matches!(err, DramError::Timing(v) if v.rule == TimingRule::Trcd));
+        issue_legal(&mut d, DramCommand::Activate { bank: 0, row: 1 }, 0);
         let out = d
             .issue_raw(DramCommand::Read { bank: 0, col: 0 }, 5_000)
             .unwrap();
@@ -1191,7 +1120,7 @@ mod tests {
         d.write_line(0, 1, 0, &line);
         d.issue_raw(DramCommand::Activate { bank: 0, row: 1 }, 0)
             .unwrap();
-        let applied = min - d.variation().config().flaky_band_ps - 100;
+        let applied = min - crate::variation::FLAKY_BAND_PS - 100;
         let out = d
             .issue_raw(DramCommand::Read { bank: 0, col: 0 }, applied)
             .unwrap();
@@ -1264,16 +1193,13 @@ mod tests {
     fn slow_act_pre_act_is_not_rowclone() {
         let mut d = dev();
         let timing = t();
-        d.issue_checked(DramCommand::Activate { bank: 0, row: 0 }, 0)
-            .unwrap();
-        d.issue_checked(DramCommand::Precharge { bank: 0 }, timing.t_ras_ps)
-            .unwrap();
-        let out = d
-            .issue_checked(
-                DramCommand::Activate { bank: 0, row: 1 },
-                timing.t_ras_ps + timing.t_rp_ps,
-            )
-            .unwrap();
+        issue_legal(&mut d, DramCommand::Activate { bank: 0, row: 0 }, 0);
+        issue_legal(&mut d, DramCommand::Precharge { bank: 0 }, timing.t_ras_ps);
+        let out = issue_legal(
+            &mut d,
+            DramCommand::Activate { bank: 0, row: 1 },
+            timing.t_ras_ps + timing.t_rp_ps,
+        );
         assert!(out.rowclone.is_none());
         assert_eq!(d.stats().rowclone_attempts, 0);
     }
@@ -1312,11 +1238,9 @@ mod tests {
         data: [u8; LINE_BYTES],
         at: u64,
     ) -> u64 {
-        d.issue_checked(DramCommand::Activate { bank: 0, row }, at)
-            .unwrap();
+        issue_legal(d, DramCommand::Activate { bank: 0, row }, at);
         let wr_at = at + t().t_rcd_ps;
-        d.issue_checked(DramCommand::Write { bank: 0, col, data }, wr_at)
-            .unwrap();
+        issue_legal(d, DramCommand::Write { bank: 0, col, data }, wr_at);
         wr_at
     }
 
@@ -1324,13 +1248,13 @@ mod tests {
     fn close_legal(d: &mut DramDevice) {
         let pre = DramCommand::Precharge { bank: 0 };
         let at = d.earliest_issue_ps(&pre).max(d.now_ps());
-        d.issue_checked(pre, at).unwrap();
+        issue_legal(d, pre, at);
     }
 
     fn read_at_earliest(d: &mut DramDevice, col: u32) -> [u8; LINE_BYTES] {
         let rd = DramCommand::Read { bank: 0, col };
         let at = d.earliest_issue_ps(&rd).max(d.now_ps());
-        d.issue_checked(rd, at).unwrap().read_data.unwrap()
+        issue_legal(d, rd, at).read_data.unwrap()
     }
 
     #[test]
@@ -1396,39 +1320,6 @@ mod tests {
             "the write never reached the cells"
         );
         assert_eq!(d.line_data(0, 9, 4), other);
-    }
-
-    #[test]
-    fn retention_decay_when_enforced() {
-        let mut cfg = DramConfig::small_for_tests();
-        cfg.enforce_retention = true;
-        let mut d = DramDevice::new(cfg);
-        let row: Vec<u8> = vec![0xA5u8; 8192];
-        d.write_row(0, 1, &row);
-        // Activate long after the refresh window without any REF: the charge
-        // decays and the decayed contents stick in the array.
-        let far = t().t_refw_ps * 3;
-        d.issue_raw(DramCommand::Activate { bank: 0, row: 1 }, far)
-            .unwrap();
-        assert_ne!(d.row_data(0, 1), row.as_slice(), "row should have decayed");
-    }
-
-    #[test]
-    fn refresh_prevents_decay() {
-        let mut cfg = DramConfig::small_for_tests();
-        cfg.enforce_retention = true;
-        let mut d = DramDevice::new(cfg);
-        let line = [0xA5u8; LINE_BYTES];
-        d.write_line(0, 1, 0, &line);
-        let half = t().t_refw_ps / 2;
-        d.issue_raw(DramCommand::Refresh, half).unwrap();
-        let at = half + t().t_refw_ps / 2 + 1_000_000; // within window of the REF
-        d.issue_raw(DramCommand::Activate { bank: 0, row: 1 }, at)
-            .unwrap();
-        let out = d
-            .issue_raw(DramCommand::Read { bank: 0, col: 0 }, at + t().t_rcd_ps)
-            .unwrap();
-        assert_eq!(out.read_data, Some(line));
     }
 
     fn disturb_dev(hc: (u64, u64), flip_milli: u32) -> DramDevice {
@@ -1794,13 +1685,9 @@ mod tests {
     #[test]
     fn completion_times_reflect_timing() {
         let mut d = dev();
-        let out = d
-            .issue_checked(DramCommand::Activate { bank: 0, row: 0 }, 0)
-            .unwrap();
+        let out = issue_legal(&mut d, DramCommand::Activate { bank: 0, row: 0 }, 0);
         assert_eq!(out.completion_ps, t().t_rcd_ps);
-        let out = d
-            .issue_checked(DramCommand::Read { bank: 0, col: 0 }, t().t_rcd_ps)
-            .unwrap();
+        let out = issue_legal(&mut d, DramCommand::Read { bank: 0, col: 0 }, t().t_rcd_ps);
         assert_eq!(out.completion_ps, t().t_rcd_ps + t().read_latency_ps());
     }
 
@@ -1874,7 +1761,6 @@ mod tests {
                     if let Some(src) = clone_src {
                         out.rowclone = Some(self.perform_rowclone(bank, src, row, now_ps));
                     } else {
-                        self.apply_retention_decay(bank, row);
                         let slot = self.row_slot(bank, row);
                         self.open_bank(bank, row, slot, now_ps);
                     }
@@ -1883,14 +1769,14 @@ mod tests {
                 DramCommand::Precharge { bank } => {
                     self.stats.precharges += 1;
                     out.completion_ps = now_ps + self.cfg.timing.t_rp_ps;
-                    self.precharge_bank(bank, now_ps, &out.violations);
+                    self.precharge_bank(bank, &out.violations);
                     self.rank.apply(&cmd, now_ps);
                 }
                 DramCommand::PrechargeAll => {
                     self.stats.precharges += 1;
                     out.completion_ps = now_ps + self.cfg.timing.t_rp_ps;
                     for bank in 0..self.cfg.geometry.banks() {
-                        self.precharge_bank(bank, now_ps, &out.violations);
+                        self.precharge_bank(bank, &out.violations);
                     }
                     self.rank.apply(&cmd, now_ps);
                 }
@@ -1914,10 +1800,6 @@ mod tests {
                 DramCommand::Refresh => {
                     self.stats.refreshes += 1;
                     out.completion_ps = now_ps + self.cfg.timing.t_rfc_ps;
-                    // Simplification: one REF refreshes the whole rank. The
-                    // controller timeline charges tRFC every tREFI either way;
-                    // retention tests only distinguish refreshed vs. not.
-                    self.rank_last_ref_ps = now_ps;
                     // Refreshing every row closes the disturbance window: all
                     // per-row activation counters reset. (This device models one
                     // rank-folded channel, so a rank-level REF covers everything
@@ -1940,8 +1822,6 @@ mod tests {
                     {
                         self.banks[bank as usize].open = None;
                     }
-                    let now = self.now_ps;
-                    self.row_entry(bank, row).last_restore_ps = now;
                     // Restoring the row's cells neutralizes the disturbance its
                     // neighborhood accumulated: the window counters of `row` and
                     // of every row whose blast radius covers it reset.
@@ -1986,7 +1866,7 @@ mod tests {
             let src = if amps.is_written(col) {
                 &amps.overlay
             } else {
-                &self.rows[open.slot].bytes
+                &self.rows[open.slot]
             };
             let mut data = [0u8; LINE_BYTES];
             data.copy_from_slice(&src[start..start + LINE_BYTES]);
@@ -2010,7 +1890,6 @@ mod tests {
     /// A device with every behavioural model on.
     fn full_dev() -> DramDevice {
         let mut cfg = DramConfig::small_for_tests();
-        cfg.enforce_retention = true;
         cfg.variation.disturb_enabled = true;
         cfg.variation.hc_first = (4, 8);
         cfg.variation.disturb_flip_milli = 500;
@@ -2191,10 +2070,6 @@ mod tests {
                 matches!(err, DramError::TimeOutOfRange { requested_ps, .. } if requested_ps == at),
                 "{err}"
             );
-            assert!(matches!(
-                d.issue_checked(act, at),
-                Err(DramError::TimeOutOfRange { .. })
-            ));
         }
         let mut sink = Collected::default();
         assert!(matches!(

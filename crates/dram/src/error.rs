@@ -98,11 +98,9 @@ impl fmt::Display for TimingViolation {
     }
 }
 
-/// Errors returned by the checked device interface.
+/// Errors returned by the device and its configuration checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DramError {
-    /// A command violated one or more timing rules in checked mode.
-    Timing(TimingViolation),
     /// A command addressed a bank/row/column outside the configured geometry.
     OutOfRange {
         /// What was out of range (`"bank"`, `"row"`, or `"col"`).
@@ -138,7 +136,6 @@ pub enum DramError {
 impl fmt::Display for DramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DramError::Timing(v) => write!(f, "timing violation: {v}"),
             DramError::OutOfRange { what, value, limit } => {
                 write!(f, "{what} {value} out of range (limit {limit})")
             }

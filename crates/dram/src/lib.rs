@@ -15,8 +15,6 @@
 //!   row into the destination row, but only within a DRAM subarray and only
 //!   for reliable row pairs — reproducing the FPM RowClone constraints of
 //!   paper §7.1 (Figure 9).
-//! * **Retention**: rows that are not refreshed or re-written within the
-//!   refresh window decay (optional; used by failure-injection tests).
 //!
 //! All stochastic behaviour derives from hashing a configuration seed with the
 //! cell coordinates and a device nonce ([`det`]), so simulations are exactly
@@ -30,9 +28,9 @@
 //! let mut dev = DramDevice::new(DramConfig::default());
 //! let t = dev.timing().clone();
 //! // Activate row 3 of bank 0, then read column 0 after a legal tRCD.
-//! dev.issue_checked(DramCommand::Activate { bank: 0, row: 3 }, 0)?;
-//! let out = dev.issue_checked(DramCommand::Read { bank: 0, col: 0 }, t.t_rcd_ps)?;
-//! assert!(out.read_data.is_some());
+//! dev.issue_raw(DramCommand::Activate { bank: 0, row: 3 }, 0)?;
+//! let out = dev.issue_raw(DramCommand::Read { bank: 0, col: 0 }, t.t_rcd_ps)?;
+//! assert!(out.violations.is_empty() && !out.read_corrupted);
 //! # Ok::<(), easydram_dram::DramError>(())
 //! ```
 

@@ -32,34 +32,36 @@ pub enum PairClass {
     Never,
 }
 
+/// Lower bound of the strong-region minimum reliable tRCD (ps).
+const STRONG_FLOOR_PS: u64 = 8_200;
+/// Upper bound of the strong-region minimum reliable tRCD (ps).
+const STRONG_CEIL_PS: u64 = 9_000;
+/// Number of weak-cluster blobs per bank.
+const BLOBS_PER_BANK: u32 = 4;
+/// Blob radius range, in units of the 64×64 characterization grid.
+const BLOB_RADIUS: (u32, u32) = (6, 18);
+/// Extra tRCD added at a blob center (ps).
+const BLOB_EXTRA_PS: (u64, u64) = (600, 1_700);
+/// Width of the stochastic band below a line's minimum reliable tRCD in
+/// which accesses fail probabilistically rather than always (ps).
+pub(crate) const FLAKY_BAND_PS: u64 = 400;
+/// Fraction (in 1/1000) of same-subarray pairs that always clone.
+const PAIR_ALWAYS_MILLI: u32 = 800;
+/// Maximum per-trial failure rate (in 1/1000) of a flaky pair.
+const PAIR_FLAKY_MAX_FAIL_MILLI: u32 = 200;
+
 /// Configuration of the variation field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariationConfig {
     /// Seed from which the entire field is derived.
     pub seed: u64,
-    /// When `false`, every line is reliable at any tRCD ≥ `strong_floor_ps`
-    /// and every same-subarray pair clones reliably (the "idealized DRAM" the
-    /// paper's Ramulator baseline assumes, §7.2 footnote 6).
+    /// When `false`, every line is reliable at any tRCD ≥ 8.2 ns (the floor
+    /// of the strong region) and every same-subarray pair clones reliably
+    /// (the "idealized DRAM" the paper's Ramulator baseline assumes, §7.2
+    /// footnote 6).
     pub enabled: bool,
-    /// Lower bound of the strong-region minimum reliable tRCD (ps).
-    pub strong_floor_ps: u64,
-    /// Upper bound of the strong-region minimum reliable tRCD (ps).
-    pub strong_ceil_ps: u64,
-    /// Number of weak-cluster blobs per bank.
-    pub blobs_per_bank: u32,
-    /// Blob radius range, in units of the 64×64 characterization grid.
-    pub blob_radius: (u32, u32),
-    /// Extra tRCD added at a blob center (ps).
-    pub blob_extra_ps: (u64, u64),
-    /// Width of the stochastic band below a line's minimum reliable tRCD in
-    /// which accesses fail probabilistically rather than always (ps).
-    pub flaky_band_ps: u64,
-    /// Fraction (in 1/1000) of same-subarray pairs that always clone.
-    pub pair_always_milli: u32,
     /// Fraction (in 1/1000) of same-subarray pairs that are flaky.
     pub pair_flaky_milli: u32,
-    /// Maximum per-trial failure rate (in 1/1000) of a flaky pair.
-    pub pair_flaky_max_fail_milli: u32,
     /// When `true`, the device models read disturbance (RowHammer): every
     /// activation counts against the row's [`VariationModel::hc_first`]
     /// threshold within the current refresh window, and exceeding it injects
@@ -82,15 +84,7 @@ impl Default for VariationConfig {
         Self {
             seed: 0xEA5D_0D12,
             enabled: true,
-            strong_floor_ps: 8_200,
-            strong_ceil_ps: 9_000,
-            blobs_per_bank: 4,
-            blob_radius: (6, 18),
-            blob_extra_ps: (600, 1_700),
-            flaky_band_ps: 400,
-            pair_always_milli: 800,
             pair_flaky_milli: 150,
-            pair_flaky_max_fail_milli: 200,
             disturb_enabled: false,
             hc_first: (16_384, 65_536),
             disturb_flip_milli: 100,
@@ -127,7 +121,8 @@ struct Blob {
 pub struct VariationModel {
     cfg: VariationConfig,
     geometry: Geometry,
-    /// `blobs_per_bank` blobs for each bank, indexed `bank * blobs_per_bank + i`.
+    /// [`BLOBS_PER_BANK`] blobs for each bank, indexed
+    /// `bank * BLOBS_PER_BANK + i`.
     blobs: Vec<Blob>,
 }
 
@@ -138,7 +133,7 @@ impl VariationModel {
         let mut blobs = Vec::new();
         if cfg.enabled {
             for bank in 0..geometry.banks() {
-                for i in 0..cfg.blobs_per_bank {
+                for i in 0..BLOBS_PER_BANK {
                     let c = [u64::from(bank), u64::from(i)];
                     let cx = hash01(cfg.seed, b"blob-x", &c) * 64.0;
                     let cy = hash01(cfg.seed, b"blob-y", &c) * 64.0;
@@ -146,16 +141,12 @@ impl VariationModel {
                         cfg.seed,
                         b"blob-r",
                         &c,
-                        u64::from(cfg.blob_radius.0),
-                        u64::from(cfg.blob_radius.1),
+                        u64::from(BLOB_RADIUS.0),
+                        u64::from(BLOB_RADIUS.1),
                     ) as f64;
-                    let extra_ps = hash_range(
-                        cfg.seed,
-                        b"blob-e",
-                        &c,
-                        cfg.blob_extra_ps.0,
-                        cfg.blob_extra_ps.1,
-                    ) as f64;
+                    let extra_ps =
+                        hash_range(cfg.seed, b"blob-e", &c, BLOB_EXTRA_PS.0, BLOB_EXTRA_PS.1)
+                            as f64;
                     blobs.push(Blob {
                         cx,
                         cy,
@@ -189,7 +180,7 @@ impl VariationModel {
             return 0;
         }
         let (gx, gy) = Self::grid_coords(row);
-        let n = self.cfg.blobs_per_bank as usize;
+        let n = BLOBS_PER_BANK as usize;
         let start = bank as usize * n;
         let mut extra = 0.0f64;
         for blob in &self.blobs[start..start + n] {
@@ -212,14 +203,14 @@ impl VariationModel {
     #[must_use]
     pub fn line_min_trcd_ps(&self, bank: u32, row: u32, col: u32) -> u64 {
         if !self.cfg.enabled {
-            return self.cfg.strong_floor_ps;
+            return STRONG_FLOOR_PS;
         }
         let base = hash_range(
             self.cfg.seed,
             b"line-trcd",
             &[u64::from(bank), u64::from(row), u64::from(col)],
-            self.cfg.strong_floor_ps,
-            self.cfg.strong_ceil_ps,
+            STRONG_FLOOR_PS,
+            STRONG_CEIL_PS,
         );
         (base + self.blob_extra_ps(bank, row)).min(11_000)
     }
@@ -232,14 +223,14 @@ impl VariationModel {
         (0..self.geometry.cols_per_row())
             .map(|col| self.line_min_trcd_ps(bank, row, col))
             .max()
-            .unwrap_or(self.cfg.strong_floor_ps)
+            .unwrap_or(STRONG_FLOOR_PS)
     }
 
     /// Decides whether a read of `(bank, row, col)` with the *applied* tRCD
     /// `applied_ps` returns correct data on trial `nonce`.
     ///
     /// Above the line's threshold reads always succeed; more than
-    /// `flaky_band_ps` below they always fail; in between they fail with a
+    /// [`FLAKY_BAND_PS`] below they always fail; in between they fail with a
     /// probability proportional to the shortfall (real chips are stochastic
     /// near the threshold, which is why the paper's profiler tests each line
     /// and the Bloom filter must be conservative).
@@ -250,10 +241,10 @@ impl VariationModel {
             return true;
         }
         let shortfall = min - applied_ps;
-        if shortfall >= self.cfg.flaky_band_ps {
+        if shortfall >= FLAKY_BAND_PS {
             return false;
         }
-        let p_fail = shortfall as f64 / self.cfg.flaky_band_ps as f64;
+        let p_fail = shortfall as f64 / FLAKY_BAND_PS as f64;
         hash01(
             self.cfg.seed,
             b"trcd-trial",
@@ -343,15 +334,15 @@ impl VariationModel {
         // Weak-cluster bias: shift the draw towards the flaky/never region.
         let weakness = self.blob_extra_ps(bank, a).max(self.blob_extra_ps(bank, b));
         draw += (weakness / 8) as u32;
-        if draw < self.cfg.pair_always_milli {
+        if draw < PAIR_ALWAYS_MILLI {
             PairClass::Always
-        } else if draw < self.cfg.pair_always_milli + self.cfg.pair_flaky_milli {
+        } else if draw < PAIR_ALWAYS_MILLI + self.cfg.pair_flaky_milli {
             let fail = hash_range(
                 self.cfg.seed,
                 b"pair-fail",
                 &coords,
                 1,
-                u64::from(self.cfg.pair_flaky_max_fail_milli),
+                u64::from(PAIR_FLAKY_MAX_FAIL_MILLI),
             ) as u32;
             PairClass::Flaky {
                 fail_rate_milli: fail,
@@ -581,9 +572,9 @@ mod tests {
     #[test]
     fn ideal_config_is_fully_reliable() {
         let m = VariationModel::new(VariationConfig::ideal(), Geometry::default());
-        assert_eq!(m.line_min_trcd_ps(0, 0, 0), m.config().strong_floor_ps);
+        assert_eq!(m.line_min_trcd_ps(0, 0, 0), STRONG_FLOOR_PS);
         assert_eq!(m.pair_class(0, 1, 2), PairClass::Always);
-        assert!(m.read_ok(0, 0, 0, m.config().strong_floor_ps, 9));
+        assert!(m.read_ok(0, 0, 0, STRONG_FLOOR_PS, 9));
     }
 
     #[test]

@@ -338,7 +338,6 @@ impl Stream {
 #[test]
 fn data_path_digest_is_unchanged() {
     let mut cfg = DramConfig::small_for_tests();
-    cfg.enforce_retention = false;
     cfg.variation.disturb_enabled = true;
     // Default (non-ideal) variation otherwise; the disturbance threshold is
     // lowered so a 50k-command stream hammers well past `HCfirst`.

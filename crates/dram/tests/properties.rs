@@ -4,9 +4,20 @@ use proptest::prelude::*;
 
 use easydram_dram::bank::RankTiming;
 use easydram_dram::{
-    AddressMapper, DramAddress, DramCommand, DramConfig, DramDevice, Geometry, MappingScheme,
-    TimingParams, VariationConfig, VariationModel,
+    AddressMapper, CmdOutcome, DramAddress, DramCommand, DramConfig, DramDevice, Geometry,
+    MappingScheme, TimingParams, VariationConfig, VariationModel,
 };
+
+/// Issues `cmd` at `at`, asserting that it violates no timing rule.
+fn issue_legal(dev: &mut DramDevice, cmd: DramCommand, at: u64) -> CmdOutcome {
+    let out = dev.issue_raw(cmd, at).unwrap();
+    assert!(
+        out.violations.is_empty(),
+        "{cmd} @ {at}: {:?}",
+        out.violations
+    );
+    out
+}
 
 fn any_scheme() -> impl Strategy<Value = MappingScheme> {
     prop_oneof![
@@ -130,11 +141,10 @@ proptest! {
         let mut line = [0u8; 64];
         line[..32].copy_from_slice(&payload);
         let base = dev.now_ps();
-        dev.issue_checked(DramCommand::Activate { bank, row }, base).unwrap();
-        dev.issue_checked(DramCommand::Write { bank, col, data: line }, base + t.t_rcd_ps)
-            .unwrap();
+        issue_legal(&mut dev, DramCommand::Activate { bank, row }, base);
+        issue_legal(&mut dev, DramCommand::Write { bank, col, data: line }, base + t.t_rcd_ps);
         let rd_at = base + t.t_rcd_ps + t.t_cwl_ps + t.t_burst_ps + t.t_wtr_ps;
-        let out = dev.issue_checked(DramCommand::Read { bank, col }, rd_at).unwrap();
+        let out = issue_legal(&mut dev, DramCommand::Read { bank, col }, rd_at);
         prop_assert_eq!(out.read_data, Some(line));
         prop_assert!(!out.read_corrupted);
     }
