@@ -50,7 +50,7 @@ pub(crate) fn run(scale: Scale) -> Figure {
     fig.section("report", &sys.report("fig12"));
 
     let ns = |ps: u64| ps as f64 / 1000.0;
-    let nominal = sys.tile().device().timing().t_rcd_ps;
+    let nominal = sys.tile().channel_device(0).timing().t_rcd_ps;
     let (min, max) = out.min_max_ps().expect("profiled rows");
     fig.note("\n== Figure 12: minimum reliable tRCD across two banks ==");
     for bank in 0..BANKS {

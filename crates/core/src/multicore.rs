@@ -12,10 +12,10 @@
 //! on its own thread — but never concurrently. A [`CoScheduler`] passes a
 //! baton at memory-operation boundaries, always to the core with the
 //! smallest emulated `now` (ties by core id), quantum-bounded: the running
-//! core yields once it is more than [`MultiCoreSystem::quantum`] emulated
-//! cycles ahead of the laggard. Every scheduling decision depends only on
-//! emulated cycle counts, so a co-run reproduces **byte-identically** across
-//! repetitions and hosts. The trade-off is interleaving granularity: a core
+//! core yields once it is more than a quantum of emulated cycles
+//! ([`MultiCoreSystem::set_quantum`]) ahead of the laggard. Every scheduling
+//! decision depends only on emulated cycle counts, so a co-run reproduces
+//! **byte-identically** across repetitions and hosts. The trade-off is interleaving granularity: a core
 //! that computes without touching memory holds the baton until its next
 //! memory operation.
 
@@ -141,18 +141,6 @@ impl MultiCoreSystem {
         log
     }
 
-    /// Number of cores.
-    #[must_use]
-    pub fn n_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// The co-scheduling quantum, in emulated cycles.
-    #[must_use]
-    pub fn quantum(&self) -> u64 {
-        self.quantum
-    }
-
     /// Sets the co-scheduling quantum (emulated cycles a core may run ahead
     /// of the laggard before yielding).
     pub fn set_quantum(&mut self, quantum: u64) {
@@ -181,7 +169,7 @@ impl MultiCoreSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `workloads.len() != n_cores()`, or propagates the first
+    /// Panics unless there is one workload per core, or propagates the first
     /// workload panic.
     pub fn co_run(&mut self, workloads: &mut [&mut dyn Workload]) -> CoRunReport {
         assert_eq!(

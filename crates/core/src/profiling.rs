@@ -102,7 +102,7 @@ impl TrcdProfiler {
     /// consecutive accesses read correctly. Falls back to the nominal value
     /// when even the last step below nominal fails.
     pub fn profile_line(&self, sys: &mut System, bank: u32, row: u32, col: u32) -> u64 {
-        let nominal = sys.tile().device().timing().t_rcd_ps;
+        let nominal = sys.tile().channel_device(0).timing().t_rcd_ps;
         let mut trcd = self.start_ps;
         while trcd < nominal {
             let issue = {
@@ -167,7 +167,7 @@ mod tests {
             let measured = profiler.profile_line(&mut s, bank, row, col);
             let truth = s
                 .tile()
-                .device()
+                .channel_device(0)
                 .variation()
                 .line_min_trcd_ps(bank, row, col);
             // The profiler sweeps in 500 ps steps and the flaky band is
@@ -189,7 +189,7 @@ mod tests {
         let mut s = sys();
         let profiler = TrcdProfiler::default();
         let out = profiler.profile_region(&mut s, 1, 32);
-        let nominal = s.tile().device().timing().t_rcd_ps;
+        let nominal = s.tile().channel_device(0).timing().t_rcd_ps;
         assert_eq!(out.rows.len(), 32);
         for &(_, row, t) in &out.rows {
             assert!(
@@ -224,7 +224,7 @@ mod tests {
         let mut weak = Vec::new();
         let mut strong = Vec::new();
         {
-            let var = s.tile().device().variation();
+            let var = s.tile().channel_device(0).variation();
             for row in 0..geo.rows_per_bank {
                 let t = var.row_min_trcd_ps(0, row);
                 if t > threshold + 600 && weak.len() < 5 {

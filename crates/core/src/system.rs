@@ -345,12 +345,6 @@ impl Tile {
         &self.cfg
     }
 
-    /// Channel 0's DRAM device.
-    #[must_use]
-    pub fn device(&self) -> &DramDevice {
-        &self.lanes[0].device
-    }
-
     /// The DRAM device behind one channel.
     ///
     /// # Panics
@@ -421,8 +415,7 @@ impl Tile {
 
     /// Total modeled FPGA wall time so far given the processor has emulated
     /// `proc_cycles` cycles: processor-domain execution plus frozen time.
-    #[must_use]
-    pub fn wall_ps_at(&self, proc_cycles: u64) -> u64 {
+    fn wall_ps_at(&self, proc_cycles: u64) -> u64 {
         cycles_to_ps(proc_cycles, self.cfg.fpga.proc_clk_hz) + self.frozen_ps
     }
 

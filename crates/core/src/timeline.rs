@@ -51,16 +51,6 @@ pub struct EmulatedTimeline {
 }
 
 impl EmulatedTimeline {
-    /// Creates an idle single-rank timeline for `n_banks` banks.
-    ///
-    /// # Panics
-    ///
-    /// As [`EmulatedTimeline::with_ranks`].
-    #[must_use]
-    pub fn new(n_banks: usize, timing: &TimingParams, refresh_enabled: bool) -> Self {
-        Self::with_ranks(1, n_banks, timing, refresh_enabled)
-    }
-
     /// Creates an idle timeline for `ranks` ranks of `banks_per_rank` banks
     /// each. Each rank refreshes independently (tRFC every tREFI).
     ///
@@ -217,7 +207,7 @@ mod tests {
 
     #[test]
     fn same_bank_requests_serialize() {
-        let mut tl = EmulatedTimeline::new(4, &timing(), false);
+        let mut tl = EmulatedTimeline::with_ranks(1, 4, &timing(), false);
         let a = tl.price(&demand(0, 0));
         let b = tl.price(&demand(0, 0));
         assert!(b > a, "second request waits for the bank: {a} vs {b}");
@@ -225,9 +215,9 @@ mod tests {
 
     #[test]
     fn different_banks_overlap_prep() {
-        let mut tl = EmulatedTimeline::new(4, &timing(), false);
+        let mut tl = EmulatedTimeline::with_ranks(1, 4, &timing(), false);
         let a = tl.price(&demand(0, 0));
-        let mut tl2 = EmulatedTimeline::new(4, &timing(), false);
+        let mut tl2 = EmulatedTimeline::with_ranks(1, 4, &timing(), false);
         let _ = tl2.price(&demand(0, 0));
         let b = tl2.price(&demand(1, 0));
         // Bank 1's prep overlaps bank 0's; only the bus serializes.
@@ -237,7 +227,7 @@ mod tests {
 
     #[test]
     fn row_only_demand_skips_the_bus() {
-        let mut tl = EmulatedTimeline::new(2, &timing(), false);
+        let mut tl = EmulatedTimeline::with_ranks(1, 2, &timing(), false);
         let d = TimelineDemand {
             arrival_ps: 0,
             bank: 0,
@@ -254,8 +244,8 @@ mod tests {
     #[test]
     fn refresh_stalls_all_banks() {
         let t = timing();
-        let mut on = EmulatedTimeline::new(2, &t, true);
-        let mut off = EmulatedTimeline::new(2, &t, false);
+        let mut on = EmulatedTimeline::with_ranks(1, 2, &t, true);
+        let mut off = EmulatedTimeline::with_ranks(1, 2, &t, false);
         // Arrives 1 ps after the tREFI boundary: the refresh has already
         // begun, so the request's start slides to the end of the tRFC stall —
         // exactly (tRFC − 1) ps later than the refresh-free timeline.
@@ -278,7 +268,7 @@ mod tests {
         // before a tREFI boundary and finishes after it must be interrupted
         // by the refresh and pay tRFC — and `next_ref_ps` must keep pace.
         let t = timing();
-        let mut tl = EmulatedTimeline::new(2, &t, true);
+        let mut tl = EmulatedTimeline::with_ranks(1, 2, &t, true);
         let long = TimelineDemand {
             arrival_ps: 0,
             bank: 0,
@@ -311,7 +301,7 @@ mod tests {
         // A column request whose burst straddles the boundary pays tRFC and
         // leaves both the bank and the bus busy until the extended finish.
         let t = timing();
-        let mut tl = EmulatedTimeline::new(2, &t, true);
+        let mut tl = EmulatedTimeline::with_ranks(1, 2, &t, true);
         let d = TimelineDemand {
             arrival_ps: t.t_refi_ps - 10_000,
             bank: 0,
@@ -333,7 +323,7 @@ mod tests {
         // earlier it starts cleanly (the boundary then interrupts the
         // in-flight work instead, charging tRFC at the end).
         let t = timing();
-        let mut tl = EmulatedTimeline::new(2, &t, true);
+        let mut tl = EmulatedTimeline::with_ranks(1, 2, &t, true);
         let on_boundary = TimelineDemand {
             arrival_ps: t.t_refi_ps,
             bank: 0,
@@ -344,7 +334,7 @@ mod tests {
         assert_eq!(tl.price(&on_boundary), t.t_refi_ps + t.t_rfc_ps + 10_000);
         assert_eq!(tl.refreshes_per_rank(), &[1]);
 
-        let mut tl = EmulatedTimeline::new(2, &t, true);
+        let mut tl = EmulatedTimeline::with_ranks(1, 2, &t, true);
         let just_before = TimelineDemand {
             arrival_ps: t.t_refi_ps - 1,
             ..on_boundary
@@ -361,7 +351,7 @@ mod tests {
         // A serve pass that demands no prep and no bursts must not advance
         // any availability and must not charge refreshes ahead of schedule.
         let t = timing();
-        let mut tl = EmulatedTimeline::new(2, &t, true);
+        let mut tl = EmulatedTimeline::with_ranks(1, 2, &t, true);
         let nothing = TimelineDemand {
             arrival_ps: 5_000,
             bank: 1,
@@ -389,7 +379,7 @@ mod tests {
     #[test]
     fn zero_length_demand_on_boundary_still_pays_overdue_refresh() {
         let t = timing();
-        let mut tl = EmulatedTimeline::new(2, &t, true);
+        let mut tl = EmulatedTimeline::with_ranks(1, 2, &t, true);
         let nothing = TimelineDemand {
             arrival_ps: t.t_refi_ps,
             bank: 0,
@@ -406,7 +396,7 @@ mod tests {
         // The closed form must count exactly the boundaries the old
         // boundary-by-boundary walk would have visited.
         let t = timing();
-        let mut tl = EmulatedTimeline::new(2, &t, true);
+        let mut tl = EmulatedTimeline::with_ranks(1, 2, &t, true);
         let k = 1_000u64;
         let late = TimelineDemand {
             arrival_ps: k * t.t_refi_ps + 1,
@@ -426,7 +416,7 @@ mod tests {
             t_refi_ps,
             ..timing()
         };
-        EmulatedTimeline::new(2, &t, true)
+        EmulatedTimeline::with_ranks(1, 2, &t, true)
     }
 
     #[test]

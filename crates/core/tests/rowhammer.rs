@@ -178,7 +178,7 @@ fn attacker_core_hammers_while_victim_core_chases() {
     }
     assert!(victim.cycles_per_load().is_some(), "the chase completed");
     let aggressor_pressure = sys.with_tile(|t| {
-        let d = t.device();
+        let d = t.channel_device(0);
         d.hammer_count(0, multiprog::HAMMER_VICTIM_ROW - 1)
             + d.hammer_count(0, multiprog::HAMMER_VICTIM_ROW + 1)
     });

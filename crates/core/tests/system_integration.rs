@@ -220,7 +220,7 @@ fn profiling_requests_work_in_all_modes() {
         TimingMode::NoTimeScaling,
     ] {
         let mut s = sys(mode);
-        let nominal = s.tile().device().timing().t_rcd_ps;
+        let nominal = s.tile().channel_device(0).timing().t_rcd_ps;
         let issue = s.cpu().now_cycles();
         assert!(
             s.tile_mut().profile_line(0, 5, 0, nominal, issue),
@@ -522,7 +522,7 @@ fn device_violations_only_from_techniques() {
     }
     s.cpu().fence();
     assert_eq!(
-        s.tile().device().stats().violations,
+        s.tile().channel_device(0).stats().violations,
         0,
         "normal traffic is compliant"
     );
@@ -533,8 +533,8 @@ fn device_violations_only_from_techniques() {
     let (src, dst) = s.cpu().rowclone_alloc_copy(8192).expect("alloc");
     let _ = s.cpu().rowclone_row(src, dst);
     assert!(
-        s.tile().device().stats().violations > 0,
+        s.tile().channel_device(0).stats().violations > 0,
         "RowClone works by violating timings"
     );
-    assert!(s.tile().device().stats().rowclone_attempts > 0);
+    assert!(s.tile().channel_device(0).stats().rowclone_attempts > 0);
 }

@@ -67,24 +67,9 @@ pub fn fig13_names() -> Vec<&'static str> {
     ]
 }
 
-/// The 28-kernel PolyBench suite used for the paper's §6 time-scaling
-/// validation.
-#[must_use]
-pub fn validation_suite(size: PolySize) -> Vec<Box<dyn Workload>> {
-    polybench::all_names()
-        .iter()
-        .map(|n| polybench::by_name(n, size).expect("kernel exists"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validation_suite_has_28_kernels() {
-        assert_eq!(validation_suite(PolySize::Mini).len(), 28);
-    }
 
     #[test]
     fn fig13_is_subset_of_validation() {

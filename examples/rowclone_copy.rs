@@ -87,5 +87,5 @@ fn main() {
         "  speedup:       {:.1}x",
         cpu_cycles as f64 / rowclone_cycles as f64
     );
-    println!("\nDRAM device: {}", sys.tile().device().stats());
+    println!("\nDRAM device: {}", sys.tile().channel_device(0).stats());
 }

@@ -112,13 +112,13 @@ fn unprotected_reduced_trcd_corrupts_weak_rows() {
     // Find a weak row via ground truth.
     let geo = sys.tile().config().dram.geometry.clone();
     let weak = {
-        let var = sys.tile().device().variation();
+        let var = sys.tile().channel_device(0).variation();
         (0..geo.rows_per_bank)
             .find(|&r| var.line_min_trcd_ps(0, r, 0) > 9_400)
             .expect("weak rows exist")
     };
     let strong = {
-        let var = sys.tile().device().variation();
+        let var = sys.tile().channel_device(0).variation();
         (0..geo.rows_per_bank)
             .find(|&r| var.line_min_trcd_ps(0, r, 0) <= 8_600)
             .expect("strong rows exist")
