@@ -15,9 +15,9 @@
 //! core yields once it is more than a quantum of emulated cycles
 //! ([`MultiCoreSystem::set_quantum`]) ahead of the laggard. Every scheduling
 //! decision depends only on emulated cycle counts, so a co-run reproduces
-//! **byte-identically** across repetitions and hosts. The trade-off is interleaving granularity: a core
-//! that computes without touching memory holds the baton until its next
-//! memory operation.
+//! **byte-identically** across repetitions and hosts. The trade-off is
+//! interleaving granularity: a core that computes without touching memory
+//! holds the baton until its next memory operation.
 
 use std::sync::{Arc, Mutex};
 

@@ -11,8 +11,9 @@
 //!   success is governed by the subarray constraint and the pair-reliability
 //!   model (paper §7).
 //! * Early `PRE` with dirty row buffer: the incomplete restore loses writes.
-//! * Activating a row past its neighbours' `HCfirst`: read-disturbance bit
-//!   flips in the blast radius, when disturbance modeling is on.
+//! * Activating a row more than its `HCfirst` times in a refresh window:
+//!   read-disturbance bit flips in its blast radius, when disturbance
+//!   modeling is on.
 //!
 //! # One copy of the data
 //!
@@ -562,7 +563,7 @@ impl DramDevice {
         slot
     }
 
-    fn row_entry(&mut self, bank: u32, row: u32) -> &mut Vec<u8> {
+    fn row_entry(&mut self, bank: u32, row: u32) -> &mut [u8] {
         let slot = self.row_slot(bank, row);
         &mut self.rows[slot]
     }

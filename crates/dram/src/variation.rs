@@ -229,11 +229,11 @@ impl VariationModel {
     /// Decides whether a read of `(bank, row, col)` with the *applied* tRCD
     /// `applied_ps` returns correct data on trial `nonce`.
     ///
-    /// Above the line's threshold reads always succeed; more than
-    /// [`FLAKY_BAND_PS`] below they always fail; in between they fail with a
-    /// probability proportional to the shortfall (real chips are stochastic
-    /// near the threshold, which is why the paper's profiler tests each line
-    /// and the Bloom filter must be conservative).
+    /// Above the line's threshold reads always succeed; more than the
+    /// 400 ps flaky band below they always fail; in between they fail with
+    /// a probability proportional to the shortfall (real chips are
+    /// stochastic near the threshold, which is why the paper's profiler
+    /// tests each line and the Bloom filter must be conservative).
     #[must_use]
     pub fn read_ok(&self, bank: u32, row: u32, col: u32, applied_ps: u64, nonce: u64) -> bool {
         let min = self.line_min_trcd_ps(bank, row, col);
