@@ -422,6 +422,46 @@ mod tests {
         t.join().unwrap();
     }
 
+    /// Two cores leapfrogging at quantum 0 hand the baton off six times; a
+    /// two-record log keeps the newest two and counts the other four.
+    #[test]
+    fn switch_log_keeps_the_newest_handoffs() {
+        let sched = CoScheduler::new(2, 0);
+        sched.enable_switch_log(2);
+        let s2 = Arc::clone(&sched);
+        #[expect(clippy::disallowed_methods, reason = "the test plays the second core")]
+        let t = std::thread::spawn(move || {
+            s2.start(1);
+            s2.checkpoint(1, 200);
+            s2.checkpoint(1, 400);
+            s2.finish(1, 600);
+        });
+        sched.start(0);
+        for now in [100, 300, 500] {
+            sched.checkpoint(0, now);
+        }
+        sched.finish(0, 500);
+        t.join().unwrap();
+        let (switches, dropped) = sched.take_switches();
+        assert_eq!(
+            switches,
+            [
+                QuantumSwitch {
+                    cycle: 500,
+                    from: 0,
+                    to: 1
+                },
+                QuantumSwitch {
+                    cycle: 600,
+                    from: 1,
+                    to: 0
+                },
+            ],
+            "the newest two, in handoff order"
+        );
+        assert_eq!(dropped, 6 - 2);
+    }
+
     /// Four cores on seeded cycle streams: the parked threads make exactly
     /// the baton moves a single-threaded replay of `pick` makes.
     #[test]

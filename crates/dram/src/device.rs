@@ -1684,6 +1684,34 @@ mod tests {
     }
 
     #[test]
+    fn cmd_trace_keeps_the_newest_records_and_counts_the_rest() {
+        let mut d = dev();
+        d.enable_cmd_trace(2);
+        // Five commands in issue order: ACT, RD at col 0..3.
+        issue_legal(&mut d, DramCommand::Activate { bank: 0, row: 7 }, 0);
+        let mut at = t().t_rcd_ps;
+        for col in 0..4 {
+            issue_legal(&mut d, DramCommand::Read { bank: 0, col }, at);
+            at += t().t_ccd_l_ps;
+        }
+        let (records, dropped) = d.take_cmd_trace();
+        let kept: Vec<_> = records.iter().map(|r| (r.mnemonic, r.arg)).collect();
+        assert_eq!(kept, [("RD", 2), ("RD", 3)], "the newest two, oldest first");
+        assert_eq!(records[0].ps + t().t_ccd_l_ps, records[1].ps);
+        assert_eq!(dropped, 3);
+        // Tracing stays enabled after a drain.
+        issue_legal(
+            &mut d,
+            DramCommand::Precharge { bank: 0 },
+            at + t().t_ras_ps,
+        );
+        let (records, dropped) = d.take_cmd_trace();
+        assert_eq!(records.len(), 1);
+        assert_eq!((records[0].mnemonic, records[0].bank), ("PRE", 0));
+        assert_eq!(dropped, 0, "a drain resets the overwritten count");
+    }
+
+    #[test]
     fn completion_times_reflect_timing() {
         let mut d = dev();
         let out = issue_legal(&mut d, DramCommand::Activate { bank: 0, row: 0 }, 0);
