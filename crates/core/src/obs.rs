@@ -23,12 +23,14 @@
 //!
 //! Ring buffers are fixed-capacity and overwrite-oldest: a long run keeps
 //! the trailing window of events and counts what it dropped. Draining
-//! ([`EventRing::drain_into`]) and exporting ([`TraceLog::to_chrome_json`],
+//! ([`TraceRing::drain_into`]) and exporting ([`TraceLog::to_chrome_json`],
 //! [`TraceLog::to_binary`]) allocate freely — they run outside the serve
 //! loop, at end of run.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+
+use easydram_dram::TraceRing;
 
 use crate::json::JsonWriter;
 use crate::request::RequestClass;
@@ -280,71 +282,10 @@ macro_rules! obs_trace {
     };
 }
 
-/// A fixed-capacity overwrite-oldest ring of [`TraceEvent`]s. All storage
-/// is reserved at construction; `push` never allocates, so it is legal
-/// inside the serve loop (`crates/core/tests/no_alloc.rs` counts traced runs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventRing {
-    buf: Vec<TraceEvent>,
-    cap: usize,
-    /// Index of the oldest event once the ring has wrapped.
-    head: usize,
-    dropped: u64,
-}
-
-impl EventRing {
-    /// A ring holding at most `capacity` events (minimum 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        Self {
-            buf: Vec::with_capacity(cap),
-            cap,
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Records one event, overwriting the oldest when full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Events currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events overwritten because the ring was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Moves every held event into `log` in insertion order (oldest first)
-    /// and resets the ring. Allocates in `log` — drain time only.
-    pub fn drain_into(&mut self, log: &mut TraceLog) {
-        log.dropped += self.dropped;
-        log.events.extend_from_slice(&self.buf[self.head..]);
-        log.events.extend_from_slice(&self.buf[..self.head]);
-        self.buf.clear();
-        self.head = 0;
-        self.dropped = 0;
-    }
-}
+/// A lane's fixed-capacity overwrite-oldest ring of [`TraceEvent`]s. `push`
+/// never allocates, so it is legal inside the serve loop
+/// (`crates/core/tests/no_alloc.rs` counts traced runs).
+pub type EventRing = TraceRing<TraceEvent>;
 
 /// A fixed-bucket log2 histogram with a deterministic, order-invariant
 /// merge. `Copy`, so snapshot/rebase windowing works exactly like the
@@ -976,15 +917,13 @@ mod tests {
         for i in 0..5u64 {
             ring.push(TraceEvent::enqueue(i * 10, i, 0, 0, READ));
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let mut log = TraceLog::default();
-        ring.drain_into(&mut log);
-        let ids: Vec<u64> = log.events.iter().map(|e| e.id).collect();
+        let mut events = Vec::new();
+        assert_eq!(ring.drain_into(&mut events), 2);
+        let ids: Vec<u64> = events.iter().map(|e| e.id).collect();
         assert_eq!(ids, [2, 3, 4], "oldest-first drain after wrap");
-        assert_eq!(log.dropped, 2);
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 0, "drain resets the ring");
+        events.clear();
+        assert_eq!(ring.drain_into(&mut events), 0, "drain resets the ring");
+        assert!(events.is_empty());
     }
 
     #[test]
@@ -1002,7 +941,9 @@ mod tests {
             TraceEvent::enqueue(7, 1, 0, 0, 0)
         });
         assert!(evaluated);
-        assert_eq!(slot.unwrap().len(), 1);
+        let mut events = Vec::new();
+        assert_eq!(slot.unwrap().drain_into(&mut events), 0);
+        assert_eq!(events.len(), 1);
     }
 
     #[test]

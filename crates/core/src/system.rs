@@ -318,7 +318,7 @@ impl Tile {
         let mut log = TraceLog::default();
         for (ch, lane) in self.lanes.iter_mut().enumerate() {
             if let Some(ring) = lane.ring.as_mut() {
-                ring.drain_into(&mut log);
+                log.dropped += ring.drain_into(&mut log.events);
             }
             let (records, dropped) = lane.device.take_cmd_trace();
             log.dropped += dropped;

@@ -48,6 +48,7 @@ use crate::command::{DramCommand, LINE_BYTES};
 use crate::config::DramConfig;
 use crate::det::{hash_coords, hash_extend};
 use crate::error::{DramError, TimingRule, TimingViolation};
+use crate::ring::TraceRing;
 use crate::stats::DeviceStats;
 use crate::timing::TimingParams;
 use crate::variation::VariationModel;
@@ -230,29 +231,6 @@ pub struct CmdRecord {
     pub arg: u32,
 }
 
-/// Fixed-capacity overwrite-oldest ring behind the device's command trace.
-/// All storage is reserved when tracing is enabled; recording never
-/// allocates.
-#[derive(Debug, Clone)]
-struct CmdTraceRing {
-    buf: Vec<CmdRecord>,
-    cap: usize,
-    head: usize,
-    dropped: u64,
-}
-
-impl CmdTraceRing {
-    fn push(&mut self, rec: CmdRecord) {
-        if self.buf.len() < self.cap {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-}
-
 /// The modeled DDR4 rank.
 #[derive(Debug, Clone)]
 pub struct DramDevice {
@@ -284,7 +262,7 @@ pub struct DramDevice {
     /// Optional command trace: every executed command's `(ps, mnemonic,
     /// bank, arg)` in a fixed ring. `None` (the default) keeps the hot path
     /// at a single branch.
-    cmd_trace: Option<CmdTraceRing>,
+    cmd_trace: Option<TraceRing<CmdRecord>>,
 }
 
 impl DramDevice {
@@ -326,32 +304,19 @@ impl DramDevice {
     /// Enables command tracing into a fixed-capacity overwrite-oldest ring
     /// of at most `capacity` records (minimum 1), replacing any prior ring.
     pub fn enable_cmd_trace(&mut self, capacity: usize) {
-        let cap = capacity.max(1);
-        self.cmd_trace = Some(CmdTraceRing {
-            buf: Vec::with_capacity(cap),
-            cap,
-            head: 0,
-            dropped: 0,
-        });
+        self.cmd_trace = Some(TraceRing::new(capacity));
     }
 
     /// Drains the command trace in issue order (oldest surviving record
     /// first), returning the records and how many were overwritten. Empty
     /// when tracing is disabled; tracing stays enabled afterwards.
     pub fn take_cmd_trace(&mut self) -> (Vec<CmdRecord>, u64) {
-        match self.cmd_trace.as_mut() {
-            None => (Vec::new(), 0),
-            Some(ring) => {
-                let mut out = Vec::with_capacity(ring.buf.len());
-                out.extend_from_slice(&ring.buf[ring.head..]);
-                out.extend_from_slice(&ring.buf[..ring.head]);
-                let dropped = ring.dropped;
-                ring.buf.clear();
-                ring.head = 0;
-                ring.dropped = 0;
-                (out, dropped)
-            }
-        }
+        let mut out = Vec::new();
+        let dropped = self
+            .cmd_trace
+            .as_mut()
+            .map_or(0, |ring| ring.drain_into(&mut out));
+        (out, dropped)
     }
 
     /// The device's timing bin.

@@ -47,6 +47,7 @@ pub mod device;
 pub mod error;
 #[cfg(any(test, feature = "oracle"))]
 pub mod oracle;
+mod ring;
 pub mod stats;
 pub mod table;
 pub mod timing;
@@ -62,6 +63,7 @@ pub use device::{
 pub use error::{DramError, TimingRule, TimingViolation};
 #[cfg(any(test, feature = "oracle"))]
 pub use oracle::OracleRankTiming;
+pub use ring::TraceRing;
 pub use stats::DeviceStats;
 pub use table::{CmdClass, MinDistance, Scope, TimingTable};
 pub use timing::TimingParams;
