@@ -103,28 +103,41 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Every kind, in discriminant order.
+    const ALL: [Self; 12] = [
+        Self::Enqueue,
+        Self::Issue,
+        Self::SliceRelease,
+        Self::Retire,
+        Self::CmdActivate,
+        Self::CmdPrecharge,
+        Self::CmdRead,
+        Self::CmdWrite,
+        Self::CmdRefresh,
+        Self::CmdRfm,
+        Self::Mitigation,
+        Self::QuantumSwitch,
+    ];
+
     /// Decodes the binary-dump representation.
     #[must_use]
     pub fn from_u8(v: u8) -> Option<Self> {
-        use EventKind::{
-            CmdActivate, CmdPrecharge, CmdRead, CmdRefresh, CmdRfm, CmdWrite, Enqueue, Issue,
-            Mitigation, QuantumSwitch, Retire, SliceRelease,
-        };
-        Some(match v {
-            0 => Enqueue,
-            1 => Issue,
-            2 => SliceRelease,
-            3 => Retire,
-            4 => CmdActivate,
-            5 => CmdPrecharge,
-            6 => CmdRead,
-            7 => CmdWrite,
-            8 => CmdRefresh,
-            9 => CmdRfm,
-            10 => Mitigation,
-            11 => QuantumSwitch,
-            _ => return None,
-        })
+        Self::ALL.get(usize::from(v)).copied()
+    }
+
+    /// The command kind a device command traces as: the one whose label is
+    /// its mnemonic (`PREA` traces as `PRE`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a mnemonic no command kind is labelled with.
+    pub(crate) fn from_mnemonic(mnemonic: &str) -> Self {
+        let label = if mnemonic == "PREA" { "PRE" } else { mnemonic };
+        Self::ALL[Self::CmdActivate as usize..=Self::CmdRfm as usize]
+            .iter()
+            .copied()
+            .find(|k| k.label() == label)
+            .unwrap_or_else(|| panic!("no trace kind for DRAM command {mnemonic}"))
     }
 
     /// Stable label used by the exporters.
@@ -743,6 +756,7 @@ pub fn validate_chrome_json(json: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easydram_dram::DramCommand;
     use proptest::prelude::*;
 
     const READ: u32 = RequestClass::Read as u32;
@@ -909,6 +923,35 @@ mod tests {
         h.record(5);
         assert_eq!(format!("{h:?}"), "hist{n=2 sum=10 3:2}");
         assert_eq!(format!("{:?}", LogHistogram::default()), "hist{n=0 sum=0}");
+    }
+
+    #[test]
+    fn event_kinds_decode_from_one_table() {
+        for k in EventKind::ALL {
+            assert_eq!(EventKind::from_u8(k as u8), Some(k));
+        }
+        assert_eq!(EventKind::from_u8(EventKind::ALL.len() as u8), None);
+        let line = [0; easydram_dram::LINE_BYTES];
+        let commands = [
+            DramCommand::Activate { bank: 0, row: 0 },
+            DramCommand::Precharge { bank: 0 },
+            DramCommand::PrechargeAll,
+            DramCommand::Read { bank: 0, col: 0 },
+            DramCommand::Write {
+                bank: 0,
+                col: 0,
+                data: line,
+            },
+            DramCommand::Refresh,
+            DramCommand::RefreshRow { bank: 0, row: 0 },
+        ];
+        for cmd in commands {
+            let label = EventKind::from_mnemonic(cmd.mnemonic()).label();
+            match cmd {
+                DramCommand::PrechargeAll => assert_eq!(label, "PRE"),
+                _ => assert_eq!(label, cmd.mnemonic()),
+            }
+        }
     }
 
     #[test]

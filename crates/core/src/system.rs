@@ -323,14 +323,7 @@ impl Tile {
             let (records, dropped) = lane.device.take_cmd_trace();
             log.dropped += dropped;
             for rec in records {
-                let kind = match rec.mnemonic {
-                    "ACT" => EventKind::CmdActivate,
-                    "PRE" | "PREA" => EventKind::CmdPrecharge,
-                    "RD" => EventKind::CmdRead,
-                    "WR" => EventKind::CmdWrite,
-                    "REF" => EventKind::CmdRefresh,
-                    _ => EventKind::CmdRfm,
-                };
+                let kind = EventKind::from_mnemonic(rec.mnemonic);
                 log.push(TraceEvent::command(
                     rec.ps, ch as u32, kind, rec.bank, rec.arg,
                 ));
