@@ -90,9 +90,6 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// Physical-to-DRAM address mapping scheme.
     pub mapping: MappingScheme,
-    /// Whether the emulated timeline charges periodic refresh (tRFC every
-    /// tREFI).
-    pub refresh_enabled: bool,
     /// Depth of the tile's posted-write buffer: how many writes/writebacks
     /// the pending-request stream accumulates before a serve pass is forced.
     /// Reads and fences always drain the stream regardless of depth.
@@ -131,7 +128,6 @@ impl SystemConfig {
             // Bank-interleaved line mapping: read and writeback streams
             // spread across banks instead of thrashing one row buffer.
             mapping: MappingScheme::RowColBankXor,
-            refresh_enabled: true,
             write_buffer_depth: 8,
             rowclone_test_trials: 1_000,
             threads: None,

@@ -276,7 +276,7 @@ impl Tile {
                         geometry.ranks as usize,
                         geometry.banks() as usize,
                         &cfg.dram.timing,
-                        cfg.refresh_enabled,
+                        true,
                     ),
                     controller: Box::new(FrFcfsController::new()),
                     stats: ChannelStats::default(),
@@ -1348,22 +1348,30 @@ mod tests {
 
     #[test]
     fn refresh_charges_emulated_time() {
-        let mk = |refresh| {
-            let mut cfg = SystemConfig::small_for_tests(TimingMode::Reference);
-            cfg.refresh_enabled = refresh;
-            System::new(cfg)
-        };
-        let run = |s: &mut System| {
+        let run = |cfg: SystemConfig| {
+            let mut s = System::new(cfg);
             let a = s.cpu().alloc(64 * 2048, 64);
             // Spread dependent misses over enough emulated time to cross
             // several tREFI windows.
             for i in 0..2048u64 {
                 let _ = s.cpu().load_u64(a + i * 64);
             }
-            s.cpu().now_cycles()
+            (
+                s.cpu().now_cycles(),
+                s.report("refresh").channels[0].refreshes_per_rank[0],
+            )
         };
-        let with = run(&mut mk(true));
-        let without = run(&mut mk(false));
+        let cfg = SystemConfig::small_for_tests(TimingMode::Reference);
+        let mut unrefreshed = cfg.clone();
+        // One second: no refresh falls due before the run ends.
+        unrefreshed.dram.timing.t_refi_ps = 1_000_000_000_000;
+        unrefreshed.dram.timing.t_refw_ps = 1_000_000_000_000;
+        let (with, refreshes) = run(cfg);
+        let (without, none) = run(unrefreshed);
+        assert!(
+            refreshes > 0 && none == 0,
+            "{refreshes} vs {none} refreshes"
+        );
         assert!(
             with > without,
             "refresh must cost time: {with} vs {without}"

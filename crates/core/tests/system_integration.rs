@@ -470,7 +470,6 @@ fn two_channels_overlap_a_bank_conflict_free_read_stream() {
     let run = |channels: u32| {
         let mut cfg = SystemConfig::jetson_nano(TimingMode::Reference);
         cfg.dram.geometry.channels = channels;
-        cfg.refresh_enabled = false;
         let mut s = System::new(cfg);
         let tile = s.tile_mut();
         // 256 consecutive cache lines: the line interleave rotates channels
