@@ -42,6 +42,7 @@ impl<T: Copy> TraceRing<T> {
     /// ring. Returns how many records were overwritten since the last
     /// drain and resets that count. Allocates in `out`: drain time only.
     pub fn drain_into(&mut self, out: &mut Vec<T>) -> u64 {
+        out.reserve(self.buf.len());
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
         self.buf.clear();
