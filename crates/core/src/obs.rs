@@ -125,19 +125,13 @@ impl EventKind {
         Self::ALL.get(usize::from(v)).copied()
     }
 
-    /// The command kind a device command traces as: the one whose label is
-    /// its mnemonic (`PREA` traces as `PRE`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a mnemonic no command kind is labelled with.
+    /// The command kind labelled with a device command's mnemonic (`PREA`
+    /// traces as `PRE`). Panics on a mnemonic no command kind carries.
     pub(crate) fn from_mnemonic(mnemonic: &str) -> Self {
         let label = if mnemonic == "PREA" { "PRE" } else { mnemonic };
-        Self::ALL[Self::CmdActivate as usize..=Self::CmdRfm as usize]
-            .iter()
-            .copied()
-            .find(|k| k.label() == label)
-            .unwrap_or_else(|| panic!("no trace kind for DRAM command {mnemonic}"))
+        let commands = &Self::ALL[Self::CmdActivate as usize..=Self::CmdRfm as usize];
+        let kind = commands.iter().find(|k| k.label() == label);
+        *kind.unwrap_or_else(|| panic!("no trace kind for DRAM command {mnemonic}"))
     }
 
     /// Stable label used by the exporters.

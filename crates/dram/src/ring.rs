@@ -1,8 +1,6 @@
-//! The bounded trace ring behind every trace source: the device's command
-//! trace and, in `easydram`, each lane's event ring.
-
 /// A fixed-capacity ring that overwrites its oldest record when full and
-/// counts what it overwrote, so a long run keeps the trailing window. All
+/// counts what it overwrote, so a long run keeps the trailing window: the
+/// device's command trace and, in `easydram`, each lane's event ring. All
 /// storage is reserved at construction; `push` never allocates, so it is
 /// legal inside the serve loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
