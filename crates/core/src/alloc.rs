@@ -10,7 +10,10 @@
 //!
 //! [`RowCloneAllocator`] owns every part of that decision: the bump heap
 //! that hands out addresses, the per-bank pools remapped rows come from,
-//! the remap table, the qualified copy pairs and the init sources.
+//! the remap table, the qualified copy pairs and the init sources. It is
+//! also the one decode of where an address lives
+//! ([`RowCloneAllocator::decode`]): a remapped row, else the plain
+//! [`AddressMapper`].
 //!
 //! **The heap/pool rule.** Pools are whole subarrays taken from the top of
 //! each bank of channel 0, rank 0 (operands must share a subarray, so pools
@@ -18,15 +21,13 @@
 //! bottom. The heap may only grow up to the address where natural rows
 //! reach the lowest row any pool has handed out, and both RowClone paths
 //! check after planning that the pools stayed clear of the heap. A natural
-//! row is `addr / (row_bytes · total_banks)`, which holds for every mapping
-//! scheme whose row field sits above the bank, column and channel fields —
-//! every scheme but `MappingScheme::BankRowCol`, which the rule does not
-//! cover.
+//! row is `addr / (row_bytes · total_banks)`: the mapping's row field sits
+//! above its bank, column and channel fields.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use easydram_cpu::BumpAllocator;
-use easydram_dram::{Geometry, VariationModel};
+use easydram_dram::{AddressMapper, DramAddress, Geometry, VariationModel};
 
 /// The allocator: owns the heap, the per-bank free-row pools, the remap
 /// table and the qualification state. Ordered maps: they are written on the
@@ -34,11 +35,16 @@ use easydram_dram::{Geometry, VariationModel};
 /// deterministic by construction.
 #[derive(Debug, Clone)]
 pub(crate) struct RowCloneAllocator {
+    /// The plain decode of every address no remap entry covers.
+    mapper: AddressMapper,
     /// Channel 0, rank 0 of the system geometry: the bank array the pools
     /// live in.
     geometry: Geometry,
     trials: u32,
     row_bytes: u64,
+    /// log2 of `row_bytes`: address `a` lies in virtual row
+    /// `a >> row_shift`, the key of every remap entry.
+    row_shift: u32,
     /// Bytes of one natural row across every bank of the system: heap
     /// address `a` lies in natural row `a / natural_row_bytes`.
     natural_row_bytes: u64,
@@ -49,7 +55,7 @@ pub(crate) struct RowCloneAllocator {
     /// Round-robin cursor over banks.
     bank_cursor: usize,
     nonce: u64,
-    /// Virtual row (`addr / row_bytes`) → backing `(bank, row)`.
+    /// Virtual row (`addr >> row_shift`) → backing `(bank, row)`.
     remap: BTreeMap<u64, (u32, u32)>,
     /// Copy pairs `(src_vrow, dst_vrow)` that passed the trial test.
     clonable: BTreeSet<(u64, u64)>,
@@ -66,9 +72,10 @@ struct SubarrayBlock {
 }
 
 impl RowCloneAllocator {
-    /// Creates the allocator for a system of `geometry` using `trials`
-    /// qualification attempts per pair (the paper uses 1000).
-    pub(crate) fn new(geometry: &Geometry, trials: u32) -> Self {
+    /// Creates the allocator for the system `mapper` decodes, using
+    /// `trials` qualification attempts per pair (the paper uses 1000).
+    pub(crate) fn new(mapper: AddressMapper, trials: u32) -> Self {
+        let geometry = mapper.geometry();
         let row_bytes = u64::from(geometry.row_bytes);
         let pools = Geometry {
             channels: 1,
@@ -77,10 +84,12 @@ impl RowCloneAllocator {
         };
         Self {
             next_subarray_top: vec![pools.rows_per_bank; pools.banks() as usize],
+            natural_row_bytes: row_bytes * u64::from(geometry.total_banks()),
             geometry: pools,
+            mapper,
             trials: trials.max(1),
             row_bytes,
-            natural_row_bytes: row_bytes * u64::from(geometry.total_banks()),
+            row_shift: row_bytes.ilog2(),
             heap: BumpAllocator::new(),
             bank_cursor: 0,
             nonce: 0x5EED,
@@ -90,24 +99,56 @@ impl RowCloneAllocator {
         }
     }
 
-    /// The remap table the tile decodes through.
-    pub(crate) fn remap(&self) -> &BTreeMap<u64, (u32, u32)> {
-        &self.remap
+    /// The plain (remap-unaware) decode.
+    pub(crate) fn mapper(&self) -> &AddressMapper {
+        &self.mapper
+    }
+
+    /// The virtual row of address `addr`.
+    fn vrow(&self, addr: u64) -> u64 {
+        addr >> self.row_shift
+    }
+
+    /// Where `phys` lives: virtual rows with a remap entry go to their
+    /// remapped `(bank, row)` keeping the in-row column; every other
+    /// address takes the plain decode.
+    ///
+    /// Remapped rows always live on **channel 0**: RowClone operands must
+    /// share a subarray, so every remap pool sits in one channel's device
+    /// and the remap entry overrides the channel interleave along with the
+    /// bank/row decode.
+    ///
+    /// This is the one decode behind EasyAPI's `get_addr_mapping` (Table 2)
+    /// and the tag the tile gives every request. It stays out of line, the
+    /// shape the tile's posting path had when this decode lived in
+    /// `easydram-dram`: inlined into `Tile::{read_line, post_write}`, it
+    /// made `hammer_graphene` ops ~15% slower on a 2-vCPU x86-64 host.
+    #[inline(never)]
+    pub(crate) fn decode(&self, phys: u64) -> DramAddress {
+        match self.remap.get(&self.vrow(phys)) {
+            Some(&(bank, row)) => DramAddress {
+                channel: 0,
+                bank,
+                row,
+                col: ((phys & (self.row_bytes - 1)) >> 6) as u32,
+            },
+            None => self.mapper.to_dram(phys),
+        }
     }
 
     /// Whether the controller may clone `src_addr`'s row onto
     /// `dst_addr`'s: a qualified copy pair, or an init destination with its
     /// source.
     pub(crate) fn qualified(&self, src_addr: u64, dst_addr: u64) -> bool {
-        let (src, dst) = (src_addr / self.row_bytes, dst_addr / self.row_bytes);
+        let (src, dst) = (self.vrow(src_addr), self.vrow(dst_addr));
         self.clonable.contains(&(src, dst)) || self.init_sources.get(&dst) == Some(&src)
     }
 
     /// The pattern source row of an init destination row, `None` when the
     /// row is no init destination or its pair failed qualification.
     pub(crate) fn init_source(&self, dst_addr: u64) -> Option<u64> {
-        let src = self.init_sources.get(&(dst_addr / self.row_bytes))?;
-        Some(src * self.row_bytes)
+        let src = self.init_sources.get(&self.vrow(dst_addr))?;
+        Some(src << self.row_shift)
     }
 
     /// Allocates `bytes` at `align` from the heap.
@@ -134,7 +175,7 @@ impl RowCloneAllocator {
         let n_rows = bytes.div_ceil(rb);
         let src = self.alloc(n_rows * rb, rb);
         let dst = self.alloc(n_rows * rb, rb);
-        self.plan_copy(var, n_rows, src / rb, dst / rb)?;
+        self.plan_copy(var, n_rows, self.vrow(src), self.vrow(dst))?;
         self.assert_pools_clear_of_heap();
         Some((src, dst))
     }
@@ -156,7 +197,7 @@ impl RowCloneAllocator {
         let blocks = n_rows.div_ceil(u64::from(self.geometry.subarray_rows) - 1);
         let dst = self.alloc(n_rows * rb, rb);
         let src = self.alloc(blocks * rb, rb);
-        self.plan_init(var, n_rows, dst / rb, src / rb)?;
+        self.plan_init(var, n_rows, self.vrow(dst), self.vrow(src))?;
         self.assert_pools_clear_of_heap();
         Some((dst, (0..blocks).map(|b| src + b * rb).collect()))
     }
@@ -326,9 +367,18 @@ impl RowCloneAllocator {
 }
 
 #[cfg(test)]
+impl RowCloneAllocator {
+    /// Remaps virtual row `vrow` onto `(bank, row)`, as the planners do.
+    pub(crate) fn remap_row(&mut self, vrow: u64, bank: u32, row: u32) {
+        self.remap.insert(vrow, (bank, row));
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use easydram_dram::{DramConfig, VariationConfig};
+    use easydram_dram::{DramConfig, MappingScheme, VariationConfig};
+    use proptest::prelude::*;
 
     fn fixtures() -> (Geometry, VariationModel) {
         let cfg = DramConfig::small_for_tests();
@@ -336,10 +386,177 @@ mod tests {
         (cfg.geometry, var)
     }
 
+    fn allocator(geometry: &Geometry, trials: u32) -> RowCloneAllocator {
+        let mapper = AddressMapper::new(geometry.clone(), MappingScheme::RowColBankXor);
+        RowCloneAllocator::new(mapper, trials)
+    }
+
+    /// The division-and-modulo remap decode the shift decode replaced, kept
+    /// as the oracle: the virtual row is `phys / row_bytes`, the column
+    /// `(phys % row_bytes) / 64`.
+    fn div_decode(a: &RowCloneAllocator, phys: u64) -> DramAddress {
+        let row_bytes = u64::from(a.mapper.geometry().row_bytes);
+        match a.remap.get(&(phys / row_bytes)) {
+            Some(&(bank, row)) => DramAddress {
+                channel: 0,
+                bank,
+                row,
+                col: ((phys % row_bytes) / easydram_dram::LINE_BYTES as u64) as u32,
+            },
+            None => a.mapper.to_dram(phys),
+        }
+    }
+
+    /// Channels {1, 2, 4} × ranks {1, 2} over `bases`.
+    fn spread(bases: &[Geometry]) -> Vec<Geometry> {
+        let mut out = Vec::new();
+        for base in bases {
+            for (channels, ranks) in [(1, 1), (2, 1), (4, 1), (1, 2), (2, 2), (4, 2)] {
+                out.push(Geometry {
+                    channels,
+                    ranks,
+                    ..base.clone()
+                });
+            }
+        }
+        out
+    }
+
+    /// The default and the unit-test geometries, plus the model checker's
+    /// two mini shapes (2 groups of 2 banks; 2 ranks of 2 single-bank
+    /// groups, folded).
+    fn oracle_geometries() -> Vec<Geometry> {
+        let mini = Geometry {
+            channels: 1,
+            ranks: 1,
+            bank_groups: 2,
+            banks_per_group: 2,
+            rows_per_bank: 4,
+            row_bytes: 128,
+            subarray_rows: 4,
+        };
+        let folded = Geometry {
+            ranks: 2,
+            banks_per_group: 1,
+            ..mini.clone()
+        }
+        .per_channel();
+        spread(&[
+            Geometry::default(),
+            DramConfig::small_for_tests().geometry,
+            mini,
+            folded,
+        ])
+    }
+
+    proptest! {
+        /// The shift decode is the division decode on every geometry above:
+        /// addresses inside the capacity, beyond it (the wrap) and up to
+        /// `u64::MAX`, with no remap, with entries on both sides of the
+        /// probed row, and with the probed row itself remapped.
+        #[test]
+        fn remapped_decode_matches_the_division_decode(
+            raw in any::<u64>(),
+            target in (0u32..4, 0u32..4),
+        ) {
+            for geometry in oracle_geometries() {
+                let cap = geometry.capacity_bytes();
+                let row_bytes = u64::from(geometry.row_bytes);
+                for phys in [raw % cap, cap + raw % cap, raw, u64::MAX - raw % 128, u64::MAX] {
+                    let mut a = allocator(&geometry, 1);
+                    let d = a.mapper.to_dram(phys);
+                    let vrow = phys / row_bytes;
+                    let plain = a.decode(phys);
+                    a.remap.insert(vrow.wrapping_sub(1), (target.1, target.0));
+                    a.remap.insert(vrow.wrapping_add(1), (target.0, target.1));
+                    let beside = a.decode(phys);
+                    prop_assert_eq!(beside, div_decode(&a, phys));
+                    prop_assert_eq!((plain, beside), (d, d), "{:?} {:#x}", geometry, phys);
+                    a.remap.insert(vrow, target);
+                    let on = a.decode(phys);
+                    prop_assert_eq!(on, div_decode(&a, phys));
+                    prop_assert_eq!((on.channel, on.bank, on.row), (0, target.0, target.1));
+                }
+            }
+        }
+
+        /// The remap-aware decode agrees with the plain decode off-table and
+        /// pins remapped virtual rows to channel 0 with the in-row column
+        /// kept, on every multi-channel geometry.
+        #[test]
+        fn remapped_decode_round_trips(
+            ch_idx in 0usize..3,
+            vrow in 0u64..4096,
+            col in 0u32..128,
+            bank in 0u32..16,
+            row in 0u32..32_768,
+        ) {
+            let channels = [1u32, 2, 4][ch_idx];
+            let mut a = allocator(&Geometry { channels, ..Geometry::default() }, 1);
+            a.remap.insert(vrow, (bank, row));
+            let phys = vrow * 8192 + u64::from(col) * 64;
+            let d = a.decode(phys);
+            prop_assert_eq!((d.channel, d.bank, d.row, d.col), (0, bank, row, col));
+            // One row over is off-table: the plain decode decides.
+            let other = (vrow + 1) * 8192 + u64::from(col) * 64;
+            prop_assert_eq!(a.decode(other), a.mapper.to_dram(other));
+        }
+
+        /// The heap/pool rule's premise: every heap address below the
+        /// capacity lies in DRAM row `a / natural_row_bytes` of whatever
+        /// bank and channel the mapping picks, on the default and the
+        /// unit-test geometries with channels {1, 2, 4} × ranks {1, 2}.
+        #[test]
+        fn heap_addresses_lie_in_their_natural_row(raw in any::<u64>()) {
+            for geometry in spread(&[Geometry::default(), DramConfig::small_for_tests().geometry]) {
+                let a = allocator(&geometry, 1);
+                let addr = raw % geometry.capacity_bytes();
+                prop_assert_eq!(
+                    u64::from(a.mapper.to_dram(addr).row),
+                    addr / a.natural_row_bytes,
+                    "{:?} {:#x}", geometry, addr
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn remapped_rows_override_the_scheme() {
+        let mut a = allocator(&Geometry::default(), 1);
+        a.remap.insert(0, (1, 77)); // virtual row 0 -> bank 1 row 77
+        let d = a.decode(128); // third line of virtual row 0
+        assert_eq!((d.bank, d.row, d.col), (1, 77, 2));
+        // Unmapped rows fall through to the plain mapper.
+        let far = 10 * u64::from(Geometry::default().row_bytes);
+        assert_eq!(a.decode(far), a.mapper.to_dram(far));
+    }
+
+    #[test]
+    fn remapped_rows_pin_channel_zero() {
+        let geometry = Geometry {
+            channels: 4,
+            ..Geometry::default()
+        };
+        let mut a = allocator(&geometry, 1);
+        a.remap.insert(3, (2, 99));
+        // Every line of the remapped virtual row decodes to channel 0, even
+        // though the plain interleave would spread the lines across channels.
+        for line in 0..4u64 {
+            let d = a.decode(3 * 8192 + line * 64);
+            assert_eq!(
+                (d.channel, d.bank, d.row, d.col),
+                (0, 2, 99, line as u32),
+                "line {line}"
+            );
+        }
+        // The plain interleave really would have spread those lines.
+        assert_eq!(a.mapper.to_dram(3 * 8192 + 64).channel, 1);
+    }
+
     #[test]
     fn copy_plan_pairs_are_same_subarray() {
         let (geo, var) = fixtures();
-        let mut a = RowCloneAllocator::new(&geo, 100);
+        let mut a = allocator(&geo, 100);
         let n = 100;
         a.plan_copy(&var, n, 0, n).expect("pool not exhausted");
         assert_eq!(a.remap.len() as u64, 2 * n);
@@ -359,7 +576,7 @@ mod tests {
     #[test]
     fn copy_plan_mostly_clonable() {
         let (geo, var) = fixtures();
-        let mut a = RowCloneAllocator::new(&geo, 100);
+        let mut a = allocator(&geo, 100);
         a.plan_copy(&var, 120, 0, 120).unwrap();
         let ok = a.clonable.len();
         assert!(
@@ -371,7 +588,7 @@ mod tests {
     #[test]
     fn clonable_pairs_really_pass_trials() {
         let (geo, var) = fixtures();
-        let mut a = RowCloneAllocator::new(&geo, 100);
+        let mut a = allocator(&geo, 100);
         let n = 40;
         a.plan_copy(&var, n, 0, n).unwrap();
         assert!(!a.clonable.is_empty());
@@ -390,7 +607,7 @@ mod tests {
     #[test]
     fn init_plan_sources_cover_destinations() {
         let (geo, var) = fixtures();
-        let mut a = RowCloneAllocator::new(&geo, 100);
+        let mut a = allocator(&geo, 100);
         let n = 200;
         a.plan_init(&var, n, 0, 10_000).unwrap();
         let mut fallback = 0;
@@ -417,7 +634,7 @@ mod tests {
     fn ideal_variation_qualifies_everything() {
         let cfg = DramConfig::small_for_tests();
         let var = VariationModel::new(VariationConfig::ideal(), cfg.geometry.clone());
-        let mut a = RowCloneAllocator::new(&cfg.geometry, 10);
+        let mut a = allocator(&cfg.geometry, 10);
         a.plan_copy(&var, 50, 0, 50).unwrap();
         assert!((0..50).all(|i| a.clonable.contains(&(i, 50 + i))));
         a.plan_init(&var, 50, 100, 10_000).unwrap();
@@ -428,7 +645,7 @@ mod tests {
     fn pool_exhaustion_returns_none() {
         let (geo, var) = fixtures();
         let total_rows = u64::from(geo.rows_per_bank) * u64::from(geo.banks());
-        let mut a = RowCloneAllocator::new(&geo, 1);
+        let mut a = allocator(&geo, 1);
         // Ask for far more pairs than the device holds.
         assert!(a.plan_copy(&var, total_rows, 0, total_rows).is_none());
     }
@@ -436,7 +653,7 @@ mod tests {
     #[test]
     fn pools_shrink_monotonically() {
         let (geo, var) = fixtures();
-        let mut a = RowCloneAllocator::new(&geo, 10);
+        let mut a = allocator(&geo, 10);
         let before: u32 = a.next_subarray_top.iter().sum();
         a.plan_copy(&var, 64, 0, 64).unwrap();
         let after: u32 = a.next_subarray_top.iter().sum();
@@ -453,7 +670,7 @@ mod tests {
     #[test]
     fn heap_spans_the_capacity_while_no_pool_is_in_use() {
         let (geo, _) = fixtures();
-        let mut a = RowCloneAllocator::new(&geo, 1);
+        let mut a = allocator(&geo, 1);
         let base = a.alloc(1, 0);
         a.alloc(geo.capacity_bytes() - base - 2, 0);
     }

@@ -88,7 +88,8 @@ pub struct SystemConfig {
     pub smc_costs: SmcCostModel,
     /// The DRAM device.
     pub dram: DramConfig,
-    /// Physical-to-DRAM address mapping scheme.
+    /// Physical-to-DRAM address mapping (one layout; see
+    /// [`MappingScheme`]).
     pub mapping: MappingScheme,
     /// Depth of the tile's posted-write buffer: how many writes/writebacks
     /// the pending-request stream accumulates before a serve pass is forced.

@@ -328,7 +328,7 @@ impl SoftwareMemoryController for FcfsController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easydram_dram::{DramConfig, DramDevice};
+    use easydram_dram::{DramAddress, DramConfig, DramDevice};
 
     use crate::smc::fixture::Fix;
 
@@ -337,8 +337,8 @@ mod tests {
         let mut f = Fix::new();
         let mut ctrl = FrFcfsController::new();
         // Same row twice, then a different row in the same bank.
-        for addr in [0, 64, 8192 * 2] {
-            f.post_read(addr);
+        for (row, col) in [(0, 0), (0, 1), (1, 0)] {
+            f.post_read(f.to_phys(DramAddress::new(0, row, col)));
         }
         let res = ctrl.serve(&mut f.api());
         assert_eq!(res.row_hits, 1, "second access hits the open row");
@@ -351,8 +351,9 @@ mod tests {
     fn fcfs_closed_page_never_hits() {
         let mut f = Fix::new();
         let mut ctrl = FcfsController::new();
-        f.post_read(0);
-        f.post_read(64);
+        for col in 0..2 {
+            f.post_read(f.to_phys(DramAddress::new(0, 0, col)));
+        }
         let res = ctrl.serve(&mut f.api());
         assert_eq!(f.session.responses().len(), 2);
         assert_eq!(res.row_hits, 0, "closed page precharges after every access");
@@ -458,9 +459,7 @@ mod tests {
             .find(|&r| plan.trcd_for(0, r).is_some())
             .expect("a strong row exists");
         let mut ctrl = FrFcfsController::with_trcd_reduction(plan);
-        let addr = f
-            .map
-            .to_phys(easydram_dram::DramAddress::new(0, strong_row, 0));
+        let addr = f.to_phys(DramAddress::new(0, strong_row, 0));
         f.post_read(addr);
         let res = ctrl.serve(&mut f.api());
         assert_eq!(res.reduced_trcd_accesses, 1);
@@ -479,8 +478,8 @@ mod tests {
         f.dev = DramDevice::new(cfg);
         let pattern = vec![0xCDu8; 8192];
         f.dev.write_row(0, 1, &pattern);
-        let src_addr = f.map.to_phys(easydram_dram::DramAddress::new(0, 1, 0));
-        let dst_addr = f.map.to_phys(easydram_dram::DramAddress::new(0, 2, 0));
+        let src_addr = f.to_phys(DramAddress::new(0, 1, 0));
+        let dst_addr = f.to_phys(DramAddress::new(0, 2, 0));
         f.post(0, RequestKind::RowClone { src_addr, dst_addr }, 0);
         FrFcfsController::new().serve(&mut f.api());
         assert_eq!(f.dev.row_data(0, 2), pattern.as_slice());

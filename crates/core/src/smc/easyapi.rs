@@ -7,12 +7,13 @@
 //! table, command buffer and response queue of paper Fig. 7, plus the
 //! constants a pass charges against (call costs, transfer costs, tile clock
 //! period) and the DRAM Bender executor. Each serve pass lends the session,
-//! together with the device, the address mapper and the remap table (the
-//! only things that change between passes), to one [`EasyApi`] handle. The
-//! handle exposes a multi-entry request table, so FR-FCFS and critical-mode
-//! scheduling see every in-flight request at once. When the handle is
-//! dropped the pass's responses and ledger stay in the session until the
-//! next pass clears them.
+//! together with the device and the RowClone allocator (the only things
+//! that change between passes; the allocator's decode honours its remap
+//! table), to one [`EasyApi`] handle. The handle exposes a multi-entry
+//! request table, so FR-FCFS and critical-mode scheduling see every
+//! in-flight request at once. When the handle is dropped the pass's
+//! responses and ledger stay in the session until the next pass clears
+//! them.
 //!
 //! Every call charges Rocket cycles from the [`SmcCostModel`] to the pass's
 //! ledger. The ledger feeds (a) the FPGA wall clock — how long the slow
@@ -23,12 +24,13 @@
 //! what lets the tile give every request in a batch its own release cycle
 //! from the response alone.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use easydram_bender::{BenderError, BenderProgram, BenderResult, Executor, TransferCost};
 use easydram_cpu::timescale::cycles_to_ps;
-use easydram_dram::{AddressMapper, DramAddress, DramCommand, DramDevice, LINE_BYTES};
+use easydram_dram::{DramAddress, DramCommand, DramDevice, LINE_BYTES};
 
+use crate::alloc::RowCloneAllocator;
 use crate::config::SystemConfig;
 use crate::costs::SmcCostModel;
 use crate::counters::Counters;
@@ -134,13 +136,12 @@ impl ApiSession {
     /// Opens an API handle for one serve pass over everything pending,
     /// clearing the previous pass's table, command buffer, responses and
     /// ledger in place. The pass runs on `device`, translates addresses
-    /// through `mapper` and the RowClone allocator's `remap`, and starts
-    /// executing at `wall_base_ps`, absolute FPGA/DRAM time.
+    /// through `placement`'s decode, and starts executing at
+    /// `wall_base_ps`, absolute FPGA/DRAM time.
     pub(crate) fn begin<'a>(
         &'a mut self,
         device: &'a mut DramDevice,
-        mapper: &'a AddressMapper,
-        remap: &'a BTreeMap<u64, (u32, u32)>,
+        placement: &'a RowCloneAllocator,
         wall_base_ps: u64,
     ) -> EasyApi<'a> {
         self.table.clear();
@@ -150,8 +151,7 @@ impl ApiSession {
         EasyApi {
             session: self,
             device,
-            mapper,
-            remap,
+            placement,
             wall_base_ps,
             attributed: ResponseSlice::default(),
         }
@@ -182,10 +182,8 @@ pub struct EasyApi<'a> {
     session: &'a mut ApiSession,
     /// The DRAM device behind DRAM Bender.
     device: &'a mut DramDevice,
-    /// Physical-to-DRAM address mapper.
-    mapper: &'a AddressMapper,
-    /// OS-style row remapping installed by the RowClone allocator.
-    remap: &'a BTreeMap<u64, (u32, u32)>,
+    /// The RowClone allocator, whose decode honours its row remapping.
+    placement: &'a RowCloneAllocator,
     wall_base_ps: u64,
     /// Watermark of ledger totals already attributed to a response.
     attributed: ResponseSlice,
@@ -309,7 +307,7 @@ impl EasyApi<'_> {
     /// installed by the RowClone allocator.
     pub fn get_addr_mapping(&mut self, phys: u64) -> DramAddress {
         self.charge(self.session.costs.addr_mapping);
-        self.mapper.to_dram_remapped(self.remap, phys)
+        self.placement.decode(phys)
     }
 
     /// The row currently open in `bank` (tile shadow state; free).
@@ -652,8 +650,9 @@ mod tests {
             write_buffer_depth: 4,
             ..Fix::config()
         });
+        let second = f.to_phys(DramAddress::new(0, 0, 1));
         f.post(0, RequestKind::Read { addr: 0 }, 5);
-        f.post(1, RequestKind::Read { addr: 64 }, 6);
+        f.post(1, RequestKind::Read { addr: second }, 6);
         assert_eq!(f.session.len(), 2);
         assert!(!f.session.is_full());
         assert_eq!(f.session.pending()[0].tag.arrival_cycle, 5);
@@ -670,8 +669,9 @@ mod tests {
         let mut f = Fix::new();
         let mut warm = None;
         for pass in 0..3u64 {
-            for i in 0..4u64 {
-                f.post(0, RequestKind::Read { addr: i * 64 }, pass);
+            for col in 0..4 {
+                let addr = f.to_phys(DramAddress::new(0, 0, col));
+                f.post(0, RequestKind::Read { addr }, pass);
             }
             let mut a = f.api();
             a.receive_all();
@@ -723,7 +723,8 @@ mod tests {
     #[test]
     fn responses_carry_disjoint_slices_that_sum_to_the_ledger() {
         let mut f = Fix::new();
-        for (requestor, addr) in [(0, 0u64), (1, 8192 * 2)] {
+        for (requestor, row) in [(0, 0), (1, 1)] {
+            let addr = f.to_phys(DramAddress::new(0, row, 0));
             f.post(requestor, RequestKind::Read { addr }, 0);
         }
         let trailing = f.session.costs.set_scheduling_state;
@@ -764,11 +765,11 @@ mod tests {
         let mut a = f.api();
         a.ddr_activate(0, 5).unwrap();
         a.flush_commands().unwrap();
-        let oldest = f.post_read(f.map.to_phys(DramAddress::new(0, 9, 0)));
+        let oldest = f.post_read(f.to_phys(DramAddress::new(0, 9, 0)));
         let hit = f.post(
             0,
             RequestKind::Read {
-                addr: f.map.to_phys(DramAddress::new(0, 5, 0)),
+                addr: f.to_phys(DramAddress::new(0, 5, 0)),
             },
             1,
         );
@@ -788,9 +789,9 @@ mod tests {
     #[test]
     fn remap_overrides_mapper() {
         let mut f = Fix::new();
-        f.remap.insert(0u64, (1u32, 77u32)); // virtual row 0 -> bank 1 row 77
+        f.placement.remap_row(0, 1, 77); // virtual row 0 -> bank 1 row 77
         let far = 10 * 8192;
-        let plain = f.map.to_dram(far);
+        let plain = f.placement.mapper().to_dram(far);
         let mut a = f.api();
         let d = a.get_addr_mapping(128); // third line of virtual row 0
         assert_eq!((d.bank, d.row, d.col), (1, 77, 2));
@@ -855,7 +856,7 @@ mod tests {
         f.session = ApiSession::new(&cfg);
         assert_eq!(f.session.costs.set_scheduling_state, 4);
         let base = 1_000_000;
-        let mut a = f.session.begin(&mut f.dev, &f.map, &f.remap, base);
+        let mut a = f.session.begin(&mut f.dev, &f.placement, base);
         a.set_scheduling_state(true);
         assert_eq!(a.wall_now_ps(), base + 26_667);
     }

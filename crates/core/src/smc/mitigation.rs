@@ -286,12 +286,12 @@ mod tests {
         // would be a mitigation-bypassing hammer channel.
         let mut f = Fix::new();
         let rowclone = RequestKind::RowClone {
-            src_addr: f.map.to_phys(DramAddress::new(0, 10, 0)),
-            dst_addr: f.map.to_phys(DramAddress::new(0, 12, 0)),
+            src_addr: f.to_phys(DramAddress::new(0, 10, 0)),
+            dst_addr: f.to_phys(DramAddress::new(0, 12, 0)),
         };
         f.post(0, rowclone, 0);
         let profile = RequestKind::ProfileTrcd {
-            addr: f.map.to_phys(DramAddress::new(0, 30, 0)),
+            addr: f.to_phys(DramAddress::new(0, 30, 0)),
             trcd_ps: 13_500,
         };
         f.post(0, profile, 0);

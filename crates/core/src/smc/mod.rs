@@ -83,21 +83,19 @@ pub trait SoftwareMemoryController: Send {
 
 #[cfg(test)]
 pub(crate) mod fixture {
-    use std::collections::BTreeMap;
-
-    use easydram_dram::{AddressMapper, DramDevice, MappingScheme};
+    use easydram_dram::{AddressMapper, DramAddress, DramDevice, MappingScheme};
 
     use super::easyapi::{ApiSession, EasyApi};
+    use crate::alloc::RowCloneAllocator;
     use crate::config::{SystemConfig, TimingMode};
     use crate::request::{MemRequest, RequestKind};
 
     /// The tile-side state a serve pass borrows, for controller unit tests:
-    /// a small device, its address translation and one session to post
-    /// into.
+    /// a small device, the allocator whose decode translates its addresses
+    /// and one session to post into.
     pub(crate) struct Fix {
         pub(crate) dev: DramDevice,
-        pub(crate) map: AddressMapper,
-        pub(crate) remap: BTreeMap<u64, (u32, u32)>,
+        pub(crate) placement: RowCloneAllocator,
         pub(crate) session: ApiSession,
         next_id: u64,
     }
@@ -117,8 +115,10 @@ pub(crate) mod fixture {
             let geo = dev.config().geometry.clone();
             Self {
                 dev,
-                map: AddressMapper::new(geo, MappingScheme::RowBankCol),
-                remap: BTreeMap::new(),
+                placement: RowCloneAllocator::new(
+                    AddressMapper::new(geo, MappingScheme::RowColBankXor),
+                    cfg.rowclone_test_trials,
+                ),
                 session: ApiSession::new(&cfg),
                 next_id: 0,
             }
@@ -134,10 +134,15 @@ pub(crate) mod fixture {
         ) -> u64 {
             let id = self.next_id;
             self.next_id += 1;
-            let dram = self.map.to_dram_remapped(&self.remap, kind.addr());
+            let dram = self.placement.decode(kind.addr());
             self.session
                 .post(MemRequest::new(id, requestor, kind, arrival_cycle, dram));
             id
+        }
+
+        /// The physical address of the start of cache line `addr`.
+        pub(crate) fn to_phys(&self, addr: DramAddress) -> u64 {
+            self.placement.mapper().to_phys(addr)
         }
 
         /// Posts a read of `addr` from requestor 0 at cycle 0.
@@ -147,7 +152,7 @@ pub(crate) mod fixture {
 
         /// Opens a pass over everything posted, starting at wall time 0.
         pub(crate) fn api(&mut self) -> EasyApi<'_> {
-            self.session.begin(&mut self.dev, &self.map, &self.remap, 0)
+            self.session.begin(&mut self.dev, &self.placement, 0)
         }
     }
 }

@@ -224,9 +224,8 @@ counters!(Mark: sum {
 pub struct Tile {
     cfg: SystemConfig,
     lanes: Vec<Lane>,
-    mapper: AddressMapper,
     /// The heap and RowClone placement: remap table, qualified pairs, init
-    /// sources (paper §7.1).
+    /// sources (paper §7.1), and with them the one address decode.
     placement: RowCloneAllocator,
     /// Absolute FPGA/DRAM wall clock, ps.
     wall_ps: u64,
@@ -255,8 +254,10 @@ pub struct Tile {
 impl Tile {
     pub(crate) fn new(cfg: SystemConfig) -> Self {
         let geometry = cfg.dram.geometry.clone();
-        let mapper = AddressMapper::new(geometry.clone(), cfg.mapping);
-        let placement = RowCloneAllocator::new(&geometry, cfg.rowclone_test_trials);
+        let placement = RowCloneAllocator::new(
+            AddressMapper::new(geometry.clone(), cfg.mapping),
+            cfg.rowclone_test_trials,
+        );
         let lanes = (0..geometry.channels)
             .map(|ch| {
                 let mut dram = cfg.dram.clone();
@@ -289,7 +290,6 @@ impl Tile {
         Self {
             cfg,
             lanes,
-            mapper,
             placement,
             wall_ps: 0,
             frozen_ps: 0,
@@ -561,20 +561,13 @@ impl Tile {
         }
     }
 
-    /// Decodes a physical address, honouring RowClone row remaps (remapped
-    /// rows live on channel 0). The one decode of a request's life outside
-    /// the controller's own charged `get_addr_mapping` calls.
-    fn decode(&self, addr: u64) -> DramAddress {
-        self.mapper.to_dram_remapped(self.placement.remap(), addr)
-    }
-
     /// The invariant [`crate::request::RequestTag::dram`] documents: every
     /// pending request's tag equals the current decode of its address.
     fn tags_match_decode(&self) -> bool {
         self.lanes
             .iter()
             .flat_map(|l| l.session.pending())
-            .all(|r| r.tag.dram == self.decode(r.addr()))
+            .all(|r| r.tag.dram == self.placement.decode(r.addr()))
     }
 
     /// Posts one request into its channel's pending stream under a globally
@@ -582,7 +575,7 @@ impl Tile {
     /// scaling experiments use this to build multi-channel batches; the
     /// normal request paths go through [`MemoryBackend`].
     pub fn post_request(&mut self, kind: RequestKind, issue_cycle: u64) -> u64 {
-        self.post_decoded(self.decode(kind.addr()), kind, issue_cycle)
+        self.post_decoded(self.placement.decode(kind.addr()), kind, issue_cycle)
     }
 
     /// Tags a request whose address decodes to `dram` and posts it to its
@@ -719,12 +712,9 @@ impl Tile {
                 continue;
             }
             let batch = lane.session.len() as u64;
-            let mut api = lane.session.begin(
-                &mut lane.device,
-                &self.mapper,
-                self.placement.remap(),
-                start_wall,
-            );
+            let mut api = lane
+                .session
+                .begin(&mut lane.device, &self.placement, start_wall);
             let serve_res = lane.controller.serve(&mut api);
             max_end_wall = max_end_wall.max(api.wall_now_ps());
             for resp in lane.session.responses() {
@@ -760,7 +750,8 @@ impl Tile {
         issue_cycle: u64,
     ) -> bool {
         let addr = self
-            .mapper
+            .placement
+            .mapper()
             .to_phys(easydram_dram::DramAddress::new(bank, row, col));
         let (_, corrupted, _) =
             self.serve_one(RequestKind::ProfileTrcd { addr, trcd_ps }, issue_cycle);
@@ -788,7 +779,7 @@ impl MemoryBackend for Tile {
 
     fn post_write(&mut self, line_addr: u64, data: [u8; LINE_BYTES], issue_cycle: u64) -> u64 {
         self.stats.posted_writes += 1;
-        let dram = self.decode(line_addr);
+        let dram = self.placement.decode(line_addr);
         let accepted = if self.lanes[dram.channel as usize].session.is_full() {
             // Bounded per-channel write buffer: make room by draining what
             // accumulated (all lanes — the pass overlaps them anyway).

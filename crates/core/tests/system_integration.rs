@@ -12,30 +12,19 @@ fn sys(mode: TimingMode) -> System {
 
 #[test]
 fn every_mapping_scheme_round_trips_data() {
-    for scheme in [
-        MappingScheme::RowBankCol,
-        MappingScheme::RowColBank,
-        MappingScheme::BankRowCol,
-        MappingScheme::RowColBankXor,
-    ] {
-        let mut cfg = SystemConfig::small_for_tests(TimingMode::Reference);
-        cfg.mapping = scheme;
-        let mut s = System::new(cfg);
-        let a = s.cpu().alloc(16 * 1024, 64);
-        for i in 0..2048u64 {
-            s.cpu().store_u64(a + i * 8, i.rotate_left(17));
-        }
-        for line in 0..256u64 {
-            s.cpu().clflush(a + line * 64);
-        }
-        s.cpu().fence();
-        for i in 0..2048u64 {
-            assert_eq!(
-                s.cpu().load_u64(a + i * 8),
-                i.rotate_left(17),
-                "{scheme:?} word {i}"
-            );
-        }
+    let mut cfg = SystemConfig::small_for_tests(TimingMode::Reference);
+    cfg.mapping = MappingScheme::RowColBankXor;
+    let mut s = System::new(cfg);
+    let a = s.cpu().alloc(16 * 1024, 64);
+    for i in 0..2048u64 {
+        s.cpu().store_u64(a + i * 8, i.rotate_left(17));
+    }
+    for line in 0..256u64 {
+        s.cpu().clflush(a + line * 64);
+    }
+    s.cpu().fence();
+    for i in 0..2048u64 {
+        assert_eq!(s.cpu().load_u64(a + i * 8), i.rotate_left(17), "word {i}");
     }
 }
 
@@ -92,15 +81,12 @@ fn frfcfs_reorders_a_batched_request_stream() {
     use easydram_dram::{AddressMapper, DramAddress};
 
     let run = |fcfs: bool| {
-        let mut cfg = SystemConfig::small_for_tests(TimingMode::Reference);
-        // Consecutive lines walk a row: maximal row locality.
-        cfg.mapping = MappingScheme::RowBankCol;
-        let geometry = cfg.dram.geometry.clone();
+        let cfg = SystemConfig::small_for_tests(TimingMode::Reference);
+        let mapper = AddressMapper::new(cfg.dram.geometry.clone(), cfg.mapping);
         let mut s = System::new(cfg);
         if fcfs {
             s.install_controller(Box::new(FcfsController::new()));
         }
-        let mapper = AddressMapper::new(geometry, MappingScheme::RowBankCol);
         let line = |row, col| mapper.to_phys(DramAddress::new(0, row, col));
         // Dirty six lines alternating between two rows of the same bank,
         // then flush them all without an intervening fence: the writebacks

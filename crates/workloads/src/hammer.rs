@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn plans_target_the_right_rows() {
         let g = small();
-        let scheme = MappingScheme::RowBankCol;
+        let scheme = MappingScheme::RowColBankXor;
         let mapper = AddressMapper::new(g.clone(), scheme);
         let plan = HammerPlan::in_bank(&g, scheme, 0, 100, HammerPattern::DoubleSided);
         let rows: Vec<u32> = plan
@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn many_sided_covers_the_blast_radius() {
         let g = small();
-        let scheme = MappingScheme::RowBankCol;
+        let scheme = MappingScheme::RowColBankXor;
         let mapper = AddressMapper::new(g.clone(), scheme);
         let plan = HammerPlan::in_bank(&g, scheme, 0, 200, HammerPattern::ManySided(6));
         let rows: Vec<u32> = plan
@@ -310,7 +310,7 @@ mod tests {
         let g = small();
         let mut k = HammerKernel::in_bank(
             &g,
-            MappingScheme::RowBankCol,
+            MappingScheme::RowColBankXor,
             0,
             100,
             HammerPattern::DoubleSided,
