@@ -1,5 +1,5 @@
-//! The workspace's Rust sources, for the tests that count constructs in
-//! them (`lint_escapes.rs`, `pub_census.rs`). Integration tests share no
+//! The workspace's Rust sources, for the tests that scan them
+//! (`lint_escapes.rs`, `pub_census.rs`, `doc_links.rs`). Integration tests share no
 //! crate, so each one includes this file with `#[path]`.
 
 use std::path::{Path, PathBuf};
