@@ -204,7 +204,7 @@ mod tests {
         p.cmd_auto(DramCommand::Read { bank: 0, col: 0 }).unwrap();
         let r = Executor::new().run(&mut d, &p, 0).unwrap();
         // Data completes at tRCD + CL + burst for a closed-row access.
-        assert_eq!(r.elapsed_ps, t().closed_row_access_ps());
+        assert_eq!(r.elapsed_ps, t().t_rcd_ps + t().read_latency_ps());
     }
 
     #[test]

@@ -42,7 +42,8 @@ impl std::fmt::Display for TimingMode {
     }
 }
 
-/// FPGA platform constants (paper §5, §6; see also `DESIGN.md` §6).
+/// FPGA platform constants (paper §5, §6; `docs/API.md`, *Lifecycle*, shows
+/// where a serve pass reads the tile clock).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FpgaConfig {
     /// Clock of the tile domain: Rocket programmable core, tile control

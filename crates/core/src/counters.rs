@@ -97,8 +97,8 @@ impl<T: Counters> Counters for Option<T> {
 /// Derives [`Counters`] for a struct from one listing of its fields:
 /// `sum` fields add on fold and subtract on rebase, `max` fields keep the
 /// larger value on fold, and `same` fields are identities both sides must
-/// agree on. A leading `pub` also provides the inherent `merge` /
-/// `subtract_baseline` spellings, so callers need not import the trait.
+/// agree on. A leading `pub` also provides the inherent `merge` spelling,
+/// so callers need not import the trait.
 macro_rules! counters {
     (pub $ty:ty: $($listing:tt)+) => {
         $crate::counters::counters!($ty: $($listing)+);
@@ -109,13 +109,6 @@ macro_rules! counters {
             #[inline]
             pub fn merge(&mut self, shard: &Self) {
                 $crate::counters::Counters::fold(self, shard);
-            }
-
-            /// Rebases against a window-start snapshot
-            /// ([`Counters::rebase`](crate::counters::Counters::rebase)).
-            #[inline]
-            pub fn subtract_baseline(&mut self, start: &Self) {
-                $crate::counters::Counters::rebase(self, start);
             }
         }
     };

@@ -750,6 +750,7 @@ pub fn validate_chrome_json(json: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Counters;
     use easydram_dram::DramCommand;
     use proptest::prelude::*;
 
@@ -906,7 +907,7 @@ mod tests {
         assert_eq!(ab, all);
         assert_eq!(ba, all, "merge must be commutative");
         let mut windowed = all;
-        windowed.subtract_baseline(&a);
+        windowed.rebase(&a);
         assert_eq!(windowed, b, "rebase undoes the first shard");
     }
 
@@ -1060,7 +1061,7 @@ mod tests {
         let snap = m;
         m.request_latency.record(900);
         m.write_latency.record(900);
-        m.subtract_baseline(&snap);
+        m.rebase(&snap);
         assert_eq!(m.request_latency.count, 1);
         assert_eq!(m.read_latency.count, 0);
         let (p50, p95, p99) = m.latency_percentiles();

@@ -382,6 +382,7 @@ impl std::fmt::Display for ExecutionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Counters;
 
     fn report() -> ExecutionReport {
         ExecutionReport {
@@ -507,7 +508,7 @@ mod tests {
                 },
             ],
         };
-        c.subtract_baseline(&start);
+        c.rebase(&start);
         assert_eq!(c.requests, 6);
         assert_eq!(c.rocket_cycles, 300);
         assert_eq!(c.serve.row_hits, 5);

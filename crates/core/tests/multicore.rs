@@ -165,18 +165,20 @@ fn corun_report_displays_per_requestor_lines() {
     );
 }
 
-/// A quad co-run (any 4 workloads by name) works end to end on a 2-channel
-/// tile and every requestor is served.
+/// A quad co-run (two PolyBench kernels, a chase and an init sweep) works
+/// end to end on a 2-channel tile and every requestor is served.
 #[test]
 fn quad_corun_over_two_channels() {
-    use easydram_workloads::{multiprog, PolySize};
-    let mut set = multiprog::co_run_set(&["gemm", "mvt", "lat_mem_rd", "cpu-init"], PolySize::Mini)
-        .expect("known names");
-    // Shrink the chase for test speed: replace it with a bounded one.
-    set[2] = Box::new(LatMemRd::with_loads(64 * 1024, 64, 256));
+    use easydram_workloads::micro::CpuInit;
+    use easydram_workloads::polybench::{Gemm, Mvt};
+    use easydram_workloads::PolySize;
+    let mut gemm = Gemm::new(PolySize::Mini);
+    let mut mvt = Mvt::new(PolySize::Mini);
+    // A bounded chase keeps the test fast.
+    let mut chase = LatMemRd::with_loads(64 * 1024, 64, 256);
+    let mut init = CpuInit::new(256 * 1024);
     let mut sys = MultiCoreSystem::new(cfg(2), 4);
-    let mut refs: Vec<&mut dyn Workload> = set.iter_mut().map(|w| w.as_mut() as _).collect();
-    let r = sys.co_run(&mut refs);
+    let r = sys.co_run(&mut [&mut gemm, &mut mvt, &mut chase, &mut init]);
     assert_eq!(r.cores.len(), 4);
     assert_eq!(r.aggregate.requestors.len(), 4);
     for q in &r.aggregate.requestors {

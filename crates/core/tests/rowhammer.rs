@@ -8,7 +8,7 @@ use easydram::{
     TimingMode, TraceConfig, TraceLog,
 };
 use easydram_workloads::lmbench::LatMemRd;
-use easydram_workloads::{multiprog, HammerKernel, HammerPattern, Workload};
+use easydram_workloads::{HammerKernel, HammerPattern, Workload};
 
 /// Per-aggressor activations the attack issues: comfortably above the
 /// rig's highest `HCfirst`.
@@ -146,32 +146,52 @@ fn a_freshly_installed_mitigation_is_traced_from_its_first_refresh() {
     );
 }
 
+/// Victim row of [`small_rig_attack`]: high in the small test geometry's
+/// bank, far above the bump allocator's working region, so a co-running
+/// victim workload's heap never collides with the attack rows.
+const SMALL_RIG_VICTIM_ROW: u32 = 900;
+
+/// Per-aggressor activations of [`small_rig_attack`]: below the realistic
+/// `HCfirst` default.
+const SMALL_RIG_ITERATIONS: u64 = 2_000;
+
+/// An attack on bank 0 of `small_for_tests`'s geometry and mapping.
+fn small_rig_attack(pattern: HammerPattern) -> HammerKernel {
+    let cfg = SystemConfig::small_for_tests(TimingMode::Reference);
+    HammerKernel::in_bank(
+        &cfg.dram.geometry,
+        cfg.mapping,
+        0,
+        SMALL_RIG_VICTIM_ROW,
+        pattern,
+        SMALL_RIG_ITERATIONS,
+    )
+}
+
 #[test]
-fn hammer_registry_names_run_against_the_shared_tile() {
-    // The registry's named kernels plan against the small test geometry;
-    // a plain (disturbance-off) system must run them unharmed: the attack
-    // executes, the victim stays intact.
+fn many_sided_attack_runs_against_the_shared_tile() {
+    // A plain (disturbance-off) system must run a many-sided attack
+    // unharmed: the attack executes, the victim stays intact.
     let mut sys = System::new(SystemConfig::small_for_tests(TimingMode::Reference));
-    let mut kernel = multiprog::by_name("hammer-many", Default::default()).expect("registered");
-    let r = sys.run(kernel.as_mut());
+    let mut kernel = small_rig_attack(HammerPattern::ManySided(6));
+    let r = sys.run(&mut kernel);
     assert!(r.dram.activates > 0);
     assert_eq!(r.dram.disturbance_flips, 0, "disturbance is off by default");
 }
 
 #[test]
 fn attacker_core_hammers_while_victim_core_chases() {
-    // The co-run scenario the registry exists for: core 0 runs the named
-    // double-sided hammer, core 1 a latency-sensitive chase, over one
-    // shared tile with disturbance modeling on. The realistic `HCfirst`
-    // default sits far above the attack's activation budget, so the
-    // victim's pointer chain survives while the device visibly accumulates
-    // hammer pressure.
+    // Core 0 runs a double-sided hammer, core 1 a latency-sensitive chase,
+    // over one shared tile with disturbance modeling on. The realistic
+    // `HCfirst` default sits far above the attack's activation budget, so
+    // the victim's pointer chain survives while the device visibly
+    // accumulates hammer pressure.
     let mut cfg = SystemConfig::small_for_tests(TimingMode::Reference);
     cfg.dram.variation.disturb_enabled = true;
     let mut sys = MultiCoreSystem::new(cfg, 2);
-    let mut attacker = multiprog::by_name("hammer-double", Default::default()).expect("registered");
+    let mut attacker = small_rig_attack(HammerPattern::DoubleSided);
     let mut victim = LatMemRd::shuffled_with_loads(128 * 1024, 64, 1_024);
-    let r = sys.co_run(&mut [attacker.as_mut(), &mut victim]);
+    let r = sys.co_run(&mut [&mut attacker, &mut victim]);
     assert_eq!(r.aggregate.requestors.len(), 2);
     for q in &r.aggregate.requestors {
         assert!(q.requests > 0, "requestor {} starved", q.requestor);
@@ -179,11 +199,10 @@ fn attacker_core_hammers_while_victim_core_chases() {
     assert!(victim.cycles_per_load().is_some(), "the chase completed");
     let aggressor_pressure = sys.with_tile(|t| {
         let d = t.channel_device(0);
-        d.hammer_count(0, multiprog::HAMMER_VICTIM_ROW - 1)
-            + d.hammer_count(0, multiprog::HAMMER_VICTIM_ROW + 1)
+        d.hammer_count(0, SMALL_RIG_VICTIM_ROW - 1) + d.hammer_count(0, SMALL_RIG_VICTIM_ROW + 1)
     });
     assert!(
-        aggressor_pressure >= 2 * multiprog::HAMMER_ITERATIONS,
+        aggressor_pressure >= 2 * SMALL_RIG_ITERATIONS,
         "both aggressor rows must log their activations, got {aggressor_pressure}"
     );
     assert_eq!(

@@ -304,7 +304,7 @@ mod tests {
         let banks: std::collections::BTreeSet<u32> =
             (0..32u64).map(|i| m.to_dram(i * 64).bank).collect();
         assert_eq!(banks.len(), 32);
-        assert!(banks.iter().any(|&b| geometry.rank_of(b) == 1));
+        assert!(banks.iter().any(|&b| b / geometry.banks() == 1));
     }
 
     #[test]

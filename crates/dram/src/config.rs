@@ -57,12 +57,6 @@ impl Geometry {
         self.channels * self.banks_per_channel()
     }
 
-    /// Rank of a flat within-channel bank index.
-    #[must_use]
-    pub fn rank_of(&self, bank: u32) -> u32 {
-        bank / self.banks()
-    }
-
     /// The single-channel single-rank geometry one channel's device models:
     /// the ranks of the channel are folded into the bank-group dimension, so
     /// a flat within-channel bank index (`rank * banks() + bank_in_rank`)
@@ -400,9 +394,8 @@ mod tests {
         assert_eq!(g.banks_per_channel(), 32);
         assert_eq!(g.total_banks(), 64);
         assert_eq!(g.capacity_bytes(), 4 * Geometry::default().capacity_bytes());
-        assert_eq!(g.rank_of(0), 0);
-        assert_eq!(g.rank_of(15), 0);
-        assert_eq!(g.rank_of(16), 1);
+        // A flat within-channel bank index is `rank * banks() + bank_in_rank`.
+        assert_eq!([0, 15, 16].map(|b| b / g.banks()), [0, 0, 1]);
     }
 
     #[test]

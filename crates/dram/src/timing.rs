@@ -109,13 +109,6 @@ impl TimingParams {
         }
     }
 
-    /// Row-cycle time `tRC = tRAS + tRP`: the minimum spacing of two
-    /// activations to different rows of the same bank.
-    #[must_use]
-    pub fn t_rc_ps(&self) -> u64 {
-        self.t_ras_ps + self.t_rp_ps
-    }
-
     /// Latency from READ issue to the full cache line on the bus.
     #[must_use]
     pub fn read_latency_ps(&self) -> u64 {
@@ -126,12 +119,6 @@ impl TimingParams {
     #[must_use]
     pub fn write_latency_ps(&self) -> u64 {
         self.t_cwl_ps + self.t_burst_ps
-    }
-
-    /// Closed-row random access time: ACT + tRCD + CL + burst.
-    #[must_use]
-    pub fn closed_row_access_ps(&self) -> u64 {
-        self.t_rcd_ps + self.read_latency_ps()
     }
 
     /// Validates internal consistency of the parameter set against the
@@ -182,9 +169,13 @@ mod tests {
     #[test]
     fn derived_quantities() {
         let t = TimingParams::ddr4_1333();
-        assert_eq!(t.t_rc_ps(), 49_500);
+        assert_eq!(t.t_ras_ps + t.t_rp_ps, 49_500, "tRC");
         assert_eq!(t.read_latency_ps(), 19_500);
-        assert_eq!(t.closed_row_access_ps(), 33_000);
+        assert_eq!(
+            t.t_rcd_ps + t.read_latency_ps(),
+            33_000,
+            "closed-row access"
+        );
     }
 
     #[test]

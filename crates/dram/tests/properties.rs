@@ -350,7 +350,7 @@ fn data_is_isolated_across_rows() {
     let t = dev.timing().clone();
     let mut now = dev.now_ps();
     for row in 0..32u32 {
-        now += t.t_rc_ps();
+        now += t.t_ras_ps + t.t_rp_ps;
         dev.issue_raw(DramCommand::Activate { bank: 1, row }, now)
             .unwrap();
         now += t.t_ras_ps;

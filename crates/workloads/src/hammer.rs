@@ -15,9 +15,8 @@
 //! * **many-sided** — `n` aggressors surrounding the victim (TRRespass-style
 //!   spray), exercising the full ±2 blast radius.
 //!
-//! Row placement is computed from the target system's
-//! [`Geometry`]/[`MappingScheme`] via [`HammerPlan::in_bank`], so the same
-//! kernel drives any rig.
+//! [`HammerKernel::in_bank`] places the rows from the target system's
+//! [`Geometry`]/[`MappingScheme`], so the same kernel drives any rig.
 
 use easydram_cpu::CpuApi;
 use easydram_dram::det::hash_coords;
@@ -47,25 +46,35 @@ impl HammerPattern {
     }
 }
 
-/// The physical-address plan of one attack: where to hammer and which lines
-/// to integrity-check.
-#[derive(Debug, Clone)]
-pub struct HammerPlan {
-    /// Physical line address (column 0) of each aggressor row, in hammer
-    /// order.
-    pub aggressors: Vec<u64>,
-    /// Physical line addresses of the victim row (every cache line).
-    pub victim_lines: Vec<u64>,
+/// Deterministic victim-fill word for `(line, word)` — routed through the
+/// shared [`easydram_dram::det`] hashing so runs reproduce everywhere.
+fn victim_word(line: u64, word: u64) -> u64 {
+    hash_coords(0xEA5D_11A3, b"hammer-victim", &[line, word])
 }
 
-impl HammerPlan {
+/// The attack/integrity workload.
+#[derive(Debug, Clone)]
+pub struct HammerKernel {
+    /// Physical line address (column 0) of each aggressor row, in hammer
+    /// order.
+    aggressors: Vec<u64>,
+    /// Physical line addresses of the victim row (every cache line).
+    victim_lines: Vec<u64>,
+    pattern: HammerPattern,
+    iterations: u64,
+    bit_flips: Option<u64>,
+    measured_cycles: Option<u64>,
+}
+
+impl HammerKernel {
     /// Plans an attack on `victim_row` of `bank` (channel 0) for a system
-    /// with the given geometry and mapping scheme.
+    /// with the given geometry and mapping scheme, hammering each aggressor
+    /// `iterations` times (one activation per aggressor per iteration).
     ///
     /// # Panics
     ///
     /// Panics if the victim sits too close to the bank edge for the chosen
-    /// pattern, or outside the geometry.
+    /// pattern, or outside the geometry, or if `iterations` is zero.
     #[must_use]
     pub fn in_bank(
         geometry: &Geometry,
@@ -73,7 +82,9 @@ impl HammerPlan {
         bank: u32,
         victim_row: u32,
         pattern: HammerPattern,
+        iterations: u64,
     ) -> Self {
+        assert!(iterations > 0, "an attack needs at least one activation");
         let mapper = AddressMapper::new(geometry.clone(), scheme);
         let row_addr = |row: u32| mapper.to_phys(DramAddress::new(bank, row, 0));
         let aggressors = match pattern {
@@ -116,66 +127,11 @@ impl HammerPlan {
         Self {
             aggressors,
             victim_lines,
-        }
-    }
-}
-
-/// Deterministic victim-fill word for `(line, word)` — routed through the
-/// shared [`easydram_dram::det`] hashing so runs reproduce everywhere.
-fn victim_word(line: u64, word: u64) -> u64 {
-    hash_coords(0xEA5D_11A3, b"hammer-victim", &[line, word])
-}
-
-/// The attack/integrity workload.
-#[derive(Debug, Clone)]
-pub struct HammerKernel {
-    plan: HammerPlan,
-    pattern: HammerPattern,
-    iterations: u64,
-    bit_flips: Option<u64>,
-    measured_cycles: Option<u64>,
-}
-
-impl HammerKernel {
-    /// Creates a kernel hammering each aggressor of `plan` `iterations`
-    /// times (one activation per aggressor per iteration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan has no aggressors or `iterations` is zero.
-    #[must_use]
-    pub fn new(plan: HammerPlan, pattern: HammerPattern, iterations: u64) -> Self {
-        assert!(!plan.aggressors.is_empty(), "an attack needs aggressors");
-        assert!(iterations > 0, "an attack needs at least one activation");
-        Self {
-            plan,
             pattern,
             iterations,
             bit_flips: None,
             measured_cycles: None,
         }
-    }
-
-    /// Convenience: plan and build in one step.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same invalid inputs as [`HammerPlan::in_bank`] and
-    /// [`HammerKernel::new`].
-    #[must_use]
-    pub fn in_bank(
-        geometry: &Geometry,
-        scheme: MappingScheme,
-        bank: u32,
-        victim_row: u32,
-        pattern: HammerPattern,
-        iterations: u64,
-    ) -> Self {
-        Self::new(
-            HammerPlan::in_bank(geometry, scheme, bank, victim_row, pattern),
-            pattern,
-            iterations,
-        )
     }
 
     /// Victim bits flipped by the attack, once run. 0 means the device (or
@@ -200,13 +156,13 @@ impl Workload for HammerKernel {
     fn run(&mut self, cpu: &mut dyn CpuApi) {
         // 1) Seed the victim row and push it to DRAM.
         cpu.stream_begin();
-        for (li, &line) in self.plan.victim_lines.iter().enumerate() {
+        for (li, &line) in self.victim_lines.iter().enumerate() {
             for w in 0..8u64 {
                 cpu.store_u64(line + w * 8, victim_word(li as u64, w));
             }
         }
         cpu.stream_end();
-        for &line in &self.plan.victim_lines {
+        for &line in &self.victim_lines {
             cpu.clflush(line);
         }
         cpu.fence();
@@ -216,7 +172,7 @@ impl Workload for HammerKernel {
         // (aggressors alternate), so each one costs a full ACT.
         let t0 = cpu.now_cycles();
         for _ in 0..self.iterations {
-            for &aggr in &self.plan.aggressors {
+            for &aggr in &self.aggressors {
                 let _ = cpu.load_u64(aggr);
                 cpu.clflush(aggr);
             }
@@ -227,7 +183,7 @@ impl Workload for HammerKernel {
         // 3) Integrity check: the victim lines were never cached since the
         // fence, so these loads read the (possibly disturbed) DRAM array.
         let mut flips = 0u64;
-        for (li, &line) in self.plan.victim_lines.iter().enumerate() {
+        for (li, &line) in self.victim_lines.iter().enumerate() {
             for w in 0..8u64 {
                 let got = cpu.load_u64(line + w * 8);
                 flips += u64::from((got ^ victim_word(li as u64, w)).count_ones());
@@ -256,15 +212,15 @@ mod tests {
         let g = small();
         let scheme = MappingScheme::RowColBankXor;
         let mapper = AddressMapper::new(g.clone(), scheme);
-        let plan = HammerPlan::in_bank(&g, scheme, 0, 100, HammerPattern::DoubleSided);
-        let rows: Vec<u32> = plan
+        let kernel = HammerKernel::in_bank(&g, scheme, 0, 100, HammerPattern::DoubleSided, 1);
+        let rows: Vec<u32> = kernel
             .aggressors
             .iter()
             .map(|&a| mapper.to_dram(a).row)
             .collect();
         assert_eq!(rows, vec![99, 101]);
-        assert_eq!(plan.victim_lines.len() as u32, g.cols_per_row());
-        assert!(plan
+        assert_eq!(kernel.victim_lines.len() as u32, g.cols_per_row());
+        assert!(kernel
             .victim_lines
             .iter()
             .all(|&v| mapper.to_dram(v).row == 100 && mapper.to_dram(v).bank == 0));
@@ -275,15 +231,18 @@ mod tests {
         let g = small();
         let scheme = MappingScheme::RowColBankXor;
         let mapper = AddressMapper::new(g.clone(), scheme);
-        let plan = HammerPlan::in_bank(&g, scheme, 1, 100, HammerPattern::SingleSided);
-        let rows: Vec<u32> = plan
+        let kernel = HammerKernel::in_bank(&g, scheme, 1, 100, HammerPattern::SingleSided, 1);
+        let rows: Vec<u32> = kernel
             .aggressors
             .iter()
             .map(|&a| mapper.to_dram(a).row)
             .collect();
         assert_eq!(rows, vec![101, 164]);
         assert!(
-            plan.aggressors.iter().all(|&a| mapper.to_dram(a).bank == 1),
+            kernel
+                .aggressors
+                .iter()
+                .all(|&a| mapper.to_dram(a).bank == 1),
             "decoy stays in the bank"
         );
     }
@@ -293,8 +252,8 @@ mod tests {
         let g = small();
         let scheme = MappingScheme::RowColBankXor;
         let mapper = AddressMapper::new(g.clone(), scheme);
-        let plan = HammerPlan::in_bank(&g, scheme, 0, 200, HammerPattern::ManySided(6));
-        let rows: Vec<u32> = plan
+        let kernel = HammerKernel::in_bank(&g, scheme, 0, 200, HammerPattern::ManySided(6), 1);
+        let rows: Vec<u32> = kernel
             .aggressors
             .iter()
             .map(|&a| mapper.to_dram(a).row)

@@ -30,7 +30,7 @@ pub mod polybench;
 pub mod util;
 
 pub use easydram_cpu::Workload;
-pub use hammer::{HammerKernel, HammerPattern, HammerPlan};
+pub use hammer::{HammerKernel, HammerPattern};
 pub use multiprog::StreamWriter;
 
 /// Problem-size class for PolyBench kernels.
@@ -38,7 +38,8 @@ pub use multiprog::StreamWriter;
 /// Sizes are miniaturized relative to PolyBench/C's `LARGE` dataset so that
 /// full-workload emulation completes in seconds on a host machine; the cache
 /// behaviour classes (L1-resident, L2-resident, memory-streaming) are
-/// preserved. See `DESIGN.md` for the substitution note.
+/// preserved. `docs/REPRODUCING.md` (*PolyBench problem sizes*) gives the
+/// sizes and classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PolySize {
     /// Fast unit-test size.
@@ -52,18 +53,19 @@ pub enum PolySize {
 /// simulation-speed studies), in figure order.
 #[must_use]
 pub fn fig13_names() -> Vec<&'static str> {
+    use polybench::*;
     vec![
-        "gemver",
-        "mvt",
-        "gesummv",
-        "syrk",
-        "symm",
-        "correlation",
-        "covariance",
-        "trisolv",
-        "gramschmidt",
-        "gemm",
-        "durbin",
+        Gemver::NAME,
+        Mvt::NAME,
+        Gesummv::NAME,
+        Syrk::NAME,
+        Symm::NAME,
+        Correlation::NAME,
+        Covariance::NAME,
+        Trisolv::NAME,
+        Gramschmidt::NAME,
+        Gemm::NAME,
+        Durbin::NAME,
     ]
 }
 

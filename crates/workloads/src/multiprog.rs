@@ -1,22 +1,15 @@
-//! Multi-programmed workload sets for shared-tile interference studies.
+//! The co-run aggressor for shared-tile interference studies.
 //!
-//! A co-run pairs (or quads) independent workloads, one per core of a
-//! multi-core shared-tile system (`easydram::MultiCoreSystem`). This module
-//! provides:
-//!
-//! * [`StreamWriter`] — a bandwidth aggressor: streaming stores sweeping a
-//!   larger-than-LLC buffer, generating a continuous fill-read + writeback
-//!   stream until a target emulated runtime is reached;
-//! * [`by_name`] — one registry over *all* workload families (PolyBench,
-//!   lmbench, copy/init microbenchmarks, and the aggressor), so harnesses
-//!   can co-run any pair by name;
-//! * [`co_run_set`] — builds a named multi-programmed set.
+//! A co-run gives each core of a multi-core shared-tile system
+//! (`easydram::MultiCoreSystem`) its own workload, built directly from its
+//! type: a PolyBench kernel, an lmbench chase, a copy/init microbenchmark, a
+//! RowHammer attack or the [`StreamWriter`] here, a bandwidth aggressor whose
+//! streaming stores sweep a larger-than-LLC buffer, generating a continuous
+//! fill-read + writeback stream until a target emulated runtime is reached.
 
 use easydram_cpu::CpuApi;
-use easydram_dram::{DramConfig, MappingScheme};
 
-use crate::hammer::{HammerKernel, HammerPattern};
-use crate::{lmbench::LatMemRd, micro, polybench, PolySize, Workload};
+use crate::Workload;
 
 /// A streaming-store bandwidth aggressor.
 ///
@@ -91,71 +84,6 @@ impl Workload for StreamWriter {
     }
 }
 
-/// Default working set of the named `lat_mem_rd` chase: comfortably beyond
-/// the 512 KiB LLC, so every dependent load goes to memory.
-pub const CHASE_BYTES: u64 = 2 * 1024 * 1024;
-
-/// Default byte sweep of the named `stream-writer` aggressor.
-pub const WRITER_BYTES: u64 = 2 * 1024 * 1024;
-
-/// Default emulated-cycle budget of the named `stream-writer` aggressor.
-pub const WRITER_TARGET_CYCLES: u64 = 20_000_000;
-
-/// Bank the named hammer kernels attack (channel 0).
-pub const HAMMER_BANK: u32 = 0;
-
-/// Victim row of the named hammer kernels: high in the small test
-/// geometry's bank, far above the bump allocator's working region, so a
-/// co-running victim workload's heap never collides with the attack rows.
-pub const HAMMER_VICTIM_ROW: u32 = 900;
-
-/// Activations per aggressor the named hammer kernels issue.
-pub const HAMMER_ITERATIONS: u64 = 2_000;
-
-/// The named hammer kernels plan against the small test rig
-/// (`DramConfig::small_for_tests` geometry, the default `RowColBankXor`
-/// mapping); attack studies on other rigs build [`HammerKernel::in_bank`]
-/// explicitly.
-fn hammer_by_pattern(pattern: HammerPattern) -> Box<dyn Workload> {
-    Box::new(HammerKernel::in_bank(
-        &DramConfig::small_for_tests().geometry,
-        MappingScheme::RowColBankXor,
-        HAMMER_BANK,
-        HAMMER_VICTIM_ROW,
-        pattern,
-        HAMMER_ITERATIONS,
-    ))
-}
-
-/// Builds any workload of the suite by name: all 28 PolyBench kernels (at
-/// `size`), `lat_mem_rd`, `cpu-copy`, `cpu-init`, `stream-writer`, and the
-/// RowHammer attack kernels `hammer-single` / `hammer-double` /
-/// `hammer-many` (at their default shapes). `None` for unknown names.
-#[must_use]
-pub fn by_name(name: &str, size: PolySize) -> Option<Box<dyn Workload>> {
-    match name {
-        "lat_mem_rd" => Some(Box::new(LatMemRd::new(CHASE_BYTES, 64))),
-        "cpu-copy" => Some(Box::new(micro::CpuCopy::new(256 * 1024))),
-        "cpu-init" => Some(Box::new(micro::CpuInit::new(256 * 1024))),
-        "stream-writer" => Some(Box::new(StreamWriter::new(
-            WRITER_BYTES,
-            WRITER_TARGET_CYCLES,
-        ))),
-        "hammer-single" => Some(hammer_by_pattern(HammerPattern::SingleSided)),
-        "hammer-double" => Some(hammer_by_pattern(HammerPattern::DoubleSided)),
-        "hammer-many" => Some(hammer_by_pattern(HammerPattern::ManySided(6))),
-        _ => polybench::by_name(name, size),
-    }
-}
-
-/// Builds a multi-programmed set — one workload per core — from names.
-/// Any pair/quad mixing PolyBench, lmbench, and micro workloads works.
-/// `None` if any name is unknown.
-#[must_use]
-pub fn co_run_set(names: &[&str], size: PolySize) -> Option<Vec<Box<dyn Workload>>> {
-    names.iter().map(|n| by_name(n, size)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,38 +96,5 @@ mod tests {
         w.run(&mut cpu);
         assert!(w.passes() >= 1);
         assert!(w.measured_cycles().unwrap() >= 500_000);
-    }
-
-    #[test]
-    fn registry_spans_every_family() {
-        for name in [
-            "gemm",
-            "lat_mem_rd",
-            "cpu-copy",
-            "cpu-init",
-            "stream-writer",
-            "hammer-single",
-            "hammer-double",
-            "hammer-many",
-        ] {
-            assert!(by_name(name, PolySize::Mini).is_some(), "{name} missing");
-        }
-        assert!(by_name("nonexistent", PolySize::Mini).is_none());
-    }
-
-    #[test]
-    fn hammer_co_run_set_builds_attacker_victim_pairs() {
-        let pair = co_run_set(&["hammer-double", "lat_mem_rd"], PolySize::Mini).unwrap();
-        assert_eq!(pair.len(), 2);
-        assert_eq!(pair[0].name(), "hammer-double");
-    }
-
-    #[test]
-    fn co_run_sets_build_pairs_and_quads() {
-        let pair = co_run_set(&["lat_mem_rd", "stream-writer"], PolySize::Mini).unwrap();
-        assert_eq!(pair.len(), 2);
-        let quad = co_run_set(&["gemm", "mvt", "lat_mem_rd", "cpu-copy"], PolySize::Mini).unwrap();
-        assert_eq!(quad.len(), 4);
-        assert!(co_run_set(&["gemm", "bogus"], PolySize::Mini).is_none());
     }
 }

@@ -1,5 +1,6 @@
 //! The PolyBench kernel suite (28 kernels), miniaturized for execution-driven
-//! emulation (see `DESIGN.md` for the size-substitution note).
+//! emulation (`docs/REPRODUCING.md`, *PolyBench problem sizes*, has the
+//! size-substitution note).
 //!
 //! Kernels follow the PolyBench/C 4.2 reference algorithms; data sizes are
 //! selected per kernel so the suite spans the same cache-behaviour classes
@@ -22,76 +23,60 @@ pub use medley::FloydWarshall;
 pub use solvers::{Cholesky, Durbin, Gramschmidt, Lu, Ludcmp, Trisolv};
 pub use stencils::{Adi, Fdtd2d, Heat3d, Jacobi1d, Jacobi2d, Seidel2d};
 
-/// All 28 kernel names, in a stable order.
+/// The [`KERNELS`] rows of the listed kernel types.
+macro_rules! kernels {
+    ($($ty:ident),* $(,)?) => {
+        [$(($ty::NAME, |size| Box::new($ty::new(size)))),*]
+    };
+}
+
+/// Builds a kernel at the given problem size.
+type Constructor = fn(PolySize) -> Box<dyn Workload>;
+
+/// Every kernel once, sorted by name: its [`Workload::name`] and its
+/// constructor.
+const KERNELS: [(&str, Constructor); 28] = kernels![
+    Two2mm,
+    Three3mm,
+    Adi,
+    Atax,
+    Bicg,
+    Cholesky,
+    Correlation,
+    Covariance,
+    Doitgen,
+    Durbin,
+    Fdtd2d,
+    FloydWarshall,
+    Gemm,
+    Gemver,
+    Gesummv,
+    Gramschmidt,
+    Heat3d,
+    Jacobi1d,
+    Jacobi2d,
+    Lu,
+    Ludcmp,
+    Mvt,
+    Seidel2d,
+    Symm,
+    Syr2k,
+    Syrk,
+    Trisolv,
+    Trmm,
+];
+
+/// All 28 kernel names, sorted.
 #[must_use]
 pub fn all_names() -> [&'static str; 28] {
-    [
-        "2mm",
-        "3mm",
-        "adi",
-        "atax",
-        "bicg",
-        "cholesky",
-        "correlation",
-        "covariance",
-        "doitgen",
-        "durbin",
-        "fdtd-2d",
-        "floyd-warshall",
-        "gemm",
-        "gemver",
-        "gesummv",
-        "gramschmidt",
-        "heat-3d",
-        "jacobi-1d",
-        "jacobi-2d",
-        "lu",
-        "ludcmp",
-        "mvt",
-        "seidel-2d",
-        "symm",
-        "syr2k",
-        "syrk",
-        "trisolv",
-        "trmm",
-    ]
+    KERNELS.map(|(name, _)| name)
 }
 
 /// Constructs a kernel by its [`all_names`] name.
 #[must_use]
 pub fn by_name(name: &str, size: PolySize) -> Option<Box<dyn Workload>> {
-    let w: Box<dyn Workload> = match name {
-        "2mm" => Box::new(Two2mm::new(size)),
-        "3mm" => Box::new(Three3mm::new(size)),
-        "adi" => Box::new(Adi::new(size)),
-        "atax" => Box::new(Atax::new(size)),
-        "bicg" => Box::new(Bicg::new(size)),
-        "cholesky" => Box::new(Cholesky::new(size)),
-        "correlation" => Box::new(Correlation::new(size)),
-        "covariance" => Box::new(Covariance::new(size)),
-        "doitgen" => Box::new(Doitgen::new(size)),
-        "durbin" => Box::new(Durbin::new(size)),
-        "fdtd-2d" => Box::new(Fdtd2d::new(size)),
-        "floyd-warshall" => Box::new(FloydWarshall::new(size)),
-        "gemm" => Box::new(Gemm::new(size)),
-        "gemver" => Box::new(Gemver::new(size)),
-        "gesummv" => Box::new(Gesummv::new(size)),
-        "gramschmidt" => Box::new(Gramschmidt::new(size)),
-        "heat-3d" => Box::new(Heat3d::new(size)),
-        "jacobi-1d" => Box::new(Jacobi1d::new(size)),
-        "jacobi-2d" => Box::new(Jacobi2d::new(size)),
-        "lu" => Box::new(Lu::new(size)),
-        "ludcmp" => Box::new(Ludcmp::new(size)),
-        "mvt" => Box::new(Mvt::new(size)),
-        "seidel-2d" => Box::new(Seidel2d::new(size)),
-        "symm" => Box::new(Symm::new(size)),
-        "syr2k" => Box::new(Syr2k::new(size)),
-        "syrk" => Box::new(Syrk::new(size)),
-        "trisolv" => Box::new(Trisolv::new(size)),
-        "trmm" => Box::new(Trmm::new(size)),
-        _ => return None,
-    };
-    Some(w)
+    let (_, new) = KERNELS.iter().find(|(n, _)| *n == name)?;
+    Some(new(size))
 }
 
 /// Declares a PolyBench kernel wrapper struct around a body function.
@@ -105,6 +90,9 @@ macro_rules! poly_kernel {
         }
 
         impl $ty {
+            /// The kernel's PolyBench name.
+            pub const NAME: &'static str = $name;
+
             /// Creates the kernel at the given problem size.
             #[must_use]
             pub fn new(size: $crate::PolySize) -> Self {
@@ -121,7 +109,7 @@ macro_rules! poly_kernel {
 
         impl $crate::Workload for $ty {
             fn name(&self) -> &str {
-                $name
+                Self::NAME
             }
 
             fn run(&mut self, cpu: &mut dyn easydram_cpu::CpuApi) {
@@ -148,6 +136,13 @@ mod tests {
             assert_eq!(w.name(), name);
         }
         assert!(by_name("nonexistent", PolySize::Mini).is_none());
+        // One table: a duplicated row would still construct every listed
+        // name while the kernel it replaced silently disappeared.
+        assert!(
+            all_names().windows(2).all(|pair| pair[0] < pair[1]),
+            "names are distinct and sorted: {:?}",
+            all_names()
+        );
     }
 
     #[test]

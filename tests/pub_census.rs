@@ -1,5 +1,5 @@
-//! The ratchet on the simulation crates' public surface: the production
-//! code of `crates/{core,cpu,dram,bender}/src` may hold at most
+//! The ratchet on the library crates' public surface: the production
+//! code of `crates/{core,cpu,dram,bender,workloads}/src` may hold at most
 //! `PUB_CEILING` `pub` declarations. A declaration counts when its line
 //! opens with `pub ` (items, fields and re-exports alike); `pub(crate)` and
 //! the other restricted forms do not.
@@ -12,13 +12,13 @@ use std::path::Path;
 
 /// Lower it whenever a `pub` declaration is deleted or narrowed, never
 /// raise it: a helper the crate alone calls is `pub(crate)`.
-const PUB_CEILING: usize = 767;
+const PUB_CEILING: usize = 840;
 
 #[test]
 fn pub_declarations_only_go_down() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    for krate in ["core", "cpu", "dram", "bender"] {
+    for krate in ["core", "cpu", "dram", "bender", "workloads"] {
         rust_files(&root.join("crates").join(krate).join("src"), &mut files);
     }
     assert!(files.len() > 30, "only {} files found", files.len());

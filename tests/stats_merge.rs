@@ -284,7 +284,7 @@ proptest! {
         for s in &shards[1..] {
             total.merge(s);
         }
-        total.subtract_baseline(&baseline);
+        total.rebase(&baseline);
         let window = fold(&shards[1..], LogHistogram::merge);
         prop_assert_eq!(total, window);
     }
