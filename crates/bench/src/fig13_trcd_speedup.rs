@@ -8,7 +8,7 @@
 
 use easydram::{System, SystemConfig, TimingMode};
 use easydram_ramulator::RamulatorConfig;
-use easydram_workloads::fig13_names;
+use easydram_workloads::{fig13_names, polybench};
 
 use crate::{geomean, Figure, Scale};
 
@@ -20,7 +20,7 @@ const COVERED_ROWS: u32 = 2_048;
 
 pub(crate) fn run(scale: Scale) -> Figure {
     let mut fig = Figure::default();
-    let kernels = scale.pick(vec!["mvt"], fig13_names(), fig13_names());
+    let kernels = scale.pick(vec![polybench::Mvt::NAME], fig13_names(), fig13_names());
     let mut rows = Vec::new();
     let (mut easy_all, mut ram_all) = (Vec::new(), Vec::new());
     let mut corrupted = 0;

@@ -17,7 +17,7 @@
 use easydram::{System, SystemConfig, TimingMode};
 use easydram_dram::TimingParams;
 use easydram_ramulator::RamulatorConfig;
-use easydram_workloads::fig13_names;
+use easydram_workloads::{fig13_names, polybench};
 
 use crate::{
     geomean, median_ns_per_cmd, run_oracle_kernel, run_table_kernel, sim_speed_geometry,
@@ -26,7 +26,7 @@ use crate::{
 
 pub(crate) fn run(scale: Scale) -> Figure {
     let mut fig = Figure::default();
-    let kernels = scale.pick(vec!["durbin"], fig13_names(), fig13_names());
+    let kernels = scale.pick(vec![polybench::Durbin::NAME], fig13_names(), fig13_names());
     let mut rows = Vec::new();
     // (workload, EasyDRAM / Ramulator speed ratio, LLC misses per kilo cycle)
     let mut points = Vec::new();

@@ -13,6 +13,7 @@
 
 use easydram::{RequestKind, System, SystemConfig, TimingMode};
 use easydram_cpu::backend::MemoryBackend;
+use easydram_workloads::polybench::{Atax, Gemm, Gesummv, Jacobi2d};
 
 use crate::{Figure, Scale};
 
@@ -29,8 +30,8 @@ pub(crate) fn run(scale: Scale) -> Figure {
     let reads: u64 = scale.pick(64, 256, 1024);
     let kernels = scale.pick(
         vec![],
-        vec!["gemm", "jacobi-2d"],
-        vec!["gemm", "jacobi-2d", "atax", "gesummv"],
+        vec![Gemm::NAME, Jacobi2d::NAME],
+        vec![Gemm::NAME, Jacobi2d::NAME, Atax::NAME, Gesummv::NAME],
     );
 
     // View 1: the latest release cycle of the interleaved read batch, one

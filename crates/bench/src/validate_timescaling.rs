@@ -46,7 +46,7 @@ fn worst<'a>(errors: impl Iterator<Item = (f64, &'a str)>) -> (f64, &'a str) {
 pub(crate) fn run(scale: Scale) -> Figure {
     let mut fig = Figure::default();
     let all = polybench::all_names().to_vec();
-    let kernels = scale.pick(vec!["jacobi-1d"], all.clone(), all);
+    let kernels = scale.pick(vec![polybench::Jacobi1d::NAME], all.clone(), all);
     // Past the 512 KiB L2 at every scale, so the chase measures DRAM.
     let lm_bytes = scale.pick(MIB, MIB, 4 * MIB);
 
