@@ -115,7 +115,7 @@ impl BenderProgram {
 
     /// Number of `RD` commands (readback-buffer demand).
     #[must_use]
-    pub fn read_count(&self) -> usize {
+    pub(crate) fn read_count(&self) -> usize {
         self.reads
     }
 

@@ -21,7 +21,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use easydram_cpu::timescale::cycles_to_ps;
+use easydram_cpu::timescale::Clock;
 use easydram_cpu::{
     CoScheduler, CoreModel, CoreStats, CpuApi, QuantumSwitch, SharedBackend, Workload,
 };
@@ -128,11 +128,11 @@ impl MultiCoreSystem {
     /// [`TraceLog`]. Handoff cycles convert to emulated picoseconds at the
     /// target core frequency. Empty when tracing is off.
     pub fn take_trace(&mut self) -> TraceLog {
-        let f_core = self.with_tile(|t| t.config().core.freq_hz);
+        let core = Clock::from_hz(self.with_tile(|t| t.config().core.freq_hz));
         let mut log = self.with_tile(Tile::take_trace);
         for sw in self.switches.drain(..) {
             log.push(TraceEvent::quantum_switch(
-                cycles_to_ps(sw.cycle, f_core),
+                core.cycles_to_ps(sw.cycle),
                 sw.from,
                 sw.to,
             ));

@@ -163,14 +163,14 @@ fn serve_one(
 ) {
     const BUF: &str = "command buffer sized for a single request";
     match req.kind {
-        RequestKind::Read { addr } | RequestKind::Write { addr, .. } => {
+        RequestKind::Read { .. } | RequestKind::Write { .. } => {
             // Borrowed, not copied: a 64-byte line held by value across the
             // arm cost reads 5% on `hammer_graphene`.
             let write = match &req.kind {
                 RequestKind::Write { data, .. } => Some(data),
                 _ => None,
             };
-            let d = api.get_addr_mapping(addr);
+            let d = api.get_request_mapping(req);
             // "Each time a DRAM row is opened, the software memory
             // controller checks the Bloom filter" (§8.2) — row hits skip
             // both the check and the reduced timing (the row is already
@@ -215,8 +215,8 @@ fn serve_one(
             }
             api.enqueue_response(req, data, corrupted);
         }
-        RequestKind::RowClone { src_addr, dst_addr } => {
-            let s = api.get_addr_mapping(src_addr);
+        RequestKind::RowClone { dst_addr, .. } => {
+            let s = api.get_request_mapping(req);
             let d = api.get_addr_mapping(dst_addr);
             // The sequence manipulates raw bank state: close any open row
             // first so the ACT→PRE→ACT gaps are exactly ours.
@@ -235,8 +235,8 @@ fn serve_one(
             }
             api.enqueue_response(req, None, false);
         }
-        RequestKind::ProfileTrcd { addr, trcd_ps } => {
-            let d = api.get_addr_mapping(addr);
+        RequestKind::ProfileTrcd { trcd_ps, .. } => {
+            let d = api.get_request_mapping(req);
             let pattern = profile_pattern(req.tag.id);
             // 1) initialize the target cache line with a known pattern,
             if api.open_row(d.bank).is_some() {

@@ -3,17 +3,17 @@
 //!
 //! The system↔controller boundary is a **request stream**: the tile posts
 //! tagged requests ([`crate::request::RequestTag`]) into each lane's
-//! persistent controller session — the hardware FIFO, scratchpad request
-//! table, command buffer and response queue of paper Fig. 7, plus the
-//! constants a pass charges against (call costs, transfer costs, tile clock
-//! period) and the DRAM Bender executor. Each serve pass lends the session,
-//! together with the device and the RowClone allocator (the only things
-//! that change between passes; the allocator's decode honours its remap
-//! table), to one [`EasyApi`] handle. The handle exposes a multi-entry
-//! request table, so FR-FCFS and critical-mode scheduling see every
-//! in-flight request at once. When the handle is dropped the pass's
-//! responses and ledger stay in the session until the next pass clears
-//! them.
+//! persistent controller session — the hardware FIFO and scratchpad request
+//! table (the two ends of one buffer), command buffer and response queue of
+//! paper Fig. 7, plus the constants a pass charges against (call costs,
+//! transfer costs, tile clock) and the DRAM Bender executor. Each serve
+//! pass lends the session, together with the device and the RowClone
+//! allocator (the only things that change between passes; the allocator's
+//! decode honours its remap table), to one [`EasyApi`] handle. The handle
+//! exposes a multi-entry request table, so FR-FCFS and critical-mode
+//! scheduling see every in-flight request at once. When the handle is
+//! dropped the pass's responses and ledger stay in the session until the
+//! next pass clears them.
 //!
 //! Every call charges Rocket cycles from the [`SmcCostModel`] to the pass's
 //! ledger. The ledger feeds (a) the FPGA wall clock — how long the slow
@@ -24,10 +24,8 @@
 //! what lets the tile give every request in a batch its own release cycle
 //! from the response alone.
 
-use std::collections::VecDeque;
-
 use easydram_bender::{BenderError, BenderProgram, BenderResult, Executor, TransferCost};
-use easydram_cpu::timescale::cycles_to_ps;
+use easydram_cpu::timescale::Clock;
 use easydram_dram::{DramAddress, DramCommand, DramDevice, LINE_BYTES};
 
 use crate::alloc::RowCloneAllocator;
@@ -47,6 +45,11 @@ pub const ROWCLONE_GAP_PS: u64 = 3_000;
 /// tile; [`ApiSession::begin`] lends it to an [`EasyApi`] handle for one
 /// pass.
 ///
+/// The request table and the FIFO are the two ends of one buffer, `queue`:
+/// the table is `queue[..received]`, in the order the controller received
+/// it, and the FIFO is the rest, oldest first. Receiving a request moves
+/// the boundary and copies nothing.
+///
 /// The buffers never move: `begin` clears them in place (and each
 /// `flush_commands` refills the one readback result), so steady-state
 /// serving allocates nothing once they have grown to the high-water batch
@@ -54,9 +57,11 @@ pub const ROWCLONE_GAP_PS: u64 = 3_000;
 /// ([`ApiSession::responses`], [`ApiSession::ledger`]) until the next one.
 #[derive(Debug)]
 pub(crate) struct ApiSession {
-    pending: VecDeque<MemRequest>,
+    queue: Vec<MemRequest>,
+    /// How many of `queue`'s requests the controller has received: the
+    /// request table's length.
+    received: usize,
     capacity: usize,
-    table: Vec<MemRequest>,
     program: BenderProgram,
     /// What the latest `flush_commands` produced; refilled in place.
     flush: BenderResult,
@@ -67,8 +72,8 @@ pub(crate) struct ApiSession {
     costs: SmcCostModel,
     /// Command/readback transfer cost model.
     transfer: TransferCost,
-    /// The tile clock the Rocket and transfer cycles tick at, Hz.
-    tile_clk_hz: u64,
+    /// The tile clock the Rocket and transfer cycles tick at.
+    tile_clk: Clock,
 }
 
 impl ApiSession {
@@ -83,9 +88,9 @@ impl ApiSession {
         let capacity = cfg.write_buffer_depth;
         assert!(capacity > 0, "the request FIFO needs at least one slot");
         Self {
-            pending: VecDeque::with_capacity(capacity + 1),
+            queue: Vec::with_capacity(capacity + 1),
+            received: 0,
             capacity,
-            table: Vec::new(),
             program: BenderProgram::new(),
             flush: BenderResult::default(),
             responses: Vec::new(),
@@ -93,34 +98,34 @@ impl ApiSession {
             executor: Executor::new(),
             costs: cfg.smc_costs,
             transfer: cfg.fpga.transfer,
-            tile_clk_hz: cfg.fpga.tile_clk_hz,
+            tile_clk: Clock::from_hz(cfg.fpga.tile_clk_hz),
         }
     }
 
     /// Posts a tagged request into the FIFO.
     pub(crate) fn post(&mut self, req: MemRequest) {
-        self.pending.push_back(req);
+        self.queue.push(req);
     }
 
     /// Whether the FIFO has reached its capacity (posting more would exceed
     /// the bounded write buffer; the tile drains first).
     pub(crate) fn is_full(&self) -> bool {
-        self.pending.len() >= self.capacity
+        self.len() >= self.capacity
     }
 
     /// Number of requests waiting in the FIFO.
     pub(crate) fn len(&self) -> usize {
-        self.pending.len()
+        self.queue.len() - self.received
     }
 
     /// Whether the FIFO is empty.
     pub(crate) fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.len() == 0
     }
 
-    /// The requests currently pending, oldest first.
-    pub(crate) fn pending(&self) -> &VecDeque<MemRequest> {
-        &self.pending
+    /// The requests currently pending in the FIFO, oldest first.
+    pub(crate) fn pending(&self) -> &[MemRequest] {
+        &self.queue[self.received..]
     }
 
     /// The most recent pass's responses, in service order.
@@ -144,7 +149,11 @@ impl ApiSession {
         placement: &'a RowCloneAllocator,
         wall_base_ps: u64,
     ) -> EasyApi<'a> {
-        self.table.clear();
+        if self.received > 0 {
+            // What a controller received and never took.
+            self.queue.drain(..self.received);
+            self.received = 0;
+        }
         self.program.clear();
         self.responses.clear();
         self.ledger = ApiLedger::default();
@@ -203,14 +212,12 @@ impl EasyApi<'_> {
 
     /// The absolute FPGA/DRAM wall time at the controller's current point of
     /// execution: the tile-clock cycles spent so far convert to ps with the
-    /// workspace's one rounding rule ([`cycles_to_ps`], half-up).
+    /// workspace's one rounding rule ([`Clock::cycles_to_ps`], half-up).
     #[must_use]
     pub fn wall_now_ps(&self) -> u64 {
         let ledger = &self.session.ledger;
         let tile_cycles = ledger.totals.rocket_cycles + ledger.hw_cycles;
-        self.wall_base_ps
-            + cycles_to_ps(tile_cycles, self.session.tile_clk_hz)
-            + ledger.dram_elapsed_ps
+        self.wall_base_ps + self.session.tile_clk.cycles_to_ps(tile_cycles) + ledger.dram_elapsed_ps
     }
 
     /// Rocket cycles charged so far.
@@ -232,15 +239,16 @@ impl EasyApi<'_> {
     #[must_use = "polling has a purpose only if the result is inspected"]
     pub fn req_empty(&mut self) -> bool {
         self.charge(self.session.costs.poll);
-        self.session.pending.is_empty() && self.session.table.is_empty()
+        self.session.queue.is_empty()
     }
 
     /// Moves one request from the hardware FIFO into the software request
     /// table (`receive_request` / `add_request`, Table 2) and returns a copy.
     pub fn receive_request(&mut self) -> Option<MemRequest> {
         self.charge(self.session.costs.receive_request);
-        let req = self.session.pending.pop_front()?;
-        self.session.table.push(req);
+        let session = &mut *self.session;
+        let req = *session.queue.get(session.received)?;
+        session.received += 1;
         Some(req)
     }
 
@@ -254,40 +262,35 @@ impl EasyApi<'_> {
     /// charge per request moved. Total: `(n + 1) * poll +
     /// n * receive_request` Rocket cycles.
     pub fn receive_all(&mut self) -> usize {
-        let mut moved = 0;
-        loop {
-            self.charge(self.session.costs.poll);
-            if self.session.pending.is_empty() {
-                break;
-            }
-            let _ = self.receive_request();
-            moved += 1;
-        }
+        let costs = self.session.costs;
+        let moved = self.session.len();
+        self.session.received = self.session.queue.len();
+        let n = moved as u64;
+        self.charge((n + 1) * costs.poll + n * costs.receive_request);
         moved
     }
 
     /// The software request table (scratchpad memory).
     #[must_use]
     pub fn request_table(&self) -> &[MemRequest] {
-        &self.session.table
+        &self.session.queue[..self.session.received]
     }
 
     /// FCFS scheduling decision: the oldest request (`FCFS::schedule`).
     pub fn schedule_fcfs(&mut self) -> Option<usize> {
         self.charge(self.session.costs.schedule_fcfs);
-        (!self.session.table.is_empty()).then_some(0)
+        (self.session.received > 0).then_some(0)
     }
 
     /// FR-FCFS scheduling decision: the oldest row-hit if any, else the
     /// oldest request (`FRFCFS::schedule`).
     pub fn schedule_frfcfs(&mut self) -> Option<usize> {
         self.charge(self.session.costs.schedule_frfcfs);
-        if self.session.table.is_empty() {
+        if self.session.received == 0 {
             return None;
         }
         let hit = self
-            .session
-            .table
+            .request_table()
             .iter()
             .position(|r| self.device.open_row(r.tag.dram.bank) == Some(r.tag.dram.row));
         Some(hit.unwrap_or(0))
@@ -297,9 +300,15 @@ impl EasyApi<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of bounds.
+    /// Panics if `idx` is outside the request table.
     pub fn take_request(&mut self, idx: usize) -> MemRequest {
-        self.session.table.remove(idx)
+        let table = self.session.received;
+        assert!(
+            idx < table,
+            "take_request({idx}) outside a request table of {table}"
+        );
+        self.session.received -= 1;
+        self.session.queue.remove(idx)
     }
 
     /// Translates a physical address to a DRAM coordinate
@@ -308,6 +317,21 @@ impl EasyApi<'_> {
     pub fn get_addr_mapping(&mut self, phys: u64) -> DramAddress {
         self.charge(self.session.costs.addr_mapping);
         self.placement.decode(phys)
+    }
+
+    /// The DRAM coordinate of `req`'s own address, at the cost of a
+    /// [`EasyApi::get_addr_mapping`] call: the tile decoded it when it
+    /// posted the request, and it rides the tag
+    /// ([`crate::request::RequestTag::dram`]).
+    pub fn get_request_mapping(&mut self, req: &MemRequest) -> DramAddress {
+        self.charge(self.session.costs.addr_mapping);
+        debug_assert_eq!(
+            req.tag.dram,
+            self.placement.decode(req.addr()),
+            "request {} was remapped while pending",
+            req.tag.id
+        );
+        req.tag.dram
     }
 
     /// The row currently open in `bank` (tile shadow state; free).
@@ -605,8 +629,12 @@ impl RowBufferOutcome {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::request::RequestKind;
+    use crate::request::{RequestKind, RequestTag};
     use crate::smc::fixture::Fix;
 
     #[test]
@@ -691,7 +719,7 @@ mod tests {
             let now = (
                 f.session.ledger().totals.rocket_cycles,
                 f.session.responses.capacity(),
-                f.session.table.capacity(),
+                f.session.queue.capacity(),
             );
             if pass > 0 {
                 assert_eq!(*warm.get_or_insert(now), now, "pass {pass}");
@@ -875,5 +903,218 @@ mod tests {
         let mut a = f.api();
         a.receive_all();
         assert_eq!(a.request_table().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "take_request(1) outside a request table of 1")]
+    fn take_request_panics_on_an_index_still_in_the_fifo() {
+        let mut f = Fix::new();
+        f.post_read(0);
+        f.post_read(64);
+        let mut a = f.api();
+        a.receive_request().unwrap();
+        let _ = a.take_request(1);
+    }
+
+    #[test]
+    fn request_mapping_is_the_live_decode_of_every_pending_request() {
+        let mut f = Fix::new();
+        // Virtual row 0 lives at bank 1 row 77, the way the RowClone
+        // allocator remaps a pool row before handing out its address.
+        f.placement.remap_row(0, 1, 77);
+        let row = f.placement.mapper().geometry().row_bytes as u64;
+        let mut line = [0u8; LINE_BYTES];
+        line[3] = 7;
+        f.post_read(128);
+        f.post(
+            0,
+            RequestKind::Write {
+                addr: 5 * row,
+                data: line,
+            },
+            1,
+        );
+        f.post(
+            0,
+            RequestKind::RowClone {
+                src_addr: 0,
+                dst_addr: 9 * row,
+            },
+            2,
+        );
+        f.post(
+            1,
+            RequestKind::ProfileTrcd {
+                addr: 3 * row + 64,
+                trcd_ps: 9_000,
+            },
+            3,
+        );
+        let mut a = f.api();
+        a.receive_all();
+        let table = a.request_table().to_vec();
+        assert_eq!(table[2].tag.dram.bank, 1, "the RowClone source is remapped");
+        for req in &table {
+            let before = a.cycles_spent();
+            let own = a.get_request_mapping(req);
+            let between = a.cycles_spent();
+            assert_eq!(
+                own,
+                a.get_addr_mapping(req.addr()),
+                "request {}",
+                req.tag.id
+            );
+            assert_eq!(
+                between - before,
+                a.cycles_spent() - between,
+                "the same charge"
+            );
+        }
+    }
+
+    /// The session as it was before the FIFO and the request table shared
+    /// one buffer: a `VecDeque` FIFO, a `Vec` table, every call charging
+    /// what it charges today, and the pass's responses as (tag, slice of
+    /// Rocket cycles).
+    #[derive(Default)]
+    struct TwoBuffers {
+        pending: VecDeque<MemRequest>,
+        table: Vec<MemRequest>,
+        rocket_cycles: u64,
+        attributed: u64,
+        responses: Vec<(RequestTag, u64)>,
+    }
+
+    impl TwoBuffers {
+        fn begin(&mut self) {
+            self.table.clear();
+            self.responses.clear();
+            (self.rocket_cycles, self.attributed) = (0, 0);
+        }
+
+        fn req_empty(&mut self, c: &SmcCostModel) -> bool {
+            self.rocket_cycles += c.poll;
+            self.pending.is_empty() && self.table.is_empty()
+        }
+
+        fn receive_request(&mut self, c: &SmcCostModel) -> Option<MemRequest> {
+            self.rocket_cycles += c.receive_request;
+            let req = self.pending.pop_front()?;
+            self.table.push(req);
+            Some(req)
+        }
+
+        fn receive_all(&mut self, c: &SmcCostModel) -> usize {
+            let mut moved = 0;
+            loop {
+                self.rocket_cycles += c.poll;
+                if self.pending.is_empty() {
+                    break;
+                }
+                let _ = self.receive_request(c);
+                moved += 1;
+            }
+            moved
+        }
+
+        fn schedule_fcfs(&mut self, c: &SmcCostModel) -> Option<usize> {
+            self.rocket_cycles += c.schedule_fcfs;
+            (!self.table.is_empty()).then_some(0)
+        }
+
+        fn schedule_frfcfs(&mut self, c: &SmcCostModel, open: &[Option<u32>]) -> Option<usize> {
+            self.rocket_cycles += c.schedule_frfcfs;
+            if self.table.is_empty() {
+                return None;
+            }
+            let hit = (self.table.iter())
+                .position(|r| open[r.tag.dram.bank as usize] == Some(r.tag.dram.row));
+            Some(hit.unwrap_or(0))
+        }
+
+        fn enqueue_response(&mut self, c: &SmcCostModel, req: &MemRequest) {
+            self.rocket_cycles += c.enqueue_response;
+            self.responses
+                .push((req.tag, self.rocket_cycles - self.attributed));
+            self.attributed = self.rocket_cycles;
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of posts and of every call that reads or
+        /// moves the FIFO or the table give the same tables, picks,
+        /// responses and ledger on the one-buffer session as on the two
+        /// buffers it replaced. A post ends the pass in flight (the handle
+        /// borrows the session); the next call opens a new one.
+        #[test]
+        fn one_buffer_session_matches_the_two_buffers_it_replaced(
+            ops in prop::collection::vec((0u8..8, any::<u64>()), 1..48),
+        ) {
+            let mut f = Fix::new();
+            // Bank b holds row b open, so FR-FCFS has hits to find.
+            let banks = f.dev.config().geometry.banks();
+            let mut a = f.api();
+            for bank in 0..banks {
+                a.ddr_activate(bank, bank).unwrap();
+            }
+            a.flush_commands().unwrap();
+            let open: Vec<Option<u32>> = (0..banks).map(|b| f.dev.open_row(b)).collect();
+            let costs = f.session.costs;
+            let mut model = TwoBuffers::default();
+            let mut taken: Vec<MemRequest> = Vec::new();
+            let mut i = 0;
+            while i < ops.len() {
+                if let (0, x) = ops[i] {
+                    let at = DramAddress::new(
+                        (x % u64::from(banks)) as u32,
+                        (x >> 8) as u32 % 4,
+                        (x >> 16) as u32 % 8,
+                    );
+                    let addr = f.to_phys(at);
+                    let id = f.post(0, RequestKind::Read { addr }, x >> 32);
+                    let req = *f.session.pending().last().unwrap();
+                    prop_assert_eq!(req.tag.id, id);
+                    model.pending.push_back(req);
+                    i += 1;
+                    continue;
+                }
+                model.begin();
+                let mut a = f.api();
+                while i < ops.len() && ops[i].0 != 0 {
+                    let (op, x) = ops[i];
+                    i += 1;
+                    match op {
+                        1 => prop_assert_eq!(a.req_empty(), model.req_empty(&costs)),
+                        2 => prop_assert_eq!(a.receive_request(), model.receive_request(&costs)),
+                        3 => prop_assert_eq!(a.receive_all(), model.receive_all(&costs)),
+                        4 => prop_assert_eq!(a.schedule_fcfs(), model.schedule_fcfs(&costs)),
+                        5 => prop_assert_eq!(
+                            a.schedule_frfcfs(),
+                            model.schedule_frfcfs(&costs, &open)
+                        ),
+                        6 if !model.table.is_empty() => {
+                            let idx = (x % model.table.len() as u64) as usize;
+                            let req = a.take_request(idx);
+                            prop_assert_eq!(req, model.table.remove(idx));
+                            taken.push(req);
+                        }
+                        7 if !taken.is_empty() => {
+                            let req = taken[(x % taken.len() as u64) as usize];
+                            a.enqueue_response(&req, None, false);
+                            model.enqueue_response(&costs, &req);
+                        }
+                        _ => {}
+                    }
+                    prop_assert_eq!(a.request_table(), model.table.as_slice());
+                    prop_assert_eq!(a.cycles_spent(), model.rocket_cycles);
+                }
+                let responses: Vec<(RequestTag, u64)> = (f.session.responses().iter())
+                    .map(|r| (r.tag, r.slice.rocket_cycles))
+                    .collect();
+                prop_assert_eq!(responses, model.responses.clone());
+                prop_assert_eq!(f.session.ledger().totals.rocket_cycles, model.rocket_cycles);
+                prop_assert!(f.session.pending().iter().eq(model.pending.iter()));
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use easydram_cpu::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
 use easydram_cpu::cache::CacheLevelStats;
-use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
+use easydram_cpu::timescale::Clock;
 use easydram_cpu::{CoreModel, CoreStats, CpuApi, Workload};
 use easydram_dram::{AddressMapper, DramAddress, DramDevice, LINE_BYTES};
 
@@ -53,7 +53,7 @@ struct LanePass {
 /// counters and its trace ring.
 struct Books<'a> {
     ch: u32,
-    pass: &'a Pricing<'a>,
+    pass: &'a Pricing,
     smc: &'a mut SmcStats,
     metrics: &'a mut TileMetrics,
     requestors: &'a mut Vec<RequestorStats>,
@@ -99,7 +99,7 @@ impl Books<'_> {
         if refreshes > *mit_seen {
             let delta = u32::try_from(refreshes - *mit_seen).unwrap_or(u32::MAX);
             *mit_seen = refreshes;
-            let trigger_ps = cycles_to_ps(self.pass.trigger_cycle, self.pass.cfg.core.freq_hz);
+            let trigger_ps = self.pass.core.cycles_to_ps(self.pass.trigger_cycle);
             ring.push(TraceEvent::mitigation(trigger_ps, self.ch, delta));
         }
     }
@@ -144,10 +144,10 @@ impl Books<'_> {
         }
         let Some(ring) = &mut *self.ring else { return };
         let (id, ch, who) = (tag.id, self.ch, tag.requestor);
-        let trigger_ps = cycles_to_ps(self.pass.trigger_cycle, self.pass.cfg.core.freq_hz);
+        let trigger_ps = self.pass.core.cycles_to_ps(self.pass.trigger_cycle);
         ring.push(TraceEvent::issue(trigger_ps, id, ch, who));
         ring.push(TraceEvent::slice_release(finish_mem_ps, id, ch, who));
-        let retire_ps = cycles_to_ps(release_cycle, self.pass.cfg.core.freq_hz);
+        let retire_ps = self.pass.core.cycles_to_ps(release_cycle);
         ring.push(TraceEvent::retire(retire_ps, id, ch, who, tag.class as u32));
     }
 }
@@ -223,6 +223,11 @@ counters!(Mark: sum {
 /// one lane (device + session + controller + timeline) per memory channel.
 pub struct Tile {
     cfg: SystemConfig,
+    /// The emulated-processor domain's FPGA clock (`fpga.proc_clk_hz`).
+    proc_clk: Clock,
+    /// The modeled processor's clock, the MC-emulation clock and the DRAM
+    /// command grid, which every pass prices its responses with.
+    pricing: Pricing,
     lanes: Vec<Lane>,
     /// The heap and RowClone placement: remap table, qualified pairs, init
     /// sources (paper §7.1), and with them the one address decode.
@@ -288,6 +293,8 @@ impl Tile {
             })
             .collect();
         Self {
+            proc_clk: Clock::from_hz(cfg.fpga.proc_clk_hz),
+            pricing: Pricing::new(&cfg),
             cfg,
             lanes,
             placement,
@@ -409,7 +416,7 @@ impl Tile {
     /// Total modeled FPGA wall time so far given the processor has emulated
     /// `proc_cycles` cycles: processor-domain execution plus frozen time.
     fn wall_ps_at(&self, proc_cycles: u64) -> u64 {
-        cycles_to_ps(proc_cycles, self.cfg.fpga.proc_clk_hz) + self.frozen_ps
+        self.proc_clk.cycles_to_ps(proc_cycles) + self.frozen_ps
     }
 
     /// Installs a different software memory controller.
@@ -588,7 +595,7 @@ impl Tile {
         obs_trace!(
             lane.ring,
             TraceEvent::enqueue(
-                cycles_to_ps(issue_cycle, self.cfg.core.freq_hz),
+                self.pricing.core.cycles_to_ps(issue_cycle),
                 id,
                 dram.channel,
                 req.tag.requestor,
@@ -653,19 +660,16 @@ impl Tile {
         let end_wall = self.execute(self.wall_ps.max(base_wall));
         let wall_latency_ps = end_wall.saturating_sub(base_wall);
         self.frozen_ps += wall_latency_ps;
-        let (f_core, t_burst) = (self.cfg.core.freq_hz, self.cfg.dram.timing.t_burst_ps);
-        let pricing = Pricing {
-            cfg: &self.cfg,
-            trigger_cycle,
-            wall_latency_ps,
-        };
+        let t_burst = self.cfg.dram.timing.t_burst_ps;
+        self.pricing.begin_pass(trigger_cycle, wall_latency_ps);
+        let pricing = &self.pricing;
         // Release cycles start at 1 (`arrival + 1` at the earliest).
         let mut last_release = 0u64;
         for (ch, lane) in self.lanes.iter_mut().enumerate() {
             let Some(p) = lane.pass.take() else { continue };
             let mut books = Books {
                 ch: ch as u32,
-                pass: &pricing,
+                pass: pricing,
                 smc: &mut self.stats,
                 metrics: &mut self.metrics,
                 requestors: &mut self.requestor_stats,
@@ -677,7 +681,7 @@ impl Tile {
             for resp in lane.session.responses() {
                 let (arrival, burst_ps) = (resp.tag.arrival_cycle, resp.slice.column_ops * t_burst);
                 let finish_mem_ps = lane.timeline.price(&TimelineDemand {
-                    arrival_ps: cycles_to_ps(arrival, f_core),
+                    arrival_ps: pricing.core.cycles_to_ps(arrival),
                     bank: resp.tag.dram.bank as usize,
                     prep_ps: resp.slice.dram_occupancy_ps.saturating_sub(burst_ps),
                     burst_ps,
@@ -825,8 +829,9 @@ impl MemoryBackend for Tile {
             // The controller consults its qualification table and refuses:
             // the caller falls back to CPU loads/stores (paper §7.1).
             self.stats.rowclone_fallbacks += 1;
-            let check = cycles_to_ps(self.cfg.smc_costs.bloom_check, self.cfg.mc_emul_hz);
-            let done = issue_cycle + ps_to_cycles_round(check, self.cfg.core.freq_hz).max(1);
+            let clocks = &self.pricing;
+            let check = clocks.mc_emul.cycles_to_ps(self.cfg.smc_costs.bloom_check);
+            let done = issue_cycle + clocks.core.ps_to_cycles(check).max(1);
             return Some(RowCloneRequestResult {
                 complete_cycle: done,
                 copied: false,

@@ -173,18 +173,6 @@ impl EmulatedTimeline {
             finish
         }
     }
-
-    /// The emulated time at which `bank` is next available.
-    #[must_use]
-    pub fn bank_free_ps(&self, bank: usize) -> u64 {
-        self.bank_free_ps[bank]
-    }
-
-    /// The emulated time at which the data bus is next available.
-    #[must_use]
-    pub fn bus_free_ps(&self) -> u64 {
-        self.bus_free_ps
-    }
 }
 
 #[cfg(test)]
@@ -237,8 +225,8 @@ mod tests {
         };
         let done = tl.price(&d);
         assert_eq!(done, 50_000);
-        assert_eq!(tl.bus_free_ps(), 0, "row-only work never touches the bus");
-        assert_eq!(tl.bank_free_ps(0), 50_000);
+        assert_eq!(tl.bus_free_ps, 0, "row-only work never touches the bus");
+        assert_eq!(tl.bank_free_ps[0], 50_000);
     }
 
     #[test]
@@ -259,7 +247,7 @@ mod tests {
         );
         assert_eq!(on.refreshes_per_rank(), &[1]);
         // The *other* bank of the rank is stalled too.
-        assert!(on.bank_free_ps(0) >= t.t_refi_ps + t.t_rfc_ps);
+        assert!(on.bank_free_ps[0] >= t.t_refi_ps + t.t_rfc_ps);
     }
 
     #[test]
@@ -312,8 +300,8 @@ mod tests {
         let done = tl.price(&d);
         let unrefreshed_bus_done = t.t_refi_ps - 10_000 + 30_000 + 6_000;
         assert_eq!(done, unrefreshed_bus_done + t.t_rfc_ps + t.t_cl_ps);
-        assert_eq!(tl.bank_free_ps(0), unrefreshed_bus_done + t.t_rfc_ps);
-        assert_eq!(tl.bus_free_ps(), unrefreshed_bus_done + t.t_rfc_ps);
+        assert_eq!(tl.bank_free_ps[0], unrefreshed_bus_done + t.t_rfc_ps);
+        assert_eq!(tl.bus_free_ps, unrefreshed_bus_done + t.t_rfc_ps);
     }
 
     #[test]
@@ -360,8 +348,8 @@ mod tests {
             has_columns: false,
         };
         assert_eq!(tl.price(&nothing), 5_000);
-        assert_eq!(tl.bank_free_ps(1), 5_000);
-        assert_eq!(tl.bus_free_ps(), 0);
+        assert_eq!(tl.bank_free_ps[1], 5_000);
+        assert_eq!(tl.bus_free_ps, 0);
         assert_eq!(tl.refreshes_per_rank(), &[0]);
         // A zero-burst column request still pays the CAS pipeline latency
         // but leaves the bus at its start point.
@@ -373,7 +361,7 @@ mod tests {
             has_columns: true,
         };
         assert_eq!(tl.price(&empty_col), 5_000 + t.t_cl_ps);
-        assert_eq!(tl.bus_free_ps(), 5_000);
+        assert_eq!(tl.bus_free_ps, 5_000);
     }
 
     #[test]
@@ -456,8 +444,8 @@ mod tests {
         let _ = tl.price(&long);
         assert_eq!(tl.refreshes_per_rank(), &[1, 0]);
         // Rank 1's banks were not stalled by rank 0's refresh.
-        assert_eq!(tl.bank_free_ps(2), 0);
-        assert_eq!(tl.bank_free_ps(3), 0);
+        assert_eq!(tl.bank_free_ps[2], 0);
+        assert_eq!(tl.bank_free_ps[3], 0);
         // But rank 1 still owes its own refresh when a request arrives late.
         let late = demand(2, t.t_refi_ps + 1);
         let mut off = EmulatedTimeline::with_ranks(2, 2, &t, false);

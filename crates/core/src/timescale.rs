@@ -1,5 +1,5 @@
-//! Time scaling (paper §4.3, Fig. 5) as one pure function; the clock-domain
-//! conversions it uses live in `easydram_cpu::timescale`.
+//! Time scaling (paper §4.3, Fig. 5) as one pure function over clocks fixed
+//! at configuration time ([`easydram_cpu::timescale::Clock`]).
 //!
 //! The FPGA keeps three counters because hardware can only count; here each
 //! is a value the simulator already holds. The **processor cycle counter**
@@ -14,21 +14,55 @@
 //! `Pricing::release_cycle` is the single place a [`TimingMode`] is
 //! interpreted.
 
-use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
+use easydram_cpu::timescale::Clock;
 
 use crate::config::{SystemConfig, TimingMode};
 
-/// What a serve pass fixes before any of its responses can be released.
-pub(crate) struct Pricing<'a> {
-    /// Timing mode, clocks and the controller's fixed latency.
-    pub(crate) cfg: &'a SystemConfig,
+/// What a serve pass fixes before any of its responses can be released: the
+/// configuration's clocks (built once, with the tile) and the latest pass's
+/// trigger cycle and frozen wall time.
+pub(crate) struct Pricing {
+    mode: TimingMode,
+    /// The controller's fixed latency in ps (`mc_fixed_latency_ps`)…
+    fixed_ps: u64,
+    /// …and in whole processor cycles, as `TimeScaling` converts it.
+    fixed_cycles: u64,
+    /// The clock controller cycles are scaled at (`mc_emul_hz`).
+    pub(crate) mc_emul: Clock,
+    /// The modeled processor's clock.
+    pub(crate) core: Clock,
+    /// The DRAM command clock, whose edges `TimeScaling` snaps finish times
+    /// to.
+    grid: Clock,
     /// The emulated cycle of whatever forced the pass.
     pub(crate) trigger_cycle: u64,
     /// FPGA wall time the processor spent frozen: the slowest lane's.
-    pub(crate) wall_latency_ps: u64,
+    wall_latency_ps: u64,
 }
 
-impl Pricing<'_> {
+impl Pricing {
+    /// The clocks of `cfg`, for a pass triggered at cycle 0 that froze
+    /// nothing ([`Pricing::begin_pass`] sets both).
+    pub(crate) fn new(cfg: &SystemConfig) -> Self {
+        let core = Clock::from_hz(cfg.core.freq_hz);
+        Self {
+            mode: cfg.mode,
+            fixed_ps: cfg.mc_fixed_latency_ps,
+            fixed_cycles: core.ps_to_cycles(cfg.mc_fixed_latency_ps),
+            mc_emul: Clock::from_hz(cfg.mc_emul_hz),
+            core,
+            grid: Clock::from_period_ps(cfg.dram.timing.t_ck_ps),
+            trigger_cycle: 0,
+            wall_latency_ps: 0,
+        }
+    }
+
+    /// Prices the pass triggered at `trigger_cycle` that kept the processor
+    /// frozen for `wall_latency_ps`.
+    pub(crate) fn begin_pass(&mut self, trigger_cycle: u64, wall_latency_ps: u64) {
+        (self.trigger_cycle, self.wall_latency_ps) = (trigger_cycle, wall_latency_ps);
+    }
+
     /// The processor cycle at which the core may consume a response that
     /// arrived at cycle `arrival`, whose data movement finishes at
     /// `finish_ps` on its lane's emulated timeline and whose slice
@@ -37,27 +71,25 @@ impl Pricing<'_> {
     /// `TimeScaling` (the tests derive it), and always after the arrival.
     #[inline]
     pub(crate) fn release_cycle(&self, arrival: u64, finish_ps: u64, rocket_cycles: u64) -> u64 {
-        let (f_core, fixed_ps) = (self.cfg.core.freq_hz, self.cfg.mc_fixed_latency_ps);
-        let sched_emul_ps = cycles_to_ps(rocket_cycles, self.cfg.mc_emul_hz);
-        let release_cycle = match self.cfg.mode {
-            TimingMode::Reference => {
-                ps_to_cycles_round(finish_ps + sched_emul_ps + fixed_ps, f_core)
-            }
+        let sched_emul_ps = self.mc_emul.cycles_to_ps(rocket_cycles);
+        let release_cycle = match self.mode {
+            TimingMode::Reference => self
+                .core
+                .ps_to_cycles(finish_ps + sched_emul_ps + self.fixed_ps),
             TimingMode::TimeScaling => {
                 // Each component crosses a clock-domain counter and is
                 // quantized: DRAM Bender reports whole DRAM-clock cycles
                 // back to the controller (Fig. 5 ④), and every component is
                 // converted to whole processor cycles separately (§4.3).
-                let t_ck = self.cfg.dram.timing.t_ck_ps;
-                let finish_q = (finish_ps + t_ck / 2) / t_ck * t_ck;
-                ps_to_cycles_round(finish_q, f_core)
-                    + ps_to_cycles_round(sched_emul_ps, f_core)
-                    + ps_to_cycles_round(fixed_ps, f_core)
+                let finish_q = self.grid.cycles_to_ps(self.grid.ps_to_cycles(finish_ps));
+                self.core.ps_to_cycles(finish_q)
+                    + self.core.ps_to_cycles(sched_emul_ps)
+                    + self.fixed_cycles
             }
             // The processor observes the raw wall latency of the whole
             // frozen pass at its own (FPGA) clock — no scaling.
             TimingMode::NoTimeScaling => {
-                self.trigger_cycle + ps_to_cycles_round(self.wall_latency_ps, f_core).max(1)
+                self.trigger_cycle + self.core.ps_to_cycles(self.wall_latency_ps).max(1)
             }
         };
         release_cycle.max(arrival + 1)
@@ -67,22 +99,105 @@ impl Pricing<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easydram_cpu::CoreConfig;
+    use easydram_dram::TimingParams;
+
+    /// The clock conversions as the workspace computed them before
+    /// [`Clock`]: straight from `hz`, in 128 bits.
+    fn cycles_to_ps(cycles: u64, hz: u64) -> u64 {
+        ((u128::from(cycles) * 1_000_000_000_000 + u128::from(hz) / 2) / u128::from(hz)) as u64
+    }
+
+    fn ps_to_cycles_round(ps: u64, hz: u64) -> u64 {
+        ((u128::from(ps) * u128::from(hz) + 500_000_000_000) / 1_000_000_000_000) as u64
+    }
 
     #[test]
     fn conversions_round_trip_on_grid() {
-        let hz = 1_430_000_000;
+        let clock = Clock::from_hz(1_430_000_000);
         for c in [0u64, 1, 7, 100, 12_345] {
-            let ps = cycles_to_ps(c, hz);
-            assert_eq!(ps_to_cycles_round(ps, hz), c, "cycle {c}");
+            assert_eq!(clock.ps_to_cycles(clock.cycles_to_ps(c)), c, "cycle {c}");
         }
     }
 
     #[test]
     fn rounding_is_half_up() {
         // 1 cycle at 1 GHz = 1000 ps.
-        assert_eq!(ps_to_cycles_round(1_999, 1_000_000_000), 2);
-        assert_eq!(ps_to_cycles_round(1_500, 1_000_000_000), 2);
-        assert_eq!(ps_to_cycles_round(1_499, 1_000_000_000), 1);
+        let clock = Clock::from_hz(1_000_000_000);
+        assert_eq!(clock.ps_to_cycles(1_999), 2);
+        assert_eq!(clock.ps_to_cycles(1_500), 2);
+        assert_eq!(clock.ps_to_cycles(1_499), 1);
+    }
+
+    /// Every clock a shipped configuration runs at, and every DRAM command
+    /// grid, equal the 128-bit formulas on both sides of the point where
+    /// their `u64` numerator overflows.
+    #[test]
+    fn every_preset_clock_equals_the_formulas_it_replaced() {
+        fn gcd(x: u64, y: u64) -> u64 {
+            if y == 0 {
+                x
+            } else {
+                gcd(y, x % y)
+            }
+        }
+        // The cycles and ps whose numerators `c·b + ⌊a/2⌋` and
+        // `ps·a + ⌊b/2⌋` are the last to fit in u64, and their neighbours.
+        fn edges(b: u64, a: u64) -> Vec<u64> {
+            let mut xs = vec![0, 1, u64::MAX];
+            for (m, half) in [(b, a / 2), (a, b / 2)] {
+                let edge = (u64::MAX - half) / m;
+                xs.extend((0..=4).map(|k| edge.saturating_sub(2).saturating_add(k)));
+            }
+            xs
+        }
+        let configs = [
+            SystemConfig::jetson_nano(TimingMode::TimeScaling),
+            SystemConfig::pidram_like(),
+            SystemConfig::validation_1ghz(TimingMode::Reference),
+            SystemConfig::small_for_tests(TimingMode::TimeScaling),
+        ];
+        let mut hzs: Vec<u64> = configs
+            .iter()
+            .flat_map(|c| {
+                [
+                    c.core.freq_hz,
+                    c.mc_emul_hz,
+                    c.fpga.tile_clk_hz,
+                    c.fpga.proc_clk_hz,
+                ]
+            })
+            .collect();
+        hzs.push(CoreConfig::ramulator_ooo().freq_hz);
+        for hz in hzs {
+            let (g, clock) = (gcd(hz, 1_000_000_000_000), Clock::from_hz(hz));
+            for x in edges(1_000_000_000_000 / g, hz / g) {
+                assert_eq!(clock.cycles_to_ps(x), cycles_to_ps(x, hz), "{hz} Hz, {x}");
+                assert_eq!(
+                    clock.ps_to_cycles(x),
+                    ps_to_cycles_round(x, hz),
+                    "{hz} Hz, {x}"
+                );
+            }
+        }
+        let mut grids: Vec<u64> = configs.iter().map(|c| c.dram.timing.t_ck_ps).collect();
+        grids.extend([
+            TimingParams::ddr4_1333().t_ck_ps,
+            TimingParams::ddr4_2400().t_ck_ps,
+        ]);
+        for t_ck in grids {
+            let grid = Clock::from_period_ps(t_ck);
+            for x in edges(t_ck, 1) {
+                // The grid snap as `release_cycle` wrote it before, where
+                // it does not overflow.
+                if let Some(n) = x.checked_add(t_ck / 2) {
+                    assert_eq!(grid.ps_to_cycles(x), n / t_ck, "t_CK {t_ck}, {x} ps");
+                }
+                if let Some(ps) = x.checked_mul(t_ck) {
+                    assert_eq!(grid.cycles_to_ps(x), ps, "t_CK {t_ck}, {x} cycles");
+                }
+            }
+        }
     }
 
     proptest::proptest! {
@@ -103,28 +218,30 @@ mod tests {
                 2_000_000_000,   // MC emulation clock
                 4_000_000_000,   // fast hypothetical target
             ][hz_idx];
-            let ps = cycles_to_ps(cycles, hz);
-            proptest::prop_assert_eq!(ps_to_cycles_round(ps, hz), cycles);
+            let clock = Clock::from_hz(hz);
+            proptest::prop_assert_eq!(clock.ps_to_cycles(clock.cycles_to_ps(cycles)), cycles);
         }
     }
 
     /// The pricing arithmetic as it stood in the middle of
     /// `Tile::serve_pass` before the pass was split, verbatim; only the
     /// locals it read (`mode`, `f_core`, `t_ck`, `fixed_ps`, `trigger_cycle`,
-    /// `wall_latency`) are rebuilt from the same places above it.
+    /// `wall_latency`) are rebuilt from the same places above it, and the
+    /// two conversions are the 128-bit formulas above.
     fn parent_release_cycle(
+        cfg: &SystemConfig,
         p: &Pricing,
         arrival_cycle: u64,
         finish_mem_ps: u64,
         rocket_cycles: u64,
     ) -> u64 {
-        let mode = p.cfg.mode;
-        let f_core = p.cfg.core.freq_hz;
-        let t_ck = p.cfg.dram.timing.t_ck_ps;
-        let fixed_ps = p.cfg.mc_fixed_latency_ps;
+        let mode = cfg.mode;
+        let f_core = cfg.core.freq_hz;
+        let t_ck = cfg.dram.timing.t_ck_ps;
+        let fixed_ps = cfg.mc_fixed_latency_ps;
         let (trigger_cycle, wall_latency) = (p.trigger_cycle, p.wall_latency_ps);
 
-        let sched_emul_ps = cycles_to_ps(rocket_cycles, p.cfg.mc_emul_hz);
+        let sched_emul_ps = cycles_to_ps(rocket_cycles, cfg.mc_emul_hz);
         let release_cycle = match mode {
             TimingMode::Reference => {
                 let done = finish_mem_ps + sched_emul_ps + fixed_ps;
@@ -190,11 +307,12 @@ mod tests {
             rocket_cycles in 0u64..1_000_000,
         ) {
             let cfg = config(MODES[mode], clocks);
-            let p = Pricing { cfg: &cfg, trigger_cycle: pass.0, wall_latency_ps: pass.1 };
+            let mut p = Pricing::new(&cfg);
+            p.begin_pass(pass.0, pass.1);
             let release = p.release_cycle(arrival, finish_ps, rocket_cycles);
             proptest::prop_assert_eq!(
                 release,
-                parent_release_cycle(&p, arrival, finish_ps, rocket_cycles)
+                parent_release_cycle(&cfg, &p, arrival, finish_ps, rocket_cycles)
             );
             proptest::prop_assert!(release > arrival);
             // Monotone in the finish time.
@@ -212,9 +330,7 @@ mod tests {
             rocket_cycles in 0u64..1_000_000,
         ) {
             let release = |mode| {
-                let cfg = config(mode, clocks);
-                let p = Pricing { cfg: &cfg, trigger_cycle: 0, wall_latency_ps: 0 };
-                p.release_cycle(arrival, finish_ps, rocket_cycles)
+                Pricing::new(&config(mode, clocks)).release_cycle(arrival, finish_ps, rocket_cycles)
             };
             let gap = release(TimingMode::TimeScaling).abs_diff(release(TimingMode::Reference));
             let cfg = config(TimingMode::Reference, clocks);
@@ -244,12 +360,7 @@ mod tests {
             });
             assert_eq!(ts_bound_cycles(&ts), 3);
             let price = |cfg, finish_ps, rocket_cycles| {
-                let p = Pricing {
-                    cfg,
-                    trigger_cycle: 0,
-                    wall_latency_ps: 0,
-                };
-                p.release_cycle(0, finish_ps, rocket_cycles)
+                Pricing::new(cfg).release_cycle(0, finish_ps, rocket_cycles)
             };
             // Finish times half a DRAM clock off the grid, either side.
             (0..400u64)
@@ -267,34 +378,35 @@ mod tests {
     fn round_trips_at_extreme_ps_values() {
         // A day of emulated time in ps at the fastest modeled clock: the
         // half-up policy must stay an exact identity, and the intermediate
-        // u128 products must not saturate.
+        // products must not saturate.
         for hz in [25_000_000u64, 1_430_000_000, 4_000_000_000] {
+            let clock = Clock::from_hz(hz);
             for cycles in [
                 1u64,
                 (1 << 40) - 1,
                 86_400 * 4_000_000_000, // a day at 4 GHz
             ] {
-                let ps = cycles_to_ps(cycles, hz);
-                assert_eq!(ps_to_cycles_round(ps, hz), cycles, "hz {hz} c {cycles}");
+                let ps = clock.cycles_to_ps(cycles);
+                assert_eq!(clock.ps_to_cycles(ps), cycles, "hz {hz} c {cycles}");
                 // Half-up boundary behaviour survives at scale: half a
                 // cycle below maps back, half a cycle above maps forward.
-                let half = cycles_to_ps(1, hz) / 2;
+                let half = clock.cycles_to_ps(1) / 2;
                 if half > 1 {
-                    assert!(ps_to_cycles_round(ps + half - 1, hz) <= cycles + 1);
-                    assert!(ps_to_cycles_round(ps.saturating_sub(half + 1), hz) < cycles + 1);
+                    assert!(clock.ps_to_cycles(ps + half - 1) <= cycles + 1);
+                    assert!(clock.ps_to_cycles(ps.saturating_sub(half + 1)) < cycles + 1);
                 }
             }
         }
         // Degenerate extremes must not panic or overflow.
-        assert_eq!(ps_to_cycles_round(u64::MAX, 1), 18_446_744);
-        assert_eq!(ps_to_cycles_round(0, u64::MAX), 0);
+        assert_eq!(Clock::from_hz(1).ps_to_cycles(u64::MAX), 18_446_744);
+        assert_eq!(Clock::from_hz(u64::MAX).ps_to_cycles(0), 0);
     }
 
     #[test]
     fn no_overflow_at_large_times() {
         // One hour of ps at 4 GHz.
         let ps = 3_600 * 1_000_000_000_000u64;
-        let c = ps_to_cycles_round(ps, 4_000_000_000);
+        let c = Clock::from_hz(4_000_000_000).ps_to_cycles(ps);
         assert_eq!(c, 14_400_000_000_000);
     }
 }

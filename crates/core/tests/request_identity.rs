@@ -18,7 +18,7 @@ use easydram::{
     EventKind, FcfsController, FrFcfsController, System, SystemConfig, TimingMode, TraceConfig,
     TraceEvent,
 };
-use easydram_cpu::timescale::ps_to_cycles_round;
+use easydram_cpu::timescale::Clock;
 use easydram_cpu::{MemoryBackend, LINE_BYTES};
 
 /// Lines in the read/write region (four 8 KiB rows' worth, so the mix hits
@@ -39,7 +39,7 @@ proptest! {
         cfg.dram.geometry.channels = 1 << channels_log2;
         cfg.write_buffer_depth = 4;
         cfg.trace = Some(TraceConfig::default());
-        let f_core = cfg.core.freq_hz;
+        let core = Clock::from_hz(cfg.core.freq_hz);
         let mut sys = System::new(cfg);
         let tile = sys.tile_mut();
         if frfcfs {
@@ -101,7 +101,7 @@ proptest! {
             prop_assert!(!std::mem::replace(&mut seen[r.id as usize], true), "id {} retired twice", r.id);
             prop_assert_eq!((r.lane, r.requestor, r.a), (e.lane, e.requestor, e.a), "id {}", r.id);
             prop_assert!(
-                ps_to_cycles_round(r.ps, f_core) > ps_to_cycles_round(e.ps, f_core),
+                core.ps_to_cycles(r.ps) > core.ps_to_cycles(e.ps),
                 "id {} released at or before its arrival",
                 r.id
             );

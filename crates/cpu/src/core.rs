@@ -5,6 +5,7 @@ use crate::backend::MemoryBackend;
 use crate::cache::{Cache, CacheLevelStats};
 use crate::config::CoreConfig;
 use crate::stats::CoreStats;
+use crate::timescale::Clock;
 use crate::LINE_BYTES;
 
 /// One cycle in the Q32.32 fixed point `compute` accumulates in.
@@ -29,6 +30,8 @@ pub struct CoreModel<B> {
     cycles_per_op_q32: u64,
     /// Fraction of a cycle (Q32) the compute ops so far have left over.
     compute_carry: u64,
+    /// `cfg.mmio_roundtrip_ns` in core cycles, rounded half-up.
+    mmio_roundtrip_cycles: u64,
     stats: CoreStats,
 }
 
@@ -51,6 +54,8 @@ impl<B: MemoryBackend> CoreModel<B> {
             stream_mode: false,
             cycles_per_op_q32: (Q32_ONE as f64 / cfg.compute_ipc).ceil() as u64,
             compute_carry: 0,
+            mmio_roundtrip_cycles: Clock::from_hz(cfg.freq_hz)
+                .ps_to_cycles(cfg.mmio_roundtrip_ns.saturating_mul(1_000)),
             stats: CoreStats::default(),
             cfg,
         }
@@ -454,8 +459,7 @@ impl<B: MemoryBackend> CpuApi for CoreModel<B> {
         // faster modeled core pays more cycles. Half-up like every other
         // duration→cycle conversion in the workspace (a truncating division
         // here under-charged cores whose frequency is off the ns grid).
-        self.now +=
-            crate::timescale::ns_to_cycles_round(self.cfg.mmio_roundtrip_ns, self.cfg.freq_hz);
+        self.now += self.mmio_roundtrip_cycles;
         // The operation reads/writes DRAM directly; it must not race in-flight
         // line fills.
         self.fence();

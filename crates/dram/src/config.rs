@@ -93,7 +93,7 @@ impl Geometry {
 
     /// Bank group of a flat bank index.
     #[must_use]
-    pub fn group_of(&self, bank: u32) -> u32 {
+    pub(crate) fn group_of(&self, bank: u32) -> u32 {
         bank / self.banks_per_group
     }
 

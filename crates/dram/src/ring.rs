@@ -31,7 +31,12 @@ impl<T: Copy> TraceRing<T> {
             self.buf.push(rec);
         } else {
             self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.cap;
+            // `head < cap`, so the wrap is one compare, not a division on
+            // every traced request.
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
             self.dropped += 1;
         }
     }

@@ -39,7 +39,7 @@
 use std::time::Instant;
 
 use easydram_cpu::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
-use easydram_cpu::timescale::{cycles_to_ps, ps_to_cycles_round};
+use easydram_cpu::timescale::Clock;
 use easydram_cpu::{BumpAllocator, CoreConfig, CoreModel, CpuApi, LineStore, Workload, LINE_BYTES};
 use easydram_dram::bank::RankTiming;
 use easydram_dram::{AddressMapper, DramCommand, Geometry, MappingScheme, TimingParams};
@@ -90,6 +90,8 @@ impl Default for RamulatorConfig {
 #[derive(Debug)]
 pub struct RamulatorBackend {
     cfg: RamulatorConfig,
+    /// The core's clock (`cfg.core.freq_hz`).
+    core_clk: Clock,
     /// One rank-folded timing tracker per channel.
     channels: Vec<RankTiming>,
     mapper: AddressMapper,
@@ -126,6 +128,7 @@ impl RamulatorBackend {
         let mapper = AddressMapper::new(cfg.geometry.clone(), MappingScheme::RowColBankXor);
         let next_ref = cfg.timing.t_refi_ps;
         Self {
+            core_clk: Clock::from_hz(cfg.core.freq_hz),
             cfg,
             channels,
             mapper,
@@ -141,7 +144,7 @@ impl RamulatorBackend {
     /// The processor cycle at which a response ready at `done_ps` reaches
     /// the core: at least one cycle after issue.
     fn complete_cycle(&self, done_ps: u64, issue_cycle: u64) -> u64 {
-        ps_to_cycles_round(done_ps, self.cfg.core.freq_hz).max(issue_cycle + 1)
+        self.core_clk.ps_to_cycles(done_ps).max(issue_cycle + 1)
     }
 
     fn issue_at_earliest(&mut self, ch: usize, cmd: DramCommand, not_before_ps: u64) -> u64 {
@@ -182,7 +185,7 @@ impl RamulatorBackend {
     /// Serves one column access and returns the completion time in ps.
     fn access(&mut self, line_addr: u64, issue_cycle: u64, is_write: bool) -> u64 {
         self.mem_events += 1;
-        let arrival = cycles_to_ps(issue_cycle, self.cfg.core.freq_hz) + self.cfg.ctrl_latency_ps;
+        let arrival = self.core_clk.cycles_to_ps(issue_cycle) + self.cfg.ctrl_latency_ps;
         let d = self.mapper.to_dram(line_addr);
         let ch = d.channel as usize;
         let arrival = self.maybe_refresh(ch, arrival);
@@ -278,8 +281,7 @@ impl MemoryBackend for RamulatorBackend {
         self.mem
             .copy_row(src_row_addr, dst_row_addr, self.row_bytes());
         let t = self.cfg.timing.t_ras_ps + self.cfg.timing.t_rp_ps + self.cfg.timing.t_rcd_ps;
-        let done =
-            cycles_to_ps(issue_cycle, self.cfg.core.freq_hz) + 2 * self.cfg.ctrl_latency_ps + t;
+        let done = self.core_clk.cycles_to_ps(issue_cycle) + 2 * self.cfg.ctrl_latency_ps + t;
         Some(RowCloneRequestResult {
             complete_cycle: self.complete_cycle(done, issue_cycle),
             copied: true,

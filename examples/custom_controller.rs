@@ -45,8 +45,10 @@ impl SoftwareMemoryController for ListingOneController {
         // changes per-request latency.
         while let Some(idx) = api.schedule_fcfs() {
             let req = api.take_request(idx);
-            // Translate physical address to DRAM address.
-            let addr = api.get_addr_mapping(req.addr());
+            // Translate physical address to DRAM address (Listing 1's
+            // `get_addr_mapping(req.addr)`; the tile decoded the request's
+            // own address when it posted it, so this reads the tag).
+            let addr = api.get_request_mapping(&req);
             match req.kind {
                 RequestKind::Read { .. } => {
                     // Issue DRAM commands to serve the request.

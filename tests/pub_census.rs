@@ -12,7 +12,7 @@ use std::path::Path;
 
 /// Lower it whenever a `pub` declaration is deleted or narrowed, never
 /// raise it: a helper the crate alone calls is `pub(crate)`.
-const PUB_CEILING: usize = 840;
+const PUB_CEILING: usize = 839;
 
 #[test]
 fn pub_declarations_only_go_down() {
