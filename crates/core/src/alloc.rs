@@ -391,6 +391,28 @@ mod tests {
         RowCloneAllocator::new(mapper, trials)
     }
 
+    /// Every physical `(bank, row)` the remap table backs more than one
+    /// virtual row with, with those virtual rows.
+    fn shared_rows(a: &RowCloneAllocator) -> Vec<((u32, u32), Vec<u64>)> {
+        let mut owners: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
+        for (&vrow, &phys) in &a.remap {
+            owners.entry(phys).or_default().push(vrow);
+        }
+        owners.into_iter().filter(|(_, v)| v.len() > 1).collect()
+    }
+
+    /// A copy plan of `rows` pairs on the unit-test device at variation
+    /// `seed`, qualified over `trials` trials.
+    fn copy_plan(seed: u64, trials: u32, rows: u64) -> RowCloneAllocator {
+        let mut cfg = DramConfig::small_for_tests();
+        cfg.variation.seed = seed;
+        let var = VariationModel::new(cfg.variation, cfg.geometry.clone());
+        let mut a = allocator(&cfg.geometry, trials);
+        a.plan_copy(&var, rows, 0, rows)
+            .expect("pool not exhausted");
+        a
+    }
+
     /// The division-and-modulo remap decode the shift decode replaced, kept
     /// as the oracle: the virtual row is `phys / row_bytes`, the column
     /// `(phys % row_bytes) / 64`.
@@ -502,6 +524,21 @@ mod tests {
             prop_assert_eq!(a.decode(other), a.mapper.to_dram(other));
         }
 
+        /// A copy plan backs distinct virtual rows with distinct physical
+        /// rows, whichever sources find no qualified partner: a source that
+        /// falls back must not take a destination slot an earlier source's
+        /// scan already owns.
+        #[test]
+        fn copy_plans_are_one_to_one(
+            seed in any::<u64>(),
+            trials in 1u32..=100,
+            rows in 1u64..=512,
+        ) {
+            let a = copy_plan(seed, trials, rows);
+            prop_assert_eq!(a.remap.len() as u64, 2 * rows);
+            prop_assert_eq!(shared_rows(&a), Vec::new(), "seed {} trials {} rows {}", seed, trials, rows);
+        }
+
         /// The heap/pool rule's premise: every heap address below the
         /// capacity lies in DRAM row `a / natural_row_bytes` of whatever
         /// bank and channel the mapping picks, on the default and the
@@ -571,6 +608,15 @@ mod tests {
             );
             assert_ne!(sr, dr);
         }
+    }
+
+    /// The smallest known case of a fallback source landing on a slot an
+    /// earlier source had qualified: two virtual rows on one physical row,
+    /// so the fallback CPU copy of one overwrites the clone of the other.
+    #[test]
+    fn seed_1_copy_plan_is_one_to_one() {
+        let a = copy_plan(1, 100, 512);
+        assert_eq!(shared_rows(&a), Vec::new());
     }
 
     #[test]
