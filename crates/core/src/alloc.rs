@@ -270,15 +270,12 @@ impl RowCloneAllocator {
             let mut dst_used = vec![false; half as usize];
             for j in 0..in_block {
                 let src_row = block.first_row + j as u32;
+                let slot_row = |k: usize| block.first_row + half as u32 + k as u32;
                 // Greedy scan of the destination half for a qualified pair.
                 let mut chosen = None;
                 for (k, used) in dst_used.iter().enumerate() {
-                    if *used {
-                        continue;
-                    }
-                    let dst_row = block.first_row + half as u32 + k as u32;
-                    if self.qualify(var, block.bank, src_row, dst_row) {
-                        chosen = Some((k, dst_row));
+                    if !*used && self.qualify(var, block.bank, src_row, slot_row(k)) {
+                        chosen = Some(k);
                         break;
                     }
                 }
@@ -286,10 +283,21 @@ impl RowCloneAllocator {
                 if chosen.is_some() {
                     self.clonable.insert((src_vrow, dst_vrow));
                 }
-                // No qualified partner: take the aligned slot, fall back to
-                // CPU copies at run time.
-                let (k, dst_row) =
-                    chosen.unwrap_or((j as usize, block.first_row + half as u32 + j as u32));
+                // No qualified partner: take the aligned slot unless an
+                // earlier source's scan owns it, else the first free one (a
+                // block places at most `half` sources into `half` slots), and
+                // fall back to CPU copies at run time.
+                let k = chosen.unwrap_or_else(|| {
+                    let aligned = j as usize;
+                    let first_free = dst_used.iter().position(|used| !used);
+                    let k = if dst_used[aligned] {
+                        first_free
+                    } else {
+                        Some(aligned)
+                    };
+                    k.expect("a block has a free slot per source")
+                });
+                let dst_row = slot_row(k);
                 dst_used[k] = true;
                 self.remap.insert(src_vrow, (block.bank, src_row));
                 self.remap.insert(dst_vrow, (block.bank, dst_row));
