@@ -7,10 +7,27 @@
 //! separators and the string escaping, the caller owns the nesting (every
 //! `begin_*` needs its `end_*`). It writes exactly what a trace needs:
 //! scopes, keys, strings, unsigned integers and fixed six-digit decimals.
-//! [`scan`] walks a document without building a tree, checks that scopes
-//! and strings nest, and reports every object key with its path — enough
-//! to ask "does this document carry a top-level `traceEvents`"
-//! structurally instead of by substring.
+//! `top_level_keys` walks a document once without building a tree, checks
+//! that scopes and strings nest, and reports the keys of the outermost
+//! object only — enough to ask "does this document carry a top-level
+//! `traceEvents`" structurally instead of by substring, without paying for
+//! the hundreds of thousands of keys inside the events.
+//!
+//! The trace's other export, the binary dump
+//! ([`crate::TraceLog::to_binary`]), needs neither: its codec writes and
+//! reads one fixed 36-byte record array at a time.
+
+/// `00`, `01`, … `99`: the two decimal digits of every value below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut n = 0;
+    while n < 100 {
+        pairs[2 * n] = b'0' + (n / 10) as u8;
+        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    pairs
+};
 
 /// Whether a byte of a string must be written as an escape.
 #[inline(always)]
@@ -118,18 +135,37 @@ impl JsonWriter {
         self.out.extend_from_slice(rest);
     }
 
-    /// Pushes `n` in decimal, zero-padded to `width` digits.
+    /// Pushes `n` in decimal, zero-padded to `width` (at most 20) digits.
+    /// Twenty `0`s are pushed as one fixed-size copy (no variable-length
+    /// `memcpy` call per number), the digits are written over their end,
+    /// two at a time from [`DIGIT_PAIRS`], and the rest is cut off. The
+    /// digits go straight into the output: a stack buffer read back in
+    /// one piece right after its bytes were stored stalls on every number.
     #[inline(always)]
     fn digits(&mut self, mut n: u64, width: usize) {
-        let mut buf = [b'0'; 20];
-        let mut at = buf.len();
-        while n > 0 {
-            at -= 1;
-            buf[at] = b'0' + (n % 10) as u8;
-            n /= 10;
+        let len = n
+            .checked_ilog10()
+            .map_or(1, |log| log as usize + 1)
+            .max(width);
+        let start = self.out.len();
+        self.out.extend_from_slice(&[b'0'; 20]);
+        let digits: &mut [u8; 20] = (&mut self.out[start..]).try_into().expect("20 bytes");
+        let mut pair = |at: usize, n: u64| {
+            let from = 2 * n as usize;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[from..from + 2]);
+        };
+        let mut at = len;
+        while n >= 100 {
+            at -= 2;
+            pair(at, n % 100);
+            n /= 100;
         }
-        let from = at.min(buf.len() - width);
-        self.out.extend_from_slice(&buf[from..]);
+        if n >= 10 {
+            pair(at - 2, n);
+        } else if n > 0 {
+            digits[at - 1] = b'0' + n as u8;
+        }
+        self.out.truncate(start + len);
     }
 
     /// Writes an unsigned integer.
@@ -157,61 +193,65 @@ impl JsonWriter {
     }
 }
 
-/// Scans a JSON document structurally: scopes balance, strings and escapes
-/// terminate. Calls `on_key` for every object key with the path of keys
-/// leading to it (arrays add no path element), e.g. `["points", "flips"]`
-/// for each `flips` in `{"points":[{"flips":0}]}`. A key is a string
-/// directly inside an object with only JSON whitespace before its `:`.
+/// Scans a JSON document structurally, as the path-reporting scanner in
+/// the tests does: scopes balance, strings and escapes terminate. Calls
+/// `on_key` for every key of an outermost object: a string directly inside
+/// an object that no other object encloses (arrays do not count), with only
+/// JSON whitespace before its `:`. `{"a":[{"b":0}],"c":1}` reports `a` and
+/// `c`. Only scope nesting is tracked; no other key costs anything.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first structural defect.
-pub fn scan<'a>(json: &'a str, mut on_key: impl FnMut(&[&'a str])) -> Result<(), String> {
+pub(crate) fn top_level_keys<'a>(
+    json: &'a str,
+    mut on_key: impl FnMut(&'a str),
+) -> Result<(), String> {
     let bytes = json.as_bytes();
     let mut closers: Vec<u8> = Vec::new();
-    // One element per open object: the key whose value is being read.
-    let mut path: Vec<&'a str> = Vec::new();
-    let mut i = 0;
+    // Objects among the open scopes: a key is reported at exactly one.
+    let mut objects = 0usize;
+    // One pass of a slice iterator (no index to bounds-check): the offset
+    // of the next byte is the length less what is left to walk.
+    let mut rest = bytes.iter();
+    let offset = |rest: &std::slice::Iter<'_, u8>| bytes.len() - rest.len();
     // Outside a string only quotes and brackets matter.
-    while let Some(&c) = bytes.get(i) {
-        i += 1;
+    while let Some(&c) = rest.next() {
         match c {
             b'"' => {
-                let start = i;
+                let start = offset(&rest);
                 // Inside one, only the closing quote and `\`, which hides
                 // the byte after it (never the lead byte of a character the
                 // scanner would otherwise act on: those are all ASCII).
                 loop {
-                    match bytes.get(i) {
-                        None => return Err("unterminated string".to_string()),
+                    match rest.next() {
                         Some(b'"') => break,
-                        Some(b'\\') => i += 2,
-                        Some(_) => i += 1,
+                        Some(b'\\') => _ = rest.next(),
+                        Some(_) => {}
+                        None => return Err("unterminated string".to_string()),
                     }
                 }
-                let mut after = bytes[i + 1..]
-                    .iter()
-                    .skip_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
-                if closers.last() == Some(&b'}') && after.next() == Some(&b':') {
-                    if let Some(slot) = path.last_mut() {
-                        *slot = &json[start..i];
+                if objects == 1 && closers.last() == Some(&b'}') {
+                    let end = offset(&rest) - 1;
+                    let mut after =
+                        (rest.clone()).skip_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
+                    if after.next() == Some(&b':') {
+                        on_key(&json[start..end]);
                     }
-                    on_key(&path);
                 }
-                i += 1;
             }
             b'{' => {
                 closers.push(b'}');
-                path.push("");
+                objects += 1;
             }
             b'[' => closers.push(b']'),
             b'}' | b']' => {
                 if closers.pop() != Some(c) {
-                    let (c, at) = (char::from(c), i - 1);
+                    let (c, at) = (char::from(c), offset(&rest) - 1);
                     return Err(format!("unbalanced `{c}` at byte {at}"));
                 }
                 if c == b'}' {
-                    path.pop();
+                    objects -= 1;
                 }
             }
             _ => {}
@@ -228,6 +268,83 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The path-reporting scanner `top_level_keys` replaced in
+    /// `validate_chrome_json`, kept as its oracle: the same structural walk,
+    /// calling `on_key` for every object key with the path of keys leading
+    /// to it (arrays add no path element), e.g. `["points", "flips"]` for
+    /// each `flips` in `{"points":[{"flips":0}]}`.
+    fn scan<'a>(json: &'a str, mut on_key: impl FnMut(&[&'a str])) -> Result<(), String> {
+        let bytes = json.as_bytes();
+        let mut closers: Vec<u8> = Vec::new();
+        // One element per open object: the key whose value is being read.
+        let mut path: Vec<&'a str> = Vec::new();
+        let mut i = 0;
+        while let Some(&c) = bytes.get(i) {
+            i += 1;
+            match c {
+                b'"' => {
+                    let start = i;
+                    loop {
+                        match bytes.get(i) {
+                            None => return Err("unterminated string".to_string()),
+                            Some(b'"') => break,
+                            Some(b'\\') => i += 2,
+                            Some(_) => i += 1,
+                        }
+                    }
+                    let mut after = bytes[i + 1..]
+                        .iter()
+                        .skip_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
+                    if closers.last() == Some(&b'}') && after.next() == Some(&b':') {
+                        if let Some(slot) = path.last_mut() {
+                            *slot = &json[start..i];
+                        }
+                        on_key(&path);
+                    }
+                    i += 1;
+                }
+                b'{' => {
+                    closers.push(b'}');
+                    path.push("");
+                }
+                b'[' => closers.push(b']'),
+                b'}' | b']' => {
+                    if closers.pop() != Some(c) {
+                        let (c, at) = (char::from(c), i - 1);
+                        return Err(format!("unbalanced `{c}` at byte {at}"));
+                    }
+                    if c == b'}' {
+                        path.pop();
+                    }
+                }
+                _ => {}
+            }
+        }
+        if !closers.is_empty() {
+            return Err(format!("{} unclosed scopes at end of input", closers.len()));
+        }
+        Ok(())
+    }
+
+    /// What `top_level_keys` reports and returns on `json`.
+    fn top_level(json: &str) -> (Result<(), String>, Vec<&str>) {
+        let mut keys = Vec::new();
+        let result = top_level_keys(json, |key| keys.push(key));
+        (result, keys)
+    }
+
+    /// What the path oracle reports on `json`, narrowed to `top_level_keys`'
+    /// contract: the keys whose path is one key long.
+    fn oracle_top_level(json: &str) -> (Result<(), String>, Vec<&str>) {
+        let mut keys = Vec::new();
+        let result = scan(json, |path| {
+            if let [key] = path {
+                keys.push(*key);
+            }
+        });
+        (result, keys)
+    }
+
     /// Every key path of `json`, dot-joined (see [`scan`]).
     fn key_paths(json: &str) -> Result<std::collections::BTreeSet<String>, String> {
         let mut paths = std::collections::BTreeSet::new();
@@ -237,7 +354,7 @@ mod tests {
         Ok(paths)
     }
 
-    /// The scanner `scan` replaced, decoding characters and trimming the
+    /// The scanner the byte scanner `scan` replaced, decoding characters and trimming the
     /// rest of the input at every closing quote: the oracle for it.
     fn scan_by_chars<'a>(json: &'a str, mut on_key: impl FnMut(&[&'a str])) -> Result<(), String> {
         let mut closers: Vec<char> = Vec::new();
@@ -366,6 +483,116 @@ mod tests {
         }
     }
 
+    /// `doc` without its stray and mismatched closers, and with its open
+    /// string and scopes closed: well-formed unless it ends in a lone `\`.
+    fn repaired(doc: &str) -> String {
+        let mut out = String::new();
+        let mut closers = Vec::new();
+        let mut in_string = false;
+        let mut chars = doc.chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '\\' if in_string => out.extend([Some(c), chars.next()].into_iter().flatten()),
+                '"' => {
+                    in_string = !in_string;
+                    out.push(c);
+                }
+                '{' | '[' if !in_string => {
+                    closers.push(if c == '{' { '}' } else { ']' });
+                    out.push(c);
+                }
+                '}' | ']' if !in_string => {
+                    if closers.last() == Some(&c) {
+                        closers.pop();
+                        out.push(c);
+                    }
+                }
+                _ => out.push(c),
+            }
+        }
+        if in_string {
+            out.push('"');
+        }
+        out.extend(closers.into_iter().rev());
+        out
+    }
+
+    /// Characters a hostile document is drawn from: every byte the scanner
+    /// acts on, JSON whitespace, and multi-byte characters whose
+    /// continuation bytes must never be taken for structure.
+    const HOSTILE: [char; 16] = [
+        '{',
+        '}',
+        '[',
+        ']',
+        '"',
+        '\\',
+        ':',
+        ',',
+        ' ',
+        '\n',
+        'a',
+        '0',
+        'é',
+        '\u{7FF}',
+        '\u{FFFF}',
+        '\u{10FFFF}',
+    ];
+
+    proptest! {
+        /// The top-level scanner accepts and rejects exactly what the path
+        /// oracle does, on well-formed and broken input, and reports exactly
+        /// the oracle's keys whose path is one key long.
+        #[test]
+        fn top_level_scanner_matches_the_path_oracle(
+            docs in prop::collection::vec(
+                (prop::collection::vec(0usize..PIECES.len(), 0..40), any::<bool>()),
+                16..17,
+            ),
+        ) {
+            for (picks, balance) in docs {
+                let doc = document(&picks, balance);
+                prop_assert_eq!(top_level(&doc), oracle_top_level(&doc), "{:?}", doc);
+            }
+        }
+
+        /// Hostile input: arbitrary strings of structural bytes, lone `\`s
+        /// and multi-byte characters, and deep runs of brackets around
+        /// them. The scanner never panics and agrees with the oracle, and
+        /// every document made broken by construction (an unterminated
+        /// string, a trailing lone `\`, a scope left open, a stray or
+        /// mismatched closer) is an error.
+        #[test]
+        fn hostile_input_is_rejected_without_panicking(
+            picks in prop::collection::vec(0usize..HOSTILE.len(), 0..200),
+            balance in any::<bool>(),
+            depth in 0usize..3_000,
+            opener in 0usize..2,
+        ) {
+            let doc: String = picks.iter().map(|&p| HOSTILE[p]).collect();
+            let doc = if balance { repaired(&doc) } else { doc };
+            let (open, close) = [("{", "}"), ("[", "]")][opener];
+            let deep = format!("{}{doc}{}", open.repeat(depth), close.repeat(depth));
+            for doc in [&doc, &deep] {
+                prop_assert_eq!(top_level(doc), oracle_top_level(doc), "{:?}", doc);
+            }
+            if top_level(&doc).0.is_ok() {
+                let broken = [
+                    format!("{doc}\"unterminated"),
+                    format!("{doc}\"lone \\"),
+                    format!("{doc}\"\\"),
+                    format!("{}{doc}", open.repeat(depth + 1)),
+                    format!("{doc}{}", close.repeat(depth + 1)),
+                    format!("{}{doc}{}", "{".repeat(depth + 1), "]".repeat(depth + 1)),
+                ];
+                for doc in &broken {
+                    prop_assert!(top_level(doc).0.is_err(), "{:?}", doc);
+                    prop_assert_eq!(top_level(doc), oracle_top_level(doc), "{:?}", doc);
+                }
+            }
+        }
+    }
+
     #[test]
     fn digit_writers_match_display() {
         let ends = [0, 9, 10, 999_999, 1_000_000, 1_000_000_000_001, u64::MAX];
@@ -413,6 +640,10 @@ mod tests {
                 .to_string()
                 + "\n"
         );
+        assert_eq!(
+            top_level(&json),
+            (Ok(()), vec![r#"q\"uote"#, "empty", "list", "nested"])
+        );
         let paths = key_paths(&json).expect("well-formed");
         let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
         assert_eq!(
@@ -433,8 +664,11 @@ mod tests {
         let paths = key_paths(r#"{"a":{"b":[{"c":1},{"c":"x:y"}]},"d":"\"e\":"}"#).unwrap();
         let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
         assert_eq!(paths, ["a", "a.b", "a.b.c", "d"]);
+        let doc = r#"{"a":{"b":[{"c":1},{"c":"x:y"}]},"d":"\"e\":"} [{"f" :0}]"#;
+        assert_eq!(top_level(doc), (Ok(()), vec!["a", "d", "f"]));
         for defect in ["{\"a\":[}", "{\"a\":[]", "{\"a\": \"unterminated}"] {
             assert!(scan(defect, |_| {}).is_err(), "{defect}");
+            assert!(top_level_keys(defect, |_| {}).is_err(), "{defect}");
         }
     }
 }

@@ -129,14 +129,12 @@ impl MultiCoreSystem {
     /// target core frequency. Empty when tracing is off.
     pub fn take_trace(&mut self) -> TraceLog {
         let core = Clock::from_hz(self.with_tile(|t| t.config().core.freq_hz));
-        let mut log = self.with_tile(Tile::take_trace);
-        for sw in self.switches.drain(..) {
-            log.push(TraceEvent::quantum_switch(
-                core.cycles_to_ps(sw.cycle),
-                sw.from,
-                sw.to,
-            ));
-        }
+        let mut log = self.with_tile(|t| t.take_trace_with_room(self.switches.len()));
+        log.events.extend(
+            self.switches
+                .drain(..)
+                .map(|sw| TraceEvent::quantum_switch(core.cycles_to_ps(sw.cycle), sw.from, sw.to)),
+        );
         log.dropped += std::mem::take(&mut self.switches_dropped);
         log
     }

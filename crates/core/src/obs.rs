@@ -320,7 +320,7 @@ impl Default for LogHistogram {
 impl LogHistogram {
     /// The bucket a value lands in: its bit length, capped at the top.
     #[must_use]
-    pub fn bucket_of(value: u64) -> usize {
+    pub(crate) fn bucket_of(value: u64) -> usize {
         ((u64::BITS - value.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
     }
 
@@ -498,16 +498,64 @@ impl TraceLog {
         // an insertion sort undo a track's few short-range inversions. A
         // track that needs more than a few shifts per event goes to the
         // standard sort instead. Every step is stable.
-        let in_track = |ev: &TraceEvent| Self::sort_key(ev).1;
-        let mut tracks: BTreeMap<(u32, u32), Vec<TraceEvent>> = BTreeMap::new();
-        for ev in &self.events {
-            tracks.entry(Self::track(ev)).or_default().push(*ev);
+        //
+        // The split happens in place: each event's destination is its
+        // track's start plus the events of that track before it, and every
+        // event moves once, along the cycles of that permutation.
+        // Neighbouring events mostly share a track: the last one found
+        // skips the map.
+        let mut slots: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut last = None;
+        let mut dest: Vec<usize> = (self.events.iter())
+            .map(|ev| {
+                let track = Self::track(ev);
+                let slot = match last {
+                    Some((seen, slot)) if seen == track => slot,
+                    _ => *slots.entry(track).or_insert_with(|| {
+                        counts.push(0);
+                        counts.len() - 1
+                    }),
+                };
+                last = Some((track, slot));
+                counts[slot] += 1;
+                slot
+            })
+            .collect();
+        // Tracks in export order: each one's next free position, and where
+        // each one ends.
+        let mut next = vec![0; counts.len()];
+        let mut ends = Vec::with_capacity(counts.len());
+        let mut end = 0;
+        for &slot in slots.values() {
+            next[slot] = end;
+            end += counts[slot];
+            ends.push(end);
         }
-        self.events.clear();
-        for mut track in tracks.into_values() {
+        for to in &mut dest {
+            let slot = *to;
+            *to = next[slot];
+            next[slot] += 1;
+        }
+        for at in 0..dest.len() {
+            while dest[at] != at {
+                let to = dest[at];
+                self.events.swap(at, to);
+                dest.swap(at, to);
+            }
+        }
+        let in_track = |ev: &TraceEvent| Self::sort_key(ev).1;
+        let mut start = 0;
+        for end in ends {
+            let track = &mut self.events[start..end];
+            start = end;
             let mut shifts = 16 * track.len();
             for at in 1..track.len() {
-                let later = |ev: &&TraceEvent| in_track(ev) > in_track(&track[at]);
+                let key = in_track(&track[at]);
+                if in_track(&track[at - 1]) <= key {
+                    continue;
+                }
+                let later = |ev: &&TraceEvent| in_track(ev) > key;
                 let to = at - track[..at].iter().rev().take_while(later).count();
                 track[to..=at].rotate_right(1);
                 shifts = shifts.saturating_sub(at - to);
@@ -516,15 +564,16 @@ impl TraceLog {
                     break;
                 }
             }
-            self.events.append(&mut track);
         }
     }
 
     /// The events in export order: the log's own when it is already sorted
     /// (one linear check), a sorted copy otherwise.
     fn export_order(&self) -> Cow<'_, [TraceEvent]> {
-        let sorted = |w: &[TraceEvent]| Self::sort_key(&w[0]) <= Self::sort_key(&w[1]);
-        if self.events.windows(2).all(sorted) {
+        // Each event's key is formed once and compared with the one before.
+        let mut keys = self.events.iter().map(Self::sort_key);
+        let mut last = keys.next();
+        if keys.all(|key| last.replace(key) <= Some(key)) {
             return Cow::Borrowed(&self.events);
         }
         let mut copy = self.clone();
@@ -565,16 +614,6 @@ impl TraceLog {
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
         let events = self.export_order();
-        let is_lifecycle = |ev: &TraceEvent| ev.kind <= EventKind::Retire;
-        // Request lifecycles pair by id, so enqueue→retire renders as one
-        // complete slice carrying its intermediate stages as args: sorting
-        // (id, position) groups each id's events in export order.
-        let mut lives: Vec<(u64, usize)> = (events.iter().enumerate())
-            .filter(|(_, ev)| is_lifecycle(ev))
-            .map(|(at, ev)| (ev.id, at))
-            .collect();
-        lives.sort_unstable();
-
         // Every event object opens with its phase and track.
         fn event<'w>(w: &'w mut JsonWriter, ph: &str, track: (u32, u32)) -> &'w mut JsonWriter {
             w.begin_object().key("ph").string(ph);
@@ -589,7 +628,8 @@ impl TraceLog {
             w.key("args").begin_object()
         }
         // An instant is ~100 bytes, a complete slice ~150 for four events.
-        let mut w = JsonWriter::with_capacity(512 + 104 * events.len() - 64 * lives.len());
+        let lifecycle = events.iter().filter(|ev| is_lifecycle(ev)).count();
+        let mut w = JsonWriter::with_capacity(512 + 104 * events.len() - 64 * lifecycle);
         w.begin_object().key("traceEvents").begin_array();
         // Track metadata: name every process and thread that carries
         // events. Export order keeps each track, and each process, together.
@@ -621,42 +661,29 @@ impl TraceLog {
         }
         // Complete slices for fully-observed request lifecycles; leftover
         // endpoints (the ring overwrote their partner) render as instants.
-        // The last event of a kind wins.
-        for life in lives.chunk_by(|a, b| a.0 == b.0) {
-            let id = life[0].0;
-            let (mut enq, mut issue, mut slice, mut retire) = (None, None, None, None);
-            for ev in life.iter().map(|&(_, at)| &events[at]) {
-                match ev.kind {
-                    EventKind::Enqueue => enq = Some(ev),
-                    EventKind::Issue => issue = Some(ev.ps),
-                    EventKind::SliceRelease => slice = Some(ev.ps),
-                    _ => retire = Some(ev),
+        for_each_life(&events, |id, life| match (life.enqueue, life.retire) {
+            (Some(e), Some(r)) => {
+                event(&mut w, "X", Self::track(e))
+                    .key("ts")
+                    .millionths(e.ps);
+                w.key("dur").millionths(r.ps.saturating_sub(e.ps));
+                w.key("name").string(class_label(e.a));
+                w.key("args").begin_object().key("id").uint(id);
+                if let Some(p) = life.issue {
+                    w.key("issue_us").millionths(p);
                 }
+                if let Some(p) = life.slice {
+                    w.key("slice_release_us").millionths(p);
+                }
+                w.end_object().end_object();
             }
-            match (enq, retire) {
-                (Some(e), Some(r)) => {
-                    event(&mut w, "X", Self::track(e))
-                        .key("ts")
-                        .millionths(e.ps);
-                    w.key("dur").millionths(r.ps.saturating_sub(e.ps));
-                    w.key("name").string(class_label(e.a));
-                    w.key("args").begin_object().key("id").uint(id);
-                    if let Some(p) = issue {
-                        w.key("issue_us").millionths(p);
-                    }
-                    if let Some(p) = slice {
-                        w.key("slice_release_us").millionths(p);
-                    }
+            (enqueue, retire) => {
+                for ev in [enqueue, retire].into_iter().flatten() {
+                    instant(&mut w, ev).key("id").uint(id);
                     w.end_object().end_object();
                 }
-                _ => {
-                    for ev in [enq, retire].into_iter().flatten() {
-                        instant(&mut w, ev).key("id").uint(id);
-                        w.end_object().end_object();
-                    }
-                }
             }
-        }
+        });
         for ev in events.iter().filter(|ev| !is_lifecycle(ev)) {
             instant(&mut w, ev).key("a").uint(ev.a.into());
             w.key("b").uint(ev.b.into());
@@ -685,15 +712,39 @@ impl TraceLog {
         out.extend_from_slice(TRACE_BIN_MAGIC);
         out.extend_from_slice(&(events.len() as u64).to_le_bytes());
         for ev in events {
-            out.extend_from_slice(&ev.ps.to_le_bytes());
-            out.extend_from_slice(&ev.id.to_le_bytes());
-            out.extend_from_slice(&ev.lane.to_le_bytes());
-            out.extend_from_slice(&ev.requestor.to_le_bytes());
-            out.extend_from_slice(&ev.a.to_le_bytes());
-            out.extend_from_slice(&ev.b.to_le_bytes());
-            out.extend_from_slice(&u32::from(ev.kind as u8).to_le_bytes());
+            out.extend_from_slice(&Self::record(ev));
         }
         out
+    }
+
+    /// One event's record: `ps:u64, id:u64, lane:u32, requestor:u32, a:u32,
+    /// b:u32, kind:u32`, little-endian.
+    #[inline]
+    fn record(ev: &TraceEvent) -> [u8; TRACE_BIN_RECORD_BYTES] {
+        let mut rec = [0; TRACE_BIN_RECORD_BYTES];
+        rec[..8].copy_from_slice(&ev.ps.to_le_bytes());
+        rec[8..16].copy_from_slice(&ev.id.to_le_bytes());
+        let words = [ev.lane, ev.requestor, ev.a, ev.b, u32::from(ev.kind as u8)];
+        for (at, word) in (16..).step_by(4).zip(words) {
+            rec[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        }
+        rec
+    }
+
+    /// The event a record encodes; `None` when its kind word names no kind.
+    #[inline]
+    fn from_record(rec: &[u8; TRACE_BIN_RECORD_BYTES]) -> Option<TraceEvent> {
+        let u64_at = |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().unwrap());
+        let u32_at = |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().unwrap());
+        Some(TraceEvent {
+            ps: u64_at(0),
+            id: u64_at(8),
+            lane: u32_at(16),
+            requestor: u32_at(20),
+            a: u32_at(24),
+            b: u32_at(28),
+            kind: EventKind::from_u8(u8::try_from(u32_at(32)).ok()?)?,
+        })
     }
 
     /// Parses a binary dump back into events (round-trip check and the
@@ -701,36 +752,107 @@ impl TraceLog {
     #[must_use]
     pub fn parse_binary(bytes: &[u8]) -> Option<Vec<TraceEvent>> {
         let rest = bytes.strip_prefix(&TRACE_BIN_MAGIC[..])?;
-        // `split_at_checked` is post-MSRV (1.80); bounds-check by hand.
-        let (count, rest) = (rest.len() >= 8).then(|| rest.split_at(8))?;
+        let (count, rest) = rest.split_first_chunk::<8>()?;
         // The count is untrusted: it must describe exactly the bytes that
         // follow before anything is allocated for it.
-        let count = usize::try_from(u64::from_le_bytes(count.try_into().ok()?)).ok()?;
+        let count = usize::try_from(u64::from_le_bytes(*count)).ok()?;
         if count.checked_mul(TRACE_BIN_RECORD_BYTES) != Some(rest.len()) {
             return None;
         }
         let mut events = Vec::with_capacity(count);
         for rec in rest.chunks_exact(TRACE_BIN_RECORD_BYTES) {
-            let u64_at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().unwrap());
-            let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().unwrap());
-            events.push(TraceEvent {
-                ps: u64_at(0),
-                id: u64_at(8),
-                lane: u32_at(16),
-                requestor: u32_at(20),
-                a: u32_at(24),
-                b: u32_at(28),
-                kind: EventKind::from_u8(u8::try_from(u32_at(32)).ok()?)?,
-            });
+            let rec = rec.try_into().expect("chunks_exact yields whole records");
+            events.push(Self::from_record(rec)?);
         }
         Some(events)
     }
 }
 
-/// Validates that `json` is a structurally well-formed JSON object
-/// ([`crate::json::scan`]) carrying a top-level `traceEvents` key — the
-/// loadability check the `fig_latency_cdf` figure runs over the Chrome
-/// trace it emits.
+/// A request's lifecycle as the Chrome export renders it: the last event
+/// of each kind in export order.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Life<'a> {
+    enqueue: Option<&'a TraceEvent>,
+    issue: Option<u64>,
+    slice: Option<u64>,
+    retire: Option<&'a TraceEvent>,
+}
+
+impl<'a> Life<'a> {
+    /// Folds in a lifecycle event that comes later in export order.
+    fn add(&mut self, ev: &'a TraceEvent) {
+        match ev.kind {
+            EventKind::Enqueue => self.enqueue = Some(ev),
+            EventKind::Issue => self.issue = Some(ev.ps),
+            EventKind::SliceRelease => self.slice = Some(ev.ps),
+            _ => self.retire = Some(ev),
+        }
+    }
+}
+
+/// Calls `render` with every request id the lifecycle events of `events`
+/// (in export order) carry, in ascending id order, and its [`Life`].
+///
+/// Ids are dense in a simulated log (a tile numbers its requests
+/// consecutively), so when they span fewer values than there are lifecycle
+/// events, a table indexed by id groups them in one pass. Any other log
+/// sorts its `(id, position)` pairs, which groups them identically
+/// (`lives_group_alike_in_a_table_and_by_sorting` in the tests).
+fn for_each_life<'a>(events: &'a [TraceEvent], render: impl FnMut(u64, &Life<'a>)) {
+    let lifecycle = events.iter().filter(|ev| is_lifecycle(ev));
+    let (count, lo, hi) = lifecycle.fold((0u64, u64::MAX, 0), |(n, lo, hi), ev| {
+        (n + 1, lo.min(ev.id), hi.max(ev.id))
+    });
+    if count > 0 && hi - lo < count {
+        lives_by_table(events, lo, hi, render);
+    } else {
+        lives_by_sorting(events, render);
+    }
+}
+
+/// Whether `ev` belongs to a request lifecycle.
+fn is_lifecycle(ev: &TraceEvent) -> bool {
+    ev.kind <= EventKind::Retire
+}
+
+/// [`for_each_life`] through a table of every id in `lo..=hi`, the span of
+/// the lifecycle ids.
+fn lives_by_table<'a>(
+    events: &'a [TraceEvent],
+    lo: u64,
+    hi: u64,
+    mut render: impl FnMut(u64, &Life<'a>),
+) {
+    let mut table = vec![Life::default(); (hi - lo + 1) as usize];
+    for ev in events.iter().filter(|ev| is_lifecycle(ev)) {
+        table[(ev.id - lo) as usize].add(ev);
+    }
+    for (offset, life) in table.iter().enumerate() {
+        render(lo + offset as u64, life);
+    }
+}
+
+/// [`for_each_life`] by sorting `(id, position)` pairs, for any ids.
+fn lives_by_sorting<'a>(events: &'a [TraceEvent], mut render: impl FnMut(u64, &Life<'a>)) {
+    let mut lives: Vec<(u64, usize)> = (events.iter().enumerate())
+        .filter(|(_, ev)| is_lifecycle(ev))
+        .map(|(at, ev)| (ev.id, at))
+        .collect();
+    lives.sort_unstable();
+    for group in lives.chunk_by(|a, b| a.0 == b.0) {
+        let mut life = Life::default();
+        for &(_, at) in group {
+            life.add(&events[at]);
+        }
+        render(group[0].0, &life);
+    }
+}
+
+/// Validates that `json` is a structurally well-formed JSON object (scopes
+/// balance, strings and escapes terminate) carrying a top-level
+/// `traceEvents` key — the loadability check the `fig_latency_cdf` figure
+/// runs over the Chrome trace it emits. One pass over the bytes that
+/// tracks scope nesting only: no key inside the events costs anything.
 ///
 /// # Errors
 ///
@@ -740,7 +862,7 @@ pub fn validate_chrome_json(json: &str) -> Result<(), String> {
         return Err("top level must be a JSON object".to_string());
     }
     let mut has_events = false;
-    crate::json::scan(json, |path| has_events |= path == ["traceEvents"])?;
+    crate::json::top_level_keys(json, |key| has_events |= key == "traceEvents")?;
     if !has_events {
         return Err("missing the traceEvents array".to_string());
     }
@@ -798,6 +920,44 @@ mod tests {
             prop_assert_eq!(&log.events, &expect);
             prop_assert!(log.tracks_monotone() && monotone(&log));
             prop_assert_eq!(log.to_binary(), binary);
+        }
+
+        /// The Chrome export's two groupings of lifecycle events by id agree:
+        /// the table over the ids' span and the sort of `(id, position)`
+        /// pairs hand the renderer the same lifecycles in the same order, on
+        /// logs with reused ids, every kind, and ids that span more or fewer
+        /// values than there are events.
+        #[test]
+        fn lives_group_alike_in_a_table_and_by_sorting(
+            draws in prop::collection::vec((0u8..12, 0u64..24, 0u64..1_000, 0u32..3), 1..120),
+            (end, raw) in (0u8..3, any::<u64>()),
+        ) {
+            // Ids from 0, up to u64::MAX, or anywhere between.
+            let base = [0, u64::MAX - 23, raw >> 1][usize::from(end)];
+            let events: Vec<TraceEvent> = draws
+                .iter()
+                .map(|&(kind, id, ps, lane)| TraceEvent {
+                    ps,
+                    kind: EventKind::from_u8(kind).unwrap(),
+                    id: base + id,
+                    lane,
+                    requestor: lane,
+                    a: kind.into(),
+                    b: 0,
+                })
+                .collect();
+            let ids = events.iter().filter(|ev| is_lifecycle(ev)).map(|ev| ev.id);
+            let Some((lo, hi)) = ids.clone().min().zip(ids.max()) else {
+                return Ok(());
+            };
+            let (mut by_table, mut by_sorting) = (Vec::new(), Vec::new());
+            lives_by_table(&events, lo, hi, |id, life| {
+                if *life != Life::default() {
+                    by_table.push((id, *life));
+                }
+            });
+            lives_by_sorting(&events, |id, life| by_sorting.push((id, *life)));
+            prop_assert_eq!(by_table, by_sorting);
         }
 
         /// `parse_binary` on hostile bytes: arbitrary strings, arbitrary

@@ -322,19 +322,32 @@ impl Tile {
     /// Tracing stays enabled afterwards, so a harness can capture one log
     /// per run window.
     pub fn take_trace(&mut self) -> TraceLog {
-        let mut log = TraceLog::default();
-        for (ch, lane) in self.lanes.iter_mut().enumerate() {
+        self.take_trace_with_room(0)
+    }
+
+    /// [`Tile::take_trace`] into a log reserved once, for every ring plus
+    /// `room` more events.
+    pub(crate) fn take_trace_with_room(&mut self, room: usize) -> TraceLog {
+        let commands: Vec<_> = (self.lanes.iter_mut())
+            .map(|lane| lane.device.take_cmd_trace())
+            .collect();
+        let lane_events: usize = (self.lanes.iter())
+            .filter_map(|lane| lane.ring.as_ref().map(EventRing::len))
+            .sum();
+        let command_events: usize = commands.iter().map(|(records, _)| records.len()).sum();
+        let mut log = TraceLog {
+            events: Vec::with_capacity(lane_events + command_events + room),
+            dropped: 0,
+        };
+        for ((ch, lane), (records, dropped)) in self.lanes.iter_mut().enumerate().zip(commands) {
             if let Some(ring) = lane.ring.as_mut() {
                 log.dropped += ring.drain_into(&mut log.events);
             }
-            let (records, dropped) = lane.device.take_cmd_trace();
             log.dropped += dropped;
-            for rec in records {
+            log.events.extend(records.into_iter().map(|rec| {
                 let kind = EventKind::from_mnemonic(rec.mnemonic);
-                log.push(TraceEvent::command(
-                    rec.ps, ch as u32, kind, rec.bank, rec.arg,
-                ));
-            }
+                TraceEvent::command(rec.ps, ch as u32, kind, rec.bank, rec.arg)
+            }));
         }
         log
     }

@@ -41,6 +41,18 @@ impl<T: Copy> TraceRing<T> {
         }
     }
 
+    /// The number of records held.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether the ring holds no record.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
     /// Appends every held record to `out`, oldest first, and empties the
     /// ring. Returns how many records were overwritten since the last
     /// drain and resets that count. Allocates in `out`: drain time only.
@@ -64,8 +76,18 @@ mod tests {
         for i in 0..5u32 {
             ring.push(i);
         }
+        assert_eq!(
+            (ring.len(), ring.is_empty()),
+            (3, false),
+            "full at capacity"
+        );
         let mut out = vec![99];
         assert_eq!(ring.drain_into(&mut out), 2);
+        assert_eq!(
+            (ring.len(), ring.is_empty()),
+            (0, true),
+            "a drain empties it"
+        );
         assert_eq!(out, [99, 2, 3, 4], "appended oldest first after a wrap");
         ring.push(5);
         let mut out = Vec::new();
