@@ -130,11 +130,13 @@ impl MultiCoreSystem {
     pub fn take_trace(&mut self) -> TraceLog {
         let core = Clock::from_hz(self.with_tile(|t| t.config().core.freq_hz));
         let mut log = self.with_tile(|t| t.take_trace_with_room(self.switches.len()));
-        log.events.extend(
-            self.switches
-                .drain(..)
-                .map(|sw| TraceEvent::quantum_switch(core.cycles_to_ps(sw.cycle), sw.from, sw.to)),
-        );
+        for sw in self.switches.drain(..) {
+            log.push(TraceEvent::quantum_switch(
+                core.cycles_to_ps(sw.cycle),
+                sw.from,
+                sw.to,
+            ));
+        }
         log.dropped += std::mem::take(&mut self.switches_dropped);
         log
     }

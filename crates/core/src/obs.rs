@@ -570,7 +570,6 @@ impl TraceLog {
     /// The events in export order: the log's own when it is already sorted
     /// (one linear check), a sorted copy otherwise.
     fn export_order(&self) -> Cow<'_, [TraceEvent]> {
-        // Each event's key is formed once and compared with the one before.
         let mut keys = self.events.iter().map(Self::sort_key);
         let mut last = keys.next();
         if keys.all(|key| last.replace(key) <= Some(key)) {
@@ -734,8 +733,8 @@ impl TraceLog {
     /// The event a record encodes; `None` when its kind word names no kind.
     #[inline]
     fn from_record(rec: &[u8; TRACE_BIN_RECORD_BYTES]) -> Option<TraceEvent> {
-        let u64_at = |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().unwrap());
-        let u32_at = |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().unwrap());
+        let u64_at = |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
+        let u32_at = |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4 bytes"));
         Some(TraceEvent {
             ps: u64_at(0),
             id: u64_at(8),
