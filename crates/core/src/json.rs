@@ -29,6 +29,13 @@ const DIGIT_PAIRS: [u8; 200] = {
     pairs
 };
 
+/// Writes the two digits of `n` (below 100) into `out`, two bytes long.
+#[inline(always)]
+fn write_pair(out: &mut [u8], n: u64) {
+    let from = 2 * n as usize;
+    out.copy_from_slice(&DIGIT_PAIRS[from..from + 2]);
+}
+
 /// Whether a byte of a string must be written as an escape.
 #[inline(always)]
 fn needs_escape(b: u8) -> bool {
@@ -135,35 +142,26 @@ impl JsonWriter {
         self.out.extend_from_slice(rest);
     }
 
-    /// Pushes `n` in decimal, zero-padded to `width` (at most 20) digits.
-    /// Twenty `0`s are pushed as one fixed-size copy (no variable-length
-    /// `memcpy` call per number), the digits are written over their end,
-    /// two at a time from [`DIGIT_PAIRS`], and the rest is cut off. The
-    /// digits go straight into the output: a stack buffer read back in
-    /// one piece right after its bytes were stored stalls on every number.
+    /// Pushes `n` in decimal. Twenty `0`s are pushed as one fixed-size
+    /// copy (no variable-length `memcpy` call per number), the digits are
+    /// written over their start, two at a time from [`DIGIT_PAIRS`], and
+    /// the rest is cut off. The digits go straight into the output: a stack
+    /// buffer read back in one piece right after its bytes were stored
+    /// stalls on every number.
     #[inline(always)]
-    fn digits(&mut self, mut n: u64, width: usize) {
-        let len = n
-            .checked_ilog10()
-            .map_or(1, |log| log as usize + 1)
-            .max(width);
+    fn digits(&mut self, mut n: u64) {
+        let len = n.checked_ilog10().map_or(1, |log| log as usize + 1);
         let start = self.out.len();
         self.out.extend_from_slice(&[b'0'; 20]);
         let digits: &mut [u8; 20] = (&mut self.out[start..]).try_into().expect("20 bytes");
-        let mut pair = |at: usize, n: u64| {
-            let from = 2 * n as usize;
-            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[from..from + 2]);
-        };
         let mut at = len;
-        while n >= 100 {
+        while n >= 10 {
             at -= 2;
-            pair(at, n % 100);
+            write_pair(&mut digits[at..at + 2], n % 100);
             n /= 100;
         }
-        if n >= 10 {
-            pair(at - 2, n);
-        } else if n > 0 {
-            digits[at - 1] = b'0' + n as u8;
+        if at == 1 {
+            digits[0] = b'0' + n as u8;
         }
         self.out.truncate(start + len);
     }
@@ -171,17 +169,23 @@ impl JsonWriter {
     /// Writes an unsigned integer.
     #[inline]
     pub fn uint(&mut self, n: u64) -> &mut Self {
-        self.value(b"").digits(n, 1);
+        self.value(b"").digits(n);
         self
     }
 
     /// Writes `n` millionths as a decimal with six fractional digits:
-    /// `1234567` is `1.234567`.
+    /// `1234567` is `1.234567`. The fraction is always three digit pairs,
+    /// written over a pushed `.000000`.
     #[inline]
     pub fn millionths(&mut self, n: u64) -> &mut Self {
-        self.value(b"").digits(n / 1_000_000, 1);
-        self.out.push(b'.');
-        self.digits(n % 1_000_000, 6);
+        self.value(b"").digits(n / 1_000_000);
+        let frac = n % 1_000_000;
+        let start = self.out.len();
+        self.out.extend_from_slice(b".000000");
+        let six = &mut self.out[start + 1..];
+        write_pair(&mut six[..2], frac / 10_000);
+        write_pair(&mut six[2..4], frac / 100 % 100);
+        write_pair(&mut six[4..], frac % 100);
         self
     }
 
