@@ -358,8 +358,9 @@ mod tests {
         Ok(paths)
     }
 
-    /// The scanner the byte scanner `scan` replaced, decoding characters and trimming the
-    /// rest of the input at every closing quote: the oracle for it.
+    /// The scanner the byte scanner `scan` replaced, decoding characters
+    /// and trimming the rest of the input at every closing quote: the
+    /// oracle for it.
     fn scan_by_chars<'a>(json: &'a str, mut on_key: impl FnMut(&[&'a str])) -> Result<(), String> {
         let mut closers: Vec<char> = Vec::new();
         let mut path: Vec<&'a str> = Vec::new();

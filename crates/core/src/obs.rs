@@ -507,6 +507,7 @@ impl TraceLog {
         let mut slots: BTreeMap<(u32, u32), usize> = BTreeMap::new();
         let mut counts: Vec<usize> = Vec::new();
         let mut last = None;
+        // Each event's track slot, turned into its destination below.
         let mut dest: Vec<usize> = (self.events.iter())
             .map(|ev| {
                 let track = Self::track(ev);
