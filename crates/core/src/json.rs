@@ -103,25 +103,33 @@ impl JsonWriter {
     /// Writes an object key; the next call writes its value.
     #[inline(always)]
     pub fn key(&mut self, key: &str) -> &mut Self {
-        self.string(key);
-        self.out.push(b':');
+        self.open_string(key);
+        self.out.extend_from_slice(b"\":");
         self.comma = false;
         self
     }
 
     /// Writes a string value, escaping quotes, backslashes and control
-    /// characters. A string that needs no escaping is copied in one piece
-    /// (inlined, so that a literal's check folds away at the call site).
+    /// characters.
     #[inline(always)]
     pub fn string(&mut self, s: &str) -> &mut Self {
+        self.open_string(s);
+        self.out.push(b'"');
+        self
+    }
+
+    /// Starts a string value and writes its escaped body, without the
+    /// closing quote. A string that needs no escaping is copied in one
+    /// piece (inlined, so that a literal's check folds away at the call
+    /// site).
+    #[inline(always)]
+    fn open_string(&mut self, s: &str) {
         self.value(b"\"");
         if s.bytes().any(needs_escape) {
             self.escaped(s.as_bytes());
         } else {
             self.out.extend_from_slice(s.as_bytes());
         }
-        self.out.push(b'"');
-        self
     }
 
     /// Pushes `rest` with its escapes, every run between two in one piece.
