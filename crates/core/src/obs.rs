@@ -499,57 +499,41 @@ impl TraceLog {
         // track that needs more than a few shifts per event goes to the
         // standard sort instead. Every step is stable.
         //
-        // The split happens in place: each event's destination is its
-        // track's start plus the events of that track before it, and every
-        // event moves once, along the cycles of that permutation.
-        // Neighbouring events mostly share a track: the last one found
-        // skips the map.
-        let mut slots: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut last = None;
-        // Each event's track slot, turned into its destination below.
-        let mut dest: Vec<usize> = (self.events.iter())
-            .map(|ev| {
-                let track = Self::track(ev);
-                let slot = match last {
-                    Some((seen, slot)) if seen == track => slot,
-                    _ => *slots.entry(track).or_insert_with(|| {
-                        counts.push(0);
-                        counts.len() - 1
-                    }),
-                };
-                last = Some((track, slot));
-                counts[slot] += 1;
-                slot
-            })
-            .collect();
-        // Tracks in export order: each one's next free position, and where
-        // each one ends.
-        let mut next = vec![0; counts.len()];
-        let mut ends = Vec::with_capacity(counts.len());
-        let mut end = 0;
-        for &slot in slots.values() {
-            next[slot] = end;
-            end += counts[slot];
-            ends.push(end);
-        }
-        for to in &mut dest {
-            let slot = *to;
-            *to = next[slot];
-            next[slot] += 1;
-        }
-        for at in 0..dest.len() {
-            while dest[at] != at {
-                let to = dest[at];
-                self.events.swap(at, to);
-                dest.swap(at, to);
-            }
-        }
+        // Every pass streams: one counts each track's events, one appends
+        // them to a track sized exactly for them, in log order, and the
+        // tracks go back in export order. Neighbouring events mostly share
+        // a track: the last one found skips the map.
         let in_track = |ev: &TraceEvent| Self::sort_key(ev).1;
-        let mut start = 0;
-        for end in ends {
-            let track = &mut self.events[start..end];
-            start = end;
+        let mut slots: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+        let mut last = None;
+        let mut slot_of = |ev: &TraceEvent| {
+            let track = Self::track(ev);
+            let slot = match last {
+                Some((seen, slot)) if seen == track => slot,
+                _ => {
+                    let fresh = slots.len();
+                    *slots.entry(track).or_insert(fresh)
+                }
+            };
+            last = Some((track, slot));
+            slot
+        };
+        let mut counts: Vec<usize> = Vec::new();
+        for ev in &self.events {
+            let slot = slot_of(ev);
+            if slot == counts.len() {
+                counts.push(0);
+            }
+            counts[slot] += 1;
+        }
+        let mut tracks: Vec<Vec<TraceEvent>> =
+            counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for ev in &self.events {
+            tracks[slot_of(ev)].push(*ev);
+        }
+        self.events.clear();
+        for slot in slots.into_values() {
+            let track = &mut tracks[slot];
             let mut shifts = 16 * track.len();
             for at in 1..track.len() {
                 let key = in_track(&track[at]);
@@ -565,6 +549,7 @@ impl TraceLog {
                     break;
                 }
             }
+            self.events.append(track);
         }
     }
 
