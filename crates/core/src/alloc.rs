@@ -289,13 +289,12 @@ impl RowCloneAllocator {
                 // fall back to CPU copies at run time.
                 let k = chosen.unwrap_or_else(|| {
                     let aligned = j as usize;
-                    let first_free = dst_used.iter().position(|used| !used);
-                    let k = if dst_used[aligned] {
-                        first_free
+                    if dst_used[aligned] {
+                        let first_free = dst_used.iter().position(|used| !used);
+                        first_free.expect("a block has a free slot per source")
                     } else {
-                        Some(aligned)
-                    };
-                    k.expect("a block has a free slot per source")
+                        aligned
+                    }
                 });
                 let dst_row = slot_row(k);
                 dst_used[k] = true;
@@ -618,8 +617,8 @@ mod tests {
         }
     }
 
-    /// The smallest known case of a fallback source landing on a slot an
-    /// earlier source had qualified: two virtual rows on one physical row,
+    /// A known case of a fallback source landing on a slot an earlier
+    /// source had qualified: two virtual rows on one physical row,
     /// so the fallback CPU copy of one overwrites the clone of the other.
     #[test]
     fn seed_1_copy_plan_is_one_to_one() {
