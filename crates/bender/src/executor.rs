@@ -490,6 +490,203 @@ mod tests {
         }
     }
 
+    /// Any picosecond value from `raw`, by `pick`: two in five small, the
+    /// rest at the top of `u64`, around the device's last issue time, or
+    /// anything.
+    fn hostile_ps(pick: u8, raw: u64) -> u64 {
+        match pick % 5 {
+            0 | 1 => raw % 20_000,
+            2 => u64::MAX - raw % 1_000,
+            3 => easydram_dram::bank::MAX_ISSUE_PS - 500 + raw % 1_000,
+            _ => raw,
+        }
+    }
+
+    /// Any coordinate from `raw`, by `pick`: in range (the last one half
+    /// the time), just past `limit`, `u32::MAX`, or anything.
+    fn hostile_coord(pick: u8, raw: u32, limit: u32) -> u32 {
+        match pick % 5 {
+            0 => raw % limit,
+            1 => limit - 1,
+            2 => limit,
+            3 => u32::MAX,
+            _ => raw,
+        }
+    }
+
+    /// A program that starts below this and whose at most 24 delays and
+    /// sleeps are each below it too never reaches `MAX_ISSUE_PS`: 26 such
+    /// values sum to 13/16 of it, and an `Auto` command waits microseconds.
+    const HUGE_PS: u64 = easydram_dram::bank::MAX_ISSUE_PS / 32;
+
+    /// One generated instruction: `kind` picks the command or a sleep,
+    /// `coords` its bank, row and column, `at` its timing mode and `time`
+    /// its delay or sleep.
+    type Hostile = (u8, (u8, u32), (u8, u32), (u8, u32), u8, (u8, u64));
+
+    /// Builds the instruction `h` into `p` and says whether it is a
+    /// command, whether a coordinate of it is out of range, whether it
+    /// reads, and whether it carries a huge time. Bit 0 of `mode` lets its
+    /// coordinates, bit 1 its time be hostile; otherwise they are small.
+    fn append_hostile(p: &mut BenderProgram, mode: u8, h: Hostile) -> (bool, bool, bool, bool) {
+        let (kind, (bp, br), (rp, rr), (cp, cr), at, (tp, tr)) = h;
+        let (bp, rp, cp) = if mode & 1 == 0 {
+            (0, 0, 0)
+        } else {
+            (bp, rp, cp)
+        };
+        let tp = if mode & 2 == 0 { 0 } else { tp };
+        let g = DramConfig::small_for_tests().geometry;
+        let bank = hostile_coord(bp, br, g.banks());
+        let row = hostile_coord(rp, rr, g.rows_per_bank);
+        let col = hostile_coord(cp, cr, g.cols_per_row());
+        let ps = hostile_ps(tp, tr);
+        let bad_bank = bank >= g.banks();
+        let (cmd, bad) = match kind % 8 {
+            0 => (
+                DramCommand::Activate { bank, row },
+                bad_bank || row >= g.rows_per_bank,
+            ),
+            1 => (DramCommand::Precharge { bank }, bad_bank),
+            2 => (DramCommand::PrechargeAll, false),
+            3 => (
+                DramCommand::Read { bank, col },
+                bad_bank || col >= g.cols_per_row(),
+            ),
+            4 => (
+                DramCommand::Write {
+                    bank,
+                    col,
+                    data: [kind; LINE_BYTES],
+                },
+                bad_bank || col >= g.cols_per_row(),
+            ),
+            5 => (DramCommand::Refresh, false),
+            6 => (
+                DramCommand::RefreshRow { bank, row },
+                bad_bank || row >= g.rows_per_bank,
+            ),
+            _ => {
+                p.sleep(ps).unwrap();
+                return (false, false, false, ps >= HUGE_PS);
+            }
+        };
+        let reads = matches!(cmd, DramCommand::Read { .. });
+        if at % 2 == 0 {
+            p.cmd_auto(cmd).unwrap();
+            (true, bad, reads, false)
+        } else {
+            p.cmd_after(cmd, ps).unwrap();
+            (true, bad, reads, ps >= HUGE_PS)
+        }
+    }
+
+    proptest::proptest! {
+        /// Hostile programs (any coordinates, delays and sleeps near the end
+        /// of the clock, more reads than the readback buffer holds), run one
+        /// after the other on one device, never panic. Each ends in exactly
+        /// one of:
+        /// - `ReadbackOverflow` with nothing issued, when the reads do not
+        ///   fit;
+        /// - `Ok`, only when no coordinate is out of range, with every
+        ///   command issued and no clock wrapped;
+        /// - `Device(OutOfRange)` at the first out-of-range command, with
+        ///   the commands before it issued and their reads in the buffer;
+        /// - a time error (`TimeOverflow`, `Device(TimeOutOfRange)`) at or
+        ///   after a huge delay or sleep (a trailing sleep included), and
+        ///   never when there is none.
+        #[test]
+        fn hostile_programs_end_in_typed_errors(
+            programs in proptest::collection::vec(
+                (
+                    proptest::collection::vec(
+                        (
+                            proptest::any::<u8>(),
+                            (proptest::any::<u8>(), proptest::any::<u32>()),
+                            (proptest::any::<u8>(), proptest::any::<u32>()),
+                            (proptest::any::<u8>(), proptest::any::<u32>()),
+                            proptest::any::<u8>(),
+                            (proptest::any::<u8>(), proptest::any::<u64>()),
+                        ),
+                        0..24,
+                    ),
+                    (proptest::any::<u8>(), proptest::any::<u64>()),
+                    0usize..32,
+                    proptest::any::<u8>(),
+                ),
+                1..8,
+            ),
+        ) {
+            let mut d = full_dev();
+            let mut result = BenderResult::default();
+            for (instrs, (sp, sr), readback_capacity, mode) in programs {
+                let mut p = BenderProgram::new();
+                // Per command: out of range, reads, huge time at or before it.
+                let mut cmds = Vec::new();
+                let mut huge_so_far = false;
+                for h in instrs {
+                    let (is_cmd, bad, reads, huge) = append_hostile(&mut p, mode, h);
+                    huge_so_far |= huge;
+                    if is_cmd {
+                        cmds.push((bad, reads, huge_so_far));
+                    }
+                }
+                let start = hostile_ps(if mode & 2 == 0 { 0 } else { sp }, sr);
+                let benign_clock = start < HUGE_PS && d.now_ps() < HUGE_PS;
+                let reads = cmds.iter().filter(|c| c.1).count();
+                let first_bad = cmds.iter().position(|c| c.0);
+                let longest_sleep = p
+                    .instrs()
+                    .iter()
+                    .map(|i| match *i {
+                        BenderInstr::Sleep { ps } => ps,
+                        BenderInstr::Cmd { .. } => 0,
+                    })
+                    .max()
+                    .unwrap_or(0);
+                let begin = start.max(d.now_ps());
+                let before = d.stats().commands();
+                let exec = Executor { readback_capacity };
+                let got = exec.run_into(&mut d, &p, start, &mut result);
+                let issued = (d.stats().commands() - before) as usize;
+                let reads_issued = cmds[..issued.min(cmds.len())].iter().filter(|c| c.1).count();
+                if reads > readback_capacity {
+                    proptest::prop_assert_eq!(got, Err(BenderError::ReadbackOverflow { capacity: readback_capacity }));
+                    proptest::prop_assert_eq!(issued, 0);
+                    continue;
+                }
+                proptest::prop_assert_eq!(result.reads.len(), reads_issued, "{:?}", got);
+                proptest::prop_assert_eq!(result.read_corrupted.len(), reads_issued);
+                match &got {
+                    Ok(()) => {
+                        proptest::prop_assert_eq!(first_bad, None);
+                        proptest::prop_assert_eq!(issued, cmds.len());
+                        // Nothing wrapped: the run starts where it was asked
+                        // to and lasts at least its longest sleep.
+                        proptest::prop_assert_eq!(result.end_ps - result.elapsed_ps, begin);
+                        proptest::prop_assert!(result.elapsed_ps >= longest_sleep);
+                    }
+                    Err(BenderError::Device(DramError::OutOfRange { .. })) => {
+                        proptest::prop_assert_eq!(Some(issued), first_bad);
+                    }
+                    Err(BenderError::TimeOverflow | BenderError::Device(DramError::TimeOutOfRange { .. })) => {
+                        // Past the last command, a trailing sleep failed.
+                        let huge_before = cmds.get(issued).map_or(huge_so_far, |c| c.2);
+                        proptest::prop_assert!(first_bad.map_or(true, |b| issued <= b));
+                        proptest::prop_assert!(
+                            !benign_clock || huge_before,
+                            "a time error with no huge delay or sleep before it"
+                        );
+                    }
+                    Err(e) => proptest::prop_assert!(false, "untyped outcome {:?}", e),
+                }
+                if benign_clock && !huge_so_far {
+                    proptest::prop_assert_eq!(got.is_ok(), first_bad.is_none());
+                }
+            }
+        }
+    }
+
     /// ACT + WR to `(bank 0, row 5, col 0)`, all `Auto`.
     fn open_and_write(p: &mut BenderProgram) {
         p.cmd_auto(DramCommand::Activate { bank: 0, row: 5 })

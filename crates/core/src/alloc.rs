@@ -23,6 +23,12 @@
 //! check after planning that the pools stayed clear of the heap. A natural
 //! row is `addr / (row_bytes · total_banks)`: the mapping's row field sits
 //! above its bank, column and channel fields.
+//!
+//! **A remap is one-to-one.** Every remap entry goes through
+//! [`RowCloneAllocator::back`], which records the physical row it hands out
+//! and panics if that row already backs a virtual row: two virtual rows on
+//! one physical row would let a fallback CPU copy of one overwrite the clone
+//! of the other.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,6 +63,8 @@ pub(crate) struct RowCloneAllocator {
     nonce: u64,
     /// Virtual row (`addr >> row_shift`) → backing `(bank, row)`.
     remap: BTreeMap<u64, (u32, u32)>,
+    /// Every `(bank, row)` a remap entry backs: the image of `remap`.
+    backed: BTreeSet<(u32, u32)>,
     /// Copy pairs `(src_vrow, dst_vrow)` that passed the trial test.
     clonable: BTreeSet<(u64, u64)>,
     /// Init destination vrow → pattern-source vrow, for the pairs that
@@ -94,6 +102,7 @@ impl RowCloneAllocator {
             bank_cursor: 0,
             nonce: 0x5EED,
             remap: BTreeMap::new(),
+            backed: BTreeSet::new(),
             clonable: BTreeSet::new(),
             init_sources: BTreeMap::new(),
         }
@@ -298,8 +307,8 @@ impl RowCloneAllocator {
                 });
                 let dst_row = slot_row(k);
                 dst_used[k] = true;
-                self.remap.insert(src_vrow, (block.bank, src_row));
-                self.remap.insert(dst_vrow, (block.bank, dst_row));
+                self.back(src_vrow, block.bank, src_row);
+                self.back(dst_vrow, block.bank, dst_row);
             }
             i += in_block;
         }
@@ -346,12 +355,11 @@ impl RowCloneAllocator {
                 }
             }
             let (src_off, ok, _) = best.expect("candidates is non-empty");
-            self.remap
-                .insert(src_vrow, (block.bank, block.first_row + src_off));
+            self.back(src_vrow, block.bank, block.first_row + src_off);
             for j in 0..in_block {
                 let dst_vrow = dst_vrow0 + i + j;
                 let dst_row = block.first_row + Self::dst_offset(src_off, j as u32);
-                self.remap.insert(dst_vrow, (block.bank, dst_row));
+                self.back(dst_vrow, block.bank, dst_row);
                 if ok[j as usize] {
                     self.init_sources.insert(dst_vrow, src_vrow);
                 }
@@ -360,6 +368,24 @@ impl RowCloneAllocator {
             i += in_block;
         }
         Some(())
+    }
+
+    /// Backs virtual row `vrow` with physical row `row` of `bank`: the one
+    /// way a remap entry is made.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(bank, row)` already backs a virtual row, or if `vrow`
+    /// already has a backing row.
+    fn back(&mut self, vrow: u64, bank: u32, row: u32) {
+        assert!(
+            self.backed.insert((bank, row)),
+            "bank {bank} row {row} already backs a virtual row"
+        );
+        assert!(
+            self.remap.insert(vrow, (bank, row)).is_none(),
+            "virtual row {vrow} is already remapped"
+        );
     }
 
     /// The destination row offset for index `j` when the source occupies
@@ -377,7 +403,7 @@ impl RowCloneAllocator {
 impl RowCloneAllocator {
     /// Remaps virtual row `vrow` onto `(bank, row)`, as the planners do.
     pub(crate) fn remap_row(&mut self, vrow: u64, bank: u32, row: u32) {
-        self.remap.insert(vrow, (bank, row));
+        self.back(vrow, bank, row);
     }
 }
 
@@ -416,6 +442,18 @@ mod tests {
         let var = VariationModel::new(cfg.variation, cfg.geometry.clone());
         let mut a = allocator(&cfg.geometry, trials);
         a.plan_copy(&var, rows, 0, rows)
+            .expect("pool not exhausted");
+        a
+    }
+
+    /// An init plan of `rows` destination rows on the unit-test device at
+    /// variation `seed`, qualified over `trials` trials.
+    fn init_plan(seed: u64, trials: u32, rows: u64) -> RowCloneAllocator {
+        let mut cfg = DramConfig::small_for_tests();
+        cfg.variation.seed = seed;
+        let var = VariationModel::new(cfg.variation, cfg.geometry.clone());
+        let mut a = allocator(&cfg.geometry, trials);
+        a.plan_init(&var, rows, 0, rows)
             .expect("pool not exhausted");
         a
     }
@@ -543,6 +581,21 @@ mod tests {
         ) {
             let a = copy_plan(seed, trials, rows);
             prop_assert_eq!(a.remap.len() as u64, 2 * rows);
+            prop_assert_eq!(shared_rows(&a), Vec::new(), "seed {} trials {} rows {}", seed, trials, rows);
+        }
+
+        /// An init plan backs distinct virtual rows with distinct physical
+        /// rows: each block's destinations skip its source row, and no two
+        /// blocks share a subarray.
+        #[test]
+        fn init_plans_are_one_to_one(
+            seed in any::<u64>(),
+            trials in 1u32..=100,
+            rows in 1u64..=512,
+        ) {
+            let a = init_plan(seed, trials, rows);
+            let per_block = u64::from(DramConfig::small_for_tests().geometry.subarray_rows) - 1;
+            prop_assert_eq!(a.remap.len() as u64, rows + rows.div_ceil(per_block));
             prop_assert_eq!(shared_rows(&a), Vec::new(), "seed {} trials {} rows {}", seed, trials, rows);
         }
 

@@ -16,8 +16,18 @@
 //! by a quantum: the running core keeps the baton while it is within
 //! `quantum` emulated cycles of the laggard. Because every scheduling
 //! decision depends only on emulated cycle counts — never on host timing —
-//! a co-run is byte-identical across repetitions. A core without the baton
-//! is parked, and a hand-off wakes the one thread whose turn it is.
+//! a co-run is byte-identical across repetitions.
+//!
+//! A core without the baton waits in two stages. It first re-checks the
+//! turn up to `SPIN_YIELDS` (64) times, giving up its CPU with
+//! [`thread::yield_now`] between checks; only then does it park. A
+//! hand-off publishes the turn and unparks the one thread whose turn it is.
+//! When that thread is still yielding, the unpark is one atomic swap with no
+//! futex wake, so on one CPU a hand-off costs one `sched_yield`, not a futex
+//! wake plus a futex wait: the benchmark's `cosched.handoff_ns` read
+//! 1.6-2.2 µs with parking alone and 1.0-1.4 µs with yields first.
+//! Unpinned, each waiter yields on a CPU of its own and costs system time
+//! instead (docs/API.md, *Co-scheduler determinism guarantees*).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -25,6 +35,10 @@ use std::thread::{self, Thread};
 
 use crate::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
 use crate::LINE_BYTES;
+
+/// How many times a waiting core re-checks the turn, yielding its CPU
+/// between checks, before it parks.
+const SPIN_YIELDS: u32 = 64;
 
 struct CoState {
     /// Last emulated cycle each core reported at a checkpoint.
@@ -80,6 +94,9 @@ pub struct CoScheduler {
     /// everything the last holder did happens before the next one runs.
     turn: AtomicUsize,
     quantum: u64,
+    /// Yields before a waiting core parks: [`SPIN_YIELDS`], or 0 in the
+    /// tests that make every wait park.
+    spin_yields: u32,
 }
 
 impl CoScheduler {
@@ -92,6 +109,12 @@ impl CoScheduler {
     /// Panics if `cores` is zero.
     #[must_use]
     pub fn new(cores: usize, quantum: u64) -> Arc<Self> {
+        Self::with_spin_yields(cores, quantum, SPIN_YIELDS)
+    }
+
+    /// [`CoScheduler::new`] with `spin_yields` yields before a waiting core
+    /// parks.
+    fn with_spin_yields(cores: usize, quantum: u64, spin_yields: u32) -> Arc<Self> {
         assert!(cores > 0, "a co-run needs at least one core");
         Arc::new(Self {
             state: Mutex::new(CoState {
@@ -103,6 +126,7 @@ impl CoScheduler {
             }),
             turn: AtomicUsize::new(0),
             quantum,
+            spin_yields,
         })
     }
 
@@ -125,7 +149,9 @@ impl CoScheduler {
 
     /// Moves the baton from core `id` to core `next` and wakes the thread
     /// `next` runs on, alone, once the state lock is released: a woken core
-    /// that found the lock still held would go straight back to sleep.
+    /// that found the lock still held would go straight back to sleep. A
+    /// thread that is still yielding in `wait_for_turn` is not asleep, and
+    /// its unpark only leaves a token that a later park consumes at once.
     fn hand_off(&self, mut st: MutexGuard<'_, CoState>, id: usize, next: usize) {
         let cycle = st.now[id];
         if let Some(log) = st.switch_log.as_mut() {
@@ -146,9 +172,16 @@ impl CoScheduler {
         }
     }
 
-    /// Parks until core `id` holds the baton (a stale or spurious wake-up
-    /// re-checks the turn).
+    /// Returns once core `id` holds the baton: re-checks the turn with a
+    /// yield between checks, `spin_yields` times, then parks (a stale or
+    /// spurious wake-up re-checks the turn).
     fn wait_for_turn(&self, id: usize) {
+        for _ in 0..self.spin_yields {
+            if self.turn.load(Ordering::Acquire) == id {
+                return;
+            }
+            thread::yield_now();
+        }
         while self.turn.load(Ordering::Acquire) != id {
             thread::park();
         }
@@ -462,8 +495,10 @@ mod tests {
         assert_eq!(dropped, 6 - 2);
     }
 
-    /// Four cores on seeded cycle streams: the parked threads make exactly
-    /// the baton moves a single-threaded replay of `pick` makes.
+    /// Four cores on seeded cycle streams: the waiting threads make exactly
+    /// the baton moves a single-threaded replay of `pick` makes, whether
+    /// every wait parks at once (a lost wake-up would hang here) or yields
+    /// first for the shipped budget.
     #[test]
     fn threaded_baton_moves_match_a_replay_of_pick() {
         const CORES: usize = 4;
@@ -504,25 +539,30 @@ mod tests {
                 }
             }
 
-            let sched = CoScheduler::new(CORES, quantum);
-            sched.enable_switch_log(CORES * (CHECKPOINTS + 1));
-            #[expect(clippy::disallowed_methods, reason = "the test plays the cores")]
-            std::thread::scope(|scope| {
-                for (id, stream) in streams.iter().enumerate() {
-                    let sched = &sched;
-                    scope.spawn(move || {
-                        sched.start(id);
-                        for &now in stream {
-                            sched.checkpoint(id, now);
-                        }
-                        sched.finish(id, stream[CHECKPOINTS - 1]);
-                    });
-                }
-            });
-            let (switches, dropped) = sched.take_switches();
-            assert_eq!(dropped, 0);
-            assert!(switches.len() > CHECKPOINTS / 4, "the baton moved");
-            assert!(switches == expect, "quantum {quantum}");
+            for spin_yields in [0, SPIN_YIELDS] {
+                let sched = CoScheduler::with_spin_yields(CORES, quantum, spin_yields);
+                sched.enable_switch_log(CORES * (CHECKPOINTS + 1));
+                #[expect(clippy::disallowed_methods, reason = "the test plays the cores")]
+                std::thread::scope(|scope| {
+                    for (id, stream) in streams.iter().enumerate() {
+                        let sched = &sched;
+                        scope.spawn(move || {
+                            sched.start(id);
+                            for &now in stream {
+                                sched.checkpoint(id, now);
+                            }
+                            sched.finish(id, stream[CHECKPOINTS - 1]);
+                        });
+                    }
+                });
+                let (switches, dropped) = sched.take_switches();
+                assert_eq!(dropped, 0);
+                assert!(switches.len() > CHECKPOINTS / 4, "the baton moved");
+                assert!(
+                    switches == expect,
+                    "quantum {quantum}, {spin_yields} yields"
+                );
+            }
         }
     }
 }
