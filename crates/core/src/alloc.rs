@@ -773,6 +773,85 @@ mod tests {
         assert_eq!(RowCloneAllocator::dst_offset(3, 3), 4);
     }
 
+    /// FNV-1a of `x`'s little-endian bytes, folded into `d`.
+    fn fold(d: &mut u64, x: u64) {
+        for b in x.to_le_bytes() {
+            *d = (*d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// Everything a plan decides: the remap table, the qualified copy
+    /// pairs, the init sources and the nonce qualification ended on.
+    fn fold_plans(d: &mut u64, a: &RowCloneAllocator) {
+        for (&vrow, &(bank, row)) in &a.remap {
+            for x in [vrow, u64::from(bank), u64::from(row)] {
+                fold(d, x);
+            }
+        }
+        for &(src, dst) in &a.clonable {
+            fold(d, src);
+            fold(d, dst);
+        }
+        for (&dst, &src) in &a.init_sources {
+            fold(d, dst);
+            fold(d, src);
+        }
+        for x in [a.remap.len(), a.clonable.len(), a.init_sources.len()] {
+            fold(d, x as u64);
+        }
+        fold(d, a.nonce);
+    }
+
+    /// A copy plan, then an init plan on the same allocator, so the second
+    /// qualifies from the nonce the first ended on.
+    fn plans(cfg: &DramConfig, trials: u32, rows: u64) -> RowCloneAllocator {
+        let var = VariationModel::new(cfg.variation.clone(), cfg.geometry.clone());
+        let mut a = allocator(&cfg.geometry, trials);
+        a.plan_copy(&var, rows, 0, rows)
+            .expect("pool not exhausted");
+        a.plan_init(&var, rows, 2 * rows, 3 * rows)
+            .expect("pool not exhausted");
+        a
+    }
+
+    /// Copy and init plans across variation seeds (and variation off),
+    /// trial counts and sizes, on the unit-test device and at 1,000 trials
+    /// on the default one. Recorded before qualification asked for a
+    /// pair's class once instead of once per trial.
+    const PLAN_DIGEST: u64 = 0x9377_DA2B_BC94_28F7;
+
+    #[test]
+    fn plans_match_the_recorded_digest() {
+        let mut d = 0xCBF2_9CE4_8422_2325;
+        let small = DramConfig::small_for_tests();
+        let seeds = [small.variation.seed, 1, 42, 0xDEAD_BEEF];
+        let mut variations: Vec<VariationConfig> = seeds
+            .iter()
+            .map(|&seed| VariationConfig {
+                seed,
+                ..VariationConfig::default()
+            })
+            .collect();
+        variations.push(VariationConfig::ideal());
+        for variation in &variations {
+            let cfg = DramConfig {
+                variation: variation.clone(),
+                ..small.clone()
+            };
+            for trials in [1, 2, 10, 100, 1_000] {
+                for rows in [1, 64, 200, 512] {
+                    fold_plans(&mut d, &plans(&cfg, trials, rows));
+                }
+            }
+        }
+        for seed in [1, 42] {
+            let mut cfg = DramConfig::default();
+            cfg.variation.seed = seed;
+            fold_plans(&mut d, &plans(&cfg, 1_000, 700));
+        }
+        assert_eq!(d, PLAN_DIGEST, "{d:#018x}");
+    }
+
     #[test]
     fn heap_spans_the_capacity_while_no_pool_is_in_use() {
         let (geo, _) = fixtures();
