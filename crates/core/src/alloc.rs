@@ -33,7 +33,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use easydram_cpu::BumpAllocator;
-use easydram_dram::{AddressMapper, DramAddress, Geometry, VariationModel};
+use easydram_dram::{AddressMapper, DramAddress, Geometry, PairClass, VariationModel};
 
 /// The allocator: owns the heap, the per-bank free-row pools, the remap
 /// table and the qualification state. Ordered maps: they are written on the
@@ -247,13 +247,29 @@ impl RowCloneAllocator {
         None
     }
 
+    /// The paper's test (§7.1 "mapping problem"): the pair is clonable only
+    /// if it never fails across `trials` RowClone copy operations.
+    ///
+    /// The pair's class is looked up once. An `Always` pair passes and a
+    /// `Never` pair fails without a draw; only a `Flaky` pair draws, one
+    /// trial at a time, and stops at its first failure. The nonce advances
+    /// as if each trial ran: by `trials` on a pass, and on a failure by the
+    /// trials up to and including the first failed one.
     fn qualify(&mut self, var: &VariationModel, bank: u32, src: u32, dst: u32) -> bool {
-        // The paper's test: the pair is clonable only if it never fails
-        // across `trials` RowClone copy operations (§7.1 "mapping problem").
-        (0..self.trials).all(|_| {
-            self.nonce += 1;
-            var.rowclone_ok(bank, src, dst, self.nonce)
-        })
+        match var.pair_class(bank, src, dst) {
+            PairClass::Always => {
+                self.nonce += u64::from(self.trials);
+                true
+            }
+            PairClass::Never => {
+                self.nonce += 1;
+                false
+            }
+            PairClass::Flaky { .. } => (0..self.trials).all(|_| {
+                self.nonce += 1;
+                var.rowclone_ok(bank, src, dst, self.nonce)
+            }),
+        }
     }
 
     /// Places a copy pair of `n_rows` rows each, with virtual regions
@@ -474,6 +490,23 @@ mod tests {
         }
     }
 
+    /// The per-trial qualification the class lookup replaced, kept as the
+    /// oracle: every trial takes the next nonce and asks
+    /// `VariationModel::rowclone_ok`, until one fails.
+    fn qualify_per_trial(
+        var: &VariationModel,
+        trials: u32,
+        nonce: &mut u64,
+        bank: u32,
+        src: u32,
+        dst: u32,
+    ) -> bool {
+        (0..trials).all(|_| {
+            *nonce += 1;
+            var.rowclone_ok(bank, src, dst, *nonce)
+        })
+    }
+
     /// Channels {1, 2, 4} × ranks {1, 2} over `bases`.
     fn spread(bases: &[Geometry]) -> Vec<Geometry> {
         let mut out = Vec::new();
@@ -569,6 +602,41 @@ mod tests {
             prop_assert_eq!(a.decode(other), a.mapper.to_dram(other));
         }
 
+        /// One class lookup gives the per-trial loop's verdict and leaves
+        /// the nonce where the loop leaves it, for any seed and bank, with
+        /// variation on and off, on 16 destinations of the source's
+        /// subarray (the source itself among them when the window holds
+        /// it) and one anywhere in the bank, for 1-1,000 trials from any
+        /// starting nonce.
+        #[test]
+        fn qualify_matches_the_per_trial_loop(
+            seed in any::<u64>(),
+            enabled in any::<bool>(),
+            bank in 0u32..16,
+            src in 0u32..32_768,
+            window in 0u32..512,
+            far in 0u32..32_768,
+            trials in 1u32..=1_000,
+            nonce in 0u64..u64::MAX / 2,
+        ) {
+            let geometry = Geometry::default();
+            let variation = VariationConfig { seed, enabled, ..VariationConfig::default() };
+            let var = VariationModel::new(variation, geometry.clone());
+            let base = src - src % geometry.subarray_rows;
+            let near = (0..16).map(|k| base + (window + k) % geometry.subarray_rows);
+            for dst in near.chain([far]) {
+                let mut a = allocator(&geometry, trials);
+                a.nonce = nonce;
+                let mut expected = nonce;
+                let oracle = qualify_per_trial(&var, trials, &mut expected, bank, src, dst);
+                prop_assert_eq!(
+                    (a.qualify(&var, bank, src, dst), a.nonce),
+                    (oracle, expected),
+                    "{:?} bank {} {} -> {}", var.pair_class(bank, src, dst), bank, src, dst
+                );
+            }
+        }
+
         /// A copy plan backs distinct virtual rows with distinct physical
         /// rows, whichever sources find no qualified partner: a source that
         /// falls back must not take a destination slot an earlier source's
@@ -576,7 +644,7 @@ mod tests {
         #[test]
         fn copy_plans_are_one_to_one(
             seed in any::<u64>(),
-            trials in 1u32..=100,
+            trials in 1u32..=1_000,
             rows in 1u64..=512,
         ) {
             let a = copy_plan(seed, trials, rows);
@@ -590,7 +658,7 @@ mod tests {
         #[test]
         fn init_plans_are_one_to_one(
             seed in any::<u64>(),
-            trials in 1u32..=100,
+            trials in 1u32..=1_000,
             rows in 1u64..=512,
         ) {
             let a = init_plan(seed, trials, rows);
@@ -677,6 +745,32 @@ mod tests {
     fn seed_1_copy_plan_is_one_to_one() {
         let a = copy_plan(1, 100, 512);
         assert_eq!(shared_rows(&a), Vec::new());
+    }
+
+    /// Paper scale on the default device, where Figs. 10 and 11 lost
+    /// rows at variation seeds 1 and 42 before plans were one-to-one: a
+    /// 2,048-row (16 MiB) copy plan and a 2,048-row init plan, each
+    /// qualified over the paper's 1,000 trials.
+    #[test]
+    fn paper_scale_plans_are_one_to_one_at_seeds_1_and_42() {
+        let rows = 2_048;
+        for seed in [1, 42] {
+            let mut cfg = DramConfig::default();
+            cfg.variation.seed = seed;
+            let var = VariationModel::new(cfg.variation, cfg.geometry.clone());
+            let mut copy = allocator(&cfg.geometry, 1_000);
+            copy.plan_copy(&var, rows, 0, rows)
+                .expect("pool not exhausted");
+            assert_eq!(copy.remap.len() as u64, 2 * rows, "seed {seed}");
+            assert_eq!(shared_rows(&copy), Vec::new(), "copy, seed {seed}");
+            let mut init = allocator(&cfg.geometry, 1_000);
+            init.plan_init(&var, rows, 0, rows)
+                .expect("pool not exhausted");
+            let per_block = u64::from(cfg.geometry.subarray_rows) - 1;
+            let sources = rows.div_ceil(per_block);
+            assert_eq!(init.remap.len() as u64, rows + sources, "seed {seed}");
+            assert_eq!(shared_rows(&init), Vec::new(), "init, seed {seed}");
+        }
     }
 
     #[test]
