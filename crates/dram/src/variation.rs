@@ -36,6 +36,8 @@ pub enum PairClass {
 const STRONG_FLOOR_PS: u64 = 8_200;
 /// Upper bound of the strong-region minimum reliable tRCD (ps).
 const STRONG_CEIL_PS: u64 = 9_000;
+/// Ceiling of any line's minimum reliable tRCD (ps), blob term included.
+const MAX_MIN_TRCD_PS: u64 = 11_000;
 /// Number of weak-cluster blobs per bank.
 const BLOBS_PER_BANK: u32 = 4;
 /// Blob radius range, in units of the 64×64 characterization grid.
@@ -205,25 +207,39 @@ impl VariationModel {
         if !self.cfg.enabled {
             return STRONG_FLOOR_PS;
         }
-        let base = hash_range(
+        (self.line_base_trcd_ps(bank, row, col) + self.blob_extra_ps(bank, row))
+            .min(MAX_MIN_TRCD_PS)
+    }
+
+    /// A line's own draw in the strong region, before its row's blob term.
+    fn line_base_trcd_ps(&self, bank: u32, row: u32, col: u32) -> u64 {
+        hash_range(
             self.cfg.seed,
             b"line-trcd",
             &[u64::from(bank), u64::from(row), u64::from(col)],
             STRONG_FLOOR_PS,
             STRONG_CEIL_PS,
-        );
-        (base + self.blob_extra_ps(bank, row)).min(11_000)
+        )
     }
 
     /// Minimum reliable tRCD of a whole row: the weakest (largest-threshold)
     /// cache line in the row (paper §8.2: "we identify the weakest cache
     /// line in each row and use its tRCD value").
+    ///
+    /// Every line of a row shares the row's blob term, and
+    /// `x ↦ (x + blob).min(cap)` never decreases as `x` grows, so the row's
+    /// maximum is its largest line draw with the blob term added once.
     #[must_use]
     pub fn row_min_trcd_ps(&self, bank: u32, row: u32) -> u64 {
+        if !self.cfg.enabled {
+            return STRONG_FLOOR_PS;
+        }
         (0..self.geometry.cols_per_row())
-            .map(|col| self.line_min_trcd_ps(bank, row, col))
+            .map(|col| self.line_base_trcd_ps(bank, row, col))
             .max()
-            .unwrap_or(STRONG_FLOOR_PS)
+            .map_or(STRONG_FLOOR_PS, |base| {
+                (base + self.blob_extra_ps(bank, row)).min(MAX_MIN_TRCD_PS)
+            })
     }
 
     /// Decides whether a read of `(bank, row, col)` with the *applied* tRCD
@@ -378,9 +394,42 @@ impl VariationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn model() -> VariationModel {
         VariationModel::new(VariationConfig::default(), Geometry::default())
+    }
+
+    /// The row's minimum reliable tRCD by its definition, kept as the
+    /// oracle: the largest of its lines' own minima.
+    fn row_min_per_column(m: &VariationModel, bank: u32, row: u32) -> u64 {
+        (0..m.geometry.cols_per_row())
+            .map(|col| m.line_min_trcd_ps(bank, row, col))
+            .max()
+            .unwrap_or(STRONG_FLOOR_PS)
+    }
+
+    proptest! {
+        /// Adding the row's blob term once, after the maximum over its
+        /// lines, is the per-line maximum, for any seed, bank and row,
+        /// with variation on and off.
+        #[test]
+        fn row_min_trcd_is_the_weakest_line(
+            seed in any::<u64>(),
+            enabled in any::<bool>(),
+            bank in 0u32..16,
+            rows in prop::array::uniform32(0u32..32_768),
+        ) {
+            let cfg = VariationConfig { seed, enabled, ..VariationConfig::default() };
+            let m = VariationModel::new(cfg, Geometry::default());
+            for row in rows {
+                prop_assert_eq!(
+                    m.row_min_trcd_ps(bank, row),
+                    row_min_per_column(&m, bank, row),
+                    "seed {} bank {} row {}", seed, bank, row
+                );
+            }
+        }
     }
 
     #[test]
