@@ -1,27 +1,40 @@
-//! Reproduces the paper's tables and figures: `repro <name>|all`.
+//! Reproduces the paper's tables and figures:
+//! `repro <name>|all [--device-seed N]`.
 //!
 //! Prints each figure's tables and claims, writes the files a figure
 //! produces (the trace exports), and exits non-zero if any claim fails.
-//! `EASYDRAM_QUICK=1` runs the short sweeps (`Scale::Quick`) instead of the
-//! paper's.
+//! `EASYDRAM_QUICK=1` runs the short sweeps (`Size::Quick`) instead of the
+//! paper's. `--device-seed N` (decimal, or hex with `0x`) builds every
+//! device's variation field from seed `N` instead of the shipped one.
 
 use std::path::Path;
 
-use easydram_bench::{Scale, FIGURES};
+use easydram_bench::{Scale, Size, FIGURES};
 
 fn main() {
     let quick = std::env::var("EASYDRAM_QUICK").is_ok_and(|v| v != "0");
-    let scale = if quick { Scale::Quick } else { Scale::Paper };
-    let arg = std::env::args().nth(1).unwrap_or_default();
+    let size = if quick { Size::Quick } else { Size::Paper };
+    let (mut arg, mut device_seed) = (String::new(), None);
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a == "--device-seed" {
+            let seed = args.next().as_deref().and_then(parse_seed);
+            device_seed = Some(seed.unwrap_or_else(|| usage()));
+        } else {
+            arg = a;
+        }
+    }
     let selected: Vec<_> = FIGURES
         .iter()
         .filter(|(name, _)| arg == "all" || *name == arg)
         .collect();
     if selected.is_empty() {
-        let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
-        eprintln!("usage: repro <figure>|all\nfigures: {}", names.join(" "));
-        std::process::exit(2);
+        usage();
     }
+    if let Some(seed) = device_seed {
+        println!("device seed {seed:#x}");
+    }
+    let scale = Scale { size, device_seed };
     let (mut claims, mut failed) = (0, Vec::new());
     for (name, run) in selected {
         println!("\n########## {name} ##########");
@@ -52,4 +65,22 @@ fn main() {
         eprintln!("  {f}");
     }
     std::process::exit(1);
+}
+
+/// A seed in decimal, or in hex after `0x`; `_` separators allowed.
+fn parse_seed(text: &str) -> Option<u64> {
+    let digits = text.replace('_', "");
+    match digits.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => digits.parse().ok(),
+    }
+}
+
+fn usage() -> ! {
+    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+    eprintln!(
+        "usage: repro <figure>|all [--device-seed N]\nfigures: {}",
+        names.join(" ")
+    );
+    std::process::exit(2);
 }

@@ -27,8 +27,8 @@ const QUANTUM: u64 = 40;
 /// hierarchy (4 KiB L1, 32 KiB L2), so a memory-resident chase stays cheap
 /// to emulate while the contended resource, the per-channel bus, behaves
 /// like the full-size system's.
-fn rig(channels: u32) -> SystemConfig {
-    let mut cfg = SystemConfig::small_for_tests(TimingMode::Reference);
+fn rig(scale: Scale, channels: u32) -> SystemConfig {
+    let mut cfg = scale.config(SystemConfig::small_for_tests(TimingMode::Reference));
     cfg.dram.geometry.channels = channels;
     cfg.dram.geometry.bank_groups = 2;
     cfg.dram.geometry.banks_per_group = 4;
@@ -85,11 +85,11 @@ pub(crate) fn multicore(scale: Scale) -> Figure {
     let mut degradation = Vec::new();
     for &ch in channels {
         let mut solo = chase(&load);
-        co_run(rig(ch), &mut [&mut solo]);
+        co_run(rig(scale, ch), &mut [&mut solo]);
         let solo = solo.cycles_per_load();
         fig.section("solo chase cycles/load", &solo);
         let mut victim = chase(&load);
-        let (r, _) = co_run(rig(ch), &mut [&mut victim, &mut writer(&load)]);
+        let (r, _) = co_run(rig(scale, ch), &mut [&mut victim, &mut writer(&load)]);
         let corun = victim.cycles_per_load();
         fig.section("chase cycles/load", &corun);
         fig.section("co-run aggregate", &r);
@@ -151,7 +151,7 @@ pub(crate) fn latency_cdf(scale: Scale) -> Figure {
         (2_048, 128 * KIB, 128 * KIB, 1_000_000),
     );
     let run = |trace: Option<TraceConfig>| {
-        let mut cfg = rig(2);
+        let mut cfg = rig(scale, 2);
         cfg.trace = trace;
         co_run(cfg, &mut [&mut chase(&load), &mut writer(&load)])
     };

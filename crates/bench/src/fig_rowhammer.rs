@@ -37,8 +37,8 @@ const VICTIM_ROW: u32 = 500;
 const DEFENSES: [&str; 3] = ["none", "para", "graphene"];
 
 /// One cell: victim flips, hammer-loop cycles, targeted refreshes.
-fn measure(fig: &mut Figure, defense: &str, iterations: u64) -> (u64, u64, u64) {
-    let mut cfg = SystemConfig::small_for_tests(TimingMode::Reference);
+fn measure(fig: &mut Figure, scale: Scale, defense: &str, iterations: u64) -> (u64, u64, u64) {
+    let mut cfg = scale.config(SystemConfig::small_for_tests(TimingMode::Reference));
     cfg.dram.variation.disturb_enabled = true;
     cfg.dram.variation.hc_first = HC_FIRST;
     let mut sys = System::new(cfg.clone());
@@ -80,7 +80,7 @@ pub(crate) fn run(scale: Scale) -> Figure {
     for &iterations in intensities {
         let mut undefended = 0;
         for defense in DEFENSES {
-            let (flips, cycles, refreshes) = measure(&mut fig, defense, iterations);
+            let (flips, cycles, refreshes) = measure(&mut fig, scale, defense, iterations);
             if defense == "none" {
                 undefended = cycles;
             }

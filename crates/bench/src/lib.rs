@@ -4,8 +4,8 @@
 //! [`Scale`] picks only data: the configuration a system preset is built
 //! at, the sizes swept, the kernels and the systems compared. The printout
 //! (the `repro` binary), the goldens (`tests/snapshots.rs`, at
-//! [`Scale::Golden`]) and the claims (`tests/claims.rs`, at
-//! [`Scale::Quick`]) therefore all come from the same code.
+//! [`Scale::GOLDEN`]) and the claims (`tests/claims.rs`, at
+//! [`Scale::QUICK`]) therefore all come from the same code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,9 +58,19 @@ pub fn figure(name: &str) -> Option<Run> {
         .map(|&(_, run)| run)
 }
 
+/// How much of a figure to run, and on which device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scale {
+    /// The sizes swept, the kernels and the systems compared.
+    pub size: Size,
+    /// The seed every preset's device variation field is built from
+    /// (`VariationConfig::seed`); `None` keeps the preset's shipped seed.
+    pub device_seed: Option<u64>,
+}
+
 /// How much of a figure to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
+pub enum Size {
     /// The miniature run a golden pins: small DRAM geometry, few points.
     Golden,
     /// Short sweeps whose claims tier-1 tests assert (`EASYDRAM_QUICK=1`).
@@ -70,25 +80,40 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// [`Size::Golden`] on the shipped device: what the goldens pin.
+    pub const GOLDEN: Scale = Scale {
+        size: Size::Golden,
+        device_seed: None,
+    };
+    /// [`Size::Quick`] on the shipped device: what the claims test asserts.
+    pub const QUICK: Scale = Scale {
+        size: Size::Quick,
+        device_seed: None,
+    };
+
     /// The value for this scale.
     pub(crate) fn pick<T>(self, golden: T, quick: T, paper: T) -> T {
-        match self {
-            Scale::Golden => golden,
-            Scale::Quick => quick,
-            Scale::Paper => paper,
+        match self.size {
+            Size::Golden => golden,
+            Size::Quick => quick,
+            Size::Paper => paper,
         }
     }
 
     /// A system preset built at this scale: below `Paper`, RowClone pair
-    /// qualification runs 100 trials instead of the preset's, and `Golden`
-    /// puts it on the small test DRAM.
+    /// qualification runs 100 trials instead of the preset's, `Golden`
+    /// puts it on the small test DRAM, and a device seed replaces the
+    /// variation field's.
     #[must_use]
     pub(crate) fn config(self, mut cfg: SystemConfig) -> SystemConfig {
-        if self != Scale::Paper {
+        if self.size != Size::Paper {
             cfg.rowclone_test_trials = 100;
         }
-        if self == Scale::Golden {
+        if self.size == Size::Golden {
             cfg.dram = DramConfig::small_for_tests();
+        }
+        if let Some(seed) = self.device_seed {
+            cfg.dram.variation.seed = seed;
         }
         cfg
     }
@@ -475,15 +500,19 @@ mod tests {
 
     #[test]
     fn sweeps_are_powers_of_two() {
-        for scale in [Scale::Golden, Scale::Quick, Scale::Paper] {
-            for s in rowclone::sizes(scale) {
-                assert!(s.is_power_of_two() && s >= 8 * KIB, "{scale:?}: {s}");
+        let scale = |size| Scale {
+            size,
+            device_seed: None,
+        };
+        for size in [Size::Golden, Size::Quick, Size::Paper] {
+            for s in rowclone::sizes(scale(size)) {
+                assert!(s.is_power_of_two() && s >= 8 * KIB, "{size:?}: {s}");
             }
-            for s in fig8_latency_profile::sizes(scale) {
-                assert!(s.is_power_of_two(), "{scale:?}: {s}");
+            for s in fig8_latency_profile::sizes(scale(size)) {
+                assert!(s.is_power_of_two(), "{size:?}: {s}");
             }
         }
-        assert_eq!(fig8_latency_profile::sizes(Scale::Paper)[0], KIB);
+        assert_eq!(fig8_latency_profile::sizes(scale(Size::Paper))[0], KIB);
     }
 
     #[test]

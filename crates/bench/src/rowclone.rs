@@ -19,7 +19,7 @@ use easydram_workloads::micro::{
     CpuCopy, CpuInit, FlushMode, MicroOutcome, RowCloneCopy, RowCloneInit,
 };
 
-use crate::{fmt_size, geomean, pow2_sweep, Figure, Scale, KIB, MIB};
+use crate::{fmt_size, geomean, pow2_sweep, Figure, Scale, Size, KIB, MIB};
 
 /// The data-size sweep.
 pub(crate) fn sizes(scale: Scale) -> Vec<u64> {
@@ -155,9 +155,9 @@ const COPY: [Kernel; 2] = [Kernel::CpuCopy, Kernel::RowCloneCopy];
 const INIT: [Kernel; 2] = [Kernel::CpuInit, Kernel::RowCloneInit];
 
 fn sweep(scale: Scale, flush: FlushMode, figure: &'static str, decimals: usize) -> Sweep {
-    let systems = match scale {
+    let systems = match scale.size {
         // The golden pins the time-scaled system only.
-        Scale::Golden => vec![(TS, time_scaled(scale))],
+        Size::Golden => vec![(TS, time_scaled(scale))],
         _ => vec![
             (NO_TS, easy(scale, SystemConfig::pidram_like())),
             (TS, time_scaled(scale)),

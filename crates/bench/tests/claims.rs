@@ -1,12 +1,12 @@
-//! Every figure's claims hold at `Scale::Quick`: the paper's statements
+//! Every figure's claims hold at `Scale::QUICK`: the paper's statements
 //! (and the extensions'), checked against the numbers the figure produces.
-//! `repro all` checks the same claims at `Scale::Paper`.
+//! `repro all` checks the same claims at `Size::Paper`.
 
 use std::sync::OnceLock;
 
 use easydram_bench::{Claim, Figure, Scale, FIGURES};
 
-/// Figure `name` at `Scale::Quick`, run once per test binary however many
+/// Figure `name` at `Scale::QUICK`, run once per test binary however many
 /// tests read it.
 fn quick(name: &str) -> &'static Figure {
     static RUNS: OnceLock<Vec<OnceLock<Figure>>> = OnceLock::new();
@@ -15,7 +15,7 @@ fn quick(name: &str) -> &'static Figure {
         .iter()
         .position(|(n, _)| *n == name)
         .expect("a figure of FIGURES");
-    runs[i].get_or_init(|| (FIGURES[i].1)(Scale::Quick))
+    runs[i].get_or_init(|| (FIGURES[i].1)(Scale::QUICK))
 }
 
 fn assert_hold<'a>(name: &str, claims: impl IntoIterator<Item = &'a Claim>) {

@@ -1,6 +1,6 @@
 //! Snapshot pins for every figure.
 //!
-//! Each figure of `easydram_bench::FIGURES` runs at `Scale::Golden` (small
+//! Each figure of `easydram_bench::FIGURES` runs at `Scale::GOLDEN` (small
 //! DRAM geometry, few points) and its labelled sections, the `{:#?}` of
 //! every deterministic report it ran, are compared byte for byte against
 //! `tests/goldens/<figure>.snap`. Any change to the command-legality path,
@@ -89,10 +89,10 @@ fn first_divergence(name: &str, expected: &str, actual: &str) -> String {
     format!("snapshot '{name}' diverges only in trailing whitespace")
 }
 
-/// Renders figure `name` at `Scale::Golden` and pins its sections.
+/// Renders figure `name` at `Scale::GOLDEN` and pins its sections.
 fn check_figure(name: &str) {
     let run = figure(name).expect("a figure of FIGURES");
-    check_snapshot(name, &run(Scale::Golden).sections);
+    check_snapshot(name, &run(Scale::GOLDEN).sections);
 }
 
 macro_rules! figure_snapshots {
