@@ -24,6 +24,14 @@
 //! row is `addr / (row_bytes · total_banks)`: the mapping's row field sits
 //! above its bank, column and channel fields.
 //!
+//! **Qualification looks a pair's class up once.** A candidate pair costs
+//! one [`VariationModel::pair_class`], however many trials the test runs:
+//! an `Always` pair passes and a `Never` pair fails without a draw, and
+//! only a `Flaky` pair draws its trials, up to the first failure. The
+//! trial nonce advances as if every trial ran: by `trials` on a pass, and
+//! on a failure by the trials up to and including the first failed one.
+//! So plans are the same as with one `rowclone_ok` call per trial.
+//!
 //! **A remap is one-to-one.** Every remap entry goes through
 //! [`RowCloneAllocator::back`], which records the physical row it hands out
 //! and panics if that row already backs a virtual row: two virtual rows on
@@ -250,11 +258,9 @@ impl RowCloneAllocator {
     /// The paper's test (§7.1 "mapping problem"): the pair is clonable only
     /// if it never fails across `trials` RowClone copy operations.
     ///
-    /// The pair's class is looked up once. An `Always` pair passes and a
-    /// `Never` pair fails without a draw; only a `Flaky` pair draws, one
-    /// trial at a time, and stops at its first failure. The nonce advances
-    /// as if each trial ran: by `trials` on a pass, and on a failure by the
-    /// trials up to and including the first failed one.
+    /// One class lookup per pair; only a `Flaky` pair draws, up to its
+    /// first failure. The nonce advances by `trials` on a pass, and on a
+    /// failure by the trials up to and including the first failed one.
     fn qualify(&mut self, var: &VariationModel, bank: u32, src: u32, dst: u32) -> bool {
         match var.pair_class(bank, src, dst) {
             PairClass::Always => {
