@@ -67,12 +67,11 @@ fn main() {
     std::process::exit(1);
 }
 
-/// A seed in decimal, or in hex after `0x`; `_` separators allowed.
+/// A seed in decimal, or in hex after `0x`.
 fn parse_seed(text: &str) -> Option<u64> {
-    let digits = text.replace('_', "");
-    match digits.strip_prefix("0x") {
+    match text.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => digits.parse().ok(),
+        None => text.parse().ok(),
     }
 }
 
