@@ -5,56 +5,66 @@
 //! produces (the trace exports), and exits non-zero if any claim fails.
 //! `EASYDRAM_QUICK=1` runs the short sweeps (`Size::Quick`) instead of the
 //! paper's. `--device-seed N` (decimal, or hex with `0x`) builds every
-//! device's variation field from seed `N` instead of the shipped one.
+//! device's variation field from seed `N` instead of the shipped one. A
+//! missing, unknown or second name and a missing, bad or second seed print
+//! the usage and exit 2, before anything runs.
 
 use std::path::Path;
 
-use easydram_bench::{Scale, Size, FIGURES};
+use easydram_bench::{names, Scale, Size, FIGURES};
 
 fn main() {
     let quick = std::env::var("EASYDRAM_QUICK").is_ok_and(|v| v != "0");
     let size = if quick { Size::Quick } else { Size::Paper };
-    let (mut arg, mut device_seed) = (String::new(), None);
+    let (mut arg, mut device_seed) = (None, None);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--device-seed" {
+        let repeated = if a == "--device-seed" {
             let seed = args.next().as_deref().and_then(parse_seed);
-            device_seed = Some(seed.unwrap_or_else(|| usage()));
+            device_seed
+                .replace(seed.unwrap_or_else(|| usage()))
+                .is_some()
         } else {
-            arg = a;
+            arg.replace(a).is_some()
+        };
+        if repeated {
+            usage();
         }
     }
-    let selected: Vec<_> = FIGURES
-        .iter()
-        .filter(|(name, _)| arg == "all" || *name == arg)
-        .collect();
-    if selected.is_empty() {
-        usage();
-    }
+    let arg = arg
+        .filter(|a| a == "all" || names().any(|n| n == a))
+        .unwrap_or_else(|| usage());
+    let wanted = |name: &str| arg == "all" || name == arg;
     if let Some(seed) = device_seed {
         println!("device seed {seed:#x}");
     }
     let scale = Scale { size, device_seed };
     let (mut claims, mut failed) = (0, Vec::new());
-    for (name, run) in selected {
-        println!("\n########## {name} ##########");
-        let fig = run(scale);
-        print!("{}", fig.text);
-        for (path, bytes) in &fig.files {
-            let dir = Path::new(path).parent().expect("a path under a directory");
-            std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(path, bytes))
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            println!("wrote {path} ({} bytes)", bytes.len());
-        }
-        println!("\nClaims:");
-        for claim in &fig.claims {
-            println!("  {claim}");
-            if !claim.holds {
-                failed.push(format!("{name}: {claim}"));
+    // A run that renders two figures runs once for both, and prints only
+    // the one asked for.
+    for (named, run) in FIGURES
+        .iter()
+        .filter(|(named, _)| named.iter().any(|n| wanted(n)))
+    {
+        for (&name, fig) in named.iter().zip(run(scale)).filter(|(n, _)| wanted(n)) {
+            println!("\n########## {name} ##########");
+            print!("{}", fig.text);
+            for (path, bytes) in &fig.files {
+                let dir = Path::new(path).parent().expect("a path under a directory");
+                std::fs::create_dir_all(dir)
+                    .and_then(|()| std::fs::write(path, bytes))
+                    .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+                println!("wrote {path} ({} bytes)", bytes.len());
             }
+            println!("\nClaims:");
+            for claim in &fig.claims {
+                println!("  {claim}");
+                if !claim.holds {
+                    failed.push(format!("{name}: {claim}"));
+                }
+            }
+            claims += fig.claims.len();
         }
-        claims += fig.claims.len();
     }
     if failed.is_empty() {
         println!("\nAll {claims} claims hold.");
@@ -76,7 +86,7 @@ fn parse_seed(text: &str) -> Option<u64> {
 }
 
 fn usage() -> ! {
-    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+    let names: Vec<&str> = names().collect();
     eprintln!(
         "usage: repro <figure>|all [--device-seed N]\nfigures: {}",
         names.join(" ")

@@ -1,11 +1,14 @@
-//! The paper's evaluation, one function per table and figure.
+//! The paper's evaluation: the runs that render its tables and figures.
 //!
-//! Each figure is a `run(Scale) -> Figure` listed once in [`FIGURES`].
-//! [`Scale`] picks only data: the configuration a system preset is built
-//! at, the sizes swept, the kernels and the systems compared. The printout
-//! (the `repro` binary), the goldens (`tests/snapshots.rs`, at
-//! [`Scale::GOLDEN`]) and the claims (`tests/claims.rs`, at
-//! [`Scale::QUICK`]) therefore all come from the same code.
+//! Each run is a `fn(Scale) -> Vec<Figure>` listed once in [`FIGURES`],
+//! with the names of the figures it renders. Every run renders one figure
+//! except the RowClone sweep, which renders Figs. 10 and 11 from the same
+//! kernel runs. [`Scale`] picks only data: the configuration a system
+//! preset is built at, the sizes swept, the kernels and the systems
+//! compared. The printout (the `repro` binary), the goldens
+//! (`tests/snapshots.rs`, at [`Scale::GOLDEN`]) and the claims
+//! (`tests/claims.rs`, at [`Scale::QUICK`]) therefore all come from the
+//! same code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,32 +33,43 @@ mod rowclone;
 mod table1_platforms;
 mod validate_timescaling;
 
-/// A figure: runs it at a scale.
-pub type Run = fn(Scale) -> Figure;
+/// A run: renders its figures at a scale, in the order its entry of
+/// [`FIGURES`] names them.
+pub type Run = fn(Scale) -> Vec<Figure>;
 
-/// Every table and figure, by the name `repro` and the goldens use.
-pub const FIGURES: [(&str, Run); 12] = [
-    ("table1_platforms", table1_platforms::run),
-    ("validate_timescaling", validate_timescaling::run),
-    ("fig8_latency_profile", fig8_latency_profile::run),
-    ("fig10_rowclone_noflush", rowclone::noflush),
-    ("fig11_rowclone_clflush", rowclone::clflush),
-    ("fig12_trcd_heatmap", fig12_trcd_heatmap::run),
-    ("fig13_trcd_speedup", fig13_trcd_speedup::run),
-    ("fig14_sim_speed", fig14_sim_speed::run),
-    ("fig_channel_sweep", fig_channel_sweep::run),
-    ("fig_multicore_contention", contention::multicore),
-    ("fig_rowhammer", fig_rowhammer::run),
-    ("fig_latency_cdf", contention::latency_cdf),
+/// Every run, with the names `repro` and the goldens use for the figures it
+/// renders. Each figure is named once. The RowClone run names Figs. 10 and
+/// 11: it runs once for both.
+pub const FIGURES: [(&[&str], Run); 11] = [
+    (&["table1_platforms"], |s| vec![table1_platforms::run(s)]),
+    (&["validate_timescaling"], |s| {
+        vec![validate_timescaling::run(s)]
+    }),
+    (&["fig8_latency_profile"], |s| {
+        vec![fig8_latency_profile::run(s)]
+    }),
+    (
+        &["fig10_rowclone_noflush", "fig11_rowclone_clflush"],
+        rowclone::run,
+    ),
+    (&["fig12_trcd_heatmap"], |s| {
+        vec![fig12_trcd_heatmap::run(s)]
+    }),
+    (&["fig13_trcd_speedup"], |s| {
+        vec![fig13_trcd_speedup::run(s)]
+    }),
+    (&["fig14_sim_speed"], |s| vec![fig14_sim_speed::run(s)]),
+    (&["fig_channel_sweep"], |s| vec![fig_channel_sweep::run(s)]),
+    (&["fig_multicore_contention"], |s| {
+        vec![contention::multicore(s)]
+    }),
+    (&["fig_rowhammer"], |s| vec![fig_rowhammer::run(s)]),
+    (&["fig_latency_cdf"], |s| vec![contention::latency_cdf(s)]),
 ];
 
-/// The figure called `name` in [`FIGURES`].
-#[must_use]
-pub fn figure(name: &str) -> Option<Run> {
-    FIGURES
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, run)| run)
+/// Every figure's name, in [`FIGURES`] order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    FIGURES.iter().flat_map(|(names, _)| names.iter().copied())
 }
 
 /// How much of a figure to run, and on which device.

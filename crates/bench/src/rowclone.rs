@@ -11,6 +11,11 @@
 //! Fig. 11: with/without time scaling Copy improves 4.04×/3.1× on average
 //! (6.62×/4.83× max). docs/REPRODUCING.md lists the Fig. 11 statements this
 //! reproduction does not bear out.
+//!
+//! Both figures are rendered from one sweep. The CPU baselines take no flush
+//! mode, so each runs once per platform and size; each RowClone kernel runs
+//! once per flush mode. Fig. 10 shows the no-flush RowClone runs and Fig. 11
+//! the CLFLUSH ones, each beside the same baselines.
 
 use easydram::{System, SystemConfig, TimingMode};
 use easydram_cpu::Workload;
@@ -40,8 +45,8 @@ enum Platform {
 }
 
 impl Platform {
-    /// Runs `w` on a fresh instance, pins the report as section `label` and
-    /// returns the cycles of the workload's measured region.
+    /// Runs `w` on a fresh instance, pins the report as section `label` of
+    /// `fig` and returns the cycles of the workload's measured region.
     fn measure(&self, fig: &mut Figure, label: &str, w: &mut dyn Workload) -> u64 {
         let total = match self {
             Platform::Easy(cfg) => {
@@ -58,48 +63,47 @@ impl Platform {
     }
 }
 
-/// The kernels in the order they run; each is swept over every size before
-/// the next starts.
+/// A kernel of the sweep. A RowClone kernel runs in one flush mode; a CPU
+/// baseline has none.
 #[derive(Clone, Copy, PartialEq)]
 enum Kernel {
     CpuCopy,
-    RowCloneCopy,
-    RowCloneInit,
+    RowCloneCopy(FlushMode),
+    RowCloneInit(FlushMode),
     CpuInit,
 }
 
 impl Kernel {
-    const ALL: [Kernel; 4] = [
+    /// The kernels in the order they run; each is swept over every size
+    /// before the next starts. Each figure's sections pin its own four in
+    /// this order.
+    const ALL: [Kernel; 6] = [
         Kernel::CpuCopy,
-        Kernel::RowCloneCopy,
-        Kernel::RowCloneInit,
+        Kernel::RowCloneCopy(FlushMode::NoFlush),
+        Kernel::RowCloneCopy(FlushMode::ClFlush),
+        Kernel::RowCloneInit(FlushMode::NoFlush),
+        Kernel::RowCloneInit(FlushMode::ClFlush),
         Kernel::CpuInit,
     ];
 
     /// Runs the kernel at `bytes` on `p` and returns its measured cycles and
     /// outcome (a CPU kernel's is empty).
-    fn run(
-        self,
-        fig: &mut Figure,
-        p: &Platform,
-        bytes: u64,
-        flush: FlushMode,
-    ) -> (u64, MicroOutcome) {
-        let flush_name = match flush {
+    fn run(self, fig: &mut Figure, p: &Platform, bytes: u64) -> (u64, MicroOutcome) {
+        let flush_name = |flush| match flush {
             FlushMode::NoFlush => "noflush",
             FlushMode::ClFlush => "clflush",
         };
         let none = MicroOutcome::default();
         match self {
             Kernel::CpuCopy => (p.measure(fig, "cpu copy", &mut CpuCopy::new(bytes)), none),
-            Kernel::RowCloneCopy => {
+            Kernel::RowCloneCopy(flush) => {
                 let mut w = RowCloneCopy::new(bytes, flush);
-                let label = format!("rowclone copy {flush_name}");
+                let label = format!("rowclone copy {}", flush_name(flush));
                 (p.measure(fig, &label, &mut w), *w.outcome())
             }
-            Kernel::RowCloneInit => {
+            Kernel::RowCloneInit(flush) => {
                 let mut w = RowCloneInit::new(bytes, flush);
-                let label = format!("rowclone init {flush_name}");
+                let label = format!("rowclone init {}", flush_name(flush));
                 (p.measure(fig, &label, &mut w), *w.outcome())
             }
             Kernel::CpuInit => (p.measure(fig, "cpu init", &mut CpuInit::new(bytes)), none),
@@ -115,22 +119,60 @@ fn time_scaled(scale: Scale) -> Platform {
     easy(scale, SystemConfig::jetson_nano(TimingMode::TimeScaling))
 }
 
-/// One kernel run of a sweep.
+/// One kernel run of the sweep, with the report section it pins.
 struct Run {
     system: &'static str,
     bytes: u64,
     kernel: Kernel,
     cycles: u64,
     outcome: MicroOutcome,
+    section: String,
 }
 
-/// One figure's sweep.
+/// The sweep both figures are rendered from.
 struct Sweep {
-    fig: Figure,
+    systems: Vec<&'static str>,
+    sizes: Vec<u64>,
     runs: Vec<Run>,
 }
 
 impl Sweep {
+    fn new(scale: Scale) -> Sweep {
+        let systems = match scale.size {
+            // The golden pins the time-scaled system only.
+            Size::Golden => vec![(TS, time_scaled(scale))],
+            _ => vec![
+                (NO_TS, easy(scale, SystemConfig::pidram_like())),
+                (TS, time_scaled(scale)),
+                (RAMULATOR, Platform::Ramulator),
+            ],
+        };
+        let sizes = sizes(scale);
+        let mut runs = Vec::new();
+        for &(system, ref p) in &systems {
+            for kernel in Kernel::ALL {
+                for &bytes in &sizes {
+                    let mut fig = Figure::default();
+                    let (cycles, outcome) = kernel.run(&mut fig, p, bytes);
+                    runs.push(Run {
+                        system,
+                        bytes,
+                        kernel,
+                        cycles,
+                        outcome,
+                        section: fig.sections,
+                    });
+                }
+            }
+        }
+        let systems = systems.iter().map(|&(n, _)| n).collect();
+        Sweep {
+            systems,
+            sizes,
+            runs,
+        }
+    }
+
     fn get(&self, system: &str, bytes: u64, kernel: Kernel) -> Option<&Run> {
         self.runs
             .iter()
@@ -149,93 +191,84 @@ impl Sweep {
             _ => f64::NAN,
         }
     }
+
+    /// The figure of flush mode `flush`: the sections of the runs it shows,
+    /// in sweep order, its Copy and Init tables with their geomeans, and
+    /// the claim that its RowClone runs verify.
+    fn figure(&self, flush: FlushMode, figure: &'static str, decimals: usize) -> Figure {
+        let mut fig = Figure::default();
+        let shown = || {
+            self.runs.iter().filter(move |r| {
+                !matches!(r.kernel, Kernel::RowCloneCopy(f) | Kernel::RowCloneInit(f) if f != flush)
+            })
+        };
+        for r in shown() {
+            fig.sections.push_str(&r.section);
+        }
+        let variant = match flush {
+            FlushMode::NoFlush => "No Flush",
+            FlushMode::ClFlush => "CLFLUSH",
+        };
+        let (names, sizes) = (&self.systems, &self.sizes);
+        let fmt = |x: f64| format!("{x:.decimals$}");
+        let mut averages = Vec::new();
+        for (part, kind, pair) in [
+            ("a", "Copy", [Kernel::CpuCopy, Kernel::RowCloneCopy(flush)]),
+            ("b", "Init", [Kernel::CpuInit, Kernel::RowCloneInit(flush)]),
+        ] {
+            let speedup = |n: &str, b: u64| self.speedup(n, b, pair);
+            let rows: Vec<Vec<String>> = sizes
+                .iter()
+                .map(|&b| {
+                    std::iter::once(fmt_size(b))
+                        .chain(names.iter().map(|n| fmt(speedup(n, b))))
+                        .collect()
+                })
+                .collect();
+            let header: Vec<&str> = std::iter::once("size")
+                .chain(names.iter().copied())
+                .collect();
+            let title = format!("{figure}({part}): RowClone - {variant} {kind} speedup");
+            let cells: Vec<String> = names
+                .iter()
+                .map(|n| {
+                    let v: Vec<f64> = sizes.iter().map(|&b| speedup(n, b)).collect();
+                    let max = v.iter().copied().fold(0.0, f64::max);
+                    format!("{n} {}x ({}x)", fmt(geomean(&v)), fmt(max))
+                })
+                .collect();
+            averages.push(format!("  {kind}: {}", cells.join(" | ")));
+            fig.table(&title, &header, &rows);
+        }
+        fig.note("\nGeomeans (maxima) over all sizes:");
+        for line in averages {
+            fig.note(line);
+        }
+
+        let mismatches: u64 = shown().map(|r| r.outcome.mismatches).sum();
+        fig.claim(
+            figure,
+            mismatches == 0,
+            format!("every RowClone Copy and Init verifies: {mismatches} mismatched words"),
+        );
+        fig
+    }
 }
 
-const COPY: [Kernel; 2] = [Kernel::CpuCopy, Kernel::RowCloneCopy];
-const INIT: [Kernel; 2] = [Kernel::CpuInit, Kernel::RowCloneInit];
-
-fn sweep(scale: Scale, flush: FlushMode, figure: &'static str, decimals: usize) -> Sweep {
-    let systems = match scale.size {
-        // The golden pins the time-scaled system only.
-        Size::Golden => vec![(TS, time_scaled(scale))],
-        _ => vec![
-            (NO_TS, easy(scale, SystemConfig::pidram_like())),
-            (TS, time_scaled(scale)),
-            (RAMULATOR, Platform::Ramulator),
-        ],
-    };
-    let sizes = sizes(scale);
-    let mut s = Sweep {
-        fig: Figure::default(),
-        runs: Vec::new(),
-    };
-    for &(system, ref p) in &systems {
-        for kernel in Kernel::ALL {
-            for &bytes in &sizes {
-                let (cycles, outcome) = kernel.run(&mut s.fig, p, bytes, flush);
-                s.runs.push(Run {
-                    system,
-                    bytes,
-                    kernel,
-                    cycles,
-                    outcome,
-                });
-            }
-        }
-    }
-
-    let variant = match flush {
-        FlushMode::NoFlush => "No Flush",
-        FlushMode::ClFlush => "CLFLUSH",
-    };
-    let names: Vec<&str> = systems.iter().map(|(n, _)| *n).collect();
-    let fmt = |x: f64| format!("{x:.decimals$}");
-    let mut averages = Vec::new();
-    for (part, kind, pair) in [("a", "Copy", COPY), ("b", "Init", INIT)] {
-        let speedup = |n: &str, b: u64| s.speedup(n, b, pair);
-        let rows: Vec<Vec<String>> = sizes
-            .iter()
-            .map(|&b| {
-                std::iter::once(fmt_size(b))
-                    .chain(names.iter().map(|n| fmt(speedup(n, b))))
-                    .collect()
-            })
-            .collect();
-        let header: Vec<&str> = std::iter::once("size")
-            .chain(names.iter().copied())
-            .collect();
-        let title = format!("{figure}({part}): RowClone - {variant} {kind} speedup");
-        let cells: Vec<String> = names
-            .iter()
-            .map(|n| {
-                let v: Vec<f64> = sizes.iter().map(|&b| speedup(n, b)).collect();
-                let max = v.iter().copied().fold(0.0, f64::max);
-                format!("{n} {}x ({}x)", fmt(geomean(&v)), fmt(max))
-            })
-            .collect();
-        averages.push(format!("  {kind}: {}", cells.join(" | ")));
-        s.fig.table(&title, &header, &rows);
-    }
-    s.fig.note("\nGeomeans (maxima) over all sizes:");
-    for line in averages {
-        s.fig.note(line);
-    }
-
-    let mismatches: u64 = s.runs.iter().map(|r| r.outcome.mismatches).sum();
-    s.fig.claim(
-        figure,
-        mismatches == 0,
-        format!("every RowClone Copy and Init verifies: {mismatches} mismatched words"),
-    );
-    s
+/// Figs. 10 and 11, in that order, from one sweep.
+pub(crate) fn run(scale: Scale) -> Vec<Figure> {
+    let sweep = Sweep::new(scale);
+    vec![noflush(&sweep), clflush(&sweep, scale)]
 }
 
 /// Fig. 10: RowClone - No Flush.
-pub(crate) fn noflush(scale: Scale) -> Figure {
-    let mut s = sweep(scale, FlushMode::NoFlush, "Fig. 10", 1);
+fn noflush(s: &Sweep) -> Figure {
+    let mut fig = s.figure(FlushMode::NoFlush, "Fig. 10", 1);
+    const COPY: [Kernel; 2] = [Kernel::CpuCopy, Kernel::RowCloneCopy(FlushMode::NoFlush)];
+    const INIT: [Kernel; 2] = [Kernel::CpuInit, Kernel::RowCloneInit(FlushMode::NoFlush)];
     let ts = s.speedup(TS, 64 * KIB, COPY);
     let no_ts = s.speedup(NO_TS, 64 * KIB, COPY);
-    s.fig.claim(
+    fig.claim(
         "Fig. 10",
         ts > 5.0 && ts < 40.0,
         format!(
@@ -243,7 +276,7 @@ pub(crate) fn noflush(scale: Scale) -> Figure {
              (5x - 40x)"
         ),
     );
-    s.fig.claim(
+    fig.claim(
         "Fig. 10",
         no_ts > 4.0 * ts,
         format!("at 64K, without time scaling Copy reads {no_ts:.1}x, skewed > 4x above {ts:.1}x"),
@@ -251,14 +284,14 @@ pub(crate) fn noflush(scale: Scale) -> Figure {
     let big = 256 * KIB;
     let (copy, init) = (s.speedup(TS, big, COPY), s.speedup(TS, big, INIT));
     let ram_init = s.speedup(RAMULATOR, big, INIT);
-    s.fig.claim(
+    fig.claim(
         "Fig. 10",
         copy > init,
         format!(
             "at 256K, time-scaled Copy beats Init: {copy:.1}x vs {init:.1}x (paper 15.0x vs 1.8x)"
         ),
     );
-    s.fig.claim(
+    fig.claim(
         "Fig. 10",
         ram_init > init,
         format!(
@@ -266,10 +299,10 @@ pub(crate) fn noflush(scale: Scale) -> Figure {
         ),
     );
     let o = s
-        .get(TS, big, Kernel::RowCloneInit)
+        .get(TS, big, INIT[1])
         .map(|r| r.outcome)
         .unwrap_or_default();
-    s.fig.claim(
+    fig.claim(
         "§7.1",
         o.fallback_rows > 0,
         format!(
@@ -278,21 +311,22 @@ pub(crate) fn noflush(scale: Scale) -> Figure {
             o.fallback_rows, o.total_rows
         ),
     );
-    s.fig
+    fig
 }
 
 /// Fig. 11: RowClone - CLFLUSH.
-pub(crate) fn clflush(scale: Scale) -> Figure {
-    let mut s = sweep(scale, FlushMode::ClFlush, "Fig. 11", 2);
-    // The no-flush copy that the CLFLUSH copy's cost is judged against.
+fn clflush(s: &Sweep, scale: Scale) -> Figure {
+    let mut fig = s.figure(FlushMode::ClFlush, "Fig. 11", 2);
+    // The no-flush copy that the CLFLUSH copy's cost is judged against. The
+    // Golden sweep stops short of 64K, so it runs here at every scale.
     let at = 64 * KIB;
     let (noflush, _) =
-        Kernel::RowCloneCopy.run(&mut s.fig, &time_scaled(scale), at, FlushMode::NoFlush);
+        Kernel::RowCloneCopy(FlushMode::NoFlush).run(&mut fig, &time_scaled(scale), at);
     let clflush = s
-        .get(TS, at, Kernel::RowCloneCopy)
+        .get(TS, at, Kernel::RowCloneCopy(FlushMode::ClFlush))
         .map_or(f64::NAN, |r| r.cycles as f64);
     let ratio = clflush / noflush as f64;
-    s.fig.claim(
+    fig.claim(
         "Fig. 11",
         ratio > 2.0,
         format!(
@@ -300,13 +334,14 @@ pub(crate) fn clflush(scale: Scale) -> Figure {
              no-flush copy's cycles (> 2x)"
         ),
     );
+    const INIT: [Kernel; 2] = [Kernel::CpuInit, Kernel::RowCloneInit(FlushMode::ClFlush)];
     let small = s.speedup(TS, 8 * KIB, INIT);
-    s.fig.claim(
+    fig.claim(
         "Fig. 11",
         small < 2.0,
         format!(
             "small CLFLUSH Init loses most of its benefit: time-scaled {small:.2}x at 8K (< 2x)"
         ),
     );
-    s.fig
+    fig
 }

@@ -4,18 +4,20 @@
 
 use std::sync::OnceLock;
 
-use easydram_bench::{Claim, Figure, Scale, FIGURES};
+use easydram_bench::{names, Claim, Figure, Scale, FIGURES};
 
-/// Figure `name` at `Scale::QUICK`, run once per test binary however many
-/// tests read it.
+/// Figure `name` at `Scale::QUICK`. Each entry of `FIGURES` runs once per
+/// test binary, however many tests read its figures.
 fn quick(name: &str) -> &'static Figure {
-    static RUNS: OnceLock<Vec<OnceLock<Figure>>> = OnceLock::new();
-    let runs = RUNS.get_or_init(|| FIGURES.iter().map(|_| OnceLock::new()).collect());
+    static RUNS: [OnceLock<Vec<Figure>>; FIGURES.len()] =
+        [const { OnceLock::new() }; FIGURES.len()];
     let i = FIGURES
         .iter()
-        .position(|(n, _)| *n == name)
+        .position(|(names, _)| names.contains(&name))
         .expect("a figure of FIGURES");
-    runs[i].get_or_init(|| (FIGURES[i].1)(Scale::QUICK))
+    let (names, run) = FIGURES[i];
+    let j = names.iter().position(|n| *n == name).expect("its place");
+    &RUNS[i].get_or_init(|| run(Scale::QUICK))[j]
 }
 
 fn assert_hold<'a>(name: &str, claims: impl IntoIterator<Item = &'a Claim>) {
@@ -44,7 +46,7 @@ macro_rules! claims {
 
         #[test]
         fn every_figure_is_checked() {
-            let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+            let names: Vec<&str> = names().collect();
             assert_eq!(names, [$(stringify!($name)),*]);
         }
     };

@@ -1,7 +1,8 @@
 //! Snapshot pins for every figure.
 //!
-//! Each figure of `easydram_bench::FIGURES` runs at `Scale::GOLDEN` (small
-//! DRAM geometry, few points) and its labelled sections, the `{:#?}` of
+//! Each figure of `easydram_bench::FIGURES` renders at `Scale::GOLDEN` (small
+//! DRAM geometry, few points), each entry's run once for all of its
+//! figures, and each figure's labelled sections, the `{:#?}` of
 //! every deterministic report it ran, are compared byte for byte against
 //! `tests/goldens/<figure>.snap`. Any change to the command-legality path,
 //! the serve loop or the emulated timeline that shifts a single counter in
@@ -22,8 +23,9 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
-use easydram_bench::{figure, Scale, FIGURES};
+use easydram_bench::{names, Figure, Scale, FIGURES};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -89,10 +91,20 @@ fn first_divergence(name: &str, expected: &str, actual: &str) -> String {
     format!("snapshot '{name}' diverges only in trailing whitespace")
 }
 
-/// Renders figure `name` at `Scale::GOLDEN` and pins its sections.
+/// Renders figure `name` at `Scale::GOLDEN` and pins its sections. Each
+/// entry of `FIGURES` runs once per test binary, however many figures it
+/// renders.
 fn check_figure(name: &str) {
-    let run = figure(name).expect("a figure of FIGURES");
-    check_snapshot(name, &run(Scale::GOLDEN).sections);
+    static RUNS: [OnceLock<Vec<Figure>>; FIGURES.len()] =
+        [const { OnceLock::new() }; FIGURES.len()];
+    let i = FIGURES
+        .iter()
+        .position(|(names, _)| names.contains(&name))
+        .expect("a figure of FIGURES");
+    let (names, run) = FIGURES[i];
+    let j = names.iter().position(|n| *n == name).expect("its place");
+    let figures = RUNS[i].get_or_init(|| run(Scale::GOLDEN));
+    check_snapshot(name, &figures[j].sections);
 }
 
 macro_rules! figure_snapshots {
@@ -106,7 +118,7 @@ macro_rules! figure_snapshots {
 
         #[test]
         fn every_figure_has_a_snapshot_test() {
-            let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+            let names: Vec<&str> = names().collect();
             assert_eq!(names, [$($name),*]);
         }
     };
